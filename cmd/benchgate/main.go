@@ -15,13 +15,18 @@
 // of one benchmark are reduced to the median). Benchmarks present in
 // only one file are reported but never fail the gate: adding a
 // benchmark must not break CI, and deleting one is reviewed in the
-// diff, not here.
+// diff, not here. The two files must come from the same GOMAXPROCS
+// (the -N name suffix go test appends when N > 1, none for 1):
+// benchgate refuses to compare runs at different CPU counts, because a
+// benchmark that runs goroutines in parallel measures something else
+// at another count. Record both with `go test -cpu 1`.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -42,20 +47,28 @@ type series struct {
 	allocs []float64
 }
 
-var lineRE = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
+var lineRE = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
-func parseFile(path string) (map[string]*series, error) {
+// parseFile reads one benchmark output and returns its series by name
+// and the GOMAXPROCS every line of it ran at.
+func parseFile(path string) (map[string]*series, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
 	out := map[string]*series{}
+	fileProcs := 0
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		name, s, ok := parseLine(sc.Text())
+		name, procs, s, ok := parseLine(sc.Text())
 		if !ok {
 			continue
+		}
+		if fileProcs == 0 {
+			fileProcs = procs
+		} else if procs != fileProcs {
+			return nil, 0, fmt.Errorf("%s mixes GOMAXPROCS %d and %d (%s)", path, fileProcs, procs, name)
 		}
 		sr := out[name]
 		if sr == nil {
@@ -67,28 +80,39 @@ func parseFile(path string) (map[string]*series, error) {
 			sr.allocs = append(sr.allocs, s.allocsOp)
 		}
 	}
-	return out, sc.Err()
+	return out, fileProcs, sc.Err()
 }
 
-func parseLine(line string) (string, sample, bool) {
+// parseLine splits one benchmark result line into the benchmark name
+// without its GOMAXPROCS suffix, that GOMAXPROCS (1 when there is no
+// suffix) and the measurements.
+func parseLine(line string) (string, int, sample, bool) {
 	m := lineRE.FindStringSubmatch(line)
 	if m == nil {
-		return "", sample{}, false
+		return "", 0, sample{}, false
 	}
-	ns, err := strconv.ParseFloat(m[2], 64)
+	procs := 1
+	if m[2] != "" {
+		n, err := strconv.Atoi(m[2])
+		if err != nil {
+			return "", 0, sample{}, false
+		}
+		procs = n
+	}
+	ns, err := strconv.ParseFloat(m[3], 64)
 	if err != nil {
-		return "", sample{}, false
+		return "", 0, sample{}, false
 	}
 	s := sample{nsOp: ns}
-	if m[4] != "" {
-		allocs, err := strconv.ParseFloat(m[4], 64)
+	if m[5] != "" {
+		allocs, err := strconv.ParseFloat(m[5], 64)
 		if err != nil {
-			return "", sample{}, false
+			return "", 0, sample{}, false
 		}
 		s.allocsOp = allocs
 		s.hasAllocs = true
 	}
-	return m[1], s, true
+	return m[1], procs, s, true
 }
 
 func median(v []float64) float64 {
@@ -104,34 +128,48 @@ func median(v []float64) float64 {
 	}
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_baseline.txt", "baseline benchmark output")
-	currentPath := flag.String("current", "", "current benchmark output (required)")
-	guard := flag.String("guard", "Benchmark", "regexp of guarded benchmark names")
-	maxTime := flag.Float64("max-time-regress", 0.20, "maximum fractional time/op regression")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the gate: it returns 0 when every guarded benchmark is within
+// policy, 1 when one regressed, and 2 on bad usage or input, including
+// files recorded at different GOMAXPROCS.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "BENCH_baseline.txt", "baseline benchmark output")
+	currentPath := fs.String("current", "", "current benchmark output (required)")
+	guard := fs.String("guard", "Benchmark", "regexp of guarded benchmark names")
+	maxTime := fs.Float64("max-time-regress", 0.20, "maximum fractional time/op regression")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -current is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate: -current is required")
+		return 2
 	}
 	guardRE, err := regexp.Compile(*guard)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: bad -guard: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: bad -guard: %v\n", err)
+		return 2
 	}
-	base, err := parseFile(*baselinePath)
+	base, baseProcs, err := parseFile(*baselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
 	}
-	cur, err := parseFile(*currentPath)
+	cur, curProcs, err := parseFile(*currentPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: %v\n", err)
+		return 2
 	}
 	if len(base) == 0 || len(cur) == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no benchmark lines parsed")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate: no benchmark lines parsed")
+		return 2
+	}
+	if baseProcs != curProcs {
+		fmt.Fprintf(stderr, "benchgate: baseline ran at GOMAXPROCS=%d, current at GOMAXPROCS=%d; record both with go test -cpu 1\n",
+			baseProcs, curProcs)
+		return 2
 	}
 
 	names := make([]string, 0, len(cur))
@@ -141,13 +179,13 @@ func main() {
 	sort.Strings(names)
 
 	failed := false
-	fmt.Printf("%-34s %14s %14s %8s\n", "benchmark", "base ns/op", "cur ns/op", "Δ")
+	fmt.Fprintf(stdout, "%-34s %14s %14s %8s\n", "benchmark", "base ns/op", "cur ns/op", "Δ")
 	for _, name := range names {
 		c := cur[name]
 		b, inBase := base[name]
 		curNS := median(c.ns)
 		if !inBase {
-			fmt.Printf("%-34s %14s %14.1f %8s\n", name, "(new)", curNS, "-")
+			fmt.Fprintf(stdout, "%-34s %14s %14.1f %8s\n", name, "(new)", curNS, "-")
 			continue
 		}
 		baseNS := median(b.ns)
@@ -165,16 +203,17 @@ func main() {
 				failed = true
 			}
 		}
-		fmt.Printf("%-34s %14.1f %14.1f %+7.1f%%%s\n", name, baseNS, curNS, delta*100, status)
+		fmt.Fprintf(stdout, "%-34s %14.1f %14.1f %+7.1f%%%s\n", name, baseNS, curNS, delta*100, status)
 	}
 	for name := range base {
 		if _, ok := cur[name]; !ok && guardRE.MatchString(name) {
-			fmt.Printf("%-34s missing from current run (not failing; remove from baseline if deleted)\n", name)
+			fmt.Fprintf(stdout, "%-34s missing from current run (not failing; remove from baseline if deleted)\n", name)
 		}
 	}
 	if failed {
-		fmt.Println("benchgate: FAIL — guarded benchmark regressed beyond policy")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "benchgate: FAIL — guarded benchmark regressed beyond policy")
+		return 1
 	}
-	fmt.Println("benchgate: ok")
+	fmt.Fprintln(stdout, "benchgate: ok")
+	return 0
 }

@@ -566,7 +566,6 @@ func (tb *Testbed) wireTimestamps() {
 	// the hazard service decision fires on exactly that frame.
 	tb.Hazard.OnDecision = func(_ edge.TrackedObject, _ perception.FrameResult, _ time.Duration) {
 		run.Stamp(trace.StepDetection, tb.EdgeClock.Now())
-		run.AttachSnapshot(trace.StepDetection, tb.Metrics.Snapshot())
 		tb.detectionPos = tb.Vehicle.Body.State().Position
 		if tb.Tracer != nil && tb.chainRoot == nil {
 			// Root the end-to-end trace at the step-2 stamp so its extent
@@ -580,7 +579,6 @@ func (tb *Testbed) wireTimestamps() {
 	// Step 3: the RSU registers the time of sending.
 	tb.RSU.DEN.OnTransmit = func(_ *messages.DENM) {
 		run.Stamp(trace.StepRSUSend, tb.RSU.Clock.Now())
-		run.AttachSnapshot(trace.StepRSUSend, tb.Metrics.Snapshot())
 	}
 	// Step 4: the OBU registers the time of reception. The SimNode
 	// already chained the mailbox handler over station.OnDENM; wrap it
@@ -588,7 +586,6 @@ func (tb *Testbed) wireTimestamps() {
 	prev := tb.OBU.OnDENM
 	tb.OBU.OnDENM = func(d *messages.DENM) {
 		run.Stamp(trace.StepOBUReceive, tb.OBU.Clock.Now())
-		run.AttachSnapshot(trace.StepOBUReceive, tb.Metrics.Snapshot())
 		if prev != nil {
 			prev(d)
 		}
@@ -596,7 +593,6 @@ func (tb *Testbed) wireTimestamps() {
 	// Step 5: the vehicle ECU registers the actuator command.
 	tb.Vehicle.OnStopCommand = func(t time.Duration) {
 		run.Stamp(trace.StepActuatorCommand, t)
-		run.AttachSnapshot(trace.StepActuatorCommand, tb.Metrics.Snapshot())
 		tb.flVeh.Record(t, flight.Actuation, flight.ActStopCommand, 0, 0)
 		if tb.Tracer != nil {
 			parent := tb.Tracer.Find(tracing.KeyPoll("obu"))
@@ -614,7 +610,6 @@ func (tb *Testbed) wireTimestamps() {
 	// Step 6: the vehicle halts (true/video time).
 	tb.Vehicle.OnHalt = func(t time.Duration) {
 		run.Stamp(trace.StepHalt, t)
-		run.AttachSnapshot(trace.StepHalt, tb.Metrics.Snapshot())
 		tb.flVeh.Record(t, flight.Actuation, flight.ActHalt, 0, 0)
 		tb.haltPos = tb.Vehicle.Body.State().Position
 	}

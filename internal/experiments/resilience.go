@@ -195,7 +195,10 @@ func Resilience(opt ResilienceOptions) (ResilienceResult, error) {
 
 	merged := opt.Metrics
 	if merged == nil {
-		merged = metrics.NewRegistry()
+		// Snapshot copies, so the merge registry can be a pooled one.
+		merged = attemptRegistries.Get().(*metrics.Registry)
+		merged.Reset()
+		defer attemptRegistries.Put(merged)
 	}
 	var spans []tracing.Snapshot
 	var warnedSum time.Duration

@@ -192,7 +192,10 @@ func TableII(opt ScenarioOptions) (TableIIResult, error) {
 	}
 	merged := opt.Metrics
 	if merged == nil {
-		merged = metrics.NewRegistry()
+		// Snapshot copies, so the merge registry can be a pooled one.
+		merged = attemptRegistries.Get().(*metrics.Registry)
+		merged.Reset()
+		defer attemptRegistries.Put(merged)
 	}
 	var spans []tracing.Snapshot
 	for i, res := range runs {

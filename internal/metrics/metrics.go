@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -163,6 +164,9 @@ type Registry struct {
 	// campaign engine pool registries across attempts without one
 	// attempt's lazily-created families leaking into the next.
 	gen uint64
+	// buf is the scratch canonical key of the lookup in progress, so a
+	// lookup that finds its family allocates nothing.
+	buf []byte
 }
 
 type entry struct {
@@ -220,41 +224,51 @@ func (e *entry) revive(gen uint64) {
 	}
 }
 
-// key canonicalises name+labels; labels are sorted by key so the same
-// family is reached regardless of argument order.
-func key(name string, labels []Label) (string, []Label) {
-	if len(labels) == 0 {
-		return name, nil
-	}
-	ls := make([]Label, len(labels))
-	copy(ls, labels)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
+// canonical copies labels into dst sorted by key, so the same family
+// is reached regardless of argument order. Callers pass a stack array
+// as dst; the insertion sort is stable and allocation-free.
+func canonical(dst, labels []Label) []Label {
+	ls := append(dst[:0], labels...)
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
 	}
-	b.WriteByte('}')
-	return b.String(), ls
+	return ls
 }
 
-func (r *Registry) lookup(name string, labels []Label) *entry {
-	k, ls := key(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[k]
-	if !ok {
-		e = &entry{key: k, name: name, labels: ls, gen: r.gen}
-		r.entries[k] = e
-	} else {
-		e.revive(r.gen)
+// appendKey appends the canonical key name{k=v,...} of name and the
+// canonically ordered labels ls.
+func appendKey(b []byte, name string, ls []Label) []byte {
+	b = append(b, name...)
+	if len(ls) == 0 {
+		return b
 	}
+	b = append(b, '{')
+	for i, l := range ls {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = append(b, l.Value...)
+	}
+	return append(b, '}')
+}
+
+// lookup returns the entry of name{labels...}, creating it if needed.
+// Only an insert allocates (the key string and the owned label copy).
+// Caller holds r.mu.
+func (r *Registry) lookup(name string, labels []Label) *entry {
+	var arr [4]Label
+	ls := canonical(arr[:], labels)
+	r.buf = appendKey(r.buf[:0], name, ls)
+	if e, ok := r.entries[string(r.buf)]; ok {
+		e.revive(r.gen)
+		return e
+	}
+	e := &entry{key: string(r.buf), name: name, labels: append([]Label(nil), ls...), gen: r.gen}
+	r.entries[e.key] = e
 	return e
 }
 
@@ -263,9 +277,9 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	e := r.lookup(name, labels)
 	if e.c == nil {
 		e.c = &Counter{}
 	}
@@ -277,9 +291,9 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	e := r.lookup(name, labels)
 	if e.g == nil {
 		e.g = &Gauge{}
 	}
@@ -298,9 +312,9 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64, labels ...Lab
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	e := r.lookup(name, labels)
 	if e.h == nil {
 		e.h = &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 	}
@@ -390,34 +404,60 @@ type Snapshot struct {
 }
 
 func sampleKey(name string, labels []Label) string {
-	k, _ := key(name, labels)
-	return k
+	var arr [4]Label
+	return string(appendKey(nil, name, canonical(arr[:], labels)))
 }
 
-// entrySlice sorts entries by their cached canonical key.
-type entrySlice []*entry
+// sized returns an empty slice with room for n values, or nil for none.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
 
-func (s entrySlice) Len() int           { return len(s) }
-func (s entrySlice) Less(i, j int) bool { return s[i].key < s[j].key }
-func (s entrySlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+// carve copies v onto the end of the shared backing array *buf and
+// returns the copy, capped so that appending to it reallocates.
+func carve[T any](buf *[]T, v []T) []T {
+	if len(v) == 0 {
+		return nil
+	}
+	*buf = append(*buf, v...)
+	return (*buf)[len(*buf)-len(v) : len(*buf) : len(*buf)]
+}
 
 // Snapshot copies the registry's current state. Only families touched
 // since the last Reset are included, so a pooled, reused registry
-// snapshots exactly like a fresh one.
+// snapshots exactly like a fresh one. Each section, and the histograms'
+// bucket bounds and counts, are copied into one allocation apiece.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	entries := make(entrySlice, 0, len(r.entries))
+	defer r.mu.Unlock()
+	entries := make([]*entry, 0, len(r.entries))
+	var nc, ng, nh, nb int
 	for _, e := range r.entries {
-		if e.gen == r.gen {
-			entries = append(entries, e)
+		if e.gen != r.gen {
+			continue
+		}
+		entries = append(entries, e)
+		if e.c != nil {
+			nc++
+		}
+		if e.g != nil {
+			ng++
+		}
+		if e.h != nil {
+			nh++
+			nb += len(e.h.bounds)
 		}
 	}
-	r.mu.Unlock()
-	sort.Sort(entries)
+	slices.SortFunc(entries, func(a, b *entry) int { return strings.Compare(a.key, b.key) })
+	s.Counters, s.Gauges, s.Histograms = sized[CounterSample](nc), sized[GaugeSample](ng), sized[HistogramSample](nh)
+	bounds, counts := sized[float64](nb), sized[uint64](nb+nh)
 	for _, e := range entries {
 		if e.c != nil {
 			s.Counters = append(s.Counters, CounterSample{Name: e.name, Labels: e.labels, Value: e.c.Value()})
@@ -430,8 +470,8 @@ func (r *Registry) Snapshot() Snapshot {
 			hs := HistogramSample{
 				Name:   e.name,
 				Labels: e.labels,
-				Bounds: append([]float64(nil), e.h.bounds...),
-				Counts: append([]uint64(nil), e.h.counts...),
+				Bounds: carve(&bounds, e.h.bounds),
+				Counts: carve(&counts, e.h.counts),
 				Count:  e.h.count,
 				Sum:    e.h.sum,
 				Min:    e.h.min,
@@ -484,48 +524,40 @@ func (r *Registry) Merge(s Snapshot) {
 	}
 }
 
-// FindCounter looks up a counter sample by name and exact label set.
-func (s Snapshot) FindCounter(name string, labels ...Label) (CounterSample, bool) {
-	k, _ := key(name, labels)
-	for _, c := range s.Counters {
-		if sampleKey(c.Name, c.Labels) == k {
-			return c, true
+// family names a sample's metric family, so find can search every
+// Snapshot section the same way.
+func (c CounterSample) family() (string, []Label)   { return c.Name, c.Labels }
+func (g GaugeSample) family() (string, []Label)     { return g.Name, g.Labels }
+func (h HistogramSample) family() (string, []Label) { return h.Name, h.Labels }
+
+// find returns the sample of the family name{labels...}. It compares
+// the name and the canonically ordered label pairs in place, so either
+// side may list its labels in any order and nothing is allocated.
+func find[S interface{ family() (string, []Label) }](samples []S, name string, labels []Label) (S, bool) {
+	var want, got [4]Label
+	ws := canonical(want[:], labels)
+	for _, s := range samples {
+		if n, ls := s.family(); n == name && slices.Equal(canonical(got[:], ls), ws) {
+			return s, true
 		}
 	}
-	return CounterSample{}, false
+	var zero S
+	return zero, false
+}
+
+// FindCounter looks up a counter sample by name and exact label set.
+func (s Snapshot) FindCounter(name string, labels ...Label) (CounterSample, bool) {
+	return find(s.Counters, name, labels)
 }
 
 // FindGauge looks up a gauge sample by name and exact label set.
 func (s Snapshot) FindGauge(name string, labels ...Label) (GaugeSample, bool) {
-	k, _ := key(name, labels)
-	for _, g := range s.Gauges {
-		if sampleKey(g.Name, g.Labels) == k {
-			return g, true
-		}
-	}
-	return GaugeSample{}, false
+	return find(s.Gauges, name, labels)
 }
 
 // FindHistogram looks up a histogram sample by name and exact label set.
 func (s Snapshot) FindHistogram(name string, labels ...Label) (HistogramSample, bool) {
-	k, _ := key(name, labels)
-	for _, h := range s.Histograms {
-		if sampleKey(h.Name, h.Labels) == k {
-			return h, true
-		}
-	}
-	return HistogramSample{}, false
-}
-
-// CounterDelta returns to's value minus from's for name{labels...}
-// (missing samples count as zero).
-func CounterDelta(from, to Snapshot, name string, labels ...Label) uint64 {
-	a, _ := from.FindCounter(name, labels...)
-	b, _ := to.FindCounter(name, labels...)
-	if b.Value < a.Value {
-		return 0
-	}
-	return b.Value - a.Value
+	return find(s.Histograms, name, labels)
 }
 
 // Format renders the snapshot as a fixed-width text report with one

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"reflect"
@@ -39,6 +40,79 @@ func TestLabelOrderCanonicalised(t *testing.T) {
 	b := r.Counter("x", L("b", "2"), L("a", "1"))
 	if a != b {
 		t.Fatal("label order created distinct families")
+	}
+	a.Add(2)
+	r.Gauge("y", L("b", "2"), L("a", "1")).Set(3)
+	r.Histogram("z", L("a", "1"), L("b", "2")).Observe(0.5)
+
+	// Find matches a family whatever order either side lists its labels.
+	s := r.Snapshot()
+	if c, ok := s.FindCounter("x", L("b", "2"), L("a", "1")); !ok || c.Value != 2 {
+		t.Fatalf("FindCounter reversed order = %+v %v, want value 2", c, ok)
+	}
+	if g, ok := s.FindGauge("y", L("a", "1"), L("b", "2")); !ok || g.Value != 3 {
+		t.Fatalf("FindGauge sorted order = %+v %v, want value 3", g, ok)
+	}
+	if h, ok := s.FindHistogram("z", L("b", "2"), L("a", "1")); !ok || h.Count != 1 {
+		t.Fatalf("FindHistogram reversed order = %+v %v, want count 1", h, ok)
+	}
+	// Unsorted sample labels (a hand-built snapshot) still match.
+	hand := Snapshot{Counters: []CounterSample{{Name: "x", Labels: []Label{L("b", "2"), L("a", "1")}, Value: 9}}}
+	if c, ok := hand.FindCounter("x", L("a", "1"), L("b", "2")); !ok || c.Value != 9 {
+		t.Fatalf("FindCounter on unsorted sample labels = %+v %v, want value 9", c, ok)
+	}
+	for _, miss := range [][]Label{
+		nil,
+		{L("a", "1")},
+		{L("a", "1"), L("b", "3")},
+		{L("a", "1"), L("c", "2")},
+		{L("a", "1"), L("b", "2"), L("c", "3")},
+	} {
+		if c, ok := s.FindCounter("x", miss...); ok {
+			t.Fatalf("FindCounter(x, %v) matched %+v", miss, c)
+		}
+	}
+	if _, ok := s.FindCounter("y", L("a", "1"), L("b", "2")); ok {
+		t.Fatal("FindCounter matched a gauge family")
+	}
+	if _, ok := s.FindGauge("x", L("a", "1"), L("b", "2")); ok {
+		t.Fatal("FindGauge matched a counter family")
+	}
+}
+
+// TestLookupOfExistingFamilyAllocatesNothing pins the interning: once a
+// registry holds a family, reaching it again (in either label order),
+// merging a snapshot into a registry that already holds its families,
+// and searching a snapshot allocate nothing.
+func TestLookupOfExistingFamilyAllocatesNothing(t *testing.T) {
+	// Keys longer than 32 bytes, so a string built from the scratch
+	// buffer could not hide in the runtime's stack temporary.
+	r := NewRegistry()
+	r.Counter("frames_total", L("kind", "cam"), L("station", "rsu")).Inc()
+	r.Gauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")).Set(1)
+	r.Histogram("access_delay_seconds", L("kind", "cam"), L("station", "rsu")).Observe(0.001)
+	snap := r.Snapshot()
+	into := NewRegistry()
+	into.Merge(snap)
+
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Counter sorted", func() { r.Counter("frames_total", L("kind", "cam"), L("station", "rsu")).Inc() }},
+		{"Counter reversed", func() { r.Counter("frames_total", L("station", "rsu"), L("kind", "cam")).Inc() }},
+		{"Gauge sorted", func() { r.Gauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")).Set(2) }},
+		{"Gauge reversed", func() { r.Gauge("queue_depth_frames", L("station", "rsu"), L("kind", "cam")).Set(2) }},
+		{"Histogram sorted", func() { r.Histogram("access_delay_seconds", L("kind", "cam"), L("station", "rsu")).Observe(0.002) }},
+		{"Histogram reversed", func() { r.Histogram("access_delay_seconds", L("station", "rsu"), L("kind", "cam")).Observe(0.002) }},
+		{"Merge", func() { into.Merge(snap) }},
+		{"FindCounter reversed", func() { snap.FindCounter("frames_total", L("station", "rsu"), L("kind", "cam")) }},
+		{"FindGauge", func() { snap.FindGauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")) }},
+		{"FindHistogram miss", func() { snap.FindHistogram("access_delay_seconds", L("station", "obu"), L("kind", "cam")) }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
+		}
 	}
 }
 
@@ -244,21 +318,6 @@ func TestMergeOrderIndependentForIntegers(t *testing.T) {
 	}
 }
 
-func TestCounterDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("sent_total", L("station", "rsu"))
-	c.Add(2)
-	before := r.Snapshot()
-	c.Add(5)
-	after := r.Snapshot()
-	if d := CounterDelta(before, after, "sent_total", L("station", "rsu")); d != 5 {
-		t.Fatalf("delta = %d, want 5", d)
-	}
-	if d := CounterDelta(before, after, "missing_total"); d != 0 {
-		t.Fatalf("missing delta = %d, want 0", d)
-	}
-}
-
 func TestFormatDeterministic(t *testing.T) {
 	build := func() string {
 		r := NewRegistry()
@@ -312,6 +371,12 @@ func TestConcurrentUse(t *testing.T) {
 				r.Counter("c").Inc()
 				r.Gauge("g").SetMax(float64(j))
 				r.Histogram("h").Observe(float64(j) / 1000)
+				// Labelled lookups share the registry's key scratch
+				// buffer; both label orders must reach one family.
+				st := L("station", fmt.Sprint(j%4))
+				r.Counter("lc", L("kind", "cam"), st).Inc()
+				r.Counter("lc", st, L("kind", "cam")).Inc()
+				r.Histogram("lh", st, L("kind", "denm")).Observe(0.001)
 				_ = r.Snapshot()
 			}
 		}()
@@ -320,8 +385,21 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if h, _ := r.Snapshot().FindHistogram("h"); h.Count != 8000 {
+	s := r.Snapshot()
+	if h, _ := s.FindHistogram("h"); h.Count != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count)
+	}
+	for i := 0; i < 4; i++ {
+		st := L("station", fmt.Sprint(i))
+		if c, _ := s.FindCounter("lc", st, L("kind", "cam")); c.Value != 4000 {
+			t.Fatalf("lc{station=%d} = %d, want 4000", i, c.Value)
+		}
+		if h, _ := s.FindHistogram("lh", L("kind", "denm"), st); h.Count != 2000 {
+			t.Fatalf("lh{station=%d} count = %d, want 2000", i, h.Count)
+		}
+	}
+	if len(s.Counters) != 5 || len(s.Histograms) != 5 {
+		t.Fatalf("families: %d counters, %d histograms, want 5 and 5", len(s.Counters), len(s.Histograms))
 	}
 }
 

@@ -24,15 +24,22 @@ import (
 //	DENM encode             1 alloc/op   (was 5)
 //	DENM decode             5 allocs/op
 //	CAM encode+decode       2 allocs/op  (was 18)
-//	full scenario (vision)  ~2.4k allocs/op (was ~49.5k at the seed;
+//	full scenario (vision)  ~1.8k allocs/op (was ~49.5k at the seed;
 //	                        the ceiling enforces far more than the
 //	                        required 30% reduction)
+//	Table II attempt        2419 allocs/op with Workers: 1 (was 4606
+//	                        before registry lookups were interned and
+//	                        the per-step snapshots deleted). Under
+//	                        -race sync.Pool drops a quarter of Puts, so
+//	                        ~1 in 4 attempts rebuilds a registry (+~600)
+//	                        and the ten-run average spans 2.6k-3.0k; the
+//	                        3.4k ceiling leaves room for that, not more.
 const (
 	maxAllocsDENMEncode     = 8
 	maxAllocsDENMDecode     = 16
 	maxAllocsCAMRoundTrip   = 16
 	maxAllocsCPMRoundTrip   = 16
-	maxAllocsTableIIAttempt = 6_000
+	maxAllocsTableIIAttempt = 3_400
 	maxAllocsScenario       = 10_000
 	// Campaign engine overhead per attempt on top of the attempts
 	// themselves (channels, result reordering buffer).
@@ -188,12 +195,15 @@ func TestAllocGuardTableIIAttempt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario attempt guard skipped in -short mode")
 	}
-	opt := experiments.ScenarioOptions{BaseSeed: 42, Runs: 1, UseVision: false}
+	// Workers: 1 keeps the campaign from scheduling speculative extra
+	// attempts, which would scale allocs/op with the host's core count.
+	opt := experiments.ScenarioOptions{BaseSeed: 42, Runs: 1, Workers: 1, UseVision: false}
 	// Warm the attempt pools so the guard measures steady-state cost.
 	if _, err := experiments.TableII(opt); err != nil {
 		t.Fatal(err)
 	}
-	guardAllocs(t, "Table II attempt", 3, maxAllocsTableIIAttempt, func() {
+	// Ten runs average out the pool drops -race injects.
+	guardAllocs(t, "Table II attempt", 10, maxAllocsTableIIAttempt, func() {
 		if _, err := experiments.TableII(opt); err != nil {
 			t.Fatal(err)
 		}

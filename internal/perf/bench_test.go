@@ -184,7 +184,7 @@ func BenchmarkLDMObjectsWithin(b *testing.B) {
 // 30 simulated seconds of the emergency-braking chain, ground-truth
 // line follower).
 func BenchmarkTableIIAttempt(b *testing.B) {
-	opt := experiments.ScenarioOptions{BaseSeed: 42, Runs: 1, UseVision: false}
+	opt := experiments.ScenarioOptions{BaseSeed: 42, Runs: 1, Workers: 1, UseVision: false}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.TableII(opt); err != nil {

@@ -16,8 +16,6 @@ package trace
 import (
 	"fmt"
 	"time"
-
-	"itsbed/internal/metrics"
 )
 
 // Step identifies one point of the chain of action.
@@ -58,10 +56,6 @@ type Run struct {
 	stamps map[Step]time.Duration
 	// extra free-form measurements (e.g. braking distance).
 	metrics map[string]float64
-	// snaps holds the per-step metric snapshots (first stamp wins, like
-	// stamps), letting a Table II interval be decomposed into the layer
-	// activity between two steps.
-	snaps map[Step]metrics.Snapshot
 }
 
 // NewRun returns an empty record.
@@ -69,7 +63,6 @@ func NewRun() *Run {
 	return &Run{
 		stamps:  make(map[Step]time.Duration),
 		metrics: make(map[string]float64),
-		snaps:   make(map[Step]metrics.Snapshot),
 	}
 }
 
@@ -83,34 +76,6 @@ func (r *Run) Stamp(s Step, t time.Duration) {
 	if _, ok := r.stamps[s]; !ok {
 		r.stamps[s] = t
 	}
-}
-
-// AttachSnapshot stores the metrics state observed at a step. Like
-// Stamp, only the first snapshot per step is kept.
-func (r *Run) AttachSnapshot(s Step, snap metrics.Snapshot) {
-	if r.snaps == nil {
-		r.snaps = make(map[Step]metrics.Snapshot)
-	}
-	if _, ok := r.snaps[s]; !ok {
-		r.snaps[s] = snap
-	}
-}
-
-// SnapshotAt returns the metrics snapshot attached at a step.
-func (r *Run) SnapshotAt(s Step) (metrics.Snapshot, bool) {
-	snap, ok := r.snaps[s]
-	return snap, ok
-}
-
-// CounterDelta reports how much a counter advanced between the
-// snapshots of two steps (zero when either snapshot is missing).
-func (r *Run) CounterDelta(from, to Step, name string, labels ...metrics.Label) uint64 {
-	a, okA := r.snaps[from]
-	b, okB := r.snaps[to]
-	if !okA || !okB {
-		return 0
-	}
-	return metrics.CounterDelta(a, b, name, labels...)
 }
 
 // Stamped reports whether the step was recorded.

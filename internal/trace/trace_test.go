@@ -3,8 +3,6 @@ package trace
 import (
 	"testing"
 	"time"
-
-	"itsbed/internal/metrics"
 )
 
 func TestStampFirstWins(t *testing.T) {
@@ -101,56 +99,17 @@ func TestStamped(t *testing.T) {
 	}
 }
 
-func TestAttachSnapshotFirstWins(t *testing.T) {
-	r := NewRun()
-	reg := metrics.NewRegistry()
-	reg.Counter("sent_total").Add(1)
-	r.AttachSnapshot(StepRSUSend, reg.Snapshot())
-	reg.Counter("sent_total").Add(9)
-	r.AttachSnapshot(StepRSUSend, reg.Snapshot()) // ignored, like Stamp
-	snap, ok := r.SnapshotAt(StepRSUSend)
-	if !ok {
-		t.Fatal("snapshot missing")
-	}
-	if c, _ := snap.FindCounter("sent_total"); c.Value != 1 {
-		t.Fatalf("snapshot counter = %d, want first-attached value 1", c.Value)
-	}
-	if _, ok := r.SnapshotAt(StepHalt); ok {
-		t.Fatal("unattached step reported a snapshot")
-	}
-}
-
-func TestRunCounterDelta(t *testing.T) {
-	r := NewRun()
-	reg := metrics.NewRegistry()
-	c := reg.Counter("radio_frames_sent_total")
-	c.Add(2)
-	r.AttachSnapshot(StepDetection, reg.Snapshot())
-	c.Add(5)
-	r.AttachSnapshot(StepActuatorCommand, reg.Snapshot())
-	if d := r.CounterDelta(StepDetection, StepActuatorCommand, "radio_frames_sent_total"); d != 5 {
-		t.Fatalf("delta = %d, want 5", d)
-	}
-	if d := r.CounterDelta(StepDetection, StepHalt, "radio_frames_sent_total"); d != 0 {
-		t.Fatalf("delta with missing snapshot = %d, want 0", d)
-	}
-}
-
 func TestZeroValueRunUsable(t *testing.T) {
 	// A zero-value Run (not built with NewRun) must not panic: the
 	// write paths allocate their maps lazily.
 	var r Run
 	r.Stamp(StepDetection, time.Second)
 	r.SetMetric("braking_distance_m", 0.36)
-	r.AttachSnapshot(StepDetection, metrics.Snapshot{})
 	if at, ok := r.At(StepDetection); !ok || at != time.Second {
 		t.Fatalf("stamp on zero-value run lost: %v %v", at, ok)
 	}
 	if v, ok := r.Metric("braking_distance_m"); !ok || v != 0.36 {
 		t.Fatalf("metric on zero-value run lost: %v %v", v, ok)
-	}
-	if _, ok := r.SnapshotAt(StepDetection); !ok {
-		t.Fatal("snapshot on zero-value run lost")
 	}
 	// Read paths on a fresh zero value are safe too.
 	var empty Run
