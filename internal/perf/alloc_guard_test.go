@@ -56,6 +56,9 @@ const (
 	// leg closures (measured 3 allocs/op).
 	maxAllocsPC5Tx       = 16
 	maxAllocsUuRoundTrip = 8
+	// One vision cycle once the detector's frame, Canny and Hough
+	// buffers exist: nothing.
+	maxAllocsDetectFrame = 0
 )
 
 // guardAllocs runs fn and fails the test when the average allocation
@@ -207,6 +210,16 @@ func TestAllocGuardTableIIAttempt(t *testing.T) {
 		if _, err := experiments.TableII(opt); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// TestAllocGuardDetectFrame pins the vision cycle's steady state: after
+// the first frame sized the detector's buffers, Detect allocates
+// nothing per frame.
+func TestAllocGuardDetectFrame(t *testing.T) {
+	det, line, pos := paperLabDetector()
+	guardAllocs(t, "Detect", 200, maxAllocsDetectFrame, func() {
+		det.Detect(line, pos, 0)
 	})
 }
 

@@ -3,7 +3,7 @@ package perf
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -13,7 +13,9 @@ import (
 	"itsbed/internal/geo"
 	"itsbed/internal/its/facilities/ldm"
 	"itsbed/internal/its/messages"
+	"itsbed/internal/track"
 	"itsbed/internal/units"
+	"itsbed/internal/vision"
 )
 
 // sampleDENM is the collision-risk DENM the RSU emits in the paper's
@@ -193,15 +195,48 @@ func BenchmarkTableIIAttempt(b *testing.B) {
 	}
 }
 
+// BenchmarkVisionAttempt is BenchmarkTableIIAttempt with the Fig. 6
+// vision line follower, the CLI default.
+func BenchmarkVisionAttempt(b *testing.B) {
+	opt := experiments.ScenarioOptions{BaseSeed: 42, Runs: 1, Workers: 1, UseVision: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.TableII(opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDetectFrame measures one vision cycle (render, Canny,
+// region filter, Hough, target extraction) on the paper's lab line.
+func BenchmarkDetectFrame(b *testing.B) {
+	det, line, pos := paperLabDetector()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det.Detect(line, pos, 0)
+	}
+}
+
+// paperLabDetector returns a warmed-up detector 0.03 m right of the
+// PaperLab guide line, 1 m along it.
+func paperLabDetector() (*vision.Detector, *track.Line, geo.Point) {
+	det := vision.NewDetector(rand.New(rand.NewSource(42)))
+	line := track.PaperLab().Line
+	pos := geo.Point{X: 0.03, Y: 1}
+	det.Detect(line, pos, 0)
+	return det, line, pos
+}
+
 // BenchmarkCampaign1k measures the campaign engine's own overhead on a
-// 1000-run campaign with a trivial attempt function, serial vs all
-// cores, isolating scheduling and in-order collection cost from the
-// simulation itself.
+// 1000-run campaign with a trivial attempt function, at one and four
+// workers whatever the host's core count, isolating scheduling and
+// in-order collection cost from the simulation itself.
 func BenchmarkCampaign1k(b *testing.B) {
 	run := func(i int) (int, error) { return i, nil }
 	accept := func(v int) bool { return v%2 == 0 }
-	for _, w := range []int{1, runtime.NumCPU()} {
-		b.Run(map[bool]string{true: "serial", false: "parallel"}[w == 1], func(b *testing.B) {
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				out, err := campaign.Collect(campaign.Options{Workers: w}, 1000, 2000, run, accept)

@@ -135,6 +135,43 @@ func (l *Line) Project(p geo.Point) (s, lateral float64) {
 	return s, lateral
 }
 
+// Within reports whether p lies within r of the line: exactly
+// math.Abs(lateral) <= r for the lateral offset Project returns, but
+// decided from squared distances. Only a distance within a relative
+// 1e-9 of r, far wider than the rounding of either form, or a
+// non-finite one falls back to Project's math.Hypot comparison.
+func (l *Line) Within(p geo.Point, r float64) bool {
+	if !(r >= 1e-150 && r <= 1e150) {
+		// Outside this range r² under- or overflows, or r is
+		// negative or NaN.
+		_, lateral := l.Project(p)
+		return math.Abs(lateral) <= r
+	}
+	lo, hi := r*r*(1-1e-9), r*r*(1+1e-9)
+	for i := 1; i < len(l.points); i++ {
+		// geo.Segment.ClosestPoint's arithmetic, with the builtin
+		// min and max (the same results as math.Min and math.Max,
+		// which are not inlined) for the clamp.
+		a, b := l.points[i-1], l.points[i]
+		dx, dy := b.X-a.X, b.Y-a.Y
+		cx, cy := a.X, a.Y
+		if l2 := dx*dx + dy*dy; l2 != 0 {
+			t := max(0, min(1, ((p.X-a.X)*dx+(p.Y-a.Y)*dy)/l2))
+			cx, cy = a.X+t*dx, a.Y+t*dy
+		}
+		ox, oy := p.X-cx, p.Y-cy
+		d2 := ox*ox + oy*oy
+		if d2 < lo {
+			return true
+		}
+		if !(d2 > hi && d2 <= math.MaxFloat64) {
+			_, lateral := l.Project(p)
+			return math.Abs(lateral) <= r
+		}
+	}
+	return false
+}
+
 // Camera is the road-side ZED camera pose on the local plane.
 type Camera struct {
 	// Position of the lens.

@@ -2,6 +2,7 @@ package track
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"itsbed/internal/geo"
@@ -163,5 +164,59 @@ func TestLoopAccessorsWrap(t *testing.T) {
 		if got := sq.LoopPointAt(s); got != start {
 			t.Fatalf("non-finite arc %v: %v", s, got)
 		}
+	}
+}
+
+// TestWithinMatchesProject pins Within to |lateral| <= r of Project on
+// random points, on points placed exactly r from a segment and one ulp
+// either side, near the joints of a bent line, and for radii and
+// points outside the squared-distance range (negative, zero, tiny,
+// huge, NaN and infinite).
+func TestWithinMatchesProject(t *testing.T) {
+	lines := []*Line{
+		MustLine([]geo.Point{{X: 0, Y: 0}, {X: 0, Y: 6}}),
+		MustLine([]geo.Point{{X: -3, Y: -3}, {X: 3, Y: 3}}),
+		MustLine([]geo.Point{{X: 0, Y: -2}, {X: 0, Y: 0.6}, {X: 0.4, Y: 1.2}, {X: 0.3, Y: 2}, {X: -0.2, Y: 3}}),
+	}
+	check := func(l *Line, p geo.Point, r float64) {
+		t.Helper()
+		_, lateral := l.Project(p)
+		if got, want := l.Within(p, r), math.Abs(lateral) <= r; got != want {
+			t.Fatalf("Within(%v, %v) = %v, |lateral| = %v", p, r, got, math.Abs(lateral))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	radii := []float64{0.025, 0.05, 1e-9, 3, 0, -0.025, 1e-160, 1e-200, 1e160, math.NaN(), math.Inf(1)}
+	for _, l := range lines {
+		for _, r := range radii {
+			for i := 0; i < 300; i++ {
+				check(l, geo.Point{X: 4 * (rng.Float64() - 0.5), Y: 8*rng.Float64() - 2}, r)
+			}
+			for _, p := range []geo.Point{{X: math.NaN()}, {X: math.Inf(1), Y: 1}, {X: 1e300, Y: -1e300}, {X: 1e-310}} {
+				check(l, p, r)
+			}
+		}
+		// Points exactly r off the first segment's interior, and one
+		// ulp either side along x.
+		for i := 0; i < 300; i++ {
+			r := 0.01 + 0.1*rng.Float64()
+			a, b := l.points[0], l.points[1]
+			f := rng.Float64()
+			base := geo.Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}
+			dir := b.Sub(a).Scale(1 / b.Sub(a).Norm())
+			side := 1.0
+			if i%2 == 1 {
+				side = -1
+			}
+			p := geo.Point{X: base.X - side*dir.Y*r, Y: base.Y + side*dir.X*r}
+			for _, x := range []float64{p.X, math.Nextafter(p.X, math.Inf(1)), math.Nextafter(p.X, math.Inf(-1))} {
+				check(l, geo.Point{X: x, Y: p.Y}, r)
+			}
+		}
+	}
+	// On the axis-aligned line the offset is exact, so these sit on
+	// the boundary to the last bit.
+	for _, x := range []float64{0.025, -0.025, math.Nextafter(0.025, 1), math.Nextafter(-0.025, -1), math.Nextafter(0.025, 0)} {
+		check(lines[0], geo.Point{X: x, Y: 1}, 0.025)
 	}
 }

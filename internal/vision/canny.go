@@ -21,107 +21,117 @@ func DefaultCanny() CannyParams {
 // value is ready to use.
 type cannyBuffers struct {
 	blurred Gray
-	tmp     []float64
+	tmp     []uint16
 	mag     []float64
 	dir     []uint8
 	nms     Gray
 	out     Gray
-	stack   [][2]int
+	stack   []int32
 }
 
-// ensureFloats returns a zeroed n-element slice, reusing s's backing
+// ensureZeroed returns a zeroed n-element slice, reusing s's backing
 // array when large enough.
-func ensureFloats(s []float64, n int) []float64 {
+func ensureZeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
 	return s
 }
 
-// gaussian5 applies a 5×5 Gaussian blur (σ≈1.1) into b.blurred.
+// gaussian5 applies a 5×5 binomial blur (kernel 1 4 6 4 1, σ≈1.1)
+// into b.blurred, replicating the border pixels.
+//
+// The blur is computed on integers as (Σ k_i k_j p) >> 8. This equals
+// the two-pass float form (each pass divided by 16, the result
+// truncated to uint8) exactly: the horizontal sums are integers below
+// 2^12, so every float intermediate is a dyadic rational held without
+// rounding, and truncating a non-negative value is the floor the shift
+// takes.
 func gaussian5(src *Gray, b *cannyBuffers) *Gray {
-	kernel := [5]float64{1, 4, 6, 4, 1} // binomial approximation
-	const norm = 16.0
-	b.tmp = ensureFloats(b.tmp, src.W*src.H)
-	tmp := b.tmp
-	b.blurred.ensure(src.W, src.H)
-	out := &b.blurred
-	// Horizontal pass.
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			var acc float64
-			for k := -2; k <= 2; k++ {
-				xx := x + k
-				if xx < 0 {
-					xx = 0
-				}
-				if xx >= src.W {
-					xx = src.W - 1
-				}
-				acc += kernel[k+2] * float64(src.At(xx, y))
-			}
-			tmp[y*src.W+x] = acc / norm
-		}
-	}
-	// Vertical pass.
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			var acc float64
-			for k := -2; k <= 2; k++ {
-				yy := y + k
-				if yy < 0 {
-					yy = 0
-				}
-				if yy >= src.H {
-					yy = src.H - 1
-				}
-				acc += kernel[k+2] * tmp[yy*src.W+x]
-			}
-			v := acc / norm
-			if v > 255 {
-				v = 255
-			}
-			out.Set(x, y, uint8(v))
-		}
-	}
-	return out
-}
-
-// Canny runs the full edge detector: Gaussian smoothing, Sobel
-// gradients, non-maximum suppression, and double-threshold hysteresis.
-// The result is a binary image (0 or 255).
-func Canny(src *Gray, p CannyParams) *Gray {
-	return cannyInto(src, p, new(cannyBuffers))
-}
-
-// cannyInto is Canny with caller-owned scratch buffers; the returned
-// image aliases b.out and stays valid until the next call with b.
-func cannyInto(src *Gray, p CannyParams, b *cannyBuffers) *Gray {
-	blurred := gaussian5(src, b)
 	w, h := src.W, src.H
-	b.mag = ensureFloats(b.mag, w*h)
-	mag := b.mag
-	if cap(b.dir) < w*h {
-		b.dir = make([]uint8, w*h)
-	} else {
-		b.dir = b.dir[:w*h]
-		clear(b.dir)
+	b.tmp = ensureZeroed(b.tmp, w*h)
+	tmp := b.tmp
+	b.blurred.ensure(w, h)
+	out := b.blurred.Pix
+	// Horizontal pass: tmp holds 16× the float pass's value.
+	for y := 0; y < h; y++ {
+		row := src.Pix[y*w : (y+1)*w]
+		trow := tmp[y*w : (y+1)*w]
+		for x := range trow {
+			trow[x] = uint16(row[max(x-2, 0)]) + 4*uint16(row[max(x-1, 0)]) + 6*uint16(row[x]) +
+				4*uint16(row[min(x+1, w-1)]) + uint16(row[min(x+2, w-1)])
+		}
 	}
+	// Vertical pass over whole rows; the sum reaches 16 · 4080, past
+	// uint16.
+	for y := 0; y < h; y++ {
+		r0 := tmp[max(y-2, 0)*w:][:w]
+		r1 := tmp[max(y-1, 0)*w:][:w]
+		r2 := tmp[y*w:][:w]
+		r3 := tmp[min(y+1, h-1)*w:][:w]
+		r4 := tmp[min(y+2, h-1)*w:][:w]
+		orow := out[y*w : (y+1)*w]
+		for x := range orow {
+			acc := uint32(r0[x]) + 4*uint32(r1[x]) + 6*uint32(r2[x]) + 4*uint32(r3[x]) + uint32(r4[x])
+			orow[x] = uint8(acc >> 8)
+		}
+	}
+	return &b.blurred
+}
+
+// cannyInto runs the full edge detector — Gaussian smoothing, Sobel
+// gradients, non-maximum suppression and double-threshold hysteresis —
+// with caller-owned scratch buffers. The result is a binary image (0
+// or 255) that aliases b.out and stays valid until the next call with
+// b.
+func cannyInto(src *Gray, p CannyParams, b *cannyBuffers) *Gray {
+	return edgesInto(gaussian5(src, b), p, b)
+}
+
+// edgesInto is the part of cannyInto after the blur.
+//
+// Sobel runs on integers. A pixel whose squared magnitude is provably
+// below LowThreshold keeps magnitude 0 and direction 0 instead of its
+// math.Hypot/math.Atan2 values: non-maximum suppression only examines
+// centres at or above LowThreshold, a neighbour below it can never
+// beat such a centre whether it holds its magnitude or 0, and
+// hysteresis reads only the suppressed image. Every other pixel gets
+// math.Hypot and math.Atan2 of the float gradient, because Hypot is
+// inexact on some integer perfect-square pairs (Hypot(70, 240) is
+// 250.00000000000003) and an exact integer root would flip NMS ties.
+// The edge image is therefore bit-identical to the all-float detector.
+func edgesInto(blurred *Gray, p CannyParams, b *cannyBuffers) *Gray {
+	w, h := blurred.W, blurred.H
+	b.mag = ensureZeroed(b.mag, w*h)
+	mag := b.mag
+	b.dir = ensureZeroed(b.dir, w*h)
 	dir := b.dir // quantised gradient direction 0..3
 
+	// The 1e-9 margin dwarfs the rounding of Hypot and of the squared
+	// threshold, so s < gate implies Hypot(gx, gy) < LowThreshold.
+	gate := 0.0
+	if p.LowThreshold > 0 {
+		gate = p.LowThreshold * p.LowThreshold * (1 - 1e-9)
+	}
+	pix := blurred.Pix
 	for y := 1; y < h-1; y++ {
+		up := pix[(y-1)*w : y*w]
+		mid := pix[y*w : (y+1)*w]
+		down := pix[(y+1)*w : (y+2)*w]
 		for x := 1; x < w-1; x++ {
-			gx := -float64(blurred.At(x-1, y-1)) + float64(blurred.At(x+1, y-1)) +
-				-2*float64(blurred.At(x-1, y)) + 2*float64(blurred.At(x+1, y)) +
-				-float64(blurred.At(x-1, y+1)) + float64(blurred.At(x+1, y+1))
-			gy := -float64(blurred.At(x-1, y-1)) - 2*float64(blurred.At(x, y-1)) - float64(blurred.At(x+1, y-1)) +
-				float64(blurred.At(x-1, y+1)) + 2*float64(blurred.At(x, y+1)) + float64(blurred.At(x+1, y+1))
-			m := math.Hypot(gx, gy)
-			mag[y*w+x] = m
+			a, c := int32(up[x-1]), int32(up[x+1])
+			g, i := int32(down[x-1]), int32(down[x+1])
+			gx := c - a + 2*(int32(mid[x+1])-int32(mid[x-1])) + i - g
+			gy := g + 2*int32(down[x]) + i - a - 2*int32(up[x]) - c
+			if float64(gx*gx+gy*gy) < gate {
+				continue
+			}
+			fx, fy := float64(gx), float64(gy)
+			mag[y*w+x] = math.Hypot(fx, fy)
 			// Quantise the gradient angle to 4 directions.
-			angle := math.Atan2(gy, gx)
+			angle := math.Atan2(fy, fx)
 			if angle < 0 {
 				angle += math.Pi
 			}
@@ -144,71 +154,61 @@ func cannyInto(src *Gray, p CannyParams, b *cannyBuffers) *Gray {
 		strong = 255
 	)
 	b.nms.ensure(w, h)
-	nms := &b.nms
+	nms := b.nms.Pix
+	b.out.ensure(w, h)
+	out := b.out.Pix
+	stack := b.stack[:0]
 	for y := 1; y < h-1; y++ {
 		for x := 1; x < w-1; x++ {
-			m := mag[y*w+x]
+			i := y*w + x
+			m := mag[i]
 			if m < p.LowThreshold {
 				continue
 			}
 			var m1, m2 float64
-			switch dir[y*w+x] {
+			switch dir[i] {
 			case 0:
-				m1, m2 = mag[y*w+x-1], mag[y*w+x+1]
+				m1, m2 = mag[i-1], mag[i+1]
 			case 1:
-				m1, m2 = mag[(y-1)*w+x+1], mag[(y+1)*w+x-1]
+				m1, m2 = mag[i-w+1], mag[i+w-1]
 			case 2:
-				m1, m2 = mag[(y-1)*w+x], mag[(y+1)*w+x]
+				m1, m2 = mag[i-w], mag[i+w]
 			default:
-				m1, m2 = mag[(y-1)*w+x-1], mag[(y+1)*w+x+1]
+				m1, m2 = mag[i-w-1], mag[i+w+1]
 			}
 			if m < m1 || m < m2 {
 				continue
 			}
 			if m >= p.HighThreshold {
-				nms.Set(x, y, strong)
+				nms[i] = strong
+				out[i] = 255
+				stack = append(stack, int32(i))
 			} else {
-				nms.Set(x, y, weak)
+				nms[i] = weak
 			}
 		}
 	}
 
 	// Hysteresis: weak pixels survive only when 8-connected to a
-	// strong pixel (iterative flood from strong seeds).
-	b.out.ensure(w, h)
-	out := &b.out
-	if b.stack == nil {
-		b.stack = make([][2]int, 0, w*h/8)
-	}
-	stack := b.stack[:0]
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if nms.At(x, y) == strong {
-				out.Set(x, y, 255)
-				stack = append(stack, [2]int{x, y})
-			}
-		}
-	}
+	// strong pixel (iterative flood from strong seeds). NMS marks only
+	// interior pixels, so every neighbour index is in bounds.
 	for len(stack) > 0 {
-		px := stack[len(stack)-1]
+		i := int(stack[len(stack)-1])
 		stack = stack[:len(stack)-1]
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				x, y := px[0]+dx, px[1]+dy
-				if nms.At(x, y) == weak && out.At(x, y) == 0 {
-					out.Set(x, y, 255)
-					stack = append(stack, [2]int{x, y})
-				}
+		for _, j := range [8]int{i - w - 1, i - w, i - w + 1, i - 1, i + 1, i + w - 1, i + w, i + w + 1} {
+			if nms[j] == weak && out[j] == 0 {
+				out[j] = 255
+				stack = append(stack, int32(j))
 			}
 		}
 	}
 	b.stack = stack[:0]
-	return out
+	return &b.out
 }
 
 // regionFilterInPlace zeroes the pixels outside the central column
-// band [left, right) — the in-place form of RegionFilter for images
-// the pipeline owns.
+// band [left, right), expressed as fractions of the width — the
+// paper's "region filter to only receive the center of the image".
 func regionFilterInPlace(img *Gray, left, right float64) {
 	lo := int(left * float64(img.W))
 	hi := int(right * float64(img.W))
@@ -223,20 +223,4 @@ func regionFilterInPlace(img *Gray, left, right float64) {
 			}
 		}
 	}
-}
-
-// RegionFilter zeroes all pixels outside the central column band
-// [left, right) expressed as fractions of the width — the paper's
-// "region filter to only receive the center of the image". Returns a
-// new image.
-func RegionFilter(src *Gray, left, right float64) *Gray {
-	out := NewGray(src.W, src.H)
-	lo := int(left * float64(src.W))
-	hi := int(right * float64(src.W))
-	for y := 0; y < src.H; y++ {
-		for x := lo; x < hi && x < src.W; x++ {
-			out.Set(x, y, src.At(x, y))
-		}
-	}
-	return out
 }

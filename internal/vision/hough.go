@@ -3,7 +3,7 @@ package vision
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // LineSegment is a detected line in pixel coordinates.
@@ -54,23 +54,19 @@ type houghBuffers struct {
 	points     []houghPoint
 	present    []bool
 	sins, coss []float64
-	acc        []int
+	acc        []int32 // votes never exceed the edge pixels of a frame
+	bins       []int   // one point's accumulator cell per theta
 	order      []int
 	segments   []LineSegment
 }
 
 type houghPoint struct{ x, y int }
 
-// HoughLinesP runs the progressive probabilistic Hough transform on a
-// binary edge image and returns detected segments, longest first. rng
-// drives the random point selection; pass a deterministic source for
-// reproducible runs.
-func HoughLinesP(edges *Gray, p HoughParams, rng *rand.Rand) []LineSegment {
-	return houghLinesPInto(edges, p, rng, new(houghBuffers))
-}
-
-// houghLinesPInto is HoughLinesP with caller-owned scratch buffers.
-// The returned slice aliases b.segments and stays valid until the next
+// houghLinesPInto runs the progressive probabilistic Hough transform
+// on a binary edge image and returns detected segments, longest first,
+// using caller-owned scratch buffers. rng drives the random point
+// selection; pass a deterministic source for reproducible runs. The
+// returned slice aliases b.segments and stays valid until the next
 // call with b. The rng consumption sequence is identical to a
 // fresh-buffer run, so reuse cannot perturb deterministic campaigns.
 func houghLinesPInto(edges *Gray, p HoughParams, rng *rand.Rand, b *houghBuffers) []LineSegment {
@@ -84,19 +80,12 @@ func houghLinesPInto(edges *Gray, p HoughParams, rng *rand.Rand, b *houghBuffers
 		b.points = make([]houghPoint, 0, w*h/16)
 	}
 	points := b.points[:0]
-	if cap(b.present) < w*h {
-		b.present = make([]bool, w*h)
-	} else {
-		b.present = b.present[:w*h]
-		clear(b.present)
-	}
+	b.present = ensureZeroed(b.present, w*h)
 	present := b.present
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if edges.At(x, y) != 0 {
-				points = append(points, houghPoint{x, y})
-				present[y*w+x] = true
-			}
+	for i, v := range edges.Pix[:w*h] {
+		if v != 0 {
+			points = append(points, houghPoint{i % w, i / w})
+			present[i] = true
 		}
 	}
 	b.points = points
@@ -117,13 +106,13 @@ func houghLinesPInto(edges *Gray, p HoughParams, rng *rand.Rand, b *houghBuffers
 		coss[t] = math.Cos(angle)
 	}
 
-	if cap(b.acc) < numTheta*numRho {
-		b.acc = make([]int, numTheta*numRho)
-	} else {
-		b.acc = b.acc[:numTheta*numRho]
-		clear(b.acc)
-	}
+	b.acc = ensureZeroed(b.acc, numTheta*numRho)
 	acc := b.acc
+	b.bins = ensureZeroed(b.bins, numTheta)
+	bins := b.bins
+	cells := func(x, y int) {
+		houghCells(x, y, maxRho, p.RhoResolution, numRho, sins, coss, bins)
+	}
 	segments := b.segments[:0]
 
 	// Process points in random order (the "probabilistic" part). This
@@ -144,20 +133,19 @@ func houghLinesPInto(edges *Gray, p HoughParams, rng *rand.Rand, b *houghBuffers
 			continue // consumed by an earlier segment
 		}
 		// Vote.
-		bestVotes, bestTheta := 0, 0
-		for t := 0; t < numTheta; t++ {
-			rho := float64(q.x)*coss[t] + float64(q.y)*sins[t]
-			r := int((rho + maxRho) / p.RhoResolution)
-			if r < 0 || r >= numRho {
+		bestVotes, bestTheta := int32(0), 0
+		cells(q.x, q.y)
+		for t, i := range bins {
+			if i < 0 {
 				continue
 			}
-			acc[t*numRho+r]++
-			if acc[t*numRho+r] > bestVotes {
-				bestVotes = acc[t*numRho+r]
+			acc[i]++
+			if acc[i] > bestVotes {
+				bestVotes = acc[i]
 				bestTheta = t
 			}
 		}
-		if bestVotes < p.Threshold {
+		if int(bestVotes) < p.Threshold {
 			continue
 		}
 		// Walk along the line direction from the seed point in both
@@ -197,25 +185,50 @@ func houghLinesPInto(edges *Gray, p HoughParams, rng *rand.Rand, b *houghBuffers
 		}
 		// Erase the segment's points from the edge set and un-vote
 		// them so they do not seed further lines.
-		eraseAlong(seg, present, acc, w, h, numRho, numTheta, maxRho, p, sins, coss)
+		eraseAlong(seg, present, acc, w, h, bins, cells)
 		segments = append(segments, seg)
 	}
 	b.segments = segments
-	sort.Sort(byLengthDesc(segments))
+	slices.SortFunc(segments, byLengthDesc)
 	return segments
 }
 
-// byLengthDesc sorts segments longest first without the per-call
-// closure and reflection cost of sort.Slice.
-type byLengthDesc []LineSegment
+// byLengthDesc orders segments longest first. slices.SortFunc runs the
+// same pattern-defeating quicksort as sort.Sort and consults only
+// whether the result is negative, so equal-length segments keep the
+// order a sort.Sort with Less "longer than" gives them, without boxing
+// the slice in an interface.
+func byLengthDesc(a, b LineSegment) int {
+	switch la, lb := a.Length(), b.Length(); {
+	case la > lb:
+		return -1
+	case la < lb:
+		return 1
+	}
+	return 0
+}
 
-func (s byLengthDesc) Len() int           { return len(s) }
-func (s byLengthDesc) Less(i, j int) bool { return s[i].Length() > s[j].Length() }
-func (s byLengthDesc) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+// houghCells writes into bins, for every theta, the accumulator cell
+// t*numRho + r that point (x, y) votes for, or -1 when rho falls
+// outside the accumulator.
+func houghCells(x, y int, maxRho, rhoRes float64, numRho int, sins, coss []float64, bins []int) {
+	fx, fy := float64(x), float64(y)
+	sins = sins[:len(bins)]
+	coss = coss[:len(bins)]
+	for t := range bins {
+		r := int((fx*coss[t] + fy*sins[t] + maxRho) / rhoRes)
+		if r < 0 || r >= numRho {
+			bins[t] = -1
+			continue
+		}
+		bins[t] = t*numRho + r
+	}
+}
 
 // eraseAlong removes points within 1 px of the segment from the
-// present set and subtracts their accumulator votes.
-func eraseAlong(seg LineSegment, present []bool, acc []int, w, h, numRho, numTheta int, maxRho float64, p HoughParams, sins, coss []float64) {
+// present set and subtracts their accumulator votes. cells fills bins
+// with a point's accumulator cells.
+func eraseAlong(seg LineSegment, present []bool, acc []int32, w, h int, bins []int, cells func(x, y int)) {
 	steps := int(seg.Length()) + 1
 	for i := 0; i <= steps; i++ {
 		t := float64(i) / float64(steps)
@@ -228,11 +241,10 @@ func eraseAlong(seg LineSegment, present []bool, acc []int, w, h, numRho, numThe
 					continue
 				}
 				present[y*w+x] = false
-				for th := 0; th < numTheta; th++ {
-					rho := float64(x)*coss[th] + float64(y)*sins[th]
-					r := int((rho + maxRho) / p.RhoResolution)
-					if r >= 0 && r < numRho && acc[th*numRho+r] > 0 {
-						acc[th*numRho+r]--
+				cells(x, y)
+				for _, c := range bins {
+					if c >= 0 && acc[c] > 0 {
+						acc[c]--
 					}
 				}
 			}

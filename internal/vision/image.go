@@ -86,17 +86,10 @@ func DefaultZED() CameraModel {
 	}
 }
 
-// Render produces the synthetic grayscale frame for a vehicle at the
-// given pose: light floor (≈200), dark guide line (≈30) of the given
-// width, with additive noise. rng may be nil for a noiseless frame.
-func (c CameraModel) Render(line *track.Line, pos geo.Point, heading float64, lineWidthM float64, rng *rand.Rand) *Gray {
-	img := new(Gray)
-	c.RenderInto(img, line, pos, heading, lineWidthM, rng)
-	return img
-}
-
-// RenderInto is Render writing into a caller-owned image (resized as
-// needed), so a per-frame caller can reuse one buffer.
+// RenderInto renders the synthetic grayscale frame for a vehicle at
+// the given pose into a caller-owned image (resized as needed): light
+// floor (≈200), dark guide line (≈30) of the given width, with
+// additive noise. rng may be nil for a noiseless frame.
 func (c CameraModel) RenderInto(img *Gray, line *track.Line, pos geo.Point, heading float64, lineWidthM float64, rng *rand.Rand) {
 	img.ensure(c.Width, c.Height)
 	const floor, ink = 200, 30
@@ -110,9 +103,8 @@ func (c CameraModel) RenderInto(img *Gray, line *track.Line, pos geo.Point, head
 			// (+Y); lateral positive to the right.
 			wx := pos.X + fwd*sinH + lat*cosH
 			wy := pos.Y + fwd*cosH - lat*sinH
-			_, off := line.Project(geo.Point{X: wx, Y: wy})
 			val := uint8(floor)
-			if math.Abs(off) <= lineWidthM/2 {
+			if line.Within(geo.Point{X: wx, Y: wy}, lineWidthM/2) {
 				val = ink
 			}
 			if c.NoiseSigma > 0 && rng != nil {
@@ -126,7 +118,7 @@ func (c CameraModel) RenderInto(img *Gray, line *track.Line, pos geo.Point, head
 				}
 				val = uint8(f)
 			}
-			img.Set(u, v, val)
+			img.Pix[v*c.Width+u] = val
 		}
 	}
 }

@@ -13,6 +13,21 @@ func straightLine() *track.Line {
 	return track.MustLine([]geo.Point{{X: 0, Y: -5}, {X: 0, Y: 10}})
 }
 
+// render draws one frame into a fresh image.
+func render(cam CameraModel, line *track.Line, pos geo.Point, heading, lineWidthM float64, rng *rand.Rand) *Gray {
+	img := new(Gray)
+	cam.RenderInto(img, line, pos, heading, lineWidthM, rng)
+	return img
+}
+
+// canny runs the edge detector with fresh buffers.
+func canny(src *Gray, p CannyParams) *Gray { return cannyInto(src, p, new(cannyBuffers)) }
+
+// hough runs the Hough transform with fresh buffers.
+func hough(edges *Gray, p HoughParams, rng *rand.Rand) []LineSegment {
+	return houghLinesPInto(edges, p, rng, new(houghBuffers))
+}
+
 func TestGrayBounds(t *testing.T) {
 	g := NewGray(4, 3)
 	g.Set(0, 0, 10)
@@ -29,7 +44,7 @@ func TestGrayBounds(t *testing.T) {
 
 func TestRenderShowsLine(t *testing.T) {
 	cam := DefaultZED()
-	img := cam.Render(straightLine(), geo.Point{X: 0, Y: 0}, 0, 0.05, nil)
+	img := render(cam, straightLine(), geo.Point{X: 0, Y: 0}, 0, 0.05, nil)
 	// The line runs vertically through the image centre: dark pixels
 	// near u=W/2, light at the borders.
 	mid := img.At(cam.Width/2, cam.Height/2)
@@ -46,7 +61,7 @@ func TestRenderOffsetShiftsLine(t *testing.T) {
 	cam := DefaultZED()
 	// Vehicle to the right of the line → the line appears left of
 	// centre.
-	img := cam.Render(straightLine(), geo.Point{X: 0.2, Y: 0}, 0, 0.05, nil)
+	img := render(cam, straightLine(), geo.Point{X: 0.2, Y: 0}, 0, 0.05, nil)
 	leftDark, rightDark := 0, 0
 	for u := 0; u < cam.Width; u++ {
 		if img.At(u, cam.Height/2) < 100 {
@@ -79,8 +94,8 @@ func TestPixelToGroundRoundTrip(t *testing.T) {
 
 func TestCannyFindsLineEdges(t *testing.T) {
 	cam := DefaultZED()
-	img := cam.Render(straightLine(), geo.Point{}, 0, 0.05, nil)
-	edges := Canny(img, DefaultCanny())
+	img := render(cam, straightLine(), geo.Point{}, 0, 0.05, nil)
+	edges := canny(img, DefaultCanny())
 	n := 0
 	for _, p := range edges.Pix {
 		if p != 0 {
@@ -106,7 +121,7 @@ func TestCannyFlatImageNoEdges(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = 128
 	}
-	edges := Canny(img, DefaultCanny())
+	edges := canny(img, DefaultCanny())
 	for i, p := range edges.Pix {
 		if p != 0 {
 			t.Fatalf("edge at %d in a flat image", i)
@@ -119,7 +134,8 @@ func TestRegionFilter(t *testing.T) {
 	for i := range img.Pix {
 		img.Pix[i] = 255
 	}
-	out := RegionFilter(img, 0.25, 0.75)
+	regionFilterInPlace(img, 0.25, 0.75)
+	out := img
 	if out.At(10, 5) != 0 || out.At(90, 5) != 0 {
 		t.Fatal("outside band not zeroed")
 	}
@@ -134,7 +150,7 @@ func TestHoughRecoversSyntheticLine(t *testing.T) {
 	for v := 10; v <= 90; v++ {
 		img.Set(40, v, 255)
 	}
-	segs := HoughLinesP(img, DefaultHough(), rand.New(rand.NewSource(1)))
+	segs := hough(img, DefaultHough(), rand.New(rand.NewSource(1)))
 	if len(segs) == 0 {
 		t.Fatal("no segment found")
 	}
@@ -153,7 +169,7 @@ func TestHoughDiagonalLine(t *testing.T) {
 	for i := 10; i <= 90; i++ {
 		img.Set(i, i, 255)
 	}
-	segs := HoughLinesP(img, DefaultHough(), rand.New(rand.NewSource(2)))
+	segs := hough(img, DefaultHough(), rand.New(rand.NewSource(2)))
 	if len(segs) == 0 {
 		t.Fatal("no diagonal segment found")
 	}
@@ -167,7 +183,7 @@ func TestHoughDiagonalLine(t *testing.T) {
 
 func TestHoughEmptyImage(t *testing.T) {
 	img := NewGray(50, 50)
-	if segs := HoughLinesP(img, DefaultHough(), rand.New(rand.NewSource(1))); len(segs) != 0 {
+	if segs := hough(img, DefaultHough(), rand.New(rand.NewSource(1))); len(segs) != 0 {
 		t.Fatalf("segments in an empty image: %d", len(segs))
 	}
 }
@@ -178,7 +194,7 @@ func TestHoughIgnoresSparseNoise(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		img.Set(rng.Intn(100), rng.Intn(100), 255)
 	}
-	segs := HoughLinesP(img, DefaultHough(), rand.New(rand.NewSource(4)))
+	segs := hough(img, DefaultHough(), rand.New(rand.NewSource(4)))
 	if len(segs) != 0 {
 		t.Fatalf("hallucinated %d segments from noise", len(segs))
 	}
@@ -225,38 +241,21 @@ func TestDetectorNoLineInView(t *testing.T) {
 }
 
 // TestDetectorBufferReuseMatchesFreshPipeline pins the scratch-buffer
-// Detector against the allocating one-shot pipeline: over a sequence of
-// poses with noisy frames, the reused buffers must produce bit-identical
-// detections (same rng consumption, same pixels, same segments).
+// Detector against the allocating reference pipeline: over a sequence
+// of poses with noisy frames, the reused buffers must produce
+// bit-identical detections (same rng consumption, same pixels, same
+// segments).
 func TestDetectorBufferReuseMatchesFreshPipeline(t *testing.T) {
 	line := straightLine()
 	det := NewDetector(rand.New(rand.NewSource(42)))
 	fresh := rand.New(rand.NewSource(42))
-	cam := det.Camera
 	poses := []geo.Point{
 		{X: 0, Y: 0}, {X: 0.1, Y: 0.5}, {X: -0.12, Y: 1},
 		{X: 0.05, Y: 1.5}, {X: 0, Y: 2}, {X: 0.2, Y: 2.5},
 	}
 	for i, pos := range poses {
 		got := det.Detect(line, pos, 0)
-
-		frame := cam.Render(line, pos, 0, det.LineWidth, fresh)
-		edges := Canny(frame, det.Canny)
-		edges = RegionFilter(edges, det.RegionLeft, det.RegionRight)
-		segs := HoughLinesP(edges, det.Hough, fresh)
-		want := Detection{Segments: len(segs)}
-		if len(segs) > 0 {
-			best := segs[0]
-			farU, farV := best.X1, best.Y1
-			nearU, nearV := best.X2, best.Y2
-			if best.Y2 < best.Y1 {
-				farU, farV = best.X2, best.Y2
-				nearU, nearV = best.X1, best.Y1
-			}
-			want.Found = true
-			want.TargetForward, want.TargetLateral = cam.PixelToGround(farU, farV)
-			_, want.LateralError = cam.PixelToGround(nearU, nearV)
-		}
+		want := refDetect(det, line, pos, 0, fresh).det
 		if got != want {
 			t.Fatalf("pose %d: reused-buffer detection %+v != fresh %+v", i, got, want)
 		}
@@ -264,8 +263,9 @@ func TestDetectorBufferReuseMatchesFreshPipeline(t *testing.T) {
 }
 
 // TestCannyReusedBuffersMatchFresh feeds cannyInto frames of varying
-// size through one buffer set and checks each result against a fresh
-// Canny call — shrinking then growing must not leak stale pixels.
+// size through one buffer set and checks each result against the
+// reference detector — shrinking then growing must not leak stale
+// pixels.
 func TestCannyReusedBuffersMatchFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := new(cannyBuffers)
@@ -275,7 +275,7 @@ func TestCannyReusedBuffersMatchFresh(t *testing.T) {
 			img.Pix[i] = uint8(rng.Intn(256))
 		}
 		got := cannyInto(img, DefaultCanny(), b)
-		want := Canny(img, DefaultCanny())
+		want := refCanny(img, DefaultCanny())
 		if got.W != want.W || got.H != want.H {
 			t.Fatalf("%v: dims %dx%d != %dx%d", dim, got.W, got.H, want.W, want.H)
 		}
@@ -288,8 +288,8 @@ func TestCannyReusedBuffersMatchFresh(t *testing.T) {
 }
 
 // TestHoughReusedBuffersMatchFresh runs houghLinesPInto repeatedly with
-// one buffer set and checks segments against fresh-buffer runs with an
-// identically seeded rng.
+// one buffer set and checks segments against the fresh-buffer
+// reference with an identically seeded rng.
 func TestHoughReusedBuffersMatchFresh(t *testing.T) {
 	b := new(houghBuffers)
 	reused := rand.New(rand.NewSource(11))
@@ -303,7 +303,7 @@ func TestHoughReusedBuffersMatchFresh(t *testing.T) {
 			img.Set(i, i, 255)
 		}
 		got := houghLinesPInto(img, DefaultHough(), reused, b)
-		want := HoughLinesP(img, DefaultHough(), fresh)
+		want := refHoughLinesP(img, DefaultHough(), fresh)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d segments != %d", round, len(got), len(want))
 		}
