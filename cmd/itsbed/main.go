@@ -36,8 +36,11 @@
 // table3, fig10, fig11, resilience): its-g5 (default, the paper's
 // 802.11p stack), cv2x-pc5 (C-V2X mode-4 sidelink with semi-persistent
 // scheduling) or cv2x-uu (C-V2X infrastructure path through the
-// base-station/core hop). The bakeoff command runs the Table II chain
-// over all three backends and prints per-backend latency and PDR rows.
+// base-station/core hop). Every station of the run, background load
+// included, attaches to that one backend. The bakeoff command runs the
+// Table II chain over all three backends and prints per-backend
+// latency and PDR rows; the radios command (EXT-2) runs the cv2x-uu
+// path under the 5G URLLC, 5G eMBB and LTE profiles.
 //
 // -faults selects the fault plan for the resilience command: either
 // the name of a builtin plan (blackout, burst-loss, crash-rsu,
@@ -106,6 +109,7 @@ import (
 	"strings"
 	"time"
 
+	"itsbed/internal/core"
 	"itsbed/internal/experiments"
 	"itsbed/internal/faults"
 	"itsbed/internal/its/messages"
@@ -161,7 +165,7 @@ func run(args []string) error {
 			faultsSet = true
 		}
 	})
-	backend, err := experiments.ParseBackend(*radioName)
+	radioKind, err := core.ParseRadio(*radioName)
 	if err != nil {
 		return err
 	}
@@ -170,7 +174,7 @@ func run(args []string) error {
 		Runs:      *runs,
 		UseVision: *vision,
 		Workers:   *workers,
-		Radio:     backend,
+		Radio:     radioKind,
 		Trace:     *traceOut != "" || *showSpans,
 	}
 	if *progress {

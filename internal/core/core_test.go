@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -126,8 +127,55 @@ func TestScenarioSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestEveryRadioKindCarriesBackgroundLoad runs the scenario on each
+// radio backend with ten CAM-chattering background stations: the chain
+// must complete, every station must attach to the chosen backend, and
+// the load must show in the backend-agnostic frame counter.
+func TestEveryRadioKindCarriesBackgroundLoad(t *testing.T) {
+	rows := map[RadioKind]struct {
+		backend string
+		// minLink bounds the 3→4 link term from below: the 5G Uu
+		// path contributes several ms where ITS-G5 contributes ~1.5.
+		minLink time.Duration
+	}{
+		RadioITSG5:   {"*radio.Medium", 0},
+		RadioCV2XPC5: {"*radio.PC5Medium", 0},
+		RadioCV2XUu:  {"*radio.CellularLink", 3 * time.Millisecond},
+	}
+	for _, kind := range RadioKinds() {
+		want := rows[kind]
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := Config{Seed: 140, Radio: kind, BackgroundVehicles: 10}
+			vcfg := cfg.withDefaults().Vehicle
+			vcfg.UseVision = false
+			cfg.Vehicle = vcfg
+			tb, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%T", tb.Backend); got != want.backend {
+				t.Fatalf("backend %s, want %s", got, want.backend)
+			}
+			res, err := tb.RunScenario(30 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Stopped || !res.Run.Complete() {
+				t.Fatal("scenario under background load did not complete")
+			}
+			if res.Intervals.SendToReceive < want.minLink {
+				t.Fatalf("link latency %v below %v", res.Intervals.SendToReceive, want.minLink)
+			}
+			// 10 chattering stations at ~10 Hz for ~4.5 s: hundreds of frames.
+			if sent := tb.Metrics.Counter("radio_frames_sent_total").Value(); sent < 200 {
+				t.Fatalf("background load generated only %d frames", sent)
+			}
+		})
+	}
+}
+
 func TestCellularRadioMode(t *testing.T) {
-	cfg := Config{Seed: 108, Radio: RadioCellular, CellularProfile: radio.Profile5GURLLC()}
+	cfg := Config{Seed: 108, Radio: RadioCV2XUu, CellularProfile: radio.Profile5GURLLC()}
 	base := cfg.withDefaults()
 	vcfg := base.Vehicle
 	vcfg.UseVision = false
@@ -136,7 +184,7 @@ func TestCellularRadioMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Medium != nil {
+	if _, ok := tb.Backend.(*radio.Medium); ok {
 		t.Fatal("cellular mode still created an 802.11p medium")
 	}
 	res, err := tb.RunScenario(30 * time.Second)
@@ -149,6 +197,51 @@ func TestCellularRadioMode(t *testing.T) {
 	// The 5G link contributes several ms where ITS-G5 contributes ~1.5.
 	if res.Intervals.SendToReceive < 3*time.Millisecond {
 		t.Fatalf("cellular link latency %v implausibly low", res.Intervals.SendToReceive)
+	}
+}
+
+func TestCellularModeIgnoresBackgroundVehicles(t *testing.T) {
+	// Background stations attach to the cellular link like every other
+	// station; a background config must not stop the scenario completing.
+	cfg := Config{Seed: 140, Radio: RadioCV2XUu, BackgroundVehicles: 10}
+	base := cfg.withDefaults()
+	vcfg := base.Vehicle
+	vcfg.UseVision = false
+	cfg.Vehicle = vcfg
+	tb, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tb.RunScenario(30 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped {
+		t.Fatal("cellular scenario with background config did not complete")
+	}
+}
+
+// TestParseRadio pins the -radio flag surface.
+func TestParseRadio(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want RadioKind
+	}{
+		{"", RadioITSG5},
+		{"its-g5", RadioITSG5},
+		{"cv2x-pc5", RadioCV2XPC5},
+		{"cv2x-uu", RadioCV2XUu},
+	} {
+		got, err := ParseRadio(tc.in)
+		if err != nil || got != tc.want {
+			t.Fatalf("ParseRadio(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseRadio("wimax"); err == nil {
+		t.Fatal("unknown backend accepted")
+	}
+	if _, err := New(Config{Seed: 1, Radio: "wimax"}); err == nil {
+		t.Fatal("testbed built on an unknown radio kind")
 	}
 }
 
@@ -178,27 +271,6 @@ func TestFullVisionScenario(t *testing.T) {
 	}
 }
 
-func TestCellularModeIgnoresBackgroundVehicles(t *testing.T) {
-	// Background stations need the 802.11p medium; in cellular mode
-	// the testbed must simply skip them rather than fail.
-	cfg := Config{Seed: 140, Radio: RadioCellular, BackgroundVehicles: 10}
-	base := cfg.withDefaults()
-	vcfg := base.Vehicle
-	vcfg.UseVision = false
-	cfg.Vehicle = vcfg
-	tb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tb.RunScenario(30 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stopped {
-		t.Fatal("cellular scenario with background config did not complete")
-	}
-}
-
 func TestBackgroundVehiclesLoadTheChannel(t *testing.T) {
 	cfg := Config{Seed: 141, BackgroundVehicles: 10}
 	base := cfg.withDefaults()
@@ -217,8 +289,8 @@ func TestBackgroundVehiclesLoadTheChannel(t *testing.T) {
 		t.Fatal("scenario under channel load did not complete")
 	}
 	// 10 chattering stations at ~10 Hz for ~4.5 s: hundreds of frames.
-	if tb.Medium.FramesSent < 200 {
-		t.Fatalf("background load generated only %d frames", tb.Medium.FramesSent)
+	if sent := tb.Metrics.Counter("radio_frames_sent_total").Value(); sent < 200 {
+		t.Fatalf("background load generated only %d frames", sent)
 	}
 }
 

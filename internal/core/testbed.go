@@ -2,7 +2,7 @@
 // Collision Avoidance System on the 1/10-scale robotic testbed. It
 // wires together every component of Fig. 3 — road-side ZED camera,
 // Object Detection Service and Hazard Advertisement Service on the
-// edge node, the RSU and OBU OpenC2X stations over the 802.11p medium,
+// edge node, the RSU and OBU OpenC2X stations over the radio backend,
 // and the autonomous line-following vehicle — and instruments the
 // Fig. 4 sequence with the six step timestamps of the evaluation.
 package core
@@ -31,24 +31,40 @@ import (
 	"itsbed/internal/vehicle"
 )
 
-// RadioKind selects the warning delivery interface.
-type RadioKind int
+// RadioKind selects the radio backend every station attaches to. Its
+// values are the -radio flag names; "" selects ITS-G5.
+type RadioKind string
 
 // Radio kinds.
 const (
 	// RadioITSG5 is the paper's IEEE 802.11p / ITS-G5 deployment.
-	RadioITSG5 RadioKind = iota + 1
-	// RadioCellular replaces the V2X link with a cellular profile
-	// (the paper's planned 5G comparison).
-	RadioCellular
+	RadioITSG5 RadioKind = "its-g5"
 	// RadioCV2XPC5 runs the C-V2X mode-4 sidelink: stations transmit
 	// on autonomous SPS grants over the shared resource pool.
-	RadioCV2XPC5
+	RadioCV2XPC5 RadioKind = "cv2x-pc5"
 	// RadioCV2XUu routes every frame through the base-station/core hop
-	// of the cellular profile, with fault injection and flight
-	// recording threaded through (unlike the raw RadioCellular pipe).
-	RadioCV2XUu
+	// of the cellular profile (the paper's planned 5G comparison).
+	RadioCV2XUu RadioKind = "cv2x-uu"
 )
+
+// RadioKinds lists every radio kind in bake-off order.
+func RadioKinds() []RadioKind {
+	return []RadioKind{RadioITSG5, RadioCV2XPC5, RadioCV2XUu}
+}
+
+// ParseRadio maps a -radio flag value onto a RadioKind; the empty
+// string selects ITS-G5.
+func ParseRadio(s string) (RadioKind, error) {
+	if s == "" {
+		return RadioITSG5, nil
+	}
+	for _, k := range RadioKinds() {
+		if RadioKind(s) == k {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("core: unknown radio backend %q (want its-g5, cv2x-pc5 or cv2x-uu)", s)
+}
 
 // Station IDs of the fixed deployment.
 const (
@@ -81,11 +97,11 @@ type Config struct {
 	MailboxCap int
 	// NTP error model for all platforms.
 	NTP clock.NTPModel
-	// Radio selects ITS-G5 (default), a raw cellular pipe, C-V2X
-	// sidelink (PC5), or the C-V2X infrastructure (Uu) path.
+	// Radio selects ITS-G5 (default), C-V2X sidelink (PC5), or the
+	// C-V2X infrastructure (Uu) path.
 	Radio RadioKind
-	// CellularProfile applies when Radio is RadioCellular or
-	// RadioCV2XUu.
+	// CellularProfile applies when Radio is RadioCV2XUu; the zero
+	// value selects radio.Profile5GURLLC.
 	CellularProfile radio.CellularProfile
 	// SPS parameterises the mode-4 scheduler when Radio ==
 	// RadioCV2XPC5; the zero value selects the standard defaults.
@@ -96,7 +112,7 @@ type Config struct {
 	// the lab open.
 	Obstructions radio.ObstructionModel
 	// BackgroundVehicles adds that many CAM-chattering stations to the
-	// medium for channel-load studies.
+	// radio backend for channel-load studies.
 	BackgroundVehicles int
 	// DENMTrafficClass demotes DENMs from the default highest EDCA
 	// priority (0) for the channel-access ablation.
@@ -159,7 +175,7 @@ func (c Config) withDefaults() Config {
 	if c.NTP == (clock.NTPModel{}) {
 		c.NTP = clock.DefaultLANNTP()
 	}
-	if c.Radio == 0 {
+	if c.Radio == "" {
 		c.Radio = RadioITSG5
 	}
 	if c.Metrics == nil {
@@ -185,11 +201,10 @@ type Testbed struct {
 	Kernel *sim.Kernel
 	Layout track.Layout
 
-	Medium *radio.Medium
-	// PC5 is the sidelink medium when Radio == RadioCV2XPC5.
-	PC5 *radio.PC5Medium
-	// Uu is the infrastructure link when Radio == RadioCV2XUu.
-	Uu      *radio.CellularLink
+	// Backend is the radio every station attaches to: a
+	// *radio.Medium, *radio.PC5Medium or *radio.CellularLink per
+	// Config.Radio.
+	Backend radio.Backend
 	RSU     *stack.Station
 	OBU     *stack.Station
 	RSUNode *openc2x.SimNode
@@ -275,76 +290,46 @@ func New(cfg Config) (*Testbed, error) {
 	tb.Vehicle = veh
 
 	// --- Access layer -------------------------------------------------
-	var rsuLink, obuLink stack.Link
+	// Hand the backends only a concrete injector: a typed-nil interface
+	// would defeat their Faults == nil fast paths.
+	var faultModel radio.FaultModel
+	if inj != nil {
+		faultModel = inj
+	}
 	switch cfg.Radio {
-	case RadioCellular:
-		profile := cfg.CellularProfile
-		if profile == (radio.CellularProfile{}) {
-			profile = radio.Profile5GURLLC()
-		}
-		cell := radio.NewCellularLink(k, profile)
-		rsuLink = cellularEndpoint{link: cell}
-		obuLink = cellularEndpoint{link: cell}
+	case RadioITSG5:
+		tb.Backend = radio.NewMedium(k, radio.MediumConfig{
+			PathLoss:     cfg.PathLoss,
+			Obstructions: cfg.Obstructions,
+			Faults:       faultModel,
+			Metrics:      cfg.Metrics,
+			Tracer:       cfg.Tracer,
+			Flight:       cfg.Flight,
+		})
 	case RadioCV2XPC5:
-		pc := radio.PC5Config{
+		tb.Backend = radio.NewPC5Medium(k, radio.PC5Config{
 			SPS:     cfg.SPS,
+			Faults:  faultModel,
 			Metrics: cfg.Metrics,
 			Flight:  cfg.Flight,
-		}
-		if inj != nil {
-			pc.Faults = inj
-		}
-		tb.PC5 = radio.NewPC5Medium(k, pc)
-		camPos := cfg.Layout.Camera.Position
-		rsuIf, err := tb.PC5.Attach("rsu", func() geo.Point { return camPos })
-		if err != nil {
-			return nil, fmt.Errorf("core: pc5 RSU: %w", err)
-		}
-		obuIf, err := tb.PC5.Attach("obu", veh.Mobility().Position)
-		if err != nil {
-			return nil, fmt.Errorf("core: pc5 OBU: %w", err)
-		}
-		rsuLink, obuLink = rsuIf, obuIf
+		})
 	case RadioCV2XUu:
 		profile := cfg.CellularProfile
 		if profile == (radio.CellularProfile{}) {
 			profile = radio.Profile5GURLLC()
 		}
 		cell := radio.NewCellularLink(k, profile)
+		cell.Faults = faultModel
 		cell.Flight = cfg.Flight
 		cell.Metrics = cfg.Metrics
-		if inj != nil {
-			cell.Faults = inj
-		}
-		tb.Uu = cell
-		rsuEp, err := cell.AttachUu("rsu")
-		if err != nil {
-			return nil, fmt.Errorf("core: uu RSU: %w", err)
-		}
-		obuEp, err := cell.AttachUu("obu")
-		if err != nil {
-			return nil, fmt.Errorf("core: uu OBU: %w", err)
-		}
-		rsuLink, obuLink = rsuEp, obuEp
+		tb.Backend = cell
 	default:
-		mc := radio.MediumConfig{
-			PathLoss:     cfg.PathLoss,
-			Obstructions: cfg.Obstructions,
-			Metrics:      cfg.Metrics,
-			Tracer:       cfg.Tracer,
-			Flight:       cfg.Flight,
-		}
-		if inj != nil {
-			// Assign only a concrete injector: a typed-nil interface
-			// would defeat the medium's Faults == nil fast path.
-			mc.Faults = inj
-		}
-		tb.Medium = radio.NewMedium(k, mc)
+		return nil, fmt.Errorf("core: unknown radio kind %q", cfg.Radio)
 	}
 
 	// --- RSU ----------------------------------------------------------
 	rsuPos := cfg.Layout.Camera.Position // RSU co-located with the edge rack (Fig. 9)
-	rsu, err := stack.New(k, tb.Medium, stack.Config{
+	rsu, err := stack.New(k, tb.Backend, stack.Config{
 		Name:               "rsu",
 		Role:               stack.RoleRSU,
 		StationID:          RSUStationID,
@@ -354,7 +339,6 @@ func New(cfg Config) (*Testbed, error) {
 		NTP:                cfg.NTP,
 		DisableCAMTriggers: true,
 		DENMTrafficClass:   cfg.DENMTrafficClass,
-		Link:               rsuLink,
 		Metrics:            cfg.Metrics,
 		Tracer:             cfg.Tracer,
 		Flight:             cfg.Flight,
@@ -367,7 +351,7 @@ func New(cfg Config) (*Testbed, error) {
 	tb.RSUNode.MailboxCap = cfg.MailboxCap
 
 	// --- OBU ----------------------------------------------------------
-	obu, err := stack.New(k, tb.Medium, stack.Config{
+	obu, err := stack.New(k, tb.Backend, stack.Config{
 		Name:        "obu",
 		Role:        stack.RoleOBU,
 		StationID:   OBUStationID,
@@ -375,7 +359,6 @@ func New(cfg Config) (*Testbed, error) {
 		Frame:       cfg.Layout.Frame,
 		Mobility:    veh.Mobility(),
 		NTP:         cfg.NTP,
-		Link:        obuLink,
 		Metrics:     cfg.Metrics,
 		Tracer:      cfg.Tracer,
 		Flight:      cfg.Flight,
@@ -396,7 +379,7 @@ func New(cfg Config) (*Testbed, error) {
 	}
 
 	// --- Background channel load ---------------------------------------
-	if cfg.BackgroundVehicles > 0 && tb.Medium != nil {
+	if cfg.BackgroundVehicles > 0 {
 		if err := tb.addBackgroundVehicles(cfg.BackgroundVehicles); err != nil {
 			return nil, err
 		}
@@ -530,7 +513,7 @@ func (tb *Testbed) addBackgroundVehicles(n int) error {
 			Y: rng.Float64() * 8,
 		}
 		mob := &chatterMobility{point: pos, geoPt: tb.Layout.Frame.ToGeodetic(pos)}
-		st, err := stack.New(tb.Kernel, tb.Medium, stack.Config{
+		st, err := stack.New(tb.Kernel, tb.Backend, stack.Config{
 			Name:        fmt.Sprintf("bg%02d", i),
 			Role:        stack.RoleOBU,
 			StationID:   units.StationID(9000 + i),
@@ -548,15 +531,6 @@ func (tb *Testbed) addBackgroundVehicles(n int) error {
 		tb.background = append(tb.background, st)
 	}
 	return nil
-}
-
-// cellularEndpoint adapts a shared CellularLink to the stack's Link
-// interface per station.
-type cellularEndpoint struct{ link *radio.CellularLink }
-
-func (c cellularEndpoint) SendBroadcast(frame []byte) error { return c.link.SendBroadcast(frame) }
-func (c cellularEndpoint) SetReceiver(fn func(frame []byte)) {
-	c.link.Subscribe(fn)
 }
 
 // wireTimestamps installs the Fig. 4 step recorders.

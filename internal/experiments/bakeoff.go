@@ -10,49 +10,6 @@ import (
 	"itsbed/internal/stats"
 )
 
-// Backend names a radio backend for scenario selection: the paper's
-// ITS-G5 deployment, C-V2X mode-4 sidelink, or the C-V2X
-// infrastructure (Uu) path.
-type Backend string
-
-// The selectable radio backends.
-const (
-	BackendITSG5   Backend = "its-g5"
-	BackendCV2XPC5 Backend = "cv2x-pc5"
-	BackendCV2XUu  Backend = "cv2x-uu"
-)
-
-// Backends lists every backend in bake-off order.
-func Backends() []Backend {
-	return []Backend{BackendITSG5, BackendCV2XPC5, BackendCV2XUu}
-}
-
-// ParseBackend maps a -radio flag value onto a Backend; the empty
-// string selects ITS-G5.
-func ParseBackend(s string) (Backend, error) {
-	switch Backend(s) {
-	case "", BackendITSG5:
-		return BackendITSG5, nil
-	case BackendCV2XPC5:
-		return BackendCV2XPC5, nil
-	case BackendCV2XUu:
-		return BackendCV2XUu, nil
-	}
-	return "", fmt.Errorf("experiments: unknown radio backend %q (want its-g5, cv2x-pc5 or cv2x-uu)", s)
-}
-
-// apply selects the backend on a testbed config. ITS-G5 (and the
-// empty value) leaves the config untouched, so existing campaigns
-// replay bit-identically.
-func (b Backend) apply(cfg *core.Config) {
-	switch b {
-	case BackendCV2XPC5:
-		cfg.Radio = core.RadioCV2XPC5
-	case BackendCV2XUu:
-		cfg.Radio = core.RadioCV2XUu
-	}
-}
-
 // BakeoffOptions tune the BAKEOFF-1 campaign.
 type BakeoffOptions struct {
 	// BaseSeed; backend bi runs seeds BaseSeed+bi*100000+i.
@@ -68,7 +25,7 @@ type BakeoffOptions struct {
 
 // BakeoffRow is one backend's Table II chain statistics.
 type BakeoffRow struct {
-	Backend Backend
+	Backend core.RadioKind
 	Runs    int
 	// TotalsMS are the per-run 2→5 totals in milliseconds.
 	TotalsMS []float64
@@ -110,7 +67,7 @@ func Bakeoff(opt BakeoffOptions) (BakeoffResult, error) {
 	if opt.Runs <= 0 {
 		opt.Runs = 10
 	}
-	backends := Backends()
+	backends := core.RadioKinds()
 	outer, inner := campaign.Split(opt.Workers, len(backends))
 	rows, err := campaign.Map(campaign.Options{Workers: outer}, len(backends), func(bi int) (BakeoffRow, error) {
 		be := backends[bi]

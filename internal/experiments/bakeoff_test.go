@@ -3,49 +3,7 @@ package experiments
 import (
 	"os"
 	"testing"
-
-	"itsbed/internal/core"
 )
-
-// TestParseBackend pins the -radio flag surface.
-func TestParseBackend(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Backend
-	}{
-		{"", BackendITSG5},
-		{"its-g5", BackendITSG5},
-		{"cv2x-pc5", BackendCV2XPC5},
-		{"cv2x-uu", BackendCV2XUu},
-	} {
-		got, err := ParseBackend(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseBackend("wimax"); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-}
-
-// TestBackendApply pins the config mapping: ITS-G5 leaves the config
-// untouched (the zero value defaults to the paper's stack), the C-V2X
-// backends select their radio kinds.
-func TestBackendApply(t *testing.T) {
-	var cfg core.Config
-	BackendITSG5.apply(&cfg)
-	if cfg.Radio != 0 {
-		t.Fatalf("its-g5 touched the config: radio %v", cfg.Radio)
-	}
-	BackendCV2XPC5.apply(&cfg)
-	if cfg.Radio != core.RadioCV2XPC5 {
-		t.Fatalf("pc5 radio %v", cfg.Radio)
-	}
-	BackendCV2XUu.apply(&cfg)
-	if cfg.Radio != core.RadioCV2XUu {
-		t.Fatalf("uu radio %v", cfg.Radio)
-	}
-}
 
 // bakeoffOpt is the CI bakeoff-smoke shape (itsbed bakeoff -seed 42
 // -runs 5 -vision=false).

@@ -139,15 +139,15 @@ func RadioComparison(baseSeed int64, runs, workers int) (RadioComparisonResult, 
 	variants := []variant{
 		{"ITS-G5 (802.11p)", func(c *core.Config) { c.Radio = core.RadioITSG5 }},
 		{"5G URLLC edge", func(c *core.Config) {
-			c.Radio = core.RadioCellular
+			c.Radio = core.RadioCV2XUu
 			c.CellularProfile = radio.Profile5GURLLC()
 		}},
 		{"5G eMBB public", func(c *core.Config) {
-			c.Radio = core.RadioCellular
+			c.Radio = core.RadioCV2XUu
 			c.CellularProfile = radio.Profile5GEMBB()
 		}},
 		{"LTE public", func(c *core.Config) {
-			c.Radio = core.RadioCellular
+			c.Radio = core.RadioCV2XUu
 			c.CellularProfile = radio.ProfileLTE()
 		}},
 	}

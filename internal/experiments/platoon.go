@@ -135,13 +135,13 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 
 	// Road-side infrastructure watching the leader.
 	rsuPos := layout.Camera.Position
-	var rsuLink stack.Link
+	var rsuBackend radio.Backend = medium
 	var cell *radio.CellularLink
 	if mode == PlatoonHybrid {
 		cell = radio.NewCellularLink(kernel, radio.Profile5GURLLC())
-		rsuLink = cell
+		rsuBackend = cell
 	}
-	rsu, err := stack.New(kernel, medium, stack.Config{
+	rsu, err := stack.New(kernel, rsuBackend, stack.Config{
 		Name:               "rsu",
 		Role:               stack.RoleRSU,
 		StationID:          1001,
@@ -150,7 +150,6 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 		Mobility:           stack.StaticMobility{Point: rsuPos, Geo: frame.ToGeodetic(rsuPos)},
 		NTP:                ntp,
 		DisableCAMTriggers: true,
-		Link:               rsuLink,
 	})
 	if err != nil {
 		return out, fmt.Errorf("experiments: platoon RSU: %w", err)
@@ -181,10 +180,13 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 				RelevanceRadius: 100,
 			})
 		}
-		// Wire the cellular downlink into the leader's GN router only:
-		// the RSU link already broadcasts into the shared cell; the
-		// leader subscribes.
-		cell.Subscribe(leaderStation.Router.OnFrame)
+		// The leader's receive-only Uu endpoint feeds the cellular
+		// downlink into its GN router; it keeps transmitting on 802.11p.
+		ep, err := cell.AttachUu(leaderStation.Name())
+		if err != nil {
+			return out, fmt.Errorf("experiments: platoon leader uu: %w", err)
+		}
+		ep.SetReceiver(leaderStation.Router.OnFrame)
 	}
 
 	edgeClock := clock.NewNTP(clock.SourceFunc(kernel.Now), ntp, kernel.Rand("clock.edge"))

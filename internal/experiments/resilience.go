@@ -31,7 +31,7 @@ type ResilienceOptions struct {
 	UseVision bool
 	// Radio selects the radio backend for both the baseline and the
 	// faulted sweep ("" keeps ITS-G5).
-	Radio Backend
+	Radio core.RadioKind
 	// Plan is the fault schedule injected into every faulted run.
 	Plan faults.Plan
 	// TriggerRetries for the edge's trigger_denm path under faults;

@@ -46,10 +46,9 @@ type ScenarioOptions struct {
 	UseVision bool
 	// Horizon per run.
 	Horizon time.Duration
-	// Radio selects the radio backend ("" and BackendITSG5 keep the
-	// paper's ITS-G5 stack and replay bit-identically to runs that
-	// predate the field). Applied before Configure, which may override.
-	Radio Backend
+	// Radio selects the radio backend ("" keeps the paper's ITS-G5
+	// stack). Applied before Configure, which may override.
+	Radio core.RadioKind
 	// Configure, if set, customises the testbed config before each run.
 	Configure func(*core.Config)
 	// Workers is the number of scenario runs executed concurrently
@@ -99,7 +98,7 @@ func runOnce(opt ScenarioOptions, i int) (*core.Result, error) {
 		defer attemptTracers.Put(tr)
 		cfg.Tracer = tr
 	}
-	opt.Radio.apply(&cfg)
+	cfg.Radio = opt.Radio
 	if opt.Configure != nil {
 		opt.Configure(&cfg)
 	}

@@ -56,14 +56,14 @@ func ProfileLTE() CellularProfile {
 	}
 }
 
-// CellularLink is a point-to-multipoint message pipe with the latency
-// law of a cellular network. It implements geonet.LinkLayer so a GN
-// router (or a raw facilities dispatcher) can run over it unchanged.
+// CellularLink is the infrastructure (Uu) path of a cellular network:
+// stations attach as UuEndpoints, and every broadcast rides an uplink
+// to the base station/core and per-receiver downlinks, with the
+// profile's latency and loss law.
 type CellularLink struct {
-	kernel    *sim.Kernel
-	profile   CellularProfile
-	rng       *rand.Rand
-	receivers []func(frame []byte)
+	kernel  *sim.Kernel
+	profile CellularProfile
+	rng     *rand.Rand
 
 	// Faults, when non-nil, screens Uu deliveries: blackout windows
 	// wipe uplinks at the base station, per-link drops hit individual
@@ -103,51 +103,12 @@ func NewCellularLink(kernel *sim.Kernel, profile CellularProfile) *CellularLink 
 	}
 }
 
-// Subscribe registers a receiver for every message sent on the link.
-func (l *CellularLink) Subscribe(fn func(frame []byte)) {
-	if fn != nil {
-		l.receivers = append(l.receivers, fn)
-	}
-}
-
-// SetReceiver is Subscribe under the name the stack's link override
-// expects, so a CellularLink can stand in for an 802.11p interface.
-func (l *CellularLink) SetReceiver(fn func(frame []byte)) { l.Subscribe(fn) }
-
-// SendBroadcast delivers the frame to every subscriber after an
-// independently sampled cellular latency, satisfying geonet.LinkLayer.
-// Loss is sampled once per message — a message surviving HARQ/RLC on
-// the uplink reaches every subscriber, and a lost one reaches none —
-// so MessagesLost never exceeds MessagesSent.
-func (l *CellularLink) SendBroadcast(frame []byte) error {
-	l.MessagesSent++
-	if len(l.receivers) == 0 {
-		return nil
-	}
-	if l.profile.LossProbability > 0 && l.rng.Float64() < l.profile.LossProbability {
-		l.MessagesLost++
-		return nil
-	}
-	f := make([]byte, len(frame))
-	copy(f, frame)
-	for _, rcv := range l.receivers {
-		delay := l.profile.BaseLatency
-		if l.profile.JitterMean > 0 {
-			delay += time.Duration(l.rng.ExpFloat64() * float64(l.profile.JitterMean))
-		}
-		rcv := rcv
-		l.kernel.ScheduleFn(delay, func() { rcv(f) })
-	}
-	return nil
-}
-
 // UuEndpoint is one named station on the Uu (infrastructure) path: a
-// stack.Link whose broadcasts ride an uplink leg to the base
-// station/core and fan out on per-receiver downlink legs, each leg
-// carrying half the profile's latency law so the end-to-end mean stays
-// BaseLatency + JitterMean. Unlike the raw Subscribe pipe, endpoints
-// are screened by the link's fault injector and recorded in its
-// flight recorder.
+// Link whose broadcasts ride an uplink leg to the base station/core
+// and fan out on per-receiver downlink legs, each leg carrying half
+// the profile's latency law so the end-to-end mean stays
+// BaseLatency + JitterMean. Endpoints are screened by the link's
+// fault injector and recorded in its flight recorder.
 type UuEndpoint struct {
 	link    *CellularLink
 	name    string
@@ -182,14 +143,19 @@ func (l *CellularLink) AttachUu(name string) (*UuEndpoint, error) {
 	return ep, nil
 }
 
+// AttachStation implements Backend with a Uu endpoint; the base
+// station reaches every endpoint, so pos is unused.
+func (l *CellularLink) AttachStation(name string, _ PositionFunc) (Link, error) {
+	return asLink(l.AttachUu(name))
+}
+
 // Name returns the endpoint's station name.
 func (e *UuEndpoint) Name() string { return e.name }
 
 // FlightHook exposes the endpoint's black-box recording handle.
 func (e *UuEndpoint) FlightHook() flight.Hook { return e.fl }
 
-// SetReceiver installs the frame-delivery callback, satisfying
-// stack.Link.
+// SetReceiver installs the frame-delivery callback, satisfying Link.
 func (e *UuEndpoint) SetReceiver(fn func(frame []byte)) { e.receive = fn }
 
 // legDelay samples one leg (uplink or downlink) of the Uu path: half
@@ -205,7 +171,7 @@ func (l *CellularLink) legDelay() time.Duration {
 }
 
 // SendBroadcast routes the frame through the base-station hop to every
-// other endpoint, satisfying geonet.LinkLayer / stack.Link. Uplink
+// other endpoint, satisfying geonet.LinkLayer / Link. Uplink
 // loss is decided once per message (the PR 7 law: a lost message
 // reaches no receiver); per-receiver fault drops are screened on the
 // downlink legs.

@@ -1,15 +1,34 @@
 package radio
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"itsbed/internal/sim"
 )
 
+// uuSender attaches a sending endpoint plus one receiving endpoint per
+// callback to the link, and returns the sender.
+func uuSender(t *testing.T, link *CellularLink, receivers ...func(frame []byte)) *UuEndpoint {
+	t.Helper()
+	tx, err := link.AttachUu("tx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fn := range receivers {
+		rx, err := link.AttachUu(fmt.Sprintf("rx%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx.SetReceiver(fn)
+	}
+	return tx
+}
+
 // TestCellularLossSampledPerMessage pins the documented loss semantics:
-// loss is a per-message event, so with several subscribers a message
-// either reaches all of them or none. The old per-receiver sampling
+// loss is a per-message event, so with several receiving endpoints a
+// message either reaches all of them or none. The old per-receiver sampling
 // would split deliveries at 50% loss with overwhelming probability.
 func TestCellularLossSampledPerMessage(t *testing.T) {
 	k := sim.NewKernel(9)
@@ -22,10 +41,11 @@ func TestCellularLossSampledPerMessage(t *testing.T) {
 	const n = 200
 	gotA := make(map[byte]bool)
 	gotB := make(map[byte]bool)
-	link.Subscribe(func(f []byte) { gotA[f[0]] = true })
-	link.Subscribe(func(f []byte) { gotB[f[0]] = true })
+	tx := uuSender(t, link,
+		func(f []byte) { gotA[f[0]] = true },
+		func(f []byte) { gotB[f[0]] = true })
 	for i := 0; i < n; i++ {
-		if err := link.SendBroadcast([]byte{byte(i)}); err != nil {
+		if err := tx.SendBroadcast([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,8 +66,8 @@ func TestCellularLossSampledPerMessage(t *testing.T) {
 }
 
 // TestCellularCountersConsistent checks the counters' invariant under
-// the per-message law: sent = lost + delivered-per-subscriber, and
-// lost never exceeds sent.
+// the per-message law: sent = lost + delivered-per-receiver, and lost
+// never exceeds sent.
 func TestCellularCountersConsistent(t *testing.T) {
 	k := sim.NewKernel(11)
 	link := NewCellularLink(k, CellularProfile{
@@ -56,11 +76,10 @@ func TestCellularCountersConsistent(t *testing.T) {
 		LossProbability: 0.3,
 	})
 	var a, b int
-	link.Subscribe(func([]byte) { a++ })
-	link.Subscribe(func([]byte) { b++ })
+	tx := uuSender(t, link, func([]byte) { a++ }, func([]byte) { b++ })
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := link.SendBroadcast([]byte("x")); err != nil {
+		if err := tx.SendBroadcast([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,9 +101,10 @@ func TestCellularCountersConsistent(t *testing.T) {
 }
 
 // TestCellularLatencyLossLawPinned freezes the RNG draw order of the
-// link under a seeded kernel: one loss draw per message, then one
-// jitter draw per subscribing path of a surviving message. Any change
-// to the sampling law moves these exact values.
+// Uu path under a seeded kernel: one loss draw per message, one
+// uplink-leg jitter draw per surviving message, then one downlink-leg
+// draw per receiver. Any change to the sampling law moves these exact
+// values.
 func TestCellularLatencyLossLawPinned(t *testing.T) {
 	k := sim.NewKernel(42)
 	link := NewCellularLink(k, CellularProfile{
@@ -96,7 +116,7 @@ func TestCellularLatencyLossLawPinned(t *testing.T) {
 	var deliveries int
 	var total time.Duration
 	sent := make(map[int]time.Duration)
-	link.Subscribe(func(f []byte) {
+	tx := uuSender(t, link, func(f []byte) {
 		deliveries++
 		total += k.Now() - sent[int(f[0])]
 	})
@@ -105,7 +125,7 @@ func TestCellularLatencyLossLawPinned(t *testing.T) {
 		i := i
 		k.ScheduleFn(time.Duration(i)*10*time.Millisecond, func() {
 			sent[i] = k.Now()
-			_ = link.SendBroadcast([]byte{byte(i)})
+			_ = tx.SendBroadcast([]byte{byte(i)})
 		})
 	}
 	if err := k.Run(time.Minute); err != nil {
@@ -114,15 +134,15 @@ func TestCellularLatencyLossLawPinned(t *testing.T) {
 	if link.MessagesSent != n {
 		t.Fatalf("sent %d", link.MessagesSent)
 	}
-	// Pinned under kernel seed 42: 14 of 50 messages lost.
-	if link.MessagesLost != 14 {
-		t.Fatalf("lost %d, want 14 (loss law changed)", link.MessagesLost)
+	// Pinned under kernel seed 42: 11 of 50 messages lost.
+	if link.MessagesLost != 11 {
+		t.Fatalf("lost %d, want 11 (loss law changed)", link.MessagesLost)
 	}
-	if deliveries != n-14 {
-		t.Fatalf("delivered %d, want %d", deliveries, n-14)
+	if deliveries != n-11 {
+		t.Fatalf("delivered %d, want %d", deliveries, n-11)
 	}
-	// Every delay is base + Exp(jitter) ≥ base; the mean sits near
-	// base + jitter.
+	// Every delay is two legs of base/2 + Exp(jitter/2) ≥ base; the
+	// mean sits near base + jitter.
 	mean := total / time.Duration(deliveries)
 	if mean < 5*time.Millisecond || mean > 12*time.Millisecond {
 		t.Fatalf("mean latency %v outside the profile's law", mean)

@@ -308,9 +308,9 @@ func (m *PC5Medium) slotTime(s int64) time.Duration {
 	return time.Duration(s) * m.cfg.SPS.SlotDuration
 }
 
-// PC5Interface is one station on the sidelink. It implements the
-// stack's Link interface: SendBroadcast queues the frame for the
-// station's next SPS grant occurrence.
+// PC5Interface is one station on the sidelink. It implements Link:
+// SendBroadcast queues the frame for the station's next SPS grant
+// occurrence.
 type PC5Interface struct {
 	id      int
 	name    string
@@ -363,6 +363,11 @@ func (m *PC5Medium) Attach(name string, pos PositionFunc) (*PC5Interface, error)
 	return iface, nil
 }
 
+// AttachStation implements Backend.
+func (m *PC5Medium) AttachStation(name string, pos PositionFunc) (Link, error) {
+	return asLink(m.Attach(name, pos))
+}
+
 // Name returns the station name.
 func (i *PC5Interface) Name() string { return i.name }
 
@@ -381,7 +386,7 @@ func (i *PC5Interface) SetReceiver(fn func(frame []byte)) { i.receive = fn }
 func (i *PC5Interface) queueLen() int { return len(i.queue) - i.head }
 
 // SendBroadcast queues a frame for the station's next grant
-// occurrence, satisfying geonet.LinkLayer / stack.Link.
+// occurrence, satisfying geonet.LinkLayer / Link.
 func (i *PC5Interface) SendBroadcast(frame []byte) error {
 	now := i.kernel.Now()
 	if i.queueLen() >= i.queueCap {

@@ -810,6 +810,12 @@ func (m *Medium) Attach(cfg InterfaceConfig, pos PositionFunc) (*Interface, erro
 	return iface, nil
 }
 
+// AttachStation implements Backend: the station gets a best-effort
+// interface at the default MCS and transmit power.
+func (m *Medium) AttachStation(name string, pos PositionFunc) (Link, error) {
+	return asLink(m.Attach(InterfaceConfig{Name: name, DefaultAC: ACBestEffort}, pos))
+}
+
 // ChannelBusyTime returns the accumulated time this interface sensed
 // the channel busy since simulation start (the CBR numerator).
 func (i *Interface) ChannelBusyTime() time.Duration { return i.busyAccum }

@@ -2,9 +2,11 @@
 // testbed's OBU and RSU use: OFDM airtime at 10 MHz channelisation,
 // EDCA channel access in OCB mode (no association, broadcast frames,
 // no acknowledgements), log-distance path loss with shadowing, and
-// SINR-based frame capture. It also provides a cellular-style link
-// model used by the paper's future-work comparison of detection-to-
-// action delay over a 5G interface.
+// SINR-based frame capture. It also provides the C-V2X mode-4
+// sidelink (PC5Medium) and the cellular Uu path (CellularLink) used by
+// the paper's future-work comparison over a 5G interface. All three
+// implement Backend, the one seam through which a station gets its
+// Link.
 //
 // The model runs on the discrete-event kernel: transmissions occupy
 // the medium for their computed airtime, receivers within carrier-

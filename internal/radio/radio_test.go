@@ -235,8 +235,8 @@ func TestCellularLinkLatency(t *testing.T) {
 	k := sim.NewKernel(1)
 	link := NewCellularLink(k, CellularProfile{Name: "t", BaseLatency: 10 * time.Millisecond})
 	var at time.Duration
-	link.Subscribe(func([]byte) { at = k.Now() })
-	if err := link.SendBroadcast([]byte("x")); err != nil {
+	tx := uuSender(t, link, func([]byte) { at = k.Now() })
+	if err := tx.SendBroadcast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(time.Second); err != nil {
@@ -256,9 +256,9 @@ func TestCellularLinkJitterAndLoss(t *testing.T) {
 		LossProbability: 0.5,
 	})
 	n := 0
-	link.Subscribe(func([]byte) { n++ })
+	tx := uuSender(t, link, func([]byte) { n++ })
 	for i := 0; i < 200; i++ {
-		if err := link.SendBroadcast([]byte("x")); err != nil {
+		if err := tx.SendBroadcast([]byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,5 +1,6 @@
 // Package stack assembles a complete ETSI ITS station for the testbed:
-// an 802.11p interface on the shared medium, a GeoNetworking router,
+// a link on the chosen radio backend (802.11p, C-V2X sidelink or the
+// cellular Uu path), a GeoNetworking router,
 // BTP dispatch, the CA, DEN and (optionally) CP basic services, and a
 // Local Dynamic Map — the same layering OpenC2X deploys on the
 // PCEngines APU2 OBU/RSU boards of the paper.
@@ -134,9 +135,9 @@ type Config struct {
 	EnableKAF bool
 	// EnableDCC attaches a reactive DCC controller (ETSI TS 102 687)
 	// to the station's radio: the measured channel-busy ratio
-	// throttles CAM generation through the CA facility's gate. Only
-	// effective when the station owns an 802.11p interface (no Link
-	// override).
+	// throttles CAM generation through the CA facility's gate. It
+	// needs the 802.11p backend: New fails when the station's link is
+	// not a *radio.Interface.
 	EnableDCC bool
 	// DCCProfile overrides the reactive state table; the zero value
 	// selects radio.DefaultReactiveProfile.
@@ -160,11 +161,6 @@ type Config struct {
 	// KAFInterval overrides the silence interval for events without a
 	// transmissionInterval; zero selects the 500 ms default.
 	KAFInterval time.Duration
-	// Link overrides the access layer: when set, the station uses it
-	// instead of attaching an 802.11p interface to the medium (used
-	// for the cellular-interface comparison). The medium argument to
-	// New may then be nil.
-	Link Link
 	// Metrics, when non-nil, is threaded through every layer of the
 	// station (router, facilities, receivers) and receives the
 	// stack_* processing-latency histograms.
@@ -180,19 +176,15 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// Link abstracts the access layer a station binds to.
-type Link interface {
-	SendBroadcast(frame []byte) error
-	SetReceiver(fn func(frame []byte))
-}
-
-// Station is one assembled ITS-G5 station.
+// Station is one assembled ITS station.
 type Station struct {
 	cfg    Config
 	kernel *sim.Kernel
 	rng    *rand.Rand
 
-	Clock  *clock.NTPClock
+	Clock *clock.NTPClock
+	// Iface is the station's 802.11p interface; nil on the other
+	// backends.
 	Iface  *radio.Interface
 	DCC    *radio.DCC
 	Router *geonet.Router
@@ -234,8 +226,9 @@ type Station struct {
 	mDelCAM, mDelDENM, mDelCPM                       *metrics.Counter
 }
 
-// New attaches a fully wired station to the kernel and medium.
-func New(kernel *sim.Kernel, medium *radio.Medium, cfg Config) (*Station, error) {
+// New attaches a fully wired station to the kernel and radio backend:
+// cfg.Name joins the backend at cfg.Mobility's position.
+func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error) {
 	if cfg.Mobility == nil {
 		return nil, fmt.Errorf("stack: station %q requires mobility", cfg.Name)
 	}
@@ -267,23 +260,14 @@ func New(kernel *sim.Kernel, medium *radio.Medium, cfg Config) (*Station, error)
 		s.mDelCPM = r.Counter("stack_delivered_total", st, metrics.L("msg", "cpm"))
 	}
 
-	var link Link
-	if cfg.Link != nil {
-		link = cfg.Link
-	} else {
-		if medium == nil {
-			return nil, fmt.Errorf("stack: station %q requires a medium or a link override", cfg.Name)
-		}
-		iface, err := medium.Attach(radio.InterfaceConfig{
-			Name:      cfg.Name,
-			DefaultAC: radio.ACBestEffort,
-		}, cfg.Mobility.Position)
-		if err != nil {
-			return nil, fmt.Errorf("stack: attach radio: %w", err)
-		}
-		s.Iface = iface
-		link = iface
+	if backend == nil {
+		return nil, fmt.Errorf("stack: station %q requires a radio backend", cfg.Name)
 	}
+	link, err := backend.AttachStation(cfg.Name, cfg.Mobility.Position)
+	if err != nil {
+		return nil, fmt.Errorf("stack: attach radio: %w", err)
+	}
+	s.Iface, _ = link.(*radio.Interface)
 	fl := cfg.Flight.Hook(cfg.Name)
 	if cfg.EnableDCC {
 		if s.Iface == nil {

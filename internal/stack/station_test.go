@@ -172,7 +172,7 @@ func TestStationRequiresMobilityAndFrame(t *testing.T) {
 		t.Fatal("station without mobility accepted")
 	}
 	if _, err := New(k, nil, Config{Name: "x", Frame: frame, Mobility: StaticMobility{}}); err == nil {
-		t.Fatal("station without medium or link accepted")
+		t.Fatal("station without radio backend accepted")
 	}
 }
 
@@ -189,13 +189,20 @@ func (l *loopLink) SendBroadcast(f []byte) error {
 }
 func (l *loopLink) SetReceiver(fn func([]byte)) { l.rcv = fn }
 
+// loopBackend attaches every station to its own loopLink.
+type loopBackend struct{}
+
+func (loopBackend) AttachStation(string, radio.PositionFunc) (radio.Link, error) {
+	return &loopLink{}, nil
+}
+
 func TestLinkOverride(t *testing.T) {
 	k := sim.NewKernel(1)
 	frame, err := geo.NewFrame(geo.CISTERLab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := New(k, nil, Config{
+	cfg := Config{
 		Name:        "cell",
 		Role:        RoleOBU,
 		StationID:   5,
@@ -203,13 +210,18 @@ func TestLinkOverride(t *testing.T) {
 		Frame:       frame,
 		Mobility:    StaticMobility{Geo: geo.CISTERLab},
 		NTP:         clock.PerfectNTP(),
-		Link:        &loopLink{},
-	})
+	}
+	st, err := New(k, loopBackend{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Iface != nil {
-		t.Fatal("link override still attached a radio")
+		t.Fatal("non-802.11p backend still attached a radio")
+	}
+	dcc := cfg
+	dcc.Name, dcc.EnableDCC = "cell-dcc", true
+	if _, err := New(k, loopBackend{}, dcc); err == nil {
+		t.Fatal("DCC accepted without an 802.11p interface")
 	}
 	// The loop link echoes our own GBC back; the router's duplicate
 	// filter must drop it rather than deliver.

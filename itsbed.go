@@ -53,8 +53,8 @@ type VideoAnalysis = core.VideoAnalysis
 
 // Radio interface selectors for Config.Radio.
 const (
-	RadioITSG5    = core.RadioITSG5
-	RadioCellular = core.RadioCellular
+	RadioITSG5  = core.RadioITSG5
+	RadioCV2XUu = core.RadioCV2XUu
 )
 
 // New assembles a testbed.
