@@ -27,8 +27,9 @@
 //	itsbed all               # everything above (resilience, city, soak and bakeoff excluded)
 //
 // Common flags: -seed S, -runs R, -vision=(true|false), -workers W,
-// -metrics, -trace-out FILE, -spans. Flags may precede or follow the
-// command name. Runs execute concurrently on W workers (default: all
+// -metrics, -trace-out FILE, -spans. Flags may sit on both sides of
+// the command name ("-seed 7 table2 -runs 4"); anything else after the
+// command is an error. Runs execute concurrently on W workers (default: all
 // CPUs); results — including the -metrics and trace output — are
 // bit-identical for every worker count.
 //
@@ -40,7 +41,9 @@
 // included, attaches to that one backend. The bakeoff command runs the
 // Table II chain over all three backends and prints per-backend
 // latency and PDR rows; the radios command (EXT-2) runs the cv2x-uu
-// path under the 5G URLLC, 5G eMBB and LTE profiles.
+// path under the 5G URLLC, 5G eMBB and LTE profiles. Any other command,
+// all included, fails on a -radio other than its-g5 rather than
+// silently printing ITS-G5 numbers.
 //
 // -faults selects the fault plan for the resilience command: either
 // the name of a builtin plan (blackout, burst-loss, crash-rsu,
@@ -105,6 +108,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -146,18 +150,20 @@ func run(args []string) error {
 	soakStations := fs.Int("soak-stations", 0, "hosted station count for the soak command (0 = 500)")
 	rps := fs.Float64("rps", 0, "aggregate request rate for the soak command (0 = 400)")
 	thresholds := fs.String("thresholds", "", "JSON ceilings file the soak result must satisfy (CI gate)")
-	// Accept flags before the command ("-metrics table2") as well as
-	// after it ("table2 -metrics").
-	cmd := "all"
-	if len(args) > 0 && args[0] != "" && args[0][0] != '-' {
-		cmd = args[0]
-		args = args[1:]
-	}
+	// Flags may sit on both sides of the command
+	// ("-workers 1 city -stations 10").
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if cmd == "all" && fs.NArg() > 0 {
+	cmd := "all"
+	if fs.NArg() > 0 {
 		cmd = fs.Arg(0)
+		if err := fs.Parse(fs.Args()[1:]); err != nil {
+			return err
+		}
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q after command %s", fs.Arg(0), cmd)
 	}
 	faultsSet := false
 	fs.Visit(func(f *flag.Flag) {
@@ -214,6 +220,12 @@ func run(args []string) error {
 			return printSoak(*seed, *soakStations, *rps, *duration, *workers, planArg, *thresholds)
 		},
 	}
+	if _, ok := dispatch[cmd]; !ok && cmd != "all" {
+		return fmt.Errorf("unknown command %q (try: table1 table2 table3 fig7 fig10 fig11 cdf radios platoon baseline poll-sweep fps-sweep load-sweep obstruction platoon-acc ntp-sweep resilience city cpm soak bakeoff all)", cmd)
+	}
+	if radioCmds := []string{"table2", "table3", "fig10", "fig11", "resilience"}; radioKind != core.RadioITSG5 && !slices.Contains(radioCmds, cmd) {
+		return fmt.Errorf("%s ignores -radio %s; only %s take it", cmd, radioKind, strings.Join(radioCmds, ", "))
+	}
 	if cmd == "all" {
 		order := []string{
 			"table1", "table2", "table3", "fig7", "fig10", "fig11",
@@ -228,11 +240,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	fn, ok := dispatch[cmd]
-	if !ok {
-		return fmt.Errorf("unknown command %q (try: table1 table2 table3 fig7 fig10 fig11 cdf radios platoon baseline poll-sweep fps-sweep load-sweep obstruction platoon-acc ntp-sweep resilience city cpm soak bakeoff all)", cmd)
-	}
-	return fn()
+	return dispatch[cmd]()
 }
 
 func printCity(seed int64, stations string, rsus int, duration time.Duration, workers int, disableGrid, disableDCC bool) error {

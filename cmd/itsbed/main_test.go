@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -35,5 +38,62 @@ func TestRunUnknownCommand(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"table2", "-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// capture runs the CLI with args and returns what it printed.
+func capture(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	got := <-out
+	if runErr != nil {
+		t.Fatalf("%v: %v", args, runErr)
+	}
+	return got
+}
+
+func TestRunFlagsOnBothSidesOfCommand(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seed", "1", "table1", "-definitely-not-a-flag"},
+		{"-seed", "1", "table1", "extra"},
+		{"table1", "-seed", "1", "extra"},
+	} {
+		if err := run(args); err == nil {
+			t.Fatalf("%v: accepted", args)
+		}
+	}
+	got := capture(t, "-workers", "1", "city", "-stations", "10", "-duration", "100ms")
+	if !strings.Contains(got, "100ms per run") || !strings.Contains(got, "\n        10 ") {
+		t.Fatalf("flags after the command were dropped:\n%s", got)
+	}
+}
+
+func TestRunRadioRejectedWhereIgnored(t *testing.T) {
+	for _, cmd := range []string{"table1", "cpm", "city", "all"} {
+		err := run([]string{"-radio", "cv2x-pc5", cmd})
+		if err == nil {
+			t.Fatalf("%s: -radio cv2x-pc5 accepted", cmd)
+		}
+		for _, want := range []string{cmd, "table2", "table3", "fig10", "fig11", "resilience"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %s", cmd, err, want)
+			}
+		}
+	}
+	if err := run([]string{"table1", "-radio", "its-g5"}); err != nil {
+		t.Fatalf("default radio rejected: %v", err)
 	}
 }

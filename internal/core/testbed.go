@@ -197,14 +197,15 @@ func (c Config) actionPointGeo() geo.LatLon {
 
 // Testbed is one assembled instance of the collision avoidance system.
 type Testbed struct {
+	// Scene holds the kernel, the radio backend every station attaches
+	// to (a *radio.Medium, *radio.PC5Medium or *radio.CellularLink per
+	// Config.Radio) and the instrumentation every layer reports into:
+	// the metrics registry, the tracer (nil unless tracing is enabled)
+	// and the always-on flight recorder.
+	Scene
 	cfg    Config
-	Kernel *sim.Kernel
 	Layout track.Layout
 
-	// Backend is the radio every station attaches to: a
-	// *radio.Medium, *radio.PC5Medium or *radio.CellularLink per
-	// Config.Radio.
-	Backend radio.Backend
 	RSU     *stack.Station
 	OBU     *stack.Station
 	RSUNode *openc2x.SimNode
@@ -214,22 +215,12 @@ type Testbed struct {
 	// runs).
 	Injector *faults.Injector
 
-	// Metrics is the registry every layer of this testbed reports into.
-	Metrics *metrics.Registry
-	// Tracer records per-message spans when tracing is enabled (nil
-	// otherwise).
-	Tracer *tracing.Tracer
-	// Flight is the always-on black-box recorder of this testbed.
-	Flight *flight.Recorder
-
 	// flVeh is the vehicle's flight hook (watchdog and actuation events).
 	flVeh flight.Hook
 
-	Vehicle   *vehicle.Vehicle
-	Camera    *perception.RoadsideCamera
-	ODS       *edge.ObjectDetectionService
-	Hazard    *edge.HazardAdvertisementService
-	EdgeClock *clock.NTPClock
+	Vehicle *vehicle.Vehicle
+	// Edge is the road-side camera → ODS → hazard pipeline.
+	*Edge
 
 	// Run is the step-timestamp record of the current scenario.
 	Run *trace.Run
@@ -258,13 +249,19 @@ type frameObservation struct {
 func New(cfg Config) (*Testbed, error) {
 	cfg = cfg.withDefaults()
 	tb := &Testbed{
-		cfg:     cfg,
-		Kernel:  sim.NewKernel(cfg.Seed),
-		Layout:  cfg.Layout,
-		Run:     trace.NewRun(),
-		Metrics: cfg.Metrics,
-		Tracer:  cfg.Tracer,
-		Flight:  cfg.Flight,
+		Scene: Scene{
+			Kernel:     sim.NewKernel(cfg.Seed),
+			Frame:      cfg.Layout.Frame,
+			NTP:        cfg.NTP,
+			HTTP:       cfg.HTTP,
+			MailboxCap: cfg.MailboxCap,
+			Metrics:    cfg.Metrics,
+			Tracer:     cfg.Tracer,
+			Flight:     cfg.Flight,
+		},
+		cfg:    cfg,
+		Layout: cfg.Layout,
+		Run:    trace.NewRun(),
 	}
 	tb.flVeh = cfg.Flight.Hook("vehicle")
 	k := tb.Kernel
@@ -282,13 +279,6 @@ func New(cfg Config) (*Testbed, error) {
 		tb.Injector = inj
 	}
 
-	// --- Vehicle ------------------------------------------------------
-	veh, err := vehicle.New(k, cfg.Vehicle)
-	if err != nil {
-		return nil, fmt.Errorf("core: vehicle: %w", err)
-	}
-	tb.Vehicle = veh
-
 	// --- Access layer -------------------------------------------------
 	// Hand the backends only a concrete injector: a typed-nil interface
 	// would defeat their Faults == nil fast paths.
@@ -296,80 +286,28 @@ func New(cfg Config) (*Testbed, error) {
 	if inj != nil {
 		faultModel = inj
 	}
-	switch cfg.Radio {
-	case RadioITSG5:
-		tb.Backend = radio.NewMedium(k, radio.MediumConfig{
-			PathLoss:     cfg.PathLoss,
-			Obstructions: cfg.Obstructions,
-			Faults:       faultModel,
-			Metrics:      cfg.Metrics,
-			Tracer:       cfg.Tracer,
-			Flight:       cfg.Flight,
-		})
-	case RadioCV2XPC5:
-		tb.Backend = radio.NewPC5Medium(k, radio.PC5Config{
-			SPS:     cfg.SPS,
-			Faults:  faultModel,
-			Metrics: cfg.Metrics,
-			Flight:  cfg.Flight,
-		})
-	case RadioCV2XUu:
-		profile := cfg.CellularProfile
-		if profile == (radio.CellularProfile{}) {
-			profile = radio.Profile5GURLLC()
-		}
-		cell := radio.NewCellularLink(k, profile)
-		cell.Faults = faultModel
-		cell.Flight = cfg.Flight
-		cell.Metrics = cfg.Metrics
-		tb.Backend = cell
-	default:
-		return nil, fmt.Errorf("core: unknown radio kind %q", cfg.Radio)
+	var err error
+	if tb.Backend, err = tb.NewBackend(cfg, faultModel); err != nil {
+		return nil, err
 	}
 
-	// --- RSU ----------------------------------------------------------
-	rsuPos := cfg.Layout.Camera.Position // RSU co-located with the edge rack (Fig. 9)
-	rsu, err := stack.New(k, tb.Backend, stack.Config{
-		Name:               "rsu",
-		Role:               stack.RoleRSU,
-		StationID:          RSUStationID,
-		StationType:        units.StationTypeRoadSideUnit,
-		Frame:              cfg.Layout.Frame,
-		Mobility:           stack.StaticMobility{Point: rsuPos, Geo: cfg.Layout.Frame.ToGeodetic(rsuPos)},
-		NTP:                cfg.NTP,
-		DisableCAMTriggers: true,
-		DENMTrafficClass:   cfg.DENMTrafficClass,
-		Metrics:            cfg.Metrics,
-		Tracer:             cfg.Tracer,
-		Flight:             cfg.Flight,
+	// --- RSU (co-located with the edge rack, Fig. 9), vehicle and OBU --
+	tb.RSUNode, err = tb.Node(stack.Config{
+		Name:             "rsu",
+		Role:             stack.RoleRSU,
+		StationID:        RSUStationID,
+		Mobility:         tb.At(cfg.Layout.Camera.Position),
+		DENMTrafficClass: cfg.DENMTrafficClass,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: RSU: %w", err)
+		return nil, err
 	}
-	tb.RSU = rsu
-	tb.RSUNode = openc2x.NewSimNode(k, rsu, cfg.HTTP)
-	tb.RSUNode.MailboxCap = cfg.MailboxCap
-
-	// --- OBU ----------------------------------------------------------
-	obu, err := stack.New(k, tb.Backend, stack.Config{
-		Name:        "obu",
-		Role:        stack.RoleOBU,
-		StationID:   OBUStationID,
-		StationType: units.StationTypePassengerCar,
-		Frame:       cfg.Layout.Frame,
-		Mobility:    veh.Mobility(),
-		NTP:         cfg.NTP,
-		Metrics:     cfg.Metrics,
-		Tracer:      cfg.Tracer,
-		Flight:      cfg.Flight,
-	})
+	tb.RSU = tb.RSUNode.Station()
+	veh, obuNode, err := tb.Scene.Vehicle(cfg.Vehicle, stack.Config{Name: "obu", StationID: OBUStationID})
 	if err != nil {
-		return nil, fmt.Errorf("core: OBU: %w", err)
+		return nil, err
 	}
-	tb.OBU = obu
-	tb.OBUNode = openc2x.NewSimNode(k, obu, cfg.HTTP)
-	tb.OBUNode.MailboxCap = cfg.MailboxCap
-	veh.AttachOBU(tb.OBUNode)
+	tb.Vehicle, tb.OBUNode, tb.OBU = veh, obuNode, obuNode.Station()
 
 	if inj != nil {
 		adapter := httpFaultAdapter{inj: inj}
@@ -386,27 +324,23 @@ func New(cfg Config) (*Testbed, error) {
 	}
 
 	// --- Edge node ----------------------------------------------------
-	tb.EdgeClock = clock.NewNTP(clock.SourceFunc(k.Now), cfg.NTP, k.Rand("clock.edge"))
-	cam := perception.NewRoadsideCamera(k, perception.CameraConfig{
-		Camera:      cfg.Layout.Camera,
-		FramePeriod: cfg.CameraFramePeriod,
-		Model:       cfg.DetectorModel,
-		Target: func() (geo.Point, float64, perception.Dressing, bool) {
-			st := veh.Body.State()
-			return st.Position, st.Heading, veh.Dressing(), true
+	ec := EdgeConfig{
+		Camera: perception.CameraConfig{
+			Camera:      cfg.Layout.Camera,
+			FramePeriod: cfg.CameraFramePeriod,
+			Model:       cfg.DetectorModel,
+			Target:      VehicleTarget(veh),
 		},
-	})
-	tb.Camera = cam
-	ods := edge.NewObjectDetectionService(k.Now)
-	tb.ODS = ods
+		Hazard: cfg.Hazard,
+	}
 	if inj != nil {
 		// Camera faults sit between the perception pipeline and the
 		// Object Detection Service: a dropped frame never reaches the
 		// edge, a dropped detection vanishes from its frame.
-		cam.Subscribe(func(res perception.FrameResult) {
+		ec.Filter = func(res perception.FrameResult) (perception.FrameResult, bool) {
 			now := k.Now()
 			if inj.DropCameraFrame(now) {
-				return
+				return res, false
 			}
 			if len(res.Detections) > 0 {
 				kept := make([]perception.Detection, 0, len(res.Detections))
@@ -418,18 +352,14 @@ func New(cfg Config) (*Testbed, error) {
 				}
 				res.Detections = kept
 			}
-			ods.OnFrame(res)
-		})
-	} else {
-		cam.Subscribe(ods.OnFrame)
+			return res, true
+		}
 	}
-	hz := edge.NewHazardService(k, cfg.Hazard, tb.RSUNode, rsu.LDM, tb.EdgeClock)
-	tb.Hazard = hz
-	ods.Subscribe(hz.OnTrack)
+	tb.Edge = tb.Scene.Edge(tb.RSUNode, ec)
 
 	if cfg.Hazard.TriggerRetries > 0 {
 		mRetry := cfg.Metrics.Counter("fault_trigger_retries_total")
-		hz.OnTriggerRetry = func(int) { mRetry.Inc() }
+		tb.Hazard.OnTriggerRetry = func(int) { mRetry.Inc() }
 	}
 	if cfg.Vehicle.Watchdog.Enabled {
 		mTrip := cfg.Metrics.Counter("fault_watchdog_trips_total")
@@ -512,21 +442,14 @@ func (tb *Testbed) addBackgroundVehicles(n int) error {
 			X: rng.Float64()*8 - 4,
 			Y: rng.Float64() * 8,
 		}
-		mob := &chatterMobility{point: pos, geoPt: tb.Layout.Frame.ToGeodetic(pos)}
-		st, err := stack.New(tb.Kernel, tb.Backend, stack.Config{
-			Name:        fmt.Sprintf("bg%02d", i),
-			Role:        stack.RoleOBU,
-			StationID:   units.StationID(9000 + i),
-			StationType: units.StationTypePassengerCar,
-			Frame:       tb.Layout.Frame,
-			Mobility:    mob,
-			NTP:         tb.cfg.NTP,
-			Metrics:     tb.cfg.Metrics,
-			Tracer:      tb.cfg.Tracer,
-			Flight:      tb.cfg.Flight,
+		st, err := tb.Station(stack.Config{
+			Name:      fmt.Sprintf("bg%02d", i),
+			Role:      stack.RoleOBU,
+			StationID: units.StationID(9000 + i),
+			Mobility:  &chatterMobility{point: pos, geoPt: tb.Frame.ToGeodetic(pos)},
 		})
 		if err != nil {
-			return fmt.Errorf("core: background station %d: %w", i, err)
+			return err
 		}
 		tb.background = append(tb.background, st)
 	}
@@ -539,7 +462,7 @@ func (tb *Testbed) wireTimestamps() {
 	// Step 2: the YOLO output shows the vehicle at the action point;
 	// the hazard service decision fires on exactly that frame.
 	tb.Hazard.OnDecision = func(_ edge.TrackedObject, _ perception.FrameResult, _ time.Duration) {
-		run.Stamp(trace.StepDetection, tb.EdgeClock.Now())
+		run.Stamp(trace.StepDetection, tb.Clock.Now())
 		tb.detectionPos = tb.Vehicle.Body.State().Position
 		if tb.Tracer != nil && tb.chainRoot == nil {
 			// Root the end-to-end trace at the step-2 stamp so its extent

@@ -6,18 +6,14 @@ import (
 	"strings"
 	"time"
 
-	"itsbed/internal/clock"
+	"itsbed/internal/core"
 	"itsbed/internal/edge"
 	"itsbed/internal/geo"
-	"itsbed/internal/openc2x"
 	"itsbed/internal/perception"
-	"itsbed/internal/radio"
 	"itsbed/internal/sensors"
-	"itsbed/internal/sim"
 	"itsbed/internal/stack"
 	"itsbed/internal/stats"
 	"itsbed/internal/track"
-	"itsbed/internal/units"
 	"itsbed/internal/vehicle"
 	"itsbed/internal/world"
 )
@@ -67,11 +63,11 @@ type BlindCornerResult struct {
 
 // blindCornerArm runs one policy once.
 func blindCornerArm(seed int64, v2x bool) (margin float64, collision bool, err error) {
-	kernel := sim.NewKernel(seed)
-	frame, err := geo.NewFrame(geo.CISTERLab)
+	sc, err := labScene(seed)
 	if err != nil {
 		return 0, false, err
 	}
+	kernel, frame := sc.Kernel, sc.Frame
 	layout := track.Layout{
 		Line: track.MustLine([]geo.Point{{X: 0, Y: 0}, {X: 0, Y: 8}}),
 		Camera: track.Camera{
@@ -93,10 +89,6 @@ func blindCornerArm(seed int64, v2x bool) (margin float64, collision bool, err e
 	vcfg.UseVision = false
 	rng := kernel.Rand("blindcorner.jitter")
 	vcfg.CruiseSpeed += rng.Float64()*0.3 - 0.15
-	veh, err := vehicle.New(kernel, vcfg)
-	if err != nil {
-		return 0, false, err
-	}
 
 	// Crossing road user (non-ITS, per the paper's motivation).
 	crossingPos := geo.Point{X: crossingStartX, Y: conflictY}
@@ -106,31 +98,16 @@ func blindCornerArm(seed int64, v2x bool) (margin float64, collision bool, err e
 		}
 	})
 
-	medium := radio.NewMedium(kernel, radio.MediumConfig{})
-	ntp := clock.DefaultLANNTP()
-	obu, err := stack.New(kernel, medium, stack.Config{
-		Name: "obu", Role: stack.RoleOBU, StationID: 2001,
-		StationType: units.StationTypePassengerCar, Frame: frame,
-		Mobility: veh.Mobility(), NTP: ntp,
-	})
+	veh, obuNode, err := sc.Vehicle(vcfg, stack.Config{Name: "obu", StationID: 2001})
 	if err != nil {
 		return 0, false, err
 	}
-	obuNode := openc2x.NewSimNode(kernel, obu, openc2x.Latencies{})
-	veh.AttachOBU(obuNode)
-
-	rsuPos := layout.Camera.Position
-	rsu, err := stack.New(kernel, medium, stack.Config{
-		Name: "rsu", Role: stack.RoleRSU, StationID: 1001,
-		StationType: units.StationTypeRoadSideUnit, Frame: frame,
-		Mobility:           stack.StaticMobility{Point: rsuPos, Geo: frame.ToGeodetic(rsuPos)},
-		NTP:                ntp,
-		DisableCAMTriggers: true,
-	})
+	obu := obuNode.Station()
+	rsuNode, err := sc.Node(stack.Config{Name: "rsu", Role: stack.RoleRSU, StationID: 1001, Mobility: sc.At(layout.Camera.Position)})
 	if err != nil {
 		return 0, false, err
 	}
-	rsuNode := openc2x.NewSimNode(kernel, rsu, openc2x.Latencies{})
+	rsu := rsuNode.Station()
 
 	obu.Start()
 	rsu.Start()
@@ -142,20 +119,18 @@ func blindCornerArm(seed int64, v2x bool) (margin float64, collision bool, err e
 	if v2x {
 		// The road-side camera watches the CROSSING vehicle (body
 		// shell appearance — an ordinary car).
-		cam := perception.NewRoadsideCamera(kernel, perception.CameraConfig{
-			Camera: layout.Camera,
-			Target: func() (geo.Point, float64, perception.Dressing, bool) {
-				return crossingPos, 3 * math.Pi / 2, perception.DressingShell, true
-			},
-		})
-		ods := edge.NewObjectDetectionService(kernel.Now)
-		cam.Subscribe(ods.OnFrame)
 		hcfg := edge.DefaultHazardConfig(frame.ToGeodetic(geo.Point{X: 0, Y: conflictY}))
 		hcfg.ActionPointDistance = layout.ActionPointDistance
 		hcfg.TriggerClasses = []perception.Class{perception.ClassCar, perception.ClassTruck}
-		edgeClock := clock.NewNTP(clock.SourceFunc(kernel.Now), ntp, kernel.Rand("clock.edge"))
-		hz := edge.NewHazardService(kernel, hcfg, rsuNode, rsu.LDM, edgeClock)
-		ods.Subscribe(hz.OnTrack)
+		cam := sc.Edge(rsuNode, core.EdgeConfig{
+			Camera: perception.CameraConfig{
+				Camera: layout.Camera,
+				Target: func() (geo.Point, float64, perception.Dressing, bool) {
+					return crossingPos, 3 * math.Pi / 2, perception.DressingShell, true
+				},
+			},
+			Hazard: hcfg,
+		}).Camera
 		cam.Start()
 		defer cam.Stop()
 	} else {

@@ -7,6 +7,7 @@ import (
 
 	"itsbed/internal/campaign"
 	"itsbed/internal/clock"
+	"itsbed/internal/core"
 	"itsbed/internal/flight"
 	"itsbed/internal/geo"
 	"itsbed/internal/its/facilities/ca"
@@ -133,7 +134,7 @@ func cityRun(seed int64, n int, opt CityOptions) (CityRow, error) {
 		DisableGrid: opt.DisableGrid,
 		Flight:      recorder,
 	})
-	ntp := clock.DefaultLANNTP()
+	sc := core.Scene{Kernel: kernel, Backend: medium, Frame: frame, NTP: clock.DefaultLANNTP(), Flight: recorder}
 
 	// Vehicle flows: rectangular loops on the road grid at urban
 	// speeds, phase-shifted so the fleet spreads over the streets.
@@ -150,20 +151,16 @@ func cityRun(seed int64, n int, opt CityOptions) (CityRow, error) {
 			now:    kernel.Now,
 			frame:  frame,
 		}
-		st, err := stack.New(kernel, medium, stack.Config{
+		st, err := sc.Station(stack.Config{
 			Name:              fmt.Sprintf("veh%04d", i),
 			Role:              stack.RoleOBU,
 			StationID:         units.StationID(5000 + i),
-			StationType:       units.StationTypePassengerCar,
-			Frame:             frame,
 			Mobility:          mob,
-			NTP:               ntp,
 			EnableDCC:         !opt.DisableDCC,
 			DisableForwarding: true,
-			Flight:            recorder,
 		})
 		if err != nil {
-			return row, fmt.Errorf("experiments: city vehicle %d: %w", i, err)
+			return row, err
 		}
 		st.OnDENM = func(d *messages.DENM) {
 			if t0, ok := triggers[d.Management.ActionID]; ok {
@@ -177,20 +174,15 @@ func cityRun(seed int64, n int, opt CityOptions) (CityRow, error) {
 	// RSUs on an even intersection lattice, each re-advertising a
 	// hazard at its own position with a fresh ActionID per period.
 	for i, pos := range city.RSUPositions(opt.RSUs) {
-		rsu, err := stack.New(kernel, medium, stack.Config{
-			Name:               fmt.Sprintf("rsu%02d", i),
-			Role:               stack.RoleRSU,
-			StationID:          units.StationID(900 + i),
-			StationType:        units.StationTypeRoadSideUnit,
-			Frame:              frame,
-			Mobility:           stack.StaticMobility{Point: pos, Geo: frame.ToGeodetic(pos)},
-			NTP:                ntp,
-			DisableCAMTriggers: true,
-			DisableForwarding:  true,
-			Flight:             recorder,
+		rsu, err := sc.Station(stack.Config{
+			Name:              fmt.Sprintf("rsu%02d", i),
+			Role:              stack.RoleRSU,
+			StationID:         units.StationID(900 + i),
+			Mobility:          sc.At(pos),
+			DisableForwarding: true,
 		})
 		if err != nil {
-			return row, fmt.Errorf("experiments: city RSU %d: %w", i, err)
+			return row, err
 		}
 		rsu.Start()
 		event := den.EventRequest{

@@ -7,15 +7,11 @@ import (
 	"time"
 
 	"itsbed/internal/campaign"
-	"itsbed/internal/clock"
 	"itsbed/internal/geo"
-	"itsbed/internal/its/facilities/ca"
 	"itsbed/internal/its/facilities/den"
 	"itsbed/internal/its/facilities/ldm"
 	"itsbed/internal/its/messages"
 	"itsbed/internal/perception"
-	"itsbed/internal/radio"
-	"itsbed/internal/sim"
 	"itsbed/internal/stack"
 	"itsbed/internal/stats"
 	"itsbed/internal/track"
@@ -127,11 +123,11 @@ type CPMResult struct {
 // any policy-dependent wiring.
 func cpmRun(seed int64, enableCPM bool) (CPMArmOutcome, error) {
 	out := CPMArmOutcome{WarnLatencyMS: -1}
-	kernel := sim.NewKernel(seed)
-	frame, err := geo.NewFrame(geo.CISTERLab)
+	sc, err := labScene(seed)
 	if err != nil {
 		return out, err
 	}
+	kernel, frame := sc.Kernel, sc.Frame
 
 	// Scenario jitters, identical across both arms of the seed.
 	rng := kernel.Rand("cpm.scenario")
@@ -153,26 +149,23 @@ func cpmRun(seed int64, enableCPM bool) (CPMArmOutcome, error) {
 	emerged := false
 	kernel.ScheduleFn(emergeAt, func() { emerged = true })
 
-	medium := radio.NewMedium(kernel, radio.MediumConfig{})
-	ntp := clock.DefaultLANNTP()
-	obu, err := stack.New(kernel, medium, stack.Config{
-		Name: "obu", Role: stack.RoleOBU, StationID: 2001,
-		StationType: units.StationTypePassengerCar, Frame: frame,
-		Mobility:  &pointMobility{pos: &vehPos, speed: &vehSpeed, frame: frame},
-		NTP:       ntp,
+	obu, err := sc.Station(stack.Config{
+		Name:      "obu",
+		Role:      stack.RoleOBU,
+		StationID: 2001,
+		// Northbound along the lane.
+		Mobility:  sc.Moving(0.53, 0.29, func() (geo.Point, float64, float64) { return vehPos, vehSpeed, 0 }),
 		EnableCPM: enableCPM,
 	})
 	if err != nil {
 		return out, err
 	}
-	rsuPos := geo.Point{X: 1.5, Y: 9.0}
-	rsu, err := stack.New(kernel, medium, stack.Config{
-		Name: "rsu", Role: stack.RoleRSU, StationID: 1001,
-		StationType: units.StationTypeRoadSideUnit, Frame: frame,
-		Mobility:           stack.StaticMobility{Point: rsuPos, Geo: frame.ToGeodetic(rsuPos)},
-		NTP:                ntp,
-		DisableCAMTriggers: true,
-		EnableCPM:          enableCPM,
+	rsu, err := sc.Station(stack.Config{
+		Name:      "rsu",
+		Role:      stack.RoleRSU,
+		StationID: 1001,
+		Mobility:  sc.At(geo.Point{X: 1.5, Y: 9.0}),
+		EnableCPM: enableCPM,
 	})
 	if err != nil {
 		return out, err
@@ -309,26 +302,6 @@ func cpmRun(seed int64, enableCPM bool) (CPMArmOutcome, error) {
 	out.CPMsDelivered = obu.DeliveredCPMs
 	out.ObjectsFused = fused
 	return out, nil
-}
-
-// pointMobility adapts the inline kinematic state to stack.Mobility.
-type pointMobility struct {
-	pos   *geo.Point
-	speed *float64
-	frame *geo.Frame
-}
-
-func (m *pointMobility) Position() geo.Point { return *m.pos }
-
-func (m *pointMobility) VehicleState() ca.VehicleState {
-	return ca.VehicleState{
-		Position: m.frame.ToGeodetic(*m.pos),
-		SpeedMS:  *m.speed,
-		// Northbound along the lane.
-		HeadingRad: 0,
-		Length:     0.53,
-		Width:      0.29,
-	}
 }
 
 func absf(v float64) float64 {

@@ -3,21 +3,17 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
-	"itsbed/internal/clock"
+	"itsbed/internal/core"
 	"itsbed/internal/edge"
 	"itsbed/internal/geo"
 	"itsbed/internal/its/facilities/den"
 	"itsbed/internal/its/messages"
 	"itsbed/internal/openc2x"
 	"itsbed/internal/perception"
-	"itsbed/internal/radio"
-	"itsbed/internal/sim"
 	"itsbed/internal/stack"
-	"itsbed/internal/track"
 	"itsbed/internal/units"
 	"itsbed/internal/vehicle"
 )
@@ -77,20 +73,12 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 		n = 3
 	}
 	out := PlatoonResult{Mode: mode}
-	kernel := sim.NewKernel(seed)
-	frame, err := geo.NewFrame(geo.CISTERLab)
+	sc, err := labScene(seed)
 	if err != nil {
 		return out, err
 	}
-	line := track.MustLine([]geo.Point{{X: 0, Y: -6}, {X: 0, Y: 6}})
-	layout := track.Layout{
-		Line:                line,
-		Camera:              track.Camera{Position: geo.Point{X: 0, Y: 6.6}, Facing: math.Pi, FOV: 110 * math.Pi / 180, MaxRange: 14},
-		ActionPointDistance: 1.52,
-		Frame:               frame,
-	}
-	ntp := clock.DefaultLANNTP()
-	medium := radio.NewMedium(kernel, radio.MediumConfig{})
+	kernel := sc.Kernel
+	layout, hcfg := platoonSite(sc.Frame, 6)
 
 	// Vehicles: leader at arc 6 (y = 0), followers 0.9 m apart behind.
 	const gap = 0.9
@@ -103,25 +91,11 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 		vcfg.Name = fmt.Sprintf("member%d", i)
 		vcfg.StartArc = 6 - float64(i)*gap
 		vcfg.UseVision = false
-		v, err := vehicle.New(kernel, vcfg)
+		v, node, err := sc.Vehicle(vcfg, stack.Config{Name: vcfg.Name, StationID: units.StationID(3000 + i)})
 		if err != nil {
-			return out, fmt.Errorf("experiments: platoon member %d: %w", i, err)
+			return out, err
 		}
-		vehicles[i] = v
-		st, err := stack.New(kernel, medium, stack.Config{
-			Name:        vcfg.Name,
-			Role:        stack.RoleOBU,
-			StationID:   units.StationID(3000 + i),
-			StationType: units.StationTypePassengerCar,
-			Frame:       frame,
-			Mobility:    v.Mobility(),
-			NTP:         ntp,
-		})
-		if err != nil {
-			return out, fmt.Errorf("experiments: platoon OBU %d: %w", i, err)
-		}
-		nodes[i] = openc2x.NewSimNode(kernel, st, openc2x.Latencies{})
-		v.AttachOBU(nodes[i])
+		vehicles[i], nodes[i] = v, node
 		i := i
 		v.OnStopCommand = func(t time.Duration) {
 			if !stopped[i] {
@@ -129,33 +103,23 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 				stopAt[i] = kernel.Now()
 			}
 		}
-		st.Start()
+		node.Station().Start()
 		v.Start()
 	}
 
-	// Road-side infrastructure watching the leader.
-	rsuPos := layout.Camera.Position
-	var rsuBackend radio.Backend = medium
-	var cell *radio.CellularLink
+	// Road-side infrastructure watching the leader; in hybrid mode the
+	// RSU sits on a 5G link instead of the 802.11p medium.
+	rsuScene := sc
 	if mode == PlatoonHybrid {
-		cell = radio.NewCellularLink(kernel, radio.Profile5GURLLC())
-		rsuBackend = cell
+		if rsuScene.Backend, err = sc.NewBackend(core.Config{Radio: core.RadioCV2XUu}, nil); err != nil {
+			return out, err
+		}
 	}
-	rsu, err := stack.New(kernel, rsuBackend, stack.Config{
-		Name:               "rsu",
-		Role:               stack.RoleRSU,
-		StationID:          1001,
-		StationType:        units.StationTypeRoadSideUnit,
-		Frame:              frame,
-		Mobility:           stack.StaticMobility{Point: rsuPos, Geo: frame.ToGeodetic(rsuPos)},
-		NTP:                ntp,
-		DisableCAMTriggers: true,
-	})
+	rsuNode, err := rsuScene.Node(stack.Config{Name: "rsu", Role: stack.RoleRSU, StationID: 1001, Mobility: sc.At(layout.Camera.Position)})
 	if err != nil {
-		return out, fmt.Errorf("experiments: platoon RSU: %w", err)
+		return out, err
 	}
-	rsuNode := openc2x.NewSimNode(kernel, rsu, openc2x.Latencies{})
-	rsu.Start()
+	rsuNode.Station().Start()
 
 	if mode == PlatoonHybrid {
 		// The leader's OBU listens on the cellular link as well; on a
@@ -182,35 +146,26 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 		}
 		// The leader's receive-only Uu endpoint feeds the cellular
 		// downlink into its GN router; it keeps transmitting on 802.11p.
-		ep, err := cell.AttachUu(leaderStation.Name())
+		ep, err := rsuScene.Backend.AttachStation(leaderStation.Name(), nil)
 		if err != nil {
 			return out, fmt.Errorf("experiments: platoon leader uu: %w", err)
 		}
 		ep.SetReceiver(leaderStation.Router.OnFrame)
 	}
 
-	edgeClock := clock.NewNTP(clock.SourceFunc(kernel.Now), ntp, kernel.Rand("clock.edge"))
-	cam := perception.NewRoadsideCamera(kernel, perception.CameraConfig{
-		Camera: layout.Camera,
-		Target: func() (geo.Point, float64, perception.Dressing, bool) {
-			st := vehicles[0].Body.State()
-			return st.Position, st.Heading, vehicles[0].Dressing(), true
-		},
+	ed := sc.Edge(rsuNode, core.EdgeConfig{
+		Camera: perception.CameraConfig{Camera: layout.Camera, Target: core.VehicleTarget(vehicles[0])},
+		Hazard: hcfg,
 	})
-	ods := edge.NewObjectDetectionService(kernel.Now)
-	cam.Subscribe(ods.OnFrame)
-	hcfg := edge.DefaultHazardConfig(frame.ToGeodetic(geo.Point{X: 0, Y: 6.6 - 1.52}))
-	hz := edge.NewHazardService(kernel, hcfg, rsuNode, rsu.LDM, edgeClock)
-	ods.Subscribe(hz.OnTrack)
 	var detectionAt time.Duration
 	detected := false
-	hz.OnDecision = func(_ edge.TrackedObject, _ perception.FrameResult, t time.Duration) {
+	ed.Hazard.OnDecision = func(_ edge.TrackedObject, _ perception.FrameResult, t time.Duration) {
 		if !detected {
 			detected = true
 			detectionAt = t
 		}
 	}
-	cam.Start()
+	ed.Camera.Start()
 
 	allStopped := func() bool {
 		for i := range vehicles {

@@ -8,18 +8,13 @@ import (
 	"time"
 
 	"itsbed/internal/campaign"
-	"itsbed/internal/clock"
-	"itsbed/internal/edge"
+	"itsbed/internal/core"
 	"itsbed/internal/geo"
-	"itsbed/internal/its/facilities/ca"
 	"itsbed/internal/openc2x"
 	"itsbed/internal/perception"
 	"itsbed/internal/physics"
-	"itsbed/internal/radio"
 	"itsbed/internal/sensors"
-	"itsbed/internal/sim"
 	"itsbed/internal/stack"
-	"itsbed/internal/track"
 	"itsbed/internal/units"
 	"itsbed/internal/vehicle"
 )
@@ -136,44 +131,22 @@ func PlatoonACC(baseSeed int64, runs int, gaps []float64, workers int) ([]Platoo
 // platoonACCRun executes one run. Returns whether any rear-end contact
 // occurred and the minimum centre separation seen.
 func platoonACCRun(seed int64, gap float64, members int, followersHaveOBU bool) (bool, float64, error) {
-	kernel := sim.NewKernel(seed)
-	frame, err := geo.NewFrame(geo.CISTERLab)
+	sc, err := labScene(seed)
 	if err != nil {
 		return false, 0, err
 	}
-	line := track.MustLine([]geo.Point{{X: 0, Y: -8}, {X: 0, Y: 8}})
-	layout := track.Layout{
-		Line: line,
-		Camera: track.Camera{
-			Position: geo.Point{X: 0, Y: 6.6},
-			Facing:   math.Pi,
-			FOV:      110 * math.Pi / 180,
-			MaxRange: 14,
-		},
-		ActionPointDistance: 1.52,
-		Frame:               frame,
-	}
-	medium := radio.NewMedium(kernel, radio.MediumConfig{})
-	ntp := clock.DefaultLANNTP()
+	kernel := sc.Kernel
+	layout, hcfg := platoonSite(sc.Frame, 8)
 
 	// Leader: the full vehicle with OBU, as in the core testbed.
 	vcfg := vehicle.DefaultConfig(layout)
 	vcfg.UseVision = false
 	vcfg.StartArc = 8 // y = 0
-	leader, err := vehicle.New(kernel, vcfg)
+	leader, leaderNode, err := sc.Vehicle(vcfg, stack.Config{Name: "leader", StationID: 2001})
 	if err != nil {
 		return false, 0, err
 	}
-	leaderStation, err := stack.New(kernel, medium, stack.Config{
-		Name: "leader", Role: stack.RoleOBU, StationID: 2001,
-		StationType: units.StationTypePassengerCar, Frame: frame,
-		Mobility: leader.Mobility(), NTP: ntp,
-	})
-	if err != nil {
-		return false, 0, err
-	}
-	leaderNode := openc2x.NewSimNode(kernel, leaderStation, openc2x.Latencies{})
-	leader.AttachOBU(leaderNode)
+	leaderStation := leaderNode.Station()
 
 	// Followers: simplified longitudinal bodies with LiDAR ACC.
 	params := physics.DefaultF110()
@@ -195,16 +168,19 @@ func platoonACCRun(seed int64, gap float64, members int, followersHaveOBU bool) 
 	if followersHaveOBU {
 		for i, f := range followers {
 			f := f
-			st, err := stack.New(kernel, medium, stack.Config{
-				Name: fmt.Sprintf("follower%d", i), Role: stack.RoleOBU,
-				StationID:   units.StationID(2100 + i),
-				StationType: units.StationTypePassengerCar, Frame: frame,
-				Mobility: bodyMobility{f.body, frame, params}, NTP: ntp,
+			node, err := sc.Node(stack.Config{
+				Name:      fmt.Sprintf("follower%d", i),
+				Role:      stack.RoleOBU,
+				StationID: units.StationID(2100 + i),
+				Mobility: sc.Moving(params.Length, params.Width, func() (geo.Point, float64, float64) {
+					st := f.body.State()
+					return st.Position, st.Speed, st.Heading
+				}),
 			})
 			if err != nil {
 				return false, 0, err
 			}
-			node := openc2x.NewSimNode(kernel, st, openc2x.Latencies{})
+			st := node.Station()
 			st.Start()
 			defer st.Stop()
 			rng := kernel.Rand(fmt.Sprintf("follower.poll.%d", i))
@@ -240,31 +216,15 @@ func platoonACCRun(seed int64, gap float64, members int, followersHaveOBU bool) 
 	}
 
 	// Road-side infrastructure watching the leader.
-	rsuPos := layout.Camera.Position
-	rsu, err := stack.New(kernel, medium, stack.Config{
-		Name: "rsu", Role: stack.RoleRSU, StationID: 1001,
-		StationType: units.StationTypeRoadSideUnit, Frame: frame,
-		Mobility:           stack.StaticMobility{Point: rsuPos, Geo: frame.ToGeodetic(rsuPos)},
-		NTP:                ntp,
-		DisableCAMTriggers: true,
-	})
+	rsuNode, err := sc.Node(stack.Config{Name: "rsu", Role: stack.RoleRSU, StationID: 1001, Mobility: sc.At(layout.Camera.Position)})
 	if err != nil {
 		return false, 0, err
 	}
-	rsuNode := openc2x.NewSimNode(kernel, rsu, openc2x.Latencies{})
-	cam := perception.NewRoadsideCamera(kernel, perception.CameraConfig{
-		Camera: layout.Camera,
-		Target: func() (geo.Point, float64, perception.Dressing, bool) {
-			st := leader.Body.State()
-			return st.Position, st.Heading, leader.Dressing(), true
-		},
-	})
-	ods := edge.NewObjectDetectionService(kernel.Now)
-	cam.Subscribe(ods.OnFrame)
-	hcfg := edge.DefaultHazardConfig(frame.ToGeodetic(geo.Point{X: 0, Y: 6.6 - 1.52}))
-	edgeClock := clock.NewNTP(clock.SourceFunc(kernel.Now), ntp, kernel.Rand("clock.edge"))
-	hz := edge.NewHazardService(kernel, hcfg, rsuNode, rsu.LDM, edgeClock)
-	ods.Subscribe(hz.OnTrack)
+	rsu := rsuNode.Station()
+	cam := sc.Edge(rsuNode, core.EdgeConfig{
+		Camera: perception.CameraConfig{Camera: layout.Camera, Target: core.VehicleTarget(leader)},
+		Hazard: hcfg,
+	}).Camera
 
 	leaderStation.Start()
 	rsu.Start()
@@ -354,26 +314,6 @@ func (f *platoonFollower) accTick(pred *physics.Body, standstillGap, cruise floa
 		cmd = 0
 	}
 	f.body.SetCommandedSpeed(cmd)
-}
-
-// bodyMobility adapts a bare physics body to stack.Mobility.
-type bodyMobility struct {
-	body   *physics.Body
-	frame  *geo.Frame
-	params physics.Params
-}
-
-func (m bodyMobility) Position() geo.Point { return m.body.State().Position }
-
-func (m bodyMobility) VehicleState() ca.VehicleState {
-	st := m.body.State()
-	return ca.VehicleState{
-		Position:   m.frame.ToGeodetic(st.Position),
-		SpeedMS:    st.Speed,
-		HeadingRad: st.Heading,
-		Length:     m.params.Length,
-		Width:      m.params.Width,
-	}
 }
 
 // FormatPlatoonACC renders the study.

@@ -22,6 +22,8 @@ import (
 	"itsbed/internal/metrics"
 	"itsbed/internal/stats"
 	"itsbed/internal/tracing"
+	"itsbed/internal/track"
+	"itsbed/internal/vehicle"
 )
 
 // Per-attempt registries and tracers are pooled across a campaign's
@@ -84,8 +86,9 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 // runOnce executes one seeded scenario.
 func runOnce(opt ScenarioOptions, i int) (*core.Result, error) {
 	cfg := core.Config{Seed: opt.BaseSeed + int64(i)}
-	cfg.Layout = coreLayout()
-	cfg.Vehicle = defaultVehicleConfig(cfg.Layout, opt.UseVision)
+	cfg.Layout = track.PaperLab()
+	cfg.Vehicle = vehicle.DefaultConfig(cfg.Layout)
+	cfg.Vehicle.UseVision = opt.UseVision
 	// Run-to-run physical variation: the operator places and throttles
 	// the car slightly differently each run, and floor condition
 	// varies — the source of Table III's spread.
