@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"itsbed/internal/flight"
+	"itsbed/internal/geo"
 	"itsbed/internal/metrics"
 	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
@@ -121,17 +122,26 @@ func (tb *Testbed) RunScenario(horizon time.Duration) (*Result, error) {
 		speedAtStop = tb.Vehicle.Body.State().Speed
 	})
 
+	// The predicate runs after every event, but the vehicle moves only
+	// on physics ticks: a position already found short of the end
+	// needs no second look.
+	var checked geo.Point
+	first := true
 	halted, err := tb.Kernel.RunUntil(horizon, func() bool {
 		if tb.Vehicle.Halted() {
 			return true
 		}
+		pos := tb.Vehicle.Body.State().Position
+		if !first && pos == checked {
+			return false
+		}
+		first, checked = false, pos
 		// Baseline runs may never stop: end when the vehicle passes
 		// the camera (collision) or runs off the line.
-		st := tb.Vehicle.Body.State()
-		if tb.Layout.Camera.DistanceTo(st.Position) < 0.10 {
+		if tb.Layout.Camera.Position.DistanceLess(pos, 0.10) {
 			return true
 		}
-		s, _ := tb.Layout.Line.Project(st.Position)
+		s, _ := tb.Layout.Line.Project(pos)
 		return s >= tb.Layout.Line.Length()-1e-6
 	})
 	if err != nil {
@@ -200,8 +210,8 @@ func (tb *Testbed) start() {
 			tb.watchTicker.Stop()
 			return
 		}
-		d := tb.Layout.Camera.DistanceTo(tb.Vehicle.Body.State().Position)
-		if d <= tb.Layout.ActionPointDistance {
+		pos := tb.Vehicle.Body.State().Position
+		if tb.Layout.Camera.Position.DistanceAtMost(pos, tb.Layout.ActionPointDistance) {
 			tb.Run.Stamp(trace.StepActionPoint, tb.Kernel.Now())
 		}
 	})

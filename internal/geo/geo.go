@@ -55,6 +55,47 @@ func (p Point) DistanceTo(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
+// DistanceLess reports p.DistanceTo(q) < r, and DistanceAtMost
+// reports p.DistanceTo(q) <= r, each with exactly the math.Hypot
+// comparison's result but decided from squared distances. Only a
+// distance within a relative 1e-9 of r, far wider than the rounding of
+// either form, or a non-finite input falls back to math.Hypot.
+func (p Point) DistanceLess(q Point, r float64) bool {
+	if c := p.distanceVs(q, r); c != 0 {
+		return c < 0
+	}
+	return p.DistanceTo(q) < r
+}
+
+// DistanceAtMost reports p.DistanceTo(q) <= r, decided as
+// DistanceLess decides.
+func (p Point) DistanceAtMost(q Point, r float64) bool {
+	if c := p.distanceVs(q, r); c != 0 {
+		return c < 0
+	}
+	return p.DistanceTo(q) <= r
+}
+
+// distanceVs returns -1 when |p−q| is certainly below r, +1 when it is
+// certainly above, and 0 when only math.Hypot can tell.
+func (p Point) distanceVs(q Point, r float64) int {
+	if !(r >= 1e-150 && r <= 1e150) {
+		// Outside this range r² under- or overflows, or r is negative
+		// or NaN.
+		return 0
+	}
+	dx, dy := p.X-q.X, p.Y-q.Y
+	d2, r2 := dx*dx+dy*dy, r*r
+	if d2 < r2*(1-1e-9) {
+		return -1
+	}
+	if d2 > r2*(1+1e-9) {
+		// An overflowed d2 is above too: r is at most 1e150.
+		return 1
+	}
+	return 0
+}
+
 // Vector is a displacement on the local plane, in metres.
 type Vector struct {
 	X, Y float64

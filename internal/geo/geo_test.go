@@ -201,3 +201,57 @@ func TestDistanceSymmetricNonNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDistanceThresholdsMatchHypot pins DistanceLess and DistanceAtMost
+// to the math.Hypot comparisons they replace: at points a few ulps
+// either side of the scenario thresholds (0.10 m and 1.52 m) in every
+// direction, on the axes where the distance is exact, at random
+// points, and for NaN, infinite, zero, negative, tiny and huge inputs.
+func TestDistanceThresholdsMatchHypot(t *testing.T) {
+	check := func(p, q Point, r float64) {
+		t.Helper()
+		d := p.DistanceTo(q)
+		if got, want := p.DistanceLess(q, r), d < r; got != want {
+			t.Fatalf("%v.DistanceLess(%v, %v) = %v, Hypot gives %v", p, q, r, got, d)
+		}
+		if got, want := p.DistanceAtMost(q, r), d <= r; got != want {
+			t.Fatalf("%v.DistanceAtMost(%v, %v) = %v, Hypot gives %v", p, q, r, got, d)
+		}
+	}
+	camera := Point{X: 0, Y: 6.6}
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range []float64{0.10, 1.52} {
+		// Walk a few ulps either side of r, along the axes (where
+		// q±r is the distance up to the rounding of the sum) and in
+		// random directions.
+		for ulps := -4; ulps <= 4; ulps++ {
+			d := r
+			for i := 0; i < ulps; i++ {
+				d = math.Nextafter(d, math.Inf(1))
+			}
+			for i := 0; i > ulps; i-- {
+				d = math.Nextafter(d, 0)
+			}
+			for _, p := range []Point{{camera.X, camera.Y - d}, {camera.X + d, camera.Y}, {-d, 0}, {0, d}} {
+				check(p, camera, r)
+			}
+			for i := 0; i < 200; i++ {
+				a := 2 * math.Pi * rng.Float64()
+				check(Point{camera.X + d*math.Sin(a), camera.Y + d*math.Cos(a)}, camera, r)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			check(Point{4 * (rng.Float64() - 0.5), 8 * rng.Float64()}, camera, r)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	odd := []Point{{nan, 0}, {0, nan}, {inf, 0}, {0, -inf}, {inf, inf}, {-inf, 1}, {1e300, -1e300}, {1e-310, 0}, {0, 0}}
+	for _, r := range []float64{0.10, 1.52, 0, -0.1, 1e-160, 1e160, nan, inf, -inf} {
+		for _, p := range odd {
+			check(p, camera, r)
+			check(camera, p, r)
+			check(p, p, r)
+		}
+		check(Point{0.05, 0}, Point{}, r)
+	}
+}

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -43,41 +42,94 @@ func (e *Event) Cancel() {
 	if e == nil || e.index < 0 || e.kernel == nil {
 		return
 	}
-	heap.Remove(&e.kernel.queue, e.index) // sets e.index = -1 via Pop
-	e.fn = nil                            // release the closure
+	e.kernel.queue.remove(e.index)
+	e.fn = nil // release the closure
 }
 
+// eventQueue is a binary min-heap of events ordered by (at, seq).
+// Because seq is unique the order is total, so every correct heap pops
+// the same sequence. Each event's index tracks its slot.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before reports whether a fires before b.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
+// push adds ev to the queue.
+func (q *eventQueue) push(ev *Event) {
 	*q = append(*q, ev)
+	q.up(ev, len(*q)-1)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// popMin removes and returns the earliest event. The queue must not be
+// empty.
+func (q *eventQueue) popMin() *Event {
+	h := *q
+	ev := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if n > 0 {
+		q.down(last, 0)
+	}
 	ev.index = -1
-	*q = old[:n-1]
 	return ev
+}
+
+// remove deletes the event at slot i.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	ev := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i != n && !q.down(last, i) {
+		q.up(last, i)
+	}
+	ev.index = -1
+}
+
+// up places ev, which belongs at or above slot i, moving parents down
+// into the hole until ev's slot is found.
+func (q eventQueue) up(ev *Event, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down places ev, which belongs at or below slot i, moving children up
+// into the hole. It reports whether ev left slot i.
+func (q eventQueue) down(ev *Event, i int) bool {
+	i0, n := i, len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+	return i != i0
 }
 
 // Kernel is a single-threaded discrete-event scheduler. It is not safe
@@ -126,7 +178,7 @@ func (k *Kernel) Rand(name string) *rand.Rand {
 		return r
 	}
 	h := fnv64(name)
-	r := rand.New(rand.NewSource(k.seed ^ int64(h)))
+	r := rand.New(newSource(k.seed ^ int64(h)))
 	k.streams[name] = r
 	return r
 }
@@ -156,7 +208,7 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) *Event {
 	}
 	ev := &Event{at: k.now + delay, seq: k.seq, fn: fn, kernel: k}
 	k.seq++
-	heap.Push(&k.queue, ev)
+	k.queue.push(ev)
 	return ev
 }
 
@@ -184,7 +236,7 @@ func (k *Kernel) ScheduleFn(delay time.Duration, fn func()) {
 	ev.seq = k.seq
 	ev.fn = fn
 	k.seq++
-	heap.Push(&k.queue, ev)
+	k.queue.push(ev)
 }
 
 // recycle returns a fired pooled event to the free list.
@@ -244,7 +296,7 @@ func (k *Kernel) requeue(ev *Event, delay time.Duration) {
 	ev.at = k.now + delay
 	ev.seq = k.seq
 	k.seq++
-	heap.Push(&k.queue, ev)
+	k.queue.push(ev)
 }
 
 // Stop cancels future firings. Safe to call multiple times and from
@@ -267,58 +319,44 @@ func (k *Kernel) Pending() int { return len(k.queue) }
 
 // Run executes events in timestamp order until the queue is empty or
 // virtual time would exceed horizon. Events scheduled exactly at the
-// horizon still run. Returns ErrStopped if Stop was called.
+// horizon still run, and the clock then stands at the horizon, so
+// successive Run calls continue seamlessly. A horizon behind Now runs
+// nothing and leaves the clock where it is. Returns ErrStopped if Stop
+// was called.
 func (k *Kernel) Run(horizon time.Duration) error {
-	k.stopped = false
-	for len(k.queue) > 0 {
-		if k.stopped {
-			return ErrStopped
-		}
-		next := k.queue[0]
-		if next.at > horizon {
-			// Leave the event queued; advance the clock to the horizon
-			// so successive Run calls continue seamlessly.
-			k.now = horizon
-			return nil
-		}
-		heap.Pop(&k.queue)
-		k.now = next.at
-		k.processed++
-		fn := next.fn
-		k.recycle(next)
-		fn()
-	}
-	if k.now < horizon {
-		k.now = horizon
-	}
-	return nil
+	_, err := k.run(horizon, nil)
+	return err
 }
 
 // RunUntil executes events until pred returns true (checked after each
 // event) or the horizon passes. It reports whether pred was satisfied.
+// The clock moves as in Run.
 func (k *Kernel) RunUntil(horizon time.Duration, pred func() bool) (bool, error) {
 	if pred() {
 		return true, nil
 	}
+	return k.run(horizon, pred)
+}
+
+// run is the event loop behind Run and RunUntil; pred may be nil.
+func (k *Kernel) run(horizon time.Duration, pred func() bool) (bool, error) {
 	k.stopped = false
-	for len(k.queue) > 0 {
+	for len(k.queue) > 0 && k.queue[0].at <= horizon {
 		if k.stopped {
 			return false, ErrStopped
 		}
-		next := k.queue[0]
-		if next.at > horizon {
-			k.now = horizon
-			return false, nil
-		}
-		heap.Pop(&k.queue)
+		next := k.queue.popMin()
 		k.now = next.at
 		k.processed++
 		fn := next.fn
 		k.recycle(next)
 		fn()
-		if pred() {
+		if pred != nil && pred() {
 			return true, nil
 		}
+	}
+	if k.stopped && len(k.queue) > 0 {
+		return false, ErrStopped
 	}
 	if k.now < horizon {
 		k.now = horizon

@@ -396,3 +396,34 @@ func TestNestedScheduling(t *testing.T) {
 		t.Fatalf("depth=%d, want 100", depth)
 	}
 }
+
+// TestRunHorizonBehindNowKeepsClock: a horizon behind Now runs nothing
+// and must not turn the clock back, or later events would fire before
+// ones that already ran.
+func TestRunHorizonBehindNowKeepsClock(t *testing.T) {
+	k := NewKernel(1)
+	k.Schedule(10*time.Second, func() {}) // keeps the queue non-empty
+	if err := k.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 5*time.Second {
+		t.Fatalf("Run(2s) at 5s moved the clock to %v", k.Now())
+	}
+	if ok, err := k.RunUntil(time.Second, func() bool { return false }); ok || err != nil {
+		t.Fatalf("RunUntil(1s) = %v, %v", ok, err)
+	}
+	if k.Now() != 5*time.Second {
+		t.Fatalf("RunUntil(1s) at 5s moved the clock to %v", k.Now())
+	}
+	var at time.Duration
+	k.Schedule(time.Second, func() { at = k.Now() })
+	if err := k.Run(7 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if at != 6*time.Second {
+		t.Fatalf("event scheduled 1s after 5s fired at %v", at)
+	}
+}

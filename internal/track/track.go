@@ -19,6 +19,9 @@ type Line struct {
 	points []geo.Point
 	// cumulative[i] is the arc length at points[i].
 	cumulative []float64
+	// length[i] is the length of the segment from points[i] to
+	// points[i+1].
+	length []float64
 }
 
 // NewLine builds a line from at least two points.
@@ -28,14 +31,17 @@ func NewLine(points []geo.Point) (*Line, error) {
 	}
 	pts := make([]geo.Point, len(points))
 	copy(pts, points)
-	cum := make([]float64, len(pts))
+	// One allocation holds both arrays.
+	buf := make([]float64, 2*len(pts)-1)
+	cum, length := buf[:len(pts):len(pts)], buf[len(pts):]
 	for i := 1; i < len(pts); i++ {
-		cum[i] = cum[i-1] + pts[i].DistanceTo(pts[i-1])
-		if pts[i].DistanceTo(pts[i-1]) == 0 {
+		length[i-1] = pts[i].DistanceTo(pts[i-1])
+		if length[i-1] == 0 {
 			return nil, fmt.Errorf("track: duplicate consecutive point %d", i)
 		}
+		cum[i] = cum[i-1] + length[i-1]
 	}
-	return &Line{points: pts, cumulative: cum}, nil
+	return &Line{points: pts, cumulative: cum, length: length}, nil
 }
 
 // MustLine is NewLine that panics on error, for static layouts.
@@ -112,27 +118,63 @@ func (l *Line) LoopHeadingAt(s float64) float64 { return l.HeadingAt(l.wrap(s)) 
 
 // Project returns the arc length and lateral offset of p relative to
 // the line. The offset is signed: positive when p lies to the right of
-// the travel direction.
+// the travel direction. The nearest segment wins, the first of equally
+// near ones. Segments are ranked by squared distance; only two within
+// a relative 1e-9 of each other, or a non-finite or vanishing distance,
+// are ranked by math.Hypot, which is also the offset's magnitude.
 func (l *Line) Project(p geo.Point) (s, lateral float64) {
-	best := math.Inf(1)
+	best := -1
+	// d is the winner's math.Hypot distance, once known. A segment
+	// whose squared distance is below lo wins outright; one above hi
+	// loses outright; any other is decided by math.Hypot.
+	d, known := math.Inf(1), true
+	lo, hi := math.Inf(1), math.Inf(1)
+	var t, ox, oy float64
 	for i := 1; i < len(l.points); i++ {
-		seg := geo.Segment{A: l.points[i-1], B: l.points[i]}
-		c, t := seg.ClosestPoint(p)
-		d := c.DistanceTo(p)
-		if d < best {
-			best = d
-			s = l.cumulative[i-1] + t*seg.Length()
-			// Sign via cross product of travel direction and offset.
-			dir := seg.B.Sub(seg.A)
-			off := p.Sub(c)
-			if dir.Cross(off) < 0 {
-				lateral = d // right of travel
-			} else {
-				lateral = -d
+		// Within's arithmetic.
+		a, b := l.points[i-1], l.points[i]
+		dx, dy := b.X-a.X, b.Y-a.Y
+		ti, cx, cy := 0.0, a.X, a.Y
+		if l2 := dx*dx + dy*dy; l2 != 0 {
+			ti = max(0, min(1, ((p.X-a.X)*dx+(p.Y-a.Y)*dy)/l2))
+			cx, cy = a.X+ti*dx, a.Y+ti*dy
+		}
+		oxi, oyi := p.X-cx, p.Y-cy
+		d2 := oxi*oxi + oyi*oyi
+		switch {
+		case d2 < lo:
+			known = false
+		case d2 > hi:
+			continue
+		default:
+			if !known {
+				d, known = math.Hypot(ox, oy), true
 			}
+			di := math.Hypot(oxi, oyi)
+			if !(di < d) {
+				continue
+			}
+			d = di
+		}
+		best, t, ox, oy = i, ti, oxi, oyi
+		lo, hi = 0, math.Inf(1)
+		if d2 >= 1e-290 && d2*(1+1e-9) <= math.MaxFloat64 {
+			lo, hi = d2*(1-1e-9), d2*(1+1e-9)
 		}
 	}
-	return s, lateral
+	if best < 0 {
+		return 0, 0
+	}
+	if !known {
+		d = math.Hypot(ox, oy)
+	}
+	a, b := l.points[best-1], l.points[best]
+	s = l.cumulative[best-1] + t*l.length[best-1]
+	// Sign via cross product of travel direction and offset.
+	if (b.X-a.X)*oy-(b.Y-a.Y)*ox < 0 {
+		return s, d // right of travel
+	}
+	return s, -d
 }
 
 // Within reports whether p lies within r of the line: exactly

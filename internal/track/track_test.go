@@ -220,3 +220,114 @@ func TestWithinMatchesProject(t *testing.T) {
 		check(lines[0], geo.Point{X: x, Y: 1}, 0.025)
 	}
 }
+
+// projectHypot is Project as it stood before ranking segments by
+// squared distance: every segment's distance and length by math.Hypot.
+func projectHypot(l *Line, p geo.Point) (s, lateral float64) {
+	best := math.Inf(1)
+	for i := 1; i < len(l.points); i++ {
+		seg := geo.Segment{A: l.points[i-1], B: l.points[i]}
+		c, t := seg.ClosestPoint(p)
+		d := c.DistanceTo(p)
+		if d < best {
+			best = d
+			s = l.cumulative[i-1] + t*seg.Length()
+			if seg.B.Sub(seg.A).Cross(p.Sub(c)) < 0 {
+				lateral = d
+			} else {
+				lateral = -d
+			}
+		}
+	}
+	return s, lateral
+}
+
+// TestProjectMatchesHypotForm pins Project's (s, lateral) to the bit
+// against projectHypot on random polylines, at random points, at the
+// vertices, on the bisectors of every corner (points equidistant from
+// two segments, up to rounding), at exact ties on axis-aligned
+// corners and between parallel segments, on corners so small or large
+// that squared distances leave the normal range, and at non-finite
+// points.
+func TestProjectMatchesHypotForm(t *testing.T) {
+	check := func(l *Line, p geo.Point) {
+		t.Helper()
+		s, lat := l.Project(p)
+		ws, wlat := projectHypot(l, p)
+		if math.Float64bits(s) != math.Float64bits(ws) || math.Float64bits(lat) != math.Float64bits(wlat) {
+			t.Fatalf("Project(%v) on %v = (%v, %v), Hypot form (%v, %v)", p, l.points, s, lat, ws, wlat)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	lines := []*Line{
+		PaperLab().Line,
+		MustLine([]geo.Point{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}}),
+		MustLine([]geo.Point{{X: 0, Y: 0}, {X: 0, Y: 2}, {X: 1, Y: 2}, {X: 1, Y: 0}}),
+		MustLine([]geo.Point{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 4, Y: 1}, {X: 0, Y: 1}, {X: 0, Y: 2}, {X: 4, Y: 2}}),
+	}
+	for len(lines) < 60 {
+		pts := []geo.Point{{X: 10 * (rng.Float64() - 0.5), Y: 10 * (rng.Float64() - 0.5)}}
+		for len(pts) < 2+rng.Intn(7) {
+			last := pts[len(pts)-1]
+			pts = append(pts, geo.Point{X: last.X + 4*(rng.Float64()-0.5), Y: last.Y + 4*(rng.Float64()-0.5)})
+		}
+		lines = append(lines, MustLine(pts))
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, l := range lines {
+		for i := 0; i < 200; i++ {
+			check(l, geo.Point{X: 16 * (rng.Float64() - 0.5), Y: 16 * (rng.Float64() - 0.5)})
+		}
+		for i, v := range l.points {
+			check(l, v)
+			if i == 0 || i == len(l.points)-1 {
+				continue
+			}
+			// Internal and external bisectors of the corner at v.
+			in, out := l.points[i-1].Sub(v), l.points[i+1].Sub(v)
+			in, out = in.Scale(1/in.Norm()), out.Scale(1/out.Norm())
+			for _, dir := range []geo.Vector{in.Add(out), in.Add(out).Scale(-1)} {
+				for k := 0; k < 20; k++ {
+					p := v.Add(dir.Scale(rng.Float64()))
+					check(l, p)
+					check(l, geo.Point{X: math.Nextafter(p.X, inf), Y: p.Y})
+					check(l, geo.Point{X: p.X, Y: math.Nextafter(p.Y, -inf)})
+				}
+			}
+		}
+		for _, p := range []geo.Point{{X: nan}, {Y: nan}, {X: inf, Y: 1}, {X: -inf, Y: inf}, {X: 1e300, Y: -1e300}, {X: 1e-310}, {X: 1e200, Y: 1e200}} {
+			check(l, p)
+		}
+	}
+	// Corners at the origin a few 1e-160 or 1e154 across, where
+	// squared distances go subnormal or overflow and only math.Hypot
+	// can rank the segments.
+	for _, scale := range []float64{1e-160, 1e-155, 1e153, 1e154} {
+		for i := 0; i < 5000; i++ {
+			a := geo.Point{X: 4 * scale * (rng.Float64() - 0.5), Y: 4 * scale * (rng.Float64() - 0.5)}
+			c := geo.Point{X: 4 * scale * (rng.Float64() - 0.5), Y: 4 * scale * (rng.Float64() - 0.5)}
+			if l, err := NewLine([]geo.Point{a, {}, c}); err == nil {
+				check(l, geo.Point{X: scale * (rng.Float64() - 0.5), Y: scale * (rng.Float64() - 0.5)})
+			}
+		}
+	}
+	// The first segment is y1 from the origin, the smallest distance
+	// whose square overflows; the last ends the same math.Hypot
+	// distance away, but its squared distance, 1.7976931348623155e308,
+	// is finite. The first must still win.
+	y1 := math.Sqrt(math.MaxFloat64)
+	for y1*y1 <= math.MaxFloat64 {
+		y1 = math.Nextafter(y1, inf)
+	}
+	c := geo.Point{X: -1.2655558324183513e+154, Y: 4.427884030710484e+153}
+	check(MustLine([]geo.Point{{X: 1, Y: y1}, {X: -1, Y: y1}, {X: -1, Y: 3e154}, {X: -3e154, Y: 3e154},
+		{X: -3e154, Y: 2 * c.Y}, {X: 2 * c.X, Y: 2 * c.Y}, c}), geo.Point{})
+	// Exact ties: the corner's diagonal and the midline between the
+	// parallel legs of the U and the zigzag.
+	for _, x := range []float64{0.25, 0.5, 0.75} {
+		check(lines[1], geo.Point{X: x, Y: 1 - x})
+		check(lines[2], geo.Point{X: 0.5, Y: x})
+		check(lines[3], geo.Point{X: 4 * x, Y: 0.5})
+		check(lines[3], geo.Point{X: 4 * x, Y: 1.5})
+	}
+}
