@@ -73,11 +73,27 @@ func (s *source) word(i int) int64 {
 	return u ^ rngCooked[i]
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *source) Int63() int64 { return int64(s.Uint64() & rngMask) }
+// Int63 returns a non-negative pseudo-random 63-bit integer. It
+// repeats Uint64 rather than calling it, so that a draw through
+// rand.Rand's Float64, Intn or NormFloat64 costs one call, as it does
+// with math/rand's source.
+func (s *source) Int63() int64 {
+	if s.vec == nil {
+		return int64(s.lazy() & rngMask)
+	}
+	return int64(s.next() & rngMask)
+}
 
 // Uint64 returns a pseudo-random 64-bit integer.
 func (s *source) Uint64() uint64 {
+	if s.vec == nil {
+		return s.lazy()
+	}
+	return s.next()
+}
+
+// next is a draw from the register: math/rand's rngSource.Uint64.
+func (s *source) next() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -86,18 +102,26 @@ func (s *source) Uint64() uint64 {
 	if s.feed < 0 {
 		s.feed += rngLen
 	}
-	if s.vec == nil {
-		if s.tap >= rngLen-rngTap {
-			// Draws 1–273: tap walks 606…334 and feed 333…61, so
-			// both words are still as seeding left them.
-			return uint64(s.word(s.feed) + s.word(s.tap))
-		}
-		// Draw 274 reads word 333, the first one written.
-		s.build()
-	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// lazy is a draw before the register exists. Draws 1–273 walk tap
+// from 606 down to 334 and feed from 333 down to 61, so both words they
+// read are still as seeding left them. Draw 274 reads word 333, the
+// first one written, so it builds the register first.
+func (s *source) lazy() uint64 {
+	if s.tap == rngLen-rngTap {
+		s.build()
+		return s.next()
+	}
+	s.tap--
+	if s.tap < 0 {
+		s.tap += rngLen
+	}
+	s.feed--
+	return uint64(s.word(s.feed) + s.word(s.tap))
 }
 
 // build allocates the register as it stands after draw 273: seeded,
