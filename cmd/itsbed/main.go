@@ -94,12 +94,15 @@
 // -metrics prints, after the table2 output, the per-layer delay
 // budget of the warning chain (radio / geonet / facilities /
 // openc2x-poll / actuation) plus the merged metrics snapshot of every
-// accepted run.
+// accepted run; after the resilience report, the merged metrics of the
+// faulted runs.
 //
 // -trace-out writes, for table2, every recorded per-message span as a
 // Chrome trace-event JSON file loadable in Perfetto (ui.perfetto.dev)
 // or chrome://tracing. -spans prints an ASCII waterfall of each run's
-// end-to-end denm.chain trace instead.
+// end-to-end denm.chain trace instead. Like -radio, -metrics, -spans,
+// -trace-out and -blackbox fail on a command that would ignore them
+// (all takes the table2 ones).
 package main
 
 import (
@@ -223,8 +226,22 @@ func run(args []string) error {
 	if _, ok := dispatch[cmd]; !ok && cmd != "all" {
 		return fmt.Errorf("unknown command %q (try: table1 table2 table3 fig7 fig10 fig11 cdf radios platoon baseline poll-sweep fps-sweep load-sweep obstruction platoon-acc ntp-sweep resilience city cpm soak bakeoff all)", cmd)
 	}
-	if radioCmds := []string{"table2", "table3", "fig10", "fig11", "resilience"}; radioKind != core.RadioITSG5 && !slices.Contains(radioCmds, cmd) {
-		return fmt.Errorf("%s ignores -radio %s; only %s take it", cmd, radioKind, strings.Join(radioCmds, ", "))
+	// A command that would ignore a flag rejects it instead of printing
+	// output without it; all runs table2 but not resilience.
+	for _, f := range []struct {
+		flag string
+		set  bool
+		cmds []string
+	}{
+		{"-radio " + string(radioKind), radioKind != core.RadioITSG5, []string{"table2", "table3", "fig10", "fig11", "resilience"}},
+		{"-metrics", *showMetrics, []string{"table2", "resilience", "all"}},
+		{"-spans", *showSpans, []string{"table2", "all"}},
+		{"-trace-out", *traceOut != "", []string{"table2", "all"}},
+		{"-blackbox", *blackbox != "", []string{"resilience"}},
+	} {
+		if f.set && !slices.Contains(f.cmds, cmd) {
+			return fmt.Errorf("%s ignores %s; only %s take it", cmd, f.flag, strings.Join(f.cmds, ", "))
+		}
 	}
 	if cmd == "all" {
 		order := []string{

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -95,5 +96,36 @@ func TestRunRadioRejectedWhereIgnored(t *testing.T) {
 	}
 	if err := run([]string{"table1", "-radio", "its-g5"}); err != nil {
 		t.Fatalf("default radio rejected: %v", err)
+	}
+}
+
+func TestRunInstrumentationFlagsRejectedWhereIgnored(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out")
+	cases := []struct {
+		args []string
+		cmd  string
+		want []string
+	}{
+		{[]string{"fig11", "-runs", "1", "-vision=false", "-trace-out", out}, "fig11", []string{"-trace-out", "table2, all"}},
+		{[]string{"-metrics", "fig11", "-runs", "1", "-vision=false"}, "fig11", []string{"-metrics", "table2, resilience, all"}},
+		{[]string{"table2", "-runs", "1", "-vision=false", "-blackbox", out}, "table2", []string{"-blackbox", "resilience"}},
+		{[]string{"all", "-blackbox", out}, "all", []string{"-blackbox", "resilience"}},
+		{[]string{"resilience", "-runs", "1", "-vision=false", "-spans"}, "resilience", []string{"-spans", "table2, all"}},
+		{[]string{"table3", "-runs", "1", "-vision=false", "-metrics"}, "table3", []string{"-metrics"}},
+	}
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Fatalf("%v: accepted", c.args)
+		}
+		for _, want := range append(c.want, c.cmd) {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%v: error %q does not name %s", c.args, err, want)
+			}
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("%v: wrote %s", c.args, out)
+		}
 	}
 }

@@ -61,9 +61,6 @@ type counters struct {
 }
 
 func (o Options) counters() counters {
-	if o.Metrics == nil {
-		return counters{}
-	}
 	return counters{
 		processed: o.Metrics.Counter("campaign_attempts_processed_total"),
 		accepted:  o.Metrics.Counter("campaign_runs_accepted_total"),

@@ -167,7 +167,7 @@ func TestEveryRadioKindCarriesBackgroundLoad(t *testing.T) {
 				t.Fatalf("link latency %v below %v", res.Intervals.SendToReceive, want.minLink)
 			}
 			// 10 chattering stations at ~10 Hz for ~4.5 s: hundreds of frames.
-			if sent := tb.Metrics.Counter("radio_frames_sent_total").Value(); sent < 200 {
+			if sent := tb.Sink.Metrics.Counter("radio_frames_sent_total").Value(); sent < 200 {
 				t.Fatalf("background load generated only %d frames", sent)
 			}
 		})
@@ -289,7 +289,7 @@ func TestBackgroundVehiclesLoadTheChannel(t *testing.T) {
 		t.Fatal("scenario under channel load did not complete")
 	}
 	// 10 chattering stations at ~10 Hz for ~4.5 s: hundreds of frames.
-	if sent := tb.Metrics.Counter("radio_frames_sent_total").Value(); sent < 200 {
+	if sent := tb.Sink.Metrics.Counter("radio_frames_sent_total").Value(); sent < 200 {
 		t.Fatalf("background load generated only %d frames", sent)
 	}
 }
@@ -330,7 +330,7 @@ func traceScenario(t *testing.T, seed int64) (*Testbed, *Result) {
 	vcfg := cfg.withDefaults().Vehicle
 	vcfg.UseVision = false
 	cfg.Vehicle = vcfg
-	cfg.Tracer = tracing.New()
+	cfg.Sink.Tracer = tracing.New()
 	tb, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

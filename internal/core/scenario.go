@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"itsbed/internal/flight"
 	"itsbed/internal/geo"
-	"itsbed/internal/metrics"
 	"itsbed/internal/trace"
-	"itsbed/internal/tracing"
 	"itsbed/internal/vehicle"
 )
 
@@ -74,14 +71,10 @@ type Result struct {
 	// Collision reports whether the vehicle reached the camera
 	// position (it ran through the hazard without stopping).
 	Collision bool
-	// Metrics is the end-of-run snapshot of the testbed's registry.
-	Metrics metrics.Snapshot
-	// Spans holds every recorded span when the testbed was built with a
-	// Tracer (empty otherwise).
-	Spans tracing.Snapshot
-	// Flight is the end-of-run black-box snapshot: the newest structured
-	// events of every station ring, in global order.
-	Flight flight.Snapshot
+	// Snapshot is the end-of-run copy of the testbed's Sink: its
+	// Metrics, its Spans (empty unless the testbed was built with a
+	// tracer) and its Flight black box.
+	trace.Snapshot
 }
 
 // VideoAnalysis is the Fig. 10 measurement: the detection-to-stop
@@ -186,11 +179,7 @@ func (tb *Testbed) RunScenario(horizon time.Duration) (*Result, error) {
 		res.BrakingDistance = res.DistanceTravelled
 	}
 	res.Video = tb.analyzeVideo()
-	res.Metrics = tb.Metrics.Snapshot()
-	if tb.Tracer != nil {
-		res.Spans = tb.Tracer.Snapshot()
-	}
-	res.Flight = tb.Flight.Snapshot()
+	res.Snapshot = tb.Sink.Snapshot()
 	return res, nil
 }
 

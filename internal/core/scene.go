@@ -5,16 +5,14 @@ import (
 
 	"itsbed/internal/clock"
 	"itsbed/internal/edge"
-	"itsbed/internal/flight"
 	"itsbed/internal/geo"
 	"itsbed/internal/its/facilities/ca"
-	"itsbed/internal/metrics"
 	"itsbed/internal/openc2x"
 	"itsbed/internal/perception"
 	"itsbed/internal/radio"
 	"itsbed/internal/sim"
 	"itsbed/internal/stack"
-	"itsbed/internal/tracing"
+	"itsbed/internal/trace"
 	"itsbed/internal/units"
 	"itsbed/internal/vehicle"
 )
@@ -32,11 +30,9 @@ type Scene struct {
 	// HTTP and MailboxCap configure every OpenC2X node.
 	HTTP       openc2x.Latencies
 	MailboxCap int
-	// Instrumentation threaded into the backend and every station; nil
-	// leaves it off.
-	Metrics *metrics.Registry
-	Tracer  *tracing.Tracer
-	Flight  *flight.Recorder
+	// Sink is the instrumentation threaded into the backend and every
+	// station; a nil part is off.
+	Sink trace.Sink
 }
 
 // NewBackend builds the radio c.Radio selects, shaped by c's radio
@@ -48,16 +44,13 @@ func (s Scene) NewBackend(c Config, faults radio.FaultModel) (radio.Backend, err
 			PathLoss:     c.PathLoss,
 			Obstructions: c.Obstructions,
 			Faults:       faults,
-			Metrics:      s.Metrics,
-			Tracer:       s.Tracer,
-			Flight:       s.Flight,
+			Sink:         s.Sink,
 		}), nil
 	case RadioCV2XPC5:
 		return radio.NewPC5Medium(s.Kernel, radio.PC5Config{
-			SPS:     c.SPS,
-			Faults:  faults,
-			Metrics: s.Metrics,
-			Flight:  s.Flight,
+			SPS:    c.SPS,
+			Faults: faults,
+			Sink:   s.Sink,
 		}), nil
 	case RadioCV2XUu:
 		profile := c.CellularProfile
@@ -66,8 +59,7 @@ func (s Scene) NewBackend(c Config, faults radio.FaultModel) (radio.Backend, err
 		}
 		cell := radio.NewCellularLink(s.Kernel, profile)
 		cell.Faults = faults
-		cell.Flight = s.Flight
-		cell.Metrics = s.Metrics
+		cell.Sink = s.Sink
 		return cell, nil
 	}
 	return nil, fmt.Errorf("core: unknown radio kind %q", c.Radio)
@@ -83,7 +75,7 @@ func (s Scene) Station(cfg stack.Config) (*stack.Station, error) {
 		cfg.DisableCAMTriggers = true
 	}
 	cfg.Frame, cfg.NTP = s.Frame, s.NTP
-	cfg.Metrics, cfg.Tracer, cfg.Flight = s.Metrics, s.Tracer, s.Flight
+	cfg.Sink = s.Sink
 	st, err := stack.New(s.Kernel, s.Backend, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s %s: %w", cfg.Role, cfg.Name, err)

@@ -125,16 +125,14 @@ type Config struct {
 	// noise bursts, per-link burst loss, camera dropouts, OpenC2X API
 	// faults, and node crash/restart.
 	Faults *faults.Plan
-	// Metrics receives every layer's instrumentation; nil creates a
-	// private registry so each testbed is always fully instrumented.
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, records per-message causal spans across
-	// every layer; nil disables tracing entirely.
-	Tracer *tracing.Tracer
-	// Flight is the black-box recorder threaded through every layer.
-	// Unlike the tracer it is always on: nil creates a private recorder,
-	// so each run carries its own bounded post-mortem rings.
-	Flight *flight.Recorder
+	// Sink receives every layer's instrumentation. A nil Sink.Metrics
+	// creates a private registry, so each testbed is always fully
+	// instrumented; a nil Sink.Flight likewise creates a private
+	// black-box recorder, so each run carries its own bounded
+	// post-mortem rings. Sink.Tracer, when non-nil, records
+	// per-message causal spans across every layer; nil disables
+	// tracing entirely.
+	Sink trace.Sink
 }
 
 // withDefaults fills unset fields.
@@ -178,11 +176,11 @@ func (c Config) withDefaults() Config {
 	if c.Radio == "" {
 		c.Radio = RadioITSG5
 	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
+	if c.Sink.Metrics == nil {
+		c.Sink.Metrics = metrics.NewRegistry()
 	}
-	if c.Flight == nil {
-		c.Flight = flight.NewRecorder(0)
+	if c.Sink.Flight == nil {
+		c.Sink.Flight = flight.NewRecorder(0)
 	}
 	return c
 }
@@ -199,9 +197,9 @@ func (c Config) actionPointGeo() geo.LatLon {
 type Testbed struct {
 	// Scene holds the kernel, the radio backend every station attaches
 	// to (a *radio.Medium, *radio.PC5Medium or *radio.CellularLink per
-	// Config.Radio) and the instrumentation every layer reports into:
-	// the metrics registry, the tracer (nil unless tracing is enabled)
-	// and the always-on flight recorder.
+	// Config.Radio) and the Sink every layer reports into: the metrics
+	// registry, the tracer (nil unless tracing is enabled) and the
+	// always-on flight recorder.
 	Scene
 	cfg    Config
 	Layout track.Layout
@@ -215,8 +213,8 @@ type Testbed struct {
 	// runs).
 	Injector *faults.Injector
 
-	// flVeh is the vehicle's flight hook (watchdog and actuation events).
-	flVeh flight.Hook
+	// veh records the vehicle's watchdog and actuation events.
+	veh trace.Probe
 
 	Vehicle *vehicle.Vehicle
 	// Edge is the road-side camera → ODS → hazard pipeline.
@@ -255,15 +253,13 @@ func New(cfg Config) (*Testbed, error) {
 			NTP:        cfg.NTP,
 			HTTP:       cfg.HTTP,
 			MailboxCap: cfg.MailboxCap,
-			Metrics:    cfg.Metrics,
-			Tracer:     cfg.Tracer,
-			Flight:     cfg.Flight,
+			Sink:       cfg.Sink,
 		},
 		cfg:    cfg,
 		Layout: cfg.Layout,
 		Run:    trace.NewRun(),
 	}
-	tb.flVeh = cfg.Flight.Hook("vehicle")
+	tb.veh = cfg.Sink.Probe("vehicle")
 	k := tb.Kernel
 
 	// --- Fault injection ----------------------------------------------
@@ -275,7 +271,7 @@ func New(cfg Config) (*Testbed, error) {
 		if err := cfg.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("core: fault plan: %w", err)
 		}
-		inj = faults.NewInjector(k, *cfg.Faults, cfg.Metrics, cfg.Tracer, cfg.Flight.Hook("faults"))
+		inj = faults.NewInjector(k, *cfg.Faults, cfg.Sink)
 		tb.Injector = inj
 	}
 
@@ -358,18 +354,15 @@ func New(cfg Config) (*Testbed, error) {
 	tb.Edge = tb.Scene.Edge(tb.RSUNode, ec)
 
 	if cfg.Hazard.TriggerRetries > 0 {
-		mRetry := cfg.Metrics.Counter("fault_trigger_retries_total")
+		mRetry := cfg.Sink.Metrics.Counter("fault_trigger_retries_total")
 		tb.Hazard.OnTriggerRetry = func(int) { mRetry.Inc() }
 	}
 	if cfg.Vehicle.Watchdog.Enabled {
-		mTrip := cfg.Metrics.Counter("fault_watchdog_trips_total")
+		mTrip := cfg.Sink.Metrics.Counter("fault_watchdog_trips_total")
 		veh.OnWatchdogTrip = func(now time.Duration) {
 			mTrip.Inc()
-			tb.flVeh.Record(now, flight.WatchdogTrip, 0, 0, 0)
-			if cfg.Tracer != nil {
-				sp := cfg.Tracer.Start("fault.watchdog_trip", "faults", "vehicle", now)
-				sp.End(now)
-			}
+			tb.veh.Record(now, flight.WatchdogTrip, 0, 0, 0)
+			tb.veh.Start("fault.watchdog_trip", "faults", now).End(now)
 		}
 	}
 
@@ -464,13 +457,13 @@ func (tb *Testbed) wireTimestamps() {
 	tb.Hazard.OnDecision = func(_ edge.TrackedObject, _ perception.FrameResult, _ time.Duration) {
 		run.Stamp(trace.StepDetection, tb.Clock.Now())
 		tb.detectionPos = tb.Vehicle.Body.State().Position
-		if tb.Tracer != nil && tb.chainRoot == nil {
+		if tb.chainRoot == nil {
 			// Root the end-to-end trace at the step-2 stamp so its extent
 			// reconciles exactly with the Table II 2→5 total; the hazard
 			// service's TriggerDENM finds it via the chain key.
 			at, _ := run.At(trace.StepDetection)
-			tb.chainRoot = tb.Tracer.StartChild(nil, "denm.chain", "core", "edge", at)
-			tb.Tracer.Bind(tracing.KeyChain, tb.chainRoot)
+			tb.chainRoot = tb.Sink.Tracer.StartChild(nil, "denm.chain", "core", "edge", at)
+			tb.Sink.Tracer.Bind(tracing.KeyChain, tb.chainRoot)
 		}
 	}
 	// Step 3: the RSU registers the time of sending.
@@ -490,24 +483,20 @@ func (tb *Testbed) wireTimestamps() {
 	// Step 5: the vehicle ECU registers the actuator command.
 	tb.Vehicle.OnStopCommand = func(t time.Duration) {
 		run.Stamp(trace.StepActuatorCommand, t)
-		tb.flVeh.Record(t, flight.Actuation, flight.ActStopCommand, 0, 0)
-		if tb.Tracer != nil {
-			parent := tb.Tracer.Find(tracing.KeyPoll("obu"))
-			if parent == nil {
-				parent = tb.chainRoot
-			}
-			sp := tb.Tracer.StartChild(parent, "vehicle.actuation", "vehicle", tb.cfg.Vehicle.Name, parent.EndTime())
-			sp.End(tb.Kernel.Now())
-			if tb.chainRoot != nil {
-				at, _ := run.At(trace.StepActuatorCommand)
-				tb.chainRoot.End(at)
-			}
+		tb.veh.Record(t, flight.Actuation, flight.ActStopCommand, 0, 0)
+		parent := tb.Sink.Tracer.Find(tracing.KeyPoll("obu"))
+		if parent == nil {
+			parent = tb.chainRoot
 		}
+		sp := tb.Sink.Tracer.StartChild(parent, "vehicle.actuation", "vehicle", tb.cfg.Vehicle.Name, parent.EndTime())
+		sp.End(tb.Kernel.Now())
+		at, _ := run.At(trace.StepActuatorCommand)
+		tb.chainRoot.End(at)
 	}
 	// Step 6: the vehicle halts (true/video time).
 	tb.Vehicle.OnHalt = func(t time.Duration) {
 		run.Stamp(trace.StepHalt, t)
-		tb.flVeh.Record(t, flight.Actuation, flight.ActHalt, 0, 0)
+		tb.veh.Record(t, flight.Actuation, flight.ActHalt, 0, 0)
 		tb.haltPos = tb.Vehicle.Body.State().Position
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"itsbed/internal/metrics"
+	"itsbed/internal/trace"
 )
 
 // LayerBudgetRow is one layer's mean contribution to the DENM chain's
@@ -44,8 +45,8 @@ func histMean(snap metrics.Snapshot, name string, labels ...metrics.Label) float
 func (t TableIIResult) LayerBudget() LayerBudget {
 	snap := t.Metrics
 	sec := func(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
-	rsu := metrics.L("station", "rsu")
-	obu := metrics.L("station", "obu")
+	rsu := trace.StationLabel("rsu")
+	obu := trace.StationLabel("obu")
 	denm := metrics.L("msg", "denm")
 	acvo := metrics.L("ac", "AC_VO")
 

@@ -17,6 +17,7 @@ import (
 	"itsbed/internal/sim"
 	"itsbed/internal/stack"
 	"itsbed/internal/stats"
+	"itsbed/internal/trace"
 	"itsbed/internal/track"
 	"itsbed/internal/units"
 	"itsbed/internal/world"
@@ -128,13 +129,13 @@ func cityRun(seed int64, n int, opt CityOptions) (CityRow, error) {
 	// The black-box recorder stays on even at the 1000-station density:
 	// appends are O(1) into preallocated rings and never disturb the
 	// grid-culling identity, so recording is free determinism-wise.
-	recorder := flight.NewRecorder(0)
+	sink := trace.Sink{Flight: flight.NewRecorder(0)}
 	medium := radio.NewMedium(kernel, radio.MediumConfig{
 		PathLoss:    cityPathLoss(),
 		DisableGrid: opt.DisableGrid,
-		Flight:      recorder,
+		Sink:        sink,
 	})
-	sc := core.Scene{Kernel: kernel, Backend: medium, Frame: frame, NTP: clock.DefaultLANNTP(), Flight: recorder}
+	sc := core.Scene{Kernel: kernel, Backend: medium, Frame: frame, NTP: clock.DefaultLANNTP(), Sink: sink}
 
 	// Vehicle flows: rectangular loops on the road grid at urban
 	// speeds, phase-shifted so the fleet spreads over the streets.

@@ -246,20 +246,20 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 // read zero at the start of attempt N+1, and a pooled registry handed
 // to a new attempt must snapshot empty before the attempt touches it.
 func TestAttemptRegistryNoCrossAttemptLeakage(t *testing.T) {
-	// Attempt N: take a registry from the pool the way runOnce does,
-	// record some work, return it.
-	regN := attemptRegistries.Get().(*metrics.Registry)
-	regN.Reset()
+	// Attempt N: take a sink from the pool the way runOnce does, record
+	// some work, return it.
+	sinkN := pooledSink()
+	regN := sinkN.Metrics
 	regN.Counter("leak_canary").Add(5)
 	regN.Gauge("leak_depth").Set(7)
 	regN.Histogram("leak_ms").Observe(123)
-	attemptRegistries.Put(regN)
+	attempts.Put(sinkN)
 
-	// Attempt N+1: the registry comes back from the pool and is Reset
+	// Attempt N+1: the sink comes back from the pool and is Reset
 	// before use — nothing from attempt N may be visible.
-	regN1 := attemptRegistries.Get().(*metrics.Registry)
-	regN1.Reset()
-	defer attemptRegistries.Put(regN1)
+	sinkN1 := pooledSink()
+	defer attempts.Put(sinkN1)
+	regN1 := sinkN1.Metrics
 	if s := regN1.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatalf("attempt N+1 starts with leaked families: %+v", s)
 	}

@@ -12,7 +12,6 @@ import (
 	"itsbed/internal/faults"
 	"itsbed/internal/flight"
 	"itsbed/internal/metrics"
-	"itsbed/internal/tracing"
 )
 
 // ResilienceOptions tune a fault-plan resilience sweep.
@@ -40,8 +39,6 @@ type ResilienceOptions struct {
 	// Metrics, when non-nil, receives the campaign counters and merged
 	// per-run registries of the faulted sweep.
 	Metrics *metrics.Registry
-	// Trace merges per-run spans (run order) into the result.
-	Trace bool
 	// Blackbox, when non-empty, is a directory the sweep writes flight-
 	// recorder post-mortems into: every run that trips an anomaly
 	// trigger (miss or fail-safe outcome, 2→5 total above the 100 ms
@@ -103,8 +100,6 @@ type ResilienceResult struct {
 	LatencyInflation float64
 	// Metrics is the merge of every faulted run's registry, run order.
 	Metrics metrics.Snapshot
-	// Traces holds the merged faulted-run spans when Trace was set.
-	Traces tracing.Snapshot
 	// Dumps lists the post-mortem files written when Blackbox was set
 	// (never printed by Format, so report output stays golden-stable).
 	Dumps []string
@@ -181,7 +176,6 @@ func Resilience(opt ResilienceOptions) (ResilienceResult, error) {
 
 	plan := opt.Plan
 	faultOpt := baseOpt
-	faultOpt.Trace = opt.Trace
 	faultOpt.Configure = func(cfg *core.Config) {
 		cfg.Faults = &plan
 		cfg.Vehicle.Watchdog.Enabled = true
@@ -193,21 +187,10 @@ func Resilience(opt ResilienceOptions) (ResilienceResult, error) {
 		return out, fmt.Errorf("experiments: resilience sweep: %w", err)
 	}
 
-	merged := opt.Metrics
-	if merged == nil {
-		// Snapshot copies, so the merge registry can be a pooled one.
-		merged = attemptRegistries.Get().(*metrics.Registry)
-		merged.Reset()
-		defer attemptRegistries.Put(merged)
-	}
-	var spans []tracing.Snapshot
+	out.Metrics = mergeRuns(opt.Metrics, runs).Metrics
 	var warnedSum time.Duration
 	var warnedComplete int
 	for i, res := range runs {
-		merged.Merge(res.Metrics)
-		if opt.Trace {
-			spans = append(spans, res.Spans)
-		}
 		row := ResilienceRun{
 			Run:                 i + 1,
 			Outcome:             res.Outcome.String(),
@@ -245,10 +228,6 @@ func Resilience(opt ResilienceOptions) (ResilienceResult, error) {
 		if out.BaselineAvgTotal > 0 {
 			out.LatencyInflation = float64(out.WarnedAvgTotal)/float64(out.BaselineAvgTotal) - 1
 		}
-	}
-	out.Metrics = merged.Snapshot()
-	if opt.Trace {
-		out.Traces = tracing.MergeRuns(spans)
 	}
 	return out, nil
 }

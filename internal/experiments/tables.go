@@ -21,21 +21,29 @@ import (
 	"itsbed/internal/flight"
 	"itsbed/internal/metrics"
 	"itsbed/internal/stats"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 	"itsbed/internal/track"
 	"itsbed/internal/vehicle"
 )
 
-// Per-attempt registries and tracers are pooled across a campaign's
-// attempts: a Reset registry/tracer snapshots bit-identically to a
-// fresh one (generation-filtered families, restarted span IDs), so
-// reuse is invisible in the merged output for any -workers value while
-// a 1k-run sweep stops allocating ~1k registries' worth of families.
-var (
-	attemptRegistries = sync.Pool{New: func() any { return metrics.NewRegistry() }}
-	attemptTracers    = sync.Pool{New: func() any { return tracing.New() }}
-	attemptRecorders  = sync.Pool{New: func() any { return flight.NewRecorder(0) }}
-)
+// attempts pools per-attempt sinks across a campaign's attempts: a
+// Reset sink snapshots bit-identically to a fresh one (generation-
+// filtered metric families, restarted span IDs and flight sequence,
+// kept station rings), so reuse is invisible in the merged output for
+// any -workers value while a 1k-run sweep stops allocating ~1k
+// registries' worth of families and recorders' worth of ring slabs.
+var attempts = sync.Pool{New: func() any {
+	return &trace.Sink{Metrics: metrics.NewRegistry(), Tracer: tracing.New(), Flight: flight.NewRecorder(0)}
+}}
+
+// pooledSink takes a reset sink from the attempt pool; put it back
+// once nothing reads it any more.
+func pooledSink() *trace.Sink {
+	sink := attempts.Get().(*trace.Sink)
+	sink.Reset()
+	return sink
+}
 
 // ScenarioOptions tune the common emergency-brake scenario.
 type ScenarioOptions struct {
@@ -95,32 +103,17 @@ func runOnce(opt ScenarioOptions, i int) (*core.Result, error) {
 	rng := rand.New(rand.NewSource(opt.BaseSeed + int64(i)*7919))
 	cfg.Vehicle.CruiseSpeed += rng.Float64()*0.40 - 0.20
 	cfg.Vehicle.Params.BrakeDecel += rng.Float64()*1.6 - 0.8
-	if opt.Trace {
-		tr := attemptTracers.Get().(*tracing.Tracer)
-		tr.Reset()
-		defer attemptTracers.Put(tr)
-		cfg.Tracer = tr
+	// The result only carries snapshots (copies), so the attempt's sink
+	// can go back to the pool once the run is over.
+	sink := pooledSink()
+	defer attempts.Put(sink)
+	cfg.Sink = *sink
+	if !opt.Trace {
+		cfg.Sink.Tracer = nil
 	}
 	cfg.Radio = opt.Radio
 	if opt.Configure != nil {
 		opt.Configure(&cfg)
-	}
-	if cfg.Metrics == nil {
-		// The result only carries snapshots (copies), so the attempt's
-		// registry can go back to the pool once the run is over.
-		reg := attemptRegistries.Get().(*metrics.Registry)
-		reg.Reset()
-		defer attemptRegistries.Put(reg)
-		cfg.Metrics = reg
-	}
-	if cfg.Flight == nil {
-		// Same pooling discipline for the black-box recorder: Reset keeps
-		// the interned station table and ring slabs, so the steady-state
-		// append path never allocates across a 1k-run sweep.
-		fr := attemptRecorders.Get().(*flight.Recorder)
-		fr.Reset()
-		defer attemptRecorders.Put(fr)
-		cfg.Flight = fr
 	}
 	tb, err := core.New(cfg)
 	if err != nil {
@@ -192,19 +185,9 @@ func TableII(opt ScenarioOptions) (TableIIResult, error) {
 	if err != nil {
 		return out, err
 	}
-	merged := opt.Metrics
-	if merged == nil {
-		// Snapshot copies, so the merge registry can be a pooled one.
-		merged = attemptRegistries.Get().(*metrics.Registry)
-		merged.Reset()
-		defer attemptRegistries.Put(merged)
-	}
-	var spans []tracing.Snapshot
+	merged := mergeRuns(opt.Metrics, runs)
+	out.Metrics, out.Traces = merged.Metrics, merged.Spans
 	for i, res := range runs {
-		merged.Merge(res.Metrics)
-		if opt.Trace {
-			spans = append(spans, res.Spans)
-		}
 		iv := res.Intervals
 		out.Rows = append(out.Rows, TableIIRow{
 			Run:             i + 1,
@@ -226,11 +209,24 @@ func TableII(opt ScenarioOptions) (TableIIResult, error) {
 	out.AvgSendToReceive = sum[1] / n
 	out.AvgReceiveToAction = sum[2] / n
 	out.AvgTotal = sum[3] / n
-	out.Metrics = merged.Snapshot()
-	if opt.Trace {
-		out.Traces = tracing.MergeRuns(spans)
-	}
 	return out, nil
+}
+
+// mergeRuns merges the runs' instrumentation in run order (see
+// trace.Sink.Merge), their metrics into reg or, when reg is nil, into
+// a pooled registry.
+func mergeRuns(reg *metrics.Registry, runs []*core.Result) trace.Snapshot {
+	if reg == nil {
+		// Snapshot copies, so the merge registry can be a pooled one.
+		sink := pooledSink()
+		defer attempts.Put(sink)
+		reg = sink.Metrics
+	}
+	snaps := make([]trace.Snapshot, len(runs))
+	for i, res := range runs {
+		snaps[i] = res.Snapshot
+	}
+	return trace.Sink{Metrics: reg}.Merge(snaps)
 }
 
 // Totals returns the per-run total delays as milliseconds (Fig. 11

@@ -9,6 +9,7 @@ import (
 	"itsbed/internal/flight"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 )
 
@@ -156,9 +157,9 @@ func TestInjectorDeterministic(t *testing.T) {
 		trigger  []Verdict
 		poll     []Verdict
 	}
-	sample := func(reg *metrics.Registry, tr *tracing.Tracer) decisions {
+	sample := func(sink trace.Sink) decisions {
 		k := sim.NewKernel(7)
-		inj := NewInjector(k, plan, reg, tr, flight.Hook{})
+		inj := NewInjector(k, plan, sink)
 		var d decisions
 		for i := 0; i < 400; i++ {
 			now := time.Duration(i) * 10 * time.Millisecond
@@ -176,12 +177,12 @@ func TestInjectorDeterministic(t *testing.T) {
 		}
 		return d
 	}
-	plain := sample(nil, nil)
-	observed := sample(metrics.NewRegistry(), tracing.New())
+	plain := sample(trace.Sink{})
+	observed := sample(trace.Sink{Metrics: metrics.NewRegistry(), Tracer: tracing.New(), Flight: flight.NewRecorder(0)})
 	if !reflect.DeepEqual(plain, observed) {
-		t.Fatal("fault decisions depend on metrics/tracing wiring")
+		t.Fatal("fault decisions depend on metrics/tracing/flight wiring")
 	}
-	again := sample(nil, nil)
+	again := sample(trace.Sink{})
 	if !reflect.DeepEqual(plain, again) {
 		t.Fatal("fault decisions not reproducible for the same seed")
 	}
@@ -200,7 +201,7 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 		}},
 	}
 	k := sim.NewKernel(11)
-	inj := NewInjector(k, plan, nil, nil, flight.Hook{})
+	inj := NewInjector(k, plan, trace.Sink{})
 	var drops, runLen, runs int
 	inBurst := false
 	for i := 0; i < 2000; i++ {
@@ -243,7 +244,7 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 func TestPathVerdictDrawsNothingWhenIdle(t *testing.T) {
 	plan := Plan{Name: "idle-http", Blackouts: []Window{{Start: D(time.Hour)}}}
 	k := sim.NewKernel(3)
-	inj := NewInjector(k, plan, nil, nil, flight.Hook{})
+	inj := NewInjector(k, plan, trace.Sink{})
 	before := k.Rand("faults.http").Uint64()
 	for i := 0; i < 50; i++ {
 		if v := inj.TriggerVerdict(time.Duration(i) * time.Millisecond); v != VerdictOK {
@@ -269,7 +270,7 @@ func TestScheduleCrashes(t *testing.T) {
 		},
 	}
 	k := sim.NewKernel(5)
-	inj := NewInjector(k, plan, nil, nil, flight.Hook{})
+	inj := NewInjector(k, plan, trace.Sink{})
 	var events []string
 	inj.ScheduleCrashes(
 		func(node string) { events = append(events, "crash:"+node+"@"+k.Now().String()) },
@@ -298,7 +299,7 @@ func TestInjectorMetrics(t *testing.T) {
 	}
 	k := sim.NewKernel(9)
 	reg := metrics.NewRegistry()
-	inj := NewInjector(k, plan, reg, nil, flight.Hook{})
+	inj := NewInjector(k, plan, trace.Sink{Metrics: reg})
 	inj.BlackoutAt(0)
 	inj.DropCameraFrame(0)
 	inj.DropDetection(0)

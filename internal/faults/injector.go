@@ -8,6 +8,7 @@ import (
 	"itsbed/internal/flight"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 )
 
@@ -37,8 +38,9 @@ const (
 type Injector struct {
 	plan   Plan
 	kernel *sim.Kernel
-	tracer *tracing.Tracer
-	fl     flight.Hook
+	// p records the faults' counters, flight events (in the "faults"
+	// ring) and spans.
+	p trace.Probe
 
 	radioRNG  *rand.Rand
 	cameraRNG *rand.Rand
@@ -72,35 +74,34 @@ type geKey struct {
 	src, dst string
 }
 
-// NewInjector binds a plan to a run. reg and tr may be nil and fl may
-// be the zero Hook; fault events then go uncounted/untraced but
+// NewInjector binds a plan to a run. Any part of sink may be nil;
+// fault events then go uncounted, unrecorded or untraced, but
 // injection is unaffected (the random streams never depend on
 // instrumentation). The injector immediately schedules the plan's
-// window spans on the kernel so blackout and noise periods are visible
-// in the trace export and the flight recorder.
-func NewInjector(kernel *sim.Kernel, plan Plan, reg *metrics.Registry, tr *tracing.Tracer, fl flight.Hook) *Injector {
+// window spans and flight events on the kernel, when tracing or
+// recording, so blackout and noise periods are visible in the trace
+// export and the flight recorder.
+func NewInjector(kernel *sim.Kernel, plan Plan, sink trace.Sink) *Injector {
 	inj := &Injector{
 		plan:      plan,
 		kernel:    kernel,
-		tracer:    tr,
-		fl:        fl,
+		p:         sink.Probe("faults"),
 		radioRNG:  kernel.Rand("faults.radio"),
 		cameraRNG: kernel.Rand("faults.camera"),
 		httpRNG:   kernel.Rand("faults.http"),
 		ge:        make(map[geKey]bool),
 	}
-	if reg != nil {
-		inj.mBlackout = reg.Counter("fault_radio_blackout_frames_total")
-		inj.mLinkDrop = reg.Counter("fault_radio_link_drops_total")
-		inj.mFrameDrop = reg.Counter("fault_camera_frames_dropped_total")
-		inj.mDetDrop = reg.Counter("fault_camera_detections_dropped_total")
-		inj.mHTTPTimeoutTrig = reg.Counter("fault_http_requests_total", metrics.L("path", "trigger"), metrics.L("verdict", "timeout"))
-		inj.mHTTPErrorTrig = reg.Counter("fault_http_requests_total", metrics.L("path", "trigger"), metrics.L("verdict", "error"))
-		inj.mHTTPTimeoutPoll = reg.Counter("fault_http_requests_total", metrics.L("path", "poll"), metrics.L("verdict", "timeout"))
-		inj.mHTTPErrorPoll = reg.Counter("fault_http_requests_total", metrics.L("path", "poll"), metrics.L("verdict", "error"))
-		inj.mCrash = reg.Counter("fault_node_crashes_total")
-		inj.mRestart = reg.Counter("fault_node_restarts_total")
-	}
+	reg := sink.Metrics
+	inj.mBlackout = reg.Counter("fault_radio_blackout_frames_total")
+	inj.mLinkDrop = reg.Counter("fault_radio_link_drops_total")
+	inj.mFrameDrop = reg.Counter("fault_camera_frames_dropped_total")
+	inj.mDetDrop = reg.Counter("fault_camera_detections_dropped_total")
+	inj.mHTTPTimeoutTrig = reg.Counter("fault_http_requests_total", metrics.L("path", "trigger"), metrics.L("verdict", "timeout"))
+	inj.mHTTPErrorTrig = reg.Counter("fault_http_requests_total", metrics.L("path", "trigger"), metrics.L("verdict", "error"))
+	inj.mHTTPTimeoutPoll = reg.Counter("fault_http_requests_total", metrics.L("path", "poll"), metrics.L("verdict", "timeout"))
+	inj.mHTTPErrorPoll = reg.Counter("fault_http_requests_total", metrics.L("path", "poll"), metrics.L("verdict", "error"))
+	inj.mCrash = reg.Counter("fault_node_crashes_total")
+	inj.mRestart = reg.Counter("fault_node_restarts_total")
 	inj.armWindowSpans()
 	inj.armWindowEvents()
 	return inj
@@ -113,12 +114,14 @@ func (inj *Injector) Plan() Plan { return inj.plan }
 // the fault periods appear as bars in the Perfetto export. Open-ended
 // windows get a point span at their start.
 func (inj *Injector) armWindowSpans() {
-	if inj.tracer == nil {
+	// The kernel.At calls consume event sequence numbers, so arm them
+	// only when something records what they do.
+	if !inj.p.Tracing() {
 		return
 	}
 	arm := func(name string, w Window, attr func(*tracing.Span)) {
 		inj.kernel.At(w.Start.Std(), func() {
-			sp := inj.tracer.Start(name, "faults", "plan", inj.kernel.Now())
+			sp := inj.span(name, "plan", inj.kernel.Now())
 			if attr != nil {
 				attr(sp)
 			}
@@ -141,19 +144,24 @@ func (inj *Injector) armWindowSpans() {
 	}
 }
 
+// span starts a faults-layer span attributed to station.
+func (inj *Injector) span(name, station string, now time.Duration) *tracing.Span {
+	return inj.p.Sink().Tracer.Start(name, "faults", station, now)
+}
+
 // armWindowEvents schedules one flight event at each bounded window
 // edge, so a post-mortem shows exactly when a fault became active.
 func (inj *Injector) armWindowEvents() {
-	if !inj.fl.Enabled() {
+	if !inj.p.Hook.Enabled() {
 		return
 	}
 	arm := func(w Window, start, end uint8) {
 		inj.kernel.At(w.Start.Std(), func() {
-			inj.fl.Record(inj.kernel.Now(), flight.FaultEvent, start, 0, 0)
+			inj.p.Record(inj.kernel.Now(), flight.FaultEvent, start, 0, 0)
 		})
 		if w.End != 0 {
 			inj.kernel.At(w.End.Std(), func() {
-				inj.fl.Record(inj.kernel.Now(), flight.FaultEvent, end, 0, 0)
+				inj.p.Record(inj.kernel.Now(), flight.FaultEvent, end, 0, 0)
 			})
 		}
 	}
@@ -240,9 +248,7 @@ func (inj *Injector) DropCameraFrame(now time.Duration) bool {
 	if inj.cameraRNG.Float64() < c.FrameDropProb {
 		inj.CameraFrameDrops++
 		inj.mFrameDrop.Inc()
-		if sp := inj.tracer.Start("fault.camera_frame", "faults", "edge", now); sp != nil {
-			sp.Drop(now, "frame_drop")
-		}
+		inj.span("fault.camera_frame", "edge", now).Drop(now, "frame_drop")
 		return true
 	}
 	return false
@@ -306,10 +312,8 @@ func (inj *Injector) ScheduleCrashes(crash, restart func(node string)) {
 			now := inj.kernel.Now()
 			inj.Crashes++
 			inj.mCrash.Inc()
-			inj.fl.Record(now, flight.FaultEvent, flight.FaultCrash, 0, 0)
-			if sp := inj.tracer.Start("fault.crash", "faults", node, now); sp != nil {
-				sp.Drop(now, "crash")
-			}
+			inj.p.Record(now, flight.FaultEvent, flight.FaultCrash, 0, 0)
+			inj.span("fault.crash", node, now).Drop(now, "crash")
 			if crash != nil {
 				crash(node)
 			}
@@ -319,10 +323,8 @@ func (inj *Injector) ScheduleCrashes(crash, restart func(node string)) {
 				now := inj.kernel.Now()
 				inj.Restarts++
 				inj.mRestart.Inc()
-				inj.fl.Record(now, flight.FaultEvent, flight.FaultRestart, 0, 0)
-				if sp := inj.tracer.Start("fault.restart", "faults", node, now); sp != nil {
-					sp.End(now)
-				}
+				inj.p.Record(now, flight.FaultEvent, flight.FaultRestart, 0, 0)
+				inj.span("fault.restart", node, now).End(now)
 				if restart != nil {
 					restart(node)
 				}

@@ -324,10 +324,6 @@ type Hook struct {
 // Enabled reports whether records through this hook go anywhere.
 func (h Hook) Enabled() bool { return h.r != nil }
 
-// ID returns the interned station handle (zero for the zero Hook) —
-// usable as the Src of another station's event.
-func (h Hook) ID() StationID { return h.id }
-
 // Record appends one event stamped at the given (simulation) time.
 func (h Hook) Record(at time.Duration, kind Kind, code uint8, a, b int64) {
 	if h.r == nil {
@@ -425,20 +421,6 @@ func (r *Recorder) Stations() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.names)
-}
-
-// Len reports how many events the recorder currently holds.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for i := range r.rings {
-		n += r.rings[i].n
-	}
-	return n
 }
 
 // MergeRuns combines per-attempt snapshots in commit order into one

@@ -23,9 +23,6 @@ func TestNilRecorderAndZeroHookAreNoOps(t *testing.T) {
 	if got := r.Snapshot(); len(got.Events) != 0 {
 		t.Fatalf("nil recorder snapshot has %d events", len(got.Events))
 	}
-	if r.Len() != 0 {
-		t.Fatal("nil recorder Len != 0")
-	}
 }
 
 func TestRecordAndSnapshotOrder(t *testing.T) {
@@ -56,8 +53,16 @@ func TestSameNameSharesOneRing(t *testing.T) {
 	r := NewRecorder(4)
 	h1 := r.Hook("rsu")
 	h2 := r.Hook("rsu")
-	if h1.ID() != h2.ID() {
-		t.Fatalf("same name interned twice: %d vs %d", h1.ID(), h2.ID())
+	if n := r.Stations(); n != 1 {
+		t.Fatalf("same name interned as %d stations", n)
+	}
+	// Both hooks write one 4-slot ring: six events evict two.
+	for i := 0; i < 3; i++ {
+		h1.Record(time.Duration(2*i), RadioTx, 0, 0, 0)
+		h2.Record(time.Duration(2*i+1), RadioRx, RxOK, 0, 0)
+	}
+	if s := r.Snapshot(); len(s.Events) != 4 || s.Evicted != 2 {
+		t.Fatalf("shared ring holds %d events, evicted %d; want 4, 2", len(s.Events), s.Evicted)
 	}
 }
 
@@ -233,7 +238,7 @@ func TestConcurrentRecordIsSafe(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if n := r.Len(); n != 32 {
+	if n := len(r.Snapshot().Events); n != 32 {
 		t.Fatalf("ring holds %d, want 32", n)
 	}
 }

@@ -21,7 +21,7 @@ import (
 	"itsbed/internal/its/messages"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
-	"itsbed/internal/tracing"
+	"itsbed/internal/trace"
 	"itsbed/internal/units"
 )
 
@@ -88,14 +88,9 @@ type Config struct {
 	// Gate, when non-nil, throttles generation to at most one CAM per
 	// Gate.MinInterval() (DCC channel-load control).
 	Gate TxGate
-	// Metrics, when non-nil, receives ca_* counters labeled with Name.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records a span for each generated CAM.
-	Tracer *tracing.Tracer
-	// Flight, when enabled, records a cam.tx event per generated CAM.
-	Flight flight.Hook
+	// Probe receives the station's ca_* counters, a span for each
+	// generated CAM and a cam.tx flight event per generated CAM.
+	Probe trace.Probe
 }
 
 // Service is the CA basic service of one station.
@@ -127,11 +122,8 @@ func New(kernel *sim.Kernel, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("ca: provider, send and clock are required")
 	}
 	s := &Service{cfg: cfg, kernel: kernel}
-	if cfg.Metrics != nil {
-		st := metrics.L("station", cfg.Name)
-		s.mGen = cfg.Metrics.Counter("ca_generated_total", st)
-		s.mErr = cfg.Metrics.Counter("ca_send_errors_total", st)
-	}
+	s.mGen = cfg.Probe.Counter("ca_generated_total")
+	s.mErr = cfg.Probe.Counter("ca_send_errors_total")
 	return s, nil
 }
 
@@ -239,7 +231,7 @@ func (s *Service) generate(now time.Duration, st VehicleState) {
 		s.lastLF = s.kernel.Now()
 		s.hasLastLF = true
 	}
-	sp := s.cfg.Tracer.Start("ca.generate", "facilities", s.cfg.Name, now)
+	sp := s.cfg.Probe.Start("ca.generate", "facilities", now)
 	payload, err := cam.Encode()
 	if err != nil {
 		sp.Drop(s.kernel.Now(), "encode_error")
@@ -248,7 +240,7 @@ func (s *Service) generate(now time.Duration, st VehicleState) {
 		return
 	}
 	var sendErr error
-	s.cfg.Tracer.Scope(sp, func() { sendErr = s.cfg.Send(payload) })
+	s.cfg.Probe.Scope(sp, func() { sendErr = s.cfg.Send(payload) })
 	if sendErr != nil {
 		sp.Drop(s.kernel.Now(), "send_error")
 		s.SendErrors++
@@ -258,7 +250,7 @@ func (s *Service) generate(now time.Duration, st VehicleState) {
 	sp.End(s.kernel.Now())
 	s.Generated++
 	s.mGen.Inc()
-	s.cfg.Flight.Record(now, flight.CAMTx, 0, int64(s.cfg.StationID), 0)
+	s.cfg.Probe.Record(now, flight.CAMTx, 0, int64(s.cfg.StationID), 0)
 	s.lastGen = now
 	s.lastState = st
 	s.hasLast = true
@@ -334,17 +326,11 @@ func (s *Service) pathHistory(st VehicleState) []messages.PathPoint {
 type Receiver struct {
 	// Sink receives every decoded CAM (typically the LDM).
 	Sink func(*messages.CAM)
-	// Metrics, when non-nil, receives ca_rx_* counters labeled with
-	// Name.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records a span for each received CAM.
-	Tracer *tracing.Tracer
-	// Flight, when enabled, records a cam.rx event per decoded (or
+	// Probe receives the station's ca_rx_* counters, a span for each
+	// received CAM and a cam.rx flight event per decoded (or
 	// malformed) CAM.
-	Flight flight.Hook
-	// Now supplies span timestamps when Tracer is set.
+	Probe trace.Probe
+	// Now supplies span and event timestamps.
 	Now func() time.Duration
 	// Received counts successfully decoded CAMs.
 	Received uint64
@@ -356,31 +342,25 @@ type Receiver struct {
 
 // OnPayload processes one received CA payload.
 func (r *Receiver) OnPayload(payload []byte) {
-	if r.Metrics != nil && r.mRecv == nil {
-		st := metrics.L("station", r.Name)
-		r.mRecv = r.Metrics.Counter("ca_rx_received_total", st)
-		r.mMalf = r.Metrics.Counter("ca_rx_malformed_total", st)
+	if r.mRecv == nil {
+		r.mRecv = r.Probe.Counter("ca_rx_received_total")
+		r.mMalf = r.Probe.Counter("ca_rx_malformed_total")
 	}
 	now := r.now()
 	cam, err := messages.DecodeCAM(payload)
 	if err != nil {
-		if r.Tracer != nil {
-			r.Tracer.Start("ca.receive", "facilities", r.Name, now).Drop(now, "malformed")
-		}
+		r.Probe.Start("ca.receive", "facilities", now).Drop(now, "malformed")
 		r.Malformed++
 		r.mMalf.Inc()
-		r.Flight.Record(now, flight.CAMRx, flight.RxMalformed, 0, 0)
+		r.Probe.Record(now, flight.CAMRx, flight.RxMalformed, 0, 0)
 		return
 	}
-	var sp *tracing.Span
-	if r.Tracer != nil {
-		sp = r.Tracer.Start("ca.receive", "facilities", r.Name, now)
-	}
+	sp := r.Probe.Start("ca.receive", "facilities", now)
 	r.Received++
 	r.mRecv.Inc()
-	r.Flight.Record(now, flight.CAMRx, flight.RxOK, int64(cam.Header.StationID), 0)
+	r.Probe.Record(now, flight.CAMRx, flight.RxOK, int64(cam.Header.StationID), 0)
 	if r.Sink != nil {
-		r.Tracer.Scope(sp, func() { r.Sink(cam) })
+		r.Probe.Scope(sp, func() { r.Sink(cam) })
 	}
 	sp.End(r.now())
 }

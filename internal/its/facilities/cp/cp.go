@@ -23,6 +23,7 @@ import (
 	"itsbed/internal/its/messages"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 	"itsbed/internal/units"
 )
@@ -67,15 +68,10 @@ type Config struct {
 	// Gate, when non-nil, throttles generation to at most one CPM per
 	// Gate.MinInterval() (DCC channel-load control).
 	Gate TxGate
-	// Metrics, when non-nil, receives cpm_* counters labeled with Name.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records a span for each generated CPM.
-	Tracer *tracing.Tracer
-	// Flight, when enabled, records a cpm.tx event per generated CPM
+	// Probe receives the station's cpm_* counters, a span for each
+	// generated CPM and a cpm.tx flight event per generated CPM
 	// carrying the perceived-object count.
-	Flight flight.Hook
+	Probe trace.Probe
 }
 
 // Service is the CP basic service of one station.
@@ -106,12 +102,9 @@ func New(kernel *sim.Kernel, cfg Config) (*Service, error) {
 		cfg.Interval = DefaultGenInterval
 	}
 	s := &Service{cfg: cfg, kernel: kernel}
-	if cfg.Metrics != nil {
-		st := metrics.L("station", cfg.Name)
-		s.mGen = cfg.Metrics.Counter("cpm_generated_total", st)
-		s.mObj = cfg.Metrics.Counter("cpm_objects_shared_total", st)
-		s.mErr = cfg.Metrics.Counter("cpm_send_errors_total", st)
-	}
+	s.mGen = cfg.Probe.Counter("cpm_generated_total")
+	s.mObj = cfg.Probe.Counter("cpm_objects_shared_total")
+	s.mErr = cfg.Probe.Counter("cpm_send_errors_total")
 	return s, nil
 }
 
@@ -175,7 +168,7 @@ func (s *Service) generate(now time.Duration, own []ldm.Object) {
 	if len(cpm.PerceivedObjects) == 0 {
 		return
 	}
-	sp := s.cfg.Tracer.Start("cpm.generate", "facilities", s.cfg.Name, now)
+	sp := s.cfg.Probe.Start("cpm.generate", "facilities", now)
 	sp.SetAttr("objects", fmt.Sprint(len(cpm.PerceivedObjects)))
 	payload, err := cpm.Encode()
 	if err != nil {
@@ -185,7 +178,7 @@ func (s *Service) generate(now time.Duration, own []ldm.Object) {
 		return
 	}
 	var sendErr error
-	s.cfg.Tracer.Scope(sp, func() { sendErr = s.cfg.Send(payload) })
+	s.cfg.Probe.Scope(sp, func() { sendErr = s.cfg.Send(payload) })
 	if sendErr != nil {
 		sp.Drop(s.kernel.Now(), "send_error")
 		s.SendErrors++
@@ -197,7 +190,7 @@ func (s *Service) generate(now time.Duration, own []ldm.Object) {
 	s.ObjectsShared += uint64(len(cpm.PerceivedObjects))
 	s.mGen.Inc()
 	s.mObj.Add(uint64(len(cpm.PerceivedObjects)))
-	s.cfg.Flight.Record(now, flight.CPMTx, 0, int64(len(cpm.PerceivedObjects)), 0)
+	s.cfg.Probe.Record(now, flight.CPMTx, 0, int64(len(cpm.PerceivedObjects)), 0)
 	s.lastGen = now
 	s.hasLast = true
 }
@@ -285,16 +278,10 @@ type Receiver struct {
 	LDM *ldm.Map
 	// OnCPM, if set, observes every accepted CPM after fusion.
 	OnCPM func(*messages.CPM)
-	// Metrics, when non-nil, receives cpm_rx_* counters labeled with
-	// Name.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records a span for each received CPM.
-	Tracer *tracing.Tracer
-	// Flight, when enabled, records a cpm.rx event per decoded (or
+	// Probe receives the station's cpm_rx_* counters, a span for each
+	// received CPM and a cpm.rx flight event per decoded (or
 	// malformed) CPM.
-	Flight flight.Hook
+	Probe trace.Probe
 	// Now supplies fusion timestamps; required.
 	Now func() time.Duration
 
@@ -312,36 +299,33 @@ type Receiver struct {
 
 // OnPayload processes one received CP payload.
 func (r *Receiver) OnPayload(payload []byte) {
-	if r.Metrics != nil && r.mRecv == nil {
-		st := metrics.L("station", r.Name)
-		r.mRecv = r.Metrics.Counter("cpm_rx_received_total", st)
-		r.mMalf = r.Metrics.Counter("cpm_rx_malformed_total", st)
-		r.mFused = r.Metrics.Counter("cpm_objects_fused_total", st)
-		r.mStale = r.Metrics.Counter("cpm_objects_stale_total", st)
+	if r.mRecv == nil {
+		r.mRecv = r.Probe.Counter("cpm_rx_received_total")
+		r.mMalf = r.Probe.Counter("cpm_rx_malformed_total")
+		r.mFused = r.Probe.Counter("cpm_objects_fused_total")
+		r.mStale = r.Probe.Counter("cpm_objects_stale_total")
 	}
 	now := r.now()
 	cpm, err := messages.DecodeCPM(payload)
 	if err != nil {
-		if r.Tracer != nil {
-			r.Tracer.Start("cpm.receive", "facilities", r.Name, now).Drop(now, "malformed")
-		}
+		r.Probe.Start("cpm.receive", "facilities", now).Drop(now, "malformed")
 		r.Malformed++
 		r.mMalf.Inc()
-		r.Flight.Record(now, flight.CPMRx, flight.RxMalformed, 0, 0)
+		r.Probe.Record(now, flight.CPMRx, flight.RxMalformed, 0, 0)
 		return
 	}
 	if cpm.Header.StationID == r.OwnID {
 		return // own perception coming back around
 	}
 	var sp *tracing.Span
-	if r.Tracer != nil {
-		sp = r.Tracer.Start("cpm.receive", "facilities", r.Name, now)
+	if r.Probe.Tracing() {
+		sp = r.Probe.Start("cpm.receive", "facilities", now)
 		sp.SetAttr("objects", fmt.Sprint(len(cpm.PerceivedObjects)))
 	}
 	r.Received++
 	r.mRecv.Inc()
-	r.Flight.Record(now, flight.CPMRx, flight.RxOK, int64(cpm.Header.StationID), 0)
-	r.Tracer.Scope(sp, func() { r.fuse(cpm, now) })
+	r.Probe.Record(now, flight.CPMRx, flight.RxOK, int64(cpm.Header.StationID), 0)
+	r.Probe.Scope(sp, func() { r.fuse(cpm, now) })
 	sp.End(r.now())
 }
 

@@ -16,6 +16,7 @@ import (
 	"itsbed/internal/its/messages"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 	"itsbed/internal/units"
 )
@@ -68,16 +69,11 @@ type Config struct {
 	StationType units.StationType
 	Send        SendFunc
 	Clock       *clock.NTPClock
-	// Metrics, when non-nil, receives den_* counters labeled with Name.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records trigger/encode spans; repetitions
-	// re-attach to their trigger by ActionID.
-	Tracer *tracing.Tracer
-	// Flight, when enabled, records a denm.tx event per transmission
-	// (including repetitions), carrying the ActionID.
-	Flight flight.Hook
+	// Probe receives the station's den_* counters, trigger/encode
+	// spans (repetitions re-attach to their trigger by ActionID) and a
+	// denm.tx flight event per transmission (including repetitions),
+	// carrying the ActionID.
+	Probe trace.Probe
 }
 
 // activeEvent is one originated event under repetition management.
@@ -115,13 +111,10 @@ func New(kernel *sim.Kernel, cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("den: send and clock are required")
 	}
 	s := &Service{cfg: cfg, kernel: kernel, active: make(map[messages.ActionID]*activeEvent)}
-	if cfg.Metrics != nil {
-		st := metrics.L("station", cfg.Name)
-		s.mTrig = cfg.Metrics.Counter("den_triggers_total", st)
-		s.mTx = cfg.Metrics.Counter("den_transmissions_total", st)
-		s.mRep = cfg.Metrics.Counter("den_repetitions_total", st)
-		s.mErr = cfg.Metrics.Counter("den_send_errors_total", st)
-	}
+	s.mTrig = cfg.Probe.Counter("den_triggers_total")
+	s.mTx = cfg.Probe.Counter("den_transmissions_total")
+	s.mRep = cfg.Probe.Counter("den_repetitions_total")
+	s.mErr = cfg.Probe.Counter("den_send_errors_total")
 	return s, nil
 }
 
@@ -178,11 +171,11 @@ func (s *Service) Trigger(req EventRequest) (messages.ActionID, error) {
 	// The trigger span parents every transmission of this event —
 	// including repetitions, which fire from a ticker and re-attach by
 	// the ActionID identity the message carries.
-	sp := s.cfg.Tracer.Start("den.trigger", "facilities", s.cfg.Name, s.kernel.Now())
+	sp := s.cfg.Probe.Start("den.trigger", "facilities", s.kernel.Now())
 	sp.SetAttr("action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber))
-	s.cfg.Tracer.Bind(tracing.KeyDENM(s.cfg.Name, uint32(id.OriginatingStationID), id.SequenceNumber), sp)
+	s.cfg.Probe.Bind(tracing.KeyDENM(s.cfg.Probe.Name(), uint32(id.OriginatingStationID), id.SequenceNumber), sp)
 	var txErr error
-	s.cfg.Tracer.Scope(sp, func() { txErr = s.transmit(ev) })
+	s.cfg.Probe.Scope(sp, func() { txErr = s.transmit(ev) })
 	sp.End(s.kernel.Now())
 	if txErr != nil {
 		return id, txErr
@@ -255,12 +248,12 @@ func (s *Service) Stop() {
 
 func (s *Service) transmit(ev *activeEvent) error {
 	id := ev.denm.Management.ActionID
-	parent := s.cfg.Tracer.Current()
+	parent := s.cfg.Probe.Current()
 	if parent == nil {
 		// Repetition ticker: re-attach to the originating trigger.
-		parent = s.cfg.Tracer.Find(tracing.KeyDENM(s.cfg.Name, uint32(id.OriginatingStationID), id.SequenceNumber))
+		parent = s.cfg.Probe.Find(tracing.KeyDENM(s.cfg.Probe.Name(), uint32(id.OriginatingStationID), id.SequenceNumber))
 	}
-	sp := s.cfg.Tracer.StartChild(parent, "den.transmit", "facilities", s.cfg.Name, s.kernel.Now())
+	sp := s.cfg.Probe.StartChild(parent, "den.transmit", "facilities", s.kernel.Now())
 	payload, err := ev.denm.Encode()
 	if err != nil {
 		s.SendErrors++
@@ -269,7 +262,7 @@ func (s *Service) transmit(ev *activeEvent) error {
 		return fmt.Errorf("den: encode: %w", err)
 	}
 	var sendErr error
-	s.cfg.Tracer.Scope(sp, func() { sendErr = s.cfg.Send(payload, ev.area) })
+	s.cfg.Probe.Scope(sp, func() { sendErr = s.cfg.Send(payload, ev.area) })
 	if sendErr != nil {
 		s.SendErrors++
 		s.mErr.Inc()
@@ -279,7 +272,7 @@ func (s *Service) transmit(ev *activeEvent) error {
 	sp.End(s.kernel.Now())
 	s.Transmitted++
 	s.mTx.Inc()
-	s.cfg.Flight.Record(s.kernel.Now(), flight.DENMTx, 0,
+	s.cfg.Probe.Record(s.kernel.Now(), flight.DENMTx, 0,
 		int64(uint32(id.OriginatingStationID)), int64(id.SequenceNumber))
 	if s.OnTransmit != nil {
 		s.OnTransmit(ev.denm)
@@ -311,19 +304,12 @@ type Receiver struct {
 	KAF  *KeepAliveForwarder
 	seen map[messages.ActionID]uint64 // last delivered referenceTime
 
-	// Metrics, when non-nil, receives den_rx_* counters labeled with
-	// Name.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records decode/deliver spans (suppressed
-	// repetitions end with drop_reason=repetition). Now supplies span
-	// timestamps and is required alongside Tracer.
-	Tracer *tracing.Tracer
-	// Flight, when enabled, records a denm.rx event per decoded (or
-	// malformed) DENM.
-	Flight flight.Hook
-	// Now is the time source for span stamps (the simulation kernel).
+	// Probe receives the station's den_rx_* counters, decode/deliver
+	// spans (suppressed repetitions end with drop_reason=repetition)
+	// and a denm.rx flight event per decoded (or malformed) DENM.
+	Probe trace.Probe
+	// Now is the time source for span and event stamps (the simulation
+	// kernel).
 	Now func() time.Duration
 
 	// Received counts successfully decoded DENMs.
@@ -336,46 +322,37 @@ type Receiver struct {
 	mRecv, mSupp, mMalf *metrics.Counter
 }
 
-func (r *Receiver) initMetrics() {
-	if r.Metrics == nil || r.mRecv != nil {
-		return
-	}
-	st := metrics.L("station", r.Name)
-	r.mRecv = r.Metrics.Counter("den_rx_received_total", st)
-	r.mSupp = r.Metrics.Counter("den_rx_suppressed_total", st)
-	r.mMalf = r.Metrics.Counter("den_rx_malformed_total", st)
-}
-
 // OnPayload processes one received DEN payload.
 func (r *Receiver) OnPayload(payload []byte) {
-	r.initMetrics()
+	if r.mRecv == nil {
+		r.mRecv = r.Probe.Counter("den_rx_received_total")
+		r.mSupp = r.Probe.Counter("den_rx_suppressed_total")
+		r.mMalf = r.Probe.Counter("den_rx_malformed_total")
+	}
 	now := r.now()
 	d, err := messages.DecodeDENM(payload)
 	if err != nil {
 		r.Malformed++
 		r.mMalf.Inc()
-		r.Flight.Record(now, flight.DENMRx, flight.RxMalformed, 0, 0)
-		if r.Tracer != nil {
-			sp := r.Tracer.Start("den.receive", "facilities", r.Name, now)
-			sp.Drop(r.now(), "malformed")
-		}
+		r.Probe.Record(now, flight.DENMRx, flight.RxMalformed, 0, 0)
+		r.Probe.Start("den.receive", "facilities", now).Drop(r.now(), "malformed")
 		return
 	}
 	r.Received++
 	r.mRecv.Inc()
-	r.Flight.Record(now, flight.DENMRx, flight.RxOK,
+	r.Probe.Record(now, flight.DENMRx, flight.RxOK,
 		int64(uint32(d.Management.ActionID.OriginatingStationID)), int64(d.Management.ActionID.SequenceNumber))
 	if r.seen == nil {
 		r.seen = make(map[messages.ActionID]uint64)
 	}
 	id := d.Management.ActionID
 	var sp *tracing.Span
-	if r.Tracer != nil {
-		sp = r.Tracer.Start("den.receive", "facilities", r.Name, now)
+	if r.Probe.Tracing() {
+		sp = r.Probe.Start("den.receive", "facilities", now)
 		sp.SetAttr("action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber))
 		// Bind the last received copy so this station's keep-alive
 		// re-broadcast re-attaches to what it heard.
-		r.Tracer.Bind(tracing.KeyDENM(r.Name, uint32(id.OriginatingStationID), id.SequenceNumber), sp)
+		r.Probe.Bind(tracing.KeyDENM(r.Probe.Name(), uint32(id.OriginatingStationID), id.SequenceNumber), sp)
 	}
 	if r.KAF != nil {
 		// Every copy refreshes the forwarder, including repetitions:
@@ -391,7 +368,7 @@ func (r *Receiver) OnPayload(payload []byte) {
 	}
 	r.seen[id] = d.Management.ReferenceTime
 	if r.Sink != nil {
-		r.Tracer.Scope(sp, func() { r.Sink(d) })
+		r.Probe.Scope(sp, func() { r.Sink(d) })
 	}
 	sp.End(r.now())
 }
@@ -426,14 +403,10 @@ type KeepAliveForwarder struct {
 	defaultInterval time.Duration
 	entries         map[messages.ActionID]*kafEntry
 
-	// Metrics, when non-nil, receives the den_kaf_forwarded_total
-	// counter labeled with Name. Set before the first Observe.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records keep-alive re-broadcast spans,
-	// attached to the last received copy of the event by ActionID.
-	Tracer *tracing.Tracer
+	// Probe receives the station's den_kaf_forwarded_total counter and
+	// keep-alive re-broadcast spans, attached to the last received copy
+	// of the event by ActionID. Set before the first Observe.
+	Probe trace.Probe
 
 	// Forwarded counts keep-alive re-broadcasts.
 	Forwarded uint64
@@ -526,15 +499,15 @@ func (k *KeepAliveForwarder) arm(id messages.ActionID, e *kafEntry, interval tim
 		}
 		if k.forward != nil {
 			now := k.kernel.Now()
-			parent := k.Tracer.Find(tracing.KeyDENM(k.Name, uint32(id.OriginatingStationID), id.SequenceNumber))
-			sp := k.Tracer.StartChild(parent, "den.kaf_forward", "facilities", k.Name, now)
+			parent := k.Probe.Find(tracing.KeyDENM(k.Probe.Name(), uint32(id.OriginatingStationID), id.SequenceNumber))
+			sp := k.Probe.StartChild(parent, "den.kaf_forward", "facilities", now)
 			var fwdErr error
-			k.Tracer.Scope(sp, func() { fwdErr = k.forward(e.payload, e.area) })
+			k.Probe.Scope(sp, func() { fwdErr = k.forward(e.payload, e.area) })
 			sp.End(k.kernel.Now())
 			if fwdErr == nil {
 				k.Forwarded++
-				if k.Metrics != nil && k.mFwd == nil {
-					k.mFwd = k.Metrics.Counter("den_kaf_forwarded_total", metrics.L("station", k.Name))
+				if k.mFwd == nil {
+					k.mFwd = k.Probe.Counter("den_kaf_forwarded_total")
 				}
 				k.mFwd.Inc()
 			}

@@ -6,6 +6,7 @@ import (
 
 	"itsbed/internal/geo"
 	"itsbed/internal/metrics"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 	"itsbed/internal/units"
 )
@@ -64,14 +65,10 @@ type RouterConfig struct {
 	// DisableForwarding turns off GBC rebroadcast (single-hop setups
 	// such as the paper's lab need none).
 	DisableForwarding bool
-	// Metrics, when non-nil, receives geonet_* counters labeled with
-	// Name.
-	Metrics *metrics.Registry
-	// Name is the station label used on metric families.
-	Name string
-	// Tracer, when non-nil, records per-packet send/receive spans;
-	// duplicate and out-of-area receptions end with a drop_reason.
-	Tracer *tracing.Tracer
+	// Probe receives the station's geonet_* counters and, when tracing,
+	// per-packet send/receive spans; duplicate and out-of-area
+	// receptions end with a drop_reason.
+	Probe trace.Probe
 }
 
 // Router implements GN packet handling for one station: sending SHB
@@ -120,15 +117,13 @@ func NewRouter(cfg RouterConfig, link LinkLayer, ego EgoPositionProvider, handle
 		handler: handler,
 		table:   NewLocationTable(0),
 	}
-	if reg := cfg.Metrics; reg != nil {
-		st := metrics.L("station", cfg.Name)
-		r.mSent = reg.Counter("geonet_sent_total", st)
-		r.mRecv = reg.Counter("geonet_received_total", st)
-		r.mDup = reg.Counter("geonet_duplicates_dropped_total", st)
-		r.mFwd = reg.Counter("geonet_forwarded_total", st)
-		r.mOOA = reg.Counter("geonet_out_of_area_total", st)
-		r.mBeacon = reg.Counter("geonet_beacons_received_total", st)
-	}
+	p := cfg.Probe
+	r.mSent = p.Counter("geonet_sent_total")
+	r.mRecv = p.Counter("geonet_received_total")
+	r.mDup = p.Counter("geonet_duplicates_dropped_total")
+	r.mFwd = p.Counter("geonet_forwarded_total")
+	r.mOOA = p.Counter("geonet_out_of_area_total")
+	r.mBeacon = p.Counter("geonet_beacons_received_total")
 	return r, nil
 }
 
@@ -185,10 +180,10 @@ func (r *Router) SendSHB(next NextHeader, tc TrafficClass, payload []byte) error
 	r.mSent.Inc()
 	now := r.cfg.Now()
 	r.lastTx = now
-	sp := r.cfg.Tracer.Start("geonet.send", "geonet", r.cfg.Name, now)
+	sp := r.cfg.Probe.Start("geonet.send", "geonet", now)
 	sp.SetAttr("type", "shb")
 	var sendErr error
-	r.cfg.Tracer.Scope(sp, func() { sendErr = r.send(frame, tc) })
+	r.cfg.Probe.Scope(sp, func() { sendErr = r.send(frame, tc) })
 	sp.End(r.cfg.Now())
 	return sendErr
 }
@@ -220,14 +215,14 @@ func (r *Router) SendGBC(next NextHeader, tc TrafficClass, area Area, lifetime t
 	r.Sent++
 	r.mSent.Inc()
 	r.lastTx = now
-	sp := r.cfg.Tracer.Start("geonet.send", "geonet", r.cfg.Name, now)
+	sp := r.cfg.Probe.Start("geonet.send", "geonet", now)
 	sp.SetAttr("type", "gbc")
 	sp.SetAttr("gn_seq", fmt.Sprintf("%d", p.SequenceNumber))
 	// Bind the GN identity (source address + sequence) so a receiver
 	// without synchronous context can re-attach to this tree.
-	r.cfg.Tracer.Bind(tracing.KeyGBC(p.Source.Address.String(), p.SequenceNumber), sp)
+	r.cfg.Probe.Bind(tracing.KeyGBC(p.Source.Address.String(), p.SequenceNumber), sp)
 	var sendErr error
-	r.cfg.Tracer.Scope(sp, func() { sendErr = r.send(frame, tc) })
+	r.cfg.Probe.Scope(sp, func() { sendErr = r.send(frame, tc) })
 	sp.End(r.cfg.Now())
 	return sendErr
 }
@@ -248,9 +243,9 @@ func (r *Router) OnFrame(frame []byte) {
 	case HeaderTypeTSB:
 		r.Received++
 		r.mRecv.Inc()
-		sp := r.cfg.Tracer.Start("geonet.receive", "geonet", r.cfg.Name, now)
+		sp := r.cfg.Probe.Start("geonet.receive", "geonet", now)
 		sp.SetAttr("type", "shb")
-		r.cfg.Tracer.Scope(sp, func() { r.deliver(p) })
+		r.cfg.Probe.Scope(sp, func() { r.deliver(p) })
 		sp.End(r.cfg.Now())
 	case HeaderTypeGBC:
 		sp := r.rxSpan(p, now)
@@ -265,7 +260,7 @@ func (r *Router) OnFrame(frame []byte) {
 		if inside {
 			r.Received++
 			r.mRecv.Inc()
-			r.cfg.Tracer.Scope(sp, func() { r.deliver(p) })
+			r.cfg.Probe.Scope(sp, func() { r.deliver(p) })
 		} else {
 			r.OutOfArea++
 			r.mOOA.Inc()
@@ -282,7 +277,7 @@ func (r *Router) OnFrame(frame []byte) {
 				r.Forwarded++
 				r.mFwd.Inc()
 				sp.SetAttr("forwarded", "true")
-				r.cfg.Tracer.Scope(sp, func() { _ = r.send(frame, p.TrafficClass) })
+				r.cfg.Probe.Scope(sp, func() { _ = r.send(frame, p.TrafficClass) })
 			}
 		}
 		if inside {
@@ -295,14 +290,14 @@ func (r *Router) OnFrame(frame []byte) {
 // airtime span when reception is synchronous (the simulated medium),
 // else re-attached by the GN source address + sequence identity.
 func (r *Router) rxSpan(p *Packet, now time.Duration) *tracing.Span {
-	if r.cfg.Tracer == nil {
+	if !r.cfg.Probe.Tracing() {
 		return nil
 	}
-	parent := r.cfg.Tracer.Current()
+	parent := r.cfg.Probe.Current()
 	if parent == nil {
-		parent = r.cfg.Tracer.Find(tracing.KeyGBC(p.Source.Address.String(), p.SequenceNumber))
+		parent = r.cfg.Probe.Find(tracing.KeyGBC(p.Source.Address.String(), p.SequenceNumber))
 	}
-	sp := r.cfg.Tracer.StartChild(parent, "geonet.receive", "geonet", r.cfg.Name, now)
+	sp := r.cfg.Probe.StartChild(parent, "geonet.receive", "geonet", now)
 	sp.SetAttr("type", "gbc")
 	sp.SetAttr("gn_seq", fmt.Sprintf("%d", p.SequenceNumber))
 	return sp

@@ -550,11 +550,6 @@ func (s Snapshot) FindCounter(name string, labels ...Label) (CounterSample, bool
 	return find(s.Counters, name, labels)
 }
 
-// FindGauge looks up a gauge sample by name and exact label set.
-func (s Snapshot) FindGauge(name string, labels ...Label) (GaugeSample, bool) {
-	return find(s.Gauges, name, labels)
-}
-
 // FindHistogram looks up a histogram sample by name and exact label set.
 func (s Snapshot) FindHistogram(name string, labels ...Label) (HistogramSample, bool) {
 	return find(s.Histograms, name, labels)

@@ -50,8 +50,8 @@ func TestLabelOrderCanonicalised(t *testing.T) {
 	if c, ok := s.FindCounter("x", L("b", "2"), L("a", "1")); !ok || c.Value != 2 {
 		t.Fatalf("FindCounter reversed order = %+v %v, want value 2", c, ok)
 	}
-	if g, ok := s.FindGauge("y", L("a", "1"), L("b", "2")); !ok || g.Value != 3 {
-		t.Fatalf("FindGauge sorted order = %+v %v, want value 3", g, ok)
+	if g, ok := find(s.Gauges, "y", []Label{L("a", "1"), L("b", "2")}); !ok || g.Value != 3 {
+		t.Fatalf("gauge find sorted order = %+v %v, want value 3", g, ok)
 	}
 	if h, ok := s.FindHistogram("z", L("b", "2"), L("a", "1")); !ok || h.Count != 1 {
 		t.Fatalf("FindHistogram reversed order = %+v %v, want count 1", h, ok)
@@ -75,8 +75,8 @@ func TestLabelOrderCanonicalised(t *testing.T) {
 	if _, ok := s.FindCounter("y", L("a", "1"), L("b", "2")); ok {
 		t.Fatal("FindCounter matched a gauge family")
 	}
-	if _, ok := s.FindGauge("x", L("a", "1"), L("b", "2")); ok {
-		t.Fatal("FindGauge matched a counter family")
+	if _, ok := find(s.Gauges, "x", []Label{L("a", "1"), L("b", "2")}); ok {
+		t.Fatal("gauge find matched a counter family")
 	}
 }
 
@@ -107,7 +107,7 @@ func TestLookupOfExistingFamilyAllocatesNothing(t *testing.T) {
 		{"Histogram reversed", func() { r.Histogram("access_delay_seconds", L("station", "rsu"), L("kind", "cam")).Observe(0.002) }},
 		{"Merge", func() { into.Merge(snap) }},
 		{"FindCounter reversed", func() { snap.FindCounter("frames_total", L("station", "rsu"), L("kind", "cam")) }},
-		{"FindGauge", func() { snap.FindGauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")) }},
+		{"find gauge", func() { find(snap.Gauges, "queue_depth_frames", []Label{L("kind", "cam"), L("station", "rsu")}) }},
 		{"FindHistogram miss", func() { snap.FindHistogram("access_delay_seconds", L("station", "obu"), L("kind", "cam")) }},
 	} {
 		if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
@@ -289,7 +289,7 @@ func TestMergeSemantics(t *testing.T) {
 	if c, _ := s.FindCounter("sent_total"); c.Value != 7 {
 		t.Fatalf("merged counter = %d, want 7", c.Value)
 	}
-	if g, _ := s.FindGauge("depth_max"); g.Value != 5 {
+	if g, _ := find(s.Gauges, "depth_max", nil); g.Value != 5 {
 		t.Fatalf("merged gauge = %g, want 5", g.Value)
 	}
 	h, _ := s.FindHistogram("lat")

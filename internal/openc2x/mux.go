@@ -20,6 +20,7 @@ import (
 	"itsbed/internal/geo"
 	"itsbed/internal/its/facilities/ldm"
 	"itsbed/internal/metrics"
+	"itsbed/internal/trace"
 	"itsbed/internal/units"
 )
 
@@ -92,10 +93,10 @@ type MuxServer struct {
 	start  time.Time
 	logger *slog.Logger
 
-	reg    *metrics.Registry
-	flight *flight.Recorder
-	fl     flight.Hook // daemon-level events (sheds)
-	ldm    *ldm.Sharded
+	// p is the daemon-level handle: the registry and flight recorder
+	// every hosted station shares, and the "mux" ring for sheds.
+	p   trace.Probe
+	ldm *ldm.Sharded
 
 	shards [muxShards]muxShard
 	// defaultID guards the legacy-alias target (first registered
@@ -161,15 +162,12 @@ func NewMuxServer(cfg MuxConfig) (*MuxServer, error) {
 	}
 	start := time.Now()
 	reg := metrics.NewRegistry()
-	rec := flight.NewRecorder(cfg.FlightCapacity)
 	s := &MuxServer{
 		cfg:    cfg,
 		ln:     ln,
 		start:  start,
 		logger: logger,
-		reg:    reg,
-		flight: rec,
-		fl:     rec.Hook("mux"),
+		p:      trace.Sink{Metrics: reg, Flight: flight.NewRecorder(cfg.FlightCapacity)}.Probe("mux"),
 		ldm: ldm.NewSharded(cfg.LDMShards, ldm.Config{
 			Frame: frame,
 			Now:   func() time.Duration { return time.Since(start) },
@@ -188,7 +186,7 @@ func NewMuxServer(cfg MuxConfig) (*MuxServer, error) {
 	}
 
 	guardFor := func(endpoint string) *guard {
-		return newGuard(endpoint, cfg.Limits, reg, s.fl, start)
+		return newGuard(endpoint, cfg.Limits, s.p, start)
 	}
 	trigger := guardFor("trigger_denm")
 	request := guardFor("request_denm")
@@ -219,8 +217,8 @@ func NewMuxServer(cfg MuxConfig) (*MuxServer, error) {
 
 	// Shared routes.
 	mux.HandleFunc("GET /causes", handleCauses)
-	mux.Handle("GET /metrics", scrape.wrap(metrics.Handler(func() metrics.Snapshot { return s.reg.Snapshot() })))
-	mux.Handle("GET /debug/flight", flight.Handler(func() flight.Snapshot { return s.flight.Snapshot() }))
+	mux.Handle("GET /metrics", scrape.wrap(metrics.Handler(func() metrics.Snapshot { return reg.Snapshot() })))
+	mux.Handle("GET /debug/flight", flight.Handler(func() flight.Snapshot { return s.p.Sink().Flight.Snapshot() }))
 	mux.HandleFunc("GET /ldm", s.serveLDM)
 	mux.HandleFunc("GET /healthz", s.serveHealthz)
 	mux.HandleFunc("GET /buildinfo", s.serveBuildinfo)
@@ -249,10 +247,10 @@ func (s *MuxServer) EnablePprof() {
 func (s *MuxServer) Addr() string { return s.ln.Addr().String() }
 
 // Metrics returns the daemon's shared registry.
-func (s *MuxServer) Metrics() *metrics.Registry { return s.reg }
+func (s *MuxServer) Metrics() *metrics.Registry { return s.p.Sink().Metrics }
 
 // FlightSnapshot exports the shared black-box recorder.
-func (s *MuxServer) FlightSnapshot() flight.Snapshot { return s.flight.Snapshot() }
+func (s *MuxServer) FlightSnapshot() flight.Snapshot { return s.p.Sink().Flight.Snapshot() }
 
 // Serve blocks serving the API until Close/Shutdown.
 func (s *MuxServer) Serve() error {
@@ -311,8 +309,7 @@ func (s *MuxServer) Register(id uint32, st units.StationType, pos geo.LatLon) (*
 		Link:        &muxLink{s: s},
 		Logger:      s.logger,
 		MailboxCap:  s.cfg.MailboxCap,
-		Metrics:     s.reg,
-		Flight:      s.flight,
+		Sink:        s.p.Sink(),
 	})
 	if err != nil {
 		return nil, err
@@ -398,7 +395,7 @@ func (s *MuxServer) OnFrame(frame []byte) {
 	dec, stage, err := decodeFrame(frame)
 	if err != nil {
 		s.muxMalformed.Inc()
-		s.fl.Record(time.Since(s.start), flight.RadioRx, flight.RxMalformed, int64(len(frame)), 0)
+		s.p.Record(time.Since(s.start), flight.RadioRx, flight.RxMalformed, int64(len(frame)), 0)
 		_ = stage
 		return
 	}

@@ -8,6 +8,7 @@ import (
 
 	"itsbed/internal/flight"
 	"itsbed/internal/metrics"
+	"itsbed/internal/trace"
 )
 
 // Limits parameterises the overload-protection layer wrapped around
@@ -92,15 +93,17 @@ type guard struct {
 	latency          *metrics.Histogram
 }
 
-// newGuard builds the admission controller for one endpoint. reg and
-// fl may be shared across endpoints; start anchors flight timestamps.
-func newGuard(endpoint string, lim Limits, reg *metrics.Registry, fl flight.Hook, start time.Time) *guard {
+// newGuard builds the admission controller for one endpoint, counting
+// into p's registry and recording sheds into p's ring; p may be shared
+// across endpoints. start anchors flight timestamps.
+func newGuard(endpoint string, lim Limits, p trace.Probe, start time.Time) *guard {
 	lim = lim.withDefaults()
+	reg := p.Sink().Metrics
 	g := &guard{
 		endpoint: endpoint,
 		lim:      lim,
 		start:    start,
-		fl:       fl,
+		fl:       p.Hook,
 
 		shedQueueFull:    reg.Counter("shed_total", metrics.L("endpoint", endpoint), metrics.L("reason", "queue_full")),
 		shedQueueTimeout: reg.Counter("shed_total", metrics.L("endpoint", endpoint), metrics.L("reason", "queue_timeout")),

@@ -10,12 +10,13 @@ import (
 
 	"itsbed/internal/flight"
 	"itsbed/internal/metrics"
+	"itsbed/internal/trace"
 )
 
 func testGuard(lim Limits) (*guard, *metrics.Registry) {
 	reg := metrics.NewRegistry()
 	rec := flight.NewRecorder(64)
-	return newGuard("test", lim, reg, rec.Hook("test"), time.Now()), reg
+	return newGuard("test", lim, trace.Sink{Metrics: reg, Flight: rec}.Probe("test"), time.Now()), reg
 }
 
 // TestGuardShedsWhenQueueFull: with one slot and a zero queue, a

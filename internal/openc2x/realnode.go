@@ -17,6 +17,7 @@ import (
 	"itsbed/internal/its/geonet"
 	"itsbed/internal/its/messages"
 	"itsbed/internal/metrics"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 	"itsbed/internal/units"
 )
@@ -38,27 +39,22 @@ type RealNode struct {
 	mailbox     []ReceivedDENM
 	mailboxCap  int
 	camSink     func(*messages.CAM)
-	label       string
 	logger      *slog.Logger
 
-	// tracer records per-DENM spans on the wall clock (offsets from
-	// start); finished traces move into ring, which backs /trace.
-	tracer *tracing.Tracer
-	ring   *tracing.Ring
-	// flight is the always-on black-box recorder behind /debug/flight;
-	// fl is the node's own station hook (event times are offsets from
-	// start, like the trace spans).
-	flight *flight.Recorder
-	fl     flight.Hook
+	// p reports into the node's registry (the /metrics endpoint), its
+	// own tracer and the always-on black-box recorder behind
+	// /debug/flight. Spans and events are stamped on the wall clock
+	// (offsets from start); finished traces move out of the tracer
+	// into ring, which backs /trace.
+	p    trace.Probe
+	ring *tracing.Ring
 	// mailboxSpans parallels mailbox: open openc2x.mailbox spans ended
 	// when a poll drains the entry.
 	mailboxSpans []*tracing.Span
 
-	// reg collects the daemon's openc2x_* metrics; the counters below
-	// are cached families from it. OnFrame runs on the link's read-loop
-	// goroutine while callers poll the counters, so everything is
-	// atomic underneath.
-	reg       *metrics.Registry
+	// The counters below are cached openc2x_* families of the node's
+	// registry. OnFrame runs on the link's read-loop goroutine while
+	// callers poll the counters, so everything is atomic underneath.
 	received  *metrics.Counter
 	malformed *metrics.Counter
 	denms     *metrics.Counter
@@ -76,7 +72,7 @@ func (n *RealNode) ReceivedCount() uint64 { return n.received.Value() }
 func (n *RealNode) MalformedCount() uint64 { return n.malformed.Value() }
 
 // Metrics returns the node's metrics registry (the /metrics endpoint).
-func (n *RealNode) Metrics() *metrics.Registry { return n.reg }
+func (n *RealNode) Metrics() *metrics.Registry { return n.p.Sink().Metrics }
 
 // DatagramLink is the transport of a RealNode.
 type DatagramLink interface {
@@ -104,16 +100,16 @@ type RealNodeConfig struct {
 	// and flight-recorded). Zero selects DefaultMailboxCap; negative
 	// disables the bound.
 	MailboxCap int
-	// Metrics, when non-nil, is the registry the node instruments into.
-	// The multiplexed daemon shares one registry across every hosted
-	// station so the aggregate stays O(families), not O(stations); nil
-	// creates a private registry.
-	Metrics *metrics.Registry
-	// Flight, when non-nil, is the shared black-box recorder; nil
-	// creates a private one. The node records under its station ID.
-	Flight *flight.Recorder
+	// Sink's registry and flight recorder, when non-nil, are the ones
+	// the node instruments into. The multiplexed daemon shares them
+	// across every hosted station so the metrics aggregate stays
+	// O(families), not O(stations); nil creates a private registry or
+	// recorder. The node records flight events under its station ID.
+	// Spans always go to a tracer of the node's own, whose finished
+	// traces feed /trace; Sink.Tracer is not used.
+	Sink trace.Sink
 	// FlightCapacity sizes the private recorder's per-station ring when
-	// Flight is nil (zero selects the flight package default).
+	// Sink.Flight is nil (zero selects the flight package default).
 	FlightCapacity int
 }
 
@@ -131,19 +127,18 @@ func NewRealNode(cfg RealNodeConfig) (*RealNode, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
+	sink := trace.Sink{Metrics: cfg.Sink.Metrics, Tracer: tracing.New(), Flight: cfg.Sink.Flight}
+	if sink.Metrics == nil {
+		sink.Metrics = metrics.NewRegistry()
 	}
-	rec := cfg.Flight
-	if rec == nil {
-		rec = flight.NewRecorder(cfg.FlightCapacity)
+	if sink.Flight == nil {
+		sink.Flight = flight.NewRecorder(cfg.FlightCapacity)
 	}
+	reg := sink.Metrics
 	cap := cfg.MailboxCap
 	if cap == 0 {
 		cap = DefaultMailboxCap
 	}
-	label := strconv.FormatUint(uint64(cfg.StationID), 10)
 	return &RealNode{
 		stationID:   cfg.StationID,
 		stationType: cfg.StationType,
@@ -152,13 +147,9 @@ func NewRealNode(cfg RealNodeConfig) (*RealNode, error) {
 		link:        cfg.Link,
 		start:       time.Now(),
 		mailboxCap:  cap,
-		label:       label,
 		logger:      logger,
-		tracer:      tracing.New(),
+		p:           sink.Probe(strconv.FormatUint(uint64(cfg.StationID), 10)),
 		ring:        tracing.NewRing(64),
-		flight:      rec,
-		fl:          rec.Hook(label),
-		reg:         reg,
 		received:    reg.Counter("openc2x_frames_received_total"),
 		malformed:   reg.Counter("openc2x_frames_malformed_total"),
 		denms:       reg.Counter("openc2x_denms_received_total"),
@@ -192,11 +183,11 @@ func (n *RealNode) TriggerDENM(req TriggerRequest) (messages.ActionID, error) {
 	n.mu.Unlock()
 	n.triggers.Inc()
 
-	sp := n.tracer.Start("openc2x.trigger_denm", "openc2x", n.label, time.Since(n.start))
+	sp := n.p.Start("openc2x.trigger_denm", "openc2x", time.Since(n.start))
 	sp.SetAttr("action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber))
 	defer func() {
 		sp.End(time.Since(n.start))
-		n.ring.Add(n.tracer.Take(sp.TraceID()))
+		n.retire(sp)
 	}()
 	n.logger.Debug("trigger_denm",
 		"action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber),
@@ -267,7 +258,7 @@ func (n *RealNode) TriggerDENM(req TriggerRequest) (messages.ActionID, error) {
 		sp.Drop(time.Since(n.start), "send_error")
 		return id, err
 	}
-	n.fl.Record(time.Since(n.start), flight.DENMTx, 0, int64(uint32(id.OriginatingStationID)), int64(id.SequenceNumber))
+	n.p.Record(time.Since(n.start), flight.DENMTx, 0, int64(uint32(id.OriginatingStationID)), int64(id.SequenceNumber))
 	return id, nil
 }
 
@@ -385,11 +376,11 @@ func (n *RealNode) recordMalformed(stage string, frameLen int) {
 	n.malformed.Add(1)
 	switch stage {
 	case decodeStageGN:
-		n.fl.Record(time.Since(n.start), flight.RadioRx, flight.RxMalformed, int64(frameLen), 0)
+		n.p.Record(time.Since(n.start), flight.RadioRx, flight.RxMalformed, int64(frameLen), 0)
 	case decodeStageDENM:
-		n.fl.Record(time.Since(n.start), flight.DENMRx, flight.RxMalformed, 0, 0)
+		n.p.Record(time.Since(n.start), flight.DENMRx, flight.RxMalformed, 0, 0)
 	case decodeStageCAM:
-		n.fl.Record(time.Since(n.start), flight.CAMRx, flight.RxMalformed, 0, 0)
+		n.p.Record(time.Since(n.start), flight.CAMRx, flight.RxMalformed, 0, 0)
 	}
 }
 
@@ -418,10 +409,10 @@ func (n *RealNode) deliver(dec decodedFrame) {
 		n.denms.Add(1)
 		id := d.Management.ActionID
 		now := time.Since(n.start)
-		n.fl.Record(now, flight.DENMRx, flight.RxOK, int64(uint32(id.OriginatingStationID)), int64(id.SequenceNumber))
-		root := n.tracer.Start("openc2x.rx_frame", "openc2x", n.label, now)
+		n.p.Record(now, flight.DENMRx, flight.RxOK, int64(uint32(id.OriginatingStationID)), int64(id.SequenceNumber))
+		root := n.p.Start("openc2x.rx_frame", "openc2x", now)
 		root.SetAttr("action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber))
-		msp := n.tracer.StartChild(root, "openc2x.mailbox", "openc2x", n.label, now)
+		msp := n.p.StartChild(root, "openc2x.mailbox", "openc2x", now)
 		root.End(now)
 		n.logger.Debug("denm received",
 			"action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber),
@@ -433,7 +424,7 @@ func (n *RealNode) deliver(dec decodedFrame) {
 			// the freshest hazard information for a client that finally
 			// polls) and account the loss.
 			old := n.mailbox[0].DENM.Management.ActionID
-			n.fl.Record(now, flight.MailboxDrop, flight.DropOldest, int64(uint32(old.OriginatingStationID)), int64(old.SequenceNumber))
+			n.p.Record(now, flight.MailboxDrop, flight.DropOldest, int64(uint32(old.OriginatingStationID)), int64(old.SequenceNumber))
 			evicted = n.mailboxSpans[0]
 			copy(n.mailbox, n.mailbox[1:])
 			n.mailbox[len(n.mailbox)-1] = ReceivedDENM{DENM: d, ReceivedAt: now}
@@ -448,13 +439,13 @@ func (n *RealNode) deliver(dec decodedFrame) {
 		n.mu.Unlock()
 		if evicted != nil {
 			evicted.Drop(now, "mailbox_full")
-			n.ring.Add(n.tracer.Take(evicted.TraceID()))
+			n.retire(evicted)
 		}
 	case dec.CAM != nil:
 		c := dec.CAM
 		n.received.Add(1)
 		n.cams.Add(1)
-		n.fl.Record(time.Since(n.start), flight.CAMRx, flight.RxOK, int64(c.Header.StationID), 0)
+		n.p.Record(time.Since(n.start), flight.CAMRx, flight.RxOK, int64(c.Header.StationID), 0)
 		n.mu.Lock()
 		sink := n.camSink
 		n.mu.Unlock()
@@ -495,7 +486,7 @@ func (n *RealNode) RequestDENM() []ReceivedDENM {
 	now := time.Since(n.start)
 	for _, sp := range spans {
 		sp.End(now)
-		n.ring.Add(n.tracer.Take(sp.TraceID()))
+		n.retire(sp)
 	}
 	return out
 }
@@ -513,13 +504,19 @@ func (n *RealNode) DrainMailbox(reason string) int {
 	n.mu.Unlock()
 	now := time.Since(n.start)
 	if dropped > 0 {
-		n.fl.Record(now, flight.MailboxDrop, flight.DropShutdown, int64(dropped), 0)
+		n.p.Record(now, flight.MailboxDrop, flight.DropShutdown, int64(dropped), 0)
 	}
 	for _, sp := range spans {
 		sp.Drop(now, reason)
-		n.ring.Add(n.tracer.Take(sp.TraceID()))
+		n.retire(sp)
 	}
 	return dropped
+}
+
+// retire moves the finished trace of sp out of the node's tracer into
+// the /trace ring.
+func (n *RealNode) retire(sp *tracing.Span) {
+	n.ring.Add(n.p.Sink().Tracer.Take(sp.TraceID()))
 }
 
 // TraceHandler serves the ring of recent DENM traces as JSON (the
@@ -529,12 +526,12 @@ func (n *RealNode) TraceHandler() http.Handler { return n.ring.Handler() }
 // FlightHandler serves the live black-box event ring as JSON (the
 // daemons' /debug/flight endpoint).
 func (n *RealNode) FlightHandler() http.Handler {
-	return flight.Handler(func() flight.Snapshot { return n.flight.Snapshot() })
+	return flight.Handler(func() flight.Snapshot { return n.p.Sink().Flight.Snapshot() })
 }
 
 // FlightStations reports how many stations the black box has seen
 // (the node itself plus nothing else until peers are interned).
-func (n *RealNode) FlightStations() int { return n.flight.Stations() }
+func (n *RealNode) FlightStations() int { return n.p.Sink().Flight.Stations() }
 
 // Uptime reports the wall-clock time since the node was built.
 func (n *RealNode) Uptime() time.Duration { return time.Since(n.start) }

@@ -10,6 +10,7 @@ import (
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
 	"itsbed/internal/stack"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 )
 
@@ -75,7 +76,7 @@ type SimNode struct {
 	// mailboxSpans holds one open openc2x.mailbox span per mailbox
 	// entry (nil entries when tracing is off), ended at poll pickup.
 	mailboxSpans []*tracing.Span
-	tracer       *tracing.Tracer
+	p            trace.Probe
 
 	// Faults, when non-nil, screens every API request for injected
 	// timeouts and error responses. Assign a concrete value only —
@@ -116,26 +117,24 @@ func NewSimNode(kernel *sim.Kernel, station *stack.Station, lat Latencies) *SimN
 		station: station,
 		lat:     lat,
 		rng:     kernel.Rand("openc2x." + station.Name()),
-		tracer:  station.Tracer(),
+		p:       station.Probe(),
 	}
-	if r := station.Metrics(); r != nil {
-		st := metrics.L("station", station.Name())
-		n.mTrigUp = r.Histogram("openc2x_trigger_latency_seconds", st, metrics.L("dir", "up"))
-		n.mTrigDown = r.Histogram("openc2x_trigger_latency_seconds", st, metrics.L("dir", "down"))
-		n.mPollUp = r.Histogram("openc2x_poll_latency_seconds", st, metrics.L("dir", "up"))
-		n.mPollDown = r.Histogram("openc2x_poll_latency_seconds", st, metrics.L("dir", "down"))
-		n.mResidency = r.Histogram("openc2x_mailbox_residency_seconds", st)
-		n.mTriggers = r.Counter("openc2x_triggers_total", st)
-		n.mPolls = r.Counter("openc2x_polls_total", st)
-		n.mDepthMax = r.Gauge("openc2x_mailbox_depth_max", st)
-		n.mDropped = r.Counter("openc2x_mailbox_dropped_total", st)
-	}
+	p := n.p
+	n.mTrigUp = p.Histogram("openc2x_trigger_latency_seconds", metrics.L("dir", "up"))
+	n.mTrigDown = p.Histogram("openc2x_trigger_latency_seconds", metrics.L("dir", "down"))
+	n.mPollUp = p.Histogram("openc2x_poll_latency_seconds", metrics.L("dir", "up"))
+	n.mPollDown = p.Histogram("openc2x_poll_latency_seconds", metrics.L("dir", "down"))
+	n.mResidency = p.Histogram("openc2x_mailbox_residency_seconds")
+	n.mTriggers = p.Counter("openc2x_triggers_total")
+	n.mPolls = p.Counter("openc2x_polls_total")
+	n.mDepthMax = p.Gauge("openc2x_mailbox_depth_max")
+	n.mDropped = p.Counter("openc2x_mailbox_dropped_total")
 	prev := station.OnDENM
 	station.OnDENM = func(d *messages.DENM) {
 		// The hook runs inside the den.receive scope, so Start attaches
 		// the mailbox span to the delivery chain; it stays open until a
 		// request_denm poll drains the entry.
-		sp := n.tracer.Start("openc2x.mailbox", "openc2x", station.Name(), kernel.Now())
+		sp := n.p.Start("openc2x.mailbox", "openc2x", kernel.Now())
 		if n.MailboxCap > 0 && len(n.mailbox) >= n.MailboxCap {
 			// Drop-oldest: the stalest warning makes room for the
 			// freshest one.
@@ -168,11 +167,11 @@ func (n *SimNode) Station() *stack.Station { return n.station }
 // and the response callback fires after the downlink latency. The
 // callback runs on the kernel; it may be nil.
 func (n *SimNode) TriggerDENM(req TriggerRequest, cb func(messages.ActionID, error)) {
-	parent := n.tracer.Current()
+	parent := n.p.Current()
 	if parent == nil {
-		parent = n.tracer.Find(tracing.KeyChain)
+		parent = n.p.Find(tracing.KeyChain)
 	}
-	sp := n.tracer.StartChild(parent, "openc2x.trigger_denm", "openc2x", n.station.Name(), n.kernel.Now())
+	sp := n.p.StartChild(parent, "openc2x.trigger_denm", "openc2x", n.kernel.Now())
 	if n.station.Crashed() {
 		sp.Drop(n.kernel.Now(), "node_down")
 		if cb != nil {
@@ -204,7 +203,7 @@ func (n *SimNode) TriggerDENM(req TriggerRequest, cb func(messages.ActionID, err
 		n.mTriggers.Inc()
 		var id messages.ActionID
 		var err error
-		n.tracer.Scope(sp, func() {
+		n.p.Scope(sp, func() {
 			id, err = n.station.DEN.Trigger(den.EventRequest{
 				EventType: messages.EventType{
 					CauseCode:    messages.CauseCode(req.CauseCode),
@@ -293,15 +292,15 @@ func (n *SimNode) RequestDENMResult(cb func([]ReceivedDENM, error)) {
 			if delivery == nil && msp != nil {
 				// The poll delivers the whole batch in one response; hang
 				// the delivery span off the oldest waiting message.
-				delivery = n.tracer.StartChild(msp, "openc2x.poll_delivery", "openc2x", n.station.Name(), now)
+				delivery = n.p.StartChild(msp, "openc2x.poll_delivery", "openc2x", now)
 				delivery.SetAttr("batch", fmt.Sprintf("%d", len(batch)))
-				n.tracer.Bind(tracing.KeyPoll(n.station.Name()), delivery)
+				n.p.Bind(tracing.KeyPoll(n.station.Name()), delivery)
 			}
 		}
 		down := n.lat.Poll.sample(n.rng)
 		n.mPollDown.ObserveDuration(down)
 		n.kernel.ScheduleFn(down, func() {
-			n.tracer.Scope(delivery, func() { cb(batch, nil) })
+			n.p.Scope(delivery, func() { cb(batch, nil) })
 			delivery.End(n.kernel.Now())
 		})
 	})

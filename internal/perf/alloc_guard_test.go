@@ -9,8 +9,10 @@ import (
 	"itsbed/internal/experiments"
 	"itsbed/internal/flight"
 	"itsbed/internal/geo"
+	"itsbed/internal/metrics"
 	"itsbed/internal/radio"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 )
 
 // Allocation ceilings for the hot paths. These are regression guards,
@@ -134,16 +136,32 @@ func TestAllocGuardLDMObjectsWithin(t *testing.T) {
 
 // TestAllocGuardFlightAppend pins the black-box recorder's hot path:
 // once a station's hook is interned, Record must not allocate — the
-// recorder stays always-on without touching the PR 5 alloc budget.
+// recorder stays always-on without touching the PR 5 alloc budget. The
+// station handle every layer reports through must add nothing to it:
+// recording through it, looking up and incrementing a station counter
+// it already holds, and starting a span with tracing off all stay free.
 func TestAllocGuardFlightAppend(t *testing.T) {
 	rec := flight.NewRecorder(64)
 	hook := rec.Hook("guard")
 	src := rec.Hook("peer")
+	probe := trace.Sink{Metrics: metrics.NewRegistry(), Flight: rec}.Probe("guard")
+	probe.Counter("guard_total", metrics.L("msg", "denm")).Inc()
 	at := time.Duration(0)
 	guardAllocs(t, "flight append", 10_000, maxAllocsFlightAppend, func() {
 		at += time.Microsecond
 		hook.Record(at, flight.RadioTx, 0, 128, 0)
 		hook.RecordFrom(at, flight.RadioRx, flight.RxOK, src, 128, 0)
+	})
+	guardAllocs(t, "probe flight record", 10_000, maxAllocsFlightAppend, func() {
+		at += time.Microsecond
+		probe.Record(at, flight.RadioTx, 0, 128, 0)
+		probe.RecordFrom(at, flight.RadioRx, flight.RxOK, src, 128, 0)
+	})
+	guardAllocs(t, "probe counter increment", 10_000, maxAllocsFlightAppend, func() {
+		probe.Counter("guard_total", metrics.L("msg", "denm")).Inc()
+	})
+	guardAllocs(t, "probe span start, tracing off", 10_000, maxAllocsFlightAppend, func() {
+		probe.Start("guard.span", "guard", at).End(at)
 	})
 }
 

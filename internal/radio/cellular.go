@@ -8,6 +8,7 @@ import (
 	"itsbed/internal/flight"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 )
 
 // CellularProfile describes the one-way latency of a cellular (Uu)
@@ -69,12 +70,10 @@ type CellularLink struct {
 	// wipe uplinks at the base station, per-link drops hit individual
 	// downlinks. Set before the first AttachUu.
 	Faults FaultModel
-	// Flight, when non-nil, records per-endpoint tx/rx/drop events on
+	// Sink receives the same radio_* frame counters the other
+	// backends report, and per-endpoint tx/rx/drop flight events on
 	// the Uu path. Set before the first AttachUu.
-	Flight *flight.Recorder
-	// Metrics, when non-nil, receives the same radio_* frame counters
-	// the other backends report. Set before the first AttachUu.
-	Metrics *metrics.Registry
+	Sink trace.Sink
 
 	endpoints []*UuEndpoint
 
@@ -122,23 +121,24 @@ type UuEndpoint struct {
 }
 
 // AttachUu adds a named endpoint to the link's infrastructure path.
-// Set Faults/Flight/Metrics before the first attach; the radio_*
+// Set Faults and Sink before the first attach; the radio_*
 // counters register on first use so fault-free snapshots match the
 // other backends.
 func (l *CellularLink) AttachUu(name string) (*UuEndpoint, error) {
 	if name == "" {
 		return nil, fmt.Errorf("radio: uu attach: empty station name")
 	}
-	if l.mSent == nil && l.Metrics != nil {
-		l.mSent = l.Metrics.Counter("radio_frames_sent_total")
-		l.mDelivered = l.Metrics.Counter("radio_frames_delivered_total")
-		l.mLostDecode = l.Metrics.Counter("radio_frames_lost_total", metrics.L("reason", "decode"))
+	if l.mSent == nil {
+		r := l.Sink.Metrics
+		l.mSent = r.Counter("radio_frames_sent_total")
+		l.mDelivered = r.Counter("radio_frames_delivered_total")
+		l.mLostDecode = r.Counter("radio_frames_lost_total", metrics.L("reason", "decode"))
 		if l.Faults != nil {
-			l.mLostBlackout = l.Metrics.Counter("radio_frames_lost_total", metrics.L("reason", "blackout"))
-			l.mLostUuFault = l.Metrics.Counter("radio_frames_lost_total", metrics.L("reason", "fault"))
+			l.mLostBlackout = r.Counter("radio_frames_lost_total", metrics.L("reason", "blackout"))
+			l.mLostUuFault = r.Counter("radio_frames_lost_total", metrics.L("reason", "fault"))
 		}
 	}
-	ep := &UuEndpoint{link: l, name: name, fl: l.Flight.Hook(name)}
+	ep := &UuEndpoint{link: l, name: name, fl: l.Sink.Flight.Hook(name)}
 	l.endpoints = append(l.endpoints, ep)
 	return ep, nil
 }
@@ -151,9 +151,6 @@ func (l *CellularLink) AttachStation(name string, _ PositionFunc) (Link, error) 
 
 // Name returns the endpoint's station name.
 func (e *UuEndpoint) Name() string { return e.name }
-
-// FlightHook exposes the endpoint's black-box recording handle.
-func (e *UuEndpoint) FlightHook() flight.Hook { return e.fl }
 
 // SetReceiver installs the frame-delivery callback, satisfying Link.
 func (e *UuEndpoint) SetReceiver(fn func(frame []byte)) { e.receive = fn }

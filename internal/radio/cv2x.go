@@ -20,6 +20,7 @@ import (
 	"itsbed/internal/geo"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 )
 
 // SPSConfig parameterises the mode-4 semi-persistent scheduler (the
@@ -196,18 +197,16 @@ type PC5Config struct {
 	// in-range, collision-free receptions (HARQ failures surviving
 	// retransmission). Default 0.
 	LossProbability float64
-	// Metrics, when non-nil, receives the radio_* frame counters (the
-	// same family the 802.11p medium reports, so campaign PDR
-	// extraction is backend-agnostic) plus cv2x_sps_reselections_total.
-	Metrics *metrics.Registry
 	// Faults, when non-nil, screens receptions for injected channel
 	// faults: blackout windows wipe the slot, per-link Gilbert–Elliott
 	// drops hit individual receivers.
 	Faults FaultModel
-	// Flight, when non-nil, records per-station tx/rx/drop events.
-	// Out-of-range drops are, like the medium's sensitivity drops,
-	// deliberately not recorded.
-	Flight *flight.Recorder
+	// Sink receives the radio_* frame counters (the same family the
+	// 802.11p medium reports, so campaign PDR extraction is
+	// backend-agnostic) plus cv2x_sps_reselections_total, and
+	// per-station tx/rx/drop flight events. Out-of-range drops are,
+	// like the medium's sensitivity drops, deliberately not recorded.
+	Sink trace.Sink
 }
 
 func (c *PC5Config) applyDefaults() {
@@ -277,20 +276,19 @@ func NewPC5Medium(kernel *sim.Kernel, cfg PC5Config) *PC5Medium {
 		rng:    kernel.Rand("radio.cv2x.pc5"),
 		slots:  make(map[int64]*pc5Slot),
 	}
-	if r := cfg.Metrics; r != nil {
-		m.mSent = r.Counter("radio_frames_sent_total")
-		m.mDelivered = r.Counter("radio_frames_delivered_total")
-		m.mLostCollision = r.Counter("radio_frames_lost_total", metrics.L("reason", "collision"))
-		m.mLostHalfDuplex = r.Counter("radio_frames_lost_total", metrics.L("reason", "half_duplex"))
-		m.mLostRange = r.Counter("radio_frames_lost_total", metrics.L("reason", "range"))
-		m.mLostDecode = r.Counter("radio_frames_lost_total", metrics.L("reason", "decode"))
-		m.mReselection = r.Counter("cv2x_sps_reselections_total")
-		if cfg.Faults != nil {
-			// Registered only under fault injection so fault-free
-			// snapshots stay unchanged (same policy as the medium).
-			m.mLostBlackout = r.Counter("radio_frames_lost_total", metrics.L("reason", "blackout"))
-			m.mLostFault = r.Counter("radio_frames_lost_total", metrics.L("reason", "fault"))
-		}
+	r := cfg.Sink.Metrics
+	m.mSent = r.Counter("radio_frames_sent_total")
+	m.mDelivered = r.Counter("radio_frames_delivered_total")
+	m.mLostCollision = r.Counter("radio_frames_lost_total", metrics.L("reason", "collision"))
+	m.mLostHalfDuplex = r.Counter("radio_frames_lost_total", metrics.L("reason", "half_duplex"))
+	m.mLostRange = r.Counter("radio_frames_lost_total", metrics.L("reason", "range"))
+	m.mLostDecode = r.Counter("radio_frames_lost_total", metrics.L("reason", "decode"))
+	m.mReselection = r.Counter("cv2x_sps_reselections_total")
+	if cfg.Faults != nil {
+		// Registered only under fault injection so fault-free
+		// snapshots stay unchanged (same policy as the medium).
+		m.mLostBlackout = r.Counter("radio_frames_lost_total", metrics.L("reason", "blackout"))
+		m.mLostFault = r.Counter("radio_frames_lost_total", metrics.L("reason", "fault"))
 	}
 	return m
 }
@@ -355,7 +353,7 @@ func (m *PC5Medium) Attach(name string, pos PositionFunc) (*PC5Interface, error)
 		kernel:     m.kernel,
 		pos:        pos,
 		sps:        NewSPSScheduler(m.cfg.SPS, m.kernel.Rand("radio.cv2x.sps."+name)),
-		fl:         m.cfg.Flight.Hook(name),
+		fl:         m.cfg.Sink.Flight.Hook(name),
 		queueCap:   64,
 		lastTxSlot: -1,
 	}
@@ -374,9 +372,6 @@ func (i *PC5Interface) Name() string { return i.name }
 // Scheduler exposes the station's SPS state (tests pin grants with
 // Claim; diagnostics read the reselection counter).
 func (i *PC5Interface) Scheduler() *SPSScheduler { return i.sps }
-
-// FlightHook exposes the station's black-box recording handle.
-func (i *PC5Interface) FlightHook() flight.Hook { return i.fl }
 
 // SetReceiver installs the frame-delivery callback. As on the 802.11p
 // medium, the delivered slice is shared between receivers of the

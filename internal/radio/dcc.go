@@ -233,14 +233,12 @@ func (d *DCC) MinInterval() time.Duration {
 	s := d.State()
 	iv := d.profile.Intervals[s]
 	if s != d.lastState {
-		if d.Flight.Enabled() {
-			d.Flight.Record(d.kernel.Now(), flight.DCCState, uint8(s), int64(d.lastState), 0)
-		}
+		d.Flight.Record(d.kernel.Now(), flight.DCCState, uint8(s), int64(d.lastState), 0)
 		d.lastState = s
 	}
 	if iv > d.profile.Intervals[0] {
 		d.Throttled++
-		if !d.wasThrottled && d.Flight.Enabled() {
+		if !d.wasThrottled {
 			d.Flight.Record(d.kernel.Now(), flight.DCCThrottle, 0, int64(iv), 0)
 		}
 		d.wasThrottled = true

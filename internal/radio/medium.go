@@ -11,6 +11,7 @@ import (
 	"itsbed/internal/geo"
 	"itsbed/internal/metrics"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 )
 
@@ -66,22 +67,19 @@ type MediumConfig struct {
 	// CarrierSenseDBm above which the channel is sensed busy; zero
 	// selects the default.
 	CarrierSenseDBm float64
-	// Metrics, when non-nil, receives radio_* counters and latency
-	// histograms (frame outcomes, per-AC airtime and EDCA access delay).
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, records per-frame spans: EDCA access delay,
-	// airtime, and per-receiver outcomes (drops carry a drop_reason).
-	Tracer *tracing.Tracer
 	// Faults, when non-nil, screens every frame reception for injected
 	// channel faults (blackouts, noise bursts, per-link loss).
 	Faults FaultModel
-	// Flight, when non-nil, records per-interface tx/rx/drop events
-	// into the black-box flight recorder. Unlike Tracer and Faults it
-	// does NOT disable grid culling: per-receiver sensitivity drops are
-	// deliberately never recorded (the grid bulk-accounts them without
-	// visiting the receiver), so the event stream is identical on the
-	// grid and brute-force paths.
-	Flight *flight.Recorder
+	// Sink receives radio_* counters and latency histograms (frame
+	// outcomes, per-AC airtime and EDCA access delay), per-frame spans
+	// (EDCA access delay, airtime, and per-receiver outcomes; drops
+	// carry a drop_reason) and per-interface tx/rx/drop flight events.
+	// Unlike a tracer and Faults the flight recorder does NOT disable
+	// grid culling: per-receiver sensitivity drops are deliberately
+	// never recorded (the grid bulk-accounts them without visiting the
+	// receiver), so the event stream is identical on the grid and
+	// brute-force paths.
+	Sink trace.Sink
 }
 
 func (c *MediumConfig) applyDefaults() {
@@ -192,20 +190,19 @@ func NewMedium(kernel *sim.Kernel, cfg MediumConfig) *Medium {
 		rng:        kernel.Rand("radio.medium"),
 		shadowSeed: kernel.Rand("radio.medium.shadow").Uint64(),
 	}
-	if r := cfg.Metrics; r != nil {
-		m.mSent = r.Counter("radio_frames_sent_total")
-		m.mDelivered = r.Counter("radio_frames_delivered_total")
-		m.mLostSens = r.Counter("radio_frames_lost_total", metrics.L("reason", "sensitivity"))
-		m.mLostSINR = r.Counter("radio_frames_lost_total", metrics.L("reason", "sinr"))
-		if cfg.Faults != nil {
-			// Registered only under fault injection so fault-free runs
-			// keep their metric snapshot unchanged.
-			m.mLostBlackout = r.Counter("radio_frames_lost_total", metrics.L("reason", "blackout"))
-			m.mLostFault = r.Counter("radio_frames_lost_total", metrics.L("reason", "fault"))
-		}
-		for ac := ACVoice; ac <= ACBackground; ac++ {
-			m.mAirtime[ac] = r.Histogram("radio_airtime_seconds", metrics.L("ac", ac.String()))
-		}
+	r := cfg.Sink.Metrics
+	m.mSent = r.Counter("radio_frames_sent_total")
+	m.mDelivered = r.Counter("radio_frames_delivered_total")
+	m.mLostSens = r.Counter("radio_frames_lost_total", metrics.L("reason", "sensitivity"))
+	m.mLostSINR = r.Counter("radio_frames_lost_total", metrics.L("reason", "sinr"))
+	if cfg.Faults != nil {
+		// Registered only under fault injection so fault-free runs
+		// keep their metric snapshot unchanged.
+		m.mLostBlackout = r.Counter("radio_frames_lost_total", metrics.L("reason", "blackout"))
+		m.mLostFault = r.Counter("radio_frames_lost_total", metrics.L("reason", "fault"))
+	}
+	for ac := ACVoice; ac <= ACBackground; ac++ {
+		m.mAirtime[ac] = r.Histogram("radio_airtime_seconds", metrics.L("ac", ac.String()))
 	}
 	return m
 }
@@ -255,7 +252,7 @@ func splitmix64(x uint64) uint64 {
 // tracers record per-receiver drop spans and fault models advance
 // per-link state for every receiver, so both force the full scan.
 func (m *Medium) gridEligible() bool {
-	return !m.cfg.DisableGrid && m.cfg.Tracer == nil && m.cfg.Faults == nil
+	return !m.cfg.DisableGrid && m.cfg.Sink.Tracer == nil && m.cfg.Faults == nil
 }
 
 // CullRangeM returns the conservative maximum communication range:
@@ -455,13 +452,13 @@ func (m *Medium) transmit(iface *Interface, frame []byte, ac AccessCategory, par
 		start:    now,
 		end:      now + air,
 		powerDBm: iface.cfg.TxPowerDBm,
-		span:     m.cfg.Tracer.StartChild(parent, "radio.air", "radio", iface.cfg.Name, now),
+		span:     iface.p.StartChild(parent, "radio.air", "radio", now),
 	}
 	t.span.SetAttr("ac", ac.String())
 	m.ongoing = append(m.ongoing, t)
 	m.FramesSent++
 	m.mSent.Inc()
-	iface.fl.Record(now, flight.RadioTx, 0, int64(len(frame)), 0)
+	iface.p.Record(now, flight.RadioTx, 0, int64(len(frame)), 0)
 	if ac >= ACVoice && ac <= ACBackground {
 		m.mAirtime[ac].ObserveDuration(air)
 	}
@@ -513,8 +510,8 @@ func (m *Medium) completeFull(t *transmission, srcPos geo.Point, now time.Durati
 		if blackout {
 			m.FramesLost++
 			m.mLostBlackout.Inc()
-			dst.fl.RecordFrom(now, flight.RadioDrop, flight.DropBlackout, t.src.fl, 0, 0)
-			if sp := m.cfg.Tracer.StartChild(t.span, "radio.rx", "radio", dst.cfg.Name, now); sp != nil {
+			dst.p.RecordFrom(now, flight.RadioDrop, flight.DropBlackout, t.src.p.Hook, 0, 0)
+			if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
 				sp.Drop(now, "blackout")
 			}
 			continue
@@ -527,8 +524,8 @@ func (m *Medium) completeFull(t *transmission, srcPos geo.Point, now time.Durati
 				if reason == "fault_corruption" {
 					code = flight.DropCorruption
 				}
-				dst.fl.RecordFrom(now, flight.RadioDrop, code, t.src.fl, 0, 0)
-				if sp := m.cfg.Tracer.StartChild(t.span, "radio.rx", "radio", dst.cfg.Name, now); sp != nil {
+				dst.p.RecordFrom(now, flight.RadioDrop, code, t.src.p.Hook, 0, 0)
+				if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
 					sp.Drop(now, reason)
 				}
 				continue
@@ -619,8 +616,8 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 		m.mLostSINR.Inc()
 		dst.FramesCorrupted++
 		dst.mCorrupt.Inc()
-		dst.fl.RecordFrom(now, flight.RadioDrop, flight.DropSINR, t.src.fl, 0, 0)
-		if sp := m.cfg.Tracer.StartChild(t.span, "radio.rx", "radio", dst.cfg.Name, now); sp != nil {
+		dst.p.RecordFrom(now, flight.RadioDrop, flight.DropSINR, t.src.p.Hook, 0, 0)
+		if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
 			sp.Drop(now, "sinr")
 		}
 		return
@@ -629,7 +626,7 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 	m.mDelivered.Inc()
 	dst.FramesReceived++
 	dst.mRx.Inc()
-	dst.fl.RecordFrom(now, flight.RadioRx, flight.RxOK, t.src.fl, int64(len(t.frame)), 0)
+	dst.p.RecordFrom(now, flight.RadioRx, flight.RxOK, t.src.p.Hook, int64(len(t.frame)), 0)
 	if dst.receive != nil {
 		// All receivers share t.frame: frames are immutable once on
 		// the air (the interface copied the caller's buffer at
@@ -637,7 +634,7 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 		// must not write — see SetReceiver.
 		// Receiver processing happens in the airtime span's scope so
 		// the receiving stack's spans join the sender's trace tree.
-		m.cfg.Tracer.Scope(t.span, func() { dst.receive(t.frame) })
+		dst.p.Scope(t.span, func() { dst.receive(t.frame) })
 	}
 }
 
@@ -645,7 +642,7 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 func (m *Medium) dropSensitivity(t *transmission, dst *Interface, now time.Duration) {
 	m.FramesLost++
 	m.mLostSens.Inc()
-	if sp := m.cfg.Tracer.StartChild(t.span, "radio.rx", "radio", dst.cfg.Name, now); sp != nil {
+	if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
 		sp.Drop(now, "sensitivity")
 	}
 }
@@ -758,13 +755,8 @@ type Interface struct {
 
 	mQueued, mDropped, mTx, mRx, mCorrupt *metrics.Counter
 	mAccessDelay                          [ACBackground + 1]*metrics.Histogram
-	fl                                    flight.Hook
+	p                                     trace.Probe
 }
-
-// FlightHook exposes the interface's black-box recording handle (the
-// zero Hook when no recorder is configured), so higher layers sharing
-// the station name can attribute events to the same ring.
-func (i *Interface) FlightHook() flight.Hook { return i.fl }
 
 // Attach adds a radio to the medium. pos must not be nil. The receive
 // callback (set later via SetReceiver) is invoked for each frame
@@ -781,20 +773,18 @@ func (m *Medium) Attach(cfg InterfaceConfig, pos PositionFunc) (*Interface, erro
 		cfg:    cfg,
 		pos:    pos,
 		rng:    m.kernel.Rand("radio.iface." + cfg.Name),
-		fl:     m.cfg.Flight.Hook(cfg.Name),
+		p:      m.cfg.Sink.Probe(cfg.Name),
 	}
-	if r := m.cfg.Metrics; r != nil {
-		st := metrics.L("station", cfg.Name)
-		iface.mQueued = r.Counter("radio_tx_queued_total", st)
-		// drop_reason makes queue-full losses attributable in -metrics
-		// output alongside the queue_full drop span in /trace.
-		iface.mDropped = r.Counter("radio_tx_queue_drops_total", st, metrics.L("drop_reason", "queue_full"))
-		iface.mTx = r.Counter("radio_tx_frames_total", st)
-		iface.mRx = r.Counter("radio_rx_frames_total", st)
-		iface.mCorrupt = r.Counter("radio_rx_corrupted_total", st)
-		for ac := ACVoice; ac <= ACBackground; ac++ {
-			iface.mAccessDelay[ac] = r.Histogram("radio_access_delay_seconds", st, metrics.L("ac", ac.String()))
-		}
+	p := iface.p
+	iface.mQueued = p.Counter("radio_tx_queued_total")
+	// drop_reason makes queue-full losses attributable in -metrics
+	// output alongside the queue_full drop span in /trace.
+	iface.mDropped = p.Counter("radio_tx_queue_drops_total", metrics.L("drop_reason", "queue_full"))
+	iface.mTx = p.Counter("radio_tx_frames_total")
+	iface.mRx = p.Counter("radio_rx_frames_total")
+	iface.mCorrupt = p.Counter("radio_rx_corrupted_total")
+	for ac := ACVoice; ac <= ACBackground; ac++ {
+		iface.mAccessDelay[ac] = p.Histogram("radio_access_delay_seconds", metrics.L("ac", ac.String()))
 	}
 	m.ifaces = append(m.ifaces, iface)
 	if cfg.TxPowerDBm > m.maxTxPowerDBm || len(m.ifaces) == 1 {
@@ -858,12 +848,12 @@ func (i *Interface) SendBroadcastPriority(frame []byte, priority uint8) error {
 // SendBroadcastAC queues a frame at an explicit access category.
 func (i *Interface) SendBroadcastAC(frame []byte, ac AccessCategory) error {
 	now := i.kernel.Now()
-	sp := i.medium.cfg.Tracer.Start("radio.access", "radio", i.cfg.Name, now)
+	sp := i.p.Start("radio.access", "radio", now)
 	sp.SetAttr("ac", ac.String())
 	if i.queueLen() >= i.cfg.QueueCap {
 		i.FramesDroppedQueueFull++
 		i.mDropped.Inc()
-		i.fl.Record(now, flight.RadioDrop, flight.DropQueueFull, 0, 0)
+		i.p.Record(now, flight.RadioDrop, flight.DropQueueFull, 0, 0)
 		sp.Drop(now, "queue_full")
 		return fmt.Errorf("radio: %s transmit queue full (%d frames)", i.cfg.Name, i.cfg.QueueCap)
 	}

@@ -6,12 +6,12 @@ import (
 
 	"itsbed/internal/clock"
 	"itsbed/internal/faults"
-	"itsbed/internal/flight"
 	"itsbed/internal/geo"
 	"itsbed/internal/its/facilities/den"
 	"itsbed/internal/its/messages"
 	"itsbed/internal/radio"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 	"itsbed/internal/units"
 )
 
@@ -39,7 +39,7 @@ func TestDENMRepetitionSurvivesBurstLoss(t *testing.T) {
 			Windows: []faults.Window{{Start: 0, End: faults.Duration(2300 * time.Millisecond)}},
 		}},
 	}
-	inj := faults.NewInjector(k, plan, nil, nil, flight.Hook{})
+	inj := faults.NewInjector(k, plan, trace.Sink{})
 	medium := radio.NewMedium(k, radio.MediumConfig{Faults: inj})
 
 	rsuPos := geo.Point{X: 0, Y: 6}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"itsbed/internal/clock"
-	"itsbed/internal/flight"
 	"itsbed/internal/geo"
 	"itsbed/internal/its/btp"
 	"itsbed/internal/its/facilities/ca"
@@ -30,6 +29,7 @@ import (
 	"itsbed/internal/metrics"
 	"itsbed/internal/radio"
 	"itsbed/internal/sim"
+	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 	"itsbed/internal/units"
 )
@@ -161,19 +161,15 @@ type Config struct {
 	// KAFInterval overrides the silence interval for events without a
 	// transmissionInterval; zero selects the 500 ms default.
 	KAFInterval time.Duration
-	// Metrics, when non-nil, is threaded through every layer of the
-	// station (router, facilities, receivers) and receives the
-	// stack_* processing-latency histograms.
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, is threaded through every layer of the
-	// station so each message produces a causal span tree (facilities →
-	// stack latency → geonet → radio and back up on the receive side).
-	Tracer *tracing.Tracer
-	// Flight, when non-nil, is the black-box recorder every layer of the
-	// station records structured events into, under this station's name.
-	// Pass the same recorder to the medium so radio and facilities events
-	// land in one ring per station.
-	Flight *flight.Recorder
+	// Sink is the instrumentation every layer of the station (router,
+	// facilities, receivers, LDM, DCC) reports into under the station's
+	// name: the stack_* processing-latency histograms and the other
+	// layers' families, a causal span tree per message when tracing
+	// (facilities → stack latency → geonet → radio and back up on the
+	// receive side), and structured flight events. Pass the radio
+	// backend the same sink so radio and facilities events land in one
+	// ring per station.
+	Sink trace.Sink
 }
 
 // Station is one assembled ITS station.
@@ -222,6 +218,8 @@ type Station struct {
 	// DeliveredCPMs counts CPMs handed to the application/LDM.
 	DeliveredCPMs uint64
 
+	p trace.Probe
+
 	mTxCAM, mTxDENM, mTxCPM, mRxCAM, mRxDENM, mRxCPM *metrics.Histogram
 	mDelCAM, mDelDENM, mDelCPM                       *metrics.Counter
 }
@@ -241,24 +239,23 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 	if cfg.RxLatency == (LatencyModel{}) {
 		cfg.RxLatency = DefaultOpenC2XLatency()
 	}
+	p := cfg.Sink.Probe(cfg.Name)
 	s := &Station{
 		cfg:    cfg,
 		kernel: kernel,
 		rng:    kernel.Rand("stack." + cfg.Name),
+		p:      p,
 	}
 	s.Clock = clock.NewNTP(clock.SourceFunc(kernel.Now), cfg.NTP, kernel.Rand("clock."+cfg.Name))
-	if r := cfg.Metrics; r != nil {
-		st := metrics.L("station", cfg.Name)
-		s.mTxCAM = r.Histogram("stack_tx_latency_seconds", st, metrics.L("msg", "cam"))
-		s.mTxDENM = r.Histogram("stack_tx_latency_seconds", st, metrics.L("msg", "denm"))
-		s.mTxCPM = r.Histogram("stack_tx_latency_seconds", st, metrics.L("msg", "cpm"))
-		s.mRxCAM = r.Histogram("stack_rx_latency_seconds", st, metrics.L("msg", "cam"))
-		s.mRxDENM = r.Histogram("stack_rx_latency_seconds", st, metrics.L("msg", "denm"))
-		s.mRxCPM = r.Histogram("stack_rx_latency_seconds", st, metrics.L("msg", "cpm"))
-		s.mDelCAM = r.Counter("stack_delivered_total", st, metrics.L("msg", "cam"))
-		s.mDelDENM = r.Counter("stack_delivered_total", st, metrics.L("msg", "denm"))
-		s.mDelCPM = r.Counter("stack_delivered_total", st, metrics.L("msg", "cpm"))
-	}
+	s.mTxCAM = p.Histogram("stack_tx_latency_seconds", metrics.L("msg", "cam"))
+	s.mTxDENM = p.Histogram("stack_tx_latency_seconds", metrics.L("msg", "denm"))
+	s.mTxCPM = p.Histogram("stack_tx_latency_seconds", metrics.L("msg", "cpm"))
+	s.mRxCAM = p.Histogram("stack_rx_latency_seconds", metrics.L("msg", "cam"))
+	s.mRxDENM = p.Histogram("stack_rx_latency_seconds", metrics.L("msg", "denm"))
+	s.mRxCPM = p.Histogram("stack_rx_latency_seconds", metrics.L("msg", "cpm"))
+	s.mDelCAM = p.Counter("stack_delivered_total", metrics.L("msg", "cam"))
+	s.mDelDENM = p.Counter("stack_delivered_total", metrics.L("msg", "denm"))
+	s.mDelCPM = p.Counter("stack_delivered_total", metrics.L("msg", "cpm"))
 
 	if backend == nil {
 		return nil, fmt.Errorf("stack: station %q requires a radio backend", cfg.Name)
@@ -268,22 +265,19 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		return nil, fmt.Errorf("stack: attach radio: %w", err)
 	}
 	s.Iface, _ = link.(*radio.Interface)
-	fl := cfg.Flight.Hook(cfg.Name)
 	if cfg.EnableDCC {
 		if s.Iface == nil {
 			return nil, fmt.Errorf("stack: station %q: DCC requires an 802.11p interface", cfg.Name)
 		}
 		s.DCC = radio.NewDCC(kernel, s.Iface, cfg.DCCProfile)
-		s.DCC.Flight = fl
+		s.DCC.Flight = p.Hook
 	}
 
 	router, err := geonet.NewRouter(geonet.RouterConfig{
 		Frame:             cfg.Frame,
 		Now:               kernel.Now,
 		DisableForwarding: cfg.DisableForwarding,
-		Metrics:           cfg.Metrics,
-		Name:              cfg.Name,
-		Tracer:            cfg.Tracer,
+		Probe:             p,
 	}, link, egoAdapter{s}, s.onIndication)
 	if err != nil {
 		return nil, fmt.Errorf("stack: router: %w", err)
@@ -291,9 +285,9 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 	s.Router = router
 	link.SetReceiver(s.onFrame)
 
-	s.LDM = ldm.New(ldm.Config{Frame: cfg.Frame, Now: kernel.Now, Flight: fl})
+	s.LDM = ldm.New(ldm.Config{Frame: cfg.Frame, Now: kernel.Now, Flight: p.Hook})
 
-	s.caRx = ca.Receiver{Metrics: cfg.Metrics, Name: cfg.Name, Tracer: cfg.Tracer, Flight: fl, Now: kernel.Now, Sink: func(c *messages.CAM) {
+	s.caRx = ca.Receiver{Probe: p, Now: kernel.Now, Sink: func(c *messages.CAM) {
 		s.LDM.IngestCAM(c)
 		s.DeliveredCAMs++
 		s.lastRx = kernel.Now()
@@ -302,7 +296,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 			s.OnCAM(c)
 		}
 	}}
-	s.denRx = den.Receiver{Metrics: cfg.Metrics, Name: cfg.Name, Tracer: cfg.Tracer, Flight: fl, Now: kernel.Now, Sink: func(d *messages.DENM) {
+	s.denRx = den.Receiver{Probe: p, Now: kernel.Now, Sink: func(d *messages.DENM) {
 		s.LDM.IngestDENM(d)
 		s.DeliveredDENMs++
 		s.lastRx = kernel.Now()
@@ -312,14 +306,11 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		}
 	}}
 	s.cpRx = cp.Receiver{
-		OwnID:   cfg.StationID,
-		Frame:   cfg.Frame,
-		LDM:     s.LDM,
-		Metrics: cfg.Metrics,
-		Name:    cfg.Name,
-		Tracer:  cfg.Tracer,
-		Flight:  fl,
-		Now:     kernel.Now,
+		OwnID: cfg.StationID,
+		Frame: cfg.Frame,
+		LDM:   s.LDM,
+		Probe: p,
+		Now:   kernel.Now,
 		OnCPM: func(c *messages.CPM) {
 			s.DeliveredCPMs++
 			s.lastRx = kernel.Now()
@@ -331,9 +322,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 	}
 	if cfg.EnableKAF {
 		s.denRx.KAF = den.NewKeepAliveForwarder(kernel, s.forwardDENM, cfg.KAFInterval)
-		s.denRx.KAF.Metrics = cfg.Metrics
-		s.denRx.KAF.Name = cfg.Name
-		s.denRx.KAF.Tracer = cfg.Tracer
+		s.denRx.KAF.Probe = p
 	}
 
 	caCfg := ca.Config{
@@ -343,10 +332,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		Send:            s.sendCAM,
 		Clock:           s.Clock,
 		DisableTriggers: cfg.DisableCAMTriggers,
-		Metrics:         cfg.Metrics,
-		Name:            cfg.Name,
-		Tracer:          cfg.Tracer,
-		Flight:          fl,
+		Probe:           p,
 	}
 	if s.DCC != nil {
 		caCfg.Gate = s.DCC
@@ -362,10 +348,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		StationType: cfg.StationType,
 		Send:        s.sendDENM,
 		Clock:       s.Clock,
-		Metrics:     cfg.Metrics,
-		Name:        cfg.Name,
-		Tracer:      cfg.Tracer,
-		Flight:      fl,
+		Probe:       p,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("stack: DEN service: %w", err)
@@ -382,10 +365,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 			Send:        s.sendCPM,
 			Clock:       s.Clock,
 			Interval:    cfg.CPMInterval,
-			Metrics:     cfg.Metrics,
-			Name:        cfg.Name,
-			Tracer:      cfg.Tracer,
-			Flight:      fl,
+			Probe:       p,
 		}
 		if s.DCC != nil {
 			cpCfg.Gate = s.DCC
@@ -515,7 +495,7 @@ func (s *Station) sendCAM(payload []byte) error {
 	s.mTxCAM.ObserveDuration(d)
 	sp := s.txSpan("cam")
 	s.kernel.ScheduleFn(d, func() {
-		s.cfg.Tracer.Scope(sp, func() {
+		s.p.Scope(sp, func() {
 			_ = s.Router.SendSHB(geonet.NextBTPB, camTrafficClass, pkt)
 		})
 		sp.End(s.kernel.Now())
@@ -534,7 +514,7 @@ func (s *Station) sendCPM(payload []byte) error {
 	s.mTxCPM.ObserveDuration(d)
 	sp := s.txSpan("cpm")
 	s.kernel.ScheduleFn(d, func() {
-		s.cfg.Tracer.Scope(sp, func() {
+		s.p.Scope(sp, func() {
 			_ = s.Router.SendSHB(geonet.NextBTPB, camTrafficClass, pkt)
 		})
 		sp.End(s.kernel.Now())
@@ -545,7 +525,7 @@ func (s *Station) sendCPM(payload []byte) error {
 // txSpan opens the stack tx-latency span as a child of the caller's
 // context (the facilities encode span).
 func (s *Station) txSpan(msg string) *tracing.Span {
-	sp := s.cfg.Tracer.Start("stack.tx", "stack", s.cfg.Name, s.kernel.Now())
+	sp := s.p.Start("stack.tx", "stack", s.kernel.Now())
 	sp.SetAttr("msg", msg)
 	return sp
 }
@@ -571,7 +551,7 @@ func (s *Station) sendDENM(payload []byte, area den.Area) error {
 	s.mTxDENM.ObserveDuration(d)
 	sp := s.txSpan("denm")
 	s.kernel.ScheduleFn(d, func() {
-		s.cfg.Tracer.Scope(sp, func() {
+		s.p.Scope(sp, func() {
 			_ = s.Router.SendGBC(geonet.NextBTPB, geonet.TrafficClass(s.cfg.DENMTrafficClass), gnArea, time.Minute, pkt)
 		})
 		sp.End(s.kernel.Now())
@@ -597,7 +577,7 @@ func (s *Station) forwardDENM(payload []byte, area den.Area) error {
 	sp := s.txSpan("denm")
 	sp.SetAttr("kaf", "true")
 	s.kernel.ScheduleFn(d, func() {
-		s.cfg.Tracer.Scope(sp, func() {
+		s.p.Scope(sp, func() {
 			_ = s.Router.SendGBC(geonet.NextBTPB, geonet.TrafficClass(s.cfg.DENMTrafficClass), gnArea, time.Minute, pkt)
 		})
 		sp.End(s.kernel.Now())
@@ -634,21 +614,21 @@ func (s *Station) onIndication(ind geonet.Indication) {
 		s.mRxCAM.ObserveDuration(delay)
 		sp := s.rxSpan("cam")
 		s.kernel.ScheduleFn(delay, func() {
-			s.cfg.Tracer.Scope(sp, func() { s.caRx.OnPayload(payload) })
+			s.p.Scope(sp, func() { s.caRx.OnPayload(payload) })
 			sp.End(s.kernel.Now())
 		})
 	case btp.PortDENM:
 		s.mRxDENM.ObserveDuration(delay)
 		sp := s.rxSpan("denm")
 		s.kernel.ScheduleFn(delay, func() {
-			s.cfg.Tracer.Scope(sp, func() { s.denRx.OnPayload(payload) })
+			s.p.Scope(sp, func() { s.denRx.OnPayload(payload) })
 			sp.End(s.kernel.Now())
 		})
 	case btp.PortCPM:
 		s.mRxCPM.ObserveDuration(delay)
 		sp := s.rxSpan("cpm")
 		s.kernel.ScheduleFn(delay, func() {
-			s.cfg.Tracer.Scope(sp, func() { s.cpRx.OnPayload(payload) })
+			s.p.Scope(sp, func() { s.cpRx.OnPayload(payload) })
 			sp.End(s.kernel.Now())
 		})
 	}
@@ -657,18 +637,13 @@ func (s *Station) onIndication(ind geonet.Indication) {
 // rxSpan opens the stack rx-latency span as a child of the caller's
 // context (the geonet receive span).
 func (s *Station) rxSpan(msg string) *tracing.Span {
-	sp := s.cfg.Tracer.Start("stack.rx", "stack", s.cfg.Name, s.kernel.Now())
+	sp := s.p.Start("stack.rx", "stack", s.kernel.Now())
 	sp.SetAttr("msg", msg)
 	return sp
 }
 
-// Metrics returns the registry this station reports into (nil when
-// metrics are disabled).
-func (s *Station) Metrics() *metrics.Registry { return s.cfg.Metrics }
-
-// Tracer returns the tracer this station records spans into (nil when
-// tracing is disabled).
-func (s *Station) Tracer() *tracing.Tracer { return s.cfg.Tracer }
+// Probe returns the station's instrumentation handle.
+func (s *Station) Probe() trace.Probe { return s.p }
 
 // CAReceiverStats reports CA reception counters.
 func (s *Station) CAReceiverStats() (received, malformed uint64) {

@@ -11,6 +11,10 @@
 // Steps 2–5 are stamped with each platform's NTP-disciplined clock,
 // as in the paper; steps 1 and 6 come from the experimenter's
 // out-of-band observation.
+//
+// The package also holds the one instrumentation handle every layer
+// reports through: a run-level Sink (metrics registry, span tracer,
+// flight recorder) and the station-bound Probe it hands each station.
 package trace
 
 import (
@@ -54,21 +58,16 @@ func (s Step) String() string {
 // Run records the timestamps of one experiment run.
 type Run struct {
 	stamps map[Step]time.Duration
-	// extra free-form measurements (e.g. braking distance).
-	metrics map[string]float64
 }
 
 // NewRun returns an empty record.
 func NewRun() *Run {
-	return &Run{
-		stamps:  make(map[Step]time.Duration),
-		metrics: make(map[string]float64),
-	}
+	return &Run{stamps: make(map[Step]time.Duration)}
 }
 
 // Stamp records the first occurrence of a step; later stamps of the
 // same step are ignored (the chain fires once per run). A zero-value
-// Run is usable: the maps are allocated on first write.
+// Run is usable: the map is allocated on first write.
 func (r *Run) Stamp(s Step, t time.Duration) {
 	if r.stamps == nil {
 		r.stamps = make(map[Step]time.Duration)
@@ -88,20 +87,6 @@ func (r *Run) Stamped(s Step) bool {
 func (r *Run) At(s Step) (time.Duration, bool) {
 	t, ok := r.stamps[s]
 	return t, ok
-}
-
-// SetMetric records a named scalar (e.g. "braking_distance_m").
-func (r *Run) SetMetric(name string, v float64) {
-	if r.metrics == nil {
-		r.metrics = make(map[string]float64)
-	}
-	r.metrics[name] = v
-}
-
-// Metric returns a named scalar.
-func (r *Run) Metric(name string) (float64, bool) {
-	v, ok := r.metrics[name]
-	return v, ok
 }
 
 // Interval returns the elapsed time between two recorded steps.

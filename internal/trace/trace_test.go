@@ -65,18 +65,6 @@ func TestIncomplete(t *testing.T) {
 	}
 }
 
-func TestMetrics(t *testing.T) {
-	r := NewRun()
-	r.SetMetric("braking_distance_m", 0.36)
-	v, ok := r.Metric("braking_distance_m")
-	if !ok || v != 0.36 {
-		t.Fatal("metric")
-	}
-	if _, ok := r.Metric("missing"); ok {
-		t.Fatal("phantom metric")
-	}
-}
-
 func TestStepStrings(t *testing.T) {
 	for s := StepActionPoint; s <= StepHalt; s++ {
 		if s.String() == "" {
@@ -101,22 +89,15 @@ func TestStamped(t *testing.T) {
 
 func TestZeroValueRunUsable(t *testing.T) {
 	// A zero-value Run (not built with NewRun) must not panic: the
-	// write paths allocate their maps lazily.
+	// write path allocates its map lazily.
 	var r Run
 	r.Stamp(StepDetection, time.Second)
-	r.SetMetric("braking_distance_m", 0.36)
 	if at, ok := r.At(StepDetection); !ok || at != time.Second {
 		t.Fatalf("stamp on zero-value run lost: %v %v", at, ok)
-	}
-	if v, ok := r.Metric("braking_distance_m"); !ok || v != 0.36 {
-		t.Fatalf("metric on zero-value run lost: %v %v", v, ok)
 	}
 	// Read paths on a fresh zero value are safe too.
 	var empty Run
 	if empty.Stamped(StepHalt) || empty.Complete() {
 		t.Fatal("empty zero-value run claims stamps")
-	}
-	if _, ok := empty.Metric("x"); ok {
-		t.Fatal("empty zero-value run claims metrics")
 	}
 }

@@ -49,28 +49,6 @@ func (r *Ring) Add(spans []SpanRecord) {
 	r.traces = append(r.traces, TraceRecord{Spans: spans})
 }
 
-// Traces copies out the buffered traces, oldest first.
-func (r *Ring) Traces() []TraceRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]TraceRecord, len(r.traces))
-	copy(out, r.traces)
-	return out
-}
-
-// Len reports how many traces are buffered.
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.traces)
-}
-
 // ringPage is the JSON document served by Handler.
 type ringPage struct {
 	Capacity int           `json:"capacity"`

@@ -210,16 +210,6 @@ func (t *Tracer) Find(key string) *Span {
 	return t.binds[key]
 }
 
-// Count reports how many spans the tracer holds.
-func (t *Tracer) Count() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // Snapshot is an immutable set of span records in creation order.
 type Snapshot struct {
 	Spans []SpanRecord `json:"spans"`
@@ -316,16 +306,6 @@ func (s *Span) SetAttr(key, value string) {
 		}
 	}
 	s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: value})
-}
-
-// ID returns the span's identifier (zero for nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return s.rec.ID
 }
 
 // TraceID returns the span's trace identifier (zero for nil).

@@ -16,7 +16,7 @@ func TestRingWrapsAroundManyTimes(t *testing.T) {
 	for i := 1; i <= adds; i++ {
 		r.Add([]SpanRecord{{Trace: uint64(i), ID: uint64(i), Name: "wrap", Ended: true}})
 	}
-	got := r.Traces()
+	got := servedPage(t, r).Traces
 	if len(got) != capacity {
 		t.Fatalf("ring holds %d traces after %d adds, want %d", len(got), adds, capacity)
 	}
@@ -51,8 +51,8 @@ func TestRingConcurrentAddKeepsInvariants(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if r.Len() != capacity {
-		t.Fatalf("ring len %d, want %d", r.Len(), capacity)
+	if n := len(servedPage(t, r).Traces); n != capacity {
+		t.Fatalf("ring len %d, want %d", n, capacity)
 	}
 	r.mu.Lock()
 	total, dropped := r.total, r.dropped
