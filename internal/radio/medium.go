@@ -511,9 +511,7 @@ func (m *Medium) completeFull(t *transmission, srcPos geo.Point, now time.Durati
 			m.FramesLost++
 			m.mLostBlackout.Inc()
 			dst.p.RecordFrom(now, flight.RadioDrop, flight.DropBlackout, t.src.p.Hook, 0, 0)
-			if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
-				sp.Drop(now, "blackout")
-			}
+			dst.p.StartChild(t.span, "radio.rx", "radio", now).Drop(now, "blackout")
 			continue
 		}
 		if f := m.cfg.Faults; f != nil {
@@ -525,9 +523,7 @@ func (m *Medium) completeFull(t *transmission, srcPos geo.Point, now time.Durati
 					code = flight.DropCorruption
 				}
 				dst.p.RecordFrom(now, flight.RadioDrop, code, t.src.p.Hook, 0, 0)
-				if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
-					sp.Drop(now, reason)
-				}
+				dst.p.StartChild(t.span, "radio.rx", "radio", now).Drop(now, reason)
 				continue
 			}
 		}
@@ -617,9 +613,7 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 		dst.FramesCorrupted++
 		dst.mCorrupt.Inc()
 		dst.p.RecordFrom(now, flight.RadioDrop, flight.DropSINR, t.src.p.Hook, 0, 0)
-		if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
-			sp.Drop(now, "sinr")
-		}
+		dst.p.StartChild(t.span, "radio.rx", "radio", now).Drop(now, "sinr")
 		return
 	}
 	m.FramesDelivered++
@@ -642,9 +636,7 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 func (m *Medium) dropSensitivity(t *transmission, dst *Interface, now time.Duration) {
 	m.FramesLost++
 	m.mLostSens.Inc()
-	if sp := dst.p.StartChild(t.span, "radio.rx", "radio", now); sp != nil {
-		sp.Drop(now, "sensitivity")
-	}
+	dst.p.StartChild(t.span, "radio.rx", "radio", now).Drop(now, "sensitivity")
 }
 
 // sqDist is the squared Euclidean distance between two points, for

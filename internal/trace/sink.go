@@ -50,20 +50,12 @@ func (s Sink) Snapshot() Snapshot {
 // order runs finished in, fixes every sum, so the merge is identical
 // for any worker count. Flight rings stay per run.
 func (s Sink) Merge(runs []Snapshot) Snapshot {
-	traced := false
-	for _, r := range runs {
+	spans := make([]tracing.Snapshot, len(runs))
+	for i, r := range runs {
 		s.Metrics.Merge(r.Metrics)
-		traced = traced || len(r.Spans.Spans) > 0
+		spans[i] = r.Spans
 	}
-	out := Snapshot{Metrics: s.Metrics.Snapshot()}
-	if traced {
-		spans := make([]tracing.Snapshot, len(runs))
-		for i, r := range runs {
-			spans[i] = r.Spans
-		}
-		out.Spans = tracing.MergeRuns(spans)
-	}
-	return out
+	return Snapshot{Metrics: s.Metrics.Snapshot(), Spans: tracing.MergeRuns(spans)}
 }
 
 // StationLabel is the label every per-station metric family carries.
