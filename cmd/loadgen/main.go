@@ -1,6 +1,6 @@
-// Command loadgen hammers a running testbed daemon (rsud/obud, single
-// or service mode) with the deterministic load harness and prints the
-// latency/shed table.
+// Command loadgen hammers a running testbed daemon (rsud/obud, one
+// station or a fleet) with the deterministic load harness and prints
+// the latency/shed table.
 //
 //	loadgen -url http://127.0.0.1:1188 -rps 500 -duration 30s
 //	loadgen -url http://127.0.0.1:1188 -stations 1-500 -rps 2000 \

@@ -6,176 +6,34 @@
 //	rsud -api :1188 -listen :47001 -peer 127.0.0.1:47002 \
 //	     -station 1001 -lat 41.178 -lon -8.608
 //
-// Service mode (-stations N with N > 1) multiplexes N stations behind
-// the same listener under /stations/{id}/..., keeping the legacy
-// single-station routes as aliases for the first station. The hot
-// path then runs behind admission control: -max-concurrent,
-// -max-queue and -request-timeout size the overload limits, and
-// -mailbox-cap bounds each station's DENM mailbox.
+// -stations N hosts N stations (IDs from -station on) behind the same
+// listener under /stations/{id}/...; the unprefixed routes serve the
+// first. SIGINT or SIGTERM shuts the daemon down gracefully.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
-	"itsbed/internal/geo"
 	"itsbed/internal/openc2x"
 	"itsbed/internal/units"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "rsud:", err)
-		os.Exit(1)
-	}
-}
-
-func run() error {
-	api := flag.String("api", ":1188", "HTTP API listen address")
-	listen := flag.String("listen", ":47001", "UDP link listen address")
-	peers := flag.String("peer", "", "comma-separated UDP peer addresses (OBUs)")
-	station := flag.Uint("station", 1001, "station ID")
-	lat := flag.Float64("lat", geo.CISTERLab.Lat, "RSU latitude")
-	lon := flag.Float64("lon", geo.CISTERLab.Lon, "RSU longitude")
-	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the API port")
-	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error (per-DENM records log at debug)")
-	stations := flag.Int("stations", 1, "hosted station count; >1 switches to service mode (one listener multiplexing /stations/{id}/... routes)")
-	mailboxCap := flag.Int("mailbox-cap", 0, "per-station DENM mailbox bound (0 = default, negative = unbounded)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "service mode: concurrent requests per endpoint (0 = default)")
-	maxQueue := flag.Int("max-queue", 0, "service mode: admission queue depth per endpoint; beyond it requests shed with 429 (0 = default)")
-	requestTimeout := flag.Duration("request-timeout", 0, "service mode: per-request deadline answered 503 (0 = default)")
-	flag.Parse()
-
-	logger, err := openc2x.NewLogger(os.Stderr, *logFormat, *logLevel)
-	if err != nil {
-		return err
-	}
-
-	var peerList []string
-	if *peers != "" {
-		peerList = strings.Split(*peers, ",")
-	}
-	link, err := openc2x.NewUDPLink(*listen, peerList)
-	if err != nil {
-		return err
-	}
-	defer link.Close()
-
-	if *stations > 1 {
-		return serveMux("rsud", logger, link, peerList, openc2x.ServiceOptions{
-			Addr:           *api,
-			Link:           link,
-			Stations:       *stations,
-			FirstStationID: uint32(*station),
-			StationType:    units.StationTypeRoadSideUnit,
-			Position:       geo.LatLon{Lat: *lat, Lon: *lon},
-			MailboxCap:     *mailboxCap,
-			Logger:         logger,
-			Limits: openc2x.Limits{
-				MaxConcurrent:  *maxConcurrent,
-				MaxQueue:       *maxQueue,
-				RequestTimeout: *requestTimeout,
-			},
-		}, *pprof)
-	}
-
-	node, err := openc2x.NewRealNode(openc2x.RealNodeConfig{
-		StationID:   units.StationID(*station),
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	d := openc2x.Daemon{
+		Name:        "rsud",
+		API:         ":1188",
+		Listen:      ":47001",
+		StationID:   1001,
 		StationType: units.StationTypeRoadSideUnit,
-		Position:    geo.LatLon{Lat: *lat, Lon: *lon},
-		Link:        link,
-		Logger:      logger,
-		MailboxCap:  *mailboxCap,
-	})
-	if err != nil {
-		return err
 	}
-	link.Start(node)
-
-	srv, err := openc2x.NewServer(node, *api)
-	if err != nil {
-		return err
-	}
-	if *pprof {
-		srv.EnablePprof()
-	}
-	logger.Info("rsud started",
-		"station", *station,
-		"api", srv.Addr(),
-		"endpoints", "/metrics /trace /debug/flight /healthz /buildinfo",
-		"link", link.LocalAddr(),
-		"peers", peerList)
-
-	done := make(chan os.Signal, 1)
-	signal.Notify(done, syscall.SIGINT, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve() }()
-	select {
-	case sig := <-done:
-		// Graceful exit: let in-flight polls finish, then drop any
-		// undelivered DENMs and close the radio link (deferred).
-		logger.Info("shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Warn("shutdown incomplete, closing", "err", err)
-			srv.Close()
-		}
-		if n := node.DrainMailbox("shutdown"); n > 0 {
-			logger.Info("drained mailbox", "undelivered_denms", n)
-		}
-		return nil
-	case err := <-errc:
-		return err
-	}
-}
-
-// serveMux runs service mode: build the fleet, serve until a signal,
-// then shut down gracefully draining every hosted mailbox.
-func serveMux(name string, logger *slog.Logger, link *openc2x.UDPLink, peerList []string, opts openc2x.ServiceOptions, pprof bool) error {
-	srv, err := openc2x.StartService(opts)
-	if err != nil {
-		return err
-	}
-	if pprof {
-		srv.EnablePprof()
-	}
-	link.Start(srv)
-	logger.Info(name+" started in service mode",
-		"stations", opts.Stations,
-		"first_station", opts.FirstStationID,
-		"api", srv.Addr(),
-		"endpoints", "/stations/{id}/... /metrics /ldm /debug/flight /healthz /buildinfo",
-		"link", link.LocalAddr(),
-		"peers", peerList)
-
-	done := make(chan os.Signal, 1)
-	signal.Notify(done, syscall.SIGINT, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve() }()
-	select {
-	case sig := <-done:
-		logger.Info("shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		dropped, err := srv.Shutdown(ctx)
-		if err != nil {
-			logger.Warn("shutdown incomplete, closing", "err", err)
-			srv.Close()
-		}
-		if dropped > 0 {
-			logger.Info("drained mailboxes", "undelivered_denms", dropped)
-		}
-		return nil
-	case err := <-errc:
-		return err
+	if err := d.Run(ctx, os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, d.Name+":", err)
+		os.Exit(1)
 	}
 }

@@ -44,40 +44,17 @@ func run() error {
 		return err
 	}
 
-	rsu, err := openc2x.NewRealNode(openc2x.RealNodeConfig{
-		StationID:   1001,
-		StationType: units.StationTypeRoadSideUnit,
-		Position:    geo.CISTERLab,
-		Link:        rsuLink,
-	})
-	if err != nil {
-		return err
-	}
-	rsuLink.Start(rsu)
-
-	obu, err := openc2x.NewRealNode(openc2x.RealNodeConfig{
-		StationID:   2001,
-		StationType: units.StationTypePassengerCar,
-		Position:    geo.CISTERLab,
-		Link:        obuLink,
-	})
-	if err != nil {
-		return err
-	}
-	obuLink.Start(obu)
-
-	rsuAPI, err := openc2x.NewServer(rsu, "127.0.0.1:0")
+	// One OpenC2X daemon per unit, each hosting a single station.
+	rsuAPI, err := serve(rsuLink, 1001, units.StationTypeRoadSideUnit)
 	if err != nil {
 		return err
 	}
 	defer rsuAPI.Close()
-	go func() { _ = rsuAPI.Serve() }()
-	obuAPI, err := openc2x.NewServer(obu, "127.0.0.1:0")
+	obuAPI, err := serve(obuLink, 2001, units.StationTypePassengerCar)
 	if err != nil {
 		return err
 	}
 	defer obuAPI.Close()
-	go func() { _ = obuAPI.Serve() }()
 
 	fmt.Printf("RSU API on http://%s, OBU API on http://%s\n", rsuAPI.Addr(), obuAPI.Addr())
 
@@ -124,6 +101,22 @@ func run() error {
 		d.CauseCode, d.CauseDescription, d.SubCauseCode, d.Latitude, d.Longitude)
 	fmt.Println("vehicle control logic would now cut power to the wheels")
 	return nil
+}
+
+// serve starts an OpenC2X daemon on a loopback port hosting one
+// station that transmits over link.
+func serve(link *openc2x.UDPLink, id uint32, st units.StationType) (*openc2x.MuxServer, error) {
+	srv, err := openc2x.NewMuxServer(openc2x.MuxConfig{Addr: "127.0.0.1:0", Link: link})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := srv.Register(id, st, geo.CISTERLab); err != nil {
+		srv.Close()
+		return nil, err
+	}
+	link.Start(srv)
+	go func() { _ = srv.Serve() }()
+	return srv, nil
 }
 
 func triggerDENM(addr string, req openc2x.TriggerRequest) (openc2x.TriggerResponse, error) {

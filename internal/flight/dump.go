@@ -94,15 +94,8 @@ func Timeline(s Snapshot) string {
 	if len(s.Events) == 0 {
 		return b.String()
 	}
-	multiRun := s.Events[0].Run != 0
-	if multiRun {
-		fmt.Fprintf(&b, "%-4s ", "run")
-	}
 	fmt.Fprintf(&b, "%-7s %12s  %-10s %-13s %s\n", "seq", "t(ms)", "station", "event", "detail")
 	for _, ev := range s.Events {
-		if multiRun {
-			fmt.Fprintf(&b, "%-4d ", ev.Run)
-		}
 		fmt.Fprintf(&b, "%-7d %12.3f  %-10s %-13s %s\n",
 			ev.Seq, float64(ev.AtNS)/1e6, ev.Station, ev.Kind, detail(ev))
 	}

@@ -11,10 +11,9 @@
 //
 // Determinism is the same contract as metrics and tracing: events are
 // stamped with simulation-clock time and a recorder-local sequence
-// number (no wall clock, no randomness), each campaign attempt records
-// into a private pooled Recorder, and accepted runs are merged in
-// commit order (MergeRuns) — so dumps are bit-identical for any
-// -workers value.
+// number (no wall clock, no randomness) and each campaign attempt
+// records into a private pooled Recorder — so dumps are bit-identical
+// for any -workers value.
 //
 // The append path allocates nothing: rings are fixed-size slabs
 // allocated when a station's Hook is first created, events are
@@ -343,8 +342,6 @@ func (h Hook) RecordFrom(at time.Duration, kind Kind, code uint8, src Hook, a, b
 
 // EventRecord is the exported, human-readable form of one event.
 type EventRecord struct {
-	// Run is the 1-based run index after MergeRuns (zero before).
-	Run     int    `json:"run,omitempty"`
 	Seq     uint64 `json:"seq"`
 	AtNS    int64  `json:"at_ns"`
 	Station string `json:"station"`
@@ -411,37 +408,4 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Stations reports how many station rings have been interned.
-func (r *Recorder) Stations() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.names)
-}
-
-// MergeRuns combines per-attempt snapshots in commit order into one
-// snapshot: run i's sequence numbers are rebased past run i-1's and
-// each event is tagged with its 1-based run index. Same inputs, same
-// output — the determinism contract mirrors tracing.MergeRuns.
-func MergeRuns(snaps []Snapshot) Snapshot {
-	var out Snapshot
-	var base uint64
-	for i, snap := range snaps {
-		var maxSeq uint64
-		for _, ev := range snap.Events {
-			ev.Run = i + 1
-			if ev.Seq > maxSeq {
-				maxSeq = ev.Seq
-			}
-			ev.Seq += base
-			out.Events = append(out.Events, ev)
-		}
-		out.Evicted += snap.Evicted
-		base += maxSeq
-	}
-	return out
 }

@@ -53,16 +53,19 @@ func TestSameNameSharesOneRing(t *testing.T) {
 	r := NewRecorder(4)
 	h1 := r.Hook("rsu")
 	h2 := r.Hook("rsu")
-	if n := r.Stations(); n != 1 {
-		t.Fatalf("same name interned as %d stations", n)
-	}
 	// Both hooks write one 4-slot ring: six events evict two.
 	for i := 0; i < 3; i++ {
 		h1.Record(time.Duration(2*i), RadioTx, 0, 0, 0)
 		h2.Record(time.Duration(2*i+1), RadioRx, RxOK, 0, 0)
 	}
-	if s := r.Snapshot(); len(s.Events) != 4 || s.Evicted != 2 {
+	s := r.Snapshot()
+	if len(s.Events) != 4 || s.Evicted != 2 {
 		t.Fatalf("shared ring holds %d events, evicted %d; want 4, 2", len(s.Events), s.Evicted)
+	}
+	for _, ev := range s.Events {
+		if ev.Station != "rsu" {
+			t.Fatalf("event %+v not on the rsu ring", ev)
+		}
 	}
 }
 
@@ -109,27 +112,6 @@ func TestPooledResetMatchesFresh(t *testing.T) {
 	want := feed(NewRecorder(64))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("pooled+Reset recorder snapshot differs from fresh recorder")
-	}
-}
-
-func TestMergeRunsRebasesAndTags(t *testing.T) {
-	mk := func() Snapshot {
-		r := NewRecorder(8)
-		h := r.Hook("st")
-		h.Record(time.Millisecond, CAMTx, 0, 0, 0)
-		h.Record(2*time.Millisecond, CAMTx, 0, 0, 0)
-		return r.Snapshot()
-	}
-	merged := MergeRuns([]Snapshot{mk(), mk()})
-	if len(merged.Events) != 4 {
-		t.Fatalf("merged %d events, want 4", len(merged.Events))
-	}
-	wantSeq := []uint64{1, 2, 3, 4}
-	wantRun := []int{1, 1, 2, 2}
-	for i, ev := range merged.Events {
-		if ev.Seq != wantSeq[i] || ev.Run != wantRun[i] {
-			t.Errorf("event %d: seq=%d run=%d, want seq=%d run=%d", i, ev.Seq, ev.Run, wantSeq[i], wantRun[i])
-		}
 	}
 }
 

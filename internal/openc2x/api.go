@@ -6,9 +6,9 @@
 //
 // Two deployments are provided. SimNode runs inside the discrete-event
 // testbed on a stack.Station, modelling the HTTP round-trip latency of
-// the wired lab network. RealNode + Server run over genuine sockets
-// (net/http API, UDP link emulation) for the rsud/obud daemons and the
-// httpapi example.
+// the wired lab network. MuxServer hosts RealNodes over genuine
+// sockets (net/http API, UDP link emulation) for the rsud/obud daemons
+// (Daemon.Run) and the httpapi example.
 package openc2x
 
 import (

@@ -134,3 +134,25 @@ func TestSimNodeMailboxUnboundedDefault(t *testing.T) {
 		t.Fatalf("depth %d dropped %d, want %d/0", obu.PendingDENMs(), obu.MailboxDropped, sent)
 	}
 }
+
+// TestRealNodeDrainMailbox checks the shutdown drain reports and
+// clears pending DENMs.
+func TestRealNodeDrainMailbox(t *testing.T) {
+	srv := newMux(t, 2, MuxConfig{})
+	sender, receiver := station(t, srv, 1), station(t, srv, 2)
+	if _, err := sender.TriggerDENM(collisionReq()); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return receiver.PendingDENMs() > 0 }) {
+		t.Fatal("DENM never reached the receiver")
+	}
+	if n := receiver.DrainMailbox("shutdown"); n != 1 {
+		t.Fatalf("DrainMailbox = %d, want 1", n)
+	}
+	if n := receiver.DrainMailbox("shutdown"); n != 0 {
+		t.Fatalf("second DrainMailbox = %d, want 0", n)
+	}
+	if batch := receiver.RequestDENM(); len(batch) != 0 {
+		t.Fatalf("poll after drain returned %d DENMs, want 0", len(batch))
+	}
+}

@@ -2,7 +2,6 @@ package openc2x
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -51,8 +50,8 @@ type MuxConfig struct {
 	// LDMShards sets the shared LDM's shard count (zero: ldm default).
 	LDMShards int
 	// FlightCapacity sizes each station's black-box ring in the shared
-	// recorder; zero selects 64 (smaller than a single-station daemon's
-	// because the mux hosts hundreds of rings).
+	// recorder; zero selects 64 (smaller than flight.DefaultCapacity
+	// because a fleet has hundreds of rings).
 	FlightCapacity int
 	// Faults, when non-nil, screens trigger/poll requests for injected
 	// wall-clock faults (the soak harness's crash/timeout plans).
@@ -64,23 +63,30 @@ type MuxConfig struct {
 	Position geo.LatLon
 }
 
-// MuxServer is the testbed-as-a-service daemon: one listener
-// multiplexing hundreds to thousands of ITS stations. Per-station
-// routes carry the station ID in the path:
+// MuxServer is the OpenC2X daemon behind rsud and obud: one listener
+// hosting one to thousands of ITS stations. The OpenC2X routes target
+// the default station (the first one registered):
+//
+//	POST /trigger_denm  — body TriggerRequest, response TriggerResponse
+//	POST /request_denm  — response []DENMSummary (empty array when none)
+//	POST /trigger_cam   — broadcast one CAM
+//	GET  /trace         — ring of the station's 64 most recent DENM traces
+//
+// The same routes exist per station, with the station ID in the path,
+// next to the fleet's own:
 //
 //	PUT    /stations/{id}                — register (admission-controlled)
 //	DELETE /stations/{id}                — deregister
 //	GET    /stations                     — list hosted station IDs
-//	POST   /stations/{id}/trigger_denm   — as the single-station API
+//	POST   /stations/{id}/trigger_denm
 //	POST   /stations/{id}/request_denm
 //	POST   /stations/{id}/trigger_cam
-//	GET    /stations/{id}/trace          — per-station trace ring
+//	GET    /stations/{id}/trace
 //
-// The legacy single-station routes (/trigger_denm, /request_denm,
-// /trigger_cam, /trace) remain as aliases for the default station (the
-// first one registered). Shared routes: /causes, /metrics (one
-// aggregated registry for the whole daemon), /ldm, /debug/flight,
-// /healthz, /buildinfo.
+// Shared routes: /causes (the DENM cause-code registry), /metrics (one
+// aggregated registry for the whole daemon), /ldm, /debug/flight (the
+// black-box ring), /healthz (liveness, uptime and the default
+// station's ID) and /buildinfo (binary provenance).
 //
 // Every POST endpoint sits behind the overload guard: bounded
 // concurrency and admission queues shed with 429 + Retry-After, and
@@ -94,24 +100,26 @@ type MuxServer struct {
 	logger *slog.Logger
 
 	// p is the daemon-level handle: the registry and flight recorder
-	// every hosted station shares, and the "mux" ring for sheds.
+	// every hosted station shares, and the "mux" ring for sheds and
+	// malformed frames.
 	p   trace.Probe
 	ldm *ldm.Sharded
 
 	shards [muxShards]muxShard
-	// defaultID guards the legacy-alias target (first registered
-	// station).
+	// defaultID is the legacy routes' target, the first registered
+	// station.
 	defaultMu sync.RWMutex
 	defaultID uint32
 
 	registered   *metrics.Counter
 	deregistered *metrics.Counter
 	unknown      *metrics.Counter
-	muxMalformed *metrics.Counter
+	malformed    *metrics.Counter
 	stationsG    *metrics.Gauge
 
-	// pollDelay mirrors Server.pollDelay: a test hook holding a poll in
-	// flight after the drain.
+	// pollDelay, when non-nil, runs inside the poll handler after the
+	// mailbox drain and before the response is written. Tests use it to
+	// hold a poll in flight across a Shutdown call.
 	pollDelay func()
 }
 
@@ -171,14 +179,14 @@ func NewMuxServer(cfg MuxConfig) (*MuxServer, error) {
 		ldm: ldm.NewSharded(cfg.LDMShards, ldm.Config{
 			Frame: frame,
 			Now:   func() time.Duration { return time.Since(start) },
-			// Service-mode stations may CAM rarely; keep remote state
+			// Hosted stations may CAM rarely; keep remote state
 			// around long enough for a slow poller to see it.
 			ObjectLifetime: 5 * time.Second,
 		}),
 		registered:   reg.Counter("mux_stations_registered_total"),
 		deregistered: reg.Counter("mux_stations_deregistered_total"),
 		unknown:      reg.Counter("mux_station_not_found_total"),
-		muxMalformed: reg.Counter("openc2x_frames_malformed_total"),
+		malformed:    reg.Counter("openc2x_frames_malformed_total"),
 		stationsG:    reg.Gauge("mux_stations"),
 	}
 	for i := range s.shards {
@@ -394,9 +402,7 @@ func (s *MuxServer) LDM() *ldm.Sharded { return s.ldm }
 func (s *MuxServer) OnFrame(frame []byte) {
 	dec, stage, err := decodeFrame(frame)
 	if err != nil {
-		s.muxMalformed.Inc()
-		s.p.Record(time.Since(s.start), flight.RadioRx, flight.RxMalformed, int64(len(frame)), 0)
-		_ = stage
+		s.recordMalformed(stage, len(frame))
 		return
 	}
 	switch {
@@ -414,6 +420,22 @@ func (s *MuxServer) OnFrame(frame []byte) {
 			n.deliver(dec)
 		}
 		sh.mu.RUnlock()
+	}
+}
+
+// recordMalformed accounts one undecodable frame under the stage that
+// rejected it: the GN header (radio.rx), or the DENM or CAM payload
+// behind a valid header (denm.rx, cam.rx).
+func (s *MuxServer) recordMalformed(stage string, frameLen int) {
+	s.malformed.Inc()
+	now := time.Since(s.start)
+	switch stage {
+	case decodeStageGN:
+		s.p.Record(now, flight.RadioRx, flight.RxMalformed, int64(frameLen), 0)
+	case decodeStageDENM:
+		s.p.Record(now, flight.DENMRx, flight.RxMalformed, 0, 0)
+	case decodeStageCAM:
+		s.p.Record(now, flight.CAMRx, flight.RxMalformed, 0, 0)
 	}
 }
 
@@ -436,13 +458,18 @@ func (s *MuxServer) stationHandler(fn func(*RealNode, http.ResponseWriter, *http
 	})
 }
 
+// defaultStation is the ID the legacy aliases target: the first
+// registered station, or zero before any registration.
+func (s *MuxServer) defaultStation() uint32 {
+	s.defaultMu.RLock()
+	defer s.defaultMu.RUnlock()
+	return s.defaultID
+}
+
 // defaultHandler routes a legacy alias to the default station.
 func (s *MuxServer) defaultHandler(fn func(*RealNode, http.ResponseWriter, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.defaultMu.RLock()
-		id := s.defaultID
-		s.defaultMu.RUnlock()
-		node, ok := s.Station(id)
+		node, ok := s.Station(s.defaultStation())
 		if !ok {
 			s.unknown.Inc()
 			writeJSON(w, http.StatusNotFound, map[string]string{"error": "no station registered"})
@@ -479,7 +506,7 @@ func (s *MuxServer) serveTrigger(n *RealNode, w http.ResponseWriter, r *http.Req
 	if !s.screen(w, s.faultTrigger) {
 		return
 	}
-	handleTriggerNode(n, w, r, DefaultMaxBodyBytes)
+	handleTriggerNode(n, w, r)
 }
 
 func (s *MuxServer) servePoll(n *RealNode, w http.ResponseWriter, r *http.Request) {
@@ -515,12 +542,8 @@ func (s *MuxServer) serveRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body registerBody
-	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
-	if data, err := io.ReadAll(r.Body); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &body); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
+	if !decodeBody(w, r, &body, true) {
+		return
 	}
 	st := units.StationType(body.StationType)
 	if body.StationType == 0 {
@@ -576,6 +599,7 @@ func (s *MuxServer) serveLDM(w http.ResponseWriter, r *http.Request) {
 func (s *MuxServer) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
+		"station_id":     s.defaultStation(),
 		"stations":       s.StationCount(),
 		"uptime_seconds": time.Since(s.start).Seconds(),
 	})
@@ -590,6 +614,14 @@ func (s *MuxServer) serveBuildinfo(w http.ResponseWriter, r *http.Request) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		out["module"] = bi.Main.Path
 		out["version"] = bi.Main.Version
+		for _, st := range bi.Settings {
+			switch st.Key {
+			case "vcs.revision":
+				out["revision"] = st.Value
+			case "vcs.time":
+				out["build_time"] = st.Value
+			}
+		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

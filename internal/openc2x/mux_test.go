@@ -236,6 +236,42 @@ func TestMuxBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestMuxRegisterBodyTooLarge: an oversized PUT /stations/{id} body is
+// answered 413 like the POST routes' and registers nothing; a JSON body
+// sets the station's type.
+func TestMuxRegisterBodyTooLarge(t *testing.T) {
+	srv := newMux(t, 1, MuxConfig{})
+	put := func(id uint32, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, fmt.Sprintf("http://%s/stations/%d", srv.Addr(), id), strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := `{"stationType":5,"pad":"` + strings.Repeat("x", DefaultMaxBodyBytes+1) + `"}`
+	if status := put(42, huge); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized register status %d, want 413", status)
+	}
+	if _, ok := srv.Station(42); ok || srv.StationCount() != 1 {
+		t.Fatalf("oversized body registered station 42 (count %d)", srv.StationCount())
+	}
+	if status := put(43, "{bad"); status != http.StatusBadRequest {
+		t.Fatalf("malformed register status %d, want 400", status)
+	}
+	if status := put(44, `{"stationType":15}`); status != http.StatusCreated {
+		t.Fatalf("register status %d, want 201", status)
+	}
+	if n := station(t, srv, 44); n.stationType != units.StationTypeRoadSideUnit {
+		t.Fatalf("station 44 type %d, want %d", n.stationType, units.StationTypeRoadSideUnit)
+	}
+}
+
 // TestMuxConcurrentRegistration churns the station table from many
 // goroutines while traffic flows — the registration/deregistration
 // race satellite, meaningful under -race.
@@ -294,74 +330,89 @@ func TestMuxConcurrentRegistration(t *testing.T) {
 }
 
 // TestMuxShutdownCompletesInFlightPoll: Shutdown waits for a poll that
-// already drained a mailbox, so the response is not lost.
+// already drained a mailbox, so the response is not lost, and then
+// refuses new polls. Station 3 triggers; the poll goes to station 2 by
+// ID or to the default station 1 by the legacy route.
 func TestMuxShutdownCompletesInFlightPoll(t *testing.T) {
-	srv, err := NewMuxServer(MuxConfig{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Register(1, units.StationTypePassengerCar, geo.CISTERLab); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Register(2, units.StationTypePassengerCar, geo.CISTERLab); err != nil {
-		t.Fatal(err)
-	}
-	inPoll := make(chan struct{})
-	release := make(chan struct{})
-	srv.pollDelay = func() {
-		close(inPoll)
-		<-release
-	}
-	go srv.Serve()
+	for _, path := range []string{"/stations/2/request_denm", "/request_denm"} {
+		t.Run(path, func(t *testing.T) {
+			srv, err := NewMuxServer(MuxConfig{Addr: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for id := uint32(1); id <= 3; id++ {
+				if _, err := srv.Register(id, units.StationTypePassengerCar, geo.CISTERLab); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inPoll := make(chan struct{})
+			release := make(chan struct{})
+			srv.pollDelay = func() {
+				close(inPoll)
+				<-release
+			}
+			go srv.Serve()
 
-	node, _ := srv.Station(1)
-	if _, err := node.TriggerDENM(TriggerRequest{CauseCode: 97, Latitude: geo.CISTERLab.Lat, Longitude: geo.CISTERLab.Lon}); err != nil {
-		t.Fatal(err)
-	}
-	two, _ := srv.Station(2)
-	if !waitFor(t, time.Second, func() bool { return two.PendingDENMs() == 1 }) {
-		t.Fatal("station 2 never got the DENM")
-	}
+			if _, err := station(t, srv, 3).TriggerDENM(collisionReq()); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []uint32{1, 2} {
+				node := station(t, srv, id)
+				if !waitFor(t, time.Second, func() bool { return node.PendingDENMs() == 1 }) {
+					t.Fatalf("station %d never got the DENM", id)
+				}
+			}
 
-	type pollResult struct {
-		status int
-		batch  []DENMSummary
-		err    error
-	}
-	done := make(chan pollResult, 1)
-	go func() {
-		resp, err := http.Post("http://"+srv.Addr()+"/stations/2/request_denm", "application/json", nil)
-		if err != nil {
-			done <- pollResult{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var batch []DENMSummary
-		json.NewDecoder(resp.Body).Decode(&batch)
-		done <- pollResult{status: resp.StatusCode, batch: batch}
-	}()
-	<-inPoll
+			type pollResult struct {
+				status int
+				batch  []DENMSummary
+				err    error
+			}
+			done := make(chan pollResult, 1)
+			go func() {
+				resp, err := http.Post("http://"+srv.Addr()+path, "application/json", nil)
+				if err != nil {
+					done <- pollResult{err: err}
+					return
+				}
+				defer resp.Body.Close()
+				var batch []DENMSummary
+				err = json.NewDecoder(resp.Body).Decode(&batch)
+				done <- pollResult{status: resp.StatusCode, batch: batch, err: err}
+			}()
+			select {
+			case <-inPoll:
+			case <-time.After(2 * time.Second):
+				t.Fatal("poll never reached the handler")
+			}
 
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		_, err := srv.Shutdown(ctx)
-		shutdownDone <- err
-	}()
-	// Shutdown must block on the in-flight poll.
-	select {
-	case <-shutdownDone:
-		t.Fatal("Shutdown returned while a poll was in flight")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	res := <-done
-	if res.err != nil || res.status != http.StatusOK || len(res.batch) != 1 {
-		t.Fatalf("in-flight poll result %+v", res)
+			shutdownDone := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+				defer cancel()
+				_, err := srv.Shutdown(ctx)
+				shutdownDone <- err
+			}()
+			// Shutdown must block on the in-flight poll.
+			select {
+			case <-shutdownDone:
+				t.Fatal("Shutdown returned while a poll was in flight")
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(release)
+			if err := <-shutdownDone; err != nil {
+				t.Fatalf("shutdown: %v", err)
+			}
+			res := <-done
+			if res.err != nil || res.status != http.StatusOK || len(res.batch) != 1 {
+				t.Fatalf("in-flight poll result %+v", res)
+			}
+			// The listener is closed: new polls must be refused.
+			if _, err := http.Post("http://"+srv.Addr()+path, "application/json", nil); err == nil {
+				t.Fatal("poll succeeded after Shutdown")
+			}
+		})
 	}
 }
 

@@ -22,10 +22,10 @@ import (
 	"itsbed/internal/units"
 )
 
-// RealNode is the wall-clock OpenC2X deployment used by the rsud/obud
-// daemons: it speaks the same GN/BTP/facilities wire format as the
-// simulated stack, but over a real datagram link (UDP standing in for
-// the 802.11p air interface between two lab machines).
+// RealNode is one wall-clock OpenC2X station hosted by a MuxServer
+// (the rsud/obud daemons): it speaks the same GN/BTP/facilities wire
+// format as the simulated stack, but over a real datagram link (UDP
+// standing in for the 802.11p air interface between two lab machines).
 type RealNode struct {
 	mu sync.Mutex
 
@@ -38,11 +38,10 @@ type RealNode struct {
 	seq         uint16
 	mailbox     []ReceivedDENM
 	mailboxCap  int
-	camSink     func(*messages.CAM)
 	logger      *slog.Logger
 
-	// p reports into the node's registry (the /metrics endpoint), its
-	// own tracer and the always-on black-box recorder behind
+	// p reports into the daemon's registry (the /metrics endpoint), the
+	// node's own tracer and the daemon's black-box recorder behind
 	// /debug/flight. Spans and events are stamped on the wall clock
 	// (offsets from start); finished traces move out of the tracer
 	// into ring, which backs /trace.
@@ -52,27 +51,17 @@ type RealNode struct {
 	// when a poll drains the entry.
 	mailboxSpans []*tracing.Span
 
-	// The counters below are cached openc2x_* families of the node's
-	// registry. OnFrame runs on the link's read-loop goroutine while
-	// callers poll the counters, so everything is atomic underneath.
-	received  *metrics.Counter
-	malformed *metrics.Counter
-	denms     *metrics.Counter
-	cams      *metrics.Counter
-	triggers  *metrics.Counter
-	polls     *metrics.Counter
-	dropped   *metrics.Counter
-	depthMax  *metrics.Gauge
+	// The counters below are cached openc2x_* families of the daemon's
+	// registry. Frames are delivered on the link's read-loop goroutine
+	// while HTTP handlers run, so everything is atomic underneath.
+	received *metrics.Counter
+	denms    *metrics.Counter
+	cams     *metrics.Counter
+	triggers *metrics.Counter
+	polls    *metrics.Counter
+	dropped  *metrics.Counter
+	depthMax *metrics.Gauge
 }
-
-// ReceivedCount reports how many frames decoded successfully.
-func (n *RealNode) ReceivedCount() uint64 { return n.received.Value() }
-
-// MalformedCount reports how many frames failed to parse.
-func (n *RealNode) MalformedCount() uint64 { return n.malformed.Value() }
-
-// Metrics returns the node's metrics registry (the /metrics endpoint).
-func (n *RealNode) Metrics() *metrics.Registry { return n.p.Sink().Metrics }
 
 // DatagramLink is the transport of a RealNode.
 type DatagramLink interface {
@@ -100,21 +89,17 @@ type RealNodeConfig struct {
 	// and flight-recorded). Zero selects DefaultMailboxCap; negative
 	// disables the bound.
 	MailboxCap int
-	// Sink's registry and flight recorder, when non-nil, are the ones
-	// the node instruments into. The multiplexed daemon shares them
-	// across every hosted station so the metrics aggregate stays
-	// O(families), not O(stations); nil creates a private registry or
-	// recorder. The node records flight events under its station ID.
+	// Sink's registry and flight recorder are the ones the node
+	// instruments into: the MuxServer shares them across every hosted
+	// station so the metrics aggregate stays O(families), not
+	// O(stations). The node records flight events under its station ID.
 	// Spans always go to a tracer of the node's own, whose finished
 	// traces feed /trace; Sink.Tracer is not used.
 	Sink trace.Sink
-	// FlightCapacity sizes the private recorder's per-station ring when
-	// Sink.Flight is nil (zero selects the flight package default).
-	FlightCapacity int
 }
 
-// NewRealNode builds a node. Frames received from the link must be fed
-// to OnFrame by the transport's read loop.
+// NewRealNode builds a node. The MuxServer hosting it decodes received
+// frames and delivers them to the node.
 func NewRealNode(cfg RealNodeConfig) (*RealNode, error) {
 	if cfg.Link == nil {
 		return nil, fmt.Errorf("openc2x: real node requires a link")
@@ -128,12 +113,6 @@ func NewRealNode(cfg RealNodeConfig) (*RealNode, error) {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	sink := trace.Sink{Metrics: cfg.Sink.Metrics, Tracer: tracing.New(), Flight: cfg.Sink.Flight}
-	if sink.Metrics == nil {
-		sink.Metrics = metrics.NewRegistry()
-	}
-	if sink.Flight == nil {
-		sink.Flight = flight.NewRecorder(cfg.FlightCapacity)
-	}
 	reg := sink.Metrics
 	cap := cfg.MailboxCap
 	if cap == 0 {
@@ -151,7 +130,6 @@ func NewRealNode(cfg RealNodeConfig) (*RealNode, error) {
 		p:           sink.Probe(strconv.FormatUint(uint64(cfg.StationID), 10)),
 		ring:        tracing.NewRing(64),
 		received:    reg.Counter("openc2x_frames_received_total"),
-		malformed:   reg.Counter("openc2x_frames_malformed_total"),
 		denms:       reg.Counter("openc2x_denms_received_total"),
 		cams:        reg.Counter("openc2x_cams_received_total"),
 		triggers:    reg.Counter("openc2x_triggers_total"),
@@ -371,33 +349,10 @@ func decodeFrame(frame []byte) (dec decodedFrame, stage string, err error) {
 	return dec, "", nil
 }
 
-// recordMalformed accounts one undecodable frame.
-func (n *RealNode) recordMalformed(stage string, frameLen int) {
-	n.malformed.Add(1)
-	switch stage {
-	case decodeStageGN:
-		n.p.Record(time.Since(n.start), flight.RadioRx, flight.RxMalformed, int64(frameLen), 0)
-	case decodeStageDENM:
-		n.p.Record(time.Since(n.start), flight.DENMRx, flight.RxMalformed, 0, 0)
-	case decodeStageCAM:
-		n.p.Record(time.Since(n.start), flight.CAMRx, flight.RxMalformed, 0, 0)
-	}
-}
-
-// OnFrame processes a received datagram (GN packet).
-func (n *RealNode) OnFrame(frame []byte) {
-	dec, stage, err := decodeFrame(frame)
-	if err != nil {
-		n.recordMalformed(stage, len(frame))
-		return
-	}
-	n.deliver(dec)
-}
-
 // deliver routes one decoded frame into the node: DENMs queue in the
-// bounded mailbox, CAMs go to the sink. Own broadcasts echoed back are
-// ignored. The multiplexed daemon calls this directly with a frame
-// decoded once for all hosted stations.
+// bounded mailbox, CAMs are counted. Own broadcasts echoed back are
+// ignored. The MuxServer calls this with a frame decoded once for all
+// hosted stations.
 func (n *RealNode) deliver(dec decodedFrame) {
 	if dec.Source == geonet.NewAddress(n.stationType, n.stationID) {
 		return // own broadcast echoed back
@@ -446,12 +401,6 @@ func (n *RealNode) deliver(dec decodedFrame) {
 		n.received.Add(1)
 		n.cams.Add(1)
 		n.p.Record(time.Since(n.start), flight.CAMRx, flight.RxOK, int64(c.Header.StationID), 0)
-		n.mu.Lock()
-		sink := n.camSink
-		n.mu.Unlock()
-		if sink != nil {
-			sink(c)
-		}
 	}
 }
 
@@ -464,13 +413,6 @@ func (n *RealNode) PendingDENMs() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.mailbox)
-}
-
-// SetCAMSink installs a callback for received CAMs.
-func (n *RealNode) SetCAMSink(fn func(*messages.CAM)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.camSink = fn
 }
 
 // RequestDENM drains the mailbox (the request_denm endpoint). Each
@@ -523,31 +465,12 @@ func (n *RealNode) retire(sp *tracing.Span) {
 // daemons' /trace endpoint).
 func (n *RealNode) TraceHandler() http.Handler { return n.ring.Handler() }
 
-// FlightHandler serves the live black-box event ring as JSON (the
-// daemons' /debug/flight endpoint).
-func (n *RealNode) FlightHandler() http.Handler {
-	return flight.Handler(func() flight.Snapshot { return n.p.Sink().Flight.Snapshot() })
-}
-
-// FlightStations reports how many stations the black box has seen
-// (the node itself plus nothing else until peers are interned).
-func (n *RealNode) FlightStations() int { return n.p.Sink().Flight.Stations() }
-
-// Uptime reports the wall-clock time since the node was built.
-func (n *RealNode) Uptime() time.Duration { return time.Since(n.start) }
-
-// FrameSink consumes frames read off a link: a single RealNode, or a
-// MuxServer dispatching to every hosted station.
-type FrameSink interface {
-	OnFrame(frame []byte)
-}
-
 // UDPLink broadcasts GN frames between lab machines over UDP,
 // standing in for the 802.11p air interface of the daemons.
 type UDPLink struct {
 	conn  *net.UDPConn
 	peers []*net.UDPAddr
-	sink  FrameSink
+	srv   *MuxServer
 	done  chan struct{}
 	wg    sync.WaitGroup
 }
@@ -598,9 +521,9 @@ func (l *UDPLink) SendBroadcast(frame []byte) error {
 	return firstErr
 }
 
-// Start attaches the sink and begins the read loop.
-func (l *UDPLink) Start(sink FrameSink) {
-	l.sink = sink
+// Start begins the read loop, handing every datagram to srv.
+func (l *UDPLink) Start(srv *MuxServer) {
+	l.srv = srv
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -618,7 +541,7 @@ func (l *UDPLink) Start(sink FrameSink) {
 			}
 			frame := make([]byte, n)
 			copy(frame, buf[:n])
-			l.sink.OnFrame(frame)
+			l.srv.OnFrame(frame)
 		}
 	}()
 }

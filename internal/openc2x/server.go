@@ -1,112 +1,14 @@
 package openc2x
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
+	"io"
 	"net/http"
-	"net/http/pprof"
-	"runtime"
-	"runtime/debug"
-	"time"
 
 	"itsbed/internal/its/messages"
-	"itsbed/internal/metrics"
 )
-
-// Server exposes a RealNode through the OpenC2X-style HTTP API:
-//
-//	POST /trigger_denm  — body TriggerRequest, response TriggerResponse
-//	POST /request_denm  — response []DENMSummary (empty array when none)
-//	POST /trigger_cam   — broadcast one CAM
-//	GET  /causes        — the DENM cause-code registry (Table I)
-//	GET  /metrics       — JSON snapshot of the node's metrics registry
-//	GET  /trace         — ring of recent per-DENM traces
-//	GET  /debug/flight  — live black-box flight-recorder event ring
-//	GET  /healthz       — liveness: status plus uptime
-//	GET  /buildinfo     — binary provenance via debug.ReadBuildInfo
-//
-// EnablePprof additionally mounts the net/http/pprof profiling
-// handlers under /debug/pprof/.
-type Server struct {
-	node *RealNode
-	srv  *http.Server
-	ln   net.Listener
-	mux  *http.ServeMux
-
-	// pollDelay, when non-nil, runs inside handleRequest after the
-	// mailbox drain and before the response is written. Tests use it to
-	// hold a poll in flight across a Shutdown call.
-	pollDelay func()
-}
-
-// NewServer binds the API to addr (e.g. ":1188"; use ":0" in tests).
-func NewServer(node *RealNode, addr string) (*Server, error) {
-	if node == nil {
-		return nil, fmt.Errorf("openc2x: server requires a node")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("openc2x: listen %q: %w", addr, err)
-	}
-	s := &Server{node: node, ln: ln}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/trigger_denm", s.handleTrigger)
-	mux.HandleFunc("/request_denm", s.handleRequest)
-	mux.HandleFunc("/trigger_cam", s.handleTriggerCAM)
-	mux.HandleFunc("/causes", handleCauses)
-	mux.Handle("/metrics", metrics.Handler(func() metrics.Snapshot { return node.Metrics().Snapshot() }))
-	mux.Handle("/trace", node.TraceHandler())
-	mux.Handle("/debug/flight", node.FlightHandler())
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/buildinfo", s.handleBuildinfo)
-	s.mux = mux
-	// The API serves small JSON bodies on a lab network: generous but
-	// bounded timeouts keep a wedged client from pinning a connection
-	// (and its goroutine) forever.
-	s.srv = &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      10 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	return s, nil
-}
-
-// EnablePprof mounts the standard library profiling handlers under
-// /debug/pprof/ (heap, goroutine, profile, trace, ...). Call before
-// Serve.
-func (s *Server) EnablePprof() {
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Serve blocks serving the API until Close.
-func (s *Server) Serve() error {
-	err := s.srv.Serve(s.ln)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// Close shuts the server down immediately, dropping in-flight
-// requests. Prefer Shutdown for a graceful exit.
-func (s *Server) Close() error { return s.srv.Close() }
-
-// Shutdown stops accepting new connections and waits for in-flight
-// requests (e.g. a /request_denm poll mid-drain) to complete, up to
-// the context deadline.
-func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -114,47 +16,35 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// DefaultMaxBodyBytes caps POST bodies: the API's largest legitimate
+// DefaultMaxBodyBytes caps request bodies: the API's largest legitimate
 // request (a TriggerRequest) is well under a kilobyte, so anything
 // bigger is a client bug or abuse and is answered 413 before it can
 // balloon the daemon's memory.
 const DefaultMaxBodyBytes = 1 << 16
 
-// requirePost enforces the method contract on a hand-routed POST
-// endpoint: wrong methods get 405 with an Allow header per RFC 9110.
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
-	}
-	return true
-}
-
 // decodeBody decodes a bounded JSON body into v: oversized bodies are
-// answered 413, malformed ones 400. Reports whether decoding
+// answered 413, malformed ones 400. An empty body is malformed unless
+// emptyOK, in which case v keeps its value. Reports whether decoding
 // succeeded; on failure the response has been written.
-func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBodyBytes
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
+	err := json.NewDecoder(r.Body).Decode(v)
+	if err == nil || (emptyOK && err == io.EOF) {
+		return true
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, TriggerResponse{Error: err.Error()})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, TriggerResponse{Error: err.Error()})
-		return false
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	return true
+	writeJSON(w, status, TriggerResponse{Error: err.Error()})
+	return false
 }
 
 // handleTriggerNode serves POST trigger_denm against one station.
-func handleTriggerNode(node *RealNode, w http.ResponseWriter, r *http.Request, maxBytes int64) {
+func handleTriggerNode(node *RealNode, w http.ResponseWriter, r *http.Request) {
 	var req TriggerRequest
-	if !decodeBody(w, r, maxBytes, &req) {
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	id, err := node.TriggerDENM(req)
@@ -190,62 +80,6 @@ func handleTriggerCAMNode(node *RealNode, w http.ResponseWriter, r *http.Request
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
-// handleHealthz is the liveness probe: 200 with uptime while the
-// listener serves (a wedged process simply stops answering).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"station_id":     uint32(s.node.stationID),
-		"uptime_seconds": s.node.Uptime().Seconds(),
-	})
-}
-
-// handleBuildinfo reports binary provenance: module path and version
-// (plus the VCS revision when the binary was built from a checkout),
-// the Go toolchain, uptime, and how many stations the black box has
-// interned so far.
-func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
-	out := map[string]any{
-		"go":             runtime.Version(),
-		"uptime_seconds": s.node.Uptime().Seconds(),
-		"stations":       s.node.FlightStations(),
-	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		out["module"] = bi.Main.Path
-		out["version"] = bi.Main.Version
-		for _, st := range bi.Settings {
-			switch st.Key {
-			case "vcs.revision":
-				out["revision"] = st.Value
-			case "vcs.time":
-				out["build_time"] = st.Value
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleTrigger(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	handleTriggerNode(s.node, w, r, DefaultMaxBodyBytes)
-}
-
-func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	handleRequestNode(s.node, w, r, s.pollDelay)
-}
-
-func (s *Server) handleTriggerCAM(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	handleTriggerCAMNode(s.node, w, r)
 }
 
 type causeJSON struct {
