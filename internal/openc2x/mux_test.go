@@ -331,88 +331,91 @@ func TestMuxConcurrentRegistration(t *testing.T) {
 
 // TestMuxShutdownCompletesInFlightPoll: Shutdown waits for a poll that
 // already drained a mailbox, so the response is not lost, and then
-// refuses new polls. Station 3 triggers; the poll goes to station 2 by
-// ID or to the default station 1 by the legacy route.
+// refuses new polls. Station 1 triggers; station 2 is polled by ID.
+// TestServerShutdownCompletesInFlightPoll covers the legacy route.
 func TestMuxShutdownCompletesInFlightPoll(t *testing.T) {
-	for _, path := range []string{"/stations/2/request_denm", "/request_denm"} {
-		t.Run(path, func(t *testing.T) {
-			srv, err := NewMuxServer(MuxConfig{Addr: "127.0.0.1:0"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			for id := uint32(1); id <= 3; id++ {
-				if _, err := srv.Register(id, units.StationTypePassengerCar, geo.CISTERLab); err != nil {
-					t.Fatal(err)
-				}
-			}
-			inPoll := make(chan struct{})
-			release := make(chan struct{})
-			srv.pollDelay = func() {
-				close(inPoll)
-				<-release
-			}
-			go srv.Serve()
+	srv, err := NewMuxServer(MuxConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for id := uint32(1); id <= 2; id++ {
+		if _, err := srv.Register(id, units.StationTypePassengerCar, geo.CISTERLab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inPoll := make(chan struct{})
+	release := make(chan struct{})
+	srv.pollDelay = func() {
+		close(inPoll)
+		<-release
+	}
+	go srv.Serve()
 
-			if _, err := station(t, srv, 3).TriggerDENM(collisionReq()); err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range []uint32{1, 2} {
-				node := station(t, srv, id)
-				if !waitFor(t, time.Second, func() bool { return node.PendingDENMs() == 1 }) {
-					t.Fatalf("station %d never got the DENM", id)
-				}
-			}
+	if _, err := station(t, srv, 1).TriggerDENM(collisionReq()); err != nil {
+		t.Fatal(err)
+	}
+	node := station(t, srv, 2)
+	if !waitFor(t, time.Second, func() bool { return node.PendingDENMs() == 1 }) {
+		t.Fatal("station 2 never got the DENM")
+	}
+	expectPollSurvivesShutdown(t, srv, "/stations/2/request_denm", inPoll, release)
+}
 
-			type pollResult struct {
-				status int
-				batch  []DENMSummary
-				err    error
-			}
-			done := make(chan pollResult, 1)
-			go func() {
-				resp, err := http.Post("http://"+srv.Addr()+path, "application/json", nil)
-				if err != nil {
-					done <- pollResult{err: err}
-					return
-				}
-				defer resp.Body.Close()
-				var batch []DENMSummary
-				err = json.NewDecoder(resp.Body).Decode(&batch)
-				done <- pollResult{status: resp.StatusCode, batch: batch, err: err}
-			}()
-			select {
-			case <-inPoll:
-			case <-time.After(2 * time.Second):
-				t.Fatal("poll never reached the handler")
-			}
+// expectPollSurvivesShutdown polls path on srv, whose pollDelay hook
+// closes inPoll and then waits for release, shuts srv down while the
+// poll is held in the handler, and requires that Shutdown waits for
+// it, that the poll returns the one pending DENM, and that a new poll
+// is refused afterwards.
+func expectPollSurvivesShutdown(t *testing.T, srv *MuxServer, path string, inPoll, release chan struct{}) {
+	t.Helper()
+	type pollResult struct {
+		status int
+		batch  []DENMSummary
+		err    error
+	}
+	done := make(chan pollResult, 1)
+	go func() {
+		resp, err := http.Post("http://"+srv.Addr()+path, "application/json", nil)
+		if err != nil {
+			done <- pollResult{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var batch []DENMSummary
+		err = json.NewDecoder(resp.Body).Decode(&batch)
+		done <- pollResult{status: resp.StatusCode, batch: batch, err: err}
+	}()
+	select {
+	case <-inPoll:
+	case <-time.After(2 * time.Second):
+		t.Fatal("poll never reached the handler")
+	}
 
-			shutdownDone := make(chan error, 1)
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-				defer cancel()
-				_, err := srv.Shutdown(ctx)
-				shutdownDone <- err
-			}()
-			// Shutdown must block on the in-flight poll.
-			select {
-			case <-shutdownDone:
-				t.Fatal("Shutdown returned while a poll was in flight")
-			case <-time.After(50 * time.Millisecond):
-			}
-			close(release)
-			if err := <-shutdownDone; err != nil {
-				t.Fatalf("shutdown: %v", err)
-			}
-			res := <-done
-			if res.err != nil || res.status != http.StatusOK || len(res.batch) != 1 {
-				t.Fatalf("in-flight poll result %+v", res)
-			}
-			// The listener is closed: new polls must be refused.
-			if _, err := http.Post("http://"+srv.Addr()+path, "application/json", nil); err == nil {
-				t.Fatal("poll succeeded after Shutdown")
-			}
-		})
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		_, err := srv.Shutdown(ctx)
+		shutdownDone <- err
+	}()
+	// Shutdown must block on the in-flight poll.
+	select {
+	case <-shutdownDone:
+		t.Fatal("Shutdown returned while a poll was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	res := <-done
+	if res.err != nil || res.status != http.StatusOK || len(res.batch) != 1 {
+		t.Fatalf("in-flight poll result %+v", res)
+	}
+	// The listener is closed: new polls must be refused.
+	if _, err := http.Post("http://"+srv.Addr()+path, "application/json", nil); err == nil {
+		t.Fatal("poll succeeded after Shutdown")
 	}
 }
 

@@ -1,132 +1,56 @@
 package openc2x
 
 import (
-	"context"
-	"encoding/json"
-	"net/http"
 	"testing"
 	"time"
+
+	"itsbed/internal/geo"
+	"itsbed/internal/units"
 )
 
-// TestServerShutdownCompletesInFlightPoll holds a /request_denm poll
-// in flight (via the pollDelay hook, after it has drained the mailbox)
-// and asserts that Shutdown waits for the response to be written: the
-// client must receive its full 200 batch before Shutdown returns.
+// TestServerShutdownCompletesInFlightPoll runs the daemon shape rsud
+// and obud use: an RSU daemon triggers a DENM across loopback UDP and
+// an OBU daemon is polled on the legacy /request_denm route while it
+// shuts down. The in-flight poll keeps its DENM; new polls are refused.
 func TestServerShutdownCompletesInFlightPoll(t *testing.T) {
-	rsu, obu, closeAll := realPair(t)
-	defer closeAll()
-
-	srv, err := NewServer(obu, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inFlight := make(chan struct{})
-	release := make(chan struct{})
-	srv.pollDelay = func() {
-		close(inFlight)
-		<-release
-	}
-	go func() { _ = srv.Serve() }()
-	defer srv.Close()
-
-	if _, err := rsu.TriggerDENM(collisionReq()); err != nil {
-		t.Fatal(err)
-	}
-	if !waitFor(t, 2*time.Second, func() bool {
-		obu.mu.Lock()
-		pending := len(obu.mailbox)
-		obu.mu.Unlock()
-		return pending > 0
-	}) {
-		t.Fatal("DENM never crossed the UDP link")
-	}
-
-	type pollResult struct {
-		status int
-		batch  []DENMSummary
-		err    error
-	}
-	pollc := make(chan pollResult, 1)
-	go func() {
-		var pr pollResult
-		resp, err := http.Post("http://"+srv.Addr()+"/request_denm", "application/json", nil)
-		if err != nil {
-			pr.err = err
-			pollc <- pr
-			return
+	forFleets(t, func(t *testing.T, n int) {
+		rsuLink, obuLink := newUDPLink(t), newUDPLink(t)
+		if err := rsuLink.AddPeer(obuLink.LocalAddr()); err != nil {
+			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		pr.status = resp.StatusCode
-		pr.err = json.NewDecoder(resp.Body).Decode(&pr.batch)
-		pollc <- pr
-	}()
+		if err := obuLink.AddPeer(rsuLink.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		rsu := serveOnLink(t, rsuLink, 1001, units.StationTypeRoadSideUnit, n)
 
-	select {
-	case <-inFlight:
-	case <-time.After(2 * time.Second):
-		t.Fatal("poll never reached the handler")
-	}
+		// The OBU daemon is built by hand so the poll hook is in place
+		// before it serves.
+		obu, err := NewMuxServer(MuxConfig{Addr: "127.0.0.1:0", Link: obuLink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer obu.Close()
+		for i := 0; i < n; i++ {
+			if _, err := obu.Register(2001+uint32(i), units.StationTypePassengerCar, geo.CISTERLab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inPoll := make(chan struct{})
+		release := make(chan struct{})
+		obu.pollDelay = func() {
+			close(inPoll)
+			<-release
+		}
+		obuLink.Start(obu)
+		go obu.Serve()
 
-	shutdownc := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		shutdownc <- srv.Shutdown(ctx)
-	}()
-
-	// The poll is still blocked in the handler: Shutdown must not have
-	// returned yet.
-	select {
-	case err := <-shutdownc:
-		t.Fatalf("Shutdown returned (%v) while a poll was in flight", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-
-	close(release)
-
-	pr := <-pollc
-	if pr.err != nil {
-		t.Fatalf("in-flight poll failed across shutdown: %v", pr.err)
-	}
-	if pr.status != http.StatusOK {
-		t.Fatalf("in-flight poll status = %d, want 200", pr.status)
-	}
-	if len(pr.batch) != 1 {
-		t.Fatalf("in-flight poll returned %d DENMs, want 1", len(pr.batch))
-	}
-	if err := <-shutdownc; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-
-	// The listener is closed: new polls must be refused.
-	if _, err := http.Post("http://"+srv.Addr()+"/request_denm", "application/json", nil); err == nil {
-		t.Fatal("poll succeeded after Shutdown")
-	}
-}
-
-// TestRealNodeDrainMailbox checks the shutdown drain reports and
-// clears pending DENMs.
-func TestRealNodeDrainMailbox(t *testing.T) {
-	rsu, obu, closeAll := realPair(t)
-	defer closeAll()
-	if _, err := rsu.TriggerDENM(collisionReq()); err != nil {
-		t.Fatal(err)
-	}
-	if !waitFor(t, 2*time.Second, func() bool {
-		obu.mu.Lock()
-		pending := len(obu.mailbox)
-		obu.mu.Unlock()
-		return pending > 0
-	}) {
-		t.Fatal("DENM never crossed the UDP link")
-	}
-	if n := obu.DrainMailbox("shutdown"); n != 1 {
-		t.Fatalf("DrainMailbox = %d, want 1", n)
-	}
-	if n := obu.DrainMailbox("shutdown"); n != 0 {
-		t.Fatalf("second DrainMailbox = %d, want 0", n)
-	}
-	if batch := obu.RequestDENM(); len(batch) != 0 {
-		t.Fatalf("poll after drain returned %d DENMs, want 0", len(batch))
-	}
+		if _, err := station(t, rsu, 1001).TriggerDENM(collisionReq()); err != nil {
+			t.Fatal(err)
+		}
+		node := station(t, obu, 2001)
+		if !waitFor(t, 2*time.Second, func() bool { return node.PendingDENMs() > 0 }) {
+			t.Fatal("DENM never crossed the UDP link")
+		}
+		expectPollSurvivesShutdown(t, obu, "/request_denm", inPoll, release)
+	})
 }
