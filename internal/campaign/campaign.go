@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"itsbed/internal/metrics"
 )
@@ -174,19 +173,41 @@ func collectSerial[T any](c counters, progress func(done, total int), n, maxAtte
 
 func collectParallel[T any](c counters, progress func(done, total int), workers, n, maxAttempts int,
 	run func(int) (T, error), accept func(T) bool) ([]T, error) {
+	// Speculation is bounded: a worker may start attempt idx only while
+	// idx < cursor + window, cursor being the first attempt the
+	// collector has not decided yet. Without the bound, a descheduled
+	// worker holding the cursor's attempt let the others run ahead to
+	// maxAttempts. The window exceeds the worker count, so the cursor's
+	// attempt is always claimed and the collector always progresses.
+	window := 2 * workers
 	var (
-		next    atomic.Int64 // next attempt index to schedule
-		stop    atomic.Bool  // decision made; workers wind down
+		mu      sync.Mutex
+		moved   = sync.NewCond(&mu) // the cursor advanced or stopped turned true
+		next    int                 // next attempt index to schedule (guarded by mu)
+		settled int                 // the collector's cursor, as published (guarded by mu)
+		stopped bool                // decision made; workers wind down (guarded by mu)
 		wg      sync.WaitGroup
 		results = make(chan attemptResult[T], workers)
 	)
+	claim := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for !stopped && next >= settled+window {
+			moved.Wait()
+		}
+		if stopped || next >= maxAttempts {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				idx := int(next.Add(1) - 1)
-				if idx >= maxAttempts {
+			for {
+				idx, ok := claim()
+				if !ok {
 					return
 				}
 				v, err := run(idx)
@@ -244,9 +265,12 @@ func collectParallel[T any](c counters, progress func(done, total int), workers,
 				decided = true
 			}
 		}
-		if decided {
-			stop.Store(true)
+		mu.Lock()
+		if cursor > settled || decided {
+			settled, stopped = cursor, decided
+			moved.Broadcast()
 		}
+		mu.Unlock()
 	}
 	if finalErr != nil {
 		return nil, finalErr

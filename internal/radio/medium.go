@@ -125,6 +125,13 @@ type transmission struct {
 	span *tracing.Span
 }
 
+// interferer is a transmission overlapping the completing one, with
+// its source position at the completion instant.
+type interferer struct {
+	t   *transmission
+	pos geo.Point
+}
+
 // Medium is the shared 802.11p broadcast channel of one collision
 // domain (the laboratory). Interfaces attach with a position; frames
 // propagate to every other attached interface per the path-loss and
@@ -164,6 +171,14 @@ type Medium struct {
 	// instead of log-distance path-loss math. Invalid (and unused)
 	// when an obstruction model makes loss position-dependent.
 	linkCache []linkThreshold
+
+	// overlap lists the transmissions overlapping the one completing,
+	// in m.ongoing order (the interference summation order), rebuilt by
+	// complete and reused across completions.
+	overlap []interferer
+	// noiseMW and noiseDBm are the completing frame's noise floor,
+	// injected noise bursts included.
+	noiseMW, noiseDBm float64
 
 	// FramesSent counts transmissions started on the medium.
 	FramesSent uint64
@@ -468,7 +483,11 @@ func (m *Medium) transmit(iface *Interface, frame []byte, ac AccessCategory, par
 }
 
 // complete evaluates reception at each interface when the frame's
-// airtime elapses, then retires the transmission.
+// airtime elapses, then retires the transmission. What every
+// receiver's SINR decision shares is computed here once: the
+// overlapping transmissions with their source positions (positions are
+// pure functions of simulated time, and the time does not move during
+// a completion) and the noise floor, raised by any injected burst.
 func (m *Medium) complete(t *transmission) {
 	now := m.kernel.Now()
 	t.span.End(now)
@@ -477,10 +496,24 @@ func (m *Medium) complete(t *transmission) {
 	// merge in noteBusy is an exact interval union.
 	m.noteBusy(t.src, t)
 	srcPos := t.src.pos()
+	var blackout bool
+	var extraNoiseDB float64
+	if f := m.cfg.Faults; f != nil {
+		blackout = f.BlackoutAt(now)
+		extraNoiseDB = f.ExtraNoiseDB(now)
+	}
+	m.overlap = m.overlap[:0]
+	for _, o := range m.ongoing {
+		if o != t && o.start < t.end && o.end > t.start {
+			m.overlap = append(m.overlap, interferer{t: o, pos: o.src.pos()})
+		}
+	}
+	m.noiseMW = dbmToMilliwatt(m.cfg.NoiseFloorDBm + extraNoiseDB)
+	m.noiseDBm = milliwattToDBm(m.noiseMW)
 	if m.grid != nil {
 		m.completeCulled(t, srcPos, now)
 	} else {
-		m.completeFull(t, srcPos, now)
+		m.completeFull(t, srcPos, now, blackout)
 	}
 	// Retire the transmission. No wake-up pass is needed: an interface
 	// with queued frames always has an access attempt in flight
@@ -496,13 +529,7 @@ func (m *Medium) complete(t *transmission) {
 
 // completeFull is the brute-force reception path: every attached
 // interface is evaluated (and, under fault injection, screened).
-func (m *Medium) completeFull(t *transmission, srcPos geo.Point, now time.Duration) {
-	var blackout bool
-	var extraNoiseDB float64
-	if f := m.cfg.Faults; f != nil {
-		blackout = f.BlackoutAt(now)
-		extraNoiseDB = f.ExtraNoiseDB(now)
-	}
+func (m *Medium) completeFull(t *transmission, srcPos geo.Point, now time.Duration, blackout bool) {
 	for _, dst := range m.ifaces {
 		if dst == t.src {
 			continue
@@ -527,7 +554,7 @@ func (m *Medium) completeFull(t *transmission, srcPos geo.Point, now time.Durati
 				continue
 			}
 		}
-		m.evaluate(t, srcPos, dst, now, extraNoiseDB)
+		m.evaluate(t, srcPos, dst, now)
 	}
 }
 
@@ -548,7 +575,7 @@ func (m *Medium) completeCulled(t *transmission, srcPos geo.Point, now time.Dura
 	sort.Ints(cand)
 	m.candScratch = cand
 	for _, id := range cand {
-		m.evaluate(t, srcPos, m.ifaces[id], now, 0)
+		m.evaluate(t, srcPos, m.ifaces[id], now)
 	}
 	if culled := uint64(len(m.ifaces) - 1 - len(cand)); culled > 0 {
 		m.FramesCulled += culled
@@ -559,7 +586,16 @@ func (m *Medium) completeCulled(t *transmission, srcPos geo.Point, now time.Dura
 
 // evaluate decides one receiver's outcome for the completed frame:
 // channel-busy accounting, sensitivity, SINR capture, delivery.
-func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now time.Duration, extraNoiseDB float64) {
+//
+// The SINR stage draws the receiver's one uniform u first and decides
+// from exact bounds (see capture): a frame the noise floor alone
+// already loses costs no interferer term, and the interference sum
+// stops as soon as its partial sum proves a loss. Every other
+// outcome, deliveries included, compares u against the success
+// probability of the full sum, summed term by term in m.overlap order,
+// so every outcome and the random stream equal those of comparing u
+// against that probability for every receiver.
+func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now time.Duration) {
 	dstPos := dst.pos()
 	d2 := sqDist(srcPos, dstPos)
 	if d2 > m.cutoff2() {
@@ -594,20 +630,25 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 		}
 	}
 	rx := m.rxPowerDBmAt(t, srcPos, dst, dstPos)
-	// Interference: power of other transmissions overlapping in
-	// time at this receiver, plus any injected noise burst.
-	interfMW := dbmToMilliwatt(m.cfg.NoiseFloorDBm + extraNoiseDB)
-	for _, o := range m.ongoing {
-		if o == t || o.src == dst {
-			continue
-		}
-		if o.start < t.end && o.end > t.start { // overlap
-			interfMW += dbmToMilliwatt(m.rxPowerDBmAt(o, o.src.pos(), dst, dstPos))
+	// Interference: power of other transmissions overlapping in time
+	// at this receiver, on top of the (possibly raised) noise floor.
+	var c capture
+	lost := c.start(m.rng.Float64(), rx, t.src.cfg.MCS.SNRThresholdDB, m.noiseMW, m.noiseDBm)
+	if !lost && len(m.overlap) > 0 {
+		c.bound()
+		for _, o := range m.overlap {
+			if o.t.src == dst {
+				continue
+			}
+			if lost = c.add(dbmToMilliwatt(m.rxPowerDBmAt(o.t, o.pos, dst, dstPos))); lost {
+				break
+			}
 		}
 	}
-	sinrDB := rx - milliwattToDBm(interfMW)
-	p := successProbability(sinrDB, t.src.cfg.MCS.SNRThresholdDB)
-	if m.rng.Float64() > p {
+	if !lost {
+		lost = c.lost()
+	}
+	if lost {
 		m.FramesLost++
 		m.mLostSINR.Inc()
 		dst.FramesCorrupted++
@@ -723,6 +764,10 @@ type Interface struct {
 	queue      []queuedFrame
 	head       int
 	accessBusy bool // an access attempt is in flight
+	// waitAC is the category of the deferred access attempt; fireFn
+	// and idleFn are fire and idle, bound once at Attach.
+	waitAC         AccessCategory
+	fireFn, idleFn func()
 
 	// busyAccum is the union of airtime this interface sensed the
 	// channel busy (own frames and frames above the carrier-sense
@@ -767,6 +812,7 @@ func (m *Medium) Attach(cfg InterfaceConfig, pos PositionFunc) (*Interface, erro
 		rng:    m.kernel.Rand("radio.iface." + cfg.Name),
 		p:      m.cfg.Sink.Probe(cfg.Name),
 	}
+	iface.fireFn, iface.idleFn = iface.fire, iface.idle
 	p := iface.p
 	iface.mQueued = p.Counter("radio_tx_queued_total")
 	// drop_reason makes queue-full losses attributable in -metrics
@@ -863,11 +909,11 @@ func (i *Interface) SendBroadcastAC(frame []byte, ac AccessCategory) error {
 	return nil
 }
 
-// tryAccess starts an EDCA access attempt for the head-of-line frame
-// if none is in flight.
 // queueLen reports how many frames await channel access.
 func (i *Interface) queueLen() int { return len(i.queue) - i.head }
 
+// tryAccess starts an EDCA access attempt for the head-of-line frame
+// if none is in flight.
 func (i *Interface) tryAccess() {
 	if i.accessBusy || i.queueLen() == 0 {
 		return
@@ -879,29 +925,43 @@ func (i *Interface) tryAccess() {
 		// Channel idle: transmit after AIFS (assuming it stays idle —
 		// the lab has two radios, so post-AIFS collisions are rare and
 		// are approximated by the SINR overlap model).
-		i.kernel.ScheduleFn(aifs, func() { i.fire() })
+		i.kernel.ScheduleFn(aifs, i.fireFn)
 		return
 	}
 	// Busy: defer to end of busy period, then AIFS + random backoff.
 	i.waitForIdle(head.ac)
 }
 
+// waitForIdle defers the access attempt for a frame of category ac to
+// the end of the busy period the interface senses, then backs off.
+// At most one access attempt per interface is in flight, so the
+// category waits in the interface and the callbacks are bound once.
 func (i *Interface) waitForIdle(ac AccessCategory) {
+	i.waitAC = ac
 	until := i.medium.busyUntil(i)
 	if until == 0 {
-		backoff := time.Duration(i.rng.Intn(CWMin(ac)+1)) * SlotTime
-		i.kernel.ScheduleFn(AIFS(ac)+backoff, func() { i.fire() })
+		i.backoff()
 		return
 	}
-	i.kernel.At(until, func() {
-		// Re-check: another transmission may have started meanwhile.
-		if i.medium.busyAt(i) {
-			i.waitForIdle(ac)
-			return
-		}
-		backoff := time.Duration(i.rng.Intn(CWMin(ac)+1)) * SlotTime
-		i.kernel.ScheduleFn(AIFS(ac)+backoff, func() { i.fire() })
-	})
+	i.kernel.ScheduleFn(until-i.kernel.Now(), i.idleFn)
+}
+
+// idle runs at the end of a busy period the access attempt deferred to.
+func (i *Interface) idle() {
+	// Re-check: another transmission may have started meanwhile.
+	if i.medium.busyAt(i) {
+		i.waitForIdle(i.waitAC)
+		return
+	}
+	i.backoff()
+}
+
+// backoff schedules the deferred attempt after AIFS plus a random
+// number of slots drawn from the category's contention window.
+func (i *Interface) backoff() {
+	ac := i.waitAC
+	slots := time.Duration(i.rng.Intn(CWMin(ac) + 1))
+	i.kernel.ScheduleFn(AIFS(ac)+slots*SlotTime, i.fireFn)
 }
 
 // fire transmits the head-of-line frame if the channel is (still)

@@ -125,6 +125,72 @@ func successProbability(sinrDB, thresholdDB float64) float64 {
 	return 1 / (1 + math.Exp(-2.2*margin))
 }
 
+// captureMargin is the slack every SINR shortcut leaves for rounding.
+// successProbability, evaluated in float64 on an interference sum,
+// is within a relative 1e-12 of its real-valued result (the log10,
+// exp and divisions each add a few ulps), so a shortcut that keeps a
+// 1e-9 margin can never decide a loss the exact comparison would not.
+const captureMargin = 1e-9
+
+// capture decides one receiver's SINR outcome from exact bounds.
+// The exact rule is: the frame is lost when u > p, with p the
+// successProbability of rx over the interference sum (noise floor
+// first, then each overlapping transmission's power in mW, summed in
+// that order). p only falls as the sum grows, and a float sum of
+// non-negative terms never shrinks, so a partial sum proves a loss
+// once it passes the power at which p would equal u. Deliveries and
+// losses near the boundary always go through the exact comparison on
+// the full sum.
+type capture struct {
+	u, rxDBm, thresholdDB float64
+	// pNoise is the success probability against the noise floor alone.
+	pNoise float64
+	// sumMW is the interference summed so far, noise floor included;
+	// terms counts the interferers in it.
+	sumMW float64
+	terms int
+	// limitMW is the interference above which the frame is provably
+	// lost, derived from u with captureMargin (+Inf when u leaves no
+	// such bound). Set by bound.
+	limitMW float64
+}
+
+// start opens the decision with the noise floor as the interference
+// so far, and reports whether the noise floor alone already loses the
+// frame: the full sum is at least noiseMW, so p ≤ p(noise).
+func (c *capture) start(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64) (lost bool) {
+	*c = capture{u: u, rxDBm: rxDBm, thresholdDB: thresholdDB, sumMW: noiseMW,
+		pNoise: successProbability(rxDBm-noiseDBm, thresholdDB)}
+	return u > c.pNoise+captureMargin
+}
+
+// bound derives limitMW, the interference at which the success
+// probability equals u·(1−captureMargin): solving
+// u' = 1/(1+exp(−2.2(rx − 10·log10 S − threshold))) for S.
+// u = 0 never loses and gives +Inf.
+func (c *capture) bound() {
+	u := c.u * (1 - captureMargin)
+	c.limitMW = dbmToMilliwatt(c.rxDBm - c.thresholdDB + math.Log((1-u)/u)/2.2)
+}
+
+// add folds one interferer's power into the sum and reports whether
+// the partial sum already proves a loss. bound must have run.
+func (c *capture) add(mw float64) (lost bool) {
+	c.sumMW += mw
+	c.terms++
+	return c.sumMW > c.limitMW
+}
+
+// lost is the exact decision on the full interference sum. Without
+// interferers the sum is the noise floor, whose success probability
+// start already computed from the same noiseDBm = 10·log10(noiseMW).
+func (c *capture) lost() bool {
+	if c.terms == 0 {
+		return c.u > c.pNoise
+	}
+	return c.u > successProbability(c.rxDBm-milliwattToDBm(c.sumMW), c.thresholdDB)
+}
+
 // AccessCategory is an EDCA access category.
 type AccessCategory int
 
