@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"itsbed/internal/metrics"
 )
@@ -171,47 +172,63 @@ func collectSerial[T any](c counters, progress func(done, total int), n, maxAtte
 	return out, nil
 }
 
+// speculation bounds how far parallel workers run ahead of the
+// collector: attempt idx may start only while idx < settled + window,
+// settled being the first attempt the collector has not decided yet.
+// Without the bound, a descheduled worker holding the cursor's attempt
+// let the others run on to maxAttempts. The attempt at the cursor is
+// always inside the window, so the collector always progresses.
+type speculation struct {
+	next    atomic.Int64 // next attempt index to claim
+	settled atomic.Int64 // the collector's cursor
+	stopped atomic.Bool  // decision made; workers wind down
+	window  int64
+	mu      sync.Mutex
+	moved   sync.Cond // signalled under mu when settled or stopped changes
+}
+
+// admit waits until attempt idx is inside the window, and reports
+// false when the campaign was decided meanwhile.
+func (s *speculation) admit(idx int64) bool {
+	if idx >= s.settled.Load()+s.window {
+		s.mu.Lock()
+		for idx >= s.settled.Load()+s.window && !s.stopped.Load() {
+			s.moved.Wait()
+		}
+		s.mu.Unlock()
+	}
+	return !s.stopped.Load()
+}
+
+// advance publishes the collector's cursor and decision to waiting
+// workers.
+func (s *speculation) advance(cursor int, decided bool) {
+	s.mu.Lock()
+	s.settled.Store(int64(cursor))
+	s.stopped.Store(decided)
+	s.moved.Broadcast()
+	s.mu.Unlock()
+}
+
 func collectParallel[T any](c counters, progress func(done, total int), workers, n, maxAttempts int,
 	run func(int) (T, error), accept func(T) bool) ([]T, error) {
-	// Speculation is bounded: a worker may start attempt idx only while
-	// idx < cursor + window, cursor being the first attempt the
-	// collector has not decided yet. Without the bound, a descheduled
-	// worker holding the cursor's attempt let the others run ahead to
-	// maxAttempts. The window exceeds the worker count, so the cursor's
-	// attempt is always claimed and the collector always progresses.
-	window := 2 * workers
 	var (
-		mu      sync.Mutex
-		moved   = sync.NewCond(&mu) // the cursor advanced or stopped turned true
-		next    int                 // next attempt index to schedule (guarded by mu)
-		settled int                 // the collector's cursor, as published (guarded by mu)
-		stopped bool                // decision made; workers wind down (guarded by mu)
+		spec    = &speculation{window: 2 * int64(workers)}
 		wg      sync.WaitGroup
 		results = make(chan attemptResult[T], workers)
 	)
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for !stopped && next >= settled+window {
-			moved.Wait()
-		}
-		if stopped || next >= maxAttempts {
-			return 0, false
-		}
-		next++
-		return next - 1, true
-	}
+	spec.moved.L = &spec.mu
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				idx, ok := claim()
-				if !ok {
+				idx := spec.next.Add(1) - 1
+				if idx >= int64(maxAttempts) || !spec.admit(idx) {
 					return
 				}
-				v, err := run(idx)
-				results <- attemptResult[T]{idx: idx, val: v, err: err}
+				v, err := run(int(idx))
+				results <- attemptResult[T]{idx: int(idx), val: v, err: err}
 			}
 		}()
 	}
@@ -265,12 +282,7 @@ func collectParallel[T any](c counters, progress func(done, total int), workers,
 				decided = true
 			}
 		}
-		mu.Lock()
-		if cursor > settled || decided {
-			settled, stopped = cursor, decided
-			moved.Broadcast()
-		}
-		mu.Unlock()
+		spec.advance(cursor, decided)
 	}
 	if finalErr != nil {
 		return nil, finalErr
