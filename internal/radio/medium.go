@@ -764,9 +764,7 @@ type Interface struct {
 	queue      []queuedFrame
 	head       int
 	accessBusy bool // an access attempt is in flight
-	// waitAC is the category of the deferred access attempt; fireFn
-	// and idleFn are fire and idle, bound once at Attach.
-	waitAC         AccessCategory
+	// fireFn and idleFn are fire and idle, bound once at Attach.
 	fireFn, idleFn func()
 
 	// busyAccum is the union of airtime this interface sensed the
@@ -929,15 +927,13 @@ func (i *Interface) tryAccess() {
 		return
 	}
 	// Busy: defer to end of busy period, then AIFS + random backoff.
-	i.waitForIdle(head.ac)
+	i.waitForIdle()
 }
 
-// waitForIdle defers the access attempt for a frame of category ac to
-// the end of the busy period the interface senses, then backs off.
-// At most one access attempt per interface is in flight, so the
-// category waits in the interface and the callbacks are bound once.
-func (i *Interface) waitForIdle(ac AccessCategory) {
-	i.waitAC = ac
+// waitForIdle defers the access attempt to the end of the busy period
+// the interface senses, then backs off. The attempt is for the
+// head-of-line frame, which stays queued until fire sends it.
+func (i *Interface) waitForIdle() {
 	until := i.medium.busyUntil(i)
 	if until == 0 {
 		i.backoff()
@@ -950,16 +946,17 @@ func (i *Interface) waitForIdle(ac AccessCategory) {
 func (i *Interface) idle() {
 	// Re-check: another transmission may have started meanwhile.
 	if i.medium.busyAt(i) {
-		i.waitForIdle(i.waitAC)
+		i.waitForIdle()
 		return
 	}
 	i.backoff()
 }
 
 // backoff schedules the deferred attempt after AIFS plus a random
-// number of slots drawn from the category's contention window.
+// number of slots drawn from the head-of-line frame's contention
+// window.
 func (i *Interface) backoff() {
-	ac := i.waitAC
+	ac := i.queue[i.head].ac
 	slots := time.Duration(i.rng.Intn(CWMin(ac) + 1))
 	i.kernel.ScheduleFn(AIFS(ac)+slots*SlotTime, i.fireFn)
 }
@@ -972,7 +969,7 @@ func (i *Interface) fire() {
 		return
 	}
 	if i.medium.busyAt(i) {
-		i.waitForIdle(i.queue[i.head].ac)
+		i.waitForIdle()
 		return
 	}
 	head := i.queue[i.head]
