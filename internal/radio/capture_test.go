@@ -6,28 +6,24 @@ import (
 	"testing"
 )
 
-// exactSINRLost is the medium's SINR decision before it decided from
+// exactP is the medium's SINR arithmetic before it decided from
 // bounds, kept as the reference: sum the noise floor and every
-// interferer in mW, convert the sum to dBm once, and lose the frame
-// when u exceeds the success probability. noiseDBm is the noise floor
-// with any injected burst already added, as evaluate formed it.
-func exactSINRLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) bool {
-	interfMW := dbmToMilliwatt(noiseDBm)
-	for _, dbm := range interfDBm {
-		interfMW += dbmToMilliwatt(dbm)
-	}
-	sinrDB := rxDBm - milliwattToDBm(interfMW)
-	p := successProbability(sinrDB, thresholdDB)
-	return u > p
-}
-
-// exactP is the success probability the reference compares u against.
+// interferer in mW, convert the sum to dBm once, and map the SINR to a
+// success probability. noiseDBm is the noise floor with any injected
+// burst already added, as evaluate formed it.
 func exactP(rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) float64 {
 	interfMW := dbmToMilliwatt(noiseDBm)
 	for _, dbm := range interfDBm {
 		interfMW += dbmToMilliwatt(dbm)
 	}
-	return successProbability(rxDBm-milliwattToDBm(interfMW), thresholdDB)
+	sinrDB := rxDBm - milliwattToDBm(interfMW)
+	return successProbability(sinrDB, thresholdDB)
+}
+
+// exactSINRLost is the reference decision: the frame is lost when the
+// receiver's uniform draw u exceeds the exact success probability.
+func exactSINRLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) bool {
+	return u > exactP(rxDBm, thresholdDB, noiseDBm, interfDBm)
 }
 
 // Stages of the bounded decision, for coverage accounting.
