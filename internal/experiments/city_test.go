@@ -83,9 +83,12 @@ func TestCitySweepShape(t *testing.T) {
 // TestCityGridIdentity pins the tentpole invariant at campaign level:
 // a grid-culled city run delivers frame-for-frame what the brute-force
 // medium delivers. (Only FramesCulled — the bulk-accounting split of
-// the same losses — may differ.)
+// the same losses — may differ.) fastCity's 240 m city lies within
+// the culling radius, so this runs an 8×8 city of 150 m blocks (1.2 km
+// across), where the grid culls.
 func TestCityGridIdentity(t *testing.T) {
 	opt := fastCity(2)
+	opt.City = world.CityConfig{BlocksX: 8, BlocksY: 8, BlockSize: 150}
 	grid, err := CitySweep(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +103,10 @@ func TestCityGridIdentity(t *testing.T) {
 		if b.FramesCulled != 0 || b.GridActive {
 			t.Fatalf("n=%d: brute run used the grid", b.Stations)
 		}
+		if g.FramesCulled == 0 || !g.GridActive {
+			t.Fatalf("n=%d: grid run culled nothing (grid active: %v)", g.Stations, g.GridActive)
+		}
+		t.Logf("n=%d: grid culled %d receptions", g.Stations, g.FramesCulled)
 		g.FramesCulled, g.GridActive = 0, false
 		b.PDR, g.PDR = 0, 0 // PDR normalises by the culled count
 		if !reflect.DeepEqual(g, b) {

@@ -145,12 +145,12 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 			})
 		}
 		// The leader's receive-only Uu endpoint feeds the cellular
-		// downlink into its GN router; it keeps transmitting on 802.11p.
+		// downlink into its station; it keeps transmitting on 802.11p.
 		ep, err := rsuScene.Backend.AttachStation(leaderStation.Name(), nil)
 		if err != nil {
 			return out, fmt.Errorf("experiments: platoon leader uu: %w", err)
 		}
-		ep.SetReceiver(leaderStation.Router.OnFrame)
+		ep.SetReceiver(leaderStation.OnFrame)
 	}
 
 	ed := sc.Edge(rsuNode, core.EdgeConfig{

@@ -299,7 +299,11 @@ func (r *Recorder) record(at time.Duration, kind Kind, code uint8, st, src Stati
 	rg := &r.rings[st-1]
 	var slot *Event
 	if rg.n < len(rg.buf) {
-		slot = &rg.buf[(rg.head+rg.n)%len(rg.buf)]
+		i := rg.head + rg.n
+		if i >= len(rg.buf) {
+			i -= len(rg.buf)
+		}
+		slot = &rg.buf[i]
 		rg.n++
 	} else {
 		slot = &rg.buf[rg.head]

@@ -340,14 +340,21 @@ type Receiver struct {
 	mRecv, mMalf *metrics.Counter
 }
 
-// OnPayload processes one received CA payload.
+// OnPayload processes one received CA payload: DecodeCAM plus
+// OnDecoded.
 func (r *Receiver) OnPayload(payload []byte) {
+	r.OnDecoded(messages.DecodeCAM(payload))
+}
+
+// OnDecoded processes one received CAM, or the error its decode
+// returned. cam is read-only: the stations that heard one frame share
+// its decode, and Sink may retain it.
+func (r *Receiver) OnDecoded(cam *messages.CAM, err error) {
 	if r.mRecv == nil {
 		r.mRecv = r.Probe.Counter("ca_rx_received_total")
 		r.mMalf = r.Probe.Counter("ca_rx_malformed_total")
 	}
 	now := r.now()
-	cam, err := messages.DecodeCAM(payload)
 	if err != nil {
 		r.Probe.Start("ca.receive", "facilities", now).Drop(now, "malformed")
 		r.Malformed++

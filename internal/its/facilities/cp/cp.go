@@ -297,8 +297,16 @@ type Receiver struct {
 	mRecv, mMalf, mFused, mStale *metrics.Counter
 }
 
-// OnPayload processes one received CP payload.
+// OnPayload processes one received CP payload: DecodeCPM plus
+// OnDecoded.
 func (r *Receiver) OnPayload(payload []byte) {
+	r.OnDecoded(messages.DecodeCPM(payload))
+}
+
+// OnDecoded processes one received CPM, or the error its decode
+// returned. cpm is read-only: the stations that heard one frame share
+// its decode, and OnCPM may retain it.
+func (r *Receiver) OnDecoded(cpm *messages.CPM, err error) {
 	if r.mRecv == nil {
 		r.mRecv = r.Probe.Counter("cpm_rx_received_total")
 		r.mMalf = r.Probe.Counter("cpm_rx_malformed_total")
@@ -306,7 +314,6 @@ func (r *Receiver) OnPayload(payload []byte) {
 		r.mStale = r.Probe.Counter("cpm_objects_stale_total")
 	}
 	now := r.now()
-	cpm, err := messages.DecodeCPM(payload)
 	if err != nil {
 		r.Probe.Start("cpm.receive", "facilities", now).Drop(now, "malformed")
 		r.Malformed++

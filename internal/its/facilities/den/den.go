@@ -322,15 +322,24 @@ type Receiver struct {
 	mRecv, mSupp, mMalf *metrics.Counter
 }
 
-// OnPayload processes one received DEN payload.
+// OnPayload processes one received DEN payload: DecodeDENM plus
+// OnDecoded.
 func (r *Receiver) OnPayload(payload []byte) {
+	d, err := messages.DecodeDENM(payload)
+	r.OnDecoded(payload, d, err)
+}
+
+// OnDecoded processes one received DENM decoded from payload, or the
+// error its decode returned. d and payload are read-only: the stations
+// that heard one frame share its decode, and Sink and the keep-alive
+// forwarder may retain them.
+func (r *Receiver) OnDecoded(payload []byte, d *messages.DENM, err error) {
 	if r.mRecv == nil {
 		r.mRecv = r.Probe.Counter("den_rx_received_total")
 		r.mSupp = r.Probe.Counter("den_rx_suppressed_total")
 		r.mMalf = r.Probe.Counter("den_rx_malformed_total")
 	}
 	now := r.now()
-	d, err := messages.DecodeDENM(payload)
 	if err != nil {
 		r.Malformed++
 		r.mMalf.Inc()

@@ -122,6 +122,43 @@ func TestSHBPacketRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseAliasesUnmarshalCopies pins the two payload contracts:
+// Parse's payload is a window on the wire bytes, which every receiver
+// of one radio frame shares, and Unmarshal's is a copy the caller owns.
+func TestParseAliasesUnmarshalCopies(t *testing.T) {
+	p := &Packet{
+		Version: CurrentVersion, Lifetime: DefaultLifetime, RemainingHopLimit: 1,
+		Next: NextBTPB, Type: HeaderTypeTSB, Subtype: SubtypeSHB, MaxHopLimit: 1,
+		Payload: []byte("cam-payload"),
+	}
+	wire, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire = append(wire, 0xee) // a byte past the payload
+	var parsed Packet
+	if err := Parse(wire, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	owned, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&parsed, owned) {
+		t.Fatalf("Parse and Unmarshal disagree:\n parse     %+v\n unmarshal %+v", parsed, *owned)
+	}
+	if cap(parsed.Payload) != len(parsed.Payload) {
+		t.Fatal("Parse's payload can grow into the bytes after it")
+	}
+	wire[len(wire)-2] ^= 0xff // the payload's last byte
+	if string(parsed.Payload) == "cam-payload" {
+		t.Fatal("Parse copied the payload")
+	}
+	if string(owned.Payload) != "cam-payload" {
+		t.Fatal("Unmarshal's payload aliases the wire bytes")
+	}
+}
+
 func TestGBCPacketRoundTrip(t *testing.T) {
 	for _, shape := range []AreaShape{ShapeCircle, ShapeRectangle, ShapeEllipse} {
 		p := &Packet{

@@ -173,13 +173,28 @@ func (p *Packet) Marshal() ([]byte, error) {
 // Unmarshal parses wire bytes into a packet. The payload is copied so
 // the caller may reuse the buffer.
 func Unmarshal(data []byte) (*Packet, error) {
-	if len(data) < basicHeaderLen+commonHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(data))
+	p := new(Packet)
+	if err := Parse(data, p); err != nil {
+		return nil, err
 	}
-	var p Packet
+	payload := make([]byte, len(p.Payload))
+	copy(payload, p.Payload)
+	p.Payload = payload
+	return p, nil
+}
+
+// Parse parses wire bytes into *p without copying: p.Payload aliases
+// data, so p stays valid only while data is not written. A radio frame
+// is immutable once on the air, so its receivers can share one parse.
+// On error *p holds no meaningful packet.
+func Parse(data []byte, p *Packet) error {
+	*p = Packet{}
+	if len(data) < basicHeaderLen+commonHeaderLen {
+		return fmt.Errorf("%w: %d bytes", ErrMalformed, len(data))
+	}
 	p.Version = data[0] >> 4
 	if nh := data[0] & 0xf; nh != basicNextCommon {
-		return nil, fmt.Errorf("%w: basic next header %d", ErrMalformed, nh)
+		return fmt.Errorf("%w: basic next header %d", ErrMalformed, nh)
 	}
 	p.Lifetime = Lifetime{Multiplier: data[2] >> 2, Base: data[2] & 3}
 	p.RemainingHopLimit = data[3]
@@ -196,50 +211,49 @@ func Unmarshal(data []byte) (*Packet, error) {
 	case HeaderTypeBeacon:
 		extLen = beaconExtLen
 		if len(ext) < extLen {
-			return nil, fmt.Errorf("%w: beacon header truncated", ErrMalformed)
+			return fmt.Errorf("%w: beacon header truncated", ErrMalformed)
 		}
 		lpv, err := UnmarshalLPV(ext[0:LPVLen])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 		p.Source = lpv
 	case HeaderTypeTSB:
 		if p.Subtype != SubtypeSHB {
-			return nil, fmt.Errorf("%w: TSB subtype %d", ErrMalformed, p.Subtype)
+			return fmt.Errorf("%w: TSB subtype %d", ErrMalformed, p.Subtype)
 		}
 		extLen = shbExtLen
 		if len(ext) < extLen {
-			return nil, fmt.Errorf("%w: SHB header truncated", ErrMalformed)
+			return fmt.Errorf("%w: SHB header truncated", ErrMalformed)
 		}
 		lpv, err := UnmarshalLPV(ext[0:LPVLen])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 		p.Source = lpv
 	case HeaderTypeGBC:
 		extLen = gbcExtLen
 		if len(ext) < extLen {
-			return nil, fmt.Errorf("%w: GBC header truncated", ErrMalformed)
+			return fmt.Errorf("%w: GBC header truncated", ErrMalformed)
 		}
 		p.SequenceNumber = binary.BigEndian.Uint16(ext[0:2])
 		lpv, err := UnmarshalLPV(ext[4 : 4+LPVLen])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 		p.Source = lpv
 		area, err := unmarshalArea(AreaShape(p.Subtype), ext[4+LPVLen:4+LPVLen+areaWireLen])
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
+			return fmt.Errorf("%w: %v", ErrMalformed, err)
 		}
 		p.DestArea = area
 	default:
-		return nil, fmt.Errorf("%w: header type %d", ErrMalformed, p.Type)
+		return fmt.Errorf("%w: header type %d", ErrMalformed, p.Type)
 	}
 	body := ext[extLen:]
 	if len(body) < payloadLen {
-		return nil, fmt.Errorf("%w: payload %d/%d bytes", ErrMalformed, len(body), payloadLen)
+		return fmt.Errorf("%w: payload %d/%d bytes", ErrMalformed, len(body), payloadLen)
 	}
-	p.Payload = make([]byte, payloadLen)
-	copy(p.Payload, body[:payloadLen])
-	return &p, nil
+	p.Payload = body[:payloadLen:payloadLen]
+	return nil
 }

@@ -227,12 +227,21 @@ func (r *Router) SendGBC(next NextHeader, tc TrafficClass, area Area, lifetime t
 	return sendErr
 }
 
-// OnFrame processes a frame arriving from the link layer.
+// OnFrame processes a frame arriving from the link layer: Unmarshal
+// plus OnPacket.
 func (r *Router) OnFrame(frame []byte) {
 	p, err := Unmarshal(frame)
 	if err != nil {
 		return // malformed frames are counted nowhere, as a real MAC would drop them
 	}
+	r.OnPacket(p)
+}
+
+// OnPacket processes one parsed packet arriving from the link layer.
+// The router only reads p: every receiver of one radio frame may be
+// handed the same parse (see Parse). The indication's payload aliases
+// p.Payload.
+func (r *Router) OnPacket(p *Packet) {
 	now := r.cfg.Now()
 	r.table.Update(p.Source, now)
 	switch p.Type {

@@ -54,8 +54,9 @@ const (
 	maxAllocsFlightAppend = 0
 	// C-V2X hot paths: one sidelink broadcast costs the frame copy,
 	// the grant/completion closures and the slot-table entry (measured
-	// 6 allocs/op); one Uu round trip costs the frame copy and the two
-	// leg closures (measured 3 allocs/op).
+	// 6 allocs/op); one Uu round trip costs the frame copy, the Frame
+	// its receivers share and the downlink closure (measured 3
+	// allocs/op).
 	maxAllocsPC5Tx       = 16
 	maxAllocsUuRoundTrip = 8
 	// One vision cycle once the detector's frame, Canny and Hough
@@ -198,7 +199,7 @@ func TestAllocGuardUuRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obu.SetReceiver(func([]byte) {})
+	obu.SetReceiver(func(*radio.Frame) {})
 	frame := make([]byte, 180)
 	horizon := time.Duration(0)
 	guardAllocs(t, "Uu round trip", 2000, maxAllocsUuRoundTrip, func() {

@@ -64,7 +64,7 @@ func BenchmarkUuRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	obu.SetReceiver(func([]byte) {})
+	obu.SetReceiver(func(*radio.Frame) {})
 	frame := make([]byte, 180)
 	horizon := time.Duration(0)
 	b.ReportAllocs()

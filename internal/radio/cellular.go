@@ -77,6 +77,13 @@ type CellularLink struct {
 
 	endpoints []*UuEndpoint
 
+	// uplinks holds the messages on their uplink leg, in send order.
+	// Each send schedules arriveFn, bound once, which hands the
+	// earliest-arriving message to the base station; so an uplink costs
+	// no closure of its own.
+	uplinks  []uplink
+	arriveFn func()
+
 	// MessagesSent counts messages entering the link.
 	MessagesSent uint64
 	// MessagesLost counts messages dropped by the loss model; always
@@ -95,11 +102,21 @@ type CellularLink struct {
 
 // NewCellularLink creates a cellular link on the kernel.
 func NewCellularLink(kernel *sim.Kernel, profile CellularProfile) *CellularLink {
-	return &CellularLink{
+	l := &CellularLink{
 		kernel:  kernel,
 		profile: profile,
 		rng:     kernel.Rand("radio.cellular." + profile.Name),
 	}
+	l.arriveFn = l.arrive
+	return l
+}
+
+// uplink is one message on its uplink leg: its sender, the frame every
+// downlink will deliver, and when it reaches the base station.
+type uplink struct {
+	src *UuEndpoint
+	rx  *Frame
+	at  time.Duration
 }
 
 // UuEndpoint is one named station on the Uu (infrastructure) path: a
@@ -111,7 +128,7 @@ func NewCellularLink(kernel *sim.Kernel, profile CellularProfile) *CellularLink 
 type UuEndpoint struct {
 	link    *CellularLink
 	name    string
-	receive func(frame []byte)
+	receive func(*Frame)
 	fl      flight.Hook
 
 	// FramesSent counts frames this endpoint put on the uplink.
@@ -153,7 +170,9 @@ func (l *CellularLink) AttachStation(name string, _ PositionFunc) (Link, error) 
 func (e *UuEndpoint) Name() string { return e.name }
 
 // SetReceiver installs the frame-delivery callback, satisfying Link.
-func (e *UuEndpoint) SetReceiver(fn func(frame []byte)) { e.receive = fn }
+// Every downlink of one uplinked message delivers the same read-only
+// *Frame (see Frame).
+func (e *UuEndpoint) SetReceiver(fn func(*Frame)) { e.receive = fn }
 
 // legDelay samples one leg (uplink or downlink) of the Uu path: half
 // the base latency plus exponential jitter at half the mean, so the
@@ -208,15 +227,35 @@ func (e *UuEndpoint) SendBroadcast(frame []byte) error {
 		}
 		return nil
 	}
-	f := make([]byte, len(frame))
-	copy(f, frame)
-	l.kernel.ScheduleFn(l.legDelay(), func() { l.atBaseStation(e, f) })
+	rx := &Frame{Bytes: make([]byte, len(frame))}
+	copy(rx.Bytes, frame)
+	delay := l.legDelay()
+	l.uplinks = append(l.uplinks, uplink{src: e, rx: rx, at: now + delay})
+	l.kernel.ScheduleFn(delay, l.arriveFn)
 	return nil
+}
+
+// arrive runs at the end of an uplink leg. The kernel fires uplink
+// events in (arrival time, send order), so the message whose leg ends
+// now is the first one in send order with the earliest arrival time.
+func (l *CellularLink) arrive() {
+	first := 0
+	for i, u := range l.uplinks {
+		if u.at < l.uplinks[first].at {
+			first = i
+		}
+	}
+	u := l.uplinks[first]
+	last := len(l.uplinks) - 1
+	copy(l.uplinks[first:], l.uplinks[first+1:])
+	l.uplinks[last] = uplink{} // release the frame
+	l.uplinks = l.uplinks[:last]
+	l.atBaseStation(u.src, u.rx)
 }
 
 // atBaseStation fans the uplinked frame out on per-receiver downlink
 // legs, screening each against the fault injector.
-func (l *CellularLink) atBaseStation(src *UuEndpoint, frame []byte) {
+func (l *CellularLink) atBaseStation(src *UuEndpoint, rx *Frame) {
 	now := l.kernel.Now()
 	for _, dst := range l.endpoints {
 		if dst == src {
@@ -239,9 +278,9 @@ func (l *CellularLink) atBaseStation(src *UuEndpoint, frame []byte) {
 			l.FramesDelivered++
 			l.mDelivered.Inc()
 			dst.FramesReceived++
-			dst.fl.RecordFrom(l.kernel.Now(), flight.RadioRx, flight.RxOK, src.fl, int64(len(frame)), 0)
+			dst.fl.RecordFrom(l.kernel.Now(), flight.RadioRx, flight.RxOK, src.fl, int64(len(rx.Bytes)), 0)
 			if dst.receive != nil {
-				dst.receive(frame)
+				dst.receive(rx)
 			}
 		})
 	}

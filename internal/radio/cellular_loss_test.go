@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 
 // uuSender attaches a sending endpoint plus one receiving endpoint per
 // callback to the link, and returns the sender.
-func uuSender(t *testing.T, link *CellularLink, receivers ...func(frame []byte)) *UuEndpoint {
+func uuSender(t *testing.T, link *CellularLink, receivers ...func(*Frame)) *UuEndpoint {
 	t.Helper()
 	tx, err := link.AttachUu("tx")
 	if err != nil {
@@ -42,8 +43,8 @@ func TestCellularLossSampledPerMessage(t *testing.T) {
 	gotA := make(map[byte]bool)
 	gotB := make(map[byte]bool)
 	tx := uuSender(t, link,
-		func(f []byte) { gotA[f[0]] = true },
-		func(f []byte) { gotB[f[0]] = true })
+		func(f *Frame) { gotA[f.Bytes[0]] = true },
+		func(f *Frame) { gotB[f.Bytes[0]] = true })
 	for i := 0; i < n; i++ {
 		if err := tx.SendBroadcast([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -76,7 +77,7 @@ func TestCellularCountersConsistent(t *testing.T) {
 		LossProbability: 0.3,
 	})
 	var a, b int
-	tx := uuSender(t, link, func([]byte) { a++ }, func([]byte) { b++ })
+	tx := uuSender(t, link, func(*Frame) { a++ }, func(*Frame) { b++ })
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := tx.SendBroadcast([]byte("x")); err != nil {
@@ -116,9 +117,9 @@ func TestCellularLatencyLossLawPinned(t *testing.T) {
 	var deliveries int
 	var total time.Duration
 	sent := make(map[int]time.Duration)
-	tx := uuSender(t, link, func(f []byte) {
+	tx := uuSender(t, link, func(f *Frame) {
 		deliveries++
-		total += k.Now() - sent[int(f[0])]
+		total += k.Now() - sent[int(f.Bytes[0])]
 	})
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -146,5 +147,50 @@ func TestCellularLatencyLossLawPinned(t *testing.T) {
 	mean := total / time.Duration(deliveries)
 	if mean < 5*time.Millisecond || mean > 12*time.Millisecond {
 		t.Fatalf("mean latency %v outside the profile's law", mean)
+	}
+}
+
+// TestUuUplinksOvertake pins that every uplink event hands its own
+// message to the base station when a later message's uplink leg is
+// shorter: each frame arrives at its own uplink plus downlink delay,
+// the downlink delays drawn in base-station arrival order.
+func TestUuUplinksOvertake(t *testing.T) {
+	const n = 8
+	newLink := func() (*sim.Kernel, *CellularLink) {
+		k := sim.NewKernel(3)
+		return k, NewCellularLink(k, Profile5GURLLC())
+	}
+	// The same leg-delay stream, drawn in the order the link draws it.
+	_, ref := newLink()
+	up := make([]time.Duration, n)
+	order := make([]int, n)
+	for i := range up {
+		up[i] = ref.legDelay()
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return up[order[a]] < up[order[b]] })
+	if sort.IntsAreSorted(order) {
+		t.Fatal("no uplink overtakes another; pick a seed where one does")
+	}
+	want := make([]time.Duration, n)
+	for _, i := range order {
+		want[i] = up[i] + ref.legDelay()
+	}
+
+	k, l := newLink()
+	got := make([]time.Duration, n)
+	tx := uuSender(t, l, func(f *Frame) { got[f.Bytes[0]] = k.Now() })
+	for i := 0; i < n; i++ {
+		if err := tx.SendBroadcast([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("frame %d delivered at %v, want %v (uplink %v)", i, got[i], want[i], up[i])
+		}
 	}
 }

@@ -218,10 +218,11 @@ func (c *PC5Config) applyDefaults() {
 
 // pc5Tx is one frame on a sidelink grant.
 type pc5Tx struct {
-	src   *PC5Interface
-	frame []byte
-	slot  int64
-	sub   int
+	src *PC5Interface
+	// rx is what every receiver of the frame gets (see Frame).
+	rx   Frame
+	slot int64
+	sub  int
 }
 
 // pc5Slot tracks the occupancy of one absolute slot while its
@@ -316,7 +317,7 @@ type PC5Interface struct {
 	kernel  *sim.Kernel
 	pos     PositionFunc
 	sps     *SPSScheduler
-	receive func(frame []byte)
+	receive func(*Frame)
 	fl      flight.Hook
 
 	// queue[head:] holds frames awaiting a grant occurrence; the
@@ -374,9 +375,9 @@ func (i *PC5Interface) Name() string { return i.name }
 func (i *PC5Interface) Scheduler() *SPSScheduler { return i.sps }
 
 // SetReceiver installs the frame-delivery callback. As on the 802.11p
-// medium, the delivered slice is shared between receivers of the
-// broadcast and must be treated as read-only.
-func (i *PC5Interface) SetReceiver(fn func(frame []byte)) { i.receive = fn }
+// medium, every receiver of one sidelink transmission gets the same
+// read-only *Frame (see Frame).
+func (i *PC5Interface) SetReceiver(fn func(*Frame)) { i.receive = fn }
 
 func (i *PC5Interface) queueLen() int { return len(i.queue) - i.head }
 
@@ -450,7 +451,7 @@ func (m *PC5Medium) transmit(src *PC5Interface, frame []byte, slot int64, sub in
 	}
 	s.subCount[sub]++
 	s.remaining++
-	t := &pc5Tx{src: src, frame: frame, slot: slot, sub: sub}
+	t := &pc5Tx{src: src, rx: Frame{Bytes: frame}, slot: slot, sub: sub}
 	m.kernel.ScheduleFn(m.cfg.SPS.SlotDuration, func() { m.complete(t) })
 }
 
@@ -527,9 +528,9 @@ func (m *PC5Medium) complete(t *pc5Tx) {
 		m.FramesDelivered++
 		m.mDelivered.Inc()
 		dst.FramesReceived++
-		dst.fl.RecordFrom(now, flight.RadioRx, flight.RxOK, t.src.fl, int64(len(t.frame)), 0)
+		dst.fl.RecordFrom(now, flight.RadioRx, flight.RxOK, t.src.fl, int64(len(t.rx.Bytes)), 0)
 		if dst.receive != nil {
-			dst.receive(t.frame)
+			dst.receive(&t.rx)
 		}
 	}
 	if deliveries == 0 && len(m.ifaces) > 1 {

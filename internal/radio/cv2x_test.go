@@ -127,8 +127,8 @@ func TestSPSDisjointResourcesNeverCollide(t *testing.T) {
 	a.Scheduler().Claim(5, 0, 100)
 	b.Scheduler().Claim(9, 1, 100)
 	var gotA, gotB int
-	a.SetReceiver(func([]byte) { gotA++ })
-	b.SetReceiver(func([]byte) { gotB++ })
+	a.SetReceiver(func(*Frame) { gotA++ })
+	b.SetReceiver(func(*Frame) { gotB++ })
 	if err := a.SendBroadcast([]byte("from-a")); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,8 @@ func TestUuLossLaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	var arrival time.Duration
-	b.SetReceiver(func([]byte) { arrival = k.Now() })
-	a.SetReceiver(func([]byte) {})
+	b.SetReceiver(func(*Frame) { arrival = k.Now() })
+	a.SetReceiver(func(*Frame) {})
 	if err := a.SendBroadcast([]byte("warn")); err != nil {
 		t.Fatal(err)
 	}

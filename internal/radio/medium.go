@@ -116,8 +116,9 @@ const DefaultGridRebinInterval = 250 * time.Millisecond
 
 // transmission is one frame on the air.
 type transmission struct {
-	src      *Interface
-	frame    []byte
+	src *Interface
+	// rx is what every receiver of the frame gets (see Frame).
+	rx       Frame
 	start    time.Duration
 	end      time.Duration
 	powerDBm float64
@@ -463,7 +464,7 @@ func (m *Medium) transmit(iface *Interface, frame []byte, ac AccessCategory, par
 	}
 	t := &transmission{
 		src:      iface,
-		frame:    frame,
+		rx:       Frame{Bytes: frame},
 		start:    now,
 		end:      now + air,
 		powerDBm: iface.cfg.TxPowerDBm,
@@ -661,15 +662,14 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 	m.mDelivered.Inc()
 	dst.FramesReceived++
 	dst.mRx.Inc()
-	dst.p.RecordFrom(now, flight.RadioRx, flight.RxOK, t.src.p.Hook, int64(len(t.frame)), 0)
+	dst.p.RecordFrom(now, flight.RadioRx, flight.RxOK, t.src.p.Hook, int64(len(t.rx.Bytes)), 0)
 	if dst.receive != nil {
-		// All receivers share t.frame: frames are immutable once on
-		// the air (the interface copied the caller's buffer at
-		// enqueue), so receivers may decode and retain slices but
-		// must not write — see SetReceiver.
+		// All receivers share t.rx: frames are immutable once on the
+		// air (the interface copied the caller's buffer at enqueue),
+		// and the first receiver's parse serves the rest — see Frame.
 		// Receiver processing happens in the airtime span's scope so
 		// the receiving stack's spans join the sender's trace tree.
-		dst.p.Scope(t.span, func() { dst.receive(t.frame) })
+		dst.p.Scope(t.span, func() { dst.receive(&t.rx) })
 	}
 }
 
@@ -755,7 +755,7 @@ type Interface struct {
 	cfg     InterfaceConfig
 	pos     PositionFunc
 	rng     *rand.Rand
-	receive func(frame []byte)
+	receive func(*Frame)
 
 	// queue[head:] holds the frames awaiting channel access. Popping
 	// advances head instead of reslicing from the front, so the backing
@@ -846,11 +846,11 @@ func (m *Medium) AttachStation(name string, pos PositionFunc) (Link, error) {
 // the channel busy since simulation start (the CBR numerator).
 func (i *Interface) ChannelBusyTime() time.Duration { return i.busyAccum }
 
-// SetReceiver installs the frame-delivery callback (the GN router).
-// The frame slice passed to fn is shared between every receiver of the
-// broadcast and must be treated as read-only; retain slices freely,
-// but copy before mutating.
-func (i *Interface) SetReceiver(fn func(frame []byte)) { i.receive = fn }
+// SetReceiver installs the frame-delivery callback (the station). Every
+// receiver of one broadcast gets the same *Frame: its bytes are
+// read-only and its Decoded slot is parsed once, by the first receiver
+// (see Frame).
+func (i *Interface) SetReceiver(fn func(*Frame)) { i.receive = fn }
 
 // Position returns the interface's current position.
 func (i *Interface) Position() geo.Point { return i.pos() }

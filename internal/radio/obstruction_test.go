@@ -25,8 +25,8 @@ func TestObstructionBreaksLink(t *testing.T) {
 	rxBlocked := attach(t, m, "rx-blocked", geo.Point{X: 10})
 	rxClear := attach(t, m, "rx-clear", geo.Point{X: -10})
 	blocked, clear := 0, 0
-	rxBlocked.SetReceiver(func([]byte) { blocked++ })
-	rxClear.SetReceiver(func([]byte) { clear++ })
+	rxBlocked.SetReceiver(func(*Frame) { blocked++ })
+	rxClear.SetReceiver(func(*Frame) { clear++ })
 	for i := 0; i < 20; i++ {
 		if err := tx.SendBroadcast(make([]byte, 60)); err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestPriorityMapping(t *testing.T) {
 	tx := attach(t, m, "tx", geo.Point{})
 	rx := attach(t, m, "rx", geo.Point{X: 3})
 	var at time.Duration
-	rx.SetReceiver(func([]byte) { at = k.Now() })
+	rx.SetReceiver(func(*Frame) { at = k.Now() })
 	// Priority 0 → AC_VO: the idle-channel access delay is AC_VO's
 	// AIFS, shorter than the AC_BE default.
 	if err := tx.SendBroadcastPriority(make([]byte, 60), 0); err != nil {

@@ -106,7 +106,7 @@ func TestMediumDeliversBetweenNearbyRadios(t *testing.T) {
 	tx := attach(t, m, "tx", geo.Point{})
 	rx := attach(t, m, "rx", geo.Point{X: 10})
 	var got [][]byte
-	rx.SetReceiver(func(f []byte) { got = append(got, f) })
+	rx.SetReceiver(func(f *Frame) { got = append(got, f.Bytes) })
 	if err := tx.SendBroadcast([]byte("frame-1")); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestMediumRangeCutoff(t *testing.T) {
 	// crossed around 2.3 km; place the receiver far beyond.
 	rx := attach(t, m, "rx", geo.Point{X: 50000})
 	n := 0
-	rx.SetReceiver(func([]byte) { n++ })
+	rx.SetReceiver(func(*Frame) { n++ })
 	if err := tx.SendBroadcast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMediumDeliveryLatencyIsAirtime(t *testing.T) {
 	tx := attach(t, m, "tx", geo.Point{})
 	rx := attach(t, m, "rx", geo.Point{X: 5})
 	var at time.Duration
-	rx.SetReceiver(func([]byte) { at = k.Now() })
+	rx.SetReceiver(func(*Frame) { at = k.Now() })
 	payload := make([]byte, 100)
 	if err := tx.SendBroadcast(payload); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestTransmitQueueDrainsInOrder(t *testing.T) {
 	tx := attach(t, m, "tx", geo.Point{})
 	rx := attach(t, m, "rx", geo.Point{X: 5})
 	var got []string
-	rx.SetReceiver(func(f []byte) { got = append(got, string(f)) })
+	rx.SetReceiver(func(f *Frame) { got = append(got, string(f.Bytes)) })
 	for _, s := range []string{"a", "b", "c"} {
 		if err := tx.SendBroadcast([]byte(s)); err != nil {
 			t.Fatal(err)
@@ -208,7 +208,7 @@ func TestTwoTransmittersBothDeliver(t *testing.T) {
 	b := attach(t, m, "b", geo.Point{X: 3})
 	c := attach(t, m, "c", geo.Point{X: 6})
 	var got []string
-	c.SetReceiver(func(f []byte) { got = append(got, string(f)) })
+	c.SetReceiver(func(f *Frame) { got = append(got, string(f.Bytes)) })
 	if err := a.SendBroadcast([]byte("from-a")); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCellularLinkLatency(t *testing.T) {
 	k := sim.NewKernel(1)
 	link := NewCellularLink(k, CellularProfile{Name: "t", BaseLatency: 10 * time.Millisecond})
 	var at time.Duration
-	tx := uuSender(t, link, func([]byte) { at = k.Now() })
+	tx := uuSender(t, link, func(*Frame) { at = k.Now() })
 	if err := tx.SendBroadcast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestCellularLinkJitterAndLoss(t *testing.T) {
 		LossProbability: 0.5,
 	})
 	n := 0
-	tx := uuSender(t, link, func([]byte) { n++ })
+	tx := uuSender(t, link, func(*Frame) { n++ })
 	for i := 0; i < 200; i++ {
 		if err := tx.SendBroadcast([]byte("x")); err != nil {
 			t.Fatal(err)
@@ -287,7 +287,7 @@ func TestFrameCopiedOnDelivery(t *testing.T) {
 	tx := attach(t, m, "tx", geo.Point{})
 	rx := attach(t, m, "rx", geo.Point{X: 2})
 	var got []byte
-	rx.SetReceiver(func(f []byte) { got = f })
+	rx.SetReceiver(func(f *Frame) { got = f.Bytes })
 	original := []byte{1, 2, 3}
 	if err := tx.SendBroadcast(original); err != nil {
 		t.Fatal(err)
@@ -310,8 +310,8 @@ func TestEDCADeferralUnderContention(t *testing.T) {
 	c := attach(t, m, "c2", geo.Point{X: 4})
 	var got []string
 	var times []time.Duration
-	c.SetReceiver(func(f []byte) {
-		got = append(got, string(f[:1]))
+	c.SetReceiver(func(f *Frame) {
+		got = append(got, string(f.Bytes[:1]))
 		times = append(times, k.Now())
 	})
 	payload := make([]byte, 200) // long airtime forces overlap pressure
@@ -342,7 +342,7 @@ func TestHalfDuplexSelfDeferral(t *testing.T) {
 	tx := attach(t, m, "hd", geo.Point{})
 	rx := attach(t, m, "hd-rx", geo.Point{X: 3})
 	var times []time.Duration
-	rx.SetReceiver(func([]byte) { times = append(times, k.Now()) })
+	rx.SetReceiver(func(*Frame) { times = append(times, k.Now()) })
 	// Two long frames queued back to back on one radio.
 	for i := 0; i < 2; i++ {
 		if err := tx.SendBroadcast(make([]byte, 300)); err != nil {

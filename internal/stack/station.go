@@ -193,6 +193,8 @@ type Station struct {
 	denRx        den.Receiver
 	cpRx         cp.Receiver
 	beaconTicker *sim.Ticker
+	// rx is the frame the router is handling, for onIndication.
+	rx *rxFrame
 
 	// crashed gates the whole station: inbound frames are ignored and
 	// cyclic services stay down until Restart.
@@ -283,7 +285,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		return nil, fmt.Errorf("stack: router: %w", err)
 	}
 	s.Router = router
-	link.SetReceiver(s.onFrame)
+	link.SetReceiver(s.OnFrame)
 
 	s.LDM = ldm.New(ldm.Config{Frame: cfg.Frame, Now: kernel.Now, Flight: p.Hook})
 
@@ -439,14 +441,92 @@ func (s *Station) Stop() {
 	}
 }
 
-// onFrame is the station-level frame entry point: it gates the GN
-// router behind the crash state, so a crashed node is deaf until
-// Restart (the radio still physically receives, the process is gone).
-func (s *Station) onFrame(frame []byte) {
+// OnFrame is the station-level frame entry point, the receiver of the
+// station's link: it gates the GN router behind the crash state, so a
+// crashed node is deaf until Restart (the radio still physically
+// receives, the process is gone). The first station to receive a
+// transmission parses it into f.Decoded; every other receiver of f
+// reads that parse (see rxFrame).
+func (s *Station) OnFrame(f *radio.Frame) {
 	if s.crashed {
 		return
 	}
-	s.Router.OnFrame(frame)
+	rx, _ := f.Decoded.(*rxFrame)
+	if rx == nil {
+		rx = parseFrame(f.Bytes)
+		f.Decoded = rx
+	}
+	if rx.gnErr != nil {
+		return // malformed frames are counted nowhere, as a real MAC would drop them
+	}
+	prev := s.rx
+	s.rx = rx
+	s.Router.OnPacket(&rx.pkt)
+	s.rx = prev
+}
+
+// rxFrame is one received frame as parsed for every station that hears
+// it: the GN packet and BTP header, parsed by the first receiver, and
+// the facilities message, decoded by the first receiver that delivers
+// it. The frame's bytes are immutable once on the air, and no receiver
+// writes to a filled field, so what the stations share is read-only.
+type rxFrame struct {
+	pkt   geonet.Packet
+	gnErr error
+	// port and body are the BTP destination port and the facilities
+	// payload; btpOK is false when the packet carries no valid BTP
+	// header.
+	port  uint16
+	body  []byte
+	btpOK bool
+
+	// decoded marks the message fields filled: at most one of cam, denm
+	// and cpm, by port, or the decode error.
+	decoded bool
+	cam     *messages.CAM
+	denm    *messages.DENM
+	cpm     *messages.CPM
+	err     error
+}
+
+// parseFrame parses the GN packet of frame and, when its next header
+// is BTP, the BTP header.
+func parseFrame(frame []byte) *rxFrame {
+	rx := &rxFrame{}
+	if rx.gnErr = geonet.Parse(frame, &rx.pkt); rx.gnErr != nil {
+		return rx
+	}
+	var t btp.Type
+	switch rx.pkt.Next {
+	case geonet.NextBTPA:
+		t = btp.TypeA
+	case geonet.NextBTPB:
+		t = btp.TypeB
+	default:
+		return rx
+	}
+	h, body, err := btp.Decode(t, rx.pkt.Payload)
+	if err != nil {
+		return rx
+	}
+	rx.port, rx.body, rx.btpOK = h.DestinationPort, body, true
+	return rx
+}
+
+// decode decodes the facilities message on first use.
+func (rx *rxFrame) decode() {
+	if rx.decoded {
+		return
+	}
+	rx.decoded = true
+	switch rx.port {
+	case btp.PortCAM:
+		rx.cam, rx.err = messages.DecodeCAM(rx.body)
+	case btp.PortDENM:
+		rx.denm, rx.err = messages.DecodeDENM(rx.body)
+	case btp.PortCPM:
+		rx.cpm, rx.err = messages.DecodeCPM(rx.body)
+	}
 }
 
 // Crash models the station process dying: cyclic services, repetition
@@ -592,43 +672,38 @@ func (s *Station) StopKAF() {
 	}
 }
 
-// onIndication dispatches received GN payloads by BTP port after the
-// rx processing latency.
-func (s *Station) onIndication(ind geonet.Indication) {
-	var t btp.Type
-	switch ind.Next {
-	case geonet.NextBTPA:
-		t = btp.TypeA
-	case geonet.NextBTPB:
-		t = btp.TypeB
-	default:
-		return
-	}
-	h, payload, err := btp.Decode(t, ind.Payload)
-	if err != nil {
+// onIndication dispatches the packet the router delivers, s.rx, by
+// BTP port after the rx processing latency. The indication carries
+// s.rx's GN payload, whose BTP header s.rx already holds.
+func (s *Station) onIndication(geonet.Indication) {
+	rx := s.rx
+	if !rx.btpOK {
 		return
 	}
 	delay := s.cfg.RxLatency.sample(s.rng)
-	switch h.DestinationPort {
+	switch rx.port {
 	case btp.PortCAM:
 		s.mRxCAM.ObserveDuration(delay)
 		sp := s.rxSpan("cam")
 		s.kernel.ScheduleFn(delay, func() {
-			s.p.Scope(sp, func() { s.caRx.OnPayload(payload) })
+			rx.decode()
+			s.p.Scope(sp, func() { s.caRx.OnDecoded(rx.cam, rx.err) })
 			sp.End(s.kernel.Now())
 		})
 	case btp.PortDENM:
 		s.mRxDENM.ObserveDuration(delay)
 		sp := s.rxSpan("denm")
 		s.kernel.ScheduleFn(delay, func() {
-			s.p.Scope(sp, func() { s.denRx.OnPayload(payload) })
+			rx.decode()
+			s.p.Scope(sp, func() { s.denRx.OnDecoded(rx.body, rx.denm, rx.err) })
 			sp.End(s.kernel.Now())
 		})
 	case btp.PortCPM:
 		s.mRxCPM.ObserveDuration(delay)
 		sp := s.rxSpan("cpm")
 		s.kernel.ScheduleFn(delay, func() {
-			s.p.Scope(sp, func() { s.cpRx.OnPayload(payload) })
+			rx.decode()
+			s.p.Scope(sp, func() { s.cpRx.OnDecoded(rx.cpm, rx.err) })
 			sp.End(s.kernel.Now())
 		})
 	}

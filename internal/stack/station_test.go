@@ -177,17 +177,17 @@ func TestStationRequiresMobilityAndFrame(t *testing.T) {
 }
 
 // loopLink is a Link that immediately echoes frames to subscribers.
-type loopLink struct{ rcv func([]byte) }
+type loopLink struct{ rcv func(*radio.Frame) }
 
 func (l *loopLink) SendBroadcast(f []byte) error {
 	if l.rcv != nil {
 		cp := make([]byte, len(f))
 		copy(cp, f)
-		l.rcv(cp)
+		l.rcv(&radio.Frame{Bytes: cp})
 	}
 	return nil
 }
-func (l *loopLink) SetReceiver(fn func([]byte)) { l.rcv = fn }
+func (l *loopLink) SetReceiver(fn func(*radio.Frame)) { l.rcv = fn }
 
 // loopBackend attaches every station to its own loopLink.
 type loopBackend struct{}
