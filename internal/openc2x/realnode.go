@@ -1,6 +1,7 @@
 package openc2x
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -36,9 +37,15 @@ type RealNode struct {
 	link        DatagramLink
 	start       time.Time
 	seq         uint16
-	mailbox     []ReceivedDENM
 	mailboxCap  int
 	logger      *slog.Logger
+
+	// mailbox is a ring of undelivered DENMs, the oldest at head and
+	// count deep. It is allocated at MailboxCap entries on the first
+	// delivery, and a full one evicts by overwriting its head; only an
+	// unbounded (negative) cap grows it.
+	mailbox     []mailboxEntry
+	head, count int
 
 	// p reports into the daemon's registry (the /metrics endpoint), the
 	// node's own tracer and the daemon's black-box recorder behind
@@ -47,9 +54,6 @@ type RealNode struct {
 	// into ring, which backs /trace.
 	p    trace.Probe
 	ring *tracing.Ring
-	// mailboxSpans parallels mailbox: open openc2x.mailbox spans ended
-	// when a poll drains the entry.
-	mailboxSpans []*tracing.Span
 
 	// The counters below are cached openc2x_* families of the daemon's
 	// registry. Frames are delivered on the link's read-loop goroutine
@@ -61,6 +65,13 @@ type RealNode struct {
 	polls    *metrics.Counter
 	dropped  *metrics.Counter
 	depthMax *metrics.Gauge
+}
+
+// mailboxEntry is one undelivered DENM and its open openc2x.mailbox
+// span, ended when a poll drains the entry.
+type mailboxEntry struct {
+	rd   ReceivedDENM
+	span *tracing.Span
 }
 
 // DatagramLink is the transport of a RealNode.
@@ -161,15 +172,16 @@ func (n *RealNode) TriggerDENM(req TriggerRequest) (messages.ActionID, error) {
 	n.mu.Unlock()
 	n.triggers.Inc()
 
+	aid := actionIDString(id)
 	sp := n.p.Start("openc2x.trigger_denm", "openc2x", time.Since(n.start))
-	sp.SetAttr("action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber))
+	sp.SetAttr("action_id", aid)
 	defer func() {
 		sp.End(time.Since(n.start))
 		n.retire(sp)
 	}()
-	n.logger.Debug("trigger_denm",
-		"action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber),
-		"cause", req.CauseCode, "sub_cause", req.SubCauseCode)
+	if n.logger.Enabled(context.Background(), slog.LevelDebug) {
+		n.logger.Debug("trigger_denm", "action_id", aid, "cause", req.CauseCode, "sub_cause", req.SubCauseCode)
+	}
 
 	now := n.nowITS()
 	d := messages.NewDENM(n.stationID)
@@ -219,7 +231,7 @@ func (n *RealNode) TriggerDENM(req TriggerRequest) (messages.ActionID, error) {
 		Type:              geonet.HeaderTypeGBC,
 		MaxHopLimit:       geonet.DefaultHopLimit,
 		Source:            n.ego(),
-		SequenceNumber:    n.seq,
+		SequenceNumber:    id.SequenceNumber,
 		DestArea: geonet.CircleAround(
 			units.LatitudeFromDegrees(req.Latitude),
 			units.LongitudeFromDegrees(req.Longitude),
@@ -299,6 +311,14 @@ type decodedFrame struct {
 	Source geonet.Address
 	DENM   *messages.DENM
 	CAM    *messages.CAM
+	// ActionID is the DENM's "origin:seq", formatted once for the
+	// spans of every receiving station.
+	ActionID string
+}
+
+// actionIDString formats an ActionID as "origin:seq".
+func actionIDString(id messages.ActionID) string {
+	return fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber)
 }
 
 // Decode stages, for malformed-frame accounting.
@@ -339,6 +359,7 @@ func decodeFrame(frame []byte) (dec decodedFrame, stage string, err error) {
 			return dec, decodeStageDENM, err
 		}
 		dec.DENM = d
+		dec.ActionID = actionIDString(d.Management.ActionID)
 	case btp.PortCAM:
 		c, err := messages.DecodeCAM(payload)
 		if err != nil {
@@ -366,35 +387,27 @@ func (n *RealNode) deliver(dec decodedFrame) {
 		now := time.Since(n.start)
 		n.p.Record(now, flight.DENMRx, flight.RxOK, int64(uint32(id.OriginatingStationID)), int64(id.SequenceNumber))
 		root := n.p.Start("openc2x.rx_frame", "openc2x", now)
-		root.SetAttr("action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber))
+		root.SetAttr("action_id", dec.ActionID)
 		msp := n.p.StartChild(root, "openc2x.mailbox", "openc2x", now)
 		root.End(now)
-		n.logger.Debug("denm received",
-			"action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber),
-			"source", dec.Source.String())
-		var evicted *tracing.Span
-		n.mu.Lock()
-		if n.mailboxCap > 0 && len(n.mailbox) >= n.mailboxCap {
-			// Full: evict the oldest undelivered DENM (drop-oldest keeps
-			// the freshest hazard information for a client that finally
-			// polls) and account the loss.
-			old := n.mailbox[0].DENM.Management.ActionID
-			n.p.Record(now, flight.MailboxDrop, flight.DropOldest, int64(uint32(old.OriginatingStationID)), int64(old.SequenceNumber))
-			evicted = n.mailboxSpans[0]
-			copy(n.mailbox, n.mailbox[1:])
-			n.mailbox[len(n.mailbox)-1] = ReceivedDENM{DENM: d, ReceivedAt: now}
-			copy(n.mailboxSpans, n.mailboxSpans[1:])
-			n.mailboxSpans[len(n.mailboxSpans)-1] = msp
-			n.dropped.Inc()
-		} else {
-			n.mailbox = append(n.mailbox, ReceivedDENM{DENM: d, ReceivedAt: now})
-			n.mailboxSpans = append(n.mailboxSpans, msp)
+		if n.logger.Enabled(context.Background(), slog.LevelDebug) {
+			n.logger.Debug("denm received", "action_id", dec.ActionID, "source", dec.Source.String())
 		}
-		n.depthMax.SetMax(float64(len(n.mailbox)))
+		n.mu.Lock()
+		old, evicted := n.push(mailboxEntry{rd: ReceivedDENM{DENM: d, ReceivedAt: now}, span: msp})
+		if evicted {
+			// Full: the oldest undelivered DENM made way (drop-oldest
+			// keeps the freshest hazard information for a client that
+			// finally polls); account the loss.
+			oid := old.rd.DENM.Management.ActionID
+			n.p.Record(now, flight.MailboxDrop, flight.DropOldest, int64(uint32(oid.OriginatingStationID)), int64(oid.SequenceNumber))
+			n.dropped.Inc()
+		}
+		n.depthMax.SetMax(float64(n.count))
 		n.mu.Unlock()
-		if evicted != nil {
-			evicted.Drop(now, "mailbox_full")
-			n.retire(evicted)
+		if evicted {
+			old.span.Drop(now, "mailbox_full")
+			n.retire(old.span)
 		}
 	case dec.CAM != nil:
 		c := dec.CAM
@@ -402,6 +415,50 @@ func (n *RealNode) deliver(dec decodedFrame) {
 		n.cams.Add(1)
 		n.p.Record(time.Since(n.start), flight.CAMRx, flight.RxOK, int64(c.Header.StationID), 0)
 	}
+}
+
+// push queues e behind the newest entry. At the cap it evicts the
+// oldest entry by overwriting it, and returns it. Caller holds n.mu.
+func (n *RealNode) push(e mailboxEntry) (old mailboxEntry, evicted bool) {
+	if n.count == len(n.mailbox) {
+		if n.mailboxCap > 0 && n.count > 0 {
+			old = n.mailbox[n.head]
+			n.mailbox[n.head] = e
+			n.head = (n.head + 1) % n.count
+			return old, true
+		}
+		size := n.mailboxCap
+		if size < 0 {
+			size = max(16, 2*n.count)
+		}
+		grown := make([]mailboxEntry, size)
+		for i := range n.count {
+			grown[i] = n.mailbox[(n.head+i)%len(n.mailbox)]
+		}
+		n.mailbox, n.head = grown, 0
+	}
+	n.mailbox[(n.head+n.count)%len(n.mailbox)] = e
+	n.count++
+	return old, false
+}
+
+// drain empties the mailbox, returning its DENMs and their open spans
+// oldest first.
+func (n *RealNode) drain() ([]ReceivedDENM, []*tracing.Span) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.count == 0 {
+		return nil, nil
+	}
+	out := make([]ReceivedDENM, n.count)
+	spans := make([]*tracing.Span, n.count)
+	for i := range out {
+		e := &n.mailbox[(n.head+i)%len(n.mailbox)]
+		out[i], spans[i] = e.rd, e.span
+		*e = mailboxEntry{}
+	}
+	n.head, n.count = 0, 0
+	return out, spans
 }
 
 // MailboxDropped reports how many queued DENMs the bounded mailbox has
@@ -412,19 +469,15 @@ func (n *RealNode) MailboxDropped() uint64 { return n.dropped.Value() }
 func (n *RealNode) PendingDENMs() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.mailbox)
+	return n.count
 }
 
-// RequestDENM drains the mailbox (the request_denm endpoint). Each
-// drained message's trace moves from the tracer into the /trace ring.
+// RequestDENM drains the mailbox, oldest first (the request_denm
+// endpoint). Each drained message's trace moves from the tracer into
+// the /trace ring.
 func (n *RealNode) RequestDENM() []ReceivedDENM {
 	n.polls.Inc()
-	n.mu.Lock()
-	out := n.mailbox
-	n.mailbox = nil
-	spans := n.mailboxSpans
-	n.mailboxSpans = nil
-	n.mu.Unlock()
+	out, spans := n.drain()
 	now := time.Since(n.start)
 	for _, sp := range spans {
 		sp.End(now)
@@ -438,12 +491,8 @@ func (n *RealNode) RequestDENM() []ReceivedDENM {
 // daemons call it on graceful shutdown after the HTTP listener has
 // stopped accepting polls.
 func (n *RealNode) DrainMailbox(reason string) int {
-	n.mu.Lock()
-	dropped := len(n.mailbox)
-	spans := n.mailboxSpans
-	n.mailbox = nil
-	n.mailboxSpans = nil
-	n.mu.Unlock()
+	_, spans := n.drain()
+	dropped := len(spans)
 	now := time.Since(n.start)
 	if dropped > 0 {
 		n.p.Record(now, flight.MailboxDrop, flight.DropShutdown, int64(dropped), 0)
@@ -458,7 +507,7 @@ func (n *RealNode) DrainMailbox(reason string) int {
 // retire moves the finished trace of sp out of the node's tracer into
 // the /trace ring.
 func (n *RealNode) retire(sp *tracing.Span) {
-	n.ring.Add(n.p.Sink().Tracer.Take(sp.TraceID()))
+	n.ring.Retire(n.p.Sink().Tracer, sp)
 }
 
 // TraceHandler serves the ring of recent DENM traces as JSON (the

@@ -12,13 +12,17 @@ type TraceRecord struct {
 }
 
 // Ring is a bounded buffer of recently completed traces: the daemons
-// move each finished trace out of their Tracer (Take) into a Ring, so
-// a long-running rsud/obud holds at most cap traces instead of
-// growing without bound. Safe for concurrent use.
+// move each finished trace out of their Tracer into a Ring (Retire),
+// so a long-running rsud/obud holds at most cap traces instead of
+// growing without bound. It is circular: once full, Retire overwrites
+// the oldest trace in place and reuses its record storage, so a
+// daemon in steady state retires traces without allocating records.
+// Safe for concurrent use.
 type Ring struct {
 	mu      sync.Mutex
 	cap     int
-	traces  []TraceRecord
+	traces  []TraceRecord // up to cap; the oldest at next once full
+	next    int           // slot the next trace overwrites once full
 	dropped uint64
 	total   uint64
 }
@@ -32,21 +36,32 @@ func NewRing(capacity int) *Ring {
 	return &Ring{cap: capacity}
 }
 
-// Add appends a completed trace, evicting the oldest when full. Empty
-// traces are ignored.
-func (r *Ring) Add(spans []SpanRecord) {
-	if r == nil || len(spans) == 0 {
+// Retire moves the trace of s out of t (Tracer.Take) into the ring,
+// evicting the oldest trace when full. A trace with no span left in t
+// is ignored.
+func (r *Ring) Retire(t *Tracer, s *Span) {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
-	if len(r.traces) >= r.cap {
-		drop := len(r.traces) - r.cap + 1
-		r.traces = append(r.traces[:0], r.traces[drop:]...)
-		r.dropped += uint64(drop)
+	full := len(r.traces) == r.cap
+	var reuse []SpanRecord
+	if full {
+		reuse = r.traces[r.next].Spans[:0]
 	}
-	r.traces = append(r.traces, TraceRecord{Spans: spans})
+	spans := t.Take(reuse, s)
+	if len(spans) == 0 {
+		return
+	}
+	r.total++
+	if !full {
+		r.traces = append(r.traces, TraceRecord{Spans: spans})
+		return
+	}
+	r.traces[r.next] = TraceRecord{Spans: spans}
+	r.next = (r.next + 1) % r.cap
+	r.dropped++
 }
 
 // ringPage is the JSON document served by Handler.
@@ -67,7 +82,18 @@ func (r *Ring) Handler() http.Handler {
 			page.Capacity = r.cap
 			page.Total = r.total
 			page.Dropped = r.dropped
-			page.Traces = append(page.Traces, r.traces...)
+			// Retire reuses the records of evicted traces: copy them
+			// out, oldest trace first, before unlocking.
+			n := 0
+			for _, tr := range r.traces {
+				n += len(tr.Spans)
+			}
+			recs := make([]SpanRecord, 0, n)
+			for i := range r.traces {
+				spans := r.traces[(r.next+i)%len(r.traces)].Spans
+				recs = append(recs, spans...)
+				page.Traces = append(page.Traces, TraceRecord{Spans: recs[len(recs)-len(spans):]})
+			}
 			r.mu.Unlock()
 		}
 		w.Header().Set("Content-Type", "application/json")

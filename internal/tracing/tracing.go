@@ -23,7 +23,9 @@
 package tracing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -82,10 +84,26 @@ func (r SpanRecord) Attr(key string) string {
 
 // Span is one open or closed interval on a trace tree. Spans are
 // created through a Tracer and share its lock; a nil *Span ignores
-// every call.
+// every call. A daemon holds two spans per queued DENM, so a Span
+// keeps its record compact: the name, layer and station it shares
+// with the tracer's other spans of that kind sit behind one pointer.
 type Span struct {
-	t   *Tracer
-	rec SpanRecord
+	t *Tracer
+	// link closes a cycle over every span ever started in this span's
+	// trace (a root links to itself; a child is inserted after its
+	// parent), so Take reaches a trace's spans without a scan.
+	link *Span
+	kind *spanKind
+	// trace, id and parent are the record's Trace, ID and Parent.
+	trace, id, parent uint64
+	start, end        time.Duration
+	attrs             []Attr
+	ended             bool
+}
+
+// spanKind is a span's name, layer and station, interned per tracer.
+type spanKind struct {
+	name, layer, station string
 }
 
 // Tracer creates spans with deterministic IDs. The zero value is not
@@ -93,14 +111,24 @@ type Span struct {
 type Tracer struct {
 	mu     sync.Mutex
 	nextID uint64
-	spans  []*Span
-	binds  map[string]*Span
-	stack  []*Span
+	// spans holds one slot per ID up to nextID, in ID order: the span
+	// with ID id sits at len(spans)-1-(nextID-id), and a taken span's
+	// slot is nil. spans[:head] are all nil; Take advances head past
+	// them and StartChild reclaims them before the slice would grow.
+	spans []*Span
+	head  int
+	binds map[string]*Span
+	// bound lists the keys bound to each trace, so Take drops a
+	// trace's binds without scanning binds. Made on the first Bind.
+	bound map[uint64][]string
+	stack []*Span
+	// kinds interns every span kind started so far; it survives Reset.
+	kinds map[spanKind]*spanKind
 }
 
 // New creates an empty tracer.
 func New() *Tracer {
-	return &Tracer{binds: make(map[string]*Span)}
+	return &Tracer{binds: make(map[string]*Span), kinds: make(map[spanKind]*spanKind)}
 }
 
 // Reset returns the tracer to its initial state while keeping the span
@@ -118,11 +146,13 @@ func (t *Tracer) Reset() {
 		t.spans[i] = nil
 	}
 	t.spans = t.spans[:0]
+	t.head = 0
 	for i := range t.stack {
 		t.stack[i] = nil
 	}
 	t.stack = t.stack[:0]
 	clear(t.binds)
+	clear(t.bound)
 }
 
 // StartChild opens a span under an explicit parent; a nil parent
@@ -134,18 +164,28 @@ func (t *Tracer) StartChild(parent *Span, name, layer, station string, at time.D
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextID++
-	s := &Span{t: t, rec: SpanRecord{
-		ID:      t.nextID,
-		Name:    name,
-		Layer:   layer,
-		Station: station,
-		Start:   at,
-	}}
+	kind := t.kinds[spanKind{name, layer, station}]
+	if kind == nil {
+		kind = &spanKind{name, layer, station}
+		t.kinds[*kind] = kind
+	}
+	s := &Span{t: t, kind: kind, id: t.nextID, start: at}
 	if parent != nil {
-		s.rec.Parent = parent.rec.ID
-		s.rec.Trace = parent.rec.Trace
+		s.parent = parent.id
+		s.trace = parent.trace
+		s.link = parent.link
+		parent.link = s
 	} else {
-		s.rec.Trace = s.rec.ID
+		s.trace = s.id
+		s.link = s
+	}
+	if len(t.spans) == cap(t.spans) && t.head > 0 && 4*t.head >= len(t.spans) {
+		// At least a quarter of the slots are a taken prefix: move the
+		// rest down instead of growing.
+		n := copy(t.spans, t.spans[t.head:])
+		clear(t.spans[n:])
+		t.spans = t.spans[:n]
+		t.head = 0
 	}
 	t.spans = append(t.spans, s)
 	return s
@@ -197,7 +237,15 @@ func (t *Tracer) Bind(key string, s *Span) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	old, rebind := t.binds[key]
 	t.binds[key] = s
+	if rebind && old.trace == s.trace {
+		return
+	}
+	if t.bound == nil {
+		t.bound = make(map[uint64][]string)
+	}
+	t.bound[s.trace] = append(t.bound[s.trace], key)
 }
 
 // Find returns the span bound to key, or nil.
@@ -222,51 +270,113 @@ func (t *Tracer) Snapshot() Snapshot {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := Snapshot{Spans: make([]SpanRecord, len(t.spans))}
-	for i, s := range t.spans {
-		out.Spans[i] = s.record()
+	out := Snapshot{Spans: make([]SpanRecord, 0, len(t.spans)-t.head)}
+	for _, s := range t.spans[t.head:] {
+		if s != nil {
+			out.Spans = append(out.Spans, s.record())
+		}
 	}
 	return out
+}
+
+// slot returns the index of s in t.spans, or -1 when s is not held
+// (taken, or started before the last Reset). Caller must hold t.mu.
+func (t *Tracer) slot(s *Span) int {
+	if s.id > t.nextID || t.nextID-s.id >= uint64(len(t.spans)-t.head) {
+		return -1
+	}
+	i := len(t.spans) - 1 - int(t.nextID-s.id)
+	if t.spans[i] != s {
+		return -1
+	}
+	return i
 }
 
 // record copies the span's record; the attribute slice is cloned so
 // the caller holds no live reference. Caller must hold t.mu.
 func (s *Span) record() SpanRecord {
-	rec := s.rec
+	rec := s.share()
 	if len(rec.Attrs) > 0 {
 		rec.Attrs = append([]Attr(nil), rec.Attrs...)
 	}
 	return rec
 }
 
-// Take removes and returns the spans of one trace (used by the
-// daemons to move completed traces into a bounded ring buffer without
-// the tracer growing forever).
-func (t *Tracer) Take(trace uint64) []SpanRecord {
-	if t == nil {
-		return nil
+// share is the span's record holding the span's own attribute slice.
+// Caller must hold t.mu.
+func (s *Span) share() SpanRecord {
+	return SpanRecord{
+		Trace:   s.trace,
+		ID:      s.id,
+		Parent:  s.parent,
+		Name:    s.kind.name,
+		Layer:   s.kind.layer,
+		Station: s.kind.station,
+		Start:   s.start,
+		End:     s.end,
+		Ended:   s.ended,
+		Attrs:   s.attrs,
+	}
+}
+
+// Take removes the spans of s's trace that the tracer still holds,
+// appends their records to dst in ID order, and drops the trace's
+// binds. With a nil dst it returns just the trace. The daemons use it
+// (through Ring.Retire) to move each completed trace out of their
+// tracer, so the tracer does not grow forever. Its cost is the number
+// of spans ever started in the trace, whatever else the tracer holds.
+// A span started later under a taken span joins the same trace, and a
+// later Take collects it. Spans started before a Reset are not held:
+// Take on one of them collects nothing.
+func (t *Tracer) Take(dst []SpanRecord, s *Span) []SpanRecord {
+	taken, _ := t.take(dst, s)
+	return taken
+}
+
+// take is Take, also reporting how many spans it visited.
+func (t *Tracer) take(dst []SpanRecord, s *Span) (taken []SpanRecord, visited int) {
+	if t == nil || s == nil {
+		return dst, 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var taken []SpanRecord
-	kept := t.spans[:0]
-	for _, s := range t.spans {
-		if s.rec.Trace == trace {
-			taken = append(taken, s.record())
-		} else {
-			kept = append(kept, s)
+	var buf [4]*Span
+	held := buf[:0]
+	p := s
+	for {
+		visited++
+		if i := t.slot(p); i >= 0 {
+			t.spans[i] = nil
+			held = append(held, p)
+		}
+		if p = p.link; p == s {
+			break
 		}
 	}
-	for i := len(kept); i < len(t.spans); i++ {
-		t.spans[i] = nil
+	for t.head < len(t.spans) && t.spans[t.head] == nil {
+		t.head++
 	}
-	t.spans = kept
-	for k, s := range t.binds {
-		if s.rec.Trace == trace {
+	if t.head == len(t.spans) {
+		t.spans = t.spans[:0]
+		t.head = 0
+	}
+	trace := s.trace
+	for _, k := range t.bound[trace] {
+		if b, ok := t.binds[k]; ok && b.trace == trace {
 			delete(t.binds, k)
 		}
 	}
-	return taken
+	delete(t.bound, trace)
+	// The cycle is in insertion order, not ID order.
+	slices.SortFunc(held, func(a, b *Span) int { return cmp.Compare(a.id, b.id) })
+	// A taken span is no longer observable through the tracer, so its
+	// attributes move into the record instead of being copied: a later
+	// SetAttr on the span starts a fresh slice.
+	for _, h := range held {
+		dst = append(dst, h.share())
+		h.attrs = nil
+	}
+	return dst, visited
 }
 
 // End closes the span at the given instant. Later calls are ignored
@@ -277,9 +387,9 @@ func (s *Span) End(at time.Duration) {
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	if !s.rec.Ended {
-		s.rec.End = at
-		s.rec.Ended = true
+	if !s.ended {
+		s.end = at
+		s.ended = true
 	}
 }
 
@@ -299,13 +409,13 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	for i, a := range s.rec.Attrs {
+	for i, a := range s.attrs {
 		if a.Key == key {
-			s.rec.Attrs[i].Value = value
+			s.attrs[i].Value = value
 			return
 		}
 	}
-	s.rec.Attrs = append(s.rec.Attrs, Attr{Key: key, Value: value})
+	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
 // TraceID returns the span's trace identifier (zero for nil).
@@ -315,7 +425,7 @@ func (s *Span) TraceID() uint64 {
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	return s.rec.Trace
+	return s.trace
 }
 
 // EndTime returns when the span ended, or its start when still open.
@@ -325,10 +435,10 @@ func (s *Span) EndTime() time.Duration {
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	if s.rec.Ended {
-		return s.rec.End
+	if s.ended {
+		return s.end
 	}
-	return s.rec.Start
+	return s.start
 }
 
 // Identity keys. The chain key marks the root of a detection→actuation

@@ -62,8 +62,8 @@ func TestScopeNesting(t *testing.T) {
 	tr.Scope(outer, func() {
 		inner = tr.Start("inner", "l", "s", time.Millisecond)
 	})
-	if inner.rec.Parent != outer.rec.ID {
-		t.Fatalf("inner span should be child of scoped span, parent=%d", inner.rec.Parent)
+	if inner.parent != outer.id {
+		t.Fatalf("inner span should be child of scoped span, parent=%d", inner.parent)
 	}
 	if tr.Current() != nil {
 		t.Fatal("stack should be empty after Scope returns")
@@ -113,7 +113,7 @@ func TestTake(t *testing.T) {
 	c := tr.StartChild(nil, "c", "l", "s", 0)
 	tr.Bind("ka", a)
 	tr.Bind("kc", c)
-	got := tr.Take(a.TraceID())
+	got := tr.Take(nil, a)
 	if len(got) != 2 || got[0].Name != "a" || got[1].Name != "b" || got[1].Parent != got[0].ID {
 		t.Fatalf("Take returned %+v", got)
 	}
@@ -170,9 +170,9 @@ func TestFilterTraces(t *testing.T) {
 }
 
 func TestRingEvictsOldest(t *testing.T) {
-	r := NewRing(2)
+	tr, r := New(), NewRing(2)
 	for i := 0; i < 3; i++ {
-		r.Add([]SpanRecord{{Trace: uint64(i + 1), ID: uint64(i + 1), Name: "x"}})
+		r.Retire(tr, tr.StartChild(nil, "x", "l", "s", 0))
 	}
 	got := servedPage(t, r).Traces
 	if len(got) != 2 {
@@ -181,15 +181,17 @@ func TestRingEvictsOldest(t *testing.T) {
 	if got[0].Spans[0].Trace != 2 || got[1].Spans[0].Trace != 3 {
 		t.Fatalf("oldest trace should be evicted: %+v", got)
 	}
-	r.Add(nil) // ignored
+	r.Retire(tr, nil) // ignored
 	if page := servedPage(t, r); len(page.Traces) != 2 || page.Total != 3 {
-		t.Fatalf("empty adds must be ignored, page=%+v", page)
+		t.Fatalf("empty retires must be ignored, page=%+v", page)
 	}
 }
 
 func TestRingHandler(t *testing.T) {
-	r := NewRing(4)
-	r.Add([]SpanRecord{{Trace: 1, ID: 1, Name: "openc2x.rx_frame", Ended: true}})
+	tr, r := New(), NewRing(4)
+	sp := tr.StartChild(nil, "openc2x.rx_frame", "openc2x", "s", 0)
+	sp.End(0)
+	r.Retire(tr, sp)
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {

@@ -8,22 +8,36 @@ import (
 )
 
 // TestRingWrapsAroundManyTimes drives the ring far past its capacity
-// and checks the wraparound bookkeeping: the newest cap traces survive
-// in order, and total/dropped account for every Add exactly.
+// with traces of one to three spans and checks the wraparound
+// bookkeeping: the newest cap traces survive in order and intact,
+// although Retire reuses evicted traces' storage, and total/dropped
+// account for every Retire exactly.
 func TestRingWrapsAroundManyTimes(t *testing.T) {
 	const capacity, adds = 4, 100
-	r := NewRing(capacity)
-	for i := 1; i <= adds; i++ {
-		r.Add([]SpanRecord{{Trace: uint64(i), ID: uint64(i), Name: "wrap", Ended: true}})
+	tr, r := New(), NewRing(capacity)
+	var roots []uint64
+	for i := 0; i < adds; i++ {
+		root := tr.StartChild(nil, "wrap", "l", "s", 0)
+		for j := 0; j < i%3; j++ {
+			tr.StartChild(root, "child", "l", "s", 0).End(0)
+		}
+		root.End(0)
+		roots = append(roots, root.TraceID())
+		r.Retire(tr, root)
 	}
 	got := servedPage(t, r).Traces
 	if len(got) != capacity {
 		t.Fatalf("ring holds %d traces after %d adds, want %d", len(got), adds, capacity)
 	}
-	for i, tr := range got {
-		want := uint64(adds - capacity + 1 + i)
-		if tr.Spans[0].Trace != want {
-			t.Fatalf("slot %d holds trace %d, want %d (oldest-first order broken)", i, tr.Spans[0].Trace, want)
+	for k, trace := range got {
+		i := adds - capacity + k
+		if len(trace.Spans) != 1+i%3 {
+			t.Fatalf("slot %d holds %d spans, want %d", k, len(trace.Spans), 1+i%3)
+		}
+		for _, rec := range trace.Spans {
+			if rec.Trace != roots[i] {
+				t.Fatalf("slot %d holds a span of trace %d, want %d (oldest-first order broken)", k, rec.Trace, roots[i])
+			}
 		}
 	}
 	r.mu.Lock()
@@ -34,21 +48,21 @@ func TestRingWrapsAroundManyTimes(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentAddKeepsInvariants hammers Add from several
+// TestRingConcurrentAddKeepsInvariants hammers Retire from several
 // goroutines: whatever the interleaving, the ring must never exceed
-// its capacity and total must equal adds.
+// its capacity and total must equal retires.
 func TestRingConcurrentAddKeepsInvariants(t *testing.T) {
 	const capacity, workers, perWorker = 8, 4, 50
-	r := NewRing(capacity)
+	tr, r := New(), NewRing(capacity)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				r.Add([]SpanRecord{{Trace: uint64(w*perWorker + i + 1), ID: 1, Name: "c"}})
+				r.Retire(tr, tr.StartChild(nil, "c", "l", "s", 0))
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if n := len(servedPage(t, r).Traces); n != capacity {
