@@ -28,8 +28,9 @@ import (
 // reactive DCC and a handful of RSUs geo-broadcasting hazard DENMs.
 // The sweep reports, per density, the channel-busy ratio the stations
 // measure, the DCC state they settle in, the packet-delivery ratio
-// inside the conservative communication range, and the end-to-end
-// DENM latency from RSU trigger to OBU application.
+// over the receivers the grid does not cull (see CityRow.PDR), and the
+// end-to-end DENM latency (mean/max) from RSU trigger to OBU
+// application.
 type CityOptions struct {
 	BaseSeed int64
 	// Stations lists the vehicle densities to sweep. Empty selects
@@ -107,11 +108,15 @@ type CityRow struct {
 	// DCCStates counts vehicles per reactive state at the end of the
 	// run (Relaxed, Active1–3, Restrictive).
 	DCCStates [5]int
-	// PDR is FramesDelivered over the expected receptions inside the
-	// conservative communication range (delivered + lost − culled).
+	// PDR is FramesDelivered over delivered + lost − culled: every
+	// reception the medium evaluated, less those the grid culled as out
+	// of range. The default 5×5 city of 100 m blocks lies within the
+	// culling radius (about 517 m at the default radio settings), so
+	// FramesCulled is 0 there and PDR is over every other station.
 	PDR float64
 	// DENMDeliveries counts DENM application deliveries across all
-	// vehicles; DENMLatencyMS summarises trigger→application latency.
+	// vehicles; DENMLatencyMS summarises trigger→application latency
+	// (FormatCity prints its mean and max).
 	DENMDeliveries int
 	DENMLatencyMS  stats.Summary
 }

@@ -21,25 +21,6 @@ func fastCity(workers int) CityOptions {
 	}
 }
 
-func TestCitySweepDeterministicAcrossWorkers(t *testing.T) {
-	want, err := CitySweep(fastCity(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{4, 8} {
-		got, err := CitySweep(fastCity(w))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: sweep differs from serial run:\ngot  %+v\nwant %+v", w, got, want)
-		}
-		if FormatCity(got, fastCity(w)) != FormatCity(want, fastCity(1)) {
-			t.Fatalf("workers=%d: formatted sweep not byte-identical", w)
-		}
-	}
-}
-
 func TestCitySweepShape(t *testing.T) {
 	rows, err := CitySweep(fastCity(0))
 	if err != nil {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,102 +14,103 @@ import (
 	"itsbed/internal/tracing"
 )
 
-// The campaign engine's contract: the same BaseSeed must produce
-// field-by-field identical experiment outputs for every worker count.
-
-func TestTableIIDeterministicAcrossWorkers(t *testing.T) {
-	base := func(w int) ScenarioOptions {
+// TestEnginesDeterministicAcrossWorkers holds the campaign engine's
+// contract: the same BaseSeed gives field-by-field identical results,
+// and identical rendered reports, for every worker count. Each case
+// returns what it compares; its run at workers=1 is the reference.
+func TestEnginesDeterministicAcrossWorkers(t *testing.T) {
+	scenario := func(w int, trace bool) ScenarioOptions {
 		o := fastOpt(42, 5)
-		o.Workers = w
+		o.Workers, o.Trace = w, trace
 		return o
 	}
-	want, err := TableII(base(1))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		workers []int // compared against workers=1
+		run     func(workers int) (any, error)
+	}{
+		{"table2", []int{4, 8}, func(w int) (any, error) {
+			res, err := TableII(scenario(w, false))
+			return []any{res, res.Format()}, err
+		}},
+		{"table3", []int{8}, func(w int) (any, error) {
+			opt := fastOpt(300, 7)
+			opt.Workers = w
+			return TableIII(opt)
+		}},
+		{"ntp-sweep", []int{4, 8}, func(w int) (any, error) {
+			rows, err := NTPQualitySweep(11000, 6, w)
+			return []any{rows, FormatNTPSweep(rows)}, err
+		}},
+		// Each attempt records into a private registry and accepted runs
+		// merge in attempt order, so the rendered metrics and the
+		// per-layer budget are byte-identical for every -workers value.
+		{"metrics", []int{2, 8}, func(w int) (any, error) {
+			res, err := TableII(scenario(w, false))
+			if err != nil {
+				return nil, err
+			}
+			if res.Metrics.Format() == "" || len(res.Metrics.Histograms) == 0 {
+				return nil, errors.New("no metrics or no histograms recorded")
+			}
+			return []string{res.Metrics.Format(), res.LayerBudget().Format()}, nil
+		}},
+		// Each attempt records into a private tracer and accepted runs
+		// merge in attempt order, so both export formats are
+		// byte-identical for every -workers value.
+		{"trace", []int{2, 8}, func(w int) (any, error) {
+			res, err := TableII(scenario(w, true))
+			if err != nil {
+				return nil, err
+			}
+			fall := tracing.Waterfall(res.Traces.FilterTraces(func(root tracing.SpanRecord) bool {
+				return root.Name == "denm.chain"
+			}))
+			if len(res.Traces.Spans) == 0 || fall == "" {
+				return nil, errors.New("no spans or no denm.chain traces recorded")
+			}
+			return []any{res.Traces, string(tracing.ChromeTrace(res.Traces)), fall}, nil
+		}},
+		// The chaos plan draws from three fault streams in every run.
+		{"resilience", []int{4, 8}, func(w int) (any, error) {
+			opt := fastResilienceOpt(42, 4, "chaos")
+			opt.Workers = w
+			res, err := Resilience(opt)
+			if err == nil && len(res.Rows) != 4 {
+				err = fmt.Errorf("%d rows, want 4", len(res.Rows))
+			}
+			return []any{res, res.Format()}, err
+		}},
+		// Each run drives two full protocol stacks, a camera model and
+		// kinematics off named kernel streams.
+		{"cpm", []int{4, 8}, func(w int) (any, error) {
+			res, err := CPMCampaign(CPMOptions{BaseSeed: 42, Runs: 4, Workers: w})
+			if err == nil && len(res.Rows) != 4 {
+				err = fmt.Errorf("%d rows, want 4", len(res.Rows))
+			}
+			return []any{res, FormatCPM(res)}, err
+		}},
+		{"city", []int{4, 8}, func(w int) (any, error) {
+			rows, err := CitySweep(fastCity(w))
+			return []any{rows, FormatCity(rows, fastCity(w))}, err
+		}},
 	}
-	for _, w := range []int{4, 8} {
-		got, err := TableII(base(w))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: Table II differs from serial run:\ngot  %+v\nwant %+v", w, got, want)
-		}
-		if got.Format() != want.Format() {
-			t.Fatalf("workers=%d: formatted Table II not byte-identical", w)
-		}
-	}
-}
-
-func TestTableIIIDeterministicAcrossWorkers(t *testing.T) {
-	opt := fastOpt(300, 7)
-	opt.Workers = 1
-	want, err := TableIII(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 8
-	got, err := TableIII(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Table III differs at workers=8:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-func TestNTPSweepDeterministicAcrossWorkers(t *testing.T) {
-	want, err := NTPQualitySweep(11000, 6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{4, 8} {
-		got, err := NTPQualitySweep(11000, 6, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: NTP sweep differs from serial run:\ngot  %+v\nwant %+v", w, got, want)
-		}
-		if FormatNTPSweep(got) != FormatNTPSweep(want) {
-			t.Fatalf("workers=%d: formatted NTP sweep not byte-identical", w)
-		}
-	}
-}
-
-func TestMetricsOutputDeterministicAcrossWorkers(t *testing.T) {
-	// The tentpole contract of the metrics layer: each attempt records
-	// into a private registry and accepted runs are merged in attempt
-	// order, so the rendered metrics and the per-layer budget are
-	// byte-identical for every -workers value.
-	base := func(w int) ScenarioOptions {
-		o := fastOpt(42, 5)
-		o.Workers = w
-		return o
-	}
-	want, err := TableII(base(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMetrics := want.Metrics.Format()
-	wantBudget := want.LayerBudget().Format()
-	if wantMetrics == "" {
-		t.Fatal("serial run produced an empty metrics snapshot")
-	}
-	if len(want.Metrics.Histograms) == 0 {
-		t.Fatal("serial run recorded no histograms")
-	}
-	for _, w := range []int{2, 8} {
-		got, err := TableII(base(w))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if got.Metrics.Format() != wantMetrics {
-			t.Fatalf("workers=%d: metrics snapshot not byte-identical to serial run", w)
-		}
-		if got.LayerBudget().Format() != wantBudget {
-			t.Fatalf("workers=%d: layer budget not byte-identical to serial run", w)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := c.run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range c.workers {
+				got, err := c.run(w)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: differs from the serial run:\ngot  %+v\nwant %+v", w, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -194,50 +197,6 @@ func TestLayerBudgetSumsToTableIIAverage(t *testing.T) {
 	}
 	if measured <= 0 {
 		t.Fatal("no layer recorded any measured latency")
-	}
-}
-
-func TestTraceDeterministicAcrossWorkers(t *testing.T) {
-	// The tracing tentpole's contract: each attempt records into a
-	// private tracer, accepted runs merge in attempt order, and both
-	// export formats are byte-identical for every -workers value.
-	base := func(w int) ScenarioOptions {
-		o := fastOpt(42, 5)
-		o.Workers = w
-		o.Trace = true
-		return o
-	}
-	want, err := TableII(base(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Traces.Spans) == 0 {
-		t.Fatal("serial traced run recorded no spans")
-	}
-	wantChrome := string(tracing.ChromeTrace(want.Traces))
-	wantFall := tracing.Waterfall(want.Traces.FilterTraces(func(root tracing.SpanRecord) bool {
-		return root.Name == "denm.chain"
-	}))
-	if wantFall == "" {
-		t.Fatal("no denm.chain traces in serial run")
-	}
-	for _, w := range []int{2, 8} {
-		got, err := TableII(base(w))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got.Traces, want.Traces) {
-			t.Fatalf("workers=%d: merged trace snapshot differs from serial run", w)
-		}
-		if string(tracing.ChromeTrace(got.Traces)) != wantChrome {
-			t.Fatalf("workers=%d: Chrome trace JSON not byte-identical", w)
-		}
-		gotFall := tracing.Waterfall(got.Traces.FilterTraces(func(root tracing.SpanRecord) bool {
-			return root.Name == "denm.chain"
-		}))
-		if gotFall != wantFall {
-			t.Fatalf("workers=%d: waterfall not byte-identical", w)
-		}
 	}
 }
 
