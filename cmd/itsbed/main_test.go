@@ -170,26 +170,26 @@ var conformance = []struct {
 	args    []string
 	goldens map[string]string
 }{
-	{"table1", []string{"table1"}, nil},
+	{"table1", []string{"table1"}, map[string]string{"stdout": "table1.golden"}},
 	{"tableii_smoke", []string{"table2", "-runs", "3", "-vision=false"}, map[string]string{"stdout": "tableii_smoke.golden"}},
 	{"table2_metrics", []string{"-seed", "42", "-metrics", "table2", "-runs", "3", "-vision=false", "-spans"},
 		map[string]string{"stdout": "table2_metrics_%s.golden"}},
 	{"table2_chrome", []string{"table2", "-runs", "3", "-vision=false", "-trace-out", "trace.json", "-spans"},
 		map[string]string{"trace.json": "table2_chrome_its-g5.sha256"}},
-	{"table3", []string{"table3", "-runs", "2", "-vision=false"}, nil},
-	{"fig7", []string{"fig7"}, nil},
-	{"fig10", []string{"fig10", "-runs", "2", "-vision=false"}, nil},
-	{"fig11", []string{"fig11", "-runs", "2", "-vision=false"}, nil},
-	{"cdf", []string{"cdf", "-n", "4"}, nil},
-	{"radios", []string{"radios", "-n", "4"}, nil},
+	{"table3", []string{"table3", "-runs", "2", "-vision=false"}, map[string]string{"stdout": "table3.golden"}},
+	{"fig7", []string{"fig7"}, map[string]string{"stdout": "fig7.golden"}},
+	{"fig10", []string{"fig10", "-runs", "2", "-vision=false"}, map[string]string{"stdout": "fig10.golden"}},
+	{"fig11", []string{"fig11", "-runs", "2", "-vision=false"}, map[string]string{"stdout": "fig11.golden"}},
+	{"cdf", []string{"cdf", "-n", "4"}, map[string]string{"stdout": "cdf.golden"}},
+	{"radios", []string{"radios", "-n", "4"}, map[string]string{"stdout": "radios.golden"}},
 	{"platoon_n3", []string{"platoon", "-n", "3"}, map[string]string{"stdout": "platoon_n3.golden"}},
 	{"blindcorner_n3", []string{"baseline", "-n", "3"}, map[string]string{"stdout": "blindcorner_n3.golden"}},
-	{"poll-sweep", []string{"poll-sweep", "-n", "2"}, nil},
-	{"fps-sweep", []string{"fps-sweep", "-n", "2"}, nil},
-	{"load-sweep", []string{"load-sweep", "-n", "2"}, nil},
-	{"obstruction", []string{"obstruction", "-n", "2"}, nil},
+	{"poll-sweep", []string{"poll-sweep", "-n", "2"}, map[string]string{"stdout": "poll-sweep.golden"}},
+	{"fps-sweep", []string{"fps-sweep", "-n", "2"}, map[string]string{"stdout": "fps-sweep.golden"}},
+	{"load-sweep", []string{"load-sweep", "-n", "2"}, map[string]string{"stdout": "load-sweep.golden"}},
+	{"obstruction", []string{"obstruction", "-n", "2"}, map[string]string{"stdout": "obstruction.golden"}},
 	{"platoonacc_n3", []string{"platoon-acc", "-n", "3"}, map[string]string{"stdout": "platoonacc_n3.golden"}},
-	{"ntp-sweep", []string{"ntp-sweep", "-n", "2"}, nil},
+	{"ntp-sweep", []string{"ntp-sweep", "-n", "2"}, map[string]string{"stdout": "ntp-sweep.golden"}},
 	{"chaos_smoke", []string{"resilience", "-faults", "blackout", "-seed", "42", "-runs", "3", "-vision=false"},
 		map[string]string{"stdout": "chaos_smoke.golden"}},
 	{"flight_smoke", []string{"resilience", "-faults", "blackout", "-runs", "3", "-vision=false", "-progress", "-blackbox", "dumps"},
