@@ -121,7 +121,7 @@ func BenchmarkFigure11_EDF(b *testing.B) {
 }
 
 // BenchmarkExt_LatencyCDF regenerates the EXT-1 large-N latency study
-// (scaled down per iteration; run cmd/itsbed cdf -n 1000 for the full
+// (scaled down per iteration; run cmd/itsbed cdf -runs 1000 for the full
 // version).
 func BenchmarkExt_LatencyCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -152,7 +152,7 @@ func BenchmarkExt_RadioComparison(b *testing.B) {
 // BenchmarkExt_Platoon regenerates the EXT-3 platoon study.
 func BenchmarkExt_Platoon(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.PlatoonStudy(3000, 4, 4, experiments.PlatoonITSG5)
+		res, err := experiments.PlatoonStudy(3000, 4, 4, experiments.PlatoonITSG5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func BenchmarkExt_Platoon(b *testing.B) {
 // comparison.
 func BenchmarkExt_BlindCornerBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.BlindCorner(4000, 6)
+		res, err := experiments.BlindCorner(4000, 6, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,10 +9,10 @@
 //	itsbed fig7              # detection reliability per dressing (Fig. 7)
 //	itsbed fig10             # video detection-to-stop analysis (Fig. 10)
 //	itsbed fig11             # EDF of total delays (Fig. 11)
-//	itsbed cdf [-n N]        # EXT-1 large-N latency CDF + fits
-//	itsbed radios [-n N]     # EXT-2 ITS-G5 vs cellular comparison
-//	itsbed platoon [-n N]    # EXT-3 platoon detection-to-action
-//	itsbed baseline [-n N]   # EXT-4 blind-corner V2X vs onboard-only
+//	itsbed cdf               # EXT-1 large-N latency CDF + fits
+//	itsbed radios            # EXT-2 ITS-G5 vs cellular comparison
+//	itsbed platoon           # EXT-3 platoon detection-to-action
+//	itsbed baseline          # EXT-4 blind-corner V2X vs onboard-only
 //	itsbed poll-sweep        # ABL-1 OBU poll-interval ablation
 //	itsbed fps-sweep         # ABL-2 camera rate ablation
 //	itsbed load-sweep        # ABL-3 channel load / EDCA priority
@@ -28,14 +28,19 @@
 //
 // Every command reads -seed S and -workers W; the flags each command
 // reads beyond those are listed in its row of the command registry
-// (commands, below). A flag set to a value other than its default on
-// a command that does not read it is an error naming the commands that
-// do; all reads what the commands it runs read, except -radio. Flags
-// may sit on both sides of the command name ("-seed 7 table2 -runs
-// 4"); anything else after the command is an error. Runs execute
-// concurrently on W workers (default: all CPUs); results, including
-// the -metrics, -trace-out and -blackbox output, are bit-identical for
-// every worker count.
+// (commands, below). Every command that repeats attempts reads -runs N
+// for their count (0 keeps the experiment's own default). A flag set
+// to a value other than its default on a command that does not read it
+// is an error naming the commands that do; all reads what the commands
+// it runs read, except -radio. Flags may sit on both sides of the
+// command name ("-seed 7 table2 -runs 4"); anything else after the
+// command is an error.
+//
+// -workers W bounds the concurrent attempts (default: all CPUs);
+// results, including the -metrics, -trace-out and -blackbox output,
+// are bit-identical for every worker count. Two commands have no
+// attempts to spread: fig7 draws every cell from one seeded stream, so
+// it is serial by construction, and table1 prints a registry.
 //
 // -radio selects the radio backend of the scenario commands (table2,
 // table3, fig10, fig11, resilience): its-g5 (default, the paper's
@@ -133,7 +138,7 @@ func main() {
 // workers; the other fields belong to the flags of its registry row.
 type params struct {
 	seed                                  int64
-	runs, n, workers, rsus, soakStations  int
+	runs, workers, rsus, soakStations     int
 	vision, metrics, spans, dcc, progress bool
 	traceOut, faults, stations, blackbox  string
 	thresholds, radioName                 string
@@ -216,19 +221,19 @@ var commands = []command{
 	{"fig11", scenarioFlags, true, func(p params, w io.Writer) error {
 		return report(w, experiments.Figure11Result.Format)(experiments.Figure11(p.scenario()))
 	}},
-	{"cdf", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.CDFResult.Format)(experiments.LatencyCDF(p.seed+1000, p.n, p.workers))
+	{"cdf", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.CDFResult.Format)(experiments.LatencyCDF(p.seed+1000, p.runs, p.workers))
 	}},
-	{"radios", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.RadioComparisonResult.Format)(experiments.RadioComparison(p.seed+2000, p.n, p.workers))
+	{"radios", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.RadioComparisonResult.Format)(experiments.RadioComparison(p.seed+2000, p.runs, p.workers))
 	}},
-	{"platoon", []string{"n"}, true, func(p params, w io.Writer) error {
-		n := p.n
+	{"platoon", []string{"runs"}, true, func(p params, w io.Writer) error {
+		n := p.runs
 		if n <= 0 {
 			n = 8
 		}
 		for _, mode := range []experiments.PlatoonMode{experiments.PlatoonITSG5, experiments.PlatoonHybrid} {
-			res, err := experiments.PlatoonStudy(p.seed+3000, n, 4, mode)
+			res, err := experiments.PlatoonStudy(p.seed+3000, n, 4, mode, p.workers)
 			if err != nil {
 				return err
 			}
@@ -236,42 +241,36 @@ var commands = []command{
 		}
 		return nil
 	}},
-	{"baseline", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.BlindCornerResult.Format)(experiments.BlindCorner(p.seed+4000, p.n))
+	{"baseline", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.BlindCornerResult.Format)(experiments.BlindCorner(p.seed+4000, p.runs, p.workers))
 	}},
-	{"poll-sweep", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.FormatPollSweep)(experiments.PollIntervalSweep(p.seed+7000, p.n, nil, p.workers))
+	{"poll-sweep", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.FormatPollSweep)(experiments.PollIntervalSweep(p.seed+7000, p.runs, nil, p.workers))
 	}},
-	{"fps-sweep", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.FormatFPSSweep)(experiments.CameraFPSSweep(p.seed+7100, p.n, nil, p.workers))
+	{"fps-sweep", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.FormatFPSSweep)(experiments.CameraFPSSweep(p.seed+7100, p.runs, nil, p.workers))
 	}},
-	{"load-sweep", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.FormatLoadSweep)(experiments.ChannelLoadSweep(p.seed+7200, p.n, nil, p.workers))
+	{"load-sweep", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.FormatLoadSweep)(experiments.ChannelLoadSweep(p.seed+7200, p.runs, nil, p.workers))
 	}},
-	{"obstruction", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.FormatObstruction)(experiments.ObstructedLink(p.seed+7300, p.n, p.workers))
+	{"obstruction", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.FormatObstruction)(experiments.ObstructedLink(p.seed+7300, p.runs, p.workers))
 	}},
-	{"platoon-acc", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.FormatPlatoonACC)(experiments.PlatoonACC(p.seed+9000, p.n, nil, p.workers))
+	{"platoon-acc", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.FormatPlatoonACC)(experiments.PlatoonACC(p.seed+9000, p.runs, nil, p.workers))
 	}},
-	{"ntp-sweep", []string{"n"}, true, func(p params, w io.Writer) error {
-		return report(w, experiments.FormatNTPSweep)(experiments.NTPQualitySweep(p.seed+11000, p.n, p.workers))
+	{"ntp-sweep", []string{"runs"}, true, func(p params, w io.Writer) error {
+		return report(w, experiments.FormatNTPSweep)(experiments.NTPQualitySweep(p.seed+11000, p.runs, p.workers))
 	}},
 	{"resilience", slices.Concat(scenarioFlags, []string{"faults", "metrics", "blackbox"}), false, func(p params, w io.Writer) error {
 		plan, err := loadFaultPlan(p.faults)
 		if err != nil {
 			return err
 		}
-		opt := p.scenario()
 		res, err := experiments.Resilience(experiments.ResilienceOptions{
-			BaseSeed:  opt.BaseSeed,
-			Runs:      opt.Runs,
-			Workers:   opt.Workers,
-			UseVision: opt.UseVision,
-			Radio:     opt.Radio,
-			Plan:      plan,
-			Blackbox:  p.blackbox,
-			Progress:  opt.Progress,
+			ScenarioOptions: p.scenario(),
+			Plan:            plan,
+			Blackbox:        p.blackbox,
 		})
 		if err != nil {
 			return err
@@ -360,12 +359,7 @@ var commands = []command{
 		return nil
 	}},
 	{"bakeoff", []string{"runs", "vision"}, false, func(p params, w io.Writer) error {
-		return report(w, experiments.BakeoffResult.Format)(experiments.Bakeoff(experiments.BakeoffOptions{
-			BaseSeed:  p.seed,
-			Runs:      p.runs,
-			Workers:   p.workers,
-			UseVision: p.vision,
-		}))
+		return report(w, experiments.BakeoffResult.Format)(experiments.Bakeoff(p.scenario()))
 	}},
 }
 
@@ -463,9 +457,8 @@ func flagSet(p *params) *flag.FlagSet {
 	fs := flag.NewFlagSet("itsbed", flag.ContinueOnError)
 	fs.Int64Var(&p.seed, "seed", 42, "base random seed")
 	fs.IntVar(&p.runs, "runs", 0, "number of runs (0 = experiment default)")
-	fs.IntVar(&p.n, "n", 0, "sample count for the extension studies (0 = default)")
 	fs.BoolVar(&p.vision, "vision", true, "use the full image pipeline in the line follower")
-	fs.IntVar(&p.workers, "workers", runtime.NumCPU(), "concurrent scenario runs (results are identical for any value)")
+	fs.IntVar(&p.workers, "workers", runtime.NumCPU(), "concurrent attempts (results are identical for any value)")
 	fs.BoolVar(&p.metrics, "metrics", false, "print the per-layer delay budget and metric counters after the experiment")
 	fs.StringVar(&p.traceOut, "trace-out", "", "write per-message spans as Chrome trace-event JSON to this file (table2)")
 	fs.BoolVar(&p.spans, "spans", false, "print an ASCII waterfall of each run's end-to-end trace (table2)")

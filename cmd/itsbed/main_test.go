@@ -126,7 +126,7 @@ func TestRunInstrumentationFlagsRejectedWhereIgnored(t *testing.T) {
 // the commands that read it.
 func TestFlagRuleFollowsRegistry(t *testing.T) {
 	sample := map[string]string{
-		"runs": "3", "n": "3", "vision": "false", "metrics": "true", "trace-out": "t.json",
+		"runs": "3", "vision": "false", "metrics": "true", "trace-out": "t.json",
 		"spans": "true", "faults": "blackout", "radio": "cv2x-pc5", "stations": "10", "rsus": "2",
 		"duration": "1s", "dcc": "false", "blackbox": "dumps", "progress": "true",
 		"soak-stations": "5", "rps": "9", "thresholds": "x.json",
@@ -180,16 +180,16 @@ var conformance = []struct {
 	{"fig7", []string{"fig7"}, map[string]string{"stdout": "fig7.golden"}},
 	{"fig10", []string{"fig10", "-runs", "2", "-vision=false"}, map[string]string{"stdout": "fig10.golden"}},
 	{"fig11", []string{"fig11", "-runs", "2", "-vision=false"}, map[string]string{"stdout": "fig11.golden"}},
-	{"cdf", []string{"cdf", "-n", "4"}, map[string]string{"stdout": "cdf.golden"}},
-	{"radios", []string{"radios", "-n", "4"}, map[string]string{"stdout": "radios.golden"}},
-	{"platoon_n3", []string{"platoon", "-n", "3"}, map[string]string{"stdout": "platoon_n3.golden"}},
-	{"blindcorner_n3", []string{"baseline", "-n", "3"}, map[string]string{"stdout": "blindcorner_n3.golden"}},
-	{"poll-sweep", []string{"poll-sweep", "-n", "2"}, map[string]string{"stdout": "poll-sweep.golden"}},
-	{"fps-sweep", []string{"fps-sweep", "-n", "2"}, map[string]string{"stdout": "fps-sweep.golden"}},
-	{"load-sweep", []string{"load-sweep", "-n", "2"}, map[string]string{"stdout": "load-sweep.golden"}},
-	{"obstruction", []string{"obstruction", "-n", "2"}, map[string]string{"stdout": "obstruction.golden"}},
-	{"platoonacc_n3", []string{"platoon-acc", "-n", "3"}, map[string]string{"stdout": "platoonacc_n3.golden"}},
-	{"ntp-sweep", []string{"ntp-sweep", "-n", "2"}, map[string]string{"stdout": "ntp-sweep.golden"}},
+	{"cdf", []string{"cdf", "-runs", "4"}, map[string]string{"stdout": "cdf.golden"}},
+	{"radios", []string{"radios", "-runs", "4"}, map[string]string{"stdout": "radios.golden"}},
+	{"platoon_n3", []string{"platoon", "-runs", "3"}, map[string]string{"stdout": "platoon_n3.golden"}},
+	{"blindcorner_n3", []string{"baseline", "-runs", "3"}, map[string]string{"stdout": "blindcorner_n3.golden"}},
+	{"poll-sweep", []string{"poll-sweep", "-runs", "2"}, map[string]string{"stdout": "poll-sweep.golden"}},
+	{"fps-sweep", []string{"fps-sweep", "-runs", "2"}, map[string]string{"stdout": "fps-sweep.golden"}},
+	{"load-sweep", []string{"load-sweep", "-runs", "2"}, map[string]string{"stdout": "load-sweep.golden"}},
+	{"obstruction", []string{"obstruction", "-runs", "2"}, map[string]string{"stdout": "obstruction.golden"}},
+	{"platoonacc_n3", []string{"platoon-acc", "-runs", "3"}, map[string]string{"stdout": "platoonacc_n3.golden"}},
+	{"ntp-sweep", []string{"ntp-sweep", "-runs", "2"}, map[string]string{"stdout": "ntp-sweep.golden"}},
 	{"chaos_smoke", []string{"resilience", "-faults", "blackout", "-seed", "42", "-runs", "3", "-vision=false"},
 		map[string]string{"stdout": "chaos_smoke.golden"}},
 	{"flight_smoke", []string{"resilience", "-faults", "blackout", "-runs", "3", "-vision=false", "-progress", "-blackbox", "dumps"},

@@ -15,7 +15,7 @@ import (
 
 func main() {
 	const runs = 20
-	res, err := itsbed.BlindCorner(11, runs)
+	res, err := itsbed.BlindCorner(11, runs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,12 +25,12 @@ func main() {
 	fmt.Println()
 
 	// Averaged study across seeds for both delivery modes.
-	study1, err := itsbed.PlatoonStudy(33, 10, members, itsbed.PlatoonITSG5)
+	study1, err := itsbed.PlatoonStudy(33, 10, members, itsbed.PlatoonITSG5, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(study1.Format())
-	study2, err := itsbed.PlatoonStudy(33, 10, members, itsbed.PlatoonHybrid)
+	study2, err := itsbed.PlatoonStudy(33, 10, members, itsbed.PlatoonHybrid, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

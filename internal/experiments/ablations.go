@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"itsbed/internal/campaign"
 	"itsbed/internal/core"
 	"itsbed/internal/geo"
 	"itsbed/internal/radio"
@@ -41,31 +40,24 @@ func PollIntervalSweep(baseSeed int64, runs int, intervals []time.Duration, work
 			50 * time.Millisecond, 75 * time.Millisecond, 100 * time.Millisecond,
 		}
 	}
-	outer, inner := campaign.Split(workers, len(intervals))
-	return campaign.Map(campaign.Options{Workers: outer}, len(intervals), func(vi int) (PollSweepRow, error) {
-		iv := intervals[vi]
-		opt := ScenarioOptions{
-			BaseSeed:  baseSeed + int64(vi)*10000,
-			Runs:      runs,
-			UseVision: false,
-			Configure: func(c *core.Config) { c.Vehicle.PollInterval = iv },
-			Workers:   inner,
-		}.withDefaults()
-		collected, err := CollectRuns(opt, runs, func(r *core.Result) bool { return r.Run.Complete() })
-		if err != nil {
-			return PollSweepRow{}, fmt.Errorf("experiments: poll sweep %v: %w", iv, err)
-		}
-		var r2a, total []float64
-		for _, r := range collected {
-			r2a = append(r2a, ms(r.Intervals.ReceiveToAction))
-			total = append(total, ms(r.Intervals.Total))
-		}
-		return PollSweepRow{
-			PollInterval:    iv,
-			ReceiveToAction: stats.Summarize(r2a),
-			Total:           stats.Summarize(total),
-		}, nil
-	})
+	return sweep(ScenarioOptions{BaseSeed: baseSeed, Runs: runs, Workers: workers}, 10000, intervals,
+		func(iv time.Duration, opt ScenarioOptions) (PollSweepRow, error) {
+			opt.Configure = func(c *core.Config) { c.Vehicle.PollInterval = iv }
+			collected, err := collectRuns(opt, runs, complete)
+			if err != nil {
+				return PollSweepRow{}, fmt.Errorf("experiments: poll sweep %v: %w", iv, err)
+			}
+			var r2a, total []float64
+			for _, r := range collected {
+				r2a = append(r2a, ms(r.Intervals.ReceiveToAction))
+				total = append(total, ms(r.Intervals.Total))
+			}
+			return PollSweepRow{
+				PollInterval:    iv,
+				ReceiveToAction: stats.Summarize(r2a),
+				Total:           stats.Summarize(total),
+			}, nil
+		})
 }
 
 // FormatPollSweep renders the sweep.
@@ -107,40 +99,33 @@ func CameraFPSSweep(baseSeed int64, attempts int, periods []time.Duration, worke
 			400 * time.Millisecond, 600 * time.Millisecond,
 		}
 	}
-	outer, inner := campaign.Split(workers, len(periods))
-	return campaign.Map(campaign.Options{Workers: outer}, len(periods), func(vi int) (FPSSweepRow, error) {
-		p := periods[vi]
-		opt := ScenarioOptions{
-			BaseSeed:  baseSeed + int64(vi)*10000,
-			Runs:      attempts,
-			UseVision: false,
-			Configure: func(c *core.Config) { c.CameraFramePeriod = p },
-		}.withDefaults()
-		// Every attempt counts here (failures are the signal), so this
-		// is a fixed-size Map, not a retrying Collect.
-		results, err := campaign.Map(campaign.Options{Workers: inner}, attempts,
-			func(i int) (*core.Result, error) { return runOnce(opt, i) })
-		if err != nil {
-			return FPSSweepRow{}, fmt.Errorf("experiments: fps sweep %v: %w", p, err)
-		}
-		success := 0
-		var braking, lag []float64
-		for _, res := range results {
-			if res.Run.Complete() && res.Stopped {
-				success++
-				braking = append(braking, res.BrakingDistance)
-				if res.Video.CrossingFrameTime != 0 {
-					lag = append(lag, 1.52-res.Video.CrossingFrameDistance)
+	return sweep(ScenarioOptions{BaseSeed: baseSeed, Runs: attempts, Workers: workers}, 10000, periods,
+		func(p time.Duration, opt ScenarioOptions) (FPSSweepRow, error) {
+			opt.Configure = func(c *core.Config) { c.CameraFramePeriod = p }
+			// Every attempt counts here (failures are the signal), so
+			// this is a fixed-size map, not a retrying collect.
+			results, err := mapRuns(opt)
+			if err != nil {
+				return FPSSweepRow{}, fmt.Errorf("experiments: fps sweep %v: %w", p, err)
+			}
+			success := 0
+			var braking, lag []float64
+			for _, res := range results {
+				if res.Run.Complete() && res.Stopped {
+					success++
+					braking = append(braking, res.BrakingDistance)
+					if res.Video.CrossingFrameTime != 0 {
+						lag = append(lag, 1.52-res.Video.CrossingFrameDistance)
+					}
 				}
 			}
-		}
-		return FPSSweepRow{
-			FramePeriod:     p,
-			SuccessRate:     float64(success) / float64(attempts),
-			BrakingDistance: stats.Summarize(braking),
-			CrossingLag:     stats.Summarize(lag),
-		}, nil
-	})
+			return FPSSweepRow{
+				FramePeriod:     p,
+				SuccessRate:     float64(success) / float64(attempts),
+				BrakingDistance: stats.Summarize(braking),
+				CrossingLag:     stats.Summarize(lag),
+			}, nil
+		})
 }
 
 // FormatFPSSweep renders the sweep.
@@ -178,41 +163,32 @@ func ChannelLoadSweep(baseSeed int64, runs int, loads []int, workers int) ([]Loa
 	if len(loads) == 0 {
 		loads = []int{0, 10, 25, 50}
 	}
-	outer, inner := campaign.Split(workers, len(loads))
-	return campaign.Map(campaign.Options{Workers: outer}, len(loads), func(vi int) (LoadSweepRow, error) {
-		n := loads[vi]
-		row := LoadSweepRow{BackgroundVehicles: n}
-		for arm := 0; arm < 2; arm++ {
-			tc := uint8(0)
-			if arm == 1 {
-				tc = 3
-			}
-			opt := ScenarioOptions{
-				BaseSeed:  baseSeed + int64(vi)*20000 + int64(arm)*1000,
-				Runs:      runs,
-				UseVision: false,
-				Configure: func(c *core.Config) {
+	return sweep(ScenarioOptions{BaseSeed: baseSeed, Runs: runs, Workers: workers}, 20000, loads,
+		func(n int, block ScenarioOptions) (LoadSweepRow, error) {
+			row := LoadSweepRow{BackgroundVehicles: n}
+			for arm, tc := range []uint8{0, 3} {
+				opt := block
+				opt.BaseSeed += int64(arm) * 1000
+				opt.Configure = func(c *core.Config) {
 					c.BackgroundVehicles = n
 					c.DENMTrafficClass = tc
-				},
-				Workers: inner,
-			}.withDefaults()
-			collected, err := CollectRuns(opt, runs, func(r *core.Result) bool { return r.Run.Complete() })
-			if err != nil {
-				return LoadSweepRow{}, fmt.Errorf("experiments: load sweep n=%d tc=%d: %w", n, tc, err)
+				}
+				collected, err := collectRuns(opt, runs, complete)
+				if err != nil {
+					return LoadSweepRow{}, fmt.Errorf("experiments: load sweep n=%d tc=%d: %w", n, tc, err)
+				}
+				var link []float64
+				for _, r := range collected {
+					link = append(link, ms(r.Intervals.SendToReceive))
+				}
+				if arm == 0 {
+					row.HighPriority = stats.Summarize(link)
+				} else {
+					row.LowPriority = stats.Summarize(link)
+				}
 			}
-			var link []float64
-			for _, r := range collected {
-				link = append(link, ms(r.Intervals.SendToReceive))
-			}
-			if arm == 0 {
-				row.HighPriority = stats.Summarize(link)
-			} else {
-				row.LowPriority = stats.Summarize(link)
-			}
-		}
-		return row, nil
-	})
+			return row, nil
+		})
 }
 
 // FormatLoadSweep renders the sweep.
@@ -266,25 +242,18 @@ func ObstructedLink(baseSeed int64, runs, workers int) ([]ObstructionRow, error)
 		runs = 15
 	}
 	materials := []world.Material{0, world.MaterialDrywall, world.MaterialBrick, world.MaterialConcrete, world.MaterialMetal}
-	outer, inner := campaign.Split(workers, len(materials))
-	return campaign.Map(campaign.Options{Workers: outer}, len(materials), func(vi int) (ObstructionRow, error) {
-		mat := materials[vi]
-		row := ObstructionRow{Material: mat}
-		for arm := 0; arm < 2; arm++ {
-			repetition := time.Duration(0)
-			if arm == 1 {
-				repetition = 100 * time.Millisecond
-			}
-			opt := ScenarioOptions{
-				BaseSeed:  baseSeed + int64(vi)*20000 + int64(arm)*1000,
-				Runs:      runs,
-				UseVision: false,
-				Configure: func(c *core.Config) {
+	return sweep(ScenarioOptions{BaseSeed: baseSeed, Runs: runs, Workers: workers}, 20000, materials,
+		func(mat world.Material, block ScenarioOptions) (ObstructionRow, error) {
+			row := ObstructionRow{Material: mat}
+			for arm, repetition := range []time.Duration{0, 100 * time.Millisecond} {
+				opt := block
+				opt.BaseSeed += int64(arm) * 1000
+				opt.Configure = func(c *core.Config) {
 					c.PathLoss = fullScalePathLoss()
 					if mat != 0 {
 						// A wall across the lane north of the entire
-						// eligible detection band (y <= 5.85) and south
-						// of the RSU antenna (y 6.6), so every
+						// eligible detection band (y <= 5.85) and
+						// south of the RSU antenna (y 6.6), so every
 						// single-shot DENM crosses it.
 						c.Obstructions = world.NewMap([]world.Wall{{
 							Segment: geo.Segment{
@@ -295,42 +264,40 @@ func ObstructedLink(baseSeed int64, runs, workers int) ([]ObstructionRow, error)
 						}})
 					}
 					c.DENMRepetitionInterval = repetition
-				},
-			}.withDefaults()
-			// Failed deliveries are the measurement, so run a fixed
-			// number of attempts rather than retrying to n accepted.
-			results, err := campaign.Map(campaign.Options{Workers: inner}, runs,
-				func(i int) (*core.Result, error) { return runOnce(opt, i) })
-			if err != nil {
-				return ObstructionRow{}, fmt.Errorf("experiments: obstruction %v: %w", mat, err)
-			}
-			sent, delivered := 0, 0
-			var totals []float64
-			for _, res := range results {
-				if !res.Run.Stamped(trace.StepRSUSend) {
-					continue // camera never armed the trigger; not a link failure
 				}
-				sent++
-				if res.Run.Stamped(trace.StepOBUReceive) {
-					delivered++
-					if arm == 0 && res.Run.Complete() {
-						totals = append(totals, ms(res.Intervals.Total))
+				// Failed deliveries are the measurement, so run a fixed
+				// number of attempts rather than retrying to n accepted.
+				results, err := mapRuns(opt)
+				if err != nil {
+					return ObstructionRow{}, fmt.Errorf("experiments: obstruction %v: %w", mat, err)
+				}
+				sent, delivered := 0, 0
+				var totals []float64
+				for _, res := range results {
+					if !res.Run.Stamped(trace.StepRSUSend) {
+						continue // camera never armed the trigger; not a link failure
+					}
+					sent++
+					if res.Run.Stamped(trace.StepOBUReceive) {
+						delivered++
+						if arm == 0 && res.Run.Complete() {
+							totals = append(totals, ms(res.Intervals.Total))
+						}
 					}
 				}
+				rate := 0.0
+				if sent > 0 {
+					rate = float64(delivered) / float64(sent)
+				}
+				if arm == 0 {
+					row.DeliveryRate = rate
+					row.Total = stats.Summarize(totals)
+				} else {
+					row.WithRepetitionRate = rate
+				}
 			}
-			rate := 0.0
-			if sent > 0 {
-				rate = float64(delivered) / float64(sent)
-			}
-			if arm == 0 {
-				row.DeliveryRate = rate
-				row.Total = stats.Summarize(totals)
-			} else {
-				row.WithRepetitionRate = rate
-			}
-		}
-		return row, nil
-	})
+			return row, nil
+		})
 }
 
 // FormatObstruction renders the study.

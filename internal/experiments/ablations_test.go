@@ -103,7 +103,7 @@ func TestObstructedLinkGradient(t *testing.T) {
 func TestBlindCornerVideoStoryHolds(t *testing.T) {
 	// Small-N sanity beyond TestBlindCornerAdvantage: the V2X arm must
 	// stop clear of the conflict box in most runs.
-	res, err := BlindCorner(4100, 6)
+	res, err := BlindCorner(4100, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,24 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"itsbed/internal/campaign"
 	"itsbed/internal/core"
 	"itsbed/internal/metrics"
 	"itsbed/internal/stats"
 )
-
-// BakeoffOptions tune the BAKEOFF-1 campaign.
-type BakeoffOptions struct {
-	// BaseSeed; backend bi runs seeds BaseSeed+bi*100000+i.
-	BaseSeed int64
-	// Runs per backend (default 10).
-	Runs int
-	// Workers bounds the concurrent scenario runs across all backends;
-	// results are bit-identical for any value.
-	Workers int
-	// UseVision selects the full image pipeline (slower).
-	UseVision bool
-}
 
 // BakeoffRow is one backend's Table II chain statistics.
 type BakeoffRow struct {
@@ -58,27 +44,20 @@ func radioFrameCounters(snap metrics.Snapshot) (sent, delivered uint64) {
 	return sent, delivered
 }
 
-// Bakeoff runs the Table II chain per radio backend — the ROADMAP's
-// technology bake-off. Each backend gets its own seed block (the
-// ITS-G5 block equals a plain Table II campaign over the same seeds)
-// and the campaign engine keeps the result bit-identical for any
-// Workers value.
-func Bakeoff(opt BakeoffOptions) (BakeoffResult, error) {
+// Bakeoff runs the Table II chain of opt once per radio backend — the
+// ROADMAP's technology bake-off — with Runs defaulting to 10. Backend
+// bi gets its own seed block BaseSeed+bi*100000 (the ITS-G5 block
+// equals a plain Table II campaign over the same seeds) and a share of
+// opt.Workers; the result is bit-identical for any Workers value.
+// opt.Radio is replaced by each backend in turn, and opt.Metrics and
+// opt.Progress are not used.
+func Bakeoff(opt ScenarioOptions) (BakeoffResult, error) {
 	if opt.Runs <= 0 {
 		opt.Runs = 10
 	}
-	backends := core.RadioKinds()
-	outer, inner := campaign.Split(opt.Workers, len(backends))
-	rows, err := campaign.Map(campaign.Options{Workers: outer}, len(backends), func(bi int) (BakeoffRow, error) {
-		be := backends[bi]
-		sopt := ScenarioOptions{
-			BaseSeed:  opt.BaseSeed + int64(bi)*100000,
-			Runs:      opt.Runs,
-			UseVision: opt.UseVision,
-			Workers:   inner,
-			Radio:     be,
-		}
-		t2, err := TableII(sopt)
+	rows, err := sweep(opt, 100000, core.RadioKinds(), func(be core.RadioKind, block ScenarioOptions) (BakeoffRow, error) {
+		block.Radio = be
+		t2, err := TableII(block)
 		if err != nil {
 			return BakeoffRow{}, fmt.Errorf("experiments: bakeoff %s: %w", be, err)
 		}

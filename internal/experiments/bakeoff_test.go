@@ -7,8 +7,8 @@ import (
 
 // bakeoffOpt is the bakeoff_smoke conformance shape (itsbed bakeoff
 // -seed 42 -runs 5 -vision=false).
-func bakeoffOpt(workers int) BakeoffOptions {
-	return BakeoffOptions{BaseSeed: 42, Runs: 5, Workers: workers, UseVision: false}
+func bakeoffOpt(workers int) ScenarioOptions {
+	return ScenarioOptions{BaseSeed: 42, Runs: 5, Workers: workers, UseVision: false}
 }
 
 // TestBakeoffDeterministicAcrossWorkers pins the acceptance criterion:

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"itsbed/internal/campaign"
 	"itsbed/internal/core"
 	"itsbed/internal/edge"
 	"itsbed/internal/geo"
@@ -188,34 +189,44 @@ func blindCornerArm(seed int64, v2x bool) (margin float64, collision bool, err e
 	return margin, minSeparation < collisionDistance, nil
 }
 
-// BlindCorner runs the Fig. 1 crossing scenario for both arms.
-func BlindCorner(baseSeed int64, runs int) (BlindCornerResult, error) {
+// BlindCorner runs the Fig. 1 crossing scenario for both arms: run i
+// seeds the V2X arm with baseSeed+i and the onboard arm with
+// baseSeed+50000+i. workers bounds the concurrent runs (<= 0 selects
+// runtime.NumCPU()); the result is identical for any value.
+func BlindCorner(baseSeed int64, runs, workers int) (BlindCornerResult, error) {
 	if runs <= 0 {
 		runs = 30
+	}
+	type outcome struct {
+		margin    float64
+		collision bool
+	}
+	pairs, err := campaign.Map(campaign.Options{Workers: workers}, runs, func(i int) ([2]outcome, error) {
+		var o [2]outcome
+		var err error
+		if o[0].margin, o[0].collision, err = blindCornerArm(baseSeed+int64(i), true); err != nil {
+			return o, fmt.Errorf("experiments: blind corner V2X run %d: %w", i, err)
+		}
+		if o[1].margin, o[1].collision, err = blindCornerArm(baseSeed+50000+int64(i), false); err != nil {
+			return o, fmt.Errorf("experiments: blind corner onboard run %d: %w", i, err)
+		}
+		return o, nil
+	})
+	if err != nil {
+		return BlindCornerResult{}, err
 	}
 	out := BlindCornerResult{Runs: runs}
 	out.V2X.Name = "network-aided (DENM)"
 	out.Onboard.Name = "onboard-only (LiDAR, LoS-limited)"
-	for i := 0; i < runs; i++ {
-		m, col, err := blindCornerArm(baseSeed+int64(i), true)
-		if err != nil {
-			return out, fmt.Errorf("experiments: blind corner V2X run %d: %w", i, err)
+	for a, arm := range []*BlindCornerArmResult{&out.V2X, &out.Onboard} {
+		for _, o := range pairs {
+			arm.StopMargins = append(arm.StopMargins, o[a].margin)
+			if o[a].collision {
+				arm.Collisions++
+			}
 		}
-		out.V2X.StopMargins = append(out.V2X.StopMargins, m)
-		if col {
-			out.V2X.Collisions++
-		}
-		m, col, err = blindCornerArm(baseSeed+50000+int64(i), false)
-		if err != nil {
-			return out, fmt.Errorf("experiments: blind corner onboard run %d: %w", i, err)
-		}
-		out.Onboard.StopMargins = append(out.Onboard.StopMargins, m)
-		if col {
-			out.Onboard.Collisions++
-		}
+		arm.Summary = stats.Summarize(arm.StopMargins)
 	}
-	out.V2X.Summary = stats.Summarize(out.V2X.StopMargins)
-	out.Onboard.Summary = stats.Summarize(out.Onboard.StopMargins)
 	return out, nil
 }
 

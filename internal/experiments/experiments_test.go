@@ -207,11 +207,11 @@ func TestPlatoonAllMembersStop(t *testing.T) {
 }
 
 func TestPlatoonHybridSlowerOnAverage(t *testing.T) {
-	a, err := PlatoonStudy(3000, 6, 3, PlatoonITSG5)
+	a, err := PlatoonStudy(3000, 6, 3, PlatoonITSG5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PlatoonStudy(3000, 6, 3, PlatoonHybrid)
+	b, err := PlatoonStudy(3000, 6, 3, PlatoonHybrid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPlatoonHybridSlowerOnAverage(t *testing.T) {
 }
 
 func TestBlindCornerAdvantage(t *testing.T) {
-	res, err := BlindCorner(4000, 10)
+	res, err := BlindCorner(4000, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestCollectRunsRetries(t *testing.T) {
 	attempts := 0
 	// Reject the first attempt; the harness must retry with the next
 	// seed like a lab operator repeating a failed run.
-	runs, err := CollectRuns(opt, 2, func(r *core.Result) bool {
+	runs, err := collectRuns(opt, 2, func(r *core.Result) bool {
 		attempts++
 		return attempts > 1
 	})
@@ -258,7 +258,7 @@ func TestCollectRunsRetries(t *testing.T) {
 
 func TestCollectRunsGivesUp(t *testing.T) {
 	opt := fastOpt(42, 1).withDefaults()
-	if _, err := CollectRuns(opt, 1, func(*core.Result) bool { return false }); err == nil {
+	if _, err := collectRuns(opt, 1, func(*core.Result) bool { return false }); err == nil {
 		t.Fatal("hopeless collection did not fail")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"itsbed/internal/campaign"
 	"itsbed/internal/core"
 	"itsbed/internal/radio"
 	"itsbed/internal/stats"
@@ -37,7 +36,7 @@ func LatencyCDF(baseSeed int64, n, workers int) (CDFResult, error) {
 		n = 200
 	}
 	opt := ScenarioOptions{BaseSeed: baseSeed, Runs: n, UseVision: false, Workers: workers}.withDefaults()
-	runs, err := CollectRuns(opt, n, func(r *core.Result) bool { return r.Run.Complete() })
+	runs, err := collectRuns(opt, n, complete)
 	if err != nil {
 		return CDFResult{}, err
 	}
@@ -151,30 +150,23 @@ func RadioComparison(baseSeed int64, runs, workers int) (RadioComparisonResult, 
 			c.CellularProfile = radio.ProfileLTE()
 		}},
 	}
-	outer, inner := campaign.Split(workers, len(variants))
-	rows, err := campaign.Map(campaign.Options{Workers: outer}, len(variants), func(vi int) (RadioRow, error) {
-		v := variants[vi]
-		opt := ScenarioOptions{
-			BaseSeed:  baseSeed + int64(vi)*100000,
-			Runs:      runs,
-			UseVision: false,
-			Configure: v.conf,
-			Workers:   inner,
-		}.withDefaults()
-		collected, err := CollectRuns(opt, runs, func(r *core.Result) bool { return r.Run.Complete() })
-		if err != nil {
-			return RadioRow{}, fmt.Errorf("experiments: radio %q: %w", v.name, err)
-		}
-		row := RadioRow{Name: v.name, Runs: runs}
-		var linkSum float64
-		for _, r := range collected {
-			row.TotalsMS = append(row.TotalsMS, ms(r.Intervals.Total))
-			linkSum += ms(r.Intervals.SendToReceive)
-		}
-		row.Summary = stats.Summarize(row.TotalsMS)
-		row.SendToReceiveMS = linkSum / float64(len(collected))
-		return row, nil
-	})
+	rows, err := sweep(ScenarioOptions{BaseSeed: baseSeed, Runs: runs, Workers: workers}, 100000, variants,
+		func(v variant, opt ScenarioOptions) (RadioRow, error) {
+			opt.Configure = v.conf
+			collected, err := collectRuns(opt, runs, complete)
+			if err != nil {
+				return RadioRow{}, fmt.Errorf("experiments: radio %q: %w", v.name, err)
+			}
+			row := RadioRow{Name: v.name, Runs: runs}
+			var linkSum float64
+			for _, r := range collected {
+				row.TotalsMS = append(row.TotalsMS, ms(r.Intervals.Total))
+				linkSum += ms(r.Intervals.SendToReceive)
+			}
+			row.Summary = stats.Summarize(row.TotalsMS)
+			row.SendToReceiveMS = linkSum / float64(len(collected))
+			return row, nil
+		})
 	if err != nil {
 		return RadioComparisonResult{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"itsbed/internal/campaign"
 	"itsbed/internal/clock"
 	"itsbed/internal/core"
 	"itsbed/internal/stats"
@@ -35,10 +34,11 @@ func NTPQualitySweep(baseSeed int64, runs, workers int) ([]NTPSweepRow, error) {
 	if runs <= 0 {
 		runs = 20
 	}
-	variants := []struct {
+	type variant struct {
 		name  string
 		model clock.NTPModel
-	}{
+	}
+	variants := []variant{
 		{"perfect", clock.PerfectNTP()},
 		{"LAN NTP (paper)", clock.DefaultLANNTP()},
 		{"WAN NTP", clock.NTPModel{
@@ -53,32 +53,25 @@ func NTPQualitySweep(baseSeed int64, runs, workers int) ([]NTPSweepRow, error) {
 			DriftPPM:     50,
 		}},
 	}
-	outer, inner := campaign.Split(workers, len(variants))
-	return campaign.Map(campaign.Options{Workers: outer}, len(variants), func(vi int) (NTPSweepRow, error) {
-		v := variants[vi]
-		opt := ScenarioOptions{
-			BaseSeed:  baseSeed + int64(vi)*10000,
-			Runs:      runs,
-			UseVision: false,
-			Configure: func(c *core.Config) { c.NTP = v.model },
-			Workers:   inner,
-		}.withDefaults()
-		collected, err := CollectRuns(opt, runs, func(r *core.Result) bool { return r.Run.Complete() })
-		if err != nil {
-			return NTPSweepRow{}, fmt.Errorf("experiments: NTP sweep %q: %w", v.name, err)
-		}
-		row := NTPSweepRow{Name: v.name, Runs: runs}
-		var xs []float64
-		for _, r := range collected {
-			m := ms(r.Intervals.SendToReceive)
-			xs = append(xs, m)
-			if m < 0 {
-				row.NegativeRuns++
+	return sweep(ScenarioOptions{BaseSeed: baseSeed, Runs: runs, Workers: workers}, 10000, variants,
+		func(v variant, opt ScenarioOptions) (NTPSweepRow, error) {
+			opt.Configure = func(c *core.Config) { c.NTP = v.model }
+			collected, err := collectRuns(opt, runs, complete)
+			if err != nil {
+				return NTPSweepRow{}, fmt.Errorf("experiments: NTP sweep %q: %w", v.name, err)
 			}
-		}
-		row.Measured = stats.Summarize(xs)
-		return row, nil
-	})
+			row := NTPSweepRow{Name: v.name, Runs: runs}
+			var xs []float64
+			for _, r := range collected {
+				m := ms(r.Intervals.SendToReceive)
+				xs = append(xs, m)
+				if m < 0 {
+					row.NegativeRuns++
+				}
+			}
+			row.Measured = stats.Summarize(xs)
+			return row, nil
+		})
 }
 
 // FormatNTPSweep renders the sweep.

@@ -94,6 +94,24 @@ func TestEnginesDeterministicAcrossWorkers(t *testing.T) {
 			rows, err := CitySweep(fastCity(w))
 			return []any{rows, FormatCity(rows, fastCity(w))}, err
 		}},
+		// Camera misses are rejected attempts, so both modes exercise
+		// the retry path at the decision cursor.
+		{"platoon", []int{8}, func(w int) (any, error) {
+			var out []any
+			for _, mode := range []PlatoonMode{PlatoonITSG5, PlatoonHybrid} {
+				res, err := PlatoonStudy(3000, 4, 3, mode, w)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, res, res.Format())
+			}
+			return out, nil
+		}},
+		// Each job runs both arms of one crossing on their own seeds.
+		{"blindcorner", []int{8}, func(w int) (any, error) {
+			res, err := BlindCorner(4000, 6, w)
+			return []any{res, res.Format()}, err
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"itsbed/internal/campaign"
 	"itsbed/internal/core"
 	"itsbed/internal/edge"
 	"itsbed/internal/geo"
@@ -207,28 +208,29 @@ type PlatoonStudyResult struct {
 
 // PlatoonStudy repeats the platoon scenario over seeds; the poll-loop
 // quantisation means single runs can mask link-latency differences.
-// Runs whose camera missed every eligible frame are repeated with the
-// next seed, as a lab operator would.
-func PlatoonStudy(baseSeed int64, runs, members int, mode PlatoonMode) (PlatoonStudyResult, error) {
+// Attempt i uses seed baseSeed+37i; an attempt whose camera missed
+// every eligible frame is not accepted and the next one is run, as a
+// lab operator would. workers bounds the concurrent attempts (<= 0
+// selects runtime.NumCPU()); the result is identical for any value.
+func PlatoonStudy(baseSeed int64, runs, members int, mode PlatoonMode, workers int) (PlatoonStudyResult, error) {
 	if runs <= 0 {
 		runs = 10
 	}
+	results, err := collect(campaign.Options{Workers: workers}, runs, "platoon runs",
+		func(i int) (PlatoonResult, error) {
+			res, err := Platoon(baseSeed+int64(i)*37, members, mode)
+			if errors.Is(err, errNoDetection) {
+				return PlatoonResult{}, nil
+			}
+			return res, err
+		}, func(r PlatoonResult) bool { return r.Members != nil })
+	if err != nil {
+		return PlatoonStudyResult{}, err
+	}
 	out := PlatoonStudyResult{Mode: mode, Members: members, Runs: runs}
-	collected := 0
-	for i := 0; collected < runs; i++ {
-		if i >= runs*maxAttemptFactor {
-			return out, fmt.Errorf("experiments: only %d/%d platoon runs succeeded after %d attempts", collected, runs, i)
-		}
-		res, err := Platoon(baseSeed+int64(i)*37, members, mode)
-		if errors.Is(err, errNoDetection) {
-			continue
-		}
-		if err != nil {
-			return out, err
-		}
-		collected++
+	for _, res := range results {
 		out.WholePlatoonMS = append(out.WholePlatoonMS, ms(res.WholePlatoon))
-		if len(res.Members) > 0 && res.Members[0].Stopped {
+		if res.Members[0].Stopped {
 			out.LeaderMS = append(out.LeaderMS, ms(res.Members[0].DetectionToAction))
 		}
 	}

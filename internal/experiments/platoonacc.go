@@ -78,54 +78,47 @@ func PlatoonACC(baseSeed int64, runs int, gaps []float64, workers int) ([]Platoo
 	if len(gaps) == 0 {
 		gaps = []float64{0.5, 0.7, 0.9, 1.2}
 	}
-	outer, inner := campaign.Split(workers, len(gaps))
-	return campaign.Map(campaign.Options{Workers: outer}, len(gaps), func(gi int) (PlatoonACCRow, error) {
-		gap := gaps[gi]
-		runPair := func(attempt int) (accPair, error) {
-			seed := baseSeed + int64(gi)*10000 + int64(attempt)
-			// Both arms must share the seed; a camera miss in either
-			// voids the pair (a repeatable lab failure).
-			v2xCollided, v2xMin, err := platoonACCRun(seed, gap, 4, true)
-			if errors.Is(err, errNoDetection) {
-				return accPair{}, nil
+	return sweep(ScenarioOptions{BaseSeed: baseSeed, Runs: runs, Workers: workers}, 10000, gaps,
+		func(gap float64, block ScenarioOptions) (PlatoonACCRow, error) {
+			runPair := func(attempt int) (accPair, error) {
+				seed := block.BaseSeed + int64(attempt)
+				// Both arms must share the seed; a camera miss in either
+				// voids the pair (a repeatable lab failure).
+				p := accPair{valid: true}
+				var err error
+				if p.v2xCollided, p.v2xMin, err = platoonACCRun(seed, gap, 4, true); err == nil {
+					p.accCollided, p.accMin, err = platoonACCRun(seed, gap, 4, false)
+				}
+				if errors.Is(err, errNoDetection) {
+					return accPair{}, nil
+				}
+				if err != nil {
+					return accPair{}, fmt.Errorf("experiments: platoon ACC gap %.1f: %w", gap, err)
+				}
+				return p, nil
+			}
+			pairs, err := campaign.Collect(block.engine(), runs, runs*maxAttemptFactor,
+				runPair, func(p accPair) bool { return p.valid })
+			var ex *campaign.ExhaustedError
+			if errors.As(err, &ex) {
+				return PlatoonACCRow{}, fmt.Errorf("experiments: platoon ACC gap %.1f: only %d/%d paired runs succeeded", gap, ex.Accepted, ex.Wanted)
 			}
 			if err != nil {
-				return accPair{}, fmt.Errorf("experiments: platoon ACC gap %.1f: %w", gap, err)
+				return PlatoonACCRow{}, err
 			}
-			accCollided, accMin, err := platoonACCRun(seed, gap, 4, false)
-			if errors.Is(err, errNoDetection) {
-				return accPair{}, nil
+			row := PlatoonACCRow{Gap: gap, Runs: runs, V2XMinGap: math.Inf(1), ACCMinGap: math.Inf(1)}
+			for _, p := range pairs {
+				if p.v2xCollided {
+					row.V2XCollisions++
+				}
+				row.V2XMinGap = math.Min(row.V2XMinGap, p.v2xMin)
+				if p.accCollided {
+					row.ACCCollisions++
+				}
+				row.ACCMinGap = math.Min(row.ACCMinGap, p.accMin)
 			}
-			if err != nil {
-				return accPair{}, fmt.Errorf("experiments: platoon ACC gap %.1f: %w", gap, err)
-			}
-			return accPair{
-				v2xCollided: v2xCollided, accCollided: accCollided,
-				v2xMin: v2xMin, accMin: accMin, valid: true,
-			}, nil
-		}
-		pairs, err := campaign.Collect(campaign.Options{Workers: inner}, runs, runs*maxAttemptFactor,
-			runPair, func(p accPair) bool { return p.valid })
-		var ex *campaign.ExhaustedError
-		if errors.As(err, &ex) {
-			return PlatoonACCRow{}, fmt.Errorf("experiments: platoon ACC gap %.1f: only %d/%d paired runs succeeded", gap, ex.Accepted, ex.Wanted)
-		}
-		if err != nil {
-			return PlatoonACCRow{}, err
-		}
-		row := PlatoonACCRow{Gap: gap, Runs: runs, V2XMinGap: math.Inf(1), ACCMinGap: math.Inf(1)}
-		for _, p := range pairs {
-			if p.v2xCollided {
-				row.V2XCollisions++
-			}
-			row.V2XMinGap = math.Min(row.V2XMinGap, p.v2xMin)
-			if p.accCollided {
-				row.ACCCollisions++
-			}
-			row.ACCMinGap = math.Min(row.ACCMinGap, p.accMin)
-		}
-		return row, nil
-	})
+			return row, nil
+		})
 }
 
 // platoonACCRun executes one run. Returns whether any rear-end contact

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"itsbed/internal/campaign"
 	"itsbed/internal/core"
 	"itsbed/internal/faults"
 	"itsbed/internal/flight"
@@ -16,29 +15,18 @@ import (
 
 // ResilienceOptions tune a fault-plan resilience sweep.
 type ResilienceOptions struct {
-	// BaseSeed; run i uses BaseSeed+i, with the same per-run physical
-	// jitter as the Table II harness so the baseline is comparable.
-	BaseSeed int64
-	// Runs is the number of faulted runs (and baseline runs).
-	Runs int
-	// Workers for the campaign engine; results are bit-identical for
-	// any value.
-	Workers int
-	// Horizon per run.
-	Horizon time.Duration
-	// UseVision selects the full image pipeline (slower).
-	UseVision bool
-	// Radio selects the radio backend for both the baseline and the
-	// faulted sweep ("" keeps ITS-G5).
-	Radio core.RadioKind
+	// ScenarioOptions drive both the fault-free Table II baseline and
+	// the faulted sweep over the same seeds: run i uses BaseSeed+i, with
+	// the Table II per-run physical jitter, so the baseline is
+	// comparable. Runs counts the faulted runs (and the baseline runs);
+	// Configure applies to both, before the fault plan. Metrics and
+	// Progress observe the faulted sweep only.
+	ScenarioOptions
 	// Plan is the fault schedule injected into every faulted run.
 	Plan faults.Plan
 	// TriggerRetries for the edge's trigger_denm path under faults;
 	// zero selects 3.
 	TriggerRetries int
-	// Metrics, when non-nil, receives the campaign counters and merged
-	// per-run registries of the faulted sweep.
-	Metrics *metrics.Registry
 	// Blackbox, when non-empty, is a directory the sweep writes flight-
 	// recorder post-mortems into: every run that trips an anomaly
 	// trigger (miss or fail-safe outcome, 2→5 total above the 100 ms
@@ -46,18 +34,10 @@ type ResilienceOptions struct {
 	// JSONL plus an ASCII timeline. Dump contents are bit-identical for
 	// any Workers value.
 	Blackbox string
-	// Progress, when non-nil, observes sweep progress (completed runs
-	// out of total, faulted sweep only) from the calling goroutine.
-	Progress func(done, total int)
 }
 
 func (o ResilienceOptions) withDefaults() ResilienceOptions {
-	if o.Runs <= 0 {
-		o.Runs = 5
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 30 * time.Second
-	}
+	o.ScenarioOptions = o.ScenarioOptions.withDefaults()
 	if o.TriggerRetries <= 0 {
 		o.TriggerRetries = 3
 	}
@@ -160,14 +140,8 @@ func Resilience(opt ResilienceOptions) (ResilienceResult, error) {
 		return out, err
 	}
 
-	baseOpt := ScenarioOptions{
-		BaseSeed:  opt.BaseSeed,
-		Runs:      opt.Runs,
-		Workers:   opt.Workers,
-		Horizon:   opt.Horizon,
-		UseVision: opt.UseVision,
-		Radio:     opt.Radio,
-	}
+	baseOpt := opt.ScenarioOptions
+	baseOpt.Metrics, baseOpt.Progress = nil, nil
 	baseline, err := TableII(baseOpt)
 	if err != nil {
 		return out, fmt.Errorf("experiments: resilience baseline: %w", err)
@@ -175,14 +149,16 @@ func Resilience(opt ResilienceOptions) (ResilienceResult, error) {
 	out.BaselineAvgTotal = baseline.AvgTotal
 
 	plan := opt.Plan
-	faultOpt := baseOpt
+	faultOpt := opt.ScenarioOptions
 	faultOpt.Configure = func(cfg *core.Config) {
+		if opt.Configure != nil {
+			opt.Configure(cfg)
+		}
 		cfg.Faults = &plan
 		cfg.Vehicle.Watchdog.Enabled = true
 		cfg.Hazard.TriggerRetries = opt.TriggerRetries
 	}
-	runs, err := campaign.Map(campaign.Options{Workers: opt.Workers, Metrics: opt.Metrics, Progress: opt.Progress}, opt.Runs,
-		func(i int) (*core.Result, error) { return runOnce(faultOpt, i) })
+	runs, err := mapRuns(faultOpt)
 	if err != nil {
 		return out, fmt.Errorf("experiments: resilience sweep: %w", err)
 	}

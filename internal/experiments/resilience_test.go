@@ -18,10 +18,8 @@ func fastResilienceOpt(seed int64, runs int, plan string) ResilienceOptions {
 		panic("unknown builtin plan " + plan)
 	}
 	return ResilienceOptions{
-		BaseSeed: seed,
-		Runs:     runs,
-		Horizon:  30 * time.Second,
-		Plan:     p,
+		ScenarioOptions: ScenarioOptions{BaseSeed: seed, Runs: runs, Horizon: 30 * time.Second},
+		Plan:            p,
 	}
 }
 

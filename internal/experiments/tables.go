@@ -159,20 +159,58 @@ type TableIIResult struct {
 // multiple of the requested run count.
 const maxAttemptFactor = 4
 
-// CollectRuns executes scenarios until n complete runs are gathered,
-// repeating failed attempts as a lab operator would. Attempts run
-// concurrently on opt.Workers workers (each with a private simulation
-// kernel and the derived seed BaseSeed+attempt); the campaign engine
-// guarantees the accepted set is identical to serial execution.
-func CollectRuns(opt ScenarioOptions, n int, accept func(*core.Result) bool) ([]*core.Result, error) {
-	out, err := campaign.Collect(campaign.Options{Workers: opt.Workers, Metrics: opt.Metrics, Progress: opt.Progress}, n, n*maxAttemptFactor,
-		func(i int) (*core.Result, error) { return runOnce(opt, i) }, accept)
+// engine returns the campaign-engine options of a scenario campaign.
+func (o ScenarioOptions) engine() campaign.Options {
+	return campaign.Options{Workers: o.Workers, Metrics: o.Metrics, Progress: o.Progress}
+}
+
+// collect runs attempts until n are accepted, in attempt order,
+// repeating rejected attempts as a lab operator would, and gives up
+// after maxAttemptFactor*n attempts with an error naming what it
+// counted ("runs", "platoon runs").
+func collect[T any](opt campaign.Options, n int, what string, run func(attempt int) (T, error), accept func(T) bool) ([]T, error) {
+	out, err := campaign.Collect(opt, n, n*maxAttemptFactor, run, accept)
 	var ex *campaign.ExhaustedError
 	if errors.As(err, &ex) {
-		return nil, fmt.Errorf("experiments: only %d/%d runs succeeded after %d attempts",
-			ex.Accepted, ex.Wanted, ex.Attempts)
+		return nil, fmt.Errorf("experiments: only %d/%d %s succeeded after %d attempts",
+			ex.Accepted, ex.Wanted, what, ex.Attempts)
 	}
 	return out, err
+}
+
+// collectRuns executes scenarios until n accepted runs are gathered.
+// Attempts run concurrently on opt.Workers workers (each with a
+// private simulation kernel and the derived seed BaseSeed+attempt);
+// the campaign engine guarantees the accepted set is identical to
+// serial execution.
+func collectRuns(opt ScenarioOptions, n int, accept func(*core.Result) bool) ([]*core.Result, error) {
+	return collect(opt.engine(), n, "runs", func(i int) (*core.Result, error) { return runOnce(opt, i) }, accept)
+}
+
+// mapRuns executes attempts 0..opt.Runs-1 and keeps every one, for
+// the studies whose failed runs are the measurement.
+func mapRuns(opt ScenarioOptions) ([]*core.Result, error) {
+	return campaign.Map(opt.engine(), opt.Runs, func(i int) (*core.Result, error) { return runOnce(opt, i) })
+}
+
+// complete accepts a run whose four chain stamps all landed.
+func complete(r *core.Result) bool { return r.Run.Complete() }
+
+// sweep runs one campaign per variant and returns the rows in variant
+// order. base.Workers bounds the concurrent attempts of the whole
+// sweep: campaign.Split shares it between the variants and the
+// attempts within each. row gets variant vi with its block: base with
+// the seed block BaseSeed+vi*stride and its share of the workers. The
+// rows run concurrently, so a block carries no Metrics or Progress.
+func sweep[V, R any](base ScenarioOptions, stride int64, variants []V, row func(v V, block ScenarioOptions) (R, error)) ([]R, error) {
+	base = base.withDefaults()
+	outer, inner := campaign.Split(base.Workers, len(variants))
+	return campaign.Map(campaign.Options{Workers: outer}, len(variants), func(vi int) (R, error) {
+		block := base
+		block.BaseSeed += int64(vi) * stride
+		block.Workers, block.Metrics, block.Progress = inner, nil, nil
+		return row(variants[vi], block)
+	})
 }
 
 // TableII reproduces the paper's Table II: per-run step intervals of
@@ -181,7 +219,7 @@ func TableII(opt ScenarioOptions) (TableIIResult, error) {
 	opt = opt.withDefaults()
 	var out TableIIResult
 	var sum [4]time.Duration
-	runs, err := CollectRuns(opt, opt.Runs, func(r *core.Result) bool { return r.Run.Complete() })
+	runs, err := collectRuns(opt, opt.Runs, complete)
 	if err != nil {
 		return out, err
 	}
@@ -283,7 +321,7 @@ func TableIII(opt ScenarioOptions) (TableIIIResult, error) {
 	}
 	var out TableIIIResult
 	out.VehicleLength = 0.53
-	runs, err := CollectRuns(opt, opt.Runs, func(r *core.Result) bool { return r.Stopped })
+	runs, err := collectRuns(opt, opt.Runs, func(r *core.Result) bool { return r.Stopped })
 	if err != nil {
 		return out, err
 	}
@@ -352,7 +390,7 @@ type Figure10Result struct {
 // stop period measured from the road-side video frames.
 func Figure10(opt ScenarioOptions) (Figure10Result, error) {
 	opt = opt.withDefaults()
-	runs, err := CollectRuns(opt, 1, func(r *core.Result) bool { return r.Stopped && r.Video.Valid })
+	runs, err := collectRuns(opt, 1, func(r *core.Result) bool { return r.Stopped && r.Video.Valid })
 	if err != nil {
 		return Figure10Result{}, err
 	}
