@@ -198,10 +198,10 @@ func complete(r *core.Result) bool { return r.Run.Complete() }
 
 // sweep runs one campaign per variant and returns the rows in variant
 // order. base.Workers bounds the concurrent attempts of the whole
-// sweep: campaign.Split shares it between the variants and the
-// attempts within each. row gets variant vi with its block: base with
-// the seed block BaseSeed+vi*stride and its share of the workers. The
-// rows run concurrently, so a block carries no Metrics or Progress.
+// sweep, shared between the variants and the attempts within each.
+// row gets variant vi with its block: base with the seed block
+// BaseSeed+vi*stride and its share of the workers. The rows run
+// concurrently, so a block carries no Metrics or Progress.
 func sweep[V, R any](base ScenarioOptions, stride int64, variants []V, row func(v V, block ScenarioOptions) (R, error)) ([]R, error) {
 	base = base.withDefaults()
 	outer, inner := campaign.Split(base.Workers, len(variants))
