@@ -174,6 +174,7 @@ var conformance = []struct {
 	{"tableii_smoke", []string{"table2", "-runs", "3", "-vision=false"}, map[string]string{"stdout": "tableii_smoke.golden"}},
 	{"table2_metrics", []string{"-seed", "42", "-metrics", "table2", "-runs", "3", "-vision=false", "-spans"},
 		map[string]string{"stdout": "table2_metrics_%s.golden"}},
+	{"table2_vision", []string{"table2", "-runs", "2"}, map[string]string{"stdout": "table2_vision_%s.golden"}},
 	{"table2_chrome", []string{"table2", "-runs", "3", "-vision=false", "-trace-out", "trace.json", "-spans"},
 		map[string]string{"trace.json": "table2_chrome_its-g5.sha256"}},
 	{"table3", []string{"table3", "-runs", "2", "-vision=false"}, map[string]string{"stdout": "table3.golden"}},
