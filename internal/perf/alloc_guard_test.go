@@ -62,6 +62,9 @@ const (
 	// One vision cycle once the detector's frame, Canny and Hough
 	// buffers exist: nothing.
 	maxAllocsDetectFrame = 0
+	// One frame render once the image and its row spans exist:
+	// nothing.
+	maxAllocsRenderInto = 0
 )
 
 // guardAllocs runs fn and fails the test when the average allocation
@@ -240,6 +243,14 @@ func TestAllocGuardDetectFrame(t *testing.T) {
 	guardAllocs(t, "Detect", 200, maxAllocsDetectFrame, func() {
 		det.Detect(line, pos, 0)
 	})
+}
+
+// TestAllocGuardRenderInto pins the frame render's steady state: after
+// the first frame sized the image and its row-span scratch, a render
+// allocates nothing.
+func TestAllocGuardRenderInto(t *testing.T) {
+	render := paperLabRender()
+	guardAllocs(t, "RenderInto", 200, maxAllocsRenderInto, render)
 }
 
 func TestAllocGuardScenario(t *testing.T) {

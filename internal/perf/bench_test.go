@@ -218,6 +218,28 @@ func BenchmarkDetectFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderInto measures rendering one noisy frame (the vision
+// cycle's capture stage) of the paper's lab line.
+func BenchmarkRenderInto(b *testing.B) {
+	render := paperLabRender()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		render()
+	}
+}
+
+// paperLabRender returns a function that renders the default camera's
+// frame 0.03 m right of the PaperLab guide line, 1 m along it and
+// slightly yawed, into one image, after rendering it once.
+func paperLabRender() func() {
+	cam, line := vision.DefaultZED(), track.PaperLab().Line
+	img, rng := new(vision.Gray), rand.New(rand.NewSource(42))
+	render := func() { cam.RenderInto(img, line, geo.Point{X: 0.03, Y: 1}, 0.02, 0.05, rng) }
+	render()
+	return render
+}
+
 // paperLabDetector returns a warmed-up detector 0.03 m right of the
 // PaperLab guide line, 1 m along it.
 func paperLabDetector() (*vision.Detector, *track.Line, geo.Point) {

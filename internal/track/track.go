@@ -22,6 +22,8 @@ type Line struct {
 	// length[i] is the length of the segment from points[i] to
 	// points[i+1].
 	length []float64
+	// extent is the largest coordinate magnitude of the points.
+	extent float64
 }
 
 // NewLine builds a line from at least two points.
@@ -34,14 +36,16 @@ func NewLine(points []geo.Point) (*Line, error) {
 	// One allocation holds both arrays.
 	buf := make([]float64, 2*len(pts)-1)
 	cum, length := buf[:len(pts):len(pts)], buf[len(pts):]
+	extent := max(math.Abs(pts[0].X), math.Abs(pts[0].Y))
 	for i := 1; i < len(pts); i++ {
 		length[i-1] = pts[i].DistanceTo(pts[i-1])
 		if length[i-1] == 0 {
 			return nil, fmt.Errorf("track: duplicate consecutive point %d", i)
 		}
 		cum[i] = cum[i-1] + length[i-1]
+		extent = max(extent, math.Abs(pts[i].X), math.Abs(pts[i].Y))
 	}
-	return &Line{points: pts, cumulative: cum, length: length}, nil
+	return &Line{points: pts, cumulative: cum, length: length, extent: extent}, nil
 }
 
 // MustLine is NewLine that panics on error, for static layouts.
@@ -212,6 +216,119 @@ func (l *Line) Within(p geo.Point, r float64) bool {
 		}
 	}
 	return false
+}
+
+// RowSpan classifies the samples of a row against one segment of the
+// line. No sample outside [Lo, Hi) lies within r of the segment, and
+// every sample in [InLo, InHi) lies within r of it, so of the line.
+// Either span may be empty (Lo == Hi, InLo == InHi).
+type RowSpan struct {
+	Lo, Hi     int
+	InLo, InHi int
+}
+
+// RowSpans classifies the n evenly spaced samples of a straight row,
+// sample 0 at from and sample n-1 at to, against the band of radius r
+// around the line. It appends one span to dst for each segment the row
+// passes near, and returns dst with ok true.
+//
+// Along the row, a sample's offset across and along a segment is
+// affine in its index, so the samples within a radius of the segment
+// form one interval. RowSpans computes it twice: for the samples
+// certainly within r, with the radius squared narrowed, and for those
+// possibly within r, with it widened. The margin is a relative 1e-6 of
+// r² plus 1e-10 S², where S is the largest coordinate of the row and
+// the line plus r. It is far wider than the rounding of a sample
+// computed from the row's geometry in a few operations, of Within's
+// own arithmetic and of its relative 1e-9 band, so for such a sample
+// Within(sample, r) is true inside every [InLo, InHi) and false
+// outside every [Lo, Hi).
+//
+// It returns dst unchanged and ok false when it cannot classify the
+// row: n < 2, from == to, a coordinate beyond 1e100 or non-finite, or
+// r outside Within's [1e-150, 1e150].
+func (l *Line) RowSpans(dst []RowSpan, from, to geo.Point, n int, r float64) ([]RowSpan, bool) {
+	scale := max(l.extent, math.Abs(from.X), math.Abs(from.Y), math.Abs(to.X), math.Abs(to.Y)) + r
+	dx, dy := to.X-from.X, to.Y-from.Y
+	if n < 2 || !(r >= 1e-150 && r <= 1e150) || !(scale <= 1e100) || dx == 0 && dy == 0 {
+		return dst, false
+	}
+	slack := 1e-10 * scale * scale
+	in2, near2 := r*r*(1-1e-6)-slack, r*r*(1+1e-6)+slack
+	for i := 1; i < len(l.points); i++ {
+		a, length := l.points[i-1], l.length[i-1]
+		ex, ey := (l.points[i].X-a.X)/length, (l.points[i].Y-a.Y)/length
+		// The row in the segment's frame: sample k is at along(t),
+		// across(t) for t = k/(n-1), and the segment runs from (0, 0)
+		// to (length, 0).
+		qx, qy := from.X-a.X, from.Y-a.Y
+		row := rowFrame{
+			along0: qx*ex + qy*ey, along1: dx*ex + dy*ey,
+			across0: qx*ey - qy*ex, across1: dx*ey - dy*ex,
+			length: length,
+		}
+		span := RowSpan{}
+		span.Lo, span.Hi = row.samples(near2, n)
+		if span.Lo == span.Hi {
+			continue
+		}
+		if in2 > 0 {
+			span.InLo, span.InHi = row.samples(in2, n)
+		}
+		dst = append(dst, span)
+	}
+	return dst, true
+}
+
+// rowFrame is a row t ↦ (along0 + t·along1, across0 + t·across1) in
+// the frame of a segment from (0, 0) to (length, 0).
+type rowFrame struct {
+	along0, along1, across0, across1, length float64
+}
+
+// samples returns the index range [from, to) of the samples k of n
+// whose points, at t = k/(n-1), lie within sqrt(rho2) of the segment.
+// The points within a radius of a segment form a convex capsule: a
+// rectangle along the segment and a disc at each end, so the row's t
+// within it are the hull of its intervals through the three.
+func (f rowFrame) samples(rho2 float64, n int) (from, to int) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	d2 := f.along1*f.along1 + f.across1*f.across1
+	for _, end := range [2]float64{0, f.length} {
+		// |w + t·d|² <= rho2 for w the start relative to the end and d
+		// the row's direction: its discriminant is |d|²rho2 - (w×d)².
+		w := f.along0 - end
+		dot, cross := w*f.along1+f.across0*f.across1, w*f.across1-f.across0*f.along1
+		if disc := d2*rho2 - cross*cross; disc >= 0 {
+			s := math.Sqrt(disc)
+			lo, hi = min(lo, (-dot-s)/d2), max(hi, (-dot+s)/d2)
+		}
+	}
+	rho := math.Sqrt(rho2)
+	tlo, thi := clip(math.Inf(-1), math.Inf(1), f.along0, f.along1, 0, f.length)
+	tlo, thi = clip(tlo, thi, f.across0, f.across1, -rho, rho)
+	if tlo <= thi {
+		lo, hi = min(lo, tlo), max(hi, thi)
+	}
+	last := float64(n - 1)
+	lo, hi = max(math.Ceil(lo*last), 0), min(math.Floor(hi*last), last)
+	if !(lo <= hi) {
+		return 0, 0
+	}
+	return int(lo), int(hi) + 1
+}
+
+// clip narrows [tlo, thi] to the t for which x0 + t·x1 lies in [a, b].
+func clip(tlo, thi, x0, x1, a, b float64) (float64, float64) {
+	switch {
+	case x1 > 0:
+		return max(tlo, (a-x0)/x1), min(thi, (b-x0)/x1)
+	case x1 < 0:
+		return max(tlo, (b-x0)/x1), min(thi, (a-x0)/x1)
+	case a <= x0 && x0 <= b:
+		return tlo, thi
+	}
+	return 1, 0
 }
 
 // Camera is the road-side ZED camera pose on the local plane.

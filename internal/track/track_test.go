@@ -331,3 +331,115 @@ func TestProjectMatchesHypotForm(t *testing.T) {
 		check(lines[3], geo.Point{X: 4 * x, Y: 1.5})
 	}
 }
+
+// TestRowSpansAgreeWithWithin classifies random rows against random
+// polylines, and rows placed to pass exactly r from a segment or an
+// end point at one sample, and requires Within to be true at every
+// sample in a certain span and false at every sample outside all
+// possible spans.
+func TestRowSpansAgreeWithWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	lines := []*Line{
+		MustLine([]geo.Point{{X: 0, Y: 0}, {X: 0, Y: 6}}),
+		MustLine([]geo.Point{{X: -3, Y: -3}, {X: 3, Y: 3}}),
+		MustLine([]geo.Point{{X: 0, Y: -2}, {X: 0, Y: 0.6}, {X: 0.4, Y: 1.2}, {X: 0.3, Y: 2}, {X: -0.2, Y: 3}}),
+	}
+	for len(lines) < 8 {
+		pts := []geo.Point{{X: rng.Float64(), Y: rng.Float64()}}
+		for len(pts) < 2+rng.Intn(5) {
+			last := pts[len(pts)-1]
+			pts = append(pts, geo.Point{X: last.X + rng.NormFloat64(), Y: last.Y + rng.NormFloat64()})
+		}
+		lines = append(lines, MustLine(pts))
+	}
+	var spans []RowSpan
+	certain, tested := 0, 0
+	check := func(l *Line, from, to geo.Point, n int, r float64) {
+		t.Helper()
+		var ok bool
+		spans, ok = l.RowSpans(spans[:0], from, to, n, r)
+		if !ok {
+			t.Fatalf("row %v→%v, n %d, r %v: not classified", from, to, n, r)
+		}
+		for k := 0; k < n; k++ {
+			f := float64(k) / float64(n-1)
+			p := geo.Point{X: from.X + f*(to.X-from.X), Y: from.Y + f*(to.Y-from.Y)}
+			in, near := false, false
+			for _, s := range spans {
+				in = in || s.InLo <= k && k < s.InHi
+				near = near || s.Lo <= k && k < s.Hi
+			}
+			switch within := l.Within(p, r); {
+			case in && !within:
+				t.Fatalf("row %v→%v, n %d, r %v: sample %d in a certain span but not within", from, to, n, r, k)
+			case !near && within:
+				t.Fatalf("row %v→%v, n %d, r %v: sample %d within but outside every span", from, to, n, r, k)
+			case in:
+				certain++
+			case near:
+				tested++
+			}
+		}
+	}
+	for _, l := range lines {
+		for i := 0; i < 400; i++ {
+			r := []float64{0.025, 0.3, 1e-9, 2}[i%4]
+			n := 2 + rng.Intn(200)
+			from := geo.Point{X: 6*rng.Float64() - 3, Y: 8*rng.Float64() - 3}
+			dir := rng.Float64() * 2 * math.Pi
+			length := 0.1 + 2*rng.Float64()
+			to := geo.Point{X: from.X + length*math.Cos(dir), Y: from.Y + length*math.Sin(dir)}
+			check(l, from, to, n, r)
+			// The same row shifted so that sample k0 lies r off a
+			// segment's interior or r from one of its end points.
+			seg := 1 + rng.Intn(len(l.points)-1)
+			a, b := l.points[seg-1], l.points[seg]
+			base, off := a, b.Sub(a).Scale(-1/l.length[seg-1])
+			if i%3 != 0 {
+				base = geo.Point{X: a.X + rng.Float64()*(b.X-a.X), Y: a.Y + rng.Float64()*(b.Y-a.Y)}
+				off = geo.Vector{X: -off.Y, Y: off.X}
+				if i%2 == 0 {
+					off = off.Scale(-1)
+				}
+			}
+			k0 := rng.Intn(n)
+			f := float64(k0) / float64(n-1)
+			edge := base.Add(off.Scale(r))
+			shift := geo.Vector{X: edge.X - (from.X + f*(to.X-from.X)), Y: edge.Y - (from.Y + f*(to.Y-from.Y))}
+			check(l, from.Add(shift), to.Add(shift), n, r)
+		}
+	}
+	if certain == 0 || tested == 0 {
+		t.Fatalf("%d samples in certain spans and %d at their edges: the rows miss the line", certain, tested)
+	}
+	t.Logf("%d samples in certain spans, %d at their edges", certain, tested)
+}
+
+// TestRowSpansDeclines lists the rows RowSpans leaves to the caller.
+func TestRowSpansDeclines(t *testing.T) {
+	l := MustLine([]geo.Point{{X: 0, Y: 0}, {X: 0, Y: 6}})
+	from, to := geo.Point{X: -0.4, Y: 1}, geo.Point{X: 0.4, Y: 1}
+	for _, c := range []struct {
+		name     string
+		from, to geo.Point
+		n        int
+		r        float64
+	}{
+		{"one sample", from, to, 1, 0.025},
+		{"no step", from, from, 160, 0.025},
+		{"NaN row", geo.Point{X: math.NaN(), Y: 1}, to, 160, 0.025},
+		{"infinite row", from, geo.Point{X: math.Inf(1), Y: 1}, 160, 0.025},
+		{"far row", geo.Point{X: -1e101, Y: 1}, to, 160, 0.025},
+		{"r below Within's range", from, to, 160, math.Nextafter(1e-150, 0)},
+		{"r above Within's range", from, to, 160, math.Nextafter(1e150, math.Inf(1))},
+		{"zero r", from, to, 160, 0},
+		{"NaN r", from, to, 160, math.NaN()},
+	} {
+		if spans, ok := l.RowSpans(nil, c.from, c.to, c.n, c.r); ok || spans != nil {
+			t.Errorf("%s: ok %v, spans %v", c.name, ok, spans)
+		}
+	}
+	if spans, ok := l.RowSpans(nil, from, to, 160, 0.025); !ok || len(spans) != 1 || spans[0].InLo >= spans[0].InHi {
+		t.Errorf("row across the line: ok %v, spans %v", ok, spans)
+	}
+}

@@ -19,6 +19,8 @@ import (
 type Gray struct {
 	W, H int
 	Pix  []uint8
+	// spans is RenderInto's per-row scratch, kept for the next frame.
+	spans []track.RowSpan
 }
 
 // NewGray allocates a zeroed image.
@@ -90,36 +92,64 @@ func DefaultZED() CameraModel {
 // the given pose into a caller-owned image (resized as needed): light
 // floor (≈200), dark guide line (≈30) of the given width, with
 // additive noise. rng may be nil for a noiseless frame.
+//
+// A pixel is ink exactly when line.Within reports its centre within
+// half the width. Each row asks the line for its spans: pixels
+// certainly within are inked and pixels outside every possible span
+// are floor without a test, so Within runs only for the few pixels
+// at a span's edges. A row the line cannot classify (a non-finite
+// pose, a width outside Within's range) tests every pixel.
 func (c CameraModel) RenderInto(img *Gray, line *track.Line, pos geo.Point, heading float64, lineWidthM float64, rng *rand.Rand) {
 	img.ensure(c.Width, c.Height)
 	const floor, ink = 200, 30
+	r := lineWidthM / 2
 	cosH, sinH := math.Cos(heading), math.Sin(heading)
+	// pixel returns the world position of column u in a row at
+	// forward distance fwd.
+	pixel := func(u int, fwd float64) geo.Point {
+		lat := c.PatchWidth * (float64(u)/float64(c.Width-1) - 0.5)
+		// Vehicle frame (fwd, lat) → world. Heading 0 is north
+		// (+Y); lateral positive to the right.
+		return geo.Point{X: pos.X + fwd*sinH + lat*cosH, Y: pos.Y + fwd*cosH - lat*sinH}
+	}
 	for v := 0; v < c.Height; v++ {
 		// Row → forward distance (row 0 is far).
 		fwd := c.NearOffset + c.PatchLength*float64(c.Height-1-v)/float64(c.Height-1)
-		for u := 0; u < c.Width; u++ {
-			lat := c.PatchWidth * (float64(u)/float64(c.Width-1) - 0.5)
-			// Vehicle frame (fwd, lat) → world. Heading 0 is north
-			// (+Y); lateral positive to the right.
-			wx := pos.X + fwd*sinH + lat*cosH
-			wy := pos.Y + fwd*cosH - lat*sinH
-			val := uint8(floor)
-			if line.Within(geo.Point{X: wx, Y: wy}, lineWidthM/2) {
-				val = ink
+		row := img.Pix[v*c.Width : (v+1)*c.Width]
+		spans, ok := line.RowSpans(img.spans[:0], pixel(0, fwd), pixel(c.Width-1, fwd), c.Width, r)
+		img.spans = spans
+		for u := range row {
+			row[u] = floor
+			if !ok && line.Within(pixel(u, fwd), r) {
+				row[u] = ink
 			}
-			if c.NoiseSigma > 0 && rng != nil {
-				n := rng.NormFloat64() * c.NoiseSigma
-				f := float64(val) + n
-				if f < 0 {
-					f = 0
-				}
-				if f > 255 {
-					f = 255
-				}
-				val = uint8(f)
-			}
-			img.Pix[v*c.Width+u] = val
 		}
+		for _, s := range spans {
+			for u := s.InLo; u < s.InHi; u++ {
+				row[u] = ink
+			}
+		}
+		for _, s := range spans {
+			for u := s.Lo; u < s.Hi; u++ {
+				if row[u] != ink && line.Within(pixel(u, fwd), r) {
+					row[u] = ink
+				}
+			}
+		}
+	}
+	if !(c.NoiseSigma > 0) || rng == nil {
+		return
+	}
+	for i, val := range img.Pix {
+		n := rng.NormFloat64() * c.NoiseSigma
+		f := float64(val) + n
+		if f < 0 {
+			f = 0
+		}
+		if f > 255 {
+			f = 255
+		}
+		img.Pix[i] = uint8(f)
 	}
 }
 

@@ -49,6 +49,39 @@ func refRender(c CameraModel, line *track.Line, pos geo.Point, heading, lineWidt
 	return img
 }
 
+// withinRender renders a frame with one line.Within test per pixel
+// centre, as RenderInto did before it classified rows by span.
+func withinRender(c CameraModel, line *track.Line, pos geo.Point, heading, lineWidthM float64, rng *rand.Rand) *Gray {
+	img := NewGray(c.Width, c.Height)
+	const floor, ink = 200, 30
+	cosH, sinH := math.Cos(heading), math.Sin(heading)
+	for v := 0; v < c.Height; v++ {
+		fwd := c.NearOffset + c.PatchLength*float64(c.Height-1-v)/float64(c.Height-1)
+		for u := 0; u < c.Width; u++ {
+			lat := c.PatchWidth * (float64(u)/float64(c.Width-1) - 0.5)
+			wx := pos.X + fwd*sinH + lat*cosH
+			wy := pos.Y + fwd*cosH - lat*sinH
+			val := uint8(floor)
+			if line.Within(geo.Point{X: wx, Y: wy}, lineWidthM/2) {
+				val = ink
+			}
+			if c.NoiseSigma > 0 && rng != nil {
+				n := rng.NormFloat64() * c.NoiseSigma
+				f := float64(val) + n
+				if f < 0 {
+					f = 0
+				}
+				if f > 255 {
+					f = 255
+				}
+				val = uint8(f)
+			}
+			img.Set(u, v, val)
+		}
+	}
+	return img
+}
+
 // refGaussian5 is the two-pass float binomial blur.
 func refGaussian5(src *Gray) *Gray {
 	kernel := [5]float64{1, 4, 6, 4, 1}
