@@ -382,7 +382,9 @@ type Figure10Result struct {
 	Video core.VideoAnalysis
 	// ActionPointDistance configured (1.52 m).
 	ActionPointDistance float64
-	// FramePeriod of the camera (250 ms at 4 FPS).
+	// FramePeriod of the road-side video recording the frames come
+	// from (core.VideoFramePeriod: 40 ms, 25 fps), not of the 4 FPS
+	// detector.
 	FramePeriod time.Duration
 }
 
@@ -404,7 +406,7 @@ func Figure10(opt ScenarioOptions) (Figure10Result, error) {
 // Format renders the Fig. 10 observation.
 func (f Figure10Result) Format() string {
 	var b strings.Builder
-	b.WriteString("Fig. 10: Video frames to obtain detection-to-stop period (4 FPS)\n")
+	fmt.Fprintf(&b, "Fig. 10: Video frames to obtain detection-to-stop period (%.0f fps recording)\n", float64(time.Second)/float64(f.FramePeriod))
 	if !f.Video.Valid {
 		b.WriteString("  no valid crossing/stop frame pair found\n")
 		return b.String()
