@@ -228,12 +228,8 @@ var commands = []command{
 		return report(w, experiments.RadioComparisonResult.Format)(experiments.RadioComparison(p.seed+2000, p.runs, p.workers))
 	}},
 	{"platoon", []string{"runs"}, true, func(p params, w io.Writer) error {
-		n := p.runs
-		if n <= 0 {
-			n = 8
-		}
 		for _, mode := range []experiments.PlatoonMode{experiments.PlatoonITSG5, experiments.PlatoonHybrid} {
-			res, err := experiments.PlatoonStudy(p.seed+3000, n, 4, mode, p.workers)
+			res, err := experiments.PlatoonStudy(p.seed+3000, p.runs, 4, mode, p.workers)
 			if err != nil {
 				return err
 			}

@@ -221,6 +221,18 @@ func TestPlatoonHybridSlowerOnAverage(t *testing.T) {
 	}
 }
 
+// TestPlatoonStudyDefaultRuns pins PlatoonStudy's default: runs 0
+// accepts 8 runs, as the CLI's "0 = experiment default" promises.
+func TestPlatoonStudyDefaultRuns(t *testing.T) {
+	res, err := PlatoonStudy(3000, 0, 3, PlatoonITSG5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs != 8 || len(res.WholePlatoonMS) != 8 {
+		t.Fatalf("runs 0: %d runs, %d delays; want 8", res.Runs, len(res.WholePlatoonMS))
+	}
+}
+
 func TestBlindCornerAdvantage(t *testing.T) {
 	res, err := BlindCorner(4000, 10, 0)
 	if err != nil {

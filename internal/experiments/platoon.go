@@ -210,11 +210,12 @@ type PlatoonStudyResult struct {
 // quantisation means single runs can mask link-latency differences.
 // Attempt i uses seed baseSeed+37i; an attempt whose camera missed
 // every eligible frame is not accepted and the next one is run, as a
-// lab operator would. workers bounds the concurrent attempts (<= 0
-// selects runtime.NumCPU()); the result is identical for any value.
+// lab operator would. runs <= 0 selects 8, the count EXPERIMENTS.md
+// reports. workers bounds the concurrent attempts (<= 0 selects
+// runtime.NumCPU()); the result is identical for any value.
 func PlatoonStudy(baseSeed int64, runs, members int, mode PlatoonMode, workers int) (PlatoonStudyResult, error) {
 	if runs <= 0 {
-		runs = 10
+		runs = 8
 	}
 	results, err := collect(campaign.Options{Workers: workers}, runs, "platoon runs",
 		func(i int) (PlatoonResult, error) {
