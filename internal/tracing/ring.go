@@ -1,6 +1,7 @@
 package tracing
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -76,29 +77,54 @@ type ringPage struct {
 // endpoint) with an explicit application/json content type.
 func (r *Ring) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		page := ringPage{Traces: []TraceRecord{}}
-		if r != nil {
-			r.mu.Lock()
-			page.Capacity = r.cap
-			page.Total = r.total
-			page.Dropped = r.dropped
-			// Retire reuses the records of evicted traces: copy them
-			// out, oldest trace first, before unlocking.
-			n := 0
-			for _, tr := range r.traces {
-				n += len(tr.Spans)
-			}
-			recs := make([]SpanRecord, 0, n)
-			for i := range r.traces {
-				spans := r.traces[(r.next+i)%len(r.traces)].Spans
-				recs = append(recs, spans...)
-				page.Traces = append(page.Traces, TraceRecord{Spans: recs[len(recs)-len(spans):]})
-			}
-			r.mu.Unlock()
-		}
+		page := r.page()
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(page)
+		pe := pageEncoders.Get().(*pageEncoder)
+		pe.buf.Reset()
+		if pe.enc.Encode(page) == nil {
+			_, _ = w.Write(pe.buf.Bytes())
+		}
+		pageEncoders.Put(pe)
 	})
 }
+
+// page copies the ring's contents out, oldest trace first.
+func (r *Ring) page() ringPage {
+	page := ringPage{Traces: []TraceRecord{}}
+	if r == nil {
+		return page
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	page.Capacity = r.cap
+	page.Total = r.total
+	page.Dropped = r.dropped
+	// Retire reuses the records of evicted traces: copy them out
+	// before unlocking.
+	n := 0
+	for _, tr := range r.traces {
+		n += len(tr.Spans)
+	}
+	recs := make([]SpanRecord, 0, n)
+	for i := range r.traces {
+		spans := r.traces[(r.next+i)%len(r.traces)].Spans
+		recs = append(recs, spans...)
+		page.Traces = append(page.Traces, TraceRecord{Spans: recs[len(recs)-len(spans):]})
+	}
+	return page
+}
+
+// pageEncoder is an indenting JSON encoder over its own buffer. The
+// encoder keeps its indent buffer between pages, which a fresh encoder
+// per request would allocate and grow to the page's size every time.
+type pageEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var pageEncoders = sync.Pool{New: func() any {
+	pe := new(pageEncoder)
+	pe.enc = json.NewEncoder(&pe.buf)
+	pe.enc.SetIndent("", "  ")
+	return pe
+}}

@@ -1,9 +1,12 @@
 package tracing
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -207,6 +210,58 @@ func TestRingHandler(t *testing.T) {
 	}
 	if page.Capacity != 4 || len(page.Traces) != 1 {
 		t.Fatalf("unexpected page: %+v", page)
+	}
+}
+
+// TestRingHandlerMatchesFreshEncoder requires the handler's pooled
+// encoder to serve the bytes a fresh indenting encoder writes, for
+// pages of different sizes served in turn from concurrent requests.
+func TestRingHandlerMatchesFreshEncoder(t *testing.T) {
+	tr := New()
+	rings := []*Ring{nil, NewRing(2), NewRing(3), NewRing(16)}
+	for i, r := range rings[2:] {
+		for j := 0; j < 5+20*i; j++ {
+			root := tr.StartChild(nil, "root", "core", "edge", time.Duration(j)*time.Millisecond)
+			for k := 0; k < j%4; k++ {
+				c := tr.StartChild(root, "child", "stack", fmt.Sprintf("s%d", k), time.Duration(j+k)*time.Millisecond)
+				c.SetAttr("k", fmt.Sprint(j*k))
+				c.End(time.Duration(j+k+1) * time.Millisecond)
+			}
+			root.End(time.Duration(j+5) * time.Millisecond)
+			r.Retire(tr, root)
+		}
+	}
+	want := make([][]byte, len(rings))
+	for i, r := range rings {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(r.page()); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(rings)
+				rec := httptest.NewRecorder()
+				rings[i].Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/trace", nil))
+				if !bytes.Equal(rec.Body.Bytes(), want[i]) {
+					errs <- fmt.Errorf("ring %d, request %d: served\n%s\nwant\n%s", i, k, rec.Body.Bytes(), want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 
