@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"itsbed/internal/campaign"
@@ -121,6 +122,11 @@ type CityRow struct {
 	DENMLatencyMS  stats.Summary
 }
 
+// cityRecorders pools the runs' flight recorders. A reset recorder
+// keeps its interned stations and their ring slabs, and every run names
+// its stations alike, so a run on a reused recorder allocates no rings.
+var cityRecorders = sync.Pool{New: func() any { return flight.NewRecorder(0) }}
+
 // cityRun simulates one density. The outcome is a pure function of
 // (seed, n, opt): all randomness flows from named kernel streams.
 func cityRun(seed int64, n int, opt CityOptions) (CityRow, error) {
@@ -134,7 +140,11 @@ func cityRun(seed int64, n int, opt CityOptions) (CityRow, error) {
 	// The black-box recorder stays on even at the 1000-station density:
 	// appends are O(1) into preallocated rings and never disturb the
 	// grid-culling identity, so recording is free determinism-wise.
-	sink := trace.Sink{Flight: flight.NewRecorder(0)}
+	// Nothing reads it once the run is over, so it goes back to the pool.
+	rec := cityRecorders.Get().(*flight.Recorder)
+	defer cityRecorders.Put(rec)
+	rec.Reset()
+	sink := trace.Sink{Flight: rec}
 	medium := radio.NewMedium(kernel, radio.MediumConfig{
 		PathLoss:    cityPathLoss(),
 		DisableGrid: opt.DisableGrid,

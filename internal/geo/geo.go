@@ -165,8 +165,30 @@ type Frame struct {
 
 // NewFrame anchors a local ENU frame at origin.
 func NewFrame(origin LatLon) (*Frame, error) {
-	if !origin.Valid() {
+	f, ok := frameAt(origin)
+	if !ok {
 		return nil, fmt.Errorf("geo: invalid frame origin %v", origin)
+	}
+	return &f, nil
+}
+
+// LocalDistance returns the distance from origin to p in the local
+// plane anchored at origin: NewFrame(origin).ToLocal(p).DistanceTo(
+// Point{}), bit for bit, without a heap frame. ok is false when origin
+// is invalid.
+func LocalDistance(origin, p LatLon) (d float64, ok bool) {
+	f, ok := frameAt(origin)
+	if !ok {
+		return 0, false
+	}
+	return f.ToLocal(p).DistanceTo(Point{}), true
+}
+
+// frameAt builds the frame anchored at origin; ok is false when origin
+// is invalid.
+func frameAt(origin LatLon) (f Frame, ok bool) {
+	if !origin.Valid() {
+		return Frame{}, false
 	}
 	lat := origin.Lat * math.Pi / 180
 	// Radii of curvature on the WGS84 ellipsoid.
@@ -175,11 +197,11 @@ func NewFrame(origin LatLon) (*Frame, error) {
 	den := math.Sqrt(1 - e2*s2)
 	m := wgs84A * (1 - e2) / (den * den * den) // meridional radius
 	n := wgs84A / den                          // prime vertical radius
-	return &Frame{
+	return Frame{
 		origin:     origin,
 		mPerDegLat: m * math.Pi / 180,
 		mPerDegLon: n * math.Cos(lat) * math.Pi / 180,
-	}, nil
+	}, true
 }
 
 // Origin returns the geodetic anchor of the frame.

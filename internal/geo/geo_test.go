@@ -57,6 +57,27 @@ func TestInvalidFrameOrigin(t *testing.T) {
 	}
 }
 
+// TestLocalDistanceMatchesFrame holds LocalDistance to the Frame
+// measurement it replaces on the CA trigger path, bit for bit.
+func TestLocalDistanceMatchesFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		origin := LatLon{Lat: rng.Float64()*178 - 89, Lon: rng.Float64()*358 - 179}
+		p := LatLon{Lat: origin.Lat + rng.NormFloat64()*1e-3, Lon: origin.Lon + rng.NormFloat64()*1e-3}
+		f, err := NewFrame(origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := f.ToLocal(p).DistanceTo(Point{})
+		if got, ok := LocalDistance(origin, p); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LocalDistance(%v, %v) = %v, %v; frame gives %v", origin, p, got, ok, want)
+		}
+	}
+	if _, ok := LocalDistance(LatLon{Lat: 91}, CISTERLab); ok {
+		t.Fatal("LocalDistance accepted an invalid origin")
+	}
+}
+
 func TestHeadingConventions(t *testing.T) {
 	cases := []struct {
 		v    Vector

@@ -159,11 +159,10 @@ func (s *Service) check() {
 	trigger := !s.hasLast || elapsed >= TGenCamMax
 	if !trigger && !s.cfg.DisableTriggers {
 		dHeading := math.Abs(geo.HeadingDiff(s.lastState.HeadingRad, st.HeadingRad)) * 180 / math.Pi
-		frame, err := geo.NewFrame(s.lastState.Position)
-		if err != nil {
+		dPos, ok := geo.LocalDistance(s.lastState.Position, st.Position)
+		if !ok {
 			return
 		}
-		dPos := frame.ToLocal(st.Position).DistanceTo(geo.Point{})
 		dSpeed := math.Abs(st.SpeedMS - s.lastState.SpeedMS)
 		trigger = dHeading > headingTriggerDeg || dPos > positionTriggerM || dSpeed > speedTriggerMS
 	}
@@ -278,8 +277,7 @@ func (s *Service) pathHistory(st VehicleState) []messages.PathPoint {
 	record := len(s.history) == 0
 	if !record {
 		last := s.history[len(s.history)-1]
-		frame, err := geo.NewFrame(last.pos)
-		if err == nil && frame.ToLocal(st.Position).DistanceTo(geo.Point{}) >= minPathSpacing {
+		if d, ok := geo.LocalDistance(last.pos, st.Position); ok && d >= minPathSpacing {
 			record = true
 		}
 	}

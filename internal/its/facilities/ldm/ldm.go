@@ -89,6 +89,10 @@ type Map struct {
 	cfg     Config
 	objects map[objectKey]*Object
 	events  map[messages.ActionID]*Event
+	// objSlots and evSlots back the maps' values: a station that
+	// learns n neighbours allocates a few chunks, not n objects.
+	objSlots slab[Object]
+	evSlots  slab[Event]
 	// nextObjID hands out wire object IDs for locally sensed objects.
 	nextObjID uint16
 }
@@ -125,7 +129,7 @@ func (m *Map) IngestCAM(c *messages.CAM) {
 	k := objectKey{station: c.Header.StationID}
 	o, ok := m.objects[k]
 	if !ok {
-		o = &Object{}
+		o = m.objSlots.get()
 		m.objects[k] = o
 	}
 	o.StationID = c.Header.StationID
@@ -145,7 +149,8 @@ func (m *Map) IngestSensedObject(label string, st units.StationType, pos geo.Poi
 	k := objectKey{label: label}
 	o, ok := m.objects[k]
 	if !ok {
-		o = &Object{ObjectID: m.nextObjID}
+		o = m.objSlots.get()
+		o.ObjectID = m.nextObjID
 		m.nextObjID++
 		m.objects[k] = o
 	}
@@ -173,7 +178,8 @@ func (m *Map) IngestCPMObject(origin units.StationID, objectID uint16, st units.
 	k := objectKey{station: origin, remote: true, objID: objectID}
 	o, ok := m.objects[k]
 	if !ok {
-		o = &Object{ObjectID: objectID, Origin: origin}
+		o = m.objSlots.get()
+		o.ObjectID, o.Origin = objectID, origin
 		m.objects[k] = o
 	} else if measured <= o.Updated {
 		m.cfg.Flight.Record(m.cfg.Now(), flight.LDMFuse, flight.FuseStale, int64(origin), int64(objectID))
@@ -200,7 +206,8 @@ func (m *Map) IngestDENM(d *messages.DENM) {
 	})
 	ev, ok := m.events[d.Management.ActionID]
 	if !ok {
-		ev = &Event{ActionID: d.Management.ActionID, Detection: now}
+		ev = m.evSlots.get()
+		ev.ActionID, ev.Detection = d.Management.ActionID, now
 		m.events[d.Management.ActionID] = ev
 		// Anchor expiry to the event's detection: validityDuration runs
 		// from detectionTime (EN 302 637-3), which the first reception
@@ -251,7 +258,8 @@ func (m *Map) stale(o *Object) bool {
 }
 
 // LocalPerception returns the station's fresh locally sensed objects,
-// ordered by wire object ID — the exact set a CP service may share.
+// ordered by wire object ID, then label (IDs repeat once the counter
+// wraps) — the exact set a CP service may share.
 // Ownership rule: objects learned from CAMs or fused from other
 // stations' CPMs are second-hand and are never returned here, so a
 // station cannot re-broadcast perception it does not own.
@@ -263,8 +271,15 @@ func (m *Map) LocalPerception() []Object {
 		}
 		out = append(out, *o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ObjectID < out[j].ObjectID })
+	sort.Slice(out, func(i, j int) bool { return perceptionLess(&out[i], &out[j]) })
 	return out
+}
+
+func perceptionLess(a, b *Object) bool {
+	if a.ObjectID != b.ObjectID {
+		return a.ObjectID < b.ObjectID
+	}
+	return a.Classification < b.Classification
 }
 
 // ObjectsWithin returns fresh objects within radius of centre, nearest
@@ -362,12 +377,14 @@ func (m *Map) GC() {
 	for k, o := range m.objects {
 		if now-o.Updated > m.cfg.ObjectLifetime {
 			delete(m.objects, k)
+			m.objSlots.put(o)
 			objs++
 		}
 	}
 	for id, ev := range m.events {
 		if now >= ev.Expires {
 			delete(m.events, id)
+			m.evSlots.put(ev)
 			evs++
 		}
 	}
@@ -383,8 +400,14 @@ func (m *Map) GC() {
 // map stays usable afterwards; sensor object IDs restart from zero as
 // a rebooted perception process would.
 func (m *Map) Clear() {
-	m.objects = make(map[objectKey]*Object)
-	m.events = make(map[messages.ActionID]*Event)
+	for k, o := range m.objects {
+		delete(m.objects, k)
+		m.objSlots.put(o)
+	}
+	for id, ev := range m.events {
+		delete(m.events, id)
+		m.evSlots.put(ev)
+	}
 	m.nextObjID = 0
 }
 
@@ -392,4 +415,41 @@ func (m *Map) Clear() {
 // stale entries not yet collected), for diagnostics.
 func (m *Map) Counts() (objects, events int) {
 	return len(m.objects), len(m.events)
+}
+
+// slab hands out zeroed *T from chunks that start at minSlabChunk
+// values and double up to maxSlabChunk, and reuses the values put back
+// first. No pointer it hands out may outlive its put.
+type slab[T any] struct {
+	chunk []T // the current chunk's values not handed out yet
+	last  int // size of the last chunk made
+	free  []*T
+}
+
+const (
+	minSlabChunk = 4
+	maxSlabChunk = 64
+)
+
+// get returns a zeroed value.
+func (s *slab[T]) get() *T {
+	if n := len(s.free); n > 0 {
+		v := s.free[n-1]
+		s.free = s.free[:n-1]
+		return v
+	}
+	if len(s.chunk) == 0 {
+		s.last = min(max(2*s.last, minSlabChunk), maxSlabChunk)
+		s.chunk = make([]T, s.last)
+	}
+	v := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return v
+}
+
+// put zeroes v and keeps it for the next get.
+func (s *slab[T]) put(v *T) {
+	var zero T
+	*v = zero
+	s.free = append(s.free, v)
 }

@@ -333,6 +333,32 @@ func TestLocationTable(t *testing.T) {
 	}
 }
 
+// TestLocationTableReusesExpiredEntriesClean lets GC free one
+// neighbour's entry and checks that the next new neighbour, which
+// takes that slot, starts from zero: its own position, one packet.
+func TestLocationTableReusesExpiredEntriesClean(t *testing.T) {
+	lt := NewLocationTable(time.Second)
+	old := NewAddress(units.StationTypePassengerCar, 2001)
+	for i := 0; i < 5; i++ {
+		lt.Update(LongPositionVector{Address: old, Timestamp: 7, Speed: 300, Heading: 900}, 0)
+	}
+	freed := lt.entries[old]
+	lt.GC(2 * time.Second)
+	if lt.Len() != 0 {
+		t.Fatal("GC left the expired entry")
+	}
+	addr := NewAddress(units.StationTypeCyclist, 2002)
+	lpv := LongPositionVector{Address: addr, Timestamp: 9}
+	lt.Update(lpv, 2*time.Second)
+	if lt.entries[addr] != freed {
+		t.Fatal("the new neighbour did not take the slot GC freed")
+	}
+	e, ok := lt.Lookup(addr, 2*time.Second)
+	if want := (LocationTableEntry{Position: lpv, LastSeen: 2 * time.Second, PacketCount: 1}); !ok || e != want {
+		t.Fatalf("reused entry = %+v, %v; want %+v", e, ok, want)
+	}
+}
+
 func TestDuplicateDetection(t *testing.T) {
 	lt := NewLocationTable(0)
 	addr := NewAddress(units.StationTypeRoadSideUnit, 1001)

@@ -19,6 +19,9 @@ type LocationTableEntry struct {
 type LocationTable struct {
 	lifetime time.Duration
 	entries  map[Address]*LocationTableEntry
+	// slots backs the entries: a table that learns n neighbours
+	// allocates a few chunks, not n objects.
+	slots slab[LocationTableEntry]
 	// dup maps source MAC + sequence number to the time the duplicate
 	// record expires.
 	dup map[dupKey]time.Duration
@@ -50,7 +53,7 @@ func NewLocationTable(lifetime time.Duration) *LocationTable {
 func (t *LocationTable) Update(src LongPositionVector, now time.Duration) {
 	e, ok := t.entries[src.Address]
 	if !ok {
-		e = &LocationTableEntry{}
+		e = t.slots.get()
 		t.entries[src.Address] = e
 	}
 	e.Position = src
@@ -95,6 +98,7 @@ func (t *LocationTable) GC(now time.Duration) {
 	for a, e := range t.entries {
 		if now-e.LastSeen > t.lifetime {
 			delete(t.entries, a)
+			t.slots.put(e)
 		}
 	}
 	for k, exp := range t.dup {
@@ -106,3 +110,41 @@ func (t *LocationTable) GC(now time.Duration) {
 
 // Len reports the number of entries (fresh or not yet collected).
 func (t *LocationTable) Len() int { return len(t.entries) }
+
+// slab hands out zeroed *T from chunks that start at minSlabChunk
+// values and double up to maxSlabChunk, and reuses the values put back
+// first. No pointer it hands out may outlive its put. The LDM keeps
+// an identical slab for its objects and events.
+type slab[T any] struct {
+	chunk []T // the current chunk's values not handed out yet
+	last  int // size of the last chunk made
+	free  []*T
+}
+
+const (
+	minSlabChunk = 4
+	maxSlabChunk = 64
+)
+
+// get returns a zeroed value.
+func (s *slab[T]) get() *T {
+	if n := len(s.free); n > 0 {
+		v := s.free[n-1]
+		s.free = s.free[:n-1]
+		return v
+	}
+	if len(s.chunk) == 0 {
+		s.last = min(max(2*s.last, minSlabChunk), maxSlabChunk)
+		s.chunk = make([]T, s.last)
+	}
+	v := &s.chunk[0]
+	s.chunk = s.chunk[1:]
+	return v
+}
+
+// put zeroes v and keeps it for the next get.
+func (s *slab[T]) put(v *T) {
+	var zero T
+	*v = zero
+	s.free = append(s.free, v)
+}

@@ -9,6 +9,7 @@ import (
 	"itsbed/internal/experiments"
 	"itsbed/internal/flight"
 	"itsbed/internal/geo"
+	"itsbed/internal/its/facilities/ldm"
 	"itsbed/internal/metrics"
 	"itsbed/internal/radio"
 	"itsbed/internal/sim"
@@ -26,10 +27,13 @@ import (
 //	DENM encode             1 alloc/op   (was 5)
 //	DENM decode             5 allocs/op
 //	CAM encode+decode       2 allocs/op  (was 18)
-//	full scenario (vision)  ~1.8k allocs/op (was ~49.5k at the seed;
+//	full scenario (vision)  ~1.6k allocs/op (was ~49.5k at the seed;
 //	                        the ceiling enforces far more than the
 //	                        required 30% reduction)
-//	Table II attempt        2419 allocs/op with Workers: 1 (was 4606
+//	CAM fan-out, 100 stacks 6 allocs/op (was 106 with one rx-latency
+//	                        closure and one LDM and location table entry
+//	                        per receiver)
+//	Table II attempt        2241 allocs/op with Workers: 1 (was 4606
 //	                        before registry lookups were interned and
 //	                        the per-step snapshots deleted). Under
 //	                        -race sync.Pool drops a quarter of Puts, so
@@ -49,6 +53,9 @@ const (
 	// One LDM range query over 64 objects: the result slice, the
 	// distance cache, and the sort wrapper — nothing per comparison.
 	maxAllocsLDMQuery = 24
+	// LDM ingestion: a known station's CAM refreshes its entry in
+	// place, and a new station takes a slot GC freed — nothing.
+	maxAllocsLDMIngest = 0
 	// Flight-recorder append: writes into a preallocated ring slot
 	// under a mutex — zero heap allocations on the steady-state path.
 	maxAllocsFlightAppend = 0
@@ -136,6 +143,33 @@ func TestAllocGuardLDMObjectsWithin(t *testing.T) {
 			t.Fatalf("query returned %d objects", len(got))
 		}
 	})
+}
+
+// TestAllocGuardLDMIngestSteadyState pins the LDM's value slab: a CAM
+// from a tracked station updates its object in place, and a CAM from a
+// new station after a GC reuses the slot the GC freed.
+func TestAllocGuardLDMIngestSteadyState(t *testing.T) {
+	frame, err := geo.NewFrame(geo.CISTERLab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Second
+	m := ldm.New(ldm.Config{Frame: frame, Now: func() time.Duration { return now }})
+	cam := sampleCAM()
+	m.IngestCAM(cam)
+	guardAllocs(t, "LDM CAM ingest, known station", 200, maxAllocsLDMIngest, func() { m.IngestCAM(cam) })
+	guardAllocs(t, "LDM CAM ingest, new station after GC", 200, maxAllocsLDMIngest, func() {
+		now += 2 * time.Second
+		m.GC()
+		cam.Header.StationID++
+		m.IngestCAM(cam)
+	})
+	if _, ok := m.Object(cam.Header.StationID); !ok {
+		t.Fatal("the last station's object is missing")
+	}
+	if objs, _ := m.Counts(); objs != 1 {
+		t.Fatalf("LDM holds %d objects, want 1", objs)
+	}
 }
 
 // TestAllocGuardFlightAppend pins the black-box recorder's hot path:

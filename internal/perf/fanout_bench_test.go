@@ -17,11 +17,12 @@ import (
 )
 
 // maxAllocsCAMFanout100 caps one CAM broadcast heard by 100 stacks.
-// Each receiver keeps its own rx-latency closure; the GN packet, BTP
-// header and CAM are decoded once per transmission and shared
-// (measured 106 allocs/op). Decoding per receiver costs three more
-// allocations per delivery (404 allocs/op), which the ceiling fails.
-const maxAllocsCAMFanout100 = 200
+// The GN packet, BTP header and CAM are decoded once per transmission
+// and shared, and each receiver schedules its rx-latency event from a
+// pooled delivery and refreshes its LDM and location table entries in
+// place, so what is left is per transmission (measured 6 allocs/op).
+// One closure or heap entry per receiver adds 100.
+const maxAllocsCAMFanout100 = 16
 
 // camFanout is one sending station and n receiving stacks on an
 // 802.11p medium, every receiver within range of the sender, plus the

@@ -195,6 +195,8 @@ type Station struct {
 	beaconTicker *sim.Ticker
 	// rx is the frame the router is handling, for onIndication.
 	rx *rxFrame
+	// rxFree holds the deliveries that have fired, for reuse.
+	rxFree []*rxDelivery
 
 	// crashed gates the whole station: inbound frames are ignored and
 	// cyclic services stay down until Restart.
@@ -681,31 +683,64 @@ func (s *Station) onIndication(geonet.Indication) {
 		return
 	}
 	delay := s.cfg.RxLatency.sample(s.rng)
+	var sp *tracing.Span
 	switch rx.port {
 	case btp.PortCAM:
 		s.mRxCAM.ObserveDuration(delay)
-		sp := s.rxSpan("cam")
-		s.kernel.ScheduleFn(delay, func() {
-			rx.decode()
-			s.p.Scope(sp, func() { s.caRx.OnDecoded(rx.cam, rx.err) })
-			sp.End(s.kernel.Now())
-		})
+		sp = s.rxSpan("cam")
 	case btp.PortDENM:
 		s.mRxDENM.ObserveDuration(delay)
-		sp := s.rxSpan("denm")
-		s.kernel.ScheduleFn(delay, func() {
-			rx.decode()
-			s.p.Scope(sp, func() { s.denRx.OnDecoded(rx.body, rx.denm, rx.err) })
-			sp.End(s.kernel.Now())
-		})
+		sp = s.rxSpan("denm")
 	case btp.PortCPM:
 		s.mRxCPM.ObserveDuration(delay)
-		sp := s.rxSpan("cpm")
-		s.kernel.ScheduleFn(delay, func() {
-			rx.decode()
-			s.p.Scope(sp, func() { s.cpRx.OnDecoded(rx.cpm, rx.err) })
-			sp.End(s.kernel.Now())
-		})
+		sp = s.rxSpan("cpm")
+	default:
+		return
+	}
+	var d *rxDelivery
+	if n := len(s.rxFree); n > 0 {
+		d = s.rxFree[n-1]
+		s.rxFree = s.rxFree[:n-1]
+	} else {
+		d = &rxDelivery{s: s}
+		d.fireFn, d.dispatchFn = d.fire, d.dispatch
+	}
+	d.rx, d.sp = rx, sp
+	s.kernel.ScheduleFn(delay, d.fireFn)
+}
+
+// rxDelivery is one packet on its way to the facilities through the
+// rx processing latency. A station reuses the deliveries that have
+// fired, and binds fire and dispatch once per delivery, so a delivery
+// costs no closure.
+type rxDelivery struct {
+	s                  *Station
+	rx                 *rxFrame
+	sp                 *tracing.Span
+	fireFn, dispatchFn func()
+}
+
+// fire decodes the message, hands it to its receiver inside the
+// delivery's span and returns d to the station's free list.
+func (d *rxDelivery) fire() {
+	s := d.s
+	d.rx.decode()
+	s.p.Scope(d.sp, d.dispatchFn)
+	d.sp.End(s.kernel.Now())
+	d.rx, d.sp = nil, nil
+	s.rxFree = append(s.rxFree, d)
+}
+
+// dispatch hands the decoded message to the receiver of its port.
+func (d *rxDelivery) dispatch() {
+	rx := d.rx
+	switch rx.port {
+	case btp.PortCAM:
+		d.s.caRx.OnDecoded(rx.cam, rx.err)
+	case btp.PortDENM:
+		d.s.denRx.OnDecoded(rx.body, rx.denm, rx.err)
+	case btp.PortCPM:
+		d.s.cpRx.OnDecoded(rx.cpm, rx.err)
 	}
 }
 
