@@ -7,13 +7,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"log"
-	"net/http"
 	"time"
 
+	"itsbed/internal/edge"
 	"itsbed/internal/geo"
 	"itsbed/internal/openc2x"
 	"itsbed/internal/units"
@@ -57,10 +56,13 @@ func run() error {
 	defer obuAPI.Close()
 
 	fmt.Printf("RSU API on http://%s, OBU API on http://%s\n", rsuAPI.Addr(), obuAPI.Addr())
+	ctx := context.Background()
+	rsu := &edge.Client{BaseURL: "http://" + rsuAPI.Addr()}
+	obu := &edge.Client{BaseURL: "http://" + obuAPI.Addr()}
 
 	// The vehicle's control script: poll the OBU for DENMs.
 	fmt.Println("polling OBU /request_denm (expecting none yet)...")
-	batch, err := requestDENM(obuAPI.Addr())
+	batch, err := obu.RequestDENM(ctx)
 	if err != nil {
 		return err
 	}
@@ -69,7 +71,7 @@ func run() error {
 	// The edge node detects a hazard: trigger a DENM at the RSU.
 	fmt.Println("edge node POSTs /trigger_denm at the RSU (collision risk, crossing)...")
 	start := time.Now()
-	trigResp, err := triggerDENM(rsuAPI.Addr(), openc2x.TriggerRequest{
+	trigResp, err := rsu.TriggerDENM(ctx, openc2x.TriggerRequest{
 		CauseCode:    97,
 		SubCauseCode: 2,
 		Latitude:     geo.CISTERLab.Lat,
@@ -83,7 +85,7 @@ func run() error {
 
 	// Poll the OBU until the DENM lands (UDP is fast; a few tries).
 	for i := 0; i < 50; i++ {
-		batch, err = requestDENM(obuAPI.Addr())
+		batch, err = obu.RequestDENM(ctx)
 		if err != nil {
 			return err
 		}
@@ -117,37 +119,4 @@ func serve(link *openc2x.UDPLink, id uint32, st units.StationType) (*openc2x.Mux
 	link.Start(srv)
 	go func() { _ = srv.Serve() }()
 	return srv, nil
-}
-
-func triggerDENM(addr string, req openc2x.TriggerRequest) (openc2x.TriggerResponse, error) {
-	var out openc2x.TriggerResponse
-	body, err := json.Marshal(req)
-	if err != nil {
-		return out, err
-	}
-	resp, err := http.Post("http://"+addr+"/trigger_denm", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return out, err
-	}
-	if !out.OK {
-		return out, fmt.Errorf("trigger_denm failed: %s", out.Error)
-	}
-	return out, nil
-}
-
-func requestDENM(addr string) ([]openc2x.DENMSummary, error) {
-	resp, err := http.Post("http://"+addr+"/request_denm", "application/json", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out []openc2x.DENMSummary
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

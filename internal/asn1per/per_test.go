@@ -8,13 +8,24 @@ import (
 	"testing/quick"
 )
 
+func newReader(buf []byte) *Reader { return &Reader{buf: buf} }
+
+// bitLen is the exact number of bits w holds: nbit counts the free bits
+// in its final byte.
+func bitLen(w Writer) int {
+	if len(w.buf) == 0 {
+		return 0
+	}
+	return len(w.buf)*8 - w.nbit
+}
+
 func TestBitRoundTrip(t *testing.T) {
 	var w Writer
 	pattern := []bool{true, false, true, true, false, false, true, false, true}
 	for _, b := range pattern {
 		w.WriteBit(b)
 	}
-	r := NewReader(w.Bytes())
+	r := newReader(w.Bytes())
 	for i, want := range pattern {
 		got, err := r.ReadBit()
 		if err != nil {
@@ -28,19 +39,19 @@ func TestBitRoundTrip(t *testing.T) {
 
 func TestBitLen(t *testing.T) {
 	var w Writer
-	if w.BitLen() != 0 {
+	if bitLen(w) != 0 {
 		t.Fatal("fresh writer has bits")
 	}
 	w.WriteBits(0x5, 3)
-	if w.BitLen() != 3 {
-		t.Fatalf("BitLen=%d, want 3", w.BitLen())
+	if bitLen(w) != 3 {
+		t.Fatalf("BitLen=%d, want 3", bitLen(w))
 	}
 	w.WriteBits(0xff, 8)
-	if w.BitLen() != 11 {
-		t.Fatalf("BitLen=%d, want 11", w.BitLen())
+	if bitLen(w) != 11 {
+		t.Fatalf("BitLen=%d, want 11", bitLen(w))
 	}
-	if w.Len() != 2 {
-		t.Fatalf("Len=%d, want 2", w.Len())
+	if len(w.buf) != 2 {
+		t.Fatalf("Len=%d, want 2", len(w.buf))
 	}
 }
 
@@ -69,10 +80,10 @@ func TestConstrainedIntWidths(t *testing.T) {
 		if err := w.WriteConstrainedInt(c.v, c.lo, c.hi); err != nil {
 			t.Fatal(err)
 		}
-		if w.BitLen() != c.bits {
-			t.Fatalf("encode %d in [%d,%d]: %d bits, want %d", c.v, c.lo, c.hi, w.BitLen(), c.bits)
+		if bitLen(w) != c.bits {
+			t.Fatalf("encode %d in [%d,%d]: %d bits, want %d", c.v, c.lo, c.hi, bitLen(w), c.bits)
 		}
-		r := NewReader(w.Bytes())
+		r := newReader(w.Bytes())
 		got, err := r.ReadConstrainedInt(c.lo, c.hi)
 		if err != nil {
 			t.Fatal(err)
@@ -102,7 +113,7 @@ func TestConstrainedIntProperty(t *testing.T) {
 		if err := w.WriteConstrainedInt(val, lo, hi); err != nil {
 			return false
 		}
-		got, err := NewReader(w.Bytes()).ReadConstrainedInt(lo, hi)
+		got, err := newReader(w.Bytes()).ReadConstrainedInt(lo, hi)
 		return err == nil && got == val
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(2))}); err != nil {
@@ -116,7 +127,7 @@ func TestSemiConstrainedInt(t *testing.T) {
 		if err := w.WriteSemiConstrainedInt(v, 0); err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewReader(w.Bytes()).ReadSemiConstrainedInt(0)
+		got, err := newReader(w.Bytes()).ReadSemiConstrainedInt(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +149,7 @@ func TestEnumerated(t *testing.T) {
 	if err := w.WriteEnumerated(2, 4); err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewReader(w.Bytes()).ReadEnumerated(4)
+	got, err := newReader(w.Bytes()).ReadEnumerated(4)
 	if err != nil || got != 2 {
 		t.Fatalf("got %d err %v", got, err)
 	}
@@ -153,7 +164,7 @@ func TestLengthForms(t *testing.T) {
 		if err := w.WriteLength(n, 0, -1); err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewReader(w.Bytes()).ReadLength(0, -1)
+		got, err := newReader(w.Bytes()).ReadLength(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +186,10 @@ func TestConstrainedLength(t *testing.T) {
 	if err := w.WriteLength(3, 1, 7); err != nil {
 		t.Fatal(err)
 	}
-	if w.BitLen() != 3 { // range 7 → 3 bits
-		t.Fatalf("constrained length used %d bits", w.BitLen())
+	if bitLen(w) != 3 { // range 7 → 3 bits
+		t.Fatalf("constrained length used %d bits", bitLen(w))
 	}
-	got, err := NewReader(w.Bytes()).ReadLength(1, 7)
+	got, err := newReader(w.Bytes()).ReadLength(1, 7)
 	if err != nil || got != 3 {
 		t.Fatalf("got %d err %v", got, err)
 	}
@@ -191,7 +202,7 @@ func TestOctetString(t *testing.T) {
 	if err := w.WriteOctetString(payload, 0, -1); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(w.Bytes())
+	r := newReader(w.Bytes())
 	if _, err := r.ReadBit(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +221,10 @@ func TestBitString(t *testing.T) {
 	if err := w.WriteBitString(bs, 10); err != nil {
 		t.Fatal(err)
 	}
-	if w.BitLen() != 10 {
-		t.Fatalf("bit string used %d bits", w.BitLen())
+	if bitLen(w) != 10 {
+		t.Fatalf("bit string used %d bits", bitLen(w))
 	}
-	got, err := NewReader(w.Bytes()).ReadBitString(10)
+	got, err := newReader(w.Bytes()).ReadBitString(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +246,10 @@ func TestIA5String(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 7 bits per char: shorter than octets.
-	if w.BitLen() >= 8*9+8 {
-		t.Fatalf("IA5 not packed: %d bits", w.BitLen())
+	if bitLen(w) >= 8*9+8 {
+		t.Fatalf("IA5 not packed: %d bits", bitLen(w))
 	}
-	got, err := NewReader(w.Bytes()).ReadIA5String(0, -1)
+	got, err := newReader(w.Bytes()).ReadIA5String(0, -1)
 	if err != nil || got != "hello ITS" {
 		t.Fatalf("got %q err %v", got, err)
 	}
@@ -252,15 +263,15 @@ func TestIA5RejectsNonASCII(t *testing.T) {
 }
 
 func TestTruncatedReads(t *testing.T) {
-	r := NewReader([]byte{0xff})
+	r := newReader([]byte{0xff})
 	if _, err := r.ReadBits(16); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err=%v, want ErrTruncated", err)
 	}
-	r2 := NewReader(nil)
+	r2 := newReader(nil)
 	if _, err := r2.ReadBit(); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err=%v, want ErrTruncated", err)
 	}
-	r3 := NewReader([]byte{0x01})
+	r3 := newReader([]byte{0x01})
 	if _, err := r3.ReadOctetString(0, -1); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err=%v, want ErrTruncated", err)
 	}
@@ -280,7 +291,7 @@ func TestMixedSequenceRoundTrip(t *testing.T) {
 	if err := w.WriteIA5String("rsu", 0, 15); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(w.Bytes())
+	r := newReader(w.Bytes())
 	b1, _ := r.ReadBool()
 	b2, _ := r.ReadBool()
 	v1, _ := r.ReadConstrainedInt(0, 255)
@@ -316,7 +327,7 @@ func TestPropertyArbitraryFieldSequences(t *testing.T) {
 				return false
 			}
 		}
-		r := NewReader(w.Bytes())
+		r := newReader(w.Bytes())
 		for _, fl := range fields {
 			got, err := r.ReadConstrainedInt(fl.lo, fl.lo+int64(fl.span))
 			if err != nil || got != fl.v {

@@ -56,7 +56,7 @@ func TestPropertyWriteBitsMatchesWriteBit(t *testing.T) {
 				ref.WriteBit(v>>uint(b)&1 == 1)
 			}
 		}
-		return bytes.Equal(fast.Bytes(), ref.Bytes()) && fast.BitLen() == ref.BitLen()
+		return bytes.Equal(fast.Bytes(), ref.Bytes()) && bitLen(fast) == bitLen(ref)
 	}
 	if err := quick.Check(f, quickCfg(12)); err != nil {
 		t.Fatal(err)
@@ -206,8 +206,8 @@ func TestWriterResetKeepsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Reset()
-	if w.BitLen() != 0 || w.Len() != 0 {
-		t.Fatalf("reset writer not empty: %d bits, %d bytes", w.BitLen(), w.Len())
+	if bitLen(w) != 0 || len(w.buf) != 0 {
+		t.Fatalf("reset writer not empty: %d bits, %d bytes", bitLen(w), len(w.buf))
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		w.Reset()

@@ -15,12 +15,8 @@ type Reader struct {
 	pos int // absolute bit position
 }
 
-// NewReader wraps buf. The reader does not copy buf; the caller must
-// not mutate it while decoding.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
-
 // Reset points the reader at a new stream and rewinds it, allowing a
-// stack-allocated or reused Reader instead of NewReader's heap value.
+// stack-allocated or reused Reader.
 func (r *Reader) Reset(buf []byte) {
 	r.buf = buf
 	r.pos = 0
@@ -28,9 +24,6 @@ func (r *Reader) Reset(buf []byte) {
 
 // BitsRemaining reports how many bits are left.
 func (r *Reader) BitsRemaining() int { return len(r.buf)*8 - r.pos }
-
-// BitPos reports the current absolute bit position.
-func (r *Reader) BitPos() int { return r.pos }
 
 // ReadBit consumes one bit.
 func (r *Reader) ReadBit() (bool, error) {

@@ -55,18 +55,6 @@ func PutWriter(w *Writer) {
 	}
 }
 
-// Len returns the number of whole and partial bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// BitLen returns the exact number of bits written. nbit counts the
-// free bits remaining in the final byte.
-func (w *Writer) BitLen() int {
-	if len(w.buf) == 0 {
-		return 0
-	}
-	return len(w.buf)*8 - w.nbit
-}
-
 // Bytes returns the encoded stream. Per X.691 the final partial byte is
 // zero-padded. The returned slice aliases the writer's buffer; the
 // caller must not keep writing and using a previously returned slice.
@@ -246,11 +234,4 @@ func (w *Writer) WriteIA5String(s string, lo, hi int) error {
 		w.WriteBits(uint64(s[i]), 7)
 	}
 	return nil
-}
-
-// Align pads with zero bits to the next octet boundary. UPER itself is
-// unaligned; this is used only when embedding a PER payload in an
-// octet-aligned envelope (e.g. a BTP payload).
-func (w *Writer) Align() {
-	w.nbit = 0
 }

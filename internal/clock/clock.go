@@ -111,10 +111,6 @@ func (c *NTPClock) Now() time.Duration {
 // road-side video recording used for Fig. 10).
 func (c *NTPClock) TrueNow() time.Duration { return c.src.Now() }
 
-// Offset reports the current residual offset (without jitter), mainly
-// for tests.
-func (c *NTPClock) Offset() time.Duration { return c.offset }
-
 // ITSEpoch is the TAI epoch used by ETSI ITS timestamps
 // (2004-01-01T00:00:00Z). TimestampIts values count milliseconds since
 // this epoch, modulo 2^32 for the wrapped variants.

@@ -31,7 +31,7 @@ func TestOffsetWithinStatisticalBounds(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		c := NewNTP(src, model, rng)
-		off := float64(c.Offset())
+		off := float64(c.offset)
 		sum += off
 		sumSq += off * off
 	}
@@ -58,10 +58,10 @@ func TestResyncResamplesOffset(t *testing.T) {
 	src := &fakeSource{}
 	model := NTPModel{OffsetStdDev: time.Millisecond, ResyncInterval: time.Second}
 	c := NewNTP(src, model, rand.New(rand.NewSource(2)))
-	first := c.Offset()
+	first := c.offset
 	src.t = 2 * time.Second
 	c.Now()
-	if c.Offset() == first {
+	if c.offset == first {
 		t.Fatal("offset not resampled after resync interval")
 	}
 }

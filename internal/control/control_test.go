@@ -189,7 +189,7 @@ func TestPlannerStopsAfterLostLine(t *testing.T) {
 func TestPlannerEmergencyLatch(t *testing.T) {
 	pl := NewPlanner(DefaultPlanner(), DefaultSteeringPID())
 	pl.RequestEmergencyStop()
-	if !pl.EmergencyLatched() {
+	if !pl.emergency {
 		t.Fatal("latch")
 	}
 	cmd := pl.Plan(vision.Detection{Found: true, TargetForward: 1}, 0.033)

@@ -57,9 +57,6 @@ func NewPlanner(cfg PlannerConfig, pid PID) *Planner {
 // command carries EmergencyStop until Reset.
 func (p *Planner) RequestEmergencyStop() { p.emergency = true }
 
-// EmergencyLatched reports whether the stop latch is engaged.
-func (p *Planner) EmergencyLatched() bool { return p.emergency }
-
 // Reset clears the latch and the controller state (between runs).
 func (p *Planner) Reset() {
 	p.emergency = false

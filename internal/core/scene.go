@@ -163,7 +163,7 @@ func (s Scene) Edge(rsu *openc2x.SimNode, cfg EdgeConfig) *Edge {
 	e := &Edge{
 		Clock:  clock.NewNTP(clock.SourceFunc(k.Now), s.NTP, k.Rand("clock.edge")),
 		Camera: perception.NewRoadsideCamera(k, cfg.Camera),
-		ODS:    edge.NewObjectDetectionService(k.Now),
+		ODS:    edge.NewObjectDetectionService(),
 	}
 	if cfg.Filter == nil {
 		e.Camera.Subscribe(e.ODS.OnFrame)

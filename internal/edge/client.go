@@ -14,8 +14,8 @@ import (
 	"itsbed/internal/openc2x"
 )
 
-// Client is the wall-clock HTTP client the edge node (and the load
-// harness) uses to talk to a testbed daemon. It layers the retry
+// Client is the wall-clock HTTP client the edge node uses to talk to a
+// testbed daemon (see examples/httpapi). It layers the retry
 // behaviour a service-mode deployment needs on top of net/http:
 //
 //   - 429/503 responses are retried, honouring the server's
@@ -203,13 +203,6 @@ func (c *Client) settle(err error) {
 	}
 }
 
-// CircuitOpen reports whether the breaker is currently open.
-func (c *Client) CircuitOpen() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.openedAt.IsZero()
-}
-
 // retryAfter extracts the server's Retry-After hint (seconds form);
 // ok is false when absent or unparseable.
 func retryAfter(resp *http.Response) (time.Duration, bool) {
@@ -339,9 +332,4 @@ func (c *Client) RequestDENM(ctx context.Context) ([]openc2x.DENMSummary, error)
 	var out []openc2x.DENMSummary
 	err := c.do(ctx, http.MethodPost, c.path("/request_denm"), nil, &out)
 	return out, err
-}
-
-// TriggerCAM POSTs a trigger_cam broadcast.
-func (c *Client) TriggerCAM(ctx context.Context) error {
-	return c.do(ctx, http.MethodPost, c.path("/trigger_cam"), nil, nil)
 }

@@ -205,7 +205,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 			t.Fatal("expected failure")
 		}
 	}
-	if !c.CircuitOpen() {
+	if c.openedAt.IsZero() {
 		t.Fatal("breaker should be open after 3 failures")
 	}
 	netCalls := calls.Load()
@@ -227,7 +227,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 	if calls.Load() != netCalls+1 {
 		t.Fatalf("probe calls = %d, want %d", calls.Load(), netCalls+1)
 	}
-	if !c.CircuitOpen() {
+	if c.openedAt.IsZero() {
 		t.Fatal("failed probe should re-open the breaker")
 	}
 
@@ -237,7 +237,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 	if _, err := c.TriggerDENM(ctx, openc2x.TriggerRequest{}); err != nil {
 		t.Fatalf("recovery probe: %v", err)
 	}
-	if c.CircuitOpen() {
+	if !c.openedAt.IsZero() {
 		t.Fatal("successful probe should close the breaker")
 	}
 }

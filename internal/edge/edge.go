@@ -40,7 +40,6 @@ type TrackedObject struct {
 // ObjectDetectionService tracks detections over time and computes the
 // motion (closing speed) of observed objects.
 type ObjectDetectionService struct {
-	now     func() time.Duration
 	objects map[perception.Class]*TrackedObject
 	// Lifetime after which an unrefreshed track is dropped.
 	Lifetime time.Duration
@@ -48,9 +47,8 @@ type ObjectDetectionService struct {
 }
 
 // NewObjectDetectionService builds the service.
-func NewObjectDetectionService(now func() time.Duration) *ObjectDetectionService {
+func NewObjectDetectionService() *ObjectDetectionService {
 	return &ObjectDetectionService{
-		now:      now,
 		objects:  make(map[perception.Class]*TrackedObject),
 		Lifetime: 1500 * time.Millisecond,
 	}
@@ -85,15 +83,6 @@ func (s *ObjectDetectionService) OnFrame(res perception.FrameResult) {
 			fn(*tr, res)
 		}
 	}
-}
-
-// Track returns the current track for a class, if fresh.
-func (s *ObjectDetectionService) Track(class perception.Class) (TrackedObject, bool) {
-	tr, ok := s.objects[class]
-	if !ok || s.now()-tr.LastSeen > s.Lifetime {
-		return TrackedObject{}, false
-	}
-	return *tr, true
 }
 
 // HazardConfig parameterises the Hazard Advertisement Service.
@@ -219,12 +208,6 @@ func NewHazardService(kernel *sim.Kernel, cfg HazardConfig, rsu *openc2x.SimNode
 		clock:  clk,
 		rng:    kernel.Rand("edge.hazard"),
 	}
-}
-
-// Reset clears the trigger latch (between experiment runs).
-func (h *HazardAdvertisementService) Reset() {
-	h.triggered = false
-	h.lastTrigger = 0
 }
 
 // OnTrack consumes Object Detection Service updates.

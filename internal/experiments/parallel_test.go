@@ -228,7 +228,7 @@ func TestAttemptRegistryNoCrossAttemptLeakage(t *testing.T) {
 	sinkN := pooledSink()
 	regN := sinkN.Metrics
 	regN.Counter("leak_canary").Add(5)
-	regN.Gauge("leak_depth").Set(7)
+	regN.Gauge("leak_depth").Add(7)
 	regN.Histogram("leak_ms").Observe(123)
 	attempts.Put(sinkN)
 

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,15 @@ import (
 	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 )
+
+// planJSON renders p as the JSON a plan file holds.
+func planJSON(p Plan) []byte {
+	out, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		panic(err) // plan types always marshal
+	}
+	return out
+}
 
 func TestDurationJSON(t *testing.T) {
 	cases := []struct {
@@ -119,7 +129,7 @@ func TestBuiltinsValidateAndRoundTrip(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("builtin %q invalid: %v", name, err)
 		}
-		back, err := ParsePlan(p.JSON())
+		back, err := ParsePlan(planJSON(p))
 		if err != nil {
 			t.Fatalf("builtin %q does not round-trip: %v", name, err)
 		}

@@ -107,9 +107,6 @@ func NewInjector(kernel *sim.Kernel, plan Plan, sink trace.Sink) *Injector {
 	return inj
 }
 
-// Plan returns the plan the injector executes.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
 // armWindowSpans opens one span per bounded blackout/noise window so
 // the fault periods appear as bars in the Perfetto export. Open-ended
 // windows get a point span at their start.

@@ -278,16 +278,6 @@ func ParsePlan(data []byte) (Plan, error) {
 	return p, nil
 }
 
-// JSON renders the plan as indented JSON (round-trips through
-// ParsePlan).
-func (p Plan) JSON() []byte {
-	out, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		panic(err) // plan types always marshal
-	}
-	return out
-}
-
 // builtins are the named plans shipped with the testbed, so the CLI
 // and CI can run resilience campaigns without a plan file.
 var builtins = map[string]Plan{

@@ -107,9 +107,6 @@ func (v Vector) Norm() float64 { return math.Hypot(v.X, v.Y) }
 // Scale returns v scaled by s.
 func (v Vector) Scale(s float64) Vector { return Vector{v.X * s, v.Y * s} }
 
-// Add returns the vector sum v+w.
-func (v Vector) Add(w Vector) Vector { return Vector{v.X + w.X, v.Y + w.Y} }
-
 // Dot returns the dot product of v and w.
 func (v Vector) Dot(w Vector) float64 { return v.X*w.X + v.Y*w.Y }
 
@@ -256,9 +253,6 @@ func (s Scale) SpeedToFullSize(labSpeed float64) float64 {
 type Segment struct {
 	A, B Point
 }
-
-// Length returns the segment length in metres.
-func (s Segment) Length() float64 { return s.A.DistanceTo(s.B) }
 
 // PointAt returns the point a fraction t∈[0,1] along the segment.
 func (s Segment) PointAt(t float64) Point {

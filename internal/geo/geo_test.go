@@ -176,9 +176,6 @@ func TestVectorAlgebra(t *testing.T) {
 	if v.Scale(2) != (Vector{6, 8}) {
 		t.Fatal("scale")
 	}
-	if v.Add(Vector{1, 1}) != (Vector{4, 5}) {
-		t.Fatal("add")
-	}
 	if !almostEqual(v.Dot(Vector{1, 0}), 3, 1e-12) {
 		t.Fatal("dot")
 	}

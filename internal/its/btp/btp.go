@@ -86,23 +86,3 @@ func Decode(t Type, data []byte) (Header, []byte, error) {
 	}
 	return h, data[HeaderLen:], nil
 }
-
-// ServiceName returns a human-readable name for a well-known port.
-func ServiceName(port uint16) string {
-	switch port {
-	case PortCAM:
-		return "CA"
-	case PortDENM:
-		return "DEN"
-	case PortMAP:
-		return "MAP"
-	case PortSPAT:
-		return "SPAT"
-	case PortIVI:
-		return "IVI"
-	case PortCPM:
-		return "CP"
-	default:
-		return fmt.Sprintf("port-%d", port)
-	}
-}

@@ -75,12 +75,6 @@ func TestWellKnownPorts(t *testing.T) {
 	if PortCAM != 2001 || PortDENM != 2002 {
 		t.Fatal("well-known ports wrong")
 	}
-	if ServiceName(PortCAM) != "CA" || ServiceName(PortDENM) != "DEN" {
-		t.Fatal("service names wrong")
-	}
-	if ServiceName(9999) != "port-9999" {
-		t.Fatalf("unknown port name %q", ServiceName(9999))
-	}
 }
 
 func TestPropertyRoundTrip(t *testing.T) {

@@ -338,12 +338,6 @@ type Receiver struct {
 	mRecv, mMalf *metrics.Counter
 }
 
-// OnPayload processes one received CA payload: DecodeCAM plus
-// OnDecoded.
-func (r *Receiver) OnPayload(payload []byte) {
-	r.OnDecoded(messages.DecodeCAM(payload))
-}
-
 // OnDecoded processes one received CAM, or the error its decode
 // returned. cam is read-only: the stations that heard one frame share
 // its decode, and Sink may retain it.

@@ -206,12 +206,12 @@ func TestReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range h.sent {
-		r.OnPayload(p)
+		r.OnDecoded(messages.DecodeCAM(p))
 	}
 	if int(r.Received) != len(h.sent) || len(got) != len(h.sent) {
 		t.Fatalf("received %d/%d", r.Received, len(h.sent))
 	}
-	r.OnPayload([]byte{0xff})
+	r.OnDecoded(messages.DecodeCAM([]byte{0xff}))
 	if r.Malformed != 1 {
 		t.Fatal("malformed payload not counted")
 	}

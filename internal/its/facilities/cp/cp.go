@@ -297,12 +297,6 @@ type Receiver struct {
 	mRecv, mMalf, mFused, mStale *metrics.Counter
 }
 
-// OnPayload processes one received CP payload: DecodeCPM plus
-// OnDecoded.
-func (r *Receiver) OnPayload(payload []byte) {
-	r.OnDecoded(messages.DecodeCPM(payload))
-}
-
 // OnDecoded processes one received CPM, or the error its decode
 // returned. cpm is read-only: the stations that heard one frame share
 // its decode, and OnCPM may retain it.

@@ -53,7 +53,7 @@ func newHarness(t *testing.T, gate TxGate) *harness {
 		LDM:         h.txLDM,
 		Send: func(p []byte) error {
 			h.sent = append(h.sent, p)
-			h.rcv.OnPayload(p)
+			h.rcv.OnDecoded(messages.DecodeCPM(p))
 			return nil
 		},
 		Clock: clk,
@@ -186,8 +186,8 @@ func TestReceiverDropsOwnCPM(t *testing.T) {
 
 func TestReceiverCountsMalformed(t *testing.T) {
 	h := newHarness(t, nil)
-	h.rcv.OnPayload([]byte{0xff, 0x00})
-	h.rcv.OnPayload(nil)
+	h.rcv.OnDecoded(messages.DecodeCPM([]byte{0xff, 0x00}))
+	h.rcv.OnDecoded(messages.DecodeCPM(nil))
 	if h.rcv.Malformed != 2 || h.rcv.Received != 0 {
 		t.Fatalf("malformed=%d received=%d", h.rcv.Malformed, h.rcv.Received)
 	}

@@ -322,13 +322,6 @@ type Receiver struct {
 	mRecv, mSupp, mMalf *metrics.Counter
 }
 
-// OnPayload processes one received DEN payload: DecodeDENM plus
-// OnDecoded.
-func (r *Receiver) OnPayload(payload []byte) {
-	d, err := messages.DecodeDENM(payload)
-	r.OnDecoded(payload, d, err)
-}
-
 // OnDecoded processes one received DENM decoded from payload, or the
 // error its decode returned. d and payload are read-only: the stations
 // that heard one frame share its decode, and Sink and the keep-alive
@@ -524,9 +517,6 @@ func (k *KeepAliveForwarder) arm(id messages.ActionID, e *kafEntry, interval tim
 		k.arm(id, e, interval)
 	})
 }
-
-// Active reports the number of events under keep-alive management.
-func (k *KeepAliveForwarder) Active() int { return len(k.entries) }
 
 // Stop cancels all timers (shutdown).
 func (k *KeepAliveForwarder) Stop() {

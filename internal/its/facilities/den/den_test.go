@@ -20,6 +20,13 @@ type denHarness struct {
 	svc *Service
 }
 
+// onPayload hands r one received payload as a station does: decoded,
+// then OnDecoded.
+func onPayload(r *Receiver, payload []byte) {
+	d, err := messages.DecodeDENM(payload)
+	r.OnDecoded(payload, d, err)
+}
+
 func newDENHarness(t *testing.T) *denHarness {
 	t.Helper()
 	h := &denHarness{kernel: sim.NewKernel(1)}
@@ -249,8 +256,8 @@ func TestReceiverDeduplicatesRepetitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := h.sent[0].payload
-	r.OnPayload(payload)
-	r.OnPayload(payload) // identical repetition
+	onPayload(&r, payload)
+	onPayload(&r, payload) // identical repetition
 	if len(delivered) != 1 {
 		t.Fatalf("delivered %d, want 1", len(delivered))
 	}
@@ -278,7 +285,7 @@ func TestReceiverDeliversUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range h.sent {
-		r.OnPayload(s.payload)
+		onPayload(&r, s.payload)
 	}
 	if len(delivered) != 2 {
 		t.Fatalf("delivered %d, want 2 (new + update)", len(delivered))
@@ -286,7 +293,7 @@ func TestReceiverDeliversUpdates(t *testing.T) {
 	if r.Malformed != 0 {
 		t.Fatal("unexpected malformed count")
 	}
-	r.OnPayload([]byte{1, 2, 3})
+	onPayload(&r, []byte{1, 2, 3})
 	if r.Malformed != 1 {
 		t.Fatal("malformed payload not counted")
 	}

@@ -55,8 +55,8 @@ func kafDENM(t *testing.T, seq uint16, validitySec uint32, terminated bool) []by
 
 func TestKAFForwardsAfterSilence(t *testing.T) {
 	h := newKAFHarness(t, 200*time.Millisecond)
-	h.rx.OnPayload(kafDENM(t, 1, 10, false))
-	if h.kaf.Active() != 1 {
+	onPayload(h.rx, kafDENM(t, 1, 10, false))
+	if len(h.kaf.entries) != 1 {
 		t.Fatal("event not under management")
 	}
 	if err := h.kernel.Run(time.Second); err != nil {
@@ -79,11 +79,11 @@ func TestKAFForwardsAfterSilence(t *testing.T) {
 func TestKAFBacksOffWhileHearingTheEvent(t *testing.T) {
 	h := newKAFHarness(t, 200*time.Millisecond)
 	payload := kafDENM(t, 1, 10, false)
-	h.rx.OnPayload(payload)
+	onPayload(h.rx, payload)
 	// Keep re-hearing the event every 100 ms: the silence timer keeps
 	// re-arming and the station never forwards.
 	tk := h.kernel.Every(100*time.Millisecond, 100*time.Millisecond, func() {
-		h.rx.OnPayload(payload)
+		onPayload(h.rx, payload)
 	})
 	if err := h.kernel.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestKAFBacksOffWhileHearingTheEvent(t *testing.T) {
 
 func TestKAFStopsAtValidityExpiry(t *testing.T) {
 	h := newKAFHarness(t, 200*time.Millisecond)
-	h.rx.OnPayload(kafDENM(t, 1, 1, false)) // 1 s validity
+	onPayload(h.rx, kafDENM(t, 1, 1, false)) // 1 s validity
 	if err := h.kernel.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +104,16 @@ func TestKAFStopsAtValidityExpiry(t *testing.T) {
 	if len(h.forwarded) > 5 {
 		t.Fatalf("forwarded %d times past validity", len(h.forwarded))
 	}
-	if h.kaf.Active() != 0 {
+	if len(h.kaf.entries) != 0 {
 		t.Fatal("expired event still managed")
 	}
 }
 
 func TestKAFTerminationCancels(t *testing.T) {
 	h := newKAFHarness(t, 200*time.Millisecond)
-	h.rx.OnPayload(kafDENM(t, 1, 10, false))
+	onPayload(h.rx, kafDENM(t, 1, 10, false))
 	h.kernel.Schedule(300*time.Millisecond, func() {
-		h.rx.OnPayload(kafDENM(t, 1, 10, true))
+		onPayload(h.rx, kafDENM(t, 1, 10, true))
 	})
 	if err := h.kernel.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestKAFTerminationCancels(t *testing.T) {
 	if len(h.forwarded) > 1 {
 		t.Fatalf("forwarded %d times after termination", len(h.forwarded))
 	}
-	if h.kaf.Active() != 0 {
+	if len(h.kaf.entries) != 0 {
 		t.Fatal("terminated event still managed")
 	}
 }
@@ -145,7 +145,7 @@ func TestKAFHonoursTransmissionInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.rx.OnPayload(payload)
+	onPayload(h.rx, payload)
 	if err := h.kernel.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestKAFHonoursTransmissionInterval(t *testing.T) {
 
 func TestKAFStop(t *testing.T) {
 	h := newKAFHarness(t, 100*time.Millisecond)
-	h.rx.OnPayload(kafDENM(t, 1, 10, false))
+	onPayload(h.rx, kafDENM(t, 1, 10, false))
 	h.kaf.Stop()
 	if err := h.kernel.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -172,11 +172,11 @@ func TestKAFRepetitionDoesNotExtendValidity(t *testing.T) {
 	// keep-alive forwarding would otherwise sustain a dead event
 	// indefinitely — each forwarder's repetition refreshing the next's.
 	h := newKAFHarness(t, 200*time.Millisecond)
-	h.rx.OnPayload(kafDENM(t, 1, 1, false)) // 1 s validity from first hear
+	onPayload(h.rx, kafDENM(t, 1, 1, false)) // 1 s validity from first hear
 	// Keep repeating the identical DENM well past the original expiry.
 	rep := h.kernel.Every(100*time.Millisecond, 100*time.Millisecond, func() {
 		if h.kernel.Now() < 3*time.Second {
-			h.rx.OnPayload(kafDENM(t, 1, 1, false))
+			onPayload(h.rx, kafDENM(t, 1, 1, false))
 		}
 	})
 	defer rep.Stop()
@@ -186,7 +186,7 @@ func TestKAFRepetitionDoesNotExtendValidity(t *testing.T) {
 	// The 100 ms repetitions keep the silence timer backed off, so no
 	// forwards at all; the crucial check: the entry dies at the original
 	// detection+validity instead of three seconds later.
-	if h.kaf.Active() != 0 {
+	if len(h.kaf.entries) != 0 {
 		t.Fatal("repetitions extended the event's validity; entry still managed")
 	}
 	if len(h.forwarded) != 0 {
@@ -198,7 +198,7 @@ func TestKAFUpdateReanchorsValidity(t *testing.T) {
 	// An update (advanced referenceTime) restarts the validity window,
 	// so forwarding continues past the original expiry.
 	h := newKAFHarness(t, 200*time.Millisecond)
-	h.rx.OnPayload(kafDENM(t, 1, 1, false))
+	onPayload(h.rx, kafDENM(t, 1, 1, false))
 	h.kernel.Schedule(900*time.Millisecond, func() {
 		upd := messages.NewDENM(1001)
 		validity := uint32(1)
@@ -215,14 +215,14 @@ func TestKAFUpdateReanchorsValidity(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		h.rx.OnPayload(payload)
+		onPayload(h.rx, payload)
 	})
 	if err := h.kernel.Run(1500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// At 1.5 s the original window (0..1 s) is over but the update's
 	// (0.9..1.9 s) is not: the entry must still be managed.
-	if h.kaf.Active() != 1 {
-		t.Fatalf("active = %d, want 1: update did not re-anchor validity", h.kaf.Active())
+	if len(h.kaf.entries) != 1 {
+		t.Fatalf("active = %d, want 1: update did not re-anchor validity", len(h.kaf.entries))
 	}
 }

@@ -97,15 +97,17 @@ type Map struct {
 	nextObjID uint16
 }
 
+// objectKey gives each source its own key space: CAM objects are keyed
+// by station, sensed objects by label, and CPM-fused objects by
+// (originating station, wire object ID), so the same origin can share
+// many objects and two origins can track the same road user
+// independently. A CAM from station 0 and an unlabelled sensed object
+// are two objects.
 type objectKey struct {
-	station units.StationID
 	label   string
-	// remote discriminates CPM-fused entries: they are keyed by
-	// (originating station, wire object ID) so the same origin can
-	// share many objects and two origins can track the same road user
-	// independently without colliding with CAM entries.
-	remote bool
-	objID  uint16
+	station units.StationID
+	objID   uint16
+	source  ObjectSource
 }
 
 // New creates an empty LDM.
@@ -126,7 +128,7 @@ func (m *Map) IngestCAM(c *messages.CAM) {
 		Lat: c.Basic.Position.Latitude.Degrees(),
 		Lon: c.Basic.Position.Longitude.Degrees(),
 	})
-	k := objectKey{station: c.Header.StationID}
+	k := objectKey{source: SourceCAM, station: c.Header.StationID}
 	o, ok := m.objects[k]
 	if !ok {
 		o = m.objSlots.get()
@@ -146,7 +148,7 @@ func (m *Map) IngestCAM(c *messages.CAM) {
 // detection). Objects are keyed by classification label, matching the
 // testbed's single-region-of-interest tracking.
 func (m *Map) IngestSensedObject(label string, st units.StationType, pos geo.Point, speedMS, headingRad float64) {
-	k := objectKey{label: label}
+	k := objectKey{source: SourceLocalSensor, label: label}
 	o, ok := m.objects[k]
 	if !ok {
 		o = m.objSlots.get()
@@ -175,7 +177,7 @@ func (m *Map) IngestCPMObject(origin units.StationID, objectID uint16, st units.
 		// immortal; clamp to local now.
 		measured = now
 	}
-	k := objectKey{station: origin, remote: true, objID: objectID}
+	k := objectKey{source: SourceCPM, station: origin, objID: objectID}
 	o, ok := m.objects[k]
 	if !ok {
 		o = m.objSlots.get()
@@ -235,18 +237,9 @@ func (m *Map) IngestDENM(d *messages.DENM) {
 		int64(uint32(d.Management.ActionID.OriginatingStationID)), int64(d.Management.ActionID.SequenceNumber))
 }
 
-// Object returns the tracked object for a station ID.
-func (m *Map) Object(id units.StationID) (Object, bool) {
-	o, ok := m.objects[objectKey{station: id}]
-	if !ok || m.stale(o) {
-		return Object{}, false
-	}
-	return *o, true
-}
-
 // SensedObject returns the tracked camera object with the given label.
 func (m *Map) SensedObject(label string) (Object, bool) {
-	o, ok := m.objects[objectKey{label: label}]
+	o, ok := m.objects[objectKey{source: SourceLocalSensor, label: label}]
 	if !ok || m.stale(o) {
 		return Object{}, false
 	}
@@ -338,36 +331,6 @@ func (s *byCachedDistance) Less(i, j int) bool {
 func (s *byCachedDistance) Swap(i, j int) {
 	s.objs[i], s.objs[j] = s.objs[j], s.objs[i]
 	s.dist[i], s.dist[j] = s.dist[j], s.dist[i]
-}
-
-// ActiveEvents returns non-terminated, unexpired events. The slice is
-// freshly allocated, ordered by action ID for determinism.
-func (m *Map) ActiveEvents() []Event {
-	now := m.cfg.Now()
-	var out []Event
-	for _, ev := range m.events {
-		if ev.Terminated || now >= ev.Expires {
-			continue
-		}
-		out = append(out, *ev)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].ActionID, out[j].ActionID
-		if a.OriginatingStationID != b.OriginatingStationID {
-			return a.OriginatingStationID < b.OriginatingStationID
-		}
-		return a.SequenceNumber < b.SequenceNumber
-	})
-	return out
-}
-
-// Event returns the event with the given action ID if still stored.
-func (m *Map) Event(id messages.ActionID) (Event, bool) {
-	ev, ok := m.events[id]
-	if !ok {
-		return Event{}, false
-	}
-	return *ev, true
 }
 
 // GC removes stale objects and expired events. Call periodically.

@@ -169,13 +169,13 @@ func TestObjectsWithinTieBreakDeterministic(t *testing.T) {
 func TestDENMRepetitionRefreshesContentWithoutExtendingExpiry(t *testing.T) {
 	m, now := newTestMap(t)
 	m.IngestDENM(testDENM(1001, 1, 60))
-	orig, _ := m.Event(messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
+	orig, _ := event(m, messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
 	*now = 30 * time.Second
 	rep := testDENM(1001, 1, 60)
 	rep.Management.EventPosition.Latitude += 1000 // ~11 m north
 	rep.Situation.EventType.SubCauseCode = 2
 	m.IngestDENM(rep)
-	ev, ok := m.Event(messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
+	ev, ok := event(m, messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
 	if !ok {
 		t.Fatal("event lost")
 	}

@@ -1,6 +1,7 @@
 package ldm
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -8,6 +9,44 @@ import (
 	"itsbed/internal/its/messages"
 	"itsbed/internal/units"
 )
+
+// object returns m's fresh CAM object of station id.
+func object(m *Map, id units.StationID) (Object, bool) {
+	o, ok := m.objects[objectKey{source: SourceCAM, station: id}]
+	if !ok || m.stale(o) {
+		return Object{}, false
+	}
+	return *o, true
+}
+
+// event returns m's stored event id.
+func event(m *Map, id messages.ActionID) (Event, bool) {
+	ev, ok := m.events[id]
+	if !ok {
+		return Event{}, false
+	}
+	return *ev, true
+}
+
+// activeEvents returns m's non-terminated, unexpired events ordered by
+// action ID.
+func activeEvents(m *Map) []Event {
+	now := m.cfg.Now()
+	var out []Event
+	for _, ev := range m.events {
+		if !ev.Terminated && now < ev.Expires {
+			out = append(out, *ev)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].ActionID, out[j].ActionID
+		if a.OriginatingStationID != b.OriginatingStationID {
+			return a.OriginatingStationID < b.OriginatingStationID
+		}
+		return a.SequenceNumber < b.SequenceNumber
+	})
+	return out
+}
 
 func newTestMap(t *testing.T) (*Map, *time.Duration) {
 	t.Helper()
@@ -53,10 +92,27 @@ func testDENM(station units.StationID, seq uint16, validity uint32) *messages.DE
 	return d
 }
 
+// TestCAMAndSensedObjectsDoNotCollide: a CAM from station 0 and an
+// unlabelled camera object are two objects, each keeping its source.
+func TestCAMAndSensedObjectsDoNotCollide(t *testing.T) {
+	m, _ := newTestMap(t)
+	m.IngestSensedObject("", units.StationTypeUnknown, geo.Point{X: 1}, 0, 0)
+	m.IngestCAM(testCAM(0, geo.CISTERLab, 1.5))
+	if objects, _ := m.Counts(); objects != 2 {
+		t.Fatalf("LDM holds %d objects, want 2", objects)
+	}
+	if o, ok := m.SensedObject(""); !ok || o.Source != SourceLocalSensor || o.Position != (geo.Point{X: 1}) {
+		t.Fatalf("sensed object %+v (%v) overwritten by the CAM", o, ok)
+	}
+	if o, ok := object(m, 0); !ok || o.Source != SourceCAM || o.SpeedMS != 1.5 {
+		t.Fatalf("CAM object %+v (%v)", o, ok)
+	}
+}
+
 func TestIngestCAMCreatesObject(t *testing.T) {
 	m, _ := newTestMap(t)
 	m.IngestCAM(testCAM(2001, geo.CISTERLab, 1.5))
-	o, ok := m.Object(2001)
+	o, ok := object(m, 2001)
 	if !ok {
 		t.Fatal("object missing")
 	}
@@ -72,7 +128,7 @@ func TestCAMUpdatesExistingObject(t *testing.T) {
 	m, _ := newTestMap(t)
 	m.IngestCAM(testCAM(2001, geo.CISTERLab, 1.0))
 	m.IngestCAM(testCAM(2001, geo.CISTERLab, 2.0))
-	o, _ := m.Object(2001)
+	o, _ := object(m, 2001)
 	if o.SpeedMS != 2.0 {
 		t.Fatal("object not updated")
 	}
@@ -85,7 +141,7 @@ func TestObjectExpiry(t *testing.T) {
 	m, now := newTestMap(t)
 	m.IngestCAM(testCAM(2001, geo.CISTERLab, 1.0))
 	*now = 2 * time.Second
-	if _, ok := m.Object(2001); ok {
+	if _, ok := object(m, 2001); ok {
 		t.Fatal("stale object returned")
 	}
 	m.GC()
@@ -128,7 +184,7 @@ func TestObjectsWithinSortsByDistance(t *testing.T) {
 func TestIngestDENMEventLifecycle(t *testing.T) {
 	m, now := newTestMap(t)
 	m.IngestDENM(testDENM(1001, 1, 60))
-	evs := m.ActiveEvents()
+	evs := activeEvents(m)
 	if len(evs) != 1 {
 		t.Fatalf("active events %d", len(evs))
 	}
@@ -137,7 +193,7 @@ func TestIngestDENMEventLifecycle(t *testing.T) {
 	}
 	// Expiry.
 	*now = 61 * time.Second
-	if len(m.ActiveEvents()) != 0 {
+	if len(activeEvents(m)) != 0 {
 		t.Fatal("expired event still active")
 	}
 	m.GC()
@@ -153,21 +209,23 @@ func TestDENMTerminationDeactivates(t *testing.T) {
 	term := messages.TerminationIsCancellation
 	cancel.Management.Termination = &term
 	m.IngestDENM(cancel)
-	if len(m.ActiveEvents()) != 0 {
+	if len(activeEvents(m)) != 0 {
 		t.Fatal("terminated event still active")
 	}
-	ev, ok := m.Event(messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
+	ev, ok := event(m, messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
 	if !ok || !ev.Terminated {
 		t.Fatal("termination not recorded")
 	}
 }
 
+// TestActiveEventsDeterministicOrder pins activeEvents' order, which
+// the comparisons against the reference map rely on.
 func TestActiveEventsDeterministicOrder(t *testing.T) {
 	m, _ := newTestMap(t)
 	m.IngestDENM(testDENM(1002, 5, 600))
 	m.IngestDENM(testDENM(1001, 9, 600))
 	m.IngestDENM(testDENM(1001, 2, 600))
-	evs := m.ActiveEvents()
+	evs := activeEvents(m)
 	if len(evs) != 3 {
 		t.Fatalf("events %d", len(evs))
 	}
@@ -185,7 +243,7 @@ func TestDENMWithoutSituationKeepsPreviousType(t *testing.T) {
 	bare := testDENM(1001, 1, 600)
 	bare.Situation = nil
 	m.IngestDENM(bare)
-	ev, _ := m.Event(messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
+	ev, _ := event(m, messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
 	if ev.EventType.CauseCode != messages.CauseCollisionRisk {
 		t.Fatal("event type lost on situationless update")
 	}
@@ -203,11 +261,11 @@ func TestDENMRepetitionDoesNotExtendExpiry(t *testing.T) {
 		m.IngestDENM(testDENM(1001, 1, 60)) // identical repetition
 	}
 	*now = 59 * time.Second
-	if len(m.ActiveEvents()) != 1 {
+	if len(activeEvents(m)) != 1 {
 		t.Fatal("event should still be active just before the original expiry")
 	}
 	*now = 61 * time.Second
-	if len(m.ActiveEvents()) != 0 {
+	if len(activeEvents(m)) != 0 {
 		t.Fatal("repetitions extended the event's lifetime past detection+validity")
 	}
 }
@@ -222,11 +280,11 @@ func TestDENMUpdateReanchorsExpiry(t *testing.T) {
 	upd.Management.ReferenceTime = 2
 	m.IngestDENM(upd)
 	*now = 100 * time.Second // < 50 + 60
-	if len(m.ActiveEvents()) != 1 {
+	if len(activeEvents(m)) != 1 {
 		t.Fatal("updated event expired too early")
 	}
 	*now = 111 * time.Second
-	if len(m.ActiveEvents()) != 0 {
+	if len(activeEvents(m)) != 0 {
 		t.Fatal("updated event outlived its re-anchored validity")
 	}
 }
@@ -242,7 +300,7 @@ func TestDENMStaleReferenceTimeIgnored(t *testing.T) {
 	stale.Management.ReferenceTime = 2
 	stale.Situation.EventType.CauseCode = messages.CauseDangerousSituation
 	m.IngestDENM(stale)
-	ev, ok := m.Event(messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
+	ev, ok := event(m, messages.ActionID{OriginatingStationID: 1001, SequenceNumber: 1})
 	if !ok {
 		t.Fatal("event lost")
 	}
@@ -250,7 +308,7 @@ func TestDENMStaleReferenceTimeIgnored(t *testing.T) {
 		t.Fatal("stale copy overwrote the event type")
 	}
 	*now = 61 * time.Second
-	if len(m.ActiveEvents()) != 0 {
+	if len(activeEvents(m)) != 0 {
 		t.Fatal("stale copy's longer validity extended the event")
 	}
 }

@@ -36,7 +36,7 @@ func (m *refMap) IngestCAM(c *messages.CAM) {
 		Lat: c.Basic.Position.Latitude.Degrees(),
 		Lon: c.Basic.Position.Longitude.Degrees(),
 	})
-	k := objectKey{station: c.Header.StationID}
+	k := objectKey{source: SourceCAM, station: c.Header.StationID}
 	o, ok := m.objects[k]
 	if !ok {
 		o = &Object{}
@@ -52,7 +52,7 @@ func (m *refMap) IngestCAM(c *messages.CAM) {
 }
 
 func (m *refMap) IngestSensedObject(label string, st units.StationType, pos geo.Point, speedMS, headingRad float64) {
-	k := objectKey{label: label}
+	k := objectKey{source: SourceLocalSensor, label: label}
 	o, ok := m.objects[k]
 	if !ok {
 		o = &Object{ObjectID: m.nextObjID}
@@ -72,7 +72,7 @@ func (m *refMap) IngestCPMObject(origin units.StationID, objectID uint16, st uni
 	if now := m.cfg.Now(); measured > now {
 		measured = now
 	}
-	k := objectKey{station: origin, remote: true, objID: objectID}
+	k := objectKey{source: SourceCPM, station: origin, objID: objectID}
 	o, ok := m.objects[k]
 	if !ok {
 		o = &Object{ObjectID: objectID, Origin: origin}
@@ -119,7 +119,7 @@ func (m *refMap) IngestDENM(d *messages.DENM) {
 }
 
 func (m *refMap) Object(id units.StationID) (Object, bool) {
-	o, ok := m.objects[objectKey{station: id}]
+	o, ok := m.objects[objectKey{source: SourceCAM, station: id}]
 	if !ok || m.stale(o) {
 		return Object{}, false
 	}
@@ -127,7 +127,7 @@ func (m *refMap) Object(id units.StationID) (Object, bool) {
 }
 
 func (m *refMap) SensedObject(label string) (Object, bool) {
-	o, ok := m.objects[objectKey{label: label}]
+	o, ok := m.objects[objectKey{source: SourceLocalSensor, label: label}]
 	if !ok || m.stale(o) {
 		return Object{}, false
 	}

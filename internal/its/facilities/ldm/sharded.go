@@ -39,9 +39,6 @@ func NewSharded(n int, cfg Config) *Sharded {
 	return s
 }
 
-// Shards reports the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
 // shardFor maps an originating station to its shard.
 func (s *Sharded) shardFor(station uint32) *shard {
 	return &s.shards[station%uint32(len(s.shards))]
@@ -96,16 +93,6 @@ func (s *Sharded) GC() {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.m.GC()
-		sh.mu.Unlock()
-	}
-}
-
-// Clear empties every shard.
-func (s *Sharded) Clear() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.m.Clear()
 		sh.mu.Unlock()
 	}
 }

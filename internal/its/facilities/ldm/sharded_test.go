@@ -99,16 +99,11 @@ func TestShardedConcurrentIngest(t *testing.T) {
 	if sum != objs {
 		t.Fatalf("shard sum %d != total %d", sum, objs)
 	}
-
-	s.Clear()
-	if objs, events := s.Counts(); objs != 0 || events != 0 {
-		t.Fatalf("after Clear: %d/%d, want 0/0", objs, events)
-	}
 }
 
 func TestShardedDefaultShardCount(t *testing.T) {
 	s := newTestSharded(t, 0)
-	if s.Shards() != DefaultShards {
-		t.Fatalf("shards %d, want %d", s.Shards(), DefaultShards)
+	if len(s.shards) != DefaultShards {
+		t.Fatalf("shards %d, want %d", len(s.shards), DefaultShards)
 	}
 }

@@ -39,7 +39,7 @@ func TestLDMReusesExpiredObjectsClean(t *testing.T) {
 			t.Errorf("object %+v took a fresh value, not a slot GC freed", k)
 		}
 	}
-	cam, ok := m.Object(2001)
+	cam, ok := object(m, 2001)
 	if !ok {
 		t.Fatal("CAM object missing")
 	}
@@ -64,7 +64,7 @@ func TestLDMReusesExpiredObjectsClean(t *testing.T) {
 	if o, ok := m.SensedObject("person"); !ok || o.ObjectID != 0 || o.Origin != 0 || o.StationID != 0 {
 		t.Errorf("sensed object after Clear: %+v, %v", o, ok)
 	}
-	if evs := m.ActiveEvents(); len(evs) != 1 || evs[0].ActionID.SequenceNumber != 2 {
+	if evs := activeEvents(m); len(evs) != 1 || evs[0].ActionID.SequenceNumber != 2 {
 		t.Errorf("events after Clear: %+v", evs)
 	}
 }
@@ -161,7 +161,7 @@ func compareLDM(t *testing.T, step int, m *Map, ref *refMap, labels []string) {
 		fail("Counts", [2]int{objs, evs}, [2]int{refObjs, refEvs})
 	}
 	for id := units.StationID(0); id < 6; id++ {
-		o, ok := m.Object(id)
+		o, ok := object(m, id)
 		want, wantOK := ref.Object(id)
 		if o != want || ok != wantOK {
 			fail("Object", o, want)
@@ -182,13 +182,13 @@ func compareLDM(t *testing.T, step int, m *Map, ref *refMap, labels []string) {
 			fail("ObjectsWithin", got, want)
 		}
 	}
-	if got, want := m.ActiveEvents(), ref.ActiveEvents(); !slices.Equal(got, want) {
+	if got, want := activeEvents(m), ref.ActiveEvents(); !slices.Equal(got, want) {
 		fail("ActiveEvents", got, want)
 	}
 	for st := units.StationID(1); st <= 3; st++ {
 		for seq := uint16(0); seq < 3; seq++ {
 			id := messages.ActionID{OriginatingStationID: st, SequenceNumber: seq}
-			ev, ok := m.Event(id)
+			ev, ok := event(m, id)
 			want, wantOK := ref.Event(id)
 			if ev != want || ok != wantOK {
 				fail("Event", ev, want)

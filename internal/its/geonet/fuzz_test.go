@@ -12,11 +12,11 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 	f := func(data []byte) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Errorf("Unmarshal panicked on %x: %v", data, r)
+				t.Errorf("Parse panicked on %x: %v", data, r)
 				ok = false
 			}
 		}()
-		_, _ = Unmarshal(data)
+		_ = Parse(data, new(Packet))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(7))}); err != nil {
@@ -30,13 +30,14 @@ func TestRouterOnFrameNeverPanics(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		frame := make([]byte, rng.Intn(80))
 		rng.Read(frame)
-		r.OnFrame(frame) // must not panic
+		onFrame(r, frame) // must not panic
 	}
 }
 
-// FuzzUnmarshal drives the GN packet decoder with arbitrary frames:
-// it must reject malformed input with an error, never panic. Run
-// continuously in CI (fuzz-smoke job) and at will with
+// FuzzUnmarshal drives the GN receive path with arbitrary frames:
+// Parse must reject malformed input with an error, never panic, and
+// the router must take whatever Parse accepts. Run continuously in CI
+// (fuzz-smoke job) and at will with
 //
 //	go test -run='^$' -fuzz=FuzzUnmarshal ./internal/its/geonet
 func FuzzUnmarshal(f *testing.F) {
@@ -63,9 +64,10 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Unmarshal must not panic; errors are the expected outcome for
-		// arbitrary bytes (these frames arrive from the air).
-		_, _ = Unmarshal(data)
+		// Errors are the expected outcome for arbitrary bytes (these
+		// frames arrive from the air); a panic is a failure.
+		r, _ := testRouter(t, 9, geo.Point{}, nil)
+		onFrame(r, data)
 	})
 }
 
@@ -94,7 +96,7 @@ func TestUnmarshalMutatedPacket(t *testing.T) {
 					t.Fatalf("panic on mutation %x: %v", mutated, r)
 				}
 			}()
-			_, _ = Unmarshal(mutated)
+			_ = Parse(mutated, new(Packet))
 		}()
 	}
 }

@@ -113,19 +113,19 @@ func TestSHBPacketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(wire)
-	if err != nil {
+	var got Packet
+	if err := Parse(wire, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p, got) {
+	if !reflect.DeepEqual(p, &got) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, p)
 	}
 }
 
-// TestParseAliasesUnmarshalCopies pins the two payload contracts:
-// Parse's payload is a window on the wire bytes, which every receiver
-// of one radio frame shares, and Unmarshal's is a copy the caller owns.
-func TestParseAliasesUnmarshalCopies(t *testing.T) {
+// TestParseAliasesWireBytes pins Parse's payload contract: the payload
+// is a window on the wire bytes, which every receiver of one radio
+// frame shares, and it cannot grow into the bytes after it.
+func TestParseAliasesWireBytes(t *testing.T) {
 	p := &Packet{
 		Version: CurrentVersion, Lifetime: DefaultLifetime, RemainingHopLimit: 1,
 		Next: NextBTPB, Type: HeaderTypeTSB, Subtype: SubtypeSHB, MaxHopLimit: 1,
@@ -140,12 +140,8 @@ func TestParseAliasesUnmarshalCopies(t *testing.T) {
 	if err := Parse(wire, &parsed); err != nil {
 		t.Fatal(err)
 	}
-	owned, err := Unmarshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&parsed, owned) {
-		t.Fatalf("Parse and Unmarshal disagree:\n parse     %+v\n unmarshal %+v", parsed, *owned)
+	if string(parsed.Payload) != "cam-payload" {
+		t.Fatalf("payload %q, want %q", parsed.Payload, "cam-payload")
 	}
 	if cap(parsed.Payload) != len(parsed.Payload) {
 		t.Fatal("Parse's payload can grow into the bytes after it")
@@ -153,9 +149,6 @@ func TestParseAliasesUnmarshalCopies(t *testing.T) {
 	wire[len(wire)-2] ^= 0xff // the payload's last byte
 	if string(parsed.Payload) == "cam-payload" {
 		t.Fatal("Parse copied the payload")
-	}
-	if string(owned.Payload) != "cam-payload" {
-		t.Fatal("Unmarshal's payload aliases the wire bytes")
 	}
 }
 
@@ -186,13 +179,13 @@ func TestGBCPacketRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Unmarshal(wire)
-		if err != nil {
+		var got Packet
+		if err := Parse(wire, &got); err != nil {
 			t.Fatal(err)
 		}
 		// Marshal sets the subtype from the shape.
 		p.Subtype = uint8(shape)
-		if !reflect.DeepEqual(p, got) {
+		if !reflect.DeepEqual(p, &got) {
 			t.Fatalf("shape %v round trip mismatch:\n got %+v\nwant %+v", shape, got, p)
 		}
 	}
@@ -205,7 +198,7 @@ func TestUnmarshalMalformed(t *testing.T) {
 		bytes.Repeat([]byte{0xff}, 12), // bogus headers
 	}
 	for _, c := range cases {
-		if _, err := Unmarshal(c); err == nil {
+		if err := Parse(c, new(Packet)); err == nil {
 			t.Fatalf("malformed packet %v parsed", c)
 		}
 	}
@@ -221,7 +214,7 @@ func TestUnmarshalTruncatedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(wire[:len(wire)-4]); err == nil {
+	if err := Parse(wire[:len(wire)-4], new(Packet)); err == nil {
 		t.Fatal("truncated payload parsed")
 	}
 }
@@ -318,17 +311,12 @@ func TestLocationTable(t *testing.T) {
 	addr := NewAddress(units.StationTypePassengerCar, 2001)
 	lpv := LongPositionVector{Address: addr, Timestamp: 1}
 	lt.Update(lpv, 0)
-	if _, ok := lt.Lookup(addr, 500*time.Millisecond); !ok {
+	lt.GC(500 * time.Millisecond)
+	if e, ok := lt.entries[addr]; !ok || e.Position != lpv {
 		t.Fatal("fresh entry missing")
 	}
-	if _, ok := lt.Lookup(addr, 2*time.Second); ok {
-		t.Fatal("stale entry returned")
-	}
-	if n := len(lt.Neighbours(500 * time.Millisecond)); n != 1 {
-		t.Fatalf("neighbours=%d", n)
-	}
 	lt.GC(5 * time.Second)
-	if lt.Len() != 0 {
+	if len(lt.entries) != 0 {
 		t.Fatal("GC left stale entries")
 	}
 }
@@ -344,7 +332,7 @@ func TestLocationTableReusesExpiredEntriesClean(t *testing.T) {
 	}
 	freed := lt.entries[old]
 	lt.GC(2 * time.Second)
-	if lt.Len() != 0 {
+	if len(lt.entries) != 0 {
 		t.Fatal("GC left the expired entry")
 	}
 	addr := NewAddress(units.StationTypeCyclist, 2002)
@@ -353,9 +341,8 @@ func TestLocationTableReusesExpiredEntriesClean(t *testing.T) {
 	if lt.entries[addr] != freed {
 		t.Fatal("the new neighbour did not take the slot GC freed")
 	}
-	e, ok := lt.Lookup(addr, 2*time.Second)
-	if want := (LocationTableEntry{Position: lpv, LastSeen: 2 * time.Second, PacketCount: 1}); !ok || e != want {
-		t.Fatalf("reused entry = %+v, %v; want %+v", e, ok, want)
+	if want := (LocationTableEntry{Position: lpv, LastSeen: 2 * time.Second, PacketCount: 1}); *freed != want {
+		t.Fatalf("reused entry = %+v; want %+v", *freed, want)
 	}
 }
 
@@ -396,7 +383,7 @@ func testRouter(t *testing.T, station units.StationID, pos geo.Point, handler Ha
 	r, err := NewRouter(RouterConfig{
 		Frame: frame,
 		Now:   func() time.Duration { return now },
-	}, link, StaticEgo(
+	}, link, staticEgoAt(
 		NewAddress(units.StationTypeRoadSideUnit, station),
 		units.LatitudeFromDegrees(frame.ToGeodetic(pos).Lat),
 		units.LongitudeFromDegrees(frame.ToGeodetic(pos).Lon),
@@ -405,6 +392,25 @@ func testRouter(t *testing.T, station units.StationID, pos geo.Point, handler Ha
 		t.Fatal(err)
 	}
 	return r, link
+}
+
+// staticEgo is the EgoPositionProvider of a station that does not
+// move.
+type staticEgo struct{ lpv LongPositionVector }
+
+func (s staticEgo) EgoPosition() LongPositionVector { return s.lpv }
+
+func staticEgoAt(addr Address, lat units.Latitude, lon units.Longitude) EgoPositionProvider {
+	return staticEgo{LongPositionVector{Address: addr, Latitude: lat, Longitude: lon, PositionAccurate: true}}
+}
+
+// onFrame hands frame to r as a station's link layer does: parsed, then
+// OnPacket; a malformed frame is dropped.
+func onFrame(r *Router, frame []byte) {
+	var p Packet
+	if Parse(frame, &p) == nil {
+		r.OnPacket(&p)
+	}
 }
 
 func TestRouterSHBDelivery(t *testing.T) {
@@ -419,7 +425,7 @@ func TestRouterSHBDelivery(t *testing.T) {
 	if len(senderLink.frames) != 1 {
 		t.Fatalf("frames sent: %d", len(senderLink.frames))
 	}
-	receiver.OnFrame(senderLink.frames[0])
+	onFrame(receiver, senderLink.frames[0])
 	if len(delivered) != 1 {
 		t.Fatalf("delivered %d", len(delivered))
 	}
@@ -429,7 +435,7 @@ func TestRouterSHBDelivery(t *testing.T) {
 	if delivered[0].Type != HeaderTypeTSB {
 		t.Fatal("wrong type")
 	}
-	if receiver.Table().Len() != 1 {
+	if len(receiver.table.entries) != 1 {
 		t.Fatal("location table not updated")
 	}
 }
@@ -446,8 +452,8 @@ func TestRouterGBCAreaFiltering(t *testing.T) {
 	if err := sender.SendGBC(NextBTPB, 0, area, time.Minute, []byte("warn")); err != nil {
 		t.Fatal(err)
 	}
-	inside.OnFrame(link.frames[0])
-	outside.OnFrame(link.frames[0])
+	onFrame(inside, link.frames[0])
+	onFrame(outside, link.frames[0])
 	if inCount != 1 {
 		t.Fatalf("inside received %d", inCount)
 	}
@@ -469,8 +475,8 @@ func TestRouterGBCDuplicateSuppression(t *testing.T) {
 	if err := sender.SendGBC(NextBTPB, 0, area, time.Minute, []byte("warn")); err != nil {
 		t.Fatal(err)
 	}
-	receiver.OnFrame(link.frames[0])
-	receiver.OnFrame(link.frames[0]) // forwarded copy arrives again
+	onFrame(receiver, link.frames[0])
+	onFrame(receiver, link.frames[0]) // forwarded copy arrives again
 	if n != 1 {
 		t.Fatalf("delivered %d, want 1", n)
 	}
@@ -488,13 +494,13 @@ func TestRouterGBCForwarding(t *testing.T) {
 	if err := sender.SendGBC(NextBTPB, 0, area, time.Minute, []byte("warn")); err != nil {
 		t.Fatal(err)
 	}
-	fwd.OnFrame(senderLink.frames[0])
+	onFrame(fwd, senderLink.frames[0])
 	if fwd.Forwarded != 1 || len(fwdLink.frames) != 1 {
 		t.Fatalf("forwarded=%d frames=%d", fwd.Forwarded, len(fwdLink.frames))
 	}
 	// The rebroadcast copy has a decremented hop limit.
-	p, err := Unmarshal(fwdLink.frames[0])
-	if err != nil {
+	var p Packet
+	if err := Parse(fwdLink.frames[0], &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.RemainingHopLimit != DefaultHopLimit-1 {
@@ -511,7 +517,7 @@ func TestRouterForwardingDisabled(t *testing.T) {
 		Frame:             frame,
 		Now:               func() time.Duration { return now },
 		DisableForwarding: true,
-	}, link, StaticEgo(NewAddress(units.StationTypePassengerCar, 5),
+	}, link, staticEgoAt(NewAddress(units.StationTypePassengerCar, 5),
 		units.LatitudeFromDegrees(centreG.Lat), units.LongitudeFromDegrees(centreG.Lon)), func(Indication) {})
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +528,7 @@ func TestRouterForwardingDisabled(t *testing.T) {
 	if err := sender.SendGBC(NextBTPB, 0, area, time.Minute, []byte("warn")); err != nil {
 		t.Fatal(err)
 	}
-	r.OnFrame(senderLink.frames[0])
+	onFrame(r, senderLink.frames[0])
 	if len(link.frames) != 0 {
 		t.Fatal("forwarding-disabled router rebroadcast")
 	}
@@ -531,7 +537,7 @@ func TestRouterForwardingDisabled(t *testing.T) {
 func TestRouterConfigValidation(t *testing.T) {
 	frame := testFrame(t)
 	link := &fakeLink{}
-	ego := StaticEgo(NewAddress(units.StationTypePassengerCar, 1), 0, 0)
+	ego := staticEgoAt(NewAddress(units.StationTypePassengerCar, 1), 0, 0)
 	if _, err := NewRouter(RouterConfig{Now: func() time.Duration { return 0 }}, link, ego, nil); err == nil {
 		t.Fatal("router without frame accepted")
 	}
@@ -563,13 +569,13 @@ func TestBeaconRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(wire)
-	if err != nil {
+	var got Packet
+	if err := Parse(wire, &got); err != nil {
 		t.Fatal(err)
 	}
-	// Unmarshal materialises an empty payload slice.
+	// Parse materialises an empty payload slice.
 	p.Payload = []byte{}
-	if !reflect.DeepEqual(p, got) {
+	if !reflect.DeepEqual(p, &got) {
 		t.Fatalf("beacon round trip:\n got %+v\nwant %+v", got, p)
 	}
 }
@@ -590,14 +596,14 @@ func TestBeaconFeedsLocationTableOnly(t *testing.T) {
 	if err := sender.SendBeacon(); err != nil {
 		t.Fatal(err)
 	}
-	receiver.OnFrame(link.frames[0])
+	onFrame(receiver, link.frames[0])
 	if delivered != 0 {
 		t.Fatal("beacon delivered to the upper layer")
 	}
 	if receiver.BeaconsReceived != 1 {
 		t.Fatal("beacon not counted")
 	}
-	if receiver.Table().Len() != 1 {
+	if len(receiver.table.entries) != 1 {
 		t.Fatal("beacon did not feed the location table")
 	}
 }

@@ -170,19 +170,6 @@ func (p *Packet) Marshal() ([]byte, error) {
 	return out, nil
 }
 
-// Unmarshal parses wire bytes into a packet. The payload is copied so
-// the caller may reuse the buffer.
-func Unmarshal(data []byte) (*Packet, error) {
-	p := new(Packet)
-	if err := Parse(data, p); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, len(p.Payload))
-	copy(payload, p.Payload)
-	p.Payload = payload
-	return p, nil
-}
-
 // Parse parses wire bytes into *p without copying: p.Payload aliases
 // data, so p stays valid only while data is not written. A radio frame
 // is immutable once on the air, so its receivers can share one parse.

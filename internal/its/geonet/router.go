@@ -8,7 +8,6 @@ import (
 	"itsbed/internal/metrics"
 	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
-	"itsbed/internal/units"
 )
 
 // LinkLayer abstracts the access layer below GeoNetworking: the
@@ -127,10 +126,6 @@ func NewRouter(cfg RouterConfig, link LinkLayer, ego EgoPositionProvider, handle
 	return r, nil
 }
 
-// Table exposes the location table (read-mostly; used by the LDM and
-// by tests).
-func (r *Router) Table() *LocationTable { return r.table }
-
 // SendBeacon broadcasts a position beacon (EN 302 636-4-1 §10.2):
 // stations that have sent nothing for a beacon interval announce
 // their position so neighbours' location tables stay fresh.
@@ -227,16 +222,6 @@ func (r *Router) SendGBC(next NextHeader, tc TrafficClass, area Area, lifetime t
 	return sendErr
 }
 
-// OnFrame processes a frame arriving from the link layer: Unmarshal
-// plus OnPacket.
-func (r *Router) OnFrame(frame []byte) {
-	p, err := Unmarshal(frame)
-	if err != nil {
-		return // malformed frames are counted nowhere, as a real MAC would drop them
-	}
-	r.OnPacket(p)
-}
-
 // OnPacket processes one parsed packet arriving from the link layer.
 // The router only reads p: every receiver of one radio frame may be
 // handed the same parse (see Parse). The indication's payload aliases
@@ -328,18 +313,3 @@ func (r *Router) deliver(p *Packet) {
 		Hops:    hops,
 	})
 }
-
-// StaticEgo returns an EgoPositionProvider for a fixed road-side
-// station.
-func StaticEgo(addr Address, lat units.Latitude, lon units.Longitude) EgoPositionProvider {
-	return staticEgo{LongPositionVector{
-		Address:          addr,
-		Latitude:         lat,
-		Longitude:        lon,
-		PositionAccurate: true,
-	}}
-}
-
-type staticEgo struct{ lpv LongPositionVector }
-
-func (s staticEgo) EgoPosition() LongPositionVector { return s.lpv }

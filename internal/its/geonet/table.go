@@ -61,27 +61,6 @@ func (t *LocationTable) Update(src LongPositionVector, now time.Duration) {
 	e.PacketCount++
 }
 
-// Lookup returns the entry for addr if fresh at time now.
-func (t *LocationTable) Lookup(addr Address, now time.Duration) (LocationTableEntry, bool) {
-	e, ok := t.entries[addr]
-	if !ok || now-e.LastSeen > t.lifetime {
-		return LocationTableEntry{}, false
-	}
-	return *e, true
-}
-
-// Neighbours returns all fresh entries at time now. The slice is a
-// copy and safe to retain.
-func (t *LocationTable) Neighbours(now time.Duration) []LocationTableEntry {
-	var out []LocationTableEntry
-	for _, e := range t.entries {
-		if now-e.LastSeen <= t.lifetime {
-			out = append(out, *e)
-		}
-	}
-	return out
-}
-
 // IsDuplicate records the (source, sequence) pair of a GBC packet and
 // reports whether it was already seen within the packet lifetime.
 func (t *LocationTable) IsDuplicate(src Address, seq uint16, lifetime, now time.Duration) bool {
@@ -107,9 +86,6 @@ func (t *LocationTable) GC(now time.Duration) {
 		}
 	}
 }
-
-// Len reports the number of entries (fresh or not yet collected).
-func (t *LocationTable) Len() int { return len(t.entries) }
 
 // slab hands out zeroed *T from chunks that start at minSlabChunk
 // values and double up to maxSlabChunk, and reuses the values put back

@@ -276,13 +276,8 @@ func RunSoak(ctx context.Context, opts SoakOptions) (SoakReport, error) {
 	return report, err
 }
 
-// counterValue sums every sample of one counter family.
+// counterValue reads one unlabelled counter.
 func counterValue(snap metrics.Snapshot, name string) uint64 {
-	var total uint64
-	for _, c := range snap.Counters {
-		if c.Name == name {
-			total += c.Value
-		}
-	}
-	return total
+	c, _ := snap.FindCounter(name)
+	return c.Value
 }

@@ -62,15 +62,8 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-value-wins instrument (float64).
+// Gauge is a float64 level: Add moves it, SetMax raises it.
 type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
 
 // Add shifts the gauge by delta (negative deltas decrement) with a
 // compare-and-swap loop, so concurrent adders never lose updates — the

@@ -42,7 +42,7 @@ func TestLabelOrderCanonicalised(t *testing.T) {
 		t.Fatal("label order created distinct families")
 	}
 	a.Add(2)
-	r.Gauge("y", L("b", "2"), L("a", "1")).Set(3)
+	r.Gauge("y", L("b", "2"), L("a", "1")).Add(3)
 	r.Histogram("z", L("a", "1"), L("b", "2")).Observe(0.5)
 
 	// Find matches a family whatever order either side lists its labels.
@@ -89,7 +89,7 @@ func TestLookupOfExistingFamilyAllocatesNothing(t *testing.T) {
 	// buffer could not hide in the runtime's stack temporary.
 	r := NewRegistry()
 	r.Counter("frames_total", L("kind", "cam"), L("station", "rsu")).Inc()
-	r.Gauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")).Set(1)
+	r.Gauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")).Add(1)
 	r.Histogram("access_delay_seconds", L("kind", "cam"), L("station", "rsu")).Observe(0.001)
 	snap := r.Snapshot()
 	into := NewRegistry()
@@ -101,8 +101,8 @@ func TestLookupOfExistingFamilyAllocatesNothing(t *testing.T) {
 	}{
 		{"Counter sorted", func() { r.Counter("frames_total", L("kind", "cam"), L("station", "rsu")).Inc() }},
 		{"Counter reversed", func() { r.Counter("frames_total", L("station", "rsu"), L("kind", "cam")).Inc() }},
-		{"Gauge sorted", func() { r.Gauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")).Set(2) }},
-		{"Gauge reversed", func() { r.Gauge("queue_depth_frames", L("station", "rsu"), L("kind", "cam")).Set(2) }},
+		{"Gauge sorted", func() { r.Gauge("queue_depth_frames", L("kind", "cam"), L("station", "rsu")).Add(2) }},
+		{"Gauge reversed", func() { r.Gauge("queue_depth_frames", L("station", "rsu"), L("kind", "cam")).Add(2) }},
 		{"Histogram sorted", func() { r.Histogram("access_delay_seconds", L("kind", "cam"), L("station", "rsu")).Observe(0.002) }},
 		{"Histogram reversed", func() { r.Histogram("access_delay_seconds", L("station", "rsu"), L("kind", "cam")).Observe(0.002) }},
 		{"Merge", func() { into.Merge(snap) }},
@@ -119,7 +119,7 @@ func TestLookupOfExistingFamilyAllocatesNothing(t *testing.T) {
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("depth")
-	g.Set(3)
+	g.Add(3)
 	g.SetMax(2) // must not regress
 	if g.Value() != 3 {
 		t.Fatalf("gauge = %g, want 3", g.Value())
@@ -233,7 +233,7 @@ func TestNilSafety(t *testing.T) {
 	h := r.Histogram("x")
 	c.Inc()
 	c.Add(2)
-	g.Set(1)
+	g.Add(1)
 	g.SetMax(2)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
@@ -323,7 +323,7 @@ func TestFormatDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("z_total").Add(9)
 		r.Counter("a_total", L("station", "rsu")).Add(1)
-		r.Gauge("depth").Set(3)
+		r.Gauge("depth").Add(3)
 		r.Histogram("lat", L("station", "obu")).Observe(0.002)
 		return r.Snapshot().Format()
 	}
@@ -406,7 +406,7 @@ func TestConcurrentUse(t *testing.T) {
 func TestResetClearsAllInstruments(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("frames_total").Add(7)
-	r.Gauge("depth").Set(3)
+	r.Gauge("depth").Add(3)
 	r.Histogram("latency_ms").Observe(12)
 	pre := r.Snapshot()
 	if len(pre.Counters) != 1 || len(pre.Gauges) != 1 || len(pre.Histograms) != 1 {

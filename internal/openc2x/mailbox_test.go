@@ -9,12 +9,26 @@ import (
 	"time"
 
 	"itsbed/internal/geo"
+	"itsbed/internal/trace"
 )
 
 // TestRealNodeMailboxBounded is the bounded-mailbox regression: with
 // MailboxCap set, a burst beyond the cap evicts oldest-first, counts
 // the drops, and records them in the black box — memory stays bounded
 // no matter how long the client forgets to poll.
+// pending reports a node's mailbox depth without draining it.
+func pending(n any) int {
+	switch n := n.(type) {
+	case *RealNode:
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.count
+	case *SimNode:
+		return len(n.mailbox)
+	}
+	panic(fmt.Sprintf("pending: %T is no node", n))
+}
+
 func TestRealNodeMailboxBounded(t *testing.T) {
 	srv := newMux(t, 2, MuxConfig{MailboxCap: 4})
 	sender, _ := srv.Station(1)
@@ -28,10 +42,10 @@ func TestRealNodeMailboxBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !waitFor(t, time.Second, func() bool { return receiver.MailboxDropped() == sent-4 }) {
-		t.Fatalf("dropped %d, want %d", receiver.MailboxDropped(), sent-4)
+	if !waitFor(t, time.Second, func() bool { return receiver.dropped.Value() == sent-4 }) {
+		t.Fatalf("dropped %d, want %d", receiver.dropped.Value(), sent-4)
 	}
-	if depth := receiver.PendingDENMs(); depth != 4 {
+	if depth := pending(receiver); depth != 4 {
 		t.Fatalf("mailbox depth %d, want cap 4", depth)
 	}
 
@@ -78,11 +92,11 @@ func TestRealNodeMailboxUnbounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !waitFor(t, 2*time.Second, func() bool { return receiver.PendingDENMs() == sent }) {
-		t.Fatalf("mailbox depth %d, want %d (unbounded)", receiver.PendingDENMs(), sent)
+	if !waitFor(t, 2*time.Second, func() bool { return pending(receiver) == sent }) {
+		t.Fatalf("mailbox depth %d, want %d (unbounded)", pending(receiver), sent)
 	}
-	if receiver.MailboxDropped() != 0 {
-		t.Fatalf("dropped %d, want 0", receiver.MailboxDropped())
+	if receiver.dropped.Value() != 0 {
+		t.Fatalf("dropped %d, want 0", receiver.dropped.Value())
 	}
 }
 
@@ -91,7 +105,7 @@ func TestRealNodeMailboxUnbounded(t *testing.T) {
 // default zero cap behaviour is unchanged (campaign goldens depend on
 // that).
 func TestSimNodeMailboxBounded(t *testing.T) {
-	k, rsu, obu := simPair(t)
+	k, rsu, obu := simPair(t, trace.Sink{})
 	obu.MailboxCap = 3
 
 	const sent = 7
@@ -101,8 +115,8 @@ func TestSimNodeMailboxBounded(t *testing.T) {
 	if err := k.Run(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if obu.PendingDENMs() != 3 {
-		t.Fatalf("mailbox depth %d, want cap 3", obu.PendingDENMs())
+	if pending(obu) != 3 {
+		t.Fatalf("mailbox depth %d, want cap 3", pending(obu))
 	}
 	if obu.MailboxDropped != sent-3 {
 		t.Fatalf("dropped %d, want %d", obu.MailboxDropped, sent-3)
@@ -126,7 +140,7 @@ func TestSimNodeMailboxBounded(t *testing.T) {
 
 // TestSimNodeMailboxUnboundedDefault pins the zero-cap default.
 func TestSimNodeMailboxUnboundedDefault(t *testing.T) {
-	k, rsu, obu := simPair(t)
+	k, rsu, obu := simPair(t, trace.Sink{})
 	const sent = 5
 	for i := 0; i < sent; i++ {
 		rsu.TriggerDENM(collisionReq(), nil)
@@ -134,8 +148,8 @@ func TestSimNodeMailboxUnboundedDefault(t *testing.T) {
 	if err := k.Run(500 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if obu.PendingDENMs() != sent || obu.MailboxDropped != 0 {
-		t.Fatalf("depth %d dropped %d, want %d/0", obu.PendingDENMs(), obu.MailboxDropped, sent)
+	if pending(obu) != sent || obu.MailboxDropped != 0 {
+		t.Fatalf("depth %d dropped %d, want %d/0", pending(obu), obu.MailboxDropped, sent)
 	}
 }
 
@@ -147,7 +161,7 @@ func TestRealNodeDrainMailbox(t *testing.T) {
 	if _, err := sender.TriggerDENM(collisionReq()); err != nil {
 		t.Fatal(err)
 	}
-	if !waitFor(t, 2*time.Second, func() bool { return receiver.PendingDENMs() > 0 }) {
+	if !waitFor(t, 2*time.Second, func() bool { return pending(receiver) > 0 }) {
 		t.Fatal("DENM never reached the receiver")
 	}
 	if n := receiver.DrainMailbox("shutdown"); n != 1 {
@@ -175,7 +189,7 @@ func TestRealNodeMailboxWrapTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := receiver.MailboxDropped(); got != sent-4 {
+	if got := receiver.dropped.Value(); got != sent-4 {
 		t.Fatalf("dropped %d, want %d", got, sent-4)
 	}
 
@@ -261,8 +275,8 @@ func TestRealNodeMailboxWrapTraces(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "[]" {
 		t.Fatalf("empty poll answered %d %q, want 200 []", resp.StatusCode, body)
 	}
-	if receiver.PendingDENMs() != 0 {
-		t.Fatalf("mailbox depth %d after poll, want 0", receiver.PendingDENMs())
+	if pending(receiver) != 0 {
+		t.Fatalf("mailbox depth %d after poll, want 0", pending(receiver))
 	}
 }
 
@@ -300,8 +314,8 @@ func TestRealNodeMailboxConcurrentPolls(t *testing.T) {
 			t.Fatalf("poll order broken at %d: %d after %d", i, polled[i], polled[i-1])
 		}
 	}
-	if got := len(polled) + receiver.PendingDENMs() + int(receiver.MailboxDropped()); got != sent {
+	if got := len(polled) + pending(receiver) + int(receiver.dropped.Value()); got != sent {
 		t.Fatalf("polled %d + pending %d + dropped %d = %d, want %d",
-			len(polled), receiver.PendingDENMs(), receiver.MailboxDropped(), got, sent)
+			len(polled), pending(receiver), receiver.dropped.Value(), got, sent)
 	}
 }

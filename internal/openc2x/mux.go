@@ -17,8 +17,10 @@ import (
 
 	"itsbed/internal/flight"
 	"itsbed/internal/geo"
+	"itsbed/internal/its/btp"
 	"itsbed/internal/its/facilities/ldm"
 	"itsbed/internal/metrics"
+	"itsbed/internal/stack"
 	"itsbed/internal/trace"
 	"itsbed/internal/units"
 )
@@ -226,7 +228,7 @@ func NewMuxServer(cfg MuxConfig) (*MuxServer, error) {
 	// Shared routes.
 	mux.HandleFunc("GET /causes", handleCauses)
 	mux.Handle("GET /metrics", scrape.wrap(metrics.Handler(func() metrics.Snapshot { return reg.Snapshot() })))
-	mux.Handle("GET /debug/flight", flight.Handler(func() flight.Snapshot { return s.p.Sink().Flight.Snapshot() }))
+	mux.Handle("GET /debug/flight", flight.Handler(s.FlightSnapshot))
 	mux.HandleFunc("GET /ldm", s.serveLDM)
 	mux.HandleFunc("GET /healthz", s.serveHealthz)
 	mux.HandleFunc("GET /buildinfo", s.serveBuildinfo)
@@ -393,23 +395,25 @@ func (s *MuxServer) StationIDs() []uint32 {
 	return out
 }
 
-// LDM returns the daemon's shared sharded LDM.
-func (s *MuxServer) LDM() *ldm.Sharded { return s.ldm }
-
 // OnFrame dispatches one inbound (or looped-back) frame: decoded once,
 // ingested into the shared LDM, then fanned out to every hosted
 // station (each skips its own broadcasts).
 func (s *MuxServer) OnFrame(frame []byte) {
-	dec, stage, err := decodeFrame(frame)
-	if err != nil {
-		s.recordMalformed(stage, len(frame))
+	rx := stack.ParseFrame(frame)
+	if rx.Port == btp.PortCAM || rx.Port == btp.PortDENM {
+		rx.Decode() // the daemon speaks CAM and DENM only
+	}
+	if rx.Err != nil {
+		s.recordMalformed(rx.Stage, len(frame))
 		return
 	}
+	var actionID string
 	switch {
-	case dec.CAM != nil:
-		s.ldm.IngestCAM(dec.CAM)
-	case dec.DENM != nil:
-		s.ldm.IngestDENM(dec.DENM)
+	case rx.CAM != nil:
+		s.ldm.IngestCAM(rx.CAM)
+	case rx.DENM != nil:
+		s.ldm.IngestDENM(rx.DENM)
+		actionID = actionIDString(rx.DENM.Management.ActionID)
 	default:
 		return
 	}
@@ -417,7 +421,7 @@ func (s *MuxServer) OnFrame(frame []byte) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for _, n := range sh.nodes {
-			n.deliver(dec)
+			n.deliver(rx, actionID)
 		}
 		sh.mu.RUnlock()
 	}
@@ -430,11 +434,11 @@ func (s *MuxServer) recordMalformed(stage string, frameLen int) {
 	s.malformed.Inc()
 	now := time.Since(s.start)
 	switch stage {
-	case decodeStageGN:
+	case stack.StageGN:
 		s.p.Record(now, flight.RadioRx, flight.RxMalformed, int64(frameLen), 0)
-	case decodeStageDENM:
+	case stack.StageDENM:
 		s.p.Record(now, flight.DENMRx, flight.RxMalformed, 0, 0)
-	case decodeStageCAM:
+	case stack.StageCAM:
 		s.p.Record(now, flight.CAMRx, flight.RxMalformed, 0, 0)
 	}
 }

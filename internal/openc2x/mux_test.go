@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -13,6 +14,10 @@ import (
 	"time"
 
 	"itsbed/internal/geo"
+	"itsbed/internal/its/btp"
+	"itsbed/internal/its/geonet"
+	"itsbed/internal/its/messages"
+	"itsbed/internal/stack"
 	"itsbed/internal/units"
 )
 
@@ -85,12 +90,12 @@ func TestMuxTriggerFansOutToHostedStations(t *testing.T) {
 
 	for _, id := range []uint32{2, 3} {
 		node, _ := srv.Station(id)
-		if !waitFor(t, time.Second, func() bool { return node.PendingDENMs() == 1 }) {
-			t.Fatalf("station %d mailbox depth %d, want 1", id, node.PendingDENMs())
+		if !waitFor(t, time.Second, func() bool { return pending(node) == 1 }) {
+			t.Fatalf("station %d mailbox depth %d, want 1", id, pending(node))
 		}
 	}
-	if node, _ := srv.Station(1); node.PendingDENMs() != 0 {
-		t.Fatalf("sender's own mailbox depth %d, want 0 (self-skip)", node.PendingDENMs())
+	if node, _ := srv.Station(1); pending(node) != 0 {
+		t.Fatalf("sender's own mailbox depth %d, want 0 (self-skip)", pending(node))
 	}
 
 	resp, body = postJSON(t, base+"/stations/2/request_denm", "")
@@ -110,7 +115,7 @@ func TestMuxTriggerFansOutToHostedStations(t *testing.T) {
 	}
 
 	// The shared LDM saw the DENM once.
-	if _, events := srv.LDM().Counts(); events != 1 {
+	if _, events := srv.ldm.Counts(); events != 1 {
 		t.Fatalf("LDM events %d, want 1", events)
 	}
 }
@@ -131,7 +136,7 @@ func TestMuxLegacyAliases(t *testing.T) {
 	}
 
 	node, _ := srv.Station(2)
-	if !waitFor(t, time.Second, func() bool { return node.PendingDENMs() == 1 }) {
+	if !waitFor(t, time.Second, func() bool { return pending(node) == 1 }) {
 		t.Fatal("station 2 never received the legacy-triggered DENM")
 	}
 
@@ -356,7 +361,7 @@ func TestMuxShutdownCompletesInFlightPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := station(t, srv, 2)
-	if !waitFor(t, time.Second, func() bool { return node.PendingDENMs() == 1 }) {
+	if !waitFor(t, time.Second, func() bool { return pending(node) == 1 }) {
 		t.Fatal("station 2 never got the DENM")
 	}
 	expectPollSurvivesShutdown(t, srv, "/stations/2/request_denm", inPoll, release)
@@ -475,5 +480,118 @@ func TestMuxSharedMetrics(t *testing.T) {
 	c, ok := snap.FindCounter("openc2x_triggers_total")
 	if !ok || c.Value != 5 {
 		t.Fatalf("shared trigger counter %+v ok=%v, want 5", c, ok)
+	}
+}
+
+// peerFrame wraps payload in a BTP-B header to port and a single-hop GN
+// packet from station 1001, as a peer's radio sends it.
+func peerFrame(t *testing.T, port uint16, payload []byte) []byte {
+	t.Helper()
+	pkt, err := btp.Encode(btp.Header{Type: btp.TypeB, DestinationPort: port}, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gn := &geonet.Packet{
+		Version:           geonet.CurrentVersion,
+		Lifetime:          geonet.Lifetime{Multiplier: 1, Base: 1},
+		RemainingHopLimit: 1,
+		Next:              geonet.NextBTPB,
+		Type:              geonet.HeaderTypeTSB,
+		Subtype:           geonet.SubtypeSHB,
+		MaxHopLimit:       1,
+		Source:            geonet.LongPositionVector{Address: geonet.NewAddress(units.StationTypeRoadSideUnit, 1001)},
+		Payload:           pkt,
+	}
+	b, err := gn.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestMuxIgnoresCPM: the daemon decodes CAMs and DENMs only. A CPM
+// frame, well-formed or not, reaches no mailbox, no LDM entry, no
+// flight event and no malformed count.
+func TestMuxIgnoresCPM(t *testing.T) {
+	good, err := messages.NewCPM(1001, 0).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"well-formed", good},
+		{"garbage", []byte{0xff, 0xff, 0xff}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := newMux(t, 1, MuxConfig{})
+			srv.OnFrame(peerFrame(t, btp.PortCPM, tc.payload))
+			if evs := srv.FlightSnapshot().Events; len(evs) != 0 {
+				t.Fatalf("flight events %+v, want none", evs)
+			}
+			if c, _ := srv.Metrics().Snapshot().FindCounter("openc2x_frames_malformed_total"); c.Value != 0 {
+				t.Fatalf("malformed counter %d, want 0", c.Value)
+			}
+			if objects, events := srv.ldm.Counts(); objects+events != 0 {
+				t.Fatalf("LDM holds %d objects and %d events, want none", objects, events)
+			}
+			if got := station(t, srv, 1).RequestDENM(); len(got) != 0 {
+				t.Fatalf("mailbox holds %d DENMs, want none", len(got))
+			}
+		})
+	}
+}
+
+// TestMuxKeepsNoFrameBytes: the mux decodes a frame in place, so what
+// it keeps must be copies. Overwriting the frame after OnFrame returns
+// leaves the polled DENM and /ldm unchanged.
+func TestMuxKeepsNoFrameBytes(t *testing.T) {
+	link := &frameLog{}
+	peer, err := NewRealNode(RealNodeConfig{
+		StationID:   1001,
+		StationType: units.StationTypeRoadSideUnit,
+		Position:    geo.CISTERLab,
+		Link:        link,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.TriggerDENM(collisionReq()); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.TriggerCAM(); err != nil {
+		t.Fatal(err)
+	}
+	want := stack.ParseFrame(append([]byte(nil), link.frames[0]...))
+	want.Decode()
+	if want.DENM == nil {
+		t.Fatalf("the peer's first frame holds no DENM (%v)", want.Err)
+	}
+
+	srv := newMux(t, 1, MuxConfig{})
+	for _, frame := range link.frames {
+		srv.OnFrame(frame)
+	}
+	var ldmBefore, ldmAfter map[string]any
+	getJSON(t, srv, "/ldm", &ldmBefore)
+	for _, frame := range link.frames {
+		for i := range frame {
+			frame[i] = 0xa5
+		}
+	}
+	getJSON(t, srv, "/ldm", &ldmAfter)
+	if !reflect.DeepEqual(ldmBefore, ldmAfter) {
+		t.Fatalf("/ldm changed with the frame bytes: %v, then %v", ldmBefore, ldmAfter)
+	}
+	if ldmBefore["objects"] != 1.0 || ldmBefore["events"] != 1.0 {
+		t.Fatalf("/ldm %v, want one object and one event", ldmBefore)
+	}
+	got := station(t, srv, 1).RequestDENM()
+	if len(got) != 1 {
+		t.Fatalf("polled %d DENMs, want 1", len(got))
+	}
+	if !reflect.DeepEqual(got[0].DENM, want.DENM) {
+		t.Fatalf("polled DENM changed with the frame bytes:\n got %+v\nwant %+v", got[0].DENM, want.DENM)
 	}
 }

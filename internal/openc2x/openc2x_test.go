@@ -20,11 +20,13 @@ import (
 	"itsbed/internal/radio"
 	"itsbed/internal/sim"
 	"itsbed/internal/stack"
+	"itsbed/internal/trace"
 	"itsbed/internal/units"
 )
 
-// simPair builds RSU and OBU SimNodes on one kernel/medium.
-func simPair(t *testing.T) (*sim.Kernel, *SimNode, *SimNode) {
+// simPair builds RSU and OBU SimNodes on one kernel/medium; the OBU
+// reports into obuSink.
+func simPair(t *testing.T, obuSink trace.Sink) (*sim.Kernel, *SimNode, *SimNode) {
 	t.Helper()
 	k := sim.NewKernel(21)
 	frame, err := geo.NewFrame(geo.CISTERLab)
@@ -46,11 +48,12 @@ func simPair(t *testing.T) (*sim.Kernel, *SimNode, *SimNode) {
 		StationType: units.StationTypePassengerCar, Frame: frame,
 		Mobility: stack.StaticMobility{Point: geo.Point{X: 3}, Geo: geo.CISTERLab},
 		NTP:      clock.PerfectNTP(),
+		Sink:     obuSink,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, NewSimNode(k, rsu, DefaultLatencies()), NewSimNode(k, obu, DefaultLatencies())
+	return k, NewSimNode(k, rsu, Latencies{}), NewSimNode(k, obu, Latencies{})
 }
 
 func collisionReq() TriggerRequest {
@@ -62,7 +65,7 @@ func collisionReq() TriggerRequest {
 }
 
 func TestSimNodeTriggerToPoll(t *testing.T) {
-	k, rsu, obu := simPair(t)
+	k, rsu, obu := simPair(t, trace.Sink{})
 	var triggered bool
 	rsu.TriggerDENM(collisionReq(), func(id messages.ActionID, err error) {
 		if err != nil {
@@ -79,8 +82,8 @@ func TestSimNodeTriggerToPoll(t *testing.T) {
 	if !triggered {
 		t.Fatal("trigger callback never fired")
 	}
-	if obu.PendingDENMs() != 1 {
-		t.Fatalf("OBU mailbox depth %d", obu.PendingDENMs())
+	if pending(obu) != 1 {
+		t.Fatalf("OBU mailbox depth %d", pending(obu))
 	}
 	var batch []ReceivedDENM
 	obu.RequestDENM(func(b []ReceivedDENM) { batch = b })
@@ -95,7 +98,7 @@ func TestSimNodeTriggerToPoll(t *testing.T) {
 		t.Fatal("wrong cause")
 	}
 	// Mailbox drained.
-	if obu.PendingDENMs() != 0 {
+	if pending(obu) != 0 {
 		t.Fatal("mailbox not drained")
 	}
 	if rsu.TriggerCount != 1 || obu.PollCount != 1 {
@@ -104,7 +107,7 @@ func TestSimNodeTriggerToPoll(t *testing.T) {
 }
 
 func TestSimNodeEmptyPoll(t *testing.T) {
-	k, _, obu := simPair(t)
+	k, _, obu := simPair(t, trace.Sink{})
 	polled := false
 	obu.RequestDENM(func(b []ReceivedDENM) {
 		polled = true
@@ -121,7 +124,7 @@ func TestSimNodeEmptyPoll(t *testing.T) {
 }
 
 func TestSimNodePollLatencyModel(t *testing.T) {
-	k, _, obu := simPair(t)
+	k, _, obu := simPair(t, trace.Sink{})
 	start := k.Now()
 	var at time.Duration
 	obu.RequestDENM(func([]ReceivedDENM) { at = k.Now() })
@@ -292,7 +295,7 @@ func TestRealNodeCAMOverUDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !waitFor(t, 2*time.Second, func() bool {
-		objects, _ := obuSrv.LDM().Counts()
+		objects, _ := obuSrv.ldm.Counts()
 		return objects == 1
 	}) {
 		t.Fatal("CAM never reached the OBU daemon's LDM")
@@ -402,7 +405,8 @@ func TestRealNodeValidation(t *testing.T) {
 }
 
 func TestSimNodeTriggerWithRepetition(t *testing.T) {
-	k, rsu, obu := simPair(t)
+	reg := metrics.NewRegistry()
+	k, rsu, obu := simPair(t, trace.Sink{Metrics: reg})
 	req := collisionReq()
 	req.RepetitionIntervalMS = 100
 	req.RepetitionDurationMS = 450
@@ -412,10 +416,13 @@ func TestSimNodeTriggerWithRepetition(t *testing.T) {
 	}
 	// Initial + ~4 repetitions reach the OBU stack; the DEN receiver
 	// suppresses the repeats, so the mailbox holds exactly one DENM.
-	if obu.PendingDENMs() != 1 {
-		t.Fatalf("mailbox depth %d, want 1 (repetitions deduplicated)", obu.PendingDENMs())
+	if pending(obu) != 1 {
+		t.Fatalf("mailbox depth %d, want 1 (repetitions deduplicated)", pending(obu))
 	}
-	received, repeated, _ := obu.Station().DENReceiverStats()
+	snap := reg.Snapshot()
+	rx, _ := snap.FindCounter("den_rx_received_total", trace.StationLabel("obu"))
+	supp, _ := snap.FindCounter("den_rx_suppressed_total", trace.StationLabel("obu"))
+	received, repeated := rx.Value, supp.Value
 	if received < 4 {
 		t.Fatalf("OBU decoded %d DENMs, repetitions missing", received)
 	}
@@ -448,7 +455,7 @@ func TestUDPLinkDropsGarbage(t *testing.T) {
 			t.Fatalf("malformed=%d, want 2", malformed())
 		}
 		for _, id := range obuSrv.StationIDs() {
-			if got := station(t, obuSrv, id).PendingDENMs(); got != 0 {
+			if got := pending(station(t, obuSrv, id)); got != 0 {
 				t.Fatalf("garbage reached station %d's mailbox (%d)", id, got)
 			}
 		}
@@ -516,7 +523,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		obu := station(t, obuSrv, 2001)
-		waitFor(t, 2*time.Second, func() bool { return obu.PendingDENMs() > 0 })
+		waitFor(t, 2*time.Second, func() bool { return pending(obu) > 0 })
 
 		resp, err := http.Get("http://" + rsuSrv.Addr() + "/metrics")
 		if err != nil {
@@ -557,7 +564,7 @@ func TestServerTraceEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		obu := station(t, obuSrv, 2001)
-		if !waitFor(t, 2*time.Second, func() bool { return obu.PendingDENMs() > 0 }) {
+		if !waitFor(t, 2*time.Second, func() bool { return pending(obu) > 0 }) {
 			t.Fatal("DENM never arrived at the OBU")
 		}
 		// Draining the mailbox moves the DENM's trace into the /trace ring.
@@ -618,7 +625,7 @@ func TestServerHealthAndBuildinfo(t *testing.T) {
 			t.Fatal(err)
 		}
 		obu := station(t, obuSrv, 2001)
-		if !waitFor(t, 2*time.Second, func() bool { return obu.PendingDENMs() > 0 }) {
+		if !waitFor(t, 2*time.Second, func() bool { return pending(obu) > 0 }) {
 			t.Fatal("DENM never arrived at the OBU")
 		}
 

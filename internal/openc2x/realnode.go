@@ -18,6 +18,7 @@ import (
 	"itsbed/internal/its/geonet"
 	"itsbed/internal/its/messages"
 	"itsbed/internal/metrics"
+	"itsbed/internal/stack"
 	"itsbed/internal/trace"
 	"itsbed/internal/tracing"
 	"itsbed/internal/units"
@@ -303,95 +304,35 @@ func (n *RealNode) TriggerCAM() error {
 	return n.link.SendBroadcast(frame)
 }
 
-// decodedFrame is the parsed content of one GN datagram: at most one
-// of DENM/CAM is set. Decoding once and fanning the value out lets the
-// multiplexed daemon deliver a frame to hundreds of hosted stations
-// for a single parse.
-type decodedFrame struct {
-	Source geonet.Address
-	DENM   *messages.DENM
-	CAM    *messages.CAM
-	// ActionID is the DENM's "origin:seq", formatted once for the
-	// spans of every receiving station.
-	ActionID string
-}
-
 // actionIDString formats an ActionID as "origin:seq".
 func actionIDString(id messages.ActionID) string {
 	return fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber)
 }
 
-// Decode stages, for malformed-frame accounting.
-const (
-	decodeStageGN   = "gn"
-	decodeStageBTP  = "btp"
-	decodeStageDENM = "denm"
-	decodeStageCAM  = "cam"
-)
-
-// decodeFrame parses one GN frame down to its facilities message. On
-// a parse failure stage names the layer that rejected it; frames
-// addressed to protocols the node does not speak decode to an empty
-// result with no error.
-func decodeFrame(frame []byte) (dec decodedFrame, stage string, err error) {
-	p, err := geonet.Unmarshal(frame)
-	if err != nil {
-		return dec, decodeStageGN, err
-	}
-	dec.Source = p.Source.Address
-	var t btp.Type
-	switch p.Next {
-	case geonet.NextBTPA:
-		t = btp.TypeA
-	case geonet.NextBTPB:
-		t = btp.TypeB
-	default:
-		return dec, "", nil
-	}
-	h, payload, err := btp.Decode(t, p.Payload)
-	if err != nil {
-		return dec, decodeStageBTP, err
-	}
-	switch h.DestinationPort {
-	case btp.PortDENM:
-		d, err := messages.DecodeDENM(payload)
-		if err != nil {
-			return dec, decodeStageDENM, err
-		}
-		dec.DENM = d
-		dec.ActionID = actionIDString(d.Management.ActionID)
-	case btp.PortCAM:
-		c, err := messages.DecodeCAM(payload)
-		if err != nil {
-			return dec, decodeStageCAM, err
-		}
-		dec.CAM = c
-	}
-	return dec, "", nil
-}
-
 // deliver routes one decoded frame into the node: DENMs queue in the
 // bounded mailbox, CAMs are counted. Own broadcasts echoed back are
 // ignored. The MuxServer calls this with a frame decoded once for all
-// hosted stations.
-func (n *RealNode) deliver(dec decodedFrame) {
-	if dec.Source == geonet.NewAddress(n.stationType, n.stationID) {
+// hosted stations, and with its DENM's "origin:seq", formatted once
+// for the spans of every receiving station.
+func (n *RealNode) deliver(rx *stack.RxFrame, actionID string) {
+	source := rx.Packet.Source.Address
+	if source == geonet.NewAddress(n.stationType, n.stationID) {
 		return // own broadcast echoed back
 	}
 	switch {
-	case dec.DENM != nil:
-		d := dec.DENM
+	case rx.DENM != nil:
+		d := rx.DENM
 		n.received.Add(1)
 		n.denms.Add(1)
 		id := d.Management.ActionID
 		now := time.Since(n.start)
 		n.p.Record(now, flight.DENMRx, flight.RxOK, int64(uint32(id.OriginatingStationID)), int64(id.SequenceNumber))
 		root := n.p.Start("openc2x.rx_frame", "openc2x", now)
-		root.SetAttr("action_id", dec.ActionID)
+		root.SetAttr("action_id", actionID)
 		msp := n.p.StartChild(root, "openc2x.mailbox", "openc2x", now)
 		root.End(now)
 		if n.logger.Enabled(context.Background(), slog.LevelDebug) {
-			n.logger.Debug("denm received", "action_id", dec.ActionID, "source", dec.Source.String())
+			n.logger.Debug("denm received", "action_id", actionID, "source", source.String())
 		}
 		n.mu.Lock()
 		old, evicted := n.push(mailboxEntry{rd: ReceivedDENM{DENM: d, ReceivedAt: now}, span: msp})
@@ -409,8 +350,8 @@ func (n *RealNode) deliver(dec decodedFrame) {
 			old.span.Drop(now, "mailbox_full")
 			n.retire(old.span)
 		}
-	case dec.CAM != nil:
-		c := dec.CAM
+	case rx.CAM != nil:
+		c := rx.CAM
 		n.received.Add(1)
 		n.cams.Add(1)
 		n.p.Record(time.Since(n.start), flight.CAMRx, flight.RxOK, int64(c.Header.StationID), 0)
@@ -459,17 +400,6 @@ func (n *RealNode) drain() ([]ReceivedDENM, []*tracing.Span) {
 	}
 	n.head, n.count = 0, 0
 	return out, spans
-}
-
-// MailboxDropped reports how many queued DENMs the bounded mailbox has
-// evicted since start.
-func (n *RealNode) MailboxDropped() uint64 { return n.dropped.Value() }
-
-// PendingDENMs reports the mailbox depth without draining it.
-func (n *RealNode) PendingDENMs() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.count
 }
 
 // RequestDENM drains the mailbox, oldest first (the request_denm

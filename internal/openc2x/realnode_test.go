@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"itsbed/internal/geo"
-	"itsbed/internal/its/geonet"
+	"itsbed/internal/stack"
 	"itsbed/internal/units"
 )
 
@@ -57,17 +57,14 @@ func TestTriggerDENMConcurrentSequence(t *testing.T) {
 	}
 	seen := make(map[uint16]bool)
 	for i, frame := range link.frames {
-		p, err := geonet.Unmarshal(frame)
-		if err != nil {
-			t.Fatal(err)
+		rx := stack.ParseFrame(frame)
+		rx.Decode()
+		if rx.Err != nil || rx.DENM == nil {
+			t.Fatalf("frame %d: no DENM (%v)", i, rx.Err)
 		}
-		dec, _, err := decodeFrame(frame)
-		if err != nil || dec.DENM == nil {
-			t.Fatalf("frame %d: no DENM (%v)", i, err)
-		}
-		seq := dec.DENM.Management.ActionID.SequenceNumber
-		if p.SequenceNumber != seq {
-			t.Fatalf("frame %d: GN sequence %d, DENM sequence %d", i, p.SequenceNumber, seq)
+		seq := rx.DENM.Management.ActionID.SequenceNumber
+		if rx.Packet.SequenceNumber != seq {
+			t.Fatalf("frame %d: GN sequence %d, DENM sequence %d", i, rx.Packet.SequenceNumber, seq)
 		}
 		if seen[seq] {
 			t.Fatalf("frame %d: sequence %d sent twice", i, seq)

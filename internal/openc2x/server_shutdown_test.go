@@ -48,7 +48,7 @@ func TestServerShutdownCompletesInFlightPoll(t *testing.T) {
 			t.Fatal(err)
 		}
 		node := station(t, obu, 2001)
-		if !waitFor(t, 2*time.Second, func() bool { return node.PendingDENMs() > 0 }) {
+		if !waitFor(t, 2*time.Second, func() bool { return pending(node) > 0 }) {
 			t.Fatal("DENM never crossed the UDP link")
 		}
 		expectPollSurvivesShutdown(t, obu, "/request_denm", inPoll, release)

@@ -45,11 +45,6 @@ type Latencies struct {
 	Trigger HTTPLatency
 }
 
-// DefaultLatencies returns the calibrated lab defaults.
-func DefaultLatencies() Latencies {
-	return Latencies{Poll: DefaultHTTPLatency(), Trigger: DefaultTriggerLatency()}
-}
-
 func (l HTTPLatency) sample(rng *rand.Rand) time.Duration {
 	d := l.Mean
 	if l.Jitter > 0 {
@@ -325,9 +320,6 @@ func (n *SimNode) DropMailbox(reason string) int {
 // a CAM or DENM to the application — the heartbeat-freshness signal a
 // polling client uses to judge V2X connectivity.
 func (n *SimNode) LastHeard() time.Duration { return n.station.LastRx() }
-
-// PendingDENMs reports the mailbox depth without draining it.
-func (n *SimNode) PendingDENMs() int { return len(n.mailbox) }
 
 // String implements fmt.Stringer.
 func (n *SimNode) String() string {

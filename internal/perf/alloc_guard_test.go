@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -164,8 +165,8 @@ func TestAllocGuardLDMIngestSteadyState(t *testing.T) {
 		cam.Header.StationID++
 		m.IngestCAM(cam)
 	})
-	if _, ok := m.Object(cam.Header.StationID); !ok {
-		t.Fatal("the last station's object is missing")
+	if objs := m.ObjectsWithin(geo.Point{}, math.Inf(1)); len(objs) != 1 || objs[0].StationID != cam.Header.StationID {
+		t.Fatalf("LDM objects %+v, want the last station's", objs)
 	}
 	if objs, _ := m.Counts(); objs != 1 {
 		t.Fatalf("LDM holds %d objects, want 1", objs)

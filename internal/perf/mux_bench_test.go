@@ -67,15 +67,19 @@ func (f *muxFanout) trigger(tb testing.TB) {
 // ceiling, and every receiver evicted one DENM per trigger.
 func TestAllocGuardMuxDENMFanout(t *testing.T) {
 	f := newMuxFanout(t, 500)
-	probe, _ := f.srv.Station(500)
-	before := probe.MailboxDropped() // the daemon-wide counter
+	dropped := func() uint64 { // the daemon-wide counter
+		c, _ := f.srv.Metrics().Snapshot().FindCounter("openc2x_mailbox_dropped_total")
+		return c.Value
+	}
+	before := dropped()
 	const runs = 20
 	guardAllocs(t, "DENM trigger into 499 full mailboxes", runs, maxAllocsMuxDENMFanout500, func() { f.trigger(t) })
 	// testing.AllocsPerRun calls the function once more to warm up.
-	if got, want := probe.MailboxDropped()-before, uint64(499*(1+runs)); got != want {
+	if got, want := dropped()-before, uint64(499*(1+runs)); got != want {
 		t.Fatalf("%d DENMs evicted, want %d", got, want)
 	}
-	if got := probe.PendingDENMs(); got != openc2x.DefaultMailboxCap {
+	probe, _ := f.srv.Station(500)
+	if got := len(probe.RequestDENM()); got != openc2x.DefaultMailboxCap {
 		t.Fatalf("station 500 holds %d DENMs, want the cap %d", got, openc2x.DefaultMailboxCap)
 	}
 }

@@ -87,9 +87,6 @@ func NewBody(params Params, pos geo.Point, heading float64) *Body {
 	}
 }
 
-// Params returns the body's physical parameters.
-func (b *Body) Params() Params { return b.params }
-
 // State returns a copy of the current state.
 func (b *Body) State() State { return b.state }
 
@@ -122,9 +119,6 @@ func (b *Body) CutPower() {
 	b.powerCut = true
 	b.commandedSpeed = 0
 }
-
-// RestorePower releases the latch (used between experiment runs).
-func (b *Body) RestorePower() { b.powerCut = false }
 
 // PowerCut reports whether the emergency latch is engaged.
 func (b *Body) PowerCut() bool { return b.powerCut }

@@ -81,12 +81,6 @@ func TestCutPowerIgnoresNewSpeedCommands(t *testing.T) {
 	if !b.Stopped() {
 		t.Fatal("vehicle re-accelerated after power cut")
 	}
-	b.RestorePower()
-	b.SetCommandedSpeed(1.0)
-	stepFor(b, 2, 0.002)
-	if b.State().Speed < 0.5 {
-		t.Fatal("vehicle did not recover after RestorePower")
-	}
 }
 
 func TestStoppingDistancePrediction(t *testing.T) {

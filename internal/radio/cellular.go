@@ -166,9 +166,6 @@ func (l *CellularLink) AttachStation(name string, _ PositionFunc) (Link, error) 
 	return asLink(l.AttachUu(name))
 }
 
-// Name returns the endpoint's station name.
-func (e *UuEndpoint) Name() string { return e.name }
-
 // SetReceiver installs the frame-delivery callback, satisfying Link.
 // Every downlink of one uplinked message delivers the same read-only
 // *Frame (see Frame).
@@ -285,9 +282,6 @@ func (l *CellularLink) atBaseStation(src *UuEndpoint, rx *Frame) {
 		})
 	}
 }
-
-// Profile returns the link's latency profile.
-func (l *CellularLink) Profile() CellularProfile { return l.profile }
 
 // String implements fmt.Stringer.
 func (l *CellularLink) String() string {

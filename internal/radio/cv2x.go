@@ -112,17 +112,8 @@ func NewSPSScheduler(cfg SPSConfig, rng *rand.Rand) *SPSScheduler {
 	return s
 }
 
-// Config returns the scheduler's (default-filled) configuration.
-func (s *SPSScheduler) Config() SPSConfig { return s.cfg }
-
-// NextSlot returns the absolute slot of the next grant occurrence.
-func (s *SPSScheduler) NextSlot() int64 { return s.next }
-
 // Subchannel returns the granted subchannel.
 func (s *SPSScheduler) Subchannel() int { return s.sub }
-
-// Counter returns the remaining transmissions before reselection.
-func (s *SPSScheduler) Counter() int { return s.counter }
 
 // Reselect draws a fresh grant: first occurrence uniform in
 // [nowSlot+T1, nowSlot+T2], subchannel uniform over the pool, counter
@@ -132,22 +123,6 @@ func (s *SPSScheduler) Reselect(nowSlot int64) {
 	s.sub = s.rng.Intn(s.cfg.Subchannels)
 	s.counter = s.drawCounter()
 	s.Reselections++
-}
-
-// Claim pins the grant to an explicit resource — the deterministic
-// re-grant path used by tests and fuzzing. The subchannel is clamped
-// into the pool and the counter to at least 1.
-func (s *SPSScheduler) Claim(nextSlot int64, sub, counter int) {
-	if nextSlot < 0 {
-		nextSlot = 0
-	}
-	if sub < 0 || sub >= s.cfg.Subchannels {
-		sub = 0
-	}
-	if counter < 1 {
-		counter = 1
-	}
-	s.next, s.sub, s.counter = nextSlot, sub, counter
 }
 
 func (s *SPSScheduler) drawCounter() int {
@@ -294,9 +269,6 @@ func NewPC5Medium(kernel *sim.Kernel, cfg PC5Config) *PC5Medium {
 	return m
 }
 
-// SPS returns the medium's (default-filled) scheduler configuration.
-func (m *PC5Medium) SPS() SPSConfig { return m.cfg.SPS }
-
 // slotIndex is the absolute slot containing t.
 func (m *PC5Medium) slotIndex(t time.Duration) int64 {
 	return int64(t / m.cfg.SPS.SlotDuration)
@@ -366,13 +338,6 @@ func (m *PC5Medium) Attach(name string, pos PositionFunc) (*PC5Interface, error)
 func (m *PC5Medium) AttachStation(name string, pos PositionFunc) (Link, error) {
 	return asLink(m.Attach(name, pos))
 }
-
-// Name returns the station name.
-func (i *PC5Interface) Name() string { return i.name }
-
-// Scheduler exposes the station's SPS state (tests pin grants with
-// Claim; diagnostics read the reselection counter).
-func (i *PC5Interface) Scheduler() *SPSScheduler { return i.sps }
 
 // SetReceiver installs the frame-delivery callback. As on the 802.11p
 // medium, every receiver of one sidelink transmission gets the same

@@ -25,7 +25,7 @@ func FuzzSPSSchedule(f *testing.F) {
 		}
 		k := sim.NewKernel(seed)
 		m := NewPC5Medium(k, PC5Config{SPS: cfg})
-		got := m.SPS()
+		got := m.cfg.SPS
 		ifaces := make([]*PC5Interface, n)
 		for i := range ifaces {
 			iface, err := m.Attach(fmt.Sprintf("st%02d", i), nil)
@@ -43,8 +43,8 @@ func FuzzSPSSchedule(f *testing.F) {
 		budget := int(sends) + 1
 		slotA, subA := int64(4), 0
 		slotB, subB := 4+period/2+1, got.Subchannels-1
-		ifaces[0].Scheduler().Claim(slotA, subA, budget)
-		ifaces[1].Scheduler().Claim(slotB, subB, budget)
+		claim(ifaces[0].sps, slotA, subA, budget)
+		claim(ifaces[1].sps, slotB, subB, budget)
 		distinct := slotA%period != slotB%period || subA != subB
 		for i := 0; i < int(sends%40); i++ {
 			src := ifaces[i%n]
@@ -52,9 +52,9 @@ func FuzzSPSSchedule(f *testing.F) {
 		}
 		k.Run(10 * time.Second)
 		for i, iface := range ifaces {
-			s := iface.Scheduler()
+			s := iface.sps
 			if s.Subchannel() < 0 || s.Subchannel() >= got.Subchannels {
-				t.Fatalf("%s: subchannel %d outside pool of %d", iface.Name(), s.Subchannel(), got.Subchannels)
+				t.Fatalf("%s: subchannel %d outside pool of %d", iface.name, s.Subchannel(), got.Subchannels)
 			}
 			// Pinned stations carry the explicit claim budget; everyone
 			// else must stay inside the standard's counter range.
@@ -62,18 +62,18 @@ func FuzzSPSSchedule(f *testing.F) {
 			if i < 2 && budget > limit {
 				limit = budget
 			}
-			if s.Counter() < 1 || s.Counter() > limit {
-				t.Fatalf("%s: counter %d outside [1,%d]", iface.Name(), s.Counter(), limit)
+			if s.counter < 1 || s.counter > limit {
+				t.Fatalf("%s: counter %d outside [1,%d]", iface.name, s.counter, limit)
 			}
 		}
 		// Within their claimed budget neither pinned station reselected,
 		// so distinctly claimed grants must still occupy distinct
 		// resources (OnTransmit preserves the slot phase).
-		a, b := ifaces[0].Scheduler(), ifaces[1].Scheduler()
+		a, b := ifaces[0].sps, ifaces[1].sps
 		if distinct && a.Reselections == 0 && b.Reselections == 0 {
-			if a.NextSlot()%period == b.NextSlot()%period && a.Subchannel() == b.Subchannel() {
+			if a.next%period == b.next%period && a.Subchannel() == b.Subchannel() {
 				t.Fatalf("claimed-disjoint grants double-booked: slot phase %d sub %d",
-					a.NextSlot()%period, a.Subchannel())
+					a.next%period, a.Subchannel())
 			}
 		}
 		if m.MessagesLost > m.MessagesSent {

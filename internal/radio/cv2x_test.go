@@ -12,6 +12,22 @@ import (
 
 // quickCfg makes testing/quick deterministic: every property run draws
 // from the same seeded generator.
+// claim pins s's grant to an explicit resource, the deterministic
+// re-grant the tests and fuzzing need. The subchannel is clamped into
+// the pool and the counter to at least 1.
+func claim(s *SPSScheduler, nextSlot int64, sub, counter int) {
+	if nextSlot < 0 {
+		nextSlot = 0
+	}
+	if sub < 0 || sub >= s.cfg.Subchannels {
+		sub = 0
+	}
+	if counter < 1 {
+		counter = 1
+	}
+	s.next, s.sub, s.counter = nextSlot, sub, counter
+}
+
 func quickCfg(seed int64, count int) *quick.Config {
 	return &quick.Config{Rand: rand.New(rand.NewSource(seed)), MaxCount: count}
 }
@@ -36,21 +52,21 @@ func TestSPSCounterBounds(t *testing.T) {
 	prop := func(t1, span, c1, cspan, subs uint8, seed int64) bool {
 		cfg := spsFromRaw(t1, span, c1, cspan, subs)
 		s := NewSPSScheduler(cfg, rand.New(rand.NewSource(seed)))
-		cfg = s.Config()
-		if s.Counter() < cfg.C1 || s.Counter() > cfg.C2 {
+		cfg = s.cfg
+		if s.counter < cfg.C1 || s.counter > cfg.C2 {
 			return false
 		}
 		for i := 0; i < 200; i++ {
 			reselected := s.OnTransmit()
-			if s.Counter() < 1 || s.Counter() > cfg.C2 {
+			if s.counter < 1 || s.counter > cfg.C2 {
 				return false
 			}
-			if reselected && (s.Counter() < cfg.C1 || s.Counter() > cfg.C2) {
+			if reselected && (s.counter < cfg.C1 || s.counter > cfg.C2) {
 				return false
 			}
 		}
 		s.Reselect(1000)
-		return s.Counter() >= cfg.C1 && s.Counter() <= cfg.C2
+		return s.counter >= cfg.C1 && s.counter <= cfg.C2
 	}
 	if err := quick.Check(prop, quickCfg(1, 200)); err != nil {
 		t.Fatal(err)
@@ -64,13 +80,13 @@ func TestSPSSelectionWindow(t *testing.T) {
 	prop := func(t1, span, c1, cspan, subs uint8, seed, nowRaw int64) bool {
 		cfg := spsFromRaw(t1, span, c1, cspan, subs)
 		s := NewSPSScheduler(cfg, rand.New(rand.NewSource(seed)))
-		cfg = s.Config()
+		cfg = s.cfg
 		now := nowRaw % 1_000_000
 		if now < 0 {
 			now = -now
 		}
 		s.Reselect(now)
-		off := s.NextSlot() - now
+		off := s.next - now
 		if off < int64(cfg.T1) || off > int64(cfg.T2) {
 			return false
 		}
@@ -88,8 +104,8 @@ func TestSPSNextTxSlotPhase(t *testing.T) {
 	prop := func(t1, span, c1, cspan, subs uint8, seed int64, ahead uint16) bool {
 		cfg := spsFromRaw(t1, span, c1, cspan, subs)
 		s := NewSPSScheduler(cfg, rand.New(rand.NewSource(seed)))
-		period := s.Config().SlotsPerRRI()
-		phase := s.NextSlot() % period
+		period := s.cfg.SlotsPerRRI()
+		phase := s.next % period
 		got := s.NextTxSlot(int64(ahead))
 		if got < int64(ahead) {
 			return false
@@ -124,8 +140,8 @@ func pc5Pair(t *testing.T, cfg PC5Config, seed int64) (*sim.Kernel, *PC5Medium, 
 // is the physically correct outcome).
 func TestSPSDisjointResourcesNeverCollide(t *testing.T) {
 	k, m, a, b := pc5Pair(t, PC5Config{}, 7)
-	a.Scheduler().Claim(5, 0, 100)
-	b.Scheduler().Claim(9, 1, 100)
+	claim(a.sps, 5, 0, 100)
+	claim(b.sps, 9, 1, 100)
 	var gotA, gotB int
 	a.SetReceiver(func(*Frame) { gotA++ })
 	b.SetReceiver(func(*Frame) { gotB++ })
@@ -146,8 +162,8 @@ func TestSPSDisjointResourcesNeverCollide(t *testing.T) {
 	// Same slot, different subchannels: no collision, but half-duplex
 	// keeps both receivers (busy transmitting) from decoding.
 	k2, m2, a2, b2 := pc5Pair(t, PC5Config{}, 8)
-	a2.Scheduler().Claim(5, 0, 100)
-	b2.Scheduler().Claim(5, 1, 100)
+	claim(a2.sps, 5, 0, 100)
+	claim(b2.sps, 5, 1, 100)
 	if err := a2.SendBroadcast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +180,8 @@ func TestSPSDisjointResourcesNeverCollide(t *testing.T) {
 
 	// Same slot, same subchannel: that IS the mode-4 collision.
 	k3, m3, a3, b3 := pc5Pair(t, PC5Config{}, 9)
-	a3.Scheduler().Claim(5, 2, 100)
-	b3.Scheduler().Claim(5, 2, 100)
+	claim(a3.sps, 5, 2, 100)
+	claim(b3.sps, 5, 2, 100)
 	if err := a3.SendBroadcast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}

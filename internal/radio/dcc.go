@@ -36,7 +36,6 @@ type CBRMeter struct {
 	head     int
 	n        int
 	prevBusy time.Duration
-	ticker   *sim.Ticker
 }
 
 // NewCBRMeter attaches a CBR meter to the interface, sampling every
@@ -54,7 +53,7 @@ func NewCBRMeter(kernel *sim.Kernel, iface *Interface, interval time.Duration, w
 		interval: interval,
 		ring:     make([]float64, window),
 	}
-	m.ticker = kernel.Every(interval, interval, m.sample)
+	kernel.Every(interval, interval, m.sample)
 	return m
 }
 
@@ -90,13 +89,6 @@ func (m *CBRMeter) CBR() float64 {
 	}
 	return sum / float64(m.n)
 }
-
-// Samples reports how many monitoring intervals have been filled
-// (capped at the window length).
-func (m *CBRMeter) Samples() int { return m.n }
-
-// Stop halts sampling.
-func (m *CBRMeter) Stop() { m.ticker.Stop() }
 
 // ReactiveProfile is a DCC reactive state table: Thresholds[i] is the
 // CBR at which state i+1 begins; Intervals[i] is state i's minimum
@@ -153,9 +145,6 @@ func (p ReactiveProfile) Validate() error {
 	return nil
 }
 
-// stateName labels the reactive states for diagnostics.
-var stateNames = []string{"Relaxed", "Active1", "Active2", "Active3", "Restrictive"}
-
 // DCC is one station's reactive congestion controller: it owns a CBR
 // meter and exposes the current state's inter-transmission floor. It
 // satisfies the CA facility's TxGate hook.
@@ -206,15 +195,6 @@ func (d *DCC) State() int {
 	return s
 }
 
-// StateName labels the current state.
-func (d *DCC) StateName() string {
-	s := d.State()
-	if s < len(stateNames) {
-		return stateNames[s]
-	}
-	return fmt.Sprintf("state%d", s)
-}
-
 // CBR exposes the smoothed channel-busy ratio the controller acts on.
 func (d *DCC) CBR() float64 { return d.meter.CBR() }
 
@@ -247,6 +227,3 @@ func (d *DCC) MinInterval() time.Duration {
 	}
 	return iv
 }
-
-// Stop halts the underlying CBR meter.
-func (d *DCC) Stop() { d.meter.Stop() }

@@ -49,7 +49,7 @@ func FuzzGridNeighbors(f *testing.F) {
 			t.Fatalf("grid len %d, mirror %d", g.Len(), len(mirror))
 		}
 		for id, q := range mirror {
-			got, ok := g.BinnedPosition(id)
+			got, ok := g.pos[id], g.present[id]
 			if !ok || got != q {
 				t.Fatalf("member %d binned at %v (%v), mirror %v", id, got, ok, q)
 			}

@@ -40,9 +40,6 @@ func NewGrid(cellSize float64) *Grid {
 	return &Grid{cellSize: cellSize, cells: make(map[gridCell][]int32)}
 }
 
-// CellSize returns the configured cell edge length in metres.
-func (g *Grid) CellSize() float64 { return g.cellSize }
-
 // cellOf bins a position. Non-finite coordinates collapse onto the
 // origin cell so a broken PositionFunc degrades to a full scan of that
 // cell rather than a lost member.
@@ -109,14 +106,6 @@ func (g *Grid) Move(id int, p geo.Point) {
 	}
 	g.where[id] = c
 	g.cells[c] = append(g.cells[c], int32(id))
-}
-
-// BinnedPosition returns the position id was last binned at.
-func (g *Grid) BinnedPosition(id int) (geo.Point, bool) {
-	if id < 0 || id >= len(g.present) || !g.present[id] {
-		return geo.Point{}, false
-	}
-	return g.pos[id], true
 }
 
 // Len reports the number of members in the grid.

@@ -33,7 +33,7 @@ func TestGridInsertMoveNeighbors(t *testing.T) {
 	if !got[0] || !got[1] || got[2] {
 		t.Fatalf("post-move query got %v", got)
 	}
-	if p, ok := g.BinnedPosition(1); !ok || p.X != 6 {
+	if p, ok := g.pos[1], g.present[1]; !ok || p.X != 6 {
 		t.Fatalf("binned position %v %v", p, ok)
 	}
 	// Moving an unknown id is a no-op.
@@ -85,7 +85,7 @@ func TestGridDegenerateInputs(t *testing.T) {
 	g.Neighbors(geo.Point{}, -1, func(int) { t.Fatal("negative radius visited") })
 	g.Neighbors(geo.Point{}, math.NaN(), func(int) { t.Fatal("NaN radius visited") })
 	// Non-positive cell sizes clamp.
-	if NewGrid(0).CellSize() != 1 || NewGrid(math.Inf(1)).CellSize() != 1 {
+	if NewGrid(0).cellSize != 1 || NewGrid(math.Inf(1)).cellSize != 1 {
 		t.Fatal("cell size not clamped")
 	}
 }

@@ -855,9 +855,6 @@ func (i *Interface) SetReceiver(fn func(*Frame)) { i.receive = fn }
 // Position returns the interface's current position.
 func (i *Interface) Position() geo.Point { return i.pos() }
 
-// Name returns the configured interface name.
-func (i *Interface) Name() string { return i.cfg.Name }
-
 // SendBroadcast queues a frame at the default access category,
 // satisfying geonet.LinkLayer.
 func (i *Interface) SendBroadcast(frame []byte) error {

@@ -65,9 +65,6 @@ func NewLidar(cfg LidarConfig, rng *rand.Rand) *Lidar {
 	return &Lidar{cfg: cfg, rng: rng}
 }
 
-// Config returns the LiDAR parameters.
-func (l *Lidar) Config() LidarConfig { return l.cfg }
-
 // rayCircle returns the distance along the unit ray (origin, dir) to
 // the circle, or ok=false.
 func rayCircle(origin geo.Point, dir geo.Vector, c Target) (float64, bool) {
@@ -135,57 +132,4 @@ func NearestAhead(scan []Return, halfSector float64) (Return, bool) {
 		}
 	}
 	return best, found
-}
-
-// IMUConfig describes the inertial measurement unit.
-type IMUConfig struct {
-	// AccelNoiseSigma in m/s² per sample.
-	AccelNoiseSigma float64
-	// GyroNoiseSigma in rad/s per sample.
-	GyroNoiseSigma float64
-	// AccelBias and GyroBias are constant offsets.
-	AccelBias float64
-	GyroBias  float64
-}
-
-// DefaultIMU returns a consumer-grade MEMS profile.
-func DefaultIMU() IMUConfig {
-	return IMUConfig{
-		AccelNoiseSigma: 0.05,
-		GyroNoiseSigma:  0.002,
-		AccelBias:       0.02,
-		GyroBias:        0.001,
-	}
-}
-
-// IMUSample is one reading.
-type IMUSample struct {
-	// LongitudinalAccel in m/s².
-	LongitudinalAccel float64
-	// YawRate in rad/s.
-	YawRate float64
-}
-
-// IMU produces noisy samples from true kinematics.
-type IMU struct {
-	cfg IMUConfig
-	rng *rand.Rand
-}
-
-// NewIMU builds an IMU; rng may be nil for ideal readings.
-func NewIMU(cfg IMUConfig, rng *rand.Rand) *IMU {
-	return &IMU{cfg: cfg, rng: rng}
-}
-
-// Sample reads the sensors given true acceleration and yaw rate.
-func (s *IMU) Sample(trueAccel, trueYawRate float64) IMUSample {
-	out := IMUSample{
-		LongitudinalAccel: trueAccel + s.cfg.AccelBias,
-		YawRate:           trueYawRate + s.cfg.GyroBias,
-	}
-	if s.rng != nil {
-		out.LongitudinalAccel += s.rng.NormFloat64() * s.cfg.AccelNoiseSigma
-		out.YawRate += s.rng.NormFloat64() * s.cfg.GyroNoiseSigma
-	}
-	return out
 }

@@ -134,29 +134,5 @@ func TestLidarNoise(t *testing.T) {
 	}
 }
 
-func TestIMUSample(t *testing.T) {
-	ideal := NewIMU(IMUConfig{}, nil)
-	s := ideal.Sample(1.5, 0.2)
-	if s.LongitudinalAccel != 1.5 || s.YawRate != 0.2 {
-		t.Fatalf("ideal IMU %+v", s)
-	}
-	biased := NewIMU(IMUConfig{AccelBias: 0.1, GyroBias: -0.05}, nil)
-	s = biased.Sample(1.0, 0.1)
-	if math.Abs(s.LongitudinalAccel-1.1) > 1e-12 || math.Abs(s.YawRate-0.05) > 1e-12 {
-		t.Fatalf("biased IMU %+v", s)
-	}
-}
-
-func TestIMUNoiseStatistics(t *testing.T) {
-	imu := NewIMU(DefaultIMU(), rand.New(rand.NewSource(2)))
-	var sum float64
-	const n = 5000
-	for i := 0; i < n; i++ {
-		sum += imu.Sample(0, 0).LongitudinalAccel
-	}
-	mean := sum / n
-	// Mean converges to the bias.
-	if math.Abs(mean-DefaultIMU().AccelBias) > 0.01 {
-		t.Fatalf("accel mean %v, want ~bias %v", mean, DefaultIMU().AccelBias)
-	}
-}
+// Config returns the LiDAR parameters.
+func (l *Lidar) Config() LidarConfig { return l.cfg }

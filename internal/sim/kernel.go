@@ -32,9 +32,6 @@ type Event struct {
 	pooled bool
 }
 
-// Time reports the virtual time at which the event fires.
-func (e *Event) Time() time.Duration { return e.at }
-
 // Cancel prevents the event from firing and removes it from the queue
 // immediately, so Pending never counts it. Cancelling an event that
 // has already fired or was already cancelled is a no-op.
@@ -165,9 +162,6 @@ func (k *Kernel) Now() time.Duration { return k.now }
 
 // Processed reports how many events have been executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
-
-// Seed reports the master seed the kernel was created with.
-func (k *Kernel) Seed() int64 { return k.seed }
 
 // Rand returns the named deterministic random stream, creating it on
 // first use. Distinct names yield independent streams; the same name
@@ -311,11 +305,6 @@ func (t *Ticker) Stop() {
 
 // Stop halts a Run in progress after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// Pending reports the number of live events waiting in the queue.
-// Cancelled events are removed at Cancel time and never counted, so
-// campaign-level pending checks are exact.
-func (k *Kernel) Pending() int { return len(k.queue) }
 
 // Run executes events in timestamp order until the queue is empty or
 // virtual time would exceed horizon. Events scheduled exactly at the

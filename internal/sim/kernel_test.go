@@ -427,3 +427,8 @@ func TestRunHorizonBehindNowKeepsClock(t *testing.T) {
 		t.Fatalf("event scheduled 1s after 5s fired at %v", at)
 	}
 }
+
+// Pending reports the number of live events waiting in the queue.
+// Cancelled events are removed at Cancel time and never counted, so
+// campaign-level pending checks are exact.
+func (k *Kernel) Pending() int { return len(k.queue) }

@@ -131,7 +131,7 @@ func TestSharedDecodeIsReadOnly(t *testing.T) {
 				t.Fatalf("hooks retained %d CAMs, %d DENMs, %d CPMs; want 3 of each", len(cams), len(denms), len(cpms))
 			}
 			for _, r := range receivers {
-				if _, ok := r.LDM.Object(sender.StationID()); !ok {
+				if !hasCAMObject(r.LDM, sender.cfg.StationID) {
 					t.Errorf("%s: LDM holds no object for the sender", r.Name())
 				}
 			}
@@ -141,18 +141,18 @@ func TestSharedDecodeIsReadOnly(t *testing.T) {
 				if !bytes.Equal(f.Bytes, sent) {
 					t.Errorf("frame bytes changed after delivery:\nsent % x\nnow  % x", sent, f.Bytes)
 				}
-				rx, ok := f.Decoded.(*rxFrame)
+				rx, ok := f.Decoded.(*RxFrame)
 				if !ok {
 					t.Fatalf("delivered frame carries no shared parse: %T", f.Decoded)
 				}
-				fresh := parseFrame(sent)
+				fresh := ParseFrame(sent)
 				if rx.decoded {
-					fresh.decode()
+					fresh.Decode()
 				}
 				if !reflect.DeepEqual(rx, fresh) {
 					t.Errorf("shared parse differs from a fresh parse of the sent bytes:\nshared %+v\nfresh  %+v", rx, fresh)
 				}
-				shared[rx.cam], shared[rx.denm], shared[rx.cpm] = true, true, true
+				shared[rx.CAM], shared[rx.DENM], shared[rx.CPM] = true, true, true
 			}
 			// Every hook retained the very value its frame's receivers
 			// share: one decode per transmission.
@@ -185,7 +185,7 @@ func send[M interface{ Encode() ([]byte, error) }](t *testing.T, m M, sendFn fun
 // sharedCAM is the sender's CAM with a low-frequency container, so
 // the receivers share a decoded path history too.
 func sharedCAM(s *Station) *messages.CAM {
-	cam := messages.NewCAM(s.StationID(), 7)
+	cam := messages.NewCAM(s.cfg.StationID, 7)
 	cam.Basic = messages.BasicContainer{
 		StationType: units.StationTypePassengerCar,
 		Position: messages.ReferencePosition{
@@ -207,7 +207,7 @@ func sharedCAM(s *Station) *messages.CAM {
 
 // sharedCPM is the sender's CPM with two perceived objects.
 func sharedCPM(s *Station) *messages.CPM {
-	c := messages.NewCPM(s.StationID(), 9)
+	c := messages.NewCPM(s.cfg.StationID, 9)
 	c.Management = messages.CpmManagementContainer{
 		StationType: units.StationTypeRoadSideUnit,
 		Position: messages.ReferencePosition{

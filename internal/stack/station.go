@@ -194,7 +194,7 @@ type Station struct {
 	cpRx         cp.Receiver
 	beaconTicker *sim.Ticker
 	// rx is the frame the router is handling, for onIndication.
-	rx *rxFrame
+	rx *RxFrame
 	// rxFree holds the deliveries that have fired, for reuse.
 	rxFree []*rxDelivery
 
@@ -403,9 +403,6 @@ func (e egoAdapter) EgoPosition() geonet.LongPositionVector {
 // Name returns the configured station name.
 func (s *Station) Name() string { return s.cfg.Name }
 
-// StationID returns the configured station ID.
-func (s *Station) StationID() units.StationID { return s.cfg.StationID }
-
 // DefaultBeaconInterval is the GN beacon service retransmit timer.
 const DefaultBeaconInterval = 3 * time.Second
 
@@ -448,58 +445,76 @@ func (s *Station) Stop() {
 // crashed node is deaf until Restart (the radio still physically
 // receives, the process is gone). The first station to receive a
 // transmission parses it into f.Decoded; every other receiver of f
-// reads that parse (see rxFrame).
+// reads that parse (see RxFrame).
 func (s *Station) OnFrame(f *radio.Frame) {
 	if s.crashed {
 		return
 	}
-	rx, _ := f.Decoded.(*rxFrame)
+	rx, _ := f.Decoded.(*RxFrame)
 	if rx == nil {
-		rx = parseFrame(f.Bytes)
+		rx = ParseFrame(f.Bytes)
 		f.Decoded = rx
 	}
-	if rx.gnErr != nil {
+	if rx.Stage == StageGN {
 		return // malformed frames are counted nowhere, as a real MAC would drop them
 	}
 	prev := s.rx
 	s.rx = rx
-	s.Router.OnPacket(&rx.pkt)
+	s.Router.OnPacket(&rx.Packet)
 	s.rx = prev
 }
 
-// rxFrame is one received frame as parsed for every station that hears
-// it: the GN packet and BTP header, parsed by the first receiver, and
-// the facilities message, decoded by the first receiver that delivers
-// it. The frame's bytes are immutable once on the air, and no receiver
-// writes to a filled field, so what the stations share is read-only.
-type rxFrame struct {
-	pkt   geonet.Packet
-	gnErr error
-	// port and body are the BTP destination port and the facilities
+// RxFrame is one received frame parsed down to its facilities
+// message: the one receive parse of the module. The first simulated
+// station to hear a transmission parses it and every other receiver
+// reads that parse; the daemon's MuxServer parses each datagram once
+// for all its hosted stations. The parse aliases the frame's bytes,
+// which stay immutable while it is read; the decoded messages are
+// copies. No reader writes to a filled field, so what the receivers
+// share is read-only.
+type RxFrame struct {
+	// Packet is the GN packet; its payload aliases the frame.
+	Packet geonet.Packet
+	// Port and Body are the BTP destination port and the facilities
 	// payload; btpOK is false when the packet carries no valid BTP
 	// header.
-	port  uint16
-	body  []byte
+	Port  uint16
+	Body  []byte
 	btpOK bool
 
-	// decoded marks the message fields filled: at most one of cam, denm
-	// and cpm, by port, or the decode error.
+	// CAM, DENM and CPM hold the message Decode found by Port: at most
+	// one is set.
+	CAM  *messages.CAM
+	DENM *messages.DENM
+	CPM  *messages.CPM
+	// Stage names the layer that rejected the frame (StageGN, StageBTP,
+	// or the message's StageCAM, StageDENM, StageCPM) and Err its error;
+	// both are empty while the frame is well-formed.
+	Stage string
+	Err   error
+
 	decoded bool
-	cam     *messages.CAM
-	denm    *messages.DENM
-	cpm     *messages.CPM
-	err     error
 }
 
-// parseFrame parses the GN packet of frame and, when its next header
-// is BTP, the BTP header.
-func parseFrame(frame []byte) *rxFrame {
-	rx := &rxFrame{}
-	if rx.gnErr = geonet.Parse(frame, &rx.pkt); rx.gnErr != nil {
+// The stages of the receive parse, as RxFrame.Stage names them.
+const (
+	StageGN   = "gn"
+	StageBTP  = "btp"
+	StageCAM  = "cam"
+	StageDENM = "denm"
+	StageCPM  = "cpm"
+)
+
+// ParseFrame parses the GN packet of frame and, when its next header is
+// BTP, the BTP header. The facilities message waits for Decode.
+func ParseFrame(frame []byte) *RxFrame {
+	rx := &RxFrame{}
+	if err := geonet.Parse(frame, &rx.Packet); err != nil {
+		rx.Stage, rx.Err = StageGN, err
 		return rx
 	}
 	var t btp.Type
-	switch rx.pkt.Next {
+	switch rx.Packet.Next {
 	case geonet.NextBTPA:
 		t = btp.TypeA
 	case geonet.NextBTPB:
@@ -507,27 +522,36 @@ func parseFrame(frame []byte) *rxFrame {
 	default:
 		return rx
 	}
-	h, body, err := btp.Decode(t, rx.pkt.Payload)
+	h, body, err := btp.Decode(t, rx.Packet.Payload)
 	if err != nil {
+		rx.Stage, rx.Err = StageBTP, err
 		return rx
 	}
-	rx.port, rx.body, rx.btpOK = h.DestinationPort, body, true
+	rx.Port, rx.Body, rx.btpOK = h.DestinationPort, body, true
 	return rx
 }
 
-// decode decodes the facilities message on first use.
-func (rx *rxFrame) decode() {
+// Decode decodes the facilities message on first use; a frame that
+// failed to parse, or whose port carries no CAM, DENM or CPM, decodes
+// to nothing.
+func (rx *RxFrame) Decode() {
 	if rx.decoded {
 		return
 	}
 	rx.decoded = true
-	switch rx.port {
+	switch rx.Port {
 	case btp.PortCAM:
-		rx.cam, rx.err = messages.DecodeCAM(rx.body)
+		if rx.CAM, rx.Err = messages.DecodeCAM(rx.Body); rx.Err != nil {
+			rx.Stage = StageCAM
+		}
 	case btp.PortDENM:
-		rx.denm, rx.err = messages.DecodeDENM(rx.body)
+		if rx.DENM, rx.Err = messages.DecodeDENM(rx.Body); rx.Err != nil {
+			rx.Stage = StageDENM
+		}
 	case btp.PortCPM:
-		rx.cpm, rx.err = messages.DecodeCPM(rx.body)
+		if rx.CPM, rx.Err = messages.DecodeCPM(rx.Body); rx.Err != nil {
+			rx.Stage = StageCPM
+		}
 	}
 }
 
@@ -684,7 +708,7 @@ func (s *Station) onIndication(geonet.Indication) {
 	}
 	delay := s.cfg.RxLatency.sample(s.rng)
 	var sp *tracing.Span
-	switch rx.port {
+	switch rx.Port {
 	case btp.PortCAM:
 		s.mRxCAM.ObserveDuration(delay)
 		sp = s.rxSpan("cam")
@@ -715,7 +739,7 @@ func (s *Station) onIndication(geonet.Indication) {
 // costs no closure.
 type rxDelivery struct {
 	s                  *Station
-	rx                 *rxFrame
+	rx                 *RxFrame
 	sp                 *tracing.Span
 	fireFn, dispatchFn func()
 }
@@ -724,7 +748,7 @@ type rxDelivery struct {
 // delivery's span and returns d to the station's free list.
 func (d *rxDelivery) fire() {
 	s := d.s
-	d.rx.decode()
+	d.rx.Decode()
 	s.p.Scope(d.sp, d.dispatchFn)
 	d.sp.End(s.kernel.Now())
 	d.rx, d.sp = nil, nil
@@ -734,13 +758,13 @@ func (d *rxDelivery) fire() {
 // dispatch hands the decoded message to the receiver of its port.
 func (d *rxDelivery) dispatch() {
 	rx := d.rx
-	switch rx.port {
+	switch rx.Port {
 	case btp.PortCAM:
-		d.s.caRx.OnDecoded(rx.cam, rx.err)
+		d.s.caRx.OnDecoded(rx.CAM, rx.Err)
 	case btp.PortDENM:
-		d.s.denRx.OnDecoded(rx.body, rx.denm, rx.err)
+		d.s.denRx.OnDecoded(rx.Body, rx.DENM, rx.Err)
 	case btp.PortCPM:
-		d.s.cpRx.OnDecoded(rx.cpm, rx.err)
+		d.s.cpRx.OnDecoded(rx.CPM, rx.Err)
 	}
 }
 
@@ -754,16 +778,6 @@ func (s *Station) rxSpan(msg string) *tracing.Span {
 
 // Probe returns the station's instrumentation handle.
 func (s *Station) Probe() trace.Probe { return s.p }
-
-// CAReceiverStats reports CA reception counters.
-func (s *Station) CAReceiverStats() (received, malformed uint64) {
-	return s.caRx.Received, s.caRx.Malformed
-}
-
-// DENReceiverStats reports DEN reception counters.
-func (s *Station) DENReceiverStats() (received, repeated, malformed uint64) {
-	return s.denRx.Received, s.denRx.Repeated, s.denRx.Malformed
-}
 
 // CPReceiverStats reports CP reception and fusion counters.
 func (s *Station) CPReceiverStats() (received, malformed, fused, stale uint64) {

@@ -102,34 +102,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return x[rank]
 }
 
-// Histogram bins a sample into n equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram with n bins.
-func NewHistogram(xs []float64, n int) Histogram {
-	if n <= 0 || len(xs) == 0 {
-		return Histogram{}
-	}
-	s := Summarize(xs)
-	h := Histogram{Min: s.Min, Max: s.Max, Counts: make([]int, n)}
-	width := (s.Max - s.Min) / float64(n)
-	if width == 0 {
-		h.Counts[0] = len(xs)
-		return h
-	}
-	for _, x := range xs {
-		i := int((x - s.Min) / width)
-		if i >= n {
-			i = n - 1
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
 // NormalFit is a Gaussian fitted by moments.
 type NormalFit struct {
 	Mu, Sigma float64

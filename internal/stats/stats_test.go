@@ -97,26 +97,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	h := NewHistogram(xs, 5)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram total %d", total)
-	}
-	if h.Counts[0] != 2 || h.Counts[4] != 2 {
-		t.Fatalf("bins %v", h.Counts)
-	}
-	// Constant sample lands in one bin.
-	hc := NewHistogram([]float64{5, 5, 5}, 4)
-	if hc.Counts[0] != 3 {
-		t.Fatal("constant sample histogram")
-	}
-}
-
 func TestFitNormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xs := make([]float64, 5000)

@@ -42,7 +42,7 @@ func TestProbeLabelsAndStampsTheStation(t *testing.T) {
 	p := s.Probe("rsu")
 	p.Counter("tx_total", metrics.L("msg", "denm")).Add(2)
 	p.Histogram("lat_seconds").Observe(0.5)
-	p.Gauge("depth").Set(3)
+	p.Gauge("depth").Add(3)
 	snap := s.Snapshot()
 	if c, ok := snap.Metrics.FindCounter("tx_total", metrics.L("msg", "denm"), StationLabel("rsu")); !ok || c.Value != 2 {
 		t.Fatalf("station counter = %+v %v", c, ok)

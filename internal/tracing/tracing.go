@@ -418,16 +418,6 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// TraceID returns the span's trace identifier (zero for nil).
-func (s *Span) TraceID() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return s.trace
-}
-
 // EndTime returns when the span ended, or its start when still open.
 func (s *Span) EndTime() time.Duration {
 	if s == nil {

@@ -276,3 +276,13 @@ func servedPage(t *testing.T, r *Ring) ringPage {
 	}
 	return page
 }
+
+// TraceID returns the span's trace identifier (zero for nil).
+func (s *Span) TraceID() uint64 {
+	if s == nil {
+		return 0
+	}
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.trace
+}

@@ -406,27 +406,3 @@ func PaperLab() Layout {
 		Frame:               frame,
 	}
 }
-
-// Intersection builds a blind-corner intersection layout for the
-// motivating use case (Fig. 1): the protagonist's line approaches from
-// the south while a crossing road enters from the west; the camera
-// watches the crossing region.
-func Intersection() Layout {
-	frame, err := geo.NewFrame(geo.CISTERLab)
-	if err != nil {
-		panic(err)
-	}
-	line := MustLine([]geo.Point{{X: 0, Y: -6}, {X: 0, Y: 6}})
-	cam := Camera{
-		Position: geo.Point{X: 1.5, Y: 1.5},
-		Facing:   math.Pi + math.Pi/4, // south-west towards the junction
-		FOV:      110 * math.Pi / 180,
-		MaxRange: 12,
-	}
-	return Layout{
-		Line:                line,
-		Camera:              cam,
-		ActionPointDistance: 2.5,
-		Frame:               frame,
-	}
-}

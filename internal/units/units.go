@@ -50,9 +50,6 @@ func LatitudeFromDegrees(deg float64) Latitude {
 // Degrees converts the fixed-point latitude back to degrees.
 func (l Latitude) Degrees() float64 { return float64(l) / 1e7 }
 
-// Available reports whether the value is not the unavailable sentinel.
-func (l Latitude) Available() bool { return l != LatitudeUnavailable }
-
 // LongitudeFromDegrees converts degrees to the ETSI fixed-point unit,
 // clamping to the valid range.
 func LongitudeFromDegrees(deg float64) Longitude {
@@ -68,9 +65,6 @@ func LongitudeFromDegrees(deg float64) Longitude {
 
 // Degrees converts the fixed-point longitude back to degrees.
 func (l Longitude) Degrees() float64 { return float64(l) / 1e7 }
-
-// Available reports whether the value is not the unavailable sentinel.
-func (l Longitude) Available() bool { return l != LongitudeUnavailable }
 
 // Speed in 0.01 m/s units (ETSI SpeedValue data element).
 type Speed uint16
@@ -96,9 +90,6 @@ func SpeedFromMS(ms float64) Speed {
 
 // MS converts the fixed-point speed to metres per second.
 func (s Speed) MS() float64 { return float64(s) / 100 }
-
-// Available reports whether the value is not the unavailable sentinel.
-func (s Speed) Available() bool { return s != SpeedUnavailable }
 
 // Heading in 0.1 degree units, clockwise from north (ETSI HeadingValue).
 type Heading uint16
@@ -130,9 +121,6 @@ func (h Heading) Radians() float64 { return float64(h) / 10 * math.Pi / 180 }
 
 // Degrees converts the fixed-point heading to degrees.
 func (h Heading) Degrees() float64 { return float64(h) / 10 }
-
-// Available reports whether the value is not the unavailable sentinel.
-func (h Heading) Available() bool { return h != HeadingUnavailable }
 
 // Curvature in 1/10000 per metre units (ETSI CurvatureValue), positive
 // for left turns.

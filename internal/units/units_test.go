@@ -28,10 +28,7 @@ func TestLatitudeClamping(t *testing.T) {
 }
 
 func TestLatitudeSentinel(t *testing.T) {
-	if LatitudeUnavailable.Available() {
-		t.Fatal("sentinel reported available")
-	}
-	if !LatitudeFromDegrees(41.178).Available() {
+	if LatitudeFromDegrees(41.178) == LatitudeUnavailable {
 		t.Fatal("valid latitude reported unavailable")
 	}
 }
@@ -42,9 +39,6 @@ func TestLongitudeRoundTrip(t *testing.T) {
 		if math.Abs(l.Degrees()-deg) > 1e-7 {
 			t.Fatalf("longitude %v -> %v", deg, l.Degrees())
 		}
-	}
-	if LongitudeUnavailable.Available() {
-		t.Fatal("sentinel reported available")
 	}
 }
 
@@ -60,9 +54,6 @@ func TestSpeedConversions(t *testing.T) {
 	}
 	if SpeedFromMS(1e6) != SpeedMax {
 		t.Fatal("over-range speed not clamped to max")
-	}
-	if SpeedUnavailable.Available() {
-		t.Fatal("speed sentinel reported available")
 	}
 	if !almost(SpeedFromMS(1.5).MS(), 1.5, 0.005) {
 		t.Fatal("speed round trip")
@@ -83,9 +74,6 @@ func TestHeadingConversions(t *testing.T) {
 	// 360° wraps to 0.
 	if HeadingFromRadians(2*math.Pi) != 0 {
 		t.Fatalf("360° = %d, want 0", HeadingFromRadians(2*math.Pi))
-	}
-	if HeadingUnavailable.Available() {
-		t.Fatal("heading sentinel reported available")
 	}
 }
 
@@ -183,7 +171,7 @@ func TestConversionBoundaries(t *testing.T) {
 				t.Errorf("LatitudeFromDegrees(%v) = %d, want %d", tc.deg, got, tc.want)
 			}
 		}
-		if LatitudeFromDegrees(91).Available() != true {
+		if LatitudeFromDegrees(91) == LatitudeUnavailable {
 			t.Error("clamped latitude must stay available (never the sentinel)")
 		}
 	})
@@ -223,7 +211,7 @@ func TestConversionBoundaries(t *testing.T) {
 				t.Errorf("SpeedFromMS(%v) = %d, want %d", tc.ms, got, tc.want)
 			}
 		}
-		if !SpeedFromMS(1e6).Available() {
+		if SpeedFromMS(1e6) == SpeedUnavailable {
 			t.Error("clamped speed must stay available (never the sentinel)")
 		}
 	})

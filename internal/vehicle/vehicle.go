@@ -461,10 +461,6 @@ func (v *Vehicle) StopIssued() bool { return v.stopIssued }
 // issued.
 func (v *Vehicle) StopCause() string { return v.stopCause }
 
-// Degraded reports whether the network watchdog currently considers
-// connectivity lost.
-func (v *Vehicle) Degraded() bool { return v.degraded }
-
 // Halted reports whether the vehicle has come to rest after a stop.
 func (v *Vehicle) Halted() bool { return v.haltObserved }
 

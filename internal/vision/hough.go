@@ -14,11 +14,6 @@ type LineSegment struct {
 // Length returns the segment length in pixels.
 func (s LineSegment) Length() float64 { return math.Hypot(s.X2-s.X1, s.Y2-s.Y1) }
 
-// Midpoint returns the segment midpoint.
-func (s LineSegment) Midpoint() (float64, float64) {
-	return (s.X1 + s.X2) / 2, (s.Y1 + s.Y2) / 2
-}
-
 // HoughParams tune the progressive probabilistic Hough transform
 // (Matas et al., the algorithm behind OpenCV's HoughLinesP that the
 // paper's line follower uses).

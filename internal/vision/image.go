@@ -23,11 +23,6 @@ type Gray struct {
 	spans []track.RowSpan
 }
 
-// NewGray allocates a zeroed image.
-func NewGray(w, h int) *Gray {
-	return &Gray{W: w, H: h, Pix: make([]uint8, w*h)}
-}
-
 // ensure resizes g to w×h, reusing the backing array when it is large
 // enough, and zeroes the pixels. It lets the detection pipeline reuse
 // its per-frame images instead of allocating ~20 KB each at 25 Hz.
@@ -40,22 +35,6 @@ func (g *Gray) ensure(w, h int) {
 		clear(g.Pix)
 	}
 	g.W, g.H = w, h
-}
-
-// At returns the pixel value, 0 outside the bounds.
-func (g *Gray) At(x, y int) uint8 {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
-		return 0
-	}
-	return g.Pix[y*g.W+x]
-}
-
-// Set writes a pixel, ignoring out-of-bounds coordinates.
-func (g *Gray) Set(x, y int, v uint8) {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
-		return
-	}
-	g.Pix[y*g.W+x] = v
 }
 
 // CameraModel is the vehicle's front camera in bird's-eye (inverse

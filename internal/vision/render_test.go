@@ -12,7 +12,8 @@ import (
 // renderLines are the guide lines the render tests draw.
 var renderLines = []*track.Line{
 	track.PaperLab().Line,
-	track.Intersection().Line,
+	// A straight north-south line through the origin.
+	track.MustLine([]geo.Point{{X: 0, Y: -6}, {X: 0, Y: 6}}),
 	// Four segments with three corners.
 	track.MustLine([]geo.Point{{X: 0, Y: -2}, {X: 0, Y: 0.6}, {X: 0.4, Y: 1.2}, {X: 0.3, Y: 2}, {X: -0.2, Y: 3}}),
 	// TestRenderLineWidthBoundary's diagonal.

@@ -158,7 +158,7 @@ func TestHoughRecoversSyntheticLine(t *testing.T) {
 	if s.Length() < 80*0.7 {
 		t.Fatalf("segment length %v, want most of the 80 px line", s.Length())
 	}
-	mu, _ := s.Midpoint()
+	mu := (s.X1 + s.X2) / 2
 	if math.Abs(mu-40) > 2 {
 		t.Fatalf("segment at u=%v, want 40", mu)
 	}
@@ -313,4 +313,25 @@ func TestHoughReusedBuffersMatchFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// NewGray allocates a zeroed image.
+func NewGray(w, h int) *Gray {
+	return &Gray{W: w, H: h, Pix: make([]uint8, w*h)}
+}
+
+// At returns the pixel value, 0 outside the bounds.
+func (g *Gray) At(x, y int) uint8 {
+	if x < 0 || y < 0 || x >= g.W || y >= g.H {
+		return 0
+	}
+	return g.Pix[y*g.W+x]
+}
+
+// Set writes a pixel, ignoring out-of-bounds coordinates.
+func (g *Gray) Set(x, y int, v uint8) {
+	if x < 0 || y < 0 || x >= g.W || y >= g.H {
+		return
+	}
+	g.Pix[y*g.W+x] = v
 }

@@ -49,15 +49,6 @@ func NewCity(cfg CityConfig) *City {
 	return &City{cfg: cfg}
 }
 
-// Config returns the resolved configuration.
-func (c *City) Config() CityConfig { return c.cfg }
-
-// Width is the east–west extent of the road grid in metres.
-func (c *City) Width() float64 { return float64(c.cfg.BlocksX) * c.cfg.BlockSize }
-
-// Height is the north–south extent of the road grid in metres.
-func (c *City) Height() float64 { return float64(c.cfg.BlocksY) * c.cfg.BlockSize }
-
 // Intersection returns the position of lattice intersection (i, j),
 // clamped to the grid.
 func (c *City) Intersection(i, j int) geo.Point {

@@ -99,3 +99,12 @@ func TestRandomRouteIsClosedGridLoop(t *testing.T) {
 		t.Fatal("route draw not deterministic")
 	}
 }
+
+// Config returns the resolved configuration.
+func (c *City) Config() CityConfig { return c.cfg }
+
+// Width is the east–west extent of the road grid in metres.
+func (c *City) Width() float64 { return float64(c.cfg.BlocksX) * c.cfg.BlockSize }
+
+// Height is the north–south extent of the road grid in metres.
+func (c *City) Height() float64 { return float64(c.cfg.BlocksY) * c.cfg.BlockSize }

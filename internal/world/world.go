@@ -81,9 +81,6 @@ func (m *Map) Walls() []Wall {
 	return out
 }
 
-// AddWall appends a wall.
-func (m *Map) AddWall(w Wall) { m.walls = append(m.walls, w) }
-
 // segmentsIntersect reports whether segments ab and cd properly
 // intersect (shared endpoints count as intersection).
 func segmentsIntersect(a, b, c, d geo.Point) bool {

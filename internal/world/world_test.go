@@ -132,3 +132,6 @@ func TestWallsCopySemantics(t *testing.T) {
 		t.Fatal("Walls returns an aliased slice")
 	}
 }
+
+// AddWall appends a wall.
+func (m *Map) AddWall(w Wall) { m.walls = append(m.walls, w) }
