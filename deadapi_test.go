@@ -22,7 +22,7 @@ import (
 // "itsbed/internal/" prefix dropped.
 var deadAPIAllowlist = map[string]string{
 	"(*its/facilities/ldm.Sharded).GC": "expiry of the daemon's shared LDM; service mode is to call it on a schedule (ROADMAP item 7)",
-	"(*its/geonet.LocationTable).GC":   "location-table expiry; service mode is to call it on a schedule (ROADMAP item 7)",
+	"(*its/geonet.LocationTable).GC":   "duplicate-filter expiry; service mode is to call it on a schedule (ROADMAP item 7)",
 }
 
 // deadAPIDebt names dead API that is still to be deleted, each with the
@@ -46,9 +46,6 @@ var deadAPIDebt = map[string]string{
 	"(*its/facilities/den.Service).Cancel":      "TestCancel",
 	"(*its/facilities/den.Service).Update":      "TestUpdate",
 	"(*physics.Body).StoppingDistance":          "TestStoppingDistancePrediction",
-	"(*radio.DCC).Interval":                     "TestIntervalDoesNotCountThrottled",
-	"(*sim.Kernel).Processed":                   "TestProcessedCounter",
-	"(*sim.Kernel).Stop":                        "TestStop",
 	"(*vehicle.Vehicle).Reset":                  "TestResetRestoresStartState",
 	"(*world.Map).LineOfSight":                  "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
 	"(*world.Map).Walls":                        "TestWallsCopySemantics",

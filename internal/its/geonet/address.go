@@ -2,8 +2,7 @@
 // (EN 302 636-4-1) that the ITS-G5 testbed exercises: GN addresses,
 // long position vectors, basic and common headers, the Single-Hop
 // Broadcast (SHB) and GeoBroadcast (GBC) packet types, geographical
-// target areas (EN 302 931), a location table with duplicate-packet
-// detection, and a router that performs delivery and constrained
+// target areas (EN 302 931), duplicate-packet detection, and a router that performs delivery and constrained
 // rebroadcast forwarding over an abstract link layer.
 package geonet
 

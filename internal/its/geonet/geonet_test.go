@@ -306,48 +306,33 @@ func TestAreaZeroSize(t *testing.T) {
 	}
 }
 
-func TestLocationTable(t *testing.T) {
-	lt := NewLocationTable(time.Second)
+// TestDuplicateFilterExpiry checks the duplicate filter's expiry: a
+// repeat inside its lifetime is a duplicate, and once the record has
+// expired GC drops it and the same key is accepted again.
+func TestDuplicateFilterExpiry(t *testing.T) {
+	lt := NewLocationTable()
 	addr := NewAddress(units.StationTypePassengerCar, 2001)
-	lpv := LongPositionVector{Address: addr, Timestamp: 1}
-	lt.Update(lpv, 0)
+	if lt.IsDuplicate(addr, 3, time.Second, 0) {
+		t.Fatal("first packet flagged duplicate")
+	}
 	lt.GC(500 * time.Millisecond)
-	if e, ok := lt.entries[addr]; !ok || e.Position != lpv {
-		t.Fatal("fresh entry missing")
+	if !lt.IsDuplicate(addr, 3, time.Second, 999*time.Millisecond) {
+		t.Fatal("repeat inside the lifetime not flagged")
 	}
-	lt.GC(5 * time.Second)
-	if len(lt.entries) != 0 {
-		t.Fatal("GC left stale entries")
+	lt.GC(time.Second)
+	if len(lt.dup) != 0 {
+		t.Fatalf("GC kept %d expired records", len(lt.dup))
 	}
-}
-
-// TestLocationTableReusesExpiredEntriesClean lets GC free one
-// neighbour's entry and checks that the next new neighbour, which
-// takes that slot, starts from zero: its own position, one packet.
-func TestLocationTableReusesExpiredEntriesClean(t *testing.T) {
-	lt := NewLocationTable(time.Second)
-	old := NewAddress(units.StationTypePassengerCar, 2001)
-	for i := 0; i < 5; i++ {
-		lt.Update(LongPositionVector{Address: old, Timestamp: 7, Speed: 300, Heading: 900}, 0)
+	if lt.IsDuplicate(addr, 3, time.Second, time.Second) {
+		t.Fatal("key rejected after expiry and GC")
 	}
-	freed := lt.entries[old]
-	lt.GC(2 * time.Second)
-	if len(lt.entries) != 0 {
-		t.Fatal("GC left the expired entry")
-	}
-	addr := NewAddress(units.StationTypeCyclist, 2002)
-	lpv := LongPositionVector{Address: addr, Timestamp: 9}
-	lt.Update(lpv, 2*time.Second)
-	if lt.entries[addr] != freed {
-		t.Fatal("the new neighbour did not take the slot GC freed")
-	}
-	if want := (LocationTableEntry{Position: lpv, LastSeen: 2 * time.Second, PacketCount: 1}); *freed != want {
-		t.Fatalf("reused entry = %+v; want %+v", *freed, want)
+	if !lt.IsDuplicate(addr, 3, time.Second, 1500*time.Millisecond) {
+		t.Fatal("the re-recorded key is not a duplicate inside its new lifetime")
 	}
 }
 
 func TestDuplicateDetection(t *testing.T) {
-	lt := NewLocationTable(0)
+	lt := NewLocationTable()
 	addr := NewAddress(units.StationTypeRoadSideUnit, 1001)
 	if lt.IsDuplicate(addr, 7, time.Minute, 0) {
 		t.Fatal("first packet flagged duplicate")
@@ -434,9 +419,6 @@ func TestRouterSHBDelivery(t *testing.T) {
 	}
 	if delivered[0].Type != HeaderTypeTSB {
 		t.Fatal("wrong type")
-	}
-	if len(receiver.table.entries) != 1 {
-		t.Fatal("location table not updated")
 	}
 }
 
@@ -589,6 +571,8 @@ func TestBeaconWithPayloadRejected(t *testing.T) {
 	}
 }
 
+// TestBeaconFeedsLocationTableOnly checks that a beacon is counted and
+// reaches no upper layer.
 func TestBeaconFeedsLocationTableOnly(t *testing.T) {
 	delivered := 0
 	sender, link := testRouter(t, 1, geo.Point{}, nil)
@@ -602,9 +586,6 @@ func TestBeaconFeedsLocationTableOnly(t *testing.T) {
 	}
 	if receiver.BeaconsReceived != 1 {
 		t.Fatal("beacon not counted")
-	}
-	if len(receiver.table.entries) != 1 {
-		t.Fatal("beacon did not feed the location table")
 	}
 }
 

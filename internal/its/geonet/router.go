@@ -57,7 +57,7 @@ type Handler func(Indication)
 type RouterConfig struct {
 	// Frame anchors geodetic coordinates for area tests.
 	Frame *geo.Frame
-	// Now yields virtual (or wall) time for table maintenance.
+	// Now yields virtual (or wall) time for duplicate-record lifetimes.
 	Now func() time.Duration
 	// DefaultHopLimit for GBC packets; 0 selects the standard default.
 	DefaultHopLimit uint8
@@ -114,7 +114,7 @@ func NewRouter(cfg RouterConfig, link LinkLayer, ego EgoPositionProvider, handle
 		link:    link,
 		ego:     ego,
 		handler: handler,
-		table:   NewLocationTable(0),
+		table:   NewLocationTable(),
 	}
 	p := cfg.Probe
 	r.mSent = p.Counter("geonet_sent_total")
@@ -128,7 +128,8 @@ func NewRouter(cfg RouterConfig, link LinkLayer, ego EgoPositionProvider, handle
 
 // SendBeacon broadcasts a position beacon (EN 302 636-4-1 §10.2):
 // stations that have sent nothing for a beacon interval announce
-// their position so neighbours' location tables stay fresh.
+// their position. Receivers count beacons; they keep no neighbour
+// table, because nothing reads one.
 func (r *Router) SendBeacon() error {
 	p := &Packet{
 		Version:           CurrentVersion,
@@ -228,10 +229,9 @@ func (r *Router) SendGBC(next NextHeader, tc TrafficClass, area Area, lifetime t
 // p.Payload.
 func (r *Router) OnPacket(p *Packet) {
 	now := r.cfg.Now()
-	r.table.Update(p.Source, now)
 	switch p.Type {
 	case HeaderTypeBeacon:
-		// Beacons only feed the location table.
+		// Beacons are only counted.
 		r.BeaconsReceived++
 		r.mBeacon.Inc()
 	case HeaderTypeTSB:

@@ -20,8 +20,8 @@ import (
 // maxAllocsCAMFanout100 caps one CAM broadcast heard by 100 stacks.
 // The GN packet, BTP header and CAM are decoded once per transmission
 // and shared, and each receiver schedules its rx-latency event from a
-// pooled delivery and refreshes its LDM and location table entries in
-// place, so what is left is per transmission (measured 6 allocs/op).
+// pooled delivery and refreshes its LDM entry in place, so what is
+// left is per transmission (measured 6 allocs/op).
 // One closure or heap entry per receiver adds 100.
 const maxAllocsCAMFanout100 = 16
 

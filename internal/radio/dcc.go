@@ -198,17 +198,10 @@ func (d *DCC) State() int {
 // CBR exposes the smoothed channel-busy ratio the controller acts on.
 func (d *DCC) CBR() float64 { return d.meter.CBR() }
 
-// Interval reports the current state's minimum inter-transmission time
-// without counting the read as a gate query. Diagnostics and dashboards
-// use it; the facilities' transmit path goes through MinInterval.
-func (d *DCC) Interval() time.Duration {
-	return d.profile.Intervals[d.State()]
-}
-
 // MinInterval returns the current state's minimum inter-transmission
 // time and counts throttled gate queries. It implements the facilities'
-// TxGate; read-only consumers should use Interval instead so
-// diagnostics never skew the Throttled counter.
+// TxGate and is the transmit path's query: each call may move the
+// Throttled counter, so read the state for diagnostics with State.
 func (d *DCC) MinInterval() time.Duration {
 	s := d.State()
 	iv := d.profile.Intervals[s]

@@ -232,24 +232,3 @@ func TestDCCFallsBackOnDisorderedProfile(t *testing.T) {
 		t.Fatalf("disordered profile not replaced: floor %v", got)
 	}
 }
-
-// TestIntervalDoesNotCountThrottled splits the diagnostics read from
-// the transmit gate: only MinInterval may move the Throttled counter.
-func TestIntervalDoesNotCountThrottled(t *testing.T) {
-	k, m := newTestMedium(t)
-	iface := attach(t, m, "sta-q", geo.Point{})
-	d := NewDCC(k, iface, ReactiveProfile{})
-	d.meter.ring = []float64{0.99} // Restrictive
-	d.meter.n = 1
-	for i := 0; i < 10; i++ {
-		if got := d.Interval(); got != 540*time.Millisecond {
-			t.Fatalf("Interval %v, want 540ms", got)
-		}
-	}
-	if d.Throttled != 0 {
-		t.Fatalf("diagnostics reads moved Throttled to %d", d.Throttled)
-	}
-	if d.MinInterval(); d.Throttled != 1 {
-		t.Fatalf("gate query did not count: %d", d.Throttled)
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"itsbed/internal/flight"
@@ -36,7 +37,11 @@ type FaultModel interface {
 	LinkDrop(now time.Duration, src, dst string) (reason string, drop bool)
 }
 
-// MediumConfig parameterises the shared broadcast medium.
+// MediumConfig parameterises the shared broadcast medium. Without
+// Obstructions, the medium decides sensitivity and carrier sense from
+// a per-link radius cache of 8 bytes per directed link, n² for n
+// attached interfaces, with every outcome equal to the exact
+// path-loss comparison.
 type MediumConfig struct {
 	PathLoss PathLossModel
 	// Obstructions, when set, contributes per-link penetration loss —
@@ -167,10 +172,13 @@ type Medium struct {
 	cullCutoff2 float64
 	// linkCache memoises, per directed link, the squared distances at
 	// which the receive power crosses the sensitivity and carrier-
-	// sense thresholds (shadowing folded in). evaluate() then decides
-	// the common below-sensitivity case with two float compares
-	// instead of log-distance path-loss math. Invalid (and unused)
-	// when an obstruction model makes loss position-dependent.
+	// sense thresholds (shadowing folded in), as 8-byte float32 pairs:
+	// an n×n slab, 8 MB for a 1000-vehicle city. evaluate() then
+	// decides the common below-sensitivity case with two float
+	// compares instead of log-distance path-loss math, and re-derives
+	// the float64 radii only for a distance within a float32 rounding
+	// of one (see linkDecide). Invalid (and unused) when an obstruction
+	// model makes loss position-dependent.
 	linkCache []linkThreshold
 
 	// overlap lists the transmissions overlapping the one completing,
@@ -332,33 +340,84 @@ func (m *Medium) cutoff2() float64 {
 	return m.cullCutoff2
 }
 
-// linkThreshold caches one directed link's decision radii. sens2 and
-// cs2 hold the squared distances at which the link's receive power
-// (tx power − path loss − shadowing) falls below the sensitivity and
-// carrier-sense thresholds; −1 encodes "below threshold even at the
-// 1 m reference distance".
+// linkThreshold caches one directed link's decision radii in 8 bytes.
+// sens2 and cs2 hold, rounded to float32, the squared distances at
+// which the link's receive power (tx power − path loss − shadowing)
+// falls below the sensitivity and carrier-sense thresholds; −1
+// encodes "below threshold even at the 1 m reference distance". A
+// derived radius is −1 or at least 1 (LossDB clamps at 1 m), so a
+// zero sens2 marks a link not derived yet.
 type linkThreshold struct {
-	sens2, cs2 float64
-	set        bool
+	sens2, cs2 float32
 }
 
-// linkThresholds returns the cached decision radii for src→dst,
-// deriving them on first use. Only called when thresholdsUsable.
-func (m *Medium) linkThresholds(t *transmission, dst *Interface) (sens2, cs2 float64) {
+// linkBand is the relative half-width of the band around a cached
+// radius inside which only the exact float64 radius decides a
+// comparison. Rounding a float64 x to the nearest float32 r moves it by
+// at most 2⁻²⁴|x| while |x| stays in float32's normal range, which it
+// does for every finite cached radius (|x| ≥ 1), so the exact radius
+// lies within 2⁻²³|r| of r. 2⁻²² doubles that, which also absorbs the
+// 2⁻⁵³ rounding of the band edges computed in within.
+const linkBand = 0x1p-22
+
+// within decides d2 <= x for the exact radius x that r was rounded
+// from, when d2 lies outside r's rounding band (ok). Inside the band,
+// and always for r = +Inf (a radius beyond float32's range), ok is
+// false and only x can decide.
+func within(d2 float64, r float32) (in, ok bool) {
+	w := float64(r)
+	band := math.Abs(w) * linkBand
+	if d2 < w-band {
+		return true, true
+	}
+	if d2 > w+band {
+		return false, true
+	}
+	return false, false
+}
+
+// linkFallbacks counts link decisions that needed the exact radii, for
+// tests; it is not a registered metric.
+var linkFallbacks atomic.Uint64
+
+// link returns the cached radii for t's link to dst, deriving them on
+// first use. Only called when thresholdsUsable.
+func (m *Medium) link(t *transmission, dst *Interface) linkThreshold {
 	n := len(m.ifaces)
 	if m.linkCache == nil {
 		m.linkCache = make([]linkThreshold, n*n)
 	}
 	lt := &m.linkCache[t.src.id*n+dst.id]
-	if !lt.set {
-		sh := m.shadowingDB(t.src.id, dst.id)
-		exp := 10 * m.cfg.PathLoss.Exponent
-		base := t.powerDBm - m.cfg.PathLoss.ReferenceLossDB - sh
-		lt.sens2 = thresholdRadius2((base - m.cfg.SensitivityDBm) / exp)
-		lt.cs2 = thresholdRadius2((base - m.cfg.CarrierSenseDBm) / exp)
-		lt.set = true
+	if lt.sens2 == 0 {
+		sens2, cs2 := m.exactRadii(t, dst)
+		lt.sens2, lt.cs2 = float32(sens2), float32(cs2)
 	}
-	return lt.sens2, lt.cs2
+	return *lt
+}
+
+// exactRadii derives the float64 squared radii that link caches
+// rounded to float32.
+func (m *Medium) exactRadii(t *transmission, dst *Interface) (sens2, cs2 float64) {
+	sh := m.shadowingDB(t.src.id, dst.id)
+	exp := 10 * m.cfg.PathLoss.Exponent
+	base := t.powerDBm - m.cfg.PathLoss.ReferenceLossDB - sh
+	return thresholdRadius2((base - m.cfg.SensitivityDBm) / exp), thresholdRadius2((base - m.cfg.CarrierSenseDBm) / exp)
+}
+
+// linkDecide reports whether dst, at squared distance d2 from t's
+// source, senses t (d2 <= cs2) and can decode it (d2 <= sens2), for
+// the exact radii of the link: the cached radii decide outside their
+// rounding bands, exactRadii inside them.
+func (m *Medium) linkDecide(t *transmission, dst *Interface, d2 float64) (sensed, decodable bool) {
+	lt := m.link(t, dst)
+	sensed, okCS := within(d2, lt.cs2)
+	decodable, okSens := within(d2, lt.sens2)
+	if okCS && okSens {
+		return sensed, decodable
+	}
+	linkFallbacks.Add(1)
+	sens2, cs2 := m.exactRadii(t, dst)
+	return d2 <= cs2, d2 <= sens2
 }
 
 // thresholdRadius2 converts a decade margin into a squared threshold
@@ -426,8 +485,8 @@ func (m *Medium) senses(t *transmission, iface *Interface, pos geo.Point) bool {
 		return false
 	}
 	if m.thresholdsUsable() {
-		_, cs2 := m.linkThresholds(t, iface)
-		return d2 <= cs2
+		sensed, _ := m.linkDecide(t, iface, d2)
+		return sensed
 	}
 	return m.rxPowerDBmAt(t, srcPos, iface, pos) >= m.cfg.CarrierSenseDBm
 }
@@ -610,13 +669,13 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 		// Decide carrier sense and sensitivity by comparing the squared
 		// distance against the link's cached crossing radii — the
 		// log-distance math runs only for frames that actually decode.
-		sens2, cs2 := m.linkThresholds(t, dst)
-		if d2 <= cs2 {
+		sensed, decodable := m.linkDecide(t, dst, d2)
+		if sensed {
 			// The frame was sensed at this receiver: it occupied the
 			// channel for CBR purposes whether or not it decodes.
 			m.noteBusy(dst, t)
 		}
-		if d2 > sens2 {
+		if !decodable {
 			m.dropSensitivity(t, dst, now)
 			return
 		}

@@ -9,15 +9,10 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 )
-
-// ErrStopped is returned by Run when the kernel was stopped explicitly
-// before reaching its horizon.
-var ErrStopped = errors.New("sim: kernel stopped")
 
 // Event is a scheduled callback. It is returned by the scheduling
 // methods and can be used to cancel the event before it fires.
@@ -135,14 +130,10 @@ type Kernel struct {
 	now     time.Duration
 	queue   eventQueue
 	seq     uint64
-	stopped bool
 	seed    int64
 	streams map[string]*rand.Rand
 	// free is the recycle list for pooled (handle-free) events.
 	free []*Event
-	// processed counts events executed, for diagnostics and runaway
-	// detection in tests.
-	processed uint64
 }
 
 // NewKernel returns a kernel whose random streams derive from seed.
@@ -159,9 +150,6 @@ func NewKernel(seed int64) *Kernel {
 
 // Now reports the current virtual time since simulation start.
 func (k *Kernel) Now() time.Duration { return k.now }
-
-// Processed reports how many events have been executed so far.
-func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Rand returns the named deterministic random stream, creating it on
 // first use. Distinct names yield independent streams; the same name
@@ -303,18 +291,14 @@ func (t *Ticker) Stop() {
 	t.ev.Cancel()
 }
 
-// Stop halts a Run in progress after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Run executes events in timestamp order until the queue is empty or
 // virtual time would exceed horizon. Events scheduled exactly at the
 // horizon still run, and the clock then stands at the horizon, so
 // successive Run calls continue seamlessly. A horizon behind Now runs
-// nothing and leaves the clock where it is. Returns ErrStopped if Stop
-// was called.
+// nothing and leaves the clock where it is.
 func (k *Kernel) Run(horizon time.Duration) error {
-	_, err := k.run(horizon, nil)
-	return err
+	k.run(horizon, nil)
+	return nil
 }
 
 // RunUntil executes events until pred returns true (checked after each
@@ -324,31 +308,23 @@ func (k *Kernel) RunUntil(horizon time.Duration, pred func() bool) (bool, error)
 	if pred() {
 		return true, nil
 	}
-	return k.run(horizon, pred)
+	return k.run(horizon, pred), nil
 }
 
 // run is the event loop behind Run and RunUntil; pred may be nil.
-func (k *Kernel) run(horizon time.Duration, pred func() bool) (bool, error) {
-	k.stopped = false
+func (k *Kernel) run(horizon time.Duration, pred func() bool) bool {
 	for len(k.queue) > 0 && k.queue[0].at <= horizon {
-		if k.stopped {
-			return false, ErrStopped
-		}
 		next := k.queue.popMin()
 		k.now = next.at
-		k.processed++
 		fn := next.fn
 		k.recycle(next)
 		fn()
 		if pred != nil && pred() {
-			return true, nil
+			return true
 		}
-	}
-	if k.stopped && len(k.queue) > 0 {
-		return false, ErrStopped
 	}
 	if k.now < horizon {
 		k.now = horizon
 	}
-	return false, nil
+	return false
 }

@@ -104,9 +104,6 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Fatalf("Pending()=%d after run, want 0", k.Pending())
 	}
-	if k.Processed() != 2 {
-		t.Fatalf("Processed()=%d, want 2", k.Processed())
-	}
 }
 
 func TestCancelFromWithinCallback(t *testing.T) {
@@ -222,23 +219,6 @@ func TestTickerStopFromWithinCallback(t *testing.T) {
 	}
 	if n != 3 {
 		t.Fatalf("ticker fired %d times, want 3", n)
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := NewKernel(1)
-	n := 0
-	k.Every(0, time.Millisecond, func() {
-		n++
-		if n == 5 {
-			k.Stop()
-		}
-	})
-	if err := k.Run(time.Second); err != ErrStopped {
-		t.Fatalf("Run error %v, want ErrStopped", err)
-	}
-	if n != 5 {
-		t.Fatalf("processed %d events, want 5", n)
 	}
 }
 
@@ -362,19 +342,6 @@ func TestPropertyEventsFireInOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestProcessedCounter(t *testing.T) {
-	k := NewKernel(1)
-	for i := 0; i < 7; i++ {
-		k.Schedule(time.Duration(i)*time.Millisecond, func() {})
-	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if k.Processed() != 7 {
-		t.Fatalf("Processed()=%d, want 7", k.Processed())
 	}
 }
 

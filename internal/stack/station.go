@@ -153,8 +153,8 @@ type Config struct {
 	CPMInterval time.Duration
 	// EnableBeaconing sends GN position beacons when the station has
 	// transmitted nothing for BeaconInterval (EN 302 636-4-1 §10.2).
-	// A station generating CAMs rarely beacons; a silent one keeps
-	// neighbours' location tables fresh.
+	// A station generating CAMs rarely beacons; receivers count the
+	// beacons of a silent one.
 	EnableBeaconing bool
 	// BeaconInterval; zero selects the standard's 3 s default.
 	BeaconInterval time.Duration
