@@ -45,7 +45,6 @@ var deadAPIDebt = map[string]string{
 	"control.ThrottleToPWM":                     "TestThrottlePWM",
 	"(*its/facilities/den.Service).Cancel":      "TestCancel",
 	"(*its/facilities/den.Service).Update":      "TestUpdate",
-	"(*physics.Body).StoppingDistance":          "TestStoppingDistancePrediction",
 	"(*vehicle.Vehicle).Reset":                  "TestResetRestoresStartState",
 	"(*world.Map).LineOfSight":                  "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
 	"(*world.Map).Walls":                        "TestWallsCopySemantics",
@@ -53,9 +52,7 @@ var deadAPIDebt = map[string]string{
 	"(geo.Scale).SpeedToFullSize":               "TestScaleMapping",
 	"(geo.Scale).ToFullSize":                    "TestScaleMapping",
 	"(geo.Scale).ToLab":                         "TestScaleMapping",
-	"(geo.Segment).DistanceToPoint":             "TestSegmentDegenerateIsPoint",
 	"(stats.EDF).At":                            "TestEDFAtAllTiedValues, TestEDFEdgeCases, TestEDFMatchesPaperFig11Reading",
-	"units.CurvatureFromRadius":                 "TestCurvature",
 	"units.Validity":                            "TestValidity",
 }
 

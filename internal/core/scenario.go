@@ -120,7 +120,7 @@ func (tb *Testbed) RunScenario(horizon time.Duration) (*Result, error) {
 	// needs no second look.
 	var checked geo.Point
 	first := true
-	halted, err := tb.Kernel.RunUntil(horizon, func() bool {
+	halted := tb.Kernel.RunUntil(horizon, func() bool {
 		if tb.Vehicle.Halted() {
 			return true
 		}
@@ -137,16 +137,11 @@ func (tb *Testbed) RunScenario(horizon time.Duration) (*Result, error) {
 		s, _ := tb.Layout.Line.Project(pos)
 		return s >= tb.Layout.Line.Length()-1e-6
 	})
-	if err != nil {
-		return nil, fmt.Errorf("core: scenario: %w", err)
-	}
 	if halted {
 		// Keep the recording (and the simulated world) running briefly
 		// so the video captures the stop frame, as the experimenters'
 		// post-hoc frame inspection requires.
-		if err := tb.Kernel.Run(tb.Kernel.Now() + 800*time.Millisecond); err != nil {
-			return nil, fmt.Errorf("core: scenario tail: %w", err)
-		}
+		tb.Kernel.Run(tb.Kernel.Now() + 800*time.Millisecond)
 	}
 
 	res := &Result{

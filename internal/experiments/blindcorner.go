@@ -170,20 +170,15 @@ func blindCornerArm(seed int64, v2x bool) (margin float64, collision bool, err e
 			minSeparation = d
 		}
 	})
-	_, err = kernel.RunUntil(30*time.Second, func() bool {
+	kernel.RunUntil(30*time.Second, func() bool {
 		if veh.Halted() {
 			return true
 		}
 		return veh.Body.State().Position.Y > conflictY+1.0
 	})
-	if err != nil {
-		return 0, false, err
-	}
 	// Let the crossing vehicle finish its transit so near-misses with
 	// a stopped protagonist are measured too.
-	if err := kernel.Run(kernel.Now() + 3*time.Second); err != nil {
-		return 0, false, err
-	}
+	kernel.Run(kernel.Now() + 3*time.Second)
 
 	margin = conflictY - veh.Body.State().Position.Y
 	return margin, minSeparation < collisionDistance, nil

@@ -21,6 +21,27 @@ func fastCity(workers int) CityOptions {
 	}
 }
 
+// TestCityRecordersCrossWorkers runs a two-density sweep at two
+// workers, twice, so a flight recorder that one worker's run put back
+// into cityRecorders is taken by another goroutine's run. City
+// recorders take no lock: under -race this pins that each has one
+// writer at a time. The rows must equal a one-worker sweep's.
+func TestCityRecordersCrossWorkers(t *testing.T) {
+	want, err := CitySweep(fastCity(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := CitySweep(fastCity(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sweep %d at two workers:\n%+v\nwant (one worker)\n%+v", i, got, want)
+		}
+	}
+}
+
 func TestCitySweepShape(t *testing.T) {
 	rows, err := CitySweep(fastCity(0))
 	if err != nil {

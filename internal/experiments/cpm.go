@@ -286,15 +286,12 @@ func cpmRun(seed int64, enableCPM bool) (CPMArmOutcome, error) {
 		}
 	})
 
-	_, err = kernel.RunUntil(30*time.Second, func() bool {
+	kernel.RunUntil(30*time.Second, func() bool {
 		if vehPos.Y > cpmConflictY+1.5 {
 			return true
 		}
 		return halted && pedPos.X < -1.5
 	})
-	if err != nil {
-		return out, err
-	}
 
 	out.StopMargin = cpmConflictY - vehPos.Y
 	out.Miss = minSep < cpmMissDistance

@@ -176,9 +176,7 @@ func Platoon(seed int64, n int, mode PlatoonMode) (PlatoonResult, error) {
 		}
 		return true
 	}
-	if _, err := kernel.RunUntil(40*time.Second, allStopped); err != nil {
-		return out, err
-	}
+	kernel.RunUntil(40*time.Second, allStopped)
 	if !detected {
 		return out, fmt.Errorf("experiments: platoon run: %w", errNoDetection)
 	}

@@ -253,11 +253,7 @@ func platoonACCRun(seed int64, gap float64, members int, followersHaveOBU bool) 
 		}
 		return true
 	}
-	ok, err := kernel.RunUntil(40*time.Second, done)
-	if err != nil {
-		return false, 0, err
-	}
-	if !ok && !leader.StopIssued() {
+	if !kernel.RunUntil(40*time.Second, done) && !leader.StopIssued() {
 		return false, 0, errNoDetection
 	}
 	collided := minGap < params.Length*0.95

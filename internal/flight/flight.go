@@ -21,6 +21,11 @@
 // station table so a pooled recorder behaves exactly like a fresh one.
 // All methods are safe on nil receivers and zero-value Hooks, so
 // instrumented layers need no "is recording enabled" checks.
+//
+// A simulation recorder has one writer, the kernel goroutine of its
+// run, so NewRecorder's appends take no lock. A recorder written by
+// several goroutines at once (the daemon's MuxServer, whose HTTP
+// handlers and receive loop all record) comes from NewLockedRecorder.
 package flight
 
 import (
@@ -230,10 +235,13 @@ type ring struct {
 const DefaultCapacity = 256
 
 // Recorder holds one run's (or one daemon's) per-station event rings.
-// Safe for concurrent use; the zero value is not usable — call
-// NewRecorder. A nil *Recorder is a valid disabled recorder.
+// A recorder from NewRecorder serves one goroutine at a time; one from
+// NewLockedRecorder is safe for concurrent use. The zero value is not
+// usable. A nil *Recorder is a valid disabled recorder.
 type Recorder struct {
-	mu       sync.Mutex
+	// mu serialises every method of a locked recorder; nil for a
+	// single-writer one.
+	mu       *sync.Mutex
 	capacity int
 	names    []string
 	byName   map[string]StationID
@@ -250,6 +258,27 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{capacity: capacity, byName: make(map[string]StationID)}
 }
 
+// NewLockedRecorder is NewRecorder for a recorder that several
+// goroutines record into, or snapshot, at once: every method takes
+// the recorder's mutex.
+func NewLockedRecorder(capacity int) *Recorder {
+	r := NewRecorder(capacity)
+	r.mu = new(sync.Mutex)
+	return r
+}
+
+func (r *Recorder) lock() {
+	if r.mu != nil {
+		r.mu.Lock()
+	}
+}
+
+func (r *Recorder) unlock() {
+	if r.mu != nil {
+		r.mu.Unlock()
+	}
+}
+
 // Hook interns a station name and returns the value-type handle the
 // instrumented layer records through. The same name always maps to the
 // same ring, so a station's radio interface and its facilities share
@@ -259,8 +288,8 @@ func (r *Recorder) Hook(name string) Hook {
 	if r == nil {
 		return Hook{}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	id, ok := r.byName[name]
 	if !ok {
 		r.names = append(r.names, name)
@@ -281,8 +310,8 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.lock()
+	defer r.unlock()
 	r.seq = 0
 	for i := range r.rings {
 		r.rings[i].head = 0
@@ -291,10 +320,10 @@ func (r *Recorder) Reset() {
 	}
 }
 
-// record appends one event; the hot path takes one uncontended mutex
-// and writes into a preallocated slot — zero heap allocations.
+// record appends one event into a preallocated slot, with zero heap
+// allocations; only a locked recorder takes its mutex.
 func (r *Recorder) record(at time.Duration, kind Kind, code uint8, st, src StationID, a, b int64) {
-	r.mu.Lock()
+	r.lock()
 	r.seq++
 	rg := &r.rings[st-1]
 	var slot *Event
@@ -314,7 +343,7 @@ func (r *Recorder) record(at time.Duration, kind Kind, code uint8, st, src Stati
 		rg.dropped++
 	}
 	*slot = Event{Seq: r.seq, At: at, Kind: kind, Code: code, Station: st, Src: src, A: a, B: b}
-	r.mu.Unlock()
+	r.unlock()
 }
 
 // Hook is a station's recording handle: a two-word value the
@@ -373,7 +402,7 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
+	r.lock()
 	total := 0
 	for i := range r.rings {
 		total += r.rings[i].n
@@ -387,7 +416,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		}
 	}
 	names := r.names
-	r.mu.Unlock()
+	r.unlock()
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 	if len(evs) == 0 {
 		return s

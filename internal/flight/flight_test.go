@@ -115,6 +115,25 @@ func TestPooledResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestLockedRecorderMatchesSingleWriter: the lock changes nothing a
+// snapshot shows.
+func TestLockedRecorderMatchesSingleWriter(t *testing.T) {
+	feed := func(r *Recorder) Snapshot {
+		a := r.Hook("rsu")
+		b := r.Hook("veh")
+		for i := 0; i < 100; i++ {
+			a.Record(time.Duration(i)*time.Millisecond, DENMTx, 0, int64(i), 1)
+			b.RecordFrom(time.Duration(i)*time.Millisecond, DENMRx, RxOK, a, int64(i), 1)
+		}
+		r.Reset()
+		b.Record(time.Second, Actuation, ActHalt, 0, 0)
+		return r.Snapshot()
+	}
+	if got, want := feed(NewLockedRecorder(16)), feed(NewRecorder(16)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("locked recorder snapshot %+v, single-writer %+v", got, want)
+	}
+}
+
 func TestWriteJSONLRoundTrips(t *testing.T) {
 	r := NewRecorder(8)
 	h := r.Hook("rsu")
@@ -205,8 +224,10 @@ func TestAppendAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecordIsSafe writes one locked recorder from four
+// goroutines; under -race it pins NewLockedRecorder's lock.
 func TestConcurrentRecordIsSafe(t *testing.T) {
-	r := NewRecorder(32)
+	r := NewLockedRecorder(32)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {

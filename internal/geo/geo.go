@@ -262,24 +262,5 @@ func (s Segment) PointAt(t float64) Point {
 	}
 }
 
-// ClosestPoint returns the point on the segment closest to p and the
-// corresponding parameter t clamped to [0,1].
-func (s Segment) ClosestPoint(p Point) (Point, float64) {
-	d := s.B.Sub(s.A)
-	l2 := d.Dot(d)
-	if l2 == 0 {
-		return s.A, 0
-	}
-	t := p.Sub(s.A).Dot(d) / l2
-	t = math.Max(0, math.Min(1, t))
-	return s.PointAt(t), t
-}
-
-// DistanceToPoint returns the distance from p to the segment.
-func (s Segment) DistanceToPoint(p Point) float64 {
-	c, _ := s.ClosestPoint(p)
-	return c.DistanceTo(p)
-}
-
 // Heading returns the compass heading of the segment direction A→B.
 func (s Segment) Heading() float64 { return s.B.Sub(s.A).Heading() }

@@ -130,36 +130,6 @@ func TestHeadingDiffBounded(t *testing.T) {
 	}
 }
 
-func TestSegmentClosestPoint(t *testing.T) {
-	s := Segment{A: Point{0, 0}, B: Point{10, 0}}
-	cases := []struct {
-		p     Point
-		wantC Point
-		wantT float64
-	}{
-		{Point{5, 3}, Point{5, 0}, 0.5},
-		{Point{-5, 0}, Point{0, 0}, 0},
-		{Point{15, 1}, Point{10, 0}, 1},
-	}
-	for _, c := range cases {
-		got, tt := s.ClosestPoint(c.p)
-		if got.DistanceTo(c.wantC) > 1e-9 || !almostEqual(tt, c.wantT, 1e-9) {
-			t.Fatalf("ClosestPoint(%v)=(%v,%v), want (%v,%v)", c.p, got, tt, c.wantC, c.wantT)
-		}
-	}
-}
-
-func TestSegmentDegenerateIsPoint(t *testing.T) {
-	s := Segment{A: Point{3, 4}, B: Point{3, 4}}
-	c, tt := s.ClosestPoint(Point{0, 0})
-	if c != s.A || tt != 0 {
-		t.Fatalf("degenerate segment gave (%v, %v)", c, tt)
-	}
-	if !almostEqual(s.DistanceToPoint(Point{0, 0}), 5, 1e-9) {
-		t.Fatal("distance to degenerate segment wrong")
-	}
-}
-
 func TestSegmentPointAt(t *testing.T) {
 	s := Segment{A: Point{0, 0}, B: Point{4, 8}}
 	mid := s.PointAt(0.5)

@@ -50,9 +50,7 @@ func newHarness(t *testing.T, disableTriggers bool) *testHarness {
 func TestStaticVehicleSendsAtOneHertz(t *testing.T) {
 	h := newHarness(t, false)
 	h.svc.Start()
-	if err := h.kernel.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(5 * time.Second)
 	h.svc.Stop()
 	// T_GenCamMax = 1 s: expect ~5-6 CAMs in 5 s.
 	if len(h.sent) < 5 || len(h.sent) > 7 {
@@ -67,9 +65,7 @@ func TestSpeedChangeTriggersCAM(t *testing.T) {
 	h.kernel.Every(50*time.Millisecond, 100*time.Millisecond, func() {
 		h.state.SpeedMS += 0.6
 	})
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	h.svc.Stop()
 	// With the trigger firing each check, expect near 10 Hz.
 	if len(h.sent) < 15 {
@@ -83,9 +79,7 @@ func TestHeadingChangeTriggersCAM(t *testing.T) {
 	h.kernel.Every(50*time.Millisecond, 100*time.Millisecond, func() {
 		h.state.HeadingRad += 0.1 // 5.7° per period
 	})
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	if len(h.sent) < 15 {
 		t.Fatalf("turning vehicle sent %d CAMs, want ~20", len(h.sent))
 	}
@@ -98,9 +92,7 @@ func TestMinInterval(t *testing.T) {
 	h.kernel.Every(10*time.Millisecond, 10*time.Millisecond, func() {
 		h.state.SpeedMS += 1
 	})
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	if len(h.sent) > 11 {
 		t.Fatalf("sent %d CAMs in 1 s, exceeding the 100 ms floor", len(h.sent))
 	}
@@ -112,9 +104,7 @@ func TestDisableTriggersForcesOneHertz(t *testing.T) {
 	h.kernel.Every(50*time.Millisecond, 100*time.Millisecond, func() {
 		h.state.SpeedMS += 5
 	})
-	if err := h.kernel.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(3 * time.Second)
 	if len(h.sent) > 4 {
 		t.Fatalf("RSU-style service sent %d CAMs in 3 s, want ~3", len(h.sent))
 	}
@@ -126,9 +116,7 @@ func TestLowFrequencyContainerCadence(t *testing.T) {
 	h.kernel.Every(50*time.Millisecond, 100*time.Millisecond, func() {
 		h.state.SpeedMS += 0.6
 	})
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	withLF := 0
 	for _, p := range h.sent {
 		cam, err := messages.DecodeCAM(p)
@@ -159,9 +147,7 @@ func TestCAMContentReflectsState(t *testing.T) {
 	h.state.SpeedMS = 1.5
 	h.state.HeadingRad = 0
 	h.svc.Start()
-	if err := h.kernel.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(100 * time.Millisecond)
 	if len(h.sent) == 0 {
 		t.Fatal("no CAM sent")
 	}
@@ -202,9 +188,7 @@ func TestReceiver(t *testing.T) {
 	r := Receiver{Sink: func(c *messages.CAM) { got = append(got, c) }}
 	h := newHarness(t, false)
 	h.svc.Start()
-	if err := h.kernel.Run(200 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(200 * time.Millisecond)
 	for _, p := range h.sent {
 		r.OnDecoded(messages.DecodeCAM(p))
 	}
@@ -221,18 +205,14 @@ func TestStartStopIdempotent(t *testing.T) {
 	h := newHarness(t, false)
 	h.svc.Start()
 	h.svc.Start() // no double ticker
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	n := len(h.sent)
 	if n > 2 {
 		t.Fatalf("double Start caused %d CAMs for a static vehicle", n)
 	}
 	h.svc.Stop()
 	h.svc.Stop()
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	if len(h.sent) != n {
 		t.Fatal("CAMs sent after Stop")
 	}
@@ -252,9 +232,7 @@ func TestPathHistoryAccumulates(t *testing.T) {
 		h.state.Position = frame0.ToGeodetic(geo.Point{X: 0, Y: y})
 	})
 	h.svc.Start()
-	if err := h.kernel.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(3 * time.Second)
 	// The last CAM with a low-frequency container must carry a
 	// non-empty path history with plausible deltas.
 	var lf *messages.BasicVehicleContainerLowFrequency
@@ -324,9 +302,7 @@ func TestTxGateThrottlesCAMGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Start()
-	if err := h.kernel.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(3 * time.Second)
 	svc.Stop()
 	if gate.asked == 0 {
 		t.Fatal("gate never consulted")

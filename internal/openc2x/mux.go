@@ -52,7 +52,7 @@ type MuxConfig struct {
 	// LDMShards sets the shared LDM's shard count (zero: ldm default).
 	LDMShards int
 	// FlightCapacity sizes each station's black-box ring in the shared
-	// recorder; zero selects 64 (smaller than flight.DefaultCapacity
+	// locked recorder; zero selects 64 (smaller than flight.DefaultCapacity
 	// because a fleet has hundreds of rings).
 	FlightCapacity int
 	// Faults, when non-nil, screens trigger/poll requests for injected
@@ -177,7 +177,7 @@ func NewMuxServer(cfg MuxConfig) (*MuxServer, error) {
 		ln:     ln,
 		start:  start,
 		logger: logger,
-		p:      trace.Sink{Metrics: reg, Flight: flight.NewRecorder(cfg.FlightCapacity)}.Probe("mux"),
+		p:      trace.Sink{Metrics: reg, Flight: flight.NewLockedRecorder(cfg.FlightCapacity)}.Probe("mux"),
 		ldm: ldm.NewSharded(cfg.LDMShards, ldm.Config{
 			Frame: frame,
 			Now:   func() time.Duration { return time.Since(start) },

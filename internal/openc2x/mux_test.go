@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"itsbed/internal/flight"
 	"itsbed/internal/geo"
 	"itsbed/internal/its/btp"
 	"itsbed/internal/its/geonet"
@@ -593,5 +594,99 @@ func TestMuxKeepsNoFrameBytes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0].DENM, want.DENM) {
 		t.Fatalf("polled DENM changed with the frame bytes:\n got %+v\nwant %+v", got[0].DENM, want.DENM)
+	}
+}
+
+// TestMuxRecordsConcurrently drives the mux's one flight recorder from
+// three goroutines at once: HTTP trigger_denm handlers (denm.tx at the
+// sender, denm.rx at the others), the receive path (a peer's DENMs and
+// malformed frames through OnFrame) and GET /debug/flight snapshots.
+// Under -race it pins that the mux records through a locked recorder.
+func TestMuxRecordsConcurrently(t *testing.T) {
+	const rounds = 10
+	link := &frameLog{}
+	peer, err := NewRealNode(RealNodeConfig{
+		StationID:   1001,
+		StationType: units.StationTypeRoadSideUnit,
+		Position:    geo.CISTERLab,
+		Link:        link,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		if _, err := peer.TriggerDENM(collisionReq()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := peerFrame(t, btp.PortDENM, []byte{0xff, 0xff, 0xff})
+
+	srv := newMux(t, 3, MuxConfig{})
+	base := "http://" + srv.Addr()
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			resp, err := http.Post(base+"/stations/1/trigger_denm", "application/json", strings.NewReader(triggerBody()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("trigger status %d", resp.StatusCode)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, frame := range link.frames {
+			srv.OnFrame(frame)
+			srv.OnFrame(bad)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			resp, err := http.Get(base + "/debug/flight")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var snap flight.Snapshot
+			err = json.NewDecoder(resp.Body).Decode(&snap)
+			resp.Body.Close()
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+
+	// Station 1 sent rounds DENMs; stations 2 and 3 each received those
+	// and the peer's; the mux itself saw rounds malformed DENMs.
+	want := map[string]int{"1 denm.tx": rounds, "2 denm.rx ok": 2 * rounds, "3 denm.rx ok": 2 * rounds, "mux denm.rx malformed": rounds}
+	count := func() map[string]int {
+		got := make(map[string]int)
+		for _, ev := range srv.FlightSnapshot().Events {
+			key := ev.Station + " " + ev.Kind
+			if ev.Code != "" {
+				key += " " + ev.Code
+			}
+			got[key]++
+		}
+		return got
+	}
+	if !waitFor(t, 2*time.Second, func() bool {
+		got := count()
+		for k, n := range want {
+			if got[k] != n {
+				return false
+			}
+		}
+		return true
+	}) {
+		t.Fatalf("flight events by station and kind %v, want %v", count(), want)
 	}
 }

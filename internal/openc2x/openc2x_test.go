@@ -76,9 +76,7 @@ func TestSimNodeTriggerToPoll(t *testing.T) {
 		}
 		triggered = true
 	})
-	if err := k.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(100 * time.Millisecond)
 	if !triggered {
 		t.Fatal("trigger callback never fired")
 	}
@@ -87,9 +85,7 @@ func TestSimNodeTriggerToPoll(t *testing.T) {
 	}
 	var batch []ReceivedDENM
 	obu.RequestDENM(func(b []ReceivedDENM) { batch = b })
-	if err := k.Run(200 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(200 * time.Millisecond)
 	if len(batch) != 1 {
 		t.Fatalf("poll returned %d DENMs", len(batch))
 	}
@@ -115,9 +111,7 @@ func TestSimNodeEmptyPoll(t *testing.T) {
 			t.Errorf("unexpected DENMs: %d", len(b))
 		}
 	})
-	if err := k.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(100 * time.Millisecond)
 	if !polled {
 		t.Fatal("poll callback never fired (the HTTP 200 of the paper)")
 	}
@@ -128,9 +122,7 @@ func TestSimNodePollLatencyModel(t *testing.T) {
 	start := k.Now()
 	var at time.Duration
 	obu.RequestDENM(func([]ReceivedDENM) { at = k.Now() })
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	rtt := at - start
 	lat := DefaultHTTPLatency()
 	if rtt < 2*(lat.Mean-lat.Jitter) || rtt > 2*(lat.Mean+lat.Jitter) {
@@ -411,9 +403,7 @@ func TestSimNodeTriggerWithRepetition(t *testing.T) {
 	req.RepetitionIntervalMS = 100
 	req.RepetitionDurationMS = 450
 	rsu.TriggerDENM(req, nil)
-	if err := k.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(2 * time.Second)
 	// Initial + ~4 repetitions reach the OBU stack; the DEN receiver
 	// suppresses the repeats, so the mailbox holds exactly one DENM.
 	if pending(obu) != 1 {

@@ -15,7 +15,7 @@ import (
 
 func testGuard(lim Limits) (*guard, *metrics.Registry) {
 	reg := metrics.NewRegistry()
-	rec := flight.NewRecorder(64)
+	rec := flight.NewLockedRecorder(64)
 	return newGuard("test", lim, trace.Sink{Metrics: reg, Flight: rec}.Probe("test"), time.Now()), reg
 }
 

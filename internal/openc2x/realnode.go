@@ -104,7 +104,9 @@ type RealNodeConfig struct {
 	// Sink's registry and flight recorder are the ones the node
 	// instruments into: the MuxServer shares them across every hosted
 	// station so the metrics aggregate stays O(families), not
-	// O(stations). The node records flight events under its station ID.
+	// O(stations). The node records flight events under its station ID,
+	// from every goroutine that calls it, so a recorder here must come
+	// from flight.NewLockedRecorder.
 	// Spans always go to a tracer of the node's own, whose finished
 	// traces feed /trace; Sink.Tracer is not used.
 	Sink trace.Sink

@@ -63,9 +63,7 @@ func benchMedium(b *testing.B, disableGrid bool) {
 			b.Fatal(err)
 		}
 		horizon += 5 * time.Millisecond
-		if err := k.Run(horizon); err != nil {
-			b.Fatal(err)
-		}
+		k.Run(horizon)
 	}
 }
 
@@ -94,9 +92,7 @@ func TestGridBruteIdentical1k(t *testing.T) {
 				t.Fatal(err)
 			}
 			horizon += 5 * time.Millisecond
-			if err := k.Run(horizon); err != nil {
-				t.Fatal(err)
-			}
+			k.Run(horizon)
 		}
 		return outcome{m.FramesSent, m.FramesDelivered, m.FramesLost}
 	}
@@ -145,9 +141,7 @@ func contendedOp(tb testing.TB, k *sim.Kernel, ifaces []*radio.Interface, frame 
 			tb.Fatal(err)
 		}
 	}
-	if err := k.Run(k.Now() + 5*time.Millisecond); err != nil {
-		tb.Fatal(err)
-	}
+	k.Run(k.Now() + 5*time.Millisecond)
 }
 
 // BenchmarkMediumContended1k measures frame completion where the SINR

@@ -182,11 +182,3 @@ func (b *Body) YawRate() float64 {
 	}
 	return b.state.Speed * math.Tan(b.state.Steering) / b.params.Wheelbase
 }
-
-// StoppingDistance predicts the coast-down distance from the current
-// speed (v²/2a), the quantity the paper relates to the action-point
-// threshold.
-func (b *Body) StoppingDistance() float64 {
-	v := b.state.Speed
-	return v * v / (2 * b.params.BrakeDecel)
-}

@@ -83,18 +83,6 @@ func TestCutPowerIgnoresNewSpeedCommands(t *testing.T) {
 	}
 }
 
-func TestStoppingDistancePrediction(t *testing.T) {
-	p := DefaultF110()
-	b := NewBody(p, geo.Point{}, 0)
-	b.SetCommandedSpeed(1.5)
-	stepFor(b, 3, 0.002)
-	pred := b.StoppingDistance()
-	want := 1.5 * 1.5 / (2 * p.BrakeDecel)
-	if math.Abs(pred-want) > 0.02 {
-		t.Fatalf("prediction %.3f, want %.3f", pred, want)
-	}
-}
-
 func TestTurningRadiusMatchesBicycleModel(t *testing.T) {
 	p := DefaultF110()
 	b := NewBody(p, geo.Point{}, 0)

@@ -26,31 +26,61 @@ func exactSINRLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64)
 	return u > exactP(rxDBm, thresholdDB, noiseDBm, interfDBm)
 }
 
-// Stages of the bounded decision, for coverage accounting.
+// Stages of decideSINR, for coverage accounting.
 const (
-	stageNoise = iota // lost against the noise floor alone
-	stageEarly        // a partial interference sum proved the loss
-	stageExact        // decided on the full sum
+	stageNoise             = iota // capture.start lost the frame to the noise floor alone
+	stageNoInterferers            // no interferer: the exact compare with the noise floor
+	stageEnclosedLost             // the enclosure's lower edge proved a loss
+	stageEnclosedDelivered        // the enclosure's upper edge proved a delivery
+	stageStraddle                 // the exact capture steps decided
 	stages
 )
 
-// boundedSINRLost runs the capture decision the way evaluate does:
-// noise-only bound, then the early-exit sum, then the exact compare.
+// boundedSINRLost runs decideSINR the way evaluate does, with the
+// interferers in order, and names the stage that decided.
 func boundedSINRLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) (lost bool, stage int) {
+	noiseMW := dbmToMilliwatt(noiseDBm)
+	lost, straddled := decideSINR(u, rxDBm, thresholdDB, noiseMW, milliwattToDBm(noiseMW), len(interfDBm),
+		func(i int) (float64, bool) { return interfDBm[i], true })
+	var c capture
+	switch {
+	case c.start(u, rxDBm, thresholdDB, noiseMW, milliwattToDBm(noiseMW)):
+		return lost, stageNoise
+	case len(interfDBm) == 0:
+		return lost, stageNoInterferers
+	case straddled:
+		return lost, stageStraddle
+	case lost:
+		return lost, stageEnclosedLost
+	}
+	return lost, stageEnclosedDelivered
+}
+
+// Stages of the capture steps alone, which a straddle runs.
+const (
+	captureNoise = iota // lost against the noise floor alone
+	captureEarly        // a partial interference sum proved the loss
+	captureExact        // decided on the full sum
+	captureStages
+)
+
+// captureLost runs the exact capture steps on every receiver: the
+// noise-only bound, then the early-exit sum, then the exact compare.
+func captureLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) (lost bool, stage int) {
 	noiseMW := dbmToMilliwatt(noiseDBm)
 	var c capture
 	if c.start(u, rxDBm, thresholdDB, noiseMW, milliwattToDBm(noiseMW)) {
-		return true, stageNoise
+		return true, captureNoise
 	}
 	if len(interfDBm) > 0 {
 		c.bound()
 		for _, dbm := range interfDBm {
 			if c.add(dbmToMilliwatt(dbm)) {
-				return true, stageEarly
+				return true, captureEarly
 			}
 		}
 	}
-	return c.lost(), stageExact
+	return c.lost(), captureExact
 }
 
 // sinrCase is one receiver's SINR inputs.
@@ -59,15 +89,22 @@ type sinrCase struct {
 	interfDBm                       []float64
 }
 
-func checkSINRCase(t *testing.T, c sinrCase) int {
+// checkSINRCase compares decideSINR and the capture steps alone with
+// the exact decision, and returns the stage of each that decided.
+func checkSINRCase(t *testing.T, c sinrCase) (stage, captureStage int) {
 	t.Helper()
 	want := exactSINRLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)
 	got, stage := boundedSINRLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)
 	if got != want {
-		t.Fatalf("%+v: bounded decision lost=%v (stage %d), exact lost=%v (p=%v)",
+		t.Fatalf("%+v: decideSINR lost=%v (stage %d), exact lost=%v (p=%v)",
 			c, got, stage, want, exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm))
 	}
-	return stage
+	got, captureStage = captureLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)
+	if got != want {
+		t.Fatalf("%+v: capture lost=%v (stage %d), exact lost=%v (p=%v)",
+			c, got, captureStage, want, exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm))
+	}
+	return stage, captureStage
 }
 
 // plantedUs returns draws at and around p, so the exact fallback
@@ -83,16 +120,22 @@ func plantedUs(p float64) []float64 {
 	return out
 }
 
-// TestSINRDecisionMatchesExact drives the bounded decision and the
-// per-term reference over random receivers: rx power, noise floor with
-// and without an injected burst, zero to eight interferers, and u both
-// drawn uniformly and planted within 1e-12 of the exact p. Receivers
-// whose p sits near 0 or 1 are drawn on purpose. Every stage of the
-// bounded decision must run, and every outcome must match.
+// TestSINRDecisionMatchesExact drives decideSINR, the capture steps
+// alone and the per-term reference over random receivers: rx power,
+// noise floor with and without an injected burst, zero to eight
+// interferers, and u both drawn uniformly and planted within 1e-12 of
+// the exact p. Receivers whose p sits near 0 or 1 are drawn on purpose.
+// Every stage of both must run, and every outcome must match.
 func TestSINRDecisionMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	thresholds := []float64{MCS3Mbps.SNRThresholdDB, MCS6Mbps.SNRThresholdDB, MCS27Mbps.SNRThresholdDB}
 	var hits [stages]int
+	var captureHits [captureStages]int
+	check := func(c sinrCase) {
+		stage, captureStage := checkSINRCase(t, c)
+		hits[stage]++
+		captureHits[captureStage]++
+	}
 	for i := 0; i < 200000; i++ {
 		c := sinrCase{
 			thresholdDB: thresholds[rng.Intn(len(thresholds))],
@@ -115,17 +158,22 @@ func TestSINRDecisionMatchesExact(t *testing.T) {
 		}
 		if rng.Intn(2) == 0 {
 			c.u = rng.Float64()
-			hits[checkSINRCase(t, c)]++
+			check(c)
 			continue
 		}
 		for _, u := range plantedUs(exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)) {
 			c.u = u
-			hits[checkSINRCase(t, c)]++
+			check(c)
 		}
 	}
 	for stage, n := range hits {
 		if n == 0 {
-			t.Errorf("stage %d never decided a case: %v", stage, hits)
+			t.Errorf("decideSINR stage %d never decided a case: %v", stage, hits)
+		}
+	}
+	for stage, n := range captureHits {
+		if n == 0 {
+			t.Errorf("capture stage %d never decided a case: %v", stage, captureHits)
 		}
 	}
 }
@@ -155,18 +203,104 @@ func FuzzSINRDecisionMatchesExact(f *testing.F) {
 		if math.IsNaN(rx) || math.Abs(rx) > 500 || math.IsNaN(extra) || extra < 0 || extra > 100 {
 			t.Skip()
 		}
-		c := sinrCase{rxDBm: rx, thresholdDB: MCS6Mbps.SNRThresholdDB, noiseDBm: NoiseFloorDBm + extra}
-		for len(powers) >= 2 && len(c.interfDBm) < 16 {
-			// −160 dBm to +2 dBm in steps of 1/400 dB.
-			c.interfDBm = append(c.interfDBm, -160+float64(uint16(powers[0])<<8|uint16(powers[1]))/400)
-			powers = powers[2:]
-		}
+		c := sinrCase{rxDBm: rx, thresholdDB: MCS6Mbps.SNRThresholdDB, noiseDBm: NoiseFloorDBm + extra,
+			interfDBm: fuzzInterferers(powers)}
 		if plant {
 			// u as an offset of at most 1e-9 around the exact p.
 			if math.IsNaN(u) || math.IsInf(u, 0) {
 				t.Skip()
 			}
 			u = exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm) + math.Mod(u, 1)*1e-9
+		}
+		if !(u >= 0 && u < 1) {
+			t.Skip()
+		}
+		c.u = u
+		checkSINRCase(t, c)
+	})
+}
+
+// fuzzInterferers decodes up to 16 interferer powers, two bytes each:
+// −160 dBm to +2 dBm in steps of 1/400 dB.
+func fuzzInterferers(powers []byte) []float64 {
+	var dbm []float64
+	for len(powers) >= 2 && len(dbm) < 16 {
+		dbm = append(dbm, -160+float64(uint16(powers[0])<<8|uint16(powers[1]))/400)
+		powers = powers[2:]
+	}
+	return dbm
+}
+
+// enclosureEdges returns the draws at which the enclosure's edges meet
+// its sum A over all interferers: it proves a loss for u above lossU
+// and a delivery for u below deliverU (within its own rounding).
+func enclosureEdges(c sinrCase) (lossU, deliverU float64) {
+	a := dbmToMilliwatt(c.noiseDBm)
+	for _, dbm := range c.interfDBm {
+		a += math.Exp(dbm * ln10over10)
+	}
+	p := func(s float64) float64 { return successProbability(c.rxDBm-milliwattToDBm(s), c.thresholdDB) }
+	return p(a / (1 + enclosurePad)), p(a / (1 - enclosurePad))
+}
+
+// sinrAnchors are the draws FuzzSINREnclosureMatchesExact plants u
+// around: the exact p and the enclosure's two edges.
+var sinrAnchors = []func(c sinrCase) float64{
+	func(c sinrCase) float64 { return exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm) },
+	func(c sinrCase) float64 { lossU, _ := enclosureEdges(c); return lossU },
+	func(c sinrCase) float64 { _, deliverU := enclosureEdges(c); return deliverU },
+}
+
+// FuzzSINREnclosureMatchesExact lets the fuzzer choose the receiver (rx
+// power, noise burst, up to 16 interferers) and u: raw (anchor 0, u =
+// rel) or planted at an anchor (the exact p, the enclosure's loss edge
+// or its delivery edge) scaled by 1+rel·1e-8 with rel folded into
+// (−1, 1), then moved by ulps steps of one ulp. decideSINR and the
+// capture steps must both equal the exact decision.
+func FuzzSINREnclosureMatchesExact(f *testing.F) {
+	pad := enclosurePad / 1e-8 // rel for a relative offset of one pad
+	interferers := [][]byte{
+		{},
+		{0x6e, 0x00},
+		{0x6e, 0x00, 0x80, 0x00},
+		{0x40, 0x10, 0x50, 0x10, 0x60, 0x10},
+		{0x6a, 0x00, 0x6b, 0x00, 0x6c, 0x00, 0x6d, 0x00},
+		{0x70, 0x00, 0x20, 0x00, 0x71, 0x00, 0x21, 0x00, 0x72, 0x00},
+		{0x68, 0x00, 0x68, 0x00, 0x68, 0x00, 0x68, 0x00, 0x68, 0x00, 0x68, 0x00},
+		{0x90, 0x00, 0x30, 0x00, 0x66, 0x80, 0x66, 0x80, 0x66, 0x80, 0x66, 0x80, 0x10, 0x00},
+		{0x69, 0x00, 0x69, 0x10, 0x69, 0x20, 0x69, 0x30, 0x69, 0x40, 0x69, 0x50, 0x69, 0x60, 0x69, 0x70},
+	}
+	for k, powers := range interferers {
+		rx := -85.0 + float64(k)
+		for anchor := uint8(1); anchor <= 3; anchor++ {
+			for _, off := range []struct {
+				rel  float64
+				ulps int8
+			}{{0, 0}, {0, 1}, {0, -1}, {pad, 0}, {-pad, 0}} {
+				f.Add(rx, 0.0, anchor, off.rel, off.ulps, powers)
+			}
+		}
+		// Draws near 1, where u·(1+captureMargin) ≥ 1 or u passes
+		// enclosedMaxU, and draws near 0.
+		for _, u := range []float64{math.Nextafter(1, 0), 1 - 5e-10, enclosedMaxU, math.Nextafter(enclosedMaxU, 1), 0, 0x1p-63} {
+			f.Add(rx, 3.0, uint8(0), u, int8(0), powers)
+		}
+	}
+	f.Fuzz(func(t *testing.T, rx, extra float64, anchor uint8, rel float64, ulps int8, powers []byte) {
+		if math.IsNaN(rx) || math.Abs(rx) > 500 || !(extra >= 0 && extra <= 100) || math.IsNaN(rel) || math.IsInf(rel, 0) {
+			t.Skip()
+		}
+		c := sinrCase{rxDBm: rx, thresholdDB: MCS6Mbps.SNRThresholdDB, noiseDBm: NoiseFloorDBm + extra,
+			interfDBm: fuzzInterferers(powers)}
+		u := rel
+		if anchor %= uint8(len(sinrAnchors) + 1); anchor != 0 {
+			u = sinrAnchors[anchor-1](c) * (1 + math.Mod(rel, 1)*1e-8)
+		}
+		for ; ulps > 0; ulps-- {
+			u = math.Nextafter(u, 2)
+		}
+		for ; ulps < 0; ulps++ {
+			u = math.Nextafter(u, -1)
 		}
 		if !(u >= 0 && u < 1) {
 			t.Skip()

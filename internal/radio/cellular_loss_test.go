@@ -50,9 +50,7 @@ func TestCellularLossSampledPerMessage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := k.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Minute)
 	if len(gotA) != len(gotB) {
 		t.Fatalf("subscribers diverged: %d vs %d deliveries", len(gotA), len(gotB))
 	}
@@ -84,9 +82,7 @@ func TestCellularCountersConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := k.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Minute)
 	if link.MessagesSent != n {
 		t.Fatalf("sent %d, want %d", link.MessagesSent, n)
 	}
@@ -129,9 +125,7 @@ func TestCellularLatencyLossLawPinned(t *testing.T) {
 			_ = tx.SendBroadcast([]byte{byte(i)})
 		})
 	}
-	if err := k.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Minute)
 	if link.MessagesSent != n {
 		t.Fatalf("sent %d", link.MessagesSent)
 	}
@@ -185,9 +179,7 @@ func TestUuUplinksOvertake(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("frame %d delivered at %v, want %v (uplink %v)", i, got[i], want[i], up[i])

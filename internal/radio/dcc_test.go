@@ -17,9 +17,7 @@ func TestCBRMeterEmptyWindow(t *testing.T) {
 	// Before the first interval closes the meter still reads zero even
 	// if the channel has been busy.
 	iface.busyAccum = 50 * time.Millisecond
-	if err := k.Run(99 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(99 * time.Millisecond)
 	if meter.CBR() != 0 || meter.n != 0 {
 		t.Fatalf("pre-first-sample CBR %v samples %d", meter.CBR(), meter.n)
 	}
@@ -33,9 +31,7 @@ func TestCBRMeterExactlyFullWindow(t *testing.T) {
 	// after exactly four intervals the window holds {0.3, 0.5, 0, 0}.
 	k.ScheduleFn(10*time.Millisecond, func() { iface.busyAccum += 30 * time.Millisecond })
 	k.ScheduleFn(110*time.Millisecond, func() { iface.busyAccum += 50 * time.Millisecond })
-	if err := k.Run(400 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(400 * time.Millisecond)
 	if meter.n != 4 {
 		t.Fatalf("samples %d, want 4", meter.n)
 	}
@@ -51,9 +47,7 @@ func TestCBRMeterPartialWindowAveragesFilledOnly(t *testing.T) {
 	meter := NewCBRMeter(k, iface, 100*time.Millisecond, 4)
 	k.ScheduleFn(10*time.Millisecond, func() { iface.busyAccum += 40 * time.Millisecond })
 	// One interval closed: the average spans one sample, not four.
-	if err := k.Run(150 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(150 * time.Millisecond)
 	if meter.n != 1 {
 		t.Fatalf("samples %d, want 1", meter.n)
 	}
@@ -70,9 +64,7 @@ func TestCBRMeterWraparound(t *testing.T) {
 	// the ring has wrapped and the saturated sample has been evicted,
 	// leaving {0, 0}.
 	iface.busyAccum = 100 * time.Millisecond
-	if err := k.Run(350 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(350 * time.Millisecond)
 	if meter.n != 2 {
 		t.Fatalf("samples %d, want window cap 2", meter.n)
 	}
@@ -87,9 +79,7 @@ func TestCBRMeterClampsSaturatedInterval(t *testing.T) {
 	meter := NewCBRMeter(k, iface, 100*time.Millisecond, 1)
 	// An accounting jump larger than the interval clamps to 1.
 	iface.busyAccum = time.Second
-	if err := k.Run(150 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(150 * time.Millisecond)
 	if got := meter.CBR(); got != 1 {
 		t.Fatalf("CBR %v, want clamp to 1", got)
 	}

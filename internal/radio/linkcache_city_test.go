@@ -1,6 +1,7 @@
 package radio_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -8,28 +9,66 @@ import (
 	"itsbed/internal/radio"
 )
 
+// citySecond is one simulated second of a 1000-vehicle city at seed
+// 13000, with the fallbacks its link and SINR decisions took.
+var citySecond struct {
+	once                         sync.Once
+	row                          experiments.CityRow
+	err                          error
+	linkFallbacks, sinrFallbacks uint64
+}
+
+// cityFallbacks runs citySecond once per test binary and returns the
+// fallback count that count selects over the receptions the medium
+// evaluated.
+func cityFallbacks(t *testing.T, count func() uint64) (fallbacks, evaluated uint64) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("1000-vehicle city")
+	}
+	c := &citySecond
+	c.once.Do(func() {
+		link, sinr := radio.LinkFallbacks(), radio.SINRFallbacks()
+		var rows []experiments.CityRow
+		rows, c.err = experiments.CitySweep(experiments.CityOptions{
+			Stations: []int{1000}, Duration: time.Second, Workers: 1, BaseSeed: 13000,
+		})
+		c.linkFallbacks, c.sinrFallbacks = radio.LinkFallbacks()-link, radio.SINRFallbacks()-sinr
+		if c.err == nil {
+			c.row = rows[0]
+		}
+	})
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	r := c.row
+	evaluated = r.FramesDelivered + r.FramesLost - r.FramesCulled
+	if evaluated == 0 {
+		t.Fatal("the city evaluated no reception")
+	}
+	t.Logf("%d frames sent, %d evaluated receptions", r.FramesSent, evaluated)
+	return count(), evaluated
+}
+
 // TestCityLinkFallbacks counts the link decisions of a 1000-vehicle
 // city second that the float32 link cache left to the exact radii.
 // The band is about 2⁻²¹ of a radius wide, so they must stay a tiny
 // share of the receptions the medium evaluated.
 func TestCityLinkFallbacks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1000-vehicle city")
+	fallbacks, evaluated := cityFallbacks(t, func() uint64 { return citySecond.linkFallbacks })
+	t.Logf("%d link fallbacks over %d evaluated receptions", fallbacks, evaluated)
+	if fallbacks*10000 > evaluated {
+		t.Fatalf("%d fallbacks over %d evaluated receptions: more than 1 in 10⁴", fallbacks, evaluated)
 	}
-	before := radio.LinkFallbacks()
-	rows, err := experiments.CitySweep(experiments.CityOptions{
-		Stations: []int{1000}, Duration: time.Second, Workers: 1, BaseSeed: 13000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallbacks := radio.LinkFallbacks() - before
-	r := rows[0]
-	evaluated := r.FramesDelivered + r.FramesLost - r.FramesCulled
-	t.Logf("%d fallbacks over %d evaluated receptions (%d frames sent)", fallbacks, evaluated, r.FramesSent)
-	if evaluated == 0 {
-		t.Fatal("the city evaluated no reception")
-	}
+}
+
+// TestCitySINRFallbacks counts the SINR decisions of the same city
+// second that the enclosure left to the exact interference sum: draws
+// within its 1e-10 pad of the limit, or above enclosedMaxU, so they
+// must stay a tiny share of the receptions too.
+func TestCitySINRFallbacks(t *testing.T) {
+	fallbacks, evaluated := cityFallbacks(t, func() uint64 { return citySecond.sinrFallbacks })
+	t.Logf("%d SINR fallbacks over %d evaluated receptions", fallbacks, evaluated)
 	if fallbacks*10000 > evaluated {
 		t.Fatalf("%d fallbacks over %d evaluated receptions: more than 1 in 10⁴", fallbacks, evaluated)
 	}

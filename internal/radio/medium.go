@@ -353,11 +353,13 @@ type linkThreshold struct {
 
 // linkBand is the relative half-width of the band around a cached
 // radius inside which only the exact float64 radius decides a
-// comparison. Rounding a float64 x to the nearest float32 r moves it by
-// at most 2⁻²⁴|x| while |x| stays in float32's normal range, which it
-// does for every finite cached radius (|x| ≥ 1), so the exact radius
-// lies within 2⁻²³|r| of r. 2⁻²² doubles that, which also absorbs the
-// 2⁻⁵³ rounding of the band edges computed in within.
+// comparison. A cached radius r is rounded from an x' within 1e-13 of
+// the exact radius x (see cachedRadius2), and rounding to the nearest
+// float32 moves x' by at most 2⁻²⁴|x'| while |x'| stays in float32's
+// normal range, which it does for every finite cached radius
+// (|x'| ≥ 1), so x lies within (2⁻²⁴+1e-13)(1+2⁻²³)|r| < 2⁻²³|r| of r.
+// 2⁻²² doubles that, which also absorbs the 2⁻⁵³ rounding of the band
+// edges computed in within.
 const linkBand = 0x1p-22
 
 // within decides d2 <= x for the exact radius x that r was rounded
@@ -376,9 +378,10 @@ func within(d2 float64, r float32) (in, ok bool) {
 	return false, false
 }
 
-// linkFallbacks counts link decisions that needed the exact radii, for
-// tests; it is not a registered metric.
-var linkFallbacks atomic.Uint64
+// linkFallbacks counts link decisions that needed the exact radii, and
+// sinrFallbacks SINR decisions that the enclosure left to the exact
+// sum, for tests; neither is a registered metric.
+var linkFallbacks, sinrFallbacks atomic.Uint64
 
 // link returns the cached radii for t's link to dst, deriving them on
 // first use. Only called when thresholdsUsable.
@@ -389,19 +392,26 @@ func (m *Medium) link(t *transmission, dst *Interface) linkThreshold {
 	}
 	lt := &m.linkCache[t.src.id*n+dst.id]
 	if lt.sens2 == 0 {
-		sens2, cs2 := m.exactRadii(t, dst)
-		lt.sens2, lt.cs2 = float32(sens2), float32(cs2)
+		sens, cs := m.linkDecades(t, dst)
+		lt.sens2, lt.cs2 = cachedRadius2(sens), cachedRadius2(cs)
 	}
 	return *lt
 }
 
-// exactRadii derives the float64 squared radii that link caches
-// rounded to float32.
-func (m *Medium) exactRadii(t *transmission, dst *Interface) (sens2, cs2 float64) {
+// linkDecades returns the decade margins of t's link to dst above the
+// sensitivity and carrier-sense thresholds, shadowing folded in.
+func (m *Medium) linkDecades(t *transmission, dst *Interface) (sens, cs float64) {
 	sh := m.shadowingDB(t.src.id, dst.id)
 	exp := 10 * m.cfg.PathLoss.Exponent
 	base := t.powerDBm - m.cfg.PathLoss.ReferenceLossDB - sh
-	return thresholdRadius2((base - m.cfg.SensitivityDBm) / exp), thresholdRadius2((base - m.cfg.CarrierSenseDBm) / exp)
+	return (base - m.cfg.SensitivityDBm) / exp, (base - m.cfg.CarrierSenseDBm) / exp
+}
+
+// exactRadii derives the float64 squared radii whose float32 roundings
+// within linkBand the cache holds.
+func (m *Medium) exactRadii(t *transmission, dst *Interface) (sens2, cs2 float64) {
+	sens, cs := m.linkDecades(t, dst)
+	return thresholdRadius2(sens), thresholdRadius2(cs)
 }
 
 // linkDecide reports whether dst, at squared distance d2 from t's
@@ -429,6 +439,22 @@ func thresholdRadius2(decades float64) float64 {
 	}
 	r := math.Pow(10, decades)
 	return r * r
+}
+
+// cachedRadius2 is thresholdRadius2 rounded to float32, computed as
+// e^(2·ln10·decades) with math.Exp in place of math.Pow. Before the
+// rounding it is within 1e-13 relative of thresholdRadius2 wherever
+// float32 holds the result (decades < 19.3): the Exp argument, at most
+// 89, is rounded twice (< 2e-14) and Exp is within a few ulps, while
+// Pow builds 10^⌊decades⌉ in at most five squarings and the square
+// doubles its error (< 2e-14). Larger results round to +Inf, or to the
+// largest float32 within the same bound, and e⁰ = 1, so a derived
+// radius stays −1 or at least 1.
+func cachedRadius2(decades float64) float32 {
+	if decades < 0 {
+		return -1
+	}
+	return float32(math.Exp(decades * (2 * math.Ln10)))
 }
 
 // thresholdsUsable reports whether the per-link radius cache may
@@ -647,14 +673,16 @@ func (m *Medium) completeCulled(t *transmission, srcPos geo.Point, now time.Dura
 // evaluate decides one receiver's outcome for the completed frame:
 // channel-busy accounting, sensitivity, SINR capture, delivery.
 //
-// The SINR stage draws the receiver's one uniform u first and decides
-// from exact bounds (see capture): a frame the noise floor alone
-// already loses costs no interferer term, and the interference sum
-// stops as soon as its partial sum proves a loss. Every other
-// outcome, deliveries included, compares u against the success
-// probability of the full sum, summed term by term in m.overlap order,
-// so every outcome and the random stream equal those of comparing u
-// against that probability for every receiver.
+// The SINR stage draws the receiver's one uniform u first (see
+// decideSINR), and a frame the noise floor alone already loses costs
+// no interferer term. Otherwise a receiver with interferers is decided
+// from an enclosure of the interference sum, each term's mW from
+// math.Exp: the sum stops as soon as its lower edge proves a loss, and
+// a full sum whose upper edge stays below the delivery limit proves a
+// delivery. Only a straddle runs the exact capture steps, summing term
+// by term in m.overlap order. So every outcome and the random stream
+// equal those of comparing u against the exact probability for every
+// receiver.
 func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now time.Duration) {
 	dstPos := dst.pos()
 	d2 := sqDist(srcPos, dstPos)
@@ -692,21 +720,16 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 	rx := m.rxPowerDBmAt(t, srcPos, dst, dstPos)
 	// Interference: power of other transmissions overlapping in time
 	// at this receiver, on top of the (possibly raised) noise floor.
-	var c capture
-	lost := c.start(m.rng.Float64(), rx, t.src.cfg.MCS.SNRThresholdDB, m.noiseMW, m.noiseDBm)
-	if !lost && len(m.overlap) > 0 {
-		c.bound()
-		for _, o := range m.overlap {
+	lost, straddled := decideSINR(m.rng.Float64(), rx, t.src.cfg.MCS.SNRThresholdDB, m.noiseMW, m.noiseDBm,
+		len(m.overlap), func(i int) (float64, bool) {
+			o := m.overlap[i]
 			if o.t.src == dst {
-				continue
+				return 0, false
 			}
-			if lost = c.add(dbmToMilliwatt(m.rxPowerDBmAt(o.t, o.pos, dst, dstPos))); lost {
-				break
-			}
-		}
-	}
-	if !lost {
-		lost = c.lost()
+			return m.rxPowerDBmAt(o.t, o.pos, dst, dstPos), true
+		})
+	if straddled {
+		sinrFallbacks.Add(1)
 	}
 	if lost {
 		m.FramesLost++

@@ -110,9 +110,7 @@ func TestMediumDeliversBetweenNearbyRadios(t *testing.T) {
 	if err := tx.SendBroadcast([]byte("frame-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(10 * time.Millisecond)
 	if len(got) != 1 || string(got[0]) != "frame-1" {
 		t.Fatalf("received %q", got)
 	}
@@ -132,9 +130,7 @@ func TestMediumRangeCutoff(t *testing.T) {
 	if err := tx.SendBroadcast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(10 * time.Millisecond)
 	if n != 0 {
 		t.Fatal("frame decoded beyond sensitivity range")
 	}
@@ -153,9 +149,7 @@ func TestMediumDeliveryLatencyIsAirtime(t *testing.T) {
 	if err := tx.SendBroadcast(payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(10 * time.Millisecond)
 	want := AIFS(ACBestEffort) + Airtime(100, MCS6Mbps)
 	if at != want {
 		t.Fatalf("delivery at %v, want AIFS+airtime = %v", at, want)
@@ -173,9 +167,7 @@ func TestTransmitQueueDrainsInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := k.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(100 * time.Millisecond)
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("got %v", got)
 	}
@@ -215,9 +207,7 @@ func TestTwoTransmittersBothDeliver(t *testing.T) {
 	if err := b.SendBroadcast([]byte("from-b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(100 * time.Millisecond)
 	// CSMA should separate the two transmissions; both arrive.
 	if len(got) != 2 {
 		t.Fatalf("received %v", got)
@@ -239,9 +229,7 @@ func TestCellularLinkLatency(t *testing.T) {
 	if err := tx.SendBroadcast([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if at != 10*time.Millisecond {
 		t.Fatalf("delivery at %v", at)
 	}
@@ -262,9 +250,7 @@ func TestCellularLinkJitterAndLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := k.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Minute)
 	if n < 60 || n > 140 {
 		t.Fatalf("delivered %d/200 at 50%% loss", n)
 	}
@@ -293,9 +279,7 @@ func TestFrameCopiedOnDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	original[0] = 99 // caller mutates after send
-	if err := k.Run(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(10 * time.Millisecond)
 	if got[0] != 1 {
 		t.Fatal("frame aliased the caller's buffer")
 	}
@@ -324,9 +308,7 @@ func TestEDCADeferralUnderContention(t *testing.T) {
 	if err := b.SendBroadcast(p2); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(100 * time.Millisecond)
 	if len(got) != 2 {
 		t.Fatalf("delivered %d/2 under contention", len(got))
 	}
@@ -349,9 +331,7 @@ func TestHalfDuplexSelfDeferral(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := k.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(100 * time.Millisecond)
 	if len(times) != 2 {
 		t.Fatalf("delivered %d/2", len(times))
 	}

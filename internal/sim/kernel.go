@@ -296,19 +296,18 @@ func (t *Ticker) Stop() {
 // horizon still run, and the clock then stands at the horizon, so
 // successive Run calls continue seamlessly. A horizon behind Now runs
 // nothing and leaves the clock where it is.
-func (k *Kernel) Run(horizon time.Duration) error {
+func (k *Kernel) Run(horizon time.Duration) {
 	k.run(horizon, nil)
-	return nil
 }
 
 // RunUntil executes events until pred returns true (checked after each
 // event) or the horizon passes. It reports whether pred was satisfied.
 // The clock moves as in Run.
-func (k *Kernel) RunUntil(horizon time.Duration, pred func() bool) (bool, error) {
+func (k *Kernel) RunUntil(horizon time.Duration, pred func() bool) bool {
 	if pred() {
-		return true, nil
+		return true
 	}
-	return k.run(horizon, pred), nil
+	return k.run(horizon, pred)
 }
 
 // run is the event loop behind Run and RunUntil; pred may be nil.

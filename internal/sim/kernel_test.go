@@ -13,9 +13,7 @@ func TestScheduleOrdering(t *testing.T) {
 	k.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
 	k.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
 	k.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	want := []int{1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -31,9 +29,7 @@ func TestScheduleTieBreakFIFO(t *testing.T) {
 		i := i
 		k.Schedule(5*time.Millisecond, func() { got = append(got, i) })
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-time events not FIFO: %v", got)
@@ -45,9 +41,7 @@ func TestNegativeDelayClamped(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
 	k.Schedule(-time.Second, func() { fired = true })
-	if err := k.Run(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Millisecond)
 	if !fired {
 		t.Fatal("negative-delay event did not fire")
 	}
@@ -61,9 +55,7 @@ func TestCancel(t *testing.T) {
 	fired := false
 	ev := k.Schedule(10*time.Millisecond, func() { fired = true })
 	ev.Cancel()
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -76,9 +68,7 @@ func TestCancelIsIdempotentAndNilSafe(t *testing.T) {
 	ev.Cancel()
 	var nilEv *Event
 	nilEv.Cancel() // must not panic
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 }
 
 func TestPendingExcludesCancelled(t *testing.T) {
@@ -98,9 +88,7 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	if k.Pending() != 2 {
 		t.Fatalf("Pending()=%d after double cancel, want 2", k.Pending())
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if k.Pending() != 0 {
 		t.Fatalf("Pending()=%d after run, want 0", k.Pending())
 	}
@@ -116,9 +104,7 @@ func TestCancelFromWithinCallback(t *testing.T) {
 			t.Fatalf("Pending()=%d inside callback, want 0", k.Pending())
 		}
 	})
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -128,9 +114,7 @@ func TestTickerStopKeepsQueueClean(t *testing.T) {
 	k := NewKernel(1)
 	tk := k.Every(time.Millisecond, time.Millisecond, func() {})
 	k.Schedule(500*time.Microsecond, tk.Stop)
-	if err := k.Run(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(10 * time.Millisecond)
 	if k.Pending() != 0 {
 		t.Fatalf("Pending()=%d after ticker stop, want 0", k.Pending())
 	}
@@ -140,18 +124,14 @@ func TestHorizonLeavesFutureEventsQueued(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
 	k.Schedule(100*time.Millisecond, func() { fired = true })
-	if err := k.Run(50 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(50 * time.Millisecond)
 	if fired {
 		t.Fatal("event beyond horizon fired")
 	}
 	if k.Now() != 50*time.Millisecond {
 		t.Fatalf("Now()=%v, want 50ms", k.Now())
 	}
-	if err := k.Run(200 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(200 * time.Millisecond)
 	if !fired {
 		t.Fatal("event did not fire on resumed run")
 	}
@@ -161,9 +141,7 @@ func TestEventAtHorizonFires(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
 	k.Schedule(50*time.Millisecond, func() { fired = true })
-	if err := k.Run(50 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(50 * time.Millisecond)
 	if !fired {
 		t.Fatal("event exactly at horizon should fire")
 	}
@@ -175,9 +153,7 @@ func TestAtAbsoluteTime(t *testing.T) {
 	k.Schedule(10*time.Millisecond, func() {
 		k.At(25*time.Millisecond, func() { at = k.Now() })
 	})
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if at != 25*time.Millisecond {
 		t.Fatalf("At fired at %v, want 25ms", at)
 	}
@@ -190,9 +166,7 @@ func TestEvery(t *testing.T) {
 		times = append(times, k.Now())
 	})
 	k.Schedule(75*time.Millisecond, tk.Stop)
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	want := []time.Duration{10 * time.Millisecond, 30 * time.Millisecond, 50 * time.Millisecond, 70 * time.Millisecond}
 	if len(times) != len(want) {
 		t.Fatalf("ticks %v, want %v", times, want)
@@ -214,9 +188,7 @@ func TestTickerStopFromWithinCallback(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if n != 3 {
 		t.Fatalf("ticker fired %d times, want 3", n)
 	}
@@ -226,10 +198,7 @@ func TestRunUntil(t *testing.T) {
 	k := NewKernel(1)
 	n := 0
 	k.Every(0, time.Millisecond, func() { n++ })
-	ok, err := k.RunUntil(time.Second, func() bool { return n >= 10 })
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := k.RunUntil(time.Second, func() bool { return n >= 10 })
 	if !ok {
 		t.Fatal("predicate not satisfied")
 	}
@@ -241,10 +210,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilHorizon(t *testing.T) {
 	k := NewKernel(1)
 	k.Schedule(time.Millisecond, func() {})
-	ok, err := k.RunUntil(time.Second, func() bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := k.RunUntil(time.Second, func() bool { return false })
 	if ok {
 		t.Fatal("predicate unexpectedly satisfied")
 	}
@@ -257,9 +223,8 @@ func TestRunUntilPredAlreadyTrue(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
 	k.Schedule(time.Millisecond, func() { fired = true })
-	ok, err := k.RunUntil(time.Second, func() bool { return true })
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	if ok := k.RunUntil(time.Second, func() bool { return true }); !ok {
+		t.Fatalf("ok=%v", ok)
 	}
 	if fired {
 		t.Fatal("no events should run when pred is already true")
@@ -327,9 +292,7 @@ func TestPropertyEventsFireInOrder(t *testing.T) {
 				fired = append(fired, k.Now())
 			})
 		}
-		if err := k.Run(time.Hour); err != nil {
-			return false
-		}
+		k.Run(time.Hour)
 		if len(fired) != len(delays) {
 			return false
 		}
@@ -356,9 +319,7 @@ func TestNestedScheduling(t *testing.T) {
 		}
 	}
 	k.Schedule(0, recurse)
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if depth != 100 {
 		t.Fatalf("depth=%d, want 100", depth)
 	}
@@ -370,26 +331,20 @@ func TestNestedScheduling(t *testing.T) {
 func TestRunHorizonBehindNowKeepsClock(t *testing.T) {
 	k := NewKernel(1)
 	k.Schedule(10*time.Second, func() {}) // keeps the queue non-empty
-	if err := k.Run(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(5 * time.Second)
+	k.Run(2 * time.Second)
 	if k.Now() != 5*time.Second {
 		t.Fatalf("Run(2s) at 5s moved the clock to %v", k.Now())
 	}
-	if ok, err := k.RunUntil(time.Second, func() bool { return false }); ok || err != nil {
-		t.Fatalf("RunUntil(1s) = %v, %v", ok, err)
+	if ok := k.RunUntil(time.Second, func() bool { return false }); ok {
+		t.Fatalf("RunUntil(1s) = %v", ok)
 	}
 	if k.Now() != 5*time.Second {
 		t.Fatalf("RunUntil(1s) at 5s moved the clock to %v", k.Now())
 	}
 	var at time.Duration
 	k.Schedule(time.Second, func() { at = k.Now() })
-	if err := k.Run(7 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(7 * time.Second)
 	if at != 6*time.Second {
 		t.Fatalf("event scheduled 1s after 5s fired at %v", at)
 	}

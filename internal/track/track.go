@@ -195,7 +195,7 @@ func (l *Line) Within(p geo.Point, r float64) bool {
 	}
 	lo, hi := r*r*(1-1e-9), r*r*(1+1e-9)
 	for i := 1; i < len(l.points); i++ {
-		// geo.Segment.ClosestPoint's arithmetic, with the builtin
+		// The closest point on the segment, with the builtin
 		// min and max (the same results as math.Min and math.Max,
 		// which are not inlined) for the clamp.
 		a, b := l.points[i-1], l.points[i]

@@ -214,13 +214,26 @@ func TestWithinMatchesProject(t *testing.T) {
 	}
 }
 
+// closestPoint returns the point on seg closest to p and its parameter
+// t clamped to [0,1], in the arithmetic Within and Project follow.
+func closestPoint(seg geo.Segment, p geo.Point) (geo.Point, float64) {
+	d := seg.B.Sub(seg.A)
+	l2 := d.Dot(d)
+	if l2 == 0 {
+		return seg.A, 0
+	}
+	t := p.Sub(seg.A).Dot(d) / l2
+	t = math.Max(0, math.Min(1, t))
+	return seg.PointAt(t), t
+}
+
 // projectHypot is Project as it stood before ranking segments by
 // squared distance: every segment's distance and length by math.Hypot.
 func projectHypot(l *Line, p geo.Point) (s, lateral float64) {
 	best := math.Inf(1)
 	for i := 1; i < len(l.points); i++ {
 		seg := geo.Segment{A: l.points[i-1], B: l.points[i]}
-		c, t := seg.ClosestPoint(p)
+		c, t := closestPoint(seg, p)
 		d := c.DistanceTo(p)
 		if d < best {
 			best = d

@@ -129,22 +129,6 @@ type Curvature int16
 // CurvatureUnavailable is the sentinel for unknown curvature.
 const CurvatureUnavailable Curvature = 1023
 
-// CurvatureFromRadius converts a turn radius in metres (positive left)
-// to the ETSI unit. An infinite radius (straight) maps to 0.
-func CurvatureFromRadius(radius float64) Curvature {
-	if math.IsInf(radius, 0) || radius == 0 {
-		return 0
-	}
-	v := int64(math.Round(10000 / radius))
-	if v > 1022 {
-		v = 1022
-	}
-	if v < -1023 {
-		v = -1023
-	}
-	return Curvature(v)
-}
-
 // StationID identifies an ITS station (ETSI StationID, 32 bits).
 type StationID uint32
 

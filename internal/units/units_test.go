@@ -92,21 +92,6 @@ func TestHeadingRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCurvature(t *testing.T) {
-	if CurvatureFromRadius(math.Inf(1)) != 0 {
-		t.Fatal("straight line curvature")
-	}
-	if CurvatureFromRadius(10) != 1000 {
-		t.Fatalf("10 m radius = %d, want 1000", CurvatureFromRadius(10))
-	}
-	if CurvatureFromRadius(-10) != -1000 {
-		t.Fatal("left/right sign")
-	}
-	if CurvatureFromRadius(0.1) != 1022 {
-		t.Fatal("tight curvature not clamped")
-	}
-}
-
 func TestStationTypeStrings(t *testing.T) {
 	cases := map[StationType]string{
 		StationTypePassengerCar: "passengerCar",
@@ -231,25 +216,6 @@ func TestConversionBoundaries(t *testing.T) {
 		for _, tc := range cases {
 			if got := HeadingFromRadians(tc.rad); got != tc.want {
 				t.Errorf("HeadingFromRadians(%v) = %d, want %d", tc.rad, got, tc.want)
-			}
-		}
-	})
-	t.Run("curvature", func(t *testing.T) {
-		cases := []struct {
-			radius float64
-			want   Curvature
-		}{
-			{math.Inf(1), 0},
-			{math.Inf(-1), 0},
-			{0, 0}, // degenerate radius treated as straight
-			{100, 100},
-			{-100, -100},
-			{9.7, 1022},   // tight left clamps at the positive limit
-			{-9.7, -1023}, // tight right clamps at the negative limit
-		}
-		for _, tc := range cases {
-			if got := CurvatureFromRadius(tc.radius); got != tc.want {
-				t.Errorf("CurvatureFromRadius(%v) = %d, want %d", tc.radius, got, tc.want)
 			}
 		}
 	})

@@ -38,9 +38,7 @@ func TestLineFollowingGroundTruth(t *testing.T) {
 			maxLateral = math.Abs(lat)
 		}
 	})
-	if err := k.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(3 * time.Second)
 	if maxLateral > 0.08 {
 		t.Fatalf("lateral deviation %.3f m, line following broken", maxLateral)
 	}
@@ -60,9 +58,7 @@ func TestLineFollowingFullVision(t *testing.T) {
 	}
 	v.Start()
 	defer v.Stop()
-	if err := k.Run(3 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	k.Run(3 * time.Second)
 	_, lat := v.cfg.Layout.Line.Project(v.Body.State().Position)
 	if math.Abs(lat) > 0.1 {
 		t.Fatalf("vision follower off the line by %.3f m", lat)
@@ -85,10 +81,7 @@ func TestEmergencyStopDirect(t *testing.T) {
 	v.Start()
 	defer v.Stop()
 	k.Schedule(2*time.Second, v.EmergencyStop)
-	ok, err := k.RunUntil(10*time.Second, v.Halted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := k.RunUntil(10*time.Second, v.Halted)
 	if !ok {
 		t.Fatal("vehicle never halted")
 	}
@@ -115,9 +108,7 @@ func TestEmergencyStopIdempotent(t *testing.T) {
 	defer v.Stop()
 	k.Schedule(time.Second, v.EmergencyStop)
 	k.Schedule(time.Second+time.Millisecond, v.EmergencyStop)
-	if _, err := k.RunUntil(10*time.Second, v.Halted); err != nil {
-		t.Fatal(err)
-	}
+	k.RunUntil(10*time.Second, v.Halted)
 	if stamps != 1 {
 		t.Fatalf("stop command stamped %d times", stamps)
 	}
@@ -140,9 +131,7 @@ func TestActuationLatencyBeforePowerCut(t *testing.T) {
 			cutAt = k.Now()
 		}
 	})
-	if _, err := k.RunUntil(10*time.Second, v.Halted); err != nil {
-		t.Fatal(err)
-	}
+	k.RunUntil(10*time.Second, v.Halted)
 	gap := cutAt - cmdAt
 	if gap <= 0 || gap > 15*time.Millisecond {
 		t.Fatalf("command-to-cut gap %v (USART + MCU + PWM frame)", gap)
@@ -205,10 +194,7 @@ func TestPollerStopsVehicleOnDENM(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	ok, err := k.RunUntil(20*time.Second, v.Halted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := k.RunUntil(20*time.Second, v.Halted)
 	if !ok {
 		t.Fatal("vehicle did not stop on the DENM")
 	}
@@ -226,9 +212,7 @@ func TestResetRestoresStartState(t *testing.T) {
 	}
 	v.Start()
 	k.Schedule(time.Second, v.EmergencyStop)
-	if _, err := k.RunUntil(10*time.Second, v.Halted); err != nil {
-		t.Fatal(err)
-	}
+	k.RunUntil(10*time.Second, v.Halted)
 	v.Reset()
 	st := v.Body.State()
 	if st.Position != cfg.Layout.Line.PointAt(cfg.StartArc) {
