@@ -49,11 +49,7 @@ var deadAPIDebt = map[string]string{
 	"(*world.Map).LineOfSight":                  "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
 	"(*world.Map).Walls":                        "TestWallsCopySemantics",
 	"world.BlindCornerLab":                      "TestBlindCornerLabGeometry",
-	"(geo.Scale).SpeedToFullSize":               "TestScaleMapping",
-	"(geo.Scale).ToFullSize":                    "TestScaleMapping",
-	"(geo.Scale).ToLab":                         "TestScaleMapping",
 	"(stats.EDF).At":                            "TestEDFAtAllTiedValues, TestEDFEdgeCases, TestEDFMatchesPaperFig11Reading",
-	"units.Validity":                            "TestValidity",
 }
 
 // deadAPIStdlibInterfaces are the standard-library interfaces through

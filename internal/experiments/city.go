@@ -279,29 +279,42 @@ func FormatCity(rows []CityRow, opt CityOptions) string {
 
 // loopMobility drives a station around a closed route at constant
 // speed — the light-weight vehicle model of the synthetic city (no
-// body dynamics, no perception).
+// body dynamics, no perception). Its position is a function of
+// simulated time alone, so it keeps the last point it computed: the
+// medium places every receiver of every completion, and every waiting
+// station places every ongoing sender, many times per instant.
 type loopMobility struct {
 	line   *track.Line
 	speed  float64
 	offset float64
 	now    func() time.Duration
 	frame  *geo.Frame
+	// at and pos are the last instant placed and its point, valid once
+	// placed is set.
+	at     time.Duration
+	pos    geo.Point
+	placed bool
 }
 
-func (m *loopMobility) arc() float64 {
-	return m.offset + m.speed*m.now().Seconds()
+// arc is the route position at simulated time now.
+func (m *loopMobility) arc(now time.Duration) float64 {
+	return m.offset + m.speed*now.Seconds()
 }
 
 // Position implements stack.Mobility.
-func (m *loopMobility) Position() geo.Point { return m.line.LoopPointAt(m.arc()) }
+func (m *loopMobility) Position() geo.Point {
+	if now := m.now(); !m.placed || now != m.at {
+		m.at, m.pos, m.placed = now, m.line.LoopPointAt(m.arc(now)), true
+	}
+	return m.pos
+}
 
 // VehicleState implements stack.Mobility.
 func (m *loopMobility) VehicleState() ca.VehicleState {
-	s := m.arc()
 	return ca.VehicleState{
-		Position:   m.frame.ToGeodetic(m.line.LoopPointAt(s)),
+		Position:   m.frame.ToGeodetic(m.Position()),
 		SpeedMS:    m.speed,
-		HeadingRad: m.line.LoopHeadingAt(s),
+		HeadingRad: m.line.LoopHeadingAt(m.arc(m.now())),
 		Length:     4.3,
 		Width:      1.8,
 	}

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"itsbed/internal/geo"
+	"itsbed/internal/its/facilities/ca"
 	"itsbed/internal/world"
 )
 
@@ -115,4 +119,67 @@ func TestCityGridIdentity(t *testing.T) {
 			t.Fatalf("n=%d: grid and brute runs diverge:\ngrid  %+v\nbrute %+v", g.Stations, g, b)
 		}
 	}
+}
+
+// TestLoopMobilityMemoMatchesDirect asks a loopMobility for random
+// instants, each often several times in a row and some revisited
+// later, and checks every Position and VehicleState bit for bit against
+// the route evaluated directly at that instant.
+func TestLoopMobilityMemoMatchesDirect(t *testing.T) {
+	frame, err := geo.NewFrame(geo.CISTERLab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13001))
+	city := world.NewCity(world.CityConfig{BlocksX: 5, BlocksY: 5, BlockSize: 100})
+	var now time.Duration
+	for v := 0; v < 8; v++ {
+		route := city.RandomRoute(rng)
+		m := &loopMobility{
+			line:   route,
+			speed:  12 + rng.Float64()*8,
+			offset: rng.Float64() * route.Length(),
+			now:    func() time.Duration { return now },
+			frame:  frame,
+		}
+		var seen []time.Duration
+		for i := 0; i < 500; i++ {
+			switch {
+			case i > 0 && rng.Intn(3) == 0:
+				// Ask again at the same instant.
+			case len(seen) > 0 && rng.Intn(4) == 0:
+				now = seen[rng.Intn(len(seen))]
+			default:
+				now = time.Duration(rng.Int63n(int64(120 * time.Second)))
+			}
+			seen = append(seen, now)
+			s := m.offset + m.speed*now.Seconds()
+			want := route.LoopPointAt(s)
+			wantState := ca.VehicleState{
+				Position:   frame.ToGeodetic(want),
+				SpeedMS:    m.speed,
+				HeadingRad: route.LoopHeadingAt(s),
+				Length:     4.3,
+				Width:      1.8,
+			}
+			// Alternate which of the two fills the memo first.
+			var got geo.Point
+			var state ca.VehicleState
+			if i%2 == 0 {
+				got, state = m.Position(), m.VehicleState()
+			} else {
+				state, got = m.VehicleState(), m.Position()
+			}
+			if !samePoint(got, want) {
+				t.Fatalf("vehicle %d at %v: Position %v, direct %v", v, now, got, want)
+			}
+			if state != wantState {
+				t.Fatalf("vehicle %d at %v: VehicleState %+v, direct %+v", v, now, state, wantState)
+			}
+		}
+	}
+}
+
+func samePoint(a, b geo.Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }

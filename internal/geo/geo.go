@@ -224,31 +224,6 @@ func (f *Frame) ToGeodetic(p Point) LatLon {
 // Porto, Portugal, used as the default frame origin for experiments.
 var CISTERLab = LatLon{Lat: 41.1780, Lon: -8.6080}
 
-// Scale maps between the 1/10-scale laboratory world and full-size
-// road coordinates, used when relating scale measurements (e.g.
-// braking distances) to full-size equivalents as the paper's
-// discussion suggests.
-type Scale struct {
-	// Factor is the linear scale: full-size length = Factor × lab length.
-	Factor float64
-}
-
-// TenthScale is the 1/10 scale of the F1/10-derived testbed.
-var TenthScale = Scale{Factor: 10}
-
-// ToFullSize converts a laboratory length in metres to the full-size
-// equivalent.
-func (s Scale) ToFullSize(labMetres float64) float64 { return labMetres * s.Factor }
-
-// ToLab converts a full-size length to laboratory metres.
-func (s Scale) ToLab(fullMetres float64) float64 { return fullMetres / s.Factor }
-
-// SpeedToFullSize converts a laboratory speed to the dynamically
-// similar full-size speed (Froude scaling: v_full = v_lab·√Factor).
-func (s Scale) SpeedToFullSize(labSpeed float64) float64 {
-	return labSpeed * math.Sqrt(s.Factor)
-}
-
 // Segment is a directed line segment on the local plane.
 type Segment struct {
 	A, B Point

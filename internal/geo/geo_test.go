@@ -154,20 +154,6 @@ func TestVectorAlgebra(t *testing.T) {
 	}
 }
 
-func TestScaleMapping(t *testing.T) {
-	s := TenthScale
-	if !almostEqual(s.ToFullSize(0.36), 3.6, 1e-12) {
-		t.Fatal("braking distance scaling")
-	}
-	if !almostEqual(s.ToLab(5.3), 0.53, 1e-12) {
-		t.Fatal("vehicle length scaling")
-	}
-	// Froude scaling of speed: v_full = v_lab·√10.
-	if !almostEqual(s.SpeedToFullSize(1.5), 1.5*math.Sqrt(10), 1e-12) {
-		t.Fatal("speed scaling")
-	}
-}
-
 func TestLatLonValid(t *testing.T) {
 	if !(LatLon{Lat: 41, Lon: -8}).Valid() {
 		t.Fatal("valid coordinates rejected")

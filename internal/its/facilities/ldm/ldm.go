@@ -86,23 +86,28 @@ type Config struct {
 // simulation every access happens on kernel events, and the daemons
 // wrap it in their own lock.
 type Map struct {
-	cfg     Config
+	cfg Config
+	// objects holds sensed and CPM-fused objects, cams CAM objects by
+	// station. Each is made on its first object, so a station
+	// allocates nothing for a source it never hears from.
 	objects map[objectKey]*Object
+	cams    map[units.StationID]*camObject
 	events  map[messages.ActionID]*Event
-	// objSlots and evSlots back the maps' values: a station that
-	// learns n neighbours allocates a few chunks, not n objects.
+	// objSlots, camSlots and evSlots back the maps' values: a station
+	// that learns n neighbours allocates a few chunks, not n objects.
 	objSlots slab[Object]
+	camSlots slab[camObject]
 	evSlots  slab[Event]
 	// nextObjID hands out wire object IDs for locally sensed objects.
 	nextObjID uint16
 }
 
-// objectKey gives each source its own key space: CAM objects are keyed
-// by station, sensed objects by label, and CPM-fused objects by
-// (originating station, wire object ID), so the same origin can share
-// many objects and two origins can track the same road user
-// independently. A CAM from station 0 and an unlabelled sensed object
-// are two objects.
+// objectKey gives each source its own key space: sensed objects are
+// keyed by label, and CPM-fused objects by (originating station, wire
+// object ID), so the same origin can share many objects and two origins
+// can track the same road user independently. CAM objects live in
+// their own table, keyed by station, so a CAM from station 0 and an
+// unlabelled sensed object are two objects.
 type objectKey struct {
 	label   string
 	station units.StationID
@@ -110,16 +115,37 @@ type objectKey struct {
 	source  ObjectSource
 }
 
+// camObject is the part of an Object that a CAM sets: 48 bytes, where
+// an Object is 80 and its objectKey another 32. Every station of a
+// city run keeps one per neighbour it hears.
+type camObject struct {
+	position    geo.Point
+	speedMS     float64
+	headingRad  float64
+	updated     time.Duration
+	station     units.StationID
+	stationType units.StationType
+}
+
+// object returns c as a full Object.
+func (c *camObject) object() Object {
+	return Object{
+		StationID:   c.station,
+		StationType: c.stationType,
+		Source:      SourceCAM,
+		Position:    c.position,
+		SpeedMS:     c.speedMS,
+		HeadingRad:  c.headingRad,
+		Updated:     c.updated,
+	}
+}
+
 // New creates an empty LDM.
 func New(cfg Config) *Map {
 	if cfg.ObjectLifetime <= 0 {
 		cfg.ObjectLifetime = 1100 * time.Millisecond
 	}
-	return &Map{
-		cfg:     cfg,
-		objects: make(map[objectKey]*Object),
-		events:  make(map[messages.ActionID]*Event),
-	}
+	return &Map{cfg: cfg, events: make(map[messages.ActionID]*Event)}
 }
 
 // IngestCAM updates the map from a received CAM.
@@ -128,26 +154,33 @@ func (m *Map) IngestCAM(c *messages.CAM) {
 		Lat: c.Basic.Position.Latitude.Degrees(),
 		Lon: c.Basic.Position.Longitude.Degrees(),
 	})
-	k := objectKey{source: SourceCAM, station: c.Header.StationID}
-	o, ok := m.objects[k]
-	if !ok {
-		o = m.objSlots.get()
-		m.objects[k] = o
+	if m.cams == nil {
+		m.cams = make(map[units.StationID]*camObject)
 	}
-	o.StationID = c.Header.StationID
-	o.StationType = c.Basic.StationType
-	o.Source = SourceCAM
-	o.Position = pos
-	o.SpeedMS = c.HighFrequency.Speed.MS()
-	o.HeadingRad = c.HighFrequency.Heading.Radians()
-	o.Updated = m.cfg.Now()
-	m.cfg.Flight.Record(o.Updated, flight.LDMIngest, flight.IngestCAM, int64(c.Header.StationID), 0)
+	id := c.Header.StationID
+	o, ok := m.cams[id]
+	if !ok {
+		o = m.camSlots.get()
+		m.cams[id] = o
+	}
+	*o = camObject{
+		position:    pos,
+		speedMS:     c.HighFrequency.Speed.MS(),
+		headingRad:  c.HighFrequency.Heading.Radians(),
+		updated:     m.cfg.Now(),
+		station:     id,
+		stationType: c.Basic.StationType,
+	}
+	m.cfg.Flight.Record(o.updated, flight.LDMIngest, flight.IngestCAM, int64(id), 0)
 }
 
 // IngestSensedObject records a locally sensed object (camera
 // detection). Objects are keyed by classification label, matching the
 // testbed's single-region-of-interest tracking.
 func (m *Map) IngestSensedObject(label string, st units.StationType, pos geo.Point, speedMS, headingRad float64) {
+	if m.objects == nil {
+		m.objects = make(map[objectKey]*Object)
+	}
 	k := objectKey{source: SourceLocalSensor, label: label}
 	o, ok := m.objects[k]
 	if !ok {
@@ -176,6 +209,9 @@ func (m *Map) IngestCPMObject(origin units.StationID, objectID uint16, st units.
 		// A remote clock ahead of ours must not make the object
 		// immortal; clamp to local now.
 		measured = now
+	}
+	if m.objects == nil {
+		m.objects = make(map[objectKey]*Object)
 	}
 	k := objectKey{source: SourceCPM, station: origin, objID: objectID}
 	o, ok := m.objects[k]
@@ -240,14 +276,16 @@ func (m *Map) IngestDENM(d *messages.DENM) {
 // SensedObject returns the tracked camera object with the given label.
 func (m *Map) SensedObject(label string) (Object, bool) {
 	o, ok := m.objects[objectKey{source: SourceLocalSensor, label: label}]
-	if !ok || m.stale(o) {
+	if !ok || m.stale(o.Updated) {
 		return Object{}, false
 	}
 	return *o, true
 }
 
-func (m *Map) stale(o *Object) bool {
-	return m.cfg.Now()-o.Updated > m.cfg.ObjectLifetime
+// stale reports whether an object last refreshed at updated has
+// outlived the object lifetime.
+func (m *Map) stale(updated time.Duration) bool {
+	return m.cfg.Now()-updated > m.cfg.ObjectLifetime
 }
 
 // LocalPerception returns the station's fresh locally sensed objects,
@@ -259,7 +297,7 @@ func (m *Map) stale(o *Object) bool {
 func (m *Map) LocalPerception() []Object {
 	var out []Object
 	for _, o := range m.objects {
-		if o.Source != SourceLocalSensor || m.stale(o) {
+		if o.Source != SourceLocalSensor || m.stale(o.Updated) {
 			continue
 		}
 		out = append(out, *o)
@@ -284,11 +322,20 @@ func (m *Map) ObjectsWithin(centre geo.Point, radius float64) []Object {
 	var out []Object
 	var dist []float64
 	for _, o := range m.objects {
-		if m.stale(o) {
+		if m.stale(o.Updated) {
 			continue
 		}
 		if d := o.Position.DistanceTo(centre); d <= radius {
 			out = append(out, *o)
+			dist = append(dist, d)
+		}
+	}
+	for _, c := range m.cams {
+		if m.stale(c.updated) {
+			continue
+		}
+		if d := c.position.DistanceTo(centre); d <= radius {
+			out = append(out, c.object())
 			dist = append(dist, d)
 		}
 	}
@@ -344,6 +391,13 @@ func (m *Map) GC() {
 			objs++
 		}
 	}
+	for id, c := range m.cams {
+		if now-c.updated > m.cfg.ObjectLifetime {
+			delete(m.cams, id)
+			m.camSlots.put(c)
+			objs++
+		}
+	}
 	for id, ev := range m.events {
 		if now >= ev.Expires {
 			delete(m.events, id)
@@ -367,6 +421,10 @@ func (m *Map) Clear() {
 		delete(m.objects, k)
 		m.objSlots.put(o)
 	}
+	for id, c := range m.cams {
+		delete(m.cams, id)
+		m.camSlots.put(c)
+	}
 	for id, ev := range m.events {
 		delete(m.events, id)
 		m.evSlots.put(ev)
@@ -377,7 +435,7 @@ func (m *Map) Clear() {
 // Counts reports the number of stored objects and events (including
 // stale entries not yet collected), for diagnostics.
 func (m *Map) Counts() (objects, events int) {
-	return len(m.objects), len(m.events)
+	return len(m.objects) + len(m.cams), len(m.events)
 }
 
 // slab hands out zeroed *T from chunks that start at minSlabChunk

@@ -12,11 +12,11 @@ import (
 
 // object returns m's fresh CAM object of station id.
 func object(m *Map, id units.StationID) (Object, bool) {
-	o, ok := m.objects[objectKey{source: SourceCAM, station: id}]
-	if !ok || m.stale(o) {
+	c, ok := m.cams[id]
+	if !ok || m.stale(c.updated) {
 		return Object{}, false
 	}
-	return *o, true
+	return c.object(), true
 }
 
 // event returns m's stored event id.

@@ -4,16 +4,26 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"itsbed/internal/geo"
 	"itsbed/internal/its/messages"
 	"itsbed/internal/units"
 )
 
+// TestCAMRecordSize pins the CAM table's value: a CAM object is stored
+// in 48 bytes, not as an 80-byte Object.
+func TestCAMRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(camObject{}); got > 48 {
+		t.Fatalf("camObject is %d bytes, want at most 48", got)
+	}
+}
+
 // TestLDMReusesExpiredObjectsClean frees a sensed object and a
-// CPM-fused object with GC, then fills their slots with a CAM object
-// and a new CPM object: neither may carry a field of the entry it
-// replaced. Clear frees every slot and leaves the map usable.
+// CPM-fused object with GC, then fills a freed slot with a new CPM
+// object, which may not carry a field of the entry it replaced; a CAM
+// object stored meanwhile carries none either. Clear frees every slot
+// and leaves the map usable.
 func TestLDMReusesExpiredObjectsClean(t *testing.T) {
 	m, now := newTestMap(t)
 	m.IngestSensedObject("stop sign", units.StationTypeUnknown, geo.Point{X: 3, Y: 4}, 0, 1)

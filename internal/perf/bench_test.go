@@ -182,6 +182,40 @@ func BenchmarkLDMObjectsWithin(b *testing.B) {
 	}
 }
 
+// BenchmarkLDMIngestCAMFleet1k measures one station's LDM at city-1000
+// scale: a fresh map learns 1003 neighbours from their CAMs, then
+// refreshes every one from the next round of CAMs.
+func BenchmarkLDMIngestCAMFleet1k(b *testing.B) {
+	frame, err := geo.NewFrame(geo.CISTERLab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Second
+	cfg := ldm.Config{Frame: frame, Now: func() time.Duration { return now }}
+	cams := make([]*messages.CAM, 1003)
+	for i := range cams {
+		c := sampleCAM()
+		c.Header.StationID = units.StationID(5000 + i)
+		c.Basic.Position.Latitude += units.Latitude(37 * i)
+		c.Basic.Position.Longitude -= units.Longitude(53 * i)
+		cams[i] = c
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := ldm.New(cfg)
+		for _, c := range cams {
+			m.IngestCAM(c)
+		}
+		now += 100 * time.Millisecond
+		for _, c := range cams {
+			m.IngestCAM(c)
+		}
+		if objs, _ := m.Counts(); objs != len(cams) {
+			b.Fatalf("LDM holds %d objects, want %d", objs, len(cams))
+		}
+	}
+}
+
 // BenchmarkTableIIAttempt measures one Table II attempt (assembly plus
 // 30 simulated seconds of the emergency-braking chain, ground-truth
 // line follower).

@@ -348,30 +348,28 @@ type edcaParams struct {
 	cwMin int
 }
 
-// EDCA parameter set for ITS-G5 (EN 302 663): DENMs go out on AC_VO,
-// CAMs on AC_BE.
-var edcaTable = map[AccessCategory]edcaParams{
+// EDCA parameter set for ITS-G5 (EN 302 663), indexed by access
+// category: DENMs go out on AC_VO, CAMs on AC_BE.
+var edcaTable = [...]edcaParams{
 	ACVoice:      {aifsn: 2, cwMin: 3},
 	ACVideo:      {aifsn: 3, cwMin: 7},
 	ACBestEffort: {aifsn: 6, cwMin: 15},
 	ACBackground: {aifsn: 9, cwMin: 15},
 }
 
+// edca returns ac's parameters; an unknown category gets AC_BE's.
+func edca(ac AccessCategory) edcaParams {
+	if ac < ACVoice || int(ac) >= len(edcaTable) {
+		ac = ACBestEffort
+	}
+	return edcaTable[ac]
+}
+
 // AIFS returns the arbitration inter-frame space for an access
 // category.
 func AIFS(ac AccessCategory) time.Duration {
-	p, ok := edcaTable[ac]
-	if !ok {
-		p = edcaTable[ACBestEffort]
-	}
-	return SIFS + time.Duration(p.aifsn)*SlotTime
+	return SIFS + time.Duration(edca(ac).aifsn)*SlotTime
 }
 
 // CWMin returns the minimum contention window for an access category.
-func CWMin(ac AccessCategory) int {
-	p, ok := edcaTable[ac]
-	if !ok {
-		return edcaTable[ACBestEffort].cwMin
-	}
-	return p.cwMin
-}
+func CWMin(ac AccessCategory) int { return edca(ac).cwMin }

@@ -64,9 +64,15 @@ func TestEDCAParameters(t *testing.T) {
 	if CWMin(ACVoice) != 3 || CWMin(ACBestEffort) != 15 {
 		t.Fatal("contention windows wrong")
 	}
-	// Unknown category falls back to best effort.
-	if AIFS(AccessCategory(42)) != AIFS(ACBestEffort) {
-		t.Fatal("unknown AC fallback")
+	// Unknown categories, on either side of the table, fall back to
+	// best effort.
+	for _, ac := range []AccessCategory{-1, 0, ACBackground + 1, 42} {
+		if AIFS(ac) != AIFS(ACBestEffort) || CWMin(ac) != CWMin(ACBestEffort) {
+			t.Fatalf("unknown %v: AIFS %v, CWMin %d; want AC_BE's", ac, AIFS(ac), CWMin(ac))
+		}
+	}
+	if AIFS(ACBackground) != SIFS+9*SlotTime || CWMin(ACVideo) != 7 {
+		t.Fatal("AC_BK or AC_VI parameters wrong")
 	}
 }
 

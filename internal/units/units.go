@@ -9,10 +9,7 @@
 // every encode/decode site.
 package units
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // Latitude in 0.1 microdegree units (ETSI Latitude data element).
 type Latitude int32
@@ -209,10 +206,4 @@ func SemiAxisFromMetres(m float64) SemiAxisLength {
 		v = 4094 // out of range indicator
 	}
 	return SemiAxisLength(v)
-}
-
-// Validity converts an ETSI validityDuration in seconds to a
-// time.Duration.
-func Validity(seconds uint32) time.Duration {
-	return time.Duration(seconds) * time.Second
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestLatitudeRoundTrip(t *testing.T) {
@@ -124,12 +123,6 @@ func TestSemiAxis(t *testing.T) {
 	}
 	if SemiAxisFromMetres(1000) != 4094 {
 		t.Fatal("out-of-range confidence should use the out-of-range code")
-	}
-}
-
-func TestValidity(t *testing.T) {
-	if Validity(600) != 10*time.Minute {
-		t.Fatal("validity conversion")
 	}
 }
 
