@@ -39,10 +39,6 @@ var deadAPIDebt = map[string]string{
 	"(*clock.NTPClock).TrueNow":                 "TestTrueNowIgnoresErrorModel",
 	"clock.FromTimestampIts":                    "TestTimestampItsRoundTrip",
 	"clock.Wall":                                "TestWallSourceMonotonic",
-	"control.PWMToSteering":                     "TestSteeringPWMRoundTrip",
-	"control.PWMToThrottle":                     "TestThrottlePWM",
-	"control.SteeringToPWM":                     "TestSteeringPWMRoundTrip, TestSteeringPWMEndpoints",
-	"control.ThrottleToPWM":                     "TestThrottlePWM",
 	"(*its/facilities/den.Service).Cancel":      "TestCancel",
 	"(*its/facilities/den.Service).Update":      "TestUpdate",
 	"(*vehicle.Vehicle).Reset":                  "TestResetRestoresStartState",

@@ -3,7 +3,6 @@ package control
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"itsbed/internal/vision"
@@ -65,53 +64,6 @@ func TestPIDZeroDt(t *testing.T) {
 	p := PID{Kp: 2, Ki: 100, Kd: 100}
 	if got := p.Update(1, 0); got != 2 {
 		t.Fatalf("zero-dt output %v, want pure P", got)
-	}
-}
-
-func TestSteeringPWMRoundTrip(t *testing.T) {
-	const maxAngle = 0.43
-	f := func(milli int16) bool {
-		angle := float64(milli) / 32767 * maxAngle
-		p := SteeringToPWM(angle, maxAngle)
-		back := PWMToSteering(p, maxAngle)
-		// One PWM microsecond is maxAngle/500 radians.
-		return math.Abs(back-angle) <= maxAngle/500+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSteeringPWMEndpoints(t *testing.T) {
-	if SteeringToPWM(0, 0.43) != PWMNeutral {
-		t.Fatal("neutral")
-	}
-	if SteeringToPWM(0.43, 0.43) != PWMMax {
-		t.Fatal("full right")
-	}
-	if SteeringToPWM(-0.43, 0.43) != PWMMin {
-		t.Fatal("full left")
-	}
-	if SteeringToPWM(10, 0.43) != PWMMax {
-		t.Fatal("clamp")
-	}
-	if SteeringToPWM(1, 0) != PWMNeutral {
-		t.Fatal("zero max angle must be neutral")
-	}
-}
-
-func TestThrottlePWM(t *testing.T) {
-	if ThrottleToPWM(0) != PWMNeutral || ThrottleToPWM(1) != PWMMax {
-		t.Fatal("throttle endpoints")
-	}
-	if ThrottleToPWM(-1) != PWMNeutral || ThrottleToPWM(2) != PWMMax {
-		t.Fatal("throttle clamp")
-	}
-	if PWMToThrottle(PWM(1250)) != 0 {
-		t.Fatal("reverse PWM must clamp to zero throttle")
-	}
-	if PWMToThrottle(PWM(1750)) != 0.5 {
-		t.Fatal("half throttle")
 	}
 }
 

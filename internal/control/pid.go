@@ -6,10 +6,7 @@
 // servo.
 package control
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // PID is a discrete proportional-integral-derivative controller with
 // output clamping and integral anti-windup.
@@ -80,64 +77,6 @@ func DefaultSteeringPID() PID {
 		OutMax:        0.43,
 		IntegralLimit: 0.5,
 	}
-}
-
-// PWM is a pulse-width command in the hobby-servo convention:
-// microseconds of high time per 20 ms period, 1000–2000 µs with 1500
-// neutral.
-type PWM uint16
-
-// PWM range constants.
-const (
-	PWMMin     PWM = 1000
-	PWMNeutral PWM = 1500
-	PWMMax     PWM = 2000
-)
-
-// SteeringToPWM converts a steering angle (radians, positive left) to
-// the servo PWM command, quantised to 1 µs.
-func SteeringToPWM(angle, maxAngle float64) PWM {
-	if maxAngle <= 0 {
-		return PWMNeutral
-	}
-	frac := angle / maxAngle
-	if frac > 1 {
-		frac = 1
-	}
-	if frac < -1 {
-		frac = -1
-	}
-	return PWM(math.Round(float64(PWMNeutral) + frac*500))
-}
-
-// PWMToSteering inverts SteeringToPWM.
-func PWMToSteering(p PWM, maxAngle float64) float64 {
-	return (float64(p) - float64(PWMNeutral)) / 500 * maxAngle
-}
-
-// ThrottleToPWM converts a speed setpoint fraction [0,1] to the ESC
-// PWM command (forward half of the range only; the testbed never
-// reverses).
-func ThrottleToPWM(frac float64) PWM {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return PWM(math.Round(float64(PWMNeutral) + frac*500))
-}
-
-// PWMToThrottle inverts ThrottleToPWM, clamping reverse commands to 0.
-func PWMToThrottle(p PWM) float64 {
-	f := (float64(p) - float64(PWMNeutral)) / 500
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // ActuationLatency models the command path Jetson → USART → Teensy →

@@ -15,6 +15,7 @@ import (
 	"itsbed/internal/radio"
 	"itsbed/internal/sim"
 	"itsbed/internal/trace"
+	"itsbed/internal/vision"
 )
 
 // Allocation ceilings for the hot paths. These are regression guards,
@@ -68,7 +69,9 @@ const (
 	maxAllocsPC5Tx       = 16
 	maxAllocsUuRoundTrip = 8
 	// One vision cycle once the detector's frame, Canny and Hough
-	// buffers exist: nothing.
+	// buffers exist: nothing, neither for the noise nor for the
+	// pipeline after it.
+	maxAllocsDetect      = 0
 	maxAllocsDetectFrame = 0
 	// One frame render once the image and its row spans exist:
 	// nothing.
@@ -266,13 +269,28 @@ func TestAllocGuardTableIIAttempt(t *testing.T) {
 	})
 }
 
-// TestAllocGuardDetectFrame pins the vision cycle's steady state: after
-// the first frame sized the detector's buffers, Detect allocates
-// nothing per frame.
+// TestAllocGuardDetect pins the vision cycle's steady state on a
+// detector drawing from a kernel's stream, as a vehicle's does: after
+// the first frame sized the detector's buffers and built the stream's
+// register, Detect allocates nothing per frame. A noise block that
+// escaped to the heap would cost one allocation per frame.
+func TestAllocGuardDetect(t *testing.T) {
+	det, line, pos := paperLabDetector()
+	guardAllocs(t, "Detect", 200, maxAllocsDetect, func() {
+		det.Detect(line, pos, 0)
+	})
+}
+
+// TestAllocGuardDetectFrame pins the pipeline after the render: Canny,
+// with its candidate list, the region filter and Hough allocate
+// nothing once a frame has sized them.
 func TestAllocGuardDetectFrame(t *testing.T) {
 	det, line, pos := paperLabDetector()
-	guardAllocs(t, "Detect", 200, maxAllocsDetectFrame, func() {
-		det.Detect(line, pos, 0)
+	frame := new(vision.Gray)
+	det.Camera.RenderInto(frame, line, pos, 0, det.LineWidth, sim.NewKernel(43).Source("frame"))
+	det.DetectFrame(frame)
+	guardAllocs(t, "DetectFrame", 200, maxAllocsDetectFrame, func() {
+		det.DetectFrame(frame)
 	})
 }
 

@@ -3,7 +3,6 @@ package perf
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"itsbed/internal/geo"
 	"itsbed/internal/its/facilities/ldm"
 	"itsbed/internal/its/messages"
+	"itsbed/internal/sim"
 	"itsbed/internal/track"
 	"itsbed/internal/units"
 	"itsbed/internal/vision"
@@ -268,16 +268,17 @@ func BenchmarkRenderInto(b *testing.B) {
 // slightly yawed, into one image, after rendering it once.
 func paperLabRender() func() {
 	cam, line := vision.DefaultZED(), track.PaperLab().Line
-	img, rng := new(vision.Gray), rand.New(rand.NewSource(42))
-	render := func() { cam.RenderInto(img, line, geo.Point{X: 0.03, Y: 1}, 0.02, 0.05, rng) }
+	img, src := new(vision.Gray), sim.NewKernel(42).Source("vision")
+	render := func() { cam.RenderInto(img, line, geo.Point{X: 0.03, Y: 1}, 0.02, 0.05, src) }
 	render()
 	return render
 }
 
 // paperLabDetector returns a warmed-up detector 0.03 m right of the
-// PaperLab guide line, 1 m along it.
+// PaperLab guide line, 1 m along it, drawing from a kernel's stream as
+// a vehicle's detector does.
 func paperLabDetector() (*vision.Detector, *track.Line, geo.Point) {
-	det := vision.NewDetector(rand.New(rand.NewSource(42)))
+	det := vision.NewDetector(sim.NewKernel(42).Source("vision.ego"))
 	line := track.PaperLab().Line
 	pos := geo.Point{X: 0.03, Y: 1}
 	det.Detect(line, pos, 0)

@@ -131,7 +131,7 @@ type Kernel struct {
 	queue   eventQueue
 	seq     uint64
 	seed    int64
-	streams map[string]*rand.Rand
+	streams map[string]*stream
 	// free is the recycle list for pooled (handle-free) events.
 	free []*Event
 }
@@ -144,26 +144,49 @@ func NewKernel(seed int64) *Kernel {
 		// CAM/DENM timers, EDCA backoffs, physics and perception ticks);
 		// start with room for them so the heap never reallocates.
 		queue:   make(eventQueue, 0, 64),
-		streams: make(map[string]*rand.Rand),
+		streams: make(map[string]*stream),
 	}
 }
 
 // Now reports the current virtual time since simulation start.
 func (k *Kernel) Now() time.Duration { return k.now }
 
+// stream is a named random stream: its source, and the rand.Rand over
+// it once Rand has asked for one. rand.Rand keeps no state of its own
+// for the draws the simulation makes, so a caller may also draw from
+// the source directly without changing the sequence.
+type stream struct {
+	src Source
+	rng *rand.Rand
+}
+
+// stream returns the named stream, creating it on first use.
+func (k *Kernel) stream(name string) *stream {
+	if st, ok := k.streams[name]; ok {
+		return st
+	}
+	st := new(stream)
+	st.src.Seed(k.seed ^ int64(fnv64(name)))
+	k.streams[name] = st
+	return st
+}
+
 // Rand returns the named deterministic random stream, creating it on
 // first use. Distinct names yield independent streams; the same name
 // always yields the same sequence for a given kernel seed, regardless
 // of the order in which other streams are created.
 func (k *Kernel) Rand(name string) *rand.Rand {
-	if r, ok := k.streams[name]; ok {
-		return r
+	st := k.stream(name)
+	if st.rng == nil {
+		st.rng = rand.New(&st.src)
 	}
-	h := fnv64(name)
-	r := rand.New(newSource(k.seed ^ int64(h)))
-	k.streams[name] = r
-	return r
+	return st.rng
 }
+
+// Source returns the source behind the named stream Rand hands out,
+// for bulk draws through Source.NormFill. Draws from either advance
+// the one sequence.
+func (k *Kernel) Source(name string) *Source { return &k.stream(name).src }
 
 func fnv64(s string) uint64 {
 	const (

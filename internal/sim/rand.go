@@ -24,17 +24,21 @@ var lcgPow = func() (p [23 + 3*(rngLen-1) + 1]uint64) {
 	return p
 }()
 
-// source is math/rand's rngSource without the up-front seeding pass.
+// Source is math/rand's rngSource without the up-front seeding pass.
 // Seeding fills all 607 register words from a 31-bit LCG, but until
 // its 274th draw the generator reads only words no draw has written
-// yet, and a simulation's streams rarely draw that often: in a Table
-// II attempt, only the OBU's OpenC2X stream, in about 1% of attempts.
-// So each
-// of the first 273 draws adds two seeded words taken straight from the
-// LCG's closed form, and the register is built, with those draws'
-// writes, only on the 274th. Every value, for every seed, is the one
-// rand.NewSource(seed) would give.
-type source struct {
+// yet, and most streams never draw that often: in a Table II attempt
+// on ground-truth perception, only the OBU's OpenC2X stream does, in
+// about 1% of attempts (a vision stream draws 19 200 values a frame).
+// So each of the first 273 draws adds two seeded words taken straight
+// from the LCG's closed form, and the register is built, with those
+// draws' writes, only on the 274th. Every value, for every seed, is the
+// one rand.NewSource(seed) would give.
+//
+// Kernel.Source hands out the Source behind a named stream, for a
+// caller that draws in bulk through NormFill rather than one value at
+// a time through rand.Rand's interface call.
+type Source struct {
 	tap, feed int
 	// x0 is the LCG state seeding starts from.
 	x0 uint64
@@ -42,15 +46,8 @@ type source struct {
 	vec *[rngLen]int64
 }
 
-// newSource returns a source equivalent to rand.NewSource(seed).
-func newSource(seed int64) *source {
-	s := new(source)
-	s.Seed(seed)
-	return s
-}
-
 // Seed resets the source to the state rand.NewSource(seed) starts in.
-func (s *source) Seed(seed int64) {
+func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
 	seed %= lcgMod
@@ -65,7 +62,7 @@ func (s *source) Seed(seed int64) {
 }
 
 // word returns register word i as seeding leaves it.
-func (s *source) word(i int) int64 {
+func (s *Source) word(i int) int64 {
 	p := lcgPow[21+3*i : 24+3*i : 24+3*i]
 	u := int64(s.x0*p[0]%lcgMod) << 40
 	u ^= int64(s.x0*p[1]%lcgMod) << 20
@@ -77,7 +74,7 @@ func (s *source) word(i int) int64 {
 // repeats Uint64 rather than calling it, so that a draw through
 // rand.Rand's Float64, Intn or NormFloat64 costs one call, as it does
 // with math/rand's source.
-func (s *source) Int63() int64 {
+func (s *Source) Int63() int64 {
 	if s.vec == nil {
 		return int64(s.lazy() & rngMask)
 	}
@@ -85,7 +82,7 @@ func (s *source) Int63() int64 {
 }
 
 // Uint64 returns a pseudo-random 64-bit integer.
-func (s *source) Uint64() uint64 {
+func (s *Source) Uint64() uint64 {
 	if s.vec == nil {
 		return s.lazy()
 	}
@@ -93,7 +90,7 @@ func (s *source) Uint64() uint64 {
 }
 
 // next is a draw from the register: math/rand's rngSource.Uint64.
-func (s *source) next() uint64 {
+func (s *Source) next() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -111,7 +108,7 @@ func (s *source) next() uint64 {
 // from 606 down to 334 and feed from 333 down to 61, so both words they
 // read are still as seeding left them. Draw 274 reads word 333, the
 // first one written, so it builds the register first.
-func (s *source) lazy() uint64 {
+func (s *Source) lazy() uint64 {
 	if s.tap == rngLen-rngTap {
 		s.build()
 		return s.next()
@@ -127,7 +124,7 @@ func (s *source) lazy() uint64 {
 // build allocates the register as it stands after draw 273: seeded,
 // with draws 1–273 having added word i+273 into each word i from 333
 // down to 61.
-func (s *source) build() {
+func (s *Source) build() {
 	v := new([rngLen]int64)
 	for i := range v {
 		v[i] = s.word(i)
@@ -138,4 +135,4 @@ func (s *source) build() {
 	s.vec = v
 }
 
-var _ rand.Source64 = (*source)(nil)
+var _ rand.Source64 = (*Source)(nil)

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// newSource returns a source equivalent to rand.NewSource(seed).
+func newSource(seed int64) *Source {
+	s := new(Source)
+	s.Seed(seed)
+	return s
+}
+
 // sourceSeeds are the seeds whose normalisation takes a branch of its
 // own: zero (replaced by 89482311), negatives, math.MinInt64, and
 // multiples and neighbours of the LCG modulus 2³¹−1.

@@ -188,7 +188,7 @@ func New(kernel *sim.Kernel, cfg Config) (*Vehicle, error) {
 	pcfg.MaxSteering = cfg.Params.MaxSteeringAngle
 	v.planner = control.NewPlanner(pcfg, pid)
 	if cfg.UseVision {
-		v.detector = vision.NewDetector(kernel.Rand("vision." + cfg.Name))
+		v.detector = vision.NewDetector(kernel.Source("vision." + cfg.Name))
 	}
 	return v, nil
 }

@@ -26,7 +26,10 @@ type cannyBuffers struct {
 	dir     []uint8
 	nms     Gray
 	out     Gray
-	stack   []int32
+	// cand lists, in row-major order, the pixels that pass the Sobel
+	// gate: the only ones NMS can keep.
+	cand  []int32
+	stack []int32
 }
 
 // ensureZeroed returns a zeroed n-element slice, reusing s's backing
@@ -55,14 +58,23 @@ func gaussian5(src *Gray, b *cannyBuffers) *Gray {
 	tmp := b.tmp
 	b.blurred.ensure(w, h)
 	out := b.blurred.Pix
-	// Horizontal pass: tmp holds 16× the float pass's value.
+	// Horizontal pass: tmp holds 16× the float pass's value. Only the
+	// two columns at each side clamp their taps.
 	for y := 0; y < h; y++ {
 		row := src.Pix[y*w : (y+1)*w]
 		trow := tmp[y*w : (y+1)*w]
-		for x := range trow {
-			trow[x] = uint16(row[max(x-2, 0)]) + 4*uint16(row[max(x-1, 0)]) + 6*uint16(row[x]) +
-				4*uint16(row[min(x+1, w-1)]) + uint16(row[min(x+2, w-1)])
+		if w < 5 {
+			for x := range trow {
+				trow[x] = clampedTaps(row, x)
+			}
+			continue
 		}
+		trow[0], trow[1] = clampedTaps(row, 0), clampedTaps(row, 1)
+		for x := 2; x < w-2; x++ {
+			r := row[x-2 : x+3 : x+3]
+			trow[x] = uint16(r[0]) + 4*uint16(r[1]) + 6*uint16(r[2]) + 4*uint16(r[3]) + uint16(r[4])
+		}
+		trow[w-2], trow[w-1] = clampedTaps(row, w-2), clampedTaps(row, w-1)
 	}
 	// Vertical pass over whole rows; the sum reaches 16 · 4080, past
 	// uint16.
@@ -79,6 +91,14 @@ func gaussian5(src *Gray, b *cannyBuffers) *Gray {
 		}
 	}
 	return &b.blurred
+}
+
+// clampedTaps is the horizontal blur of row at column x, each tap
+// clamped into the row.
+func clampedTaps(row []uint8, x int) uint16 {
+	w := len(row)
+	return uint16(row[max(x-2, 0)]) + 4*uint16(row[max(x-1, 0)]) + 6*uint16(row[x]) +
+		4*uint16(row[min(x+1, w-1)]) + uint16(row[min(x+2, w-1)])
 }
 
 // cannyInto runs the full edge detector — Gaussian smoothing, Sobel
@@ -109,25 +129,33 @@ func edgesInto(blurred *Gray, p CannyParams, b *cannyBuffers) *Gray {
 	b.dir = ensureZeroed(b.dir, w*h)
 	dir := b.dir // quantised gradient direction 0..3
 
-	// The 1e-9 margin dwarfs the rounding of Hypot and of the squared
-	// threshold, so s < gate implies Hypot(gx, gy) < LowThreshold.
-	gate := 0.0
-	if p.LowThreshold > 0 {
-		gate = p.LowThreshold * p.LowThreshold * (1 - 1e-9)
+	gate := sobelGate(p.LowThreshold)
+	if b.cand == nil {
+		// Room for a noisy frame of the guide line at the default
+		// thresholds: about 900 candidates in a 160×120 frame.
+		b.cand = make([]int32, 0, w*h/16)
 	}
+	cand := b.cand[:0]
 	pix := blurred.Pix
-	for y := 1; y < h-1; y++ {
-		up := pix[(y-1)*w : y*w]
-		mid := pix[y*w : (y+1)*w]
-		down := pix[(y+1)*w : (y+2)*w]
+	for y := 1; y < h-1 && w > 2; y++ {
+		up := pix[(y-1)*w:][:w]
+		mid := pix[y*w:][:w]
+		down := pix[(y+1)*w:][:w]
+		// Sobel separates: gx is the difference of the 1 2 1 column
+		// sums at x+1 and x-1, gy the 1 2 1 weighted sum of the
+		// down-minus-up differences at x-1, x and x+1. The window
+		// carries both along the row, so each pixel loads one column.
+		sum := func(x int) int32 { return int32(up[x]) + 2*int32(mid[x]) + int32(down[x]) }
+		diff := func(x int) int32 { return int32(down[x]) - int32(up[x]) }
+		s0, s1, d0, d1 := sum(0), sum(1), diff(0), diff(1)
 		for x := 1; x < w-1; x++ {
-			a, c := int32(up[x-1]), int32(up[x+1])
-			g, i := int32(down[x-1]), int32(down[x+1])
-			gx := c - a + 2*(int32(mid[x+1])-int32(mid[x-1])) + i - g
-			gy := g + 2*int32(down[x]) + i - a - 2*int32(up[x]) - c
-			if float64(gx*gx+gy*gy) < gate {
+			s2, d2 := sum(x+1), diff(x+1)
+			gx, gy := s2-s0, d0+2*d1+d2
+			s0, s1, d0, d1 = s1, s2, d1, d2
+			if gx*gx+gy*gy < gate {
 				continue
 			}
+			cand = append(cand, int32(y*w+x))
 			fx, fy := float64(gx), float64(gy)
 			mag[y*w+x] = math.Hypot(fx, fy)
 			// Quantise the gradient angle to 4 directions.
@@ -148,7 +176,12 @@ func edgesInto(blurred *Gray, p CannyParams, b *cannyBuffers) *Gray {
 		}
 	}
 
-	// Non-maximum suppression.
+	b.cand = cand
+
+	// Non-maximum suppression. A pixel off the candidate list has
+	// magnitude 0 and is below LowThreshold whenever the gate excludes
+	// anything, so visiting the list in order visits every pixel NMS
+	// can keep, in the order a full scan would.
 	const (
 		weak   = 128
 		strong = 255
@@ -158,34 +191,32 @@ func edgesInto(blurred *Gray, p CannyParams, b *cannyBuffers) *Gray {
 	b.out.ensure(w, h)
 	out := b.out.Pix
 	stack := b.stack[:0]
-	for y := 1; y < h-1; y++ {
-		for x := 1; x < w-1; x++ {
-			i := y*w + x
-			m := mag[i]
-			if m < p.LowThreshold {
-				continue
-			}
-			var m1, m2 float64
-			switch dir[i] {
-			case 0:
-				m1, m2 = mag[i-1], mag[i+1]
-			case 1:
-				m1, m2 = mag[i-w+1], mag[i+w-1]
-			case 2:
-				m1, m2 = mag[i-w], mag[i+w]
-			default:
-				m1, m2 = mag[i-w-1], mag[i+w+1]
-			}
-			if m < m1 || m < m2 {
-				continue
-			}
-			if m >= p.HighThreshold {
-				nms[i] = strong
-				out[i] = 255
-				stack = append(stack, int32(i))
-			} else {
-				nms[i] = weak
-			}
+	for _, c := range cand {
+		i := int(c)
+		m := mag[i]
+		if m < p.LowThreshold {
+			continue
+		}
+		var m1, m2 float64
+		switch dir[i] {
+		case 0:
+			m1, m2 = mag[i-1], mag[i+1]
+		case 1:
+			m1, m2 = mag[i-w+1], mag[i+w-1]
+		case 2:
+			m1, m2 = mag[i-w], mag[i+w]
+		default:
+			m1, m2 = mag[i-w-1], mag[i+w+1]
+		}
+		if m < m1 || m < m2 {
+			continue
+		}
+		if m >= p.HighThreshold {
+			nms[i] = strong
+			out[i] = 255
+			stack = append(stack, c)
+		} else {
+			nms[i] = weak
 		}
 	}
 
@@ -204,6 +235,24 @@ func edgesInto(blurred *Gray, p CannyParams, b *cannyBuffers) *Gray {
 	}
 	b.stack = stack[:0]
 	return &b.out
+}
+
+// sobelGate returns the integer bound below which a squared integer
+// Sobel magnitude s is provably below low, so that such a pixel keeps
+// magnitude 0. The 1e-9 margin dwarfs the rounding of Hypot and of the
+// squared threshold, so s < g, with g = low²(1 − 1e-9), implies
+// Hypot(gx, gy) < low; and for an integer s, s < g exactly when
+// s < ⌈g⌉. A squared magnitude is at most 2·1020², so a bound past
+// int32, an infinite one included, excludes every pixel.
+func sobelGate(low float64) int32 {
+	if !(low > 0) {
+		return 0
+	}
+	g := math.Ceil(low * low * (1 - 1e-9))
+	if !(g < math.MaxInt32) {
+		return math.MaxInt32
+	}
+	return int32(g)
 }
 
 // regionFilterInPlace zeroes the pixels outside the central column

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"itsbed/internal/geo"
+	"itsbed/internal/sim"
 	"itsbed/internal/track"
 )
 
@@ -34,7 +35,10 @@ type Detector struct {
 	RegionLeft, RegionRight float64
 	// LineWidth of the floor guide line in metres.
 	LineWidth float64
-	rng       *rand.Rand
+	// src draws the frame noise; rng, over the same source, orders
+	// the Hough points.
+	src *sim.Source
+	rng *rand.Rand
 
 	// Per-frame scratch, reused across Detect calls so the 25 Hz
 	// pipeline stops allocating megabytes of intermediates per frame.
@@ -43,9 +47,9 @@ type Detector struct {
 	hough houghBuffers
 }
 
-// NewDetector builds a detector with the given random stream (for
-// frame noise and the probabilistic Hough ordering).
-func NewDetector(rng *rand.Rand) *Detector {
+// NewDetector builds a detector drawing from the given random stream
+// (for frame noise and the probabilistic Hough ordering).
+func NewDetector(src *sim.Source) *Detector {
 	return &Detector{
 		Camera:      DefaultZED(),
 		Canny:       DefaultCanny(),
@@ -53,13 +57,14 @@ func NewDetector(rng *rand.Rand) *Detector {
 		RegionLeft:  0.15,
 		RegionRight: 0.85,
 		LineWidth:   0.05,
-		rng:         rng,
+		src:         src,
+		rng:         rand.New(src),
 	}
 }
 
 // Detect runs one full cycle for a vehicle at the given pose.
 func (d *Detector) Detect(line *track.Line, pos geo.Point, heading float64) Detection {
-	d.Camera.RenderInto(&d.frame, line, pos, heading, d.LineWidth, d.rng)
+	d.Camera.RenderInto(&d.frame, line, pos, heading, d.LineWidth, d.src)
 	return d.DetectFrame(&d.frame)
 }
 

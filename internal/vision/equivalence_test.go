@@ -63,11 +63,13 @@ func sobelSquares(img *Gray, s int) int {
 
 // TestPipelineMatchesReference runs the detector and the float
 // reference pipeline side by side over 600 seeded poses, headings,
-// noise levels, line widths and thresholds on a straight and a bent
-// line, and requires every frame, edge image, segment list and
-// detection to be bit-identical. The noisy frames must also contain
-// gradients of magnitude exactly 50 and 150, where the fast path's
-// threshold gate sits.
+// noise levels, line widths, thresholds and Hough resolutions on a
+// straight and a bent line, and requires every frame, edge image,
+// segment list and detection to be bit-identical. The noisy frames
+// must also contain gradients of magnitude exactly 50 and 150, where
+// the fast path's threshold gate sits, and the Hough transform must
+// find segments both at the unit rho resolution, which skips the
+// division, and off it.
 func TestPipelineMatchesReference(t *testing.T) {
 	lines := []*track.Line{
 		straightLine(),
@@ -75,9 +77,16 @@ func TestPipelineMatchesReference(t *testing.T) {
 	}
 	noises := []float64{0, 6, 15, 40}
 	params := []CannyParams{DefaultCanny(), {LowThreshold: 30, HighThreshold: 90}, {LowThreshold: 50.5, HighThreshold: 151}}
+	houghs := []HoughParams{DefaultHough()}
+	for _, res := range [][2]float64{{0.5, math.Pi / 180}, {1.5, math.Pi / 180}, {2, math.Pi / 180}, {1, math.Pi / 90}, {2, math.Pi / 360}} {
+		hp := DefaultHough()
+		hp.RhoResolution, hp.ThetaResolution = res[0], res[1]
+		houghs = append(houghs, hp)
+	}
+	segsAt := map[bool]int{} // segments found, by whether rho is unit
 	const cases = 600
-	det := NewDetector(rand.New(rand.NewSource(13)))
-	refRng := rand.New(rand.NewSource(13))
+	det := NewDetector(stream(13))
+	refRng := refStream(13)
 	poses := rand.New(rand.NewSource(14))
 	hits50, hits150 := 0, 0
 	for i := 0; i < cases; i++ {
@@ -86,6 +95,10 @@ func TestPipelineMatchesReference(t *testing.T) {
 		det.Canny = params[0]
 		if i%7 == 3 {
 			det.Canny = params[1+i%2]
+		}
+		det.Hough = houghs[0]
+		if i%3 == 1 {
+			det.Hough = houghs[1+i/3%(len(houghs)-1)]
 		}
 		det.LineWidth = 0.05
 		if i%5 == 4 {
@@ -96,6 +109,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 		got := det.Detect(line, pos, heading)
 		want := refDetect(det, line, pos, heading, refRng)
 		checkCycle(t, fmt.Sprintf("case %d", i), det, got, want)
+		segsAt[det.Hough.RhoResolution == 1] += got.Segments
 		if i < 120 {
 			hits50 += sobelSquares(want.frame, 50*50)
 			hits150 += sobelSquares(want.frame, 150*150)
@@ -104,7 +118,44 @@ func TestPipelineMatchesReference(t *testing.T) {
 	if hits50 == 0 || hits150 == 0 {
 		t.Fatalf("frames hold %d gradients of magnitude exactly 50 and %d of 150; want both > 0", hits50, hits150)
 	}
-	t.Logf("%d cases; first 120 frames hold %d gradients of magnitude exactly 50 and %d of 150", cases, hits50, hits150)
+	if segsAt[true] == 0 || segsAt[false] == 0 {
+		t.Fatalf("%d segments at unit rho resolution and %d off it; want both > 0", segsAt[true], segsAt[false])
+	}
+	t.Logf("%d cases; first 120 frames hold %d gradients of magnitude exactly 50 and %d of 150; %d segments at unit rho, %d off it",
+		cases, hits50, hits150, segsAt[true], segsAt[false])
+}
+
+// TestSobelGateMatchesFloat checks the integer Sobel gate against the
+// float one it replaces, s < low²(1 − 1e-9), for every squared
+// magnitude an 8-bit frame can give, at thresholds off and on the
+// integers, huge, infinite, zero, negative and NaN; then the edge
+// images at those thresholds against the reference on noisy frames.
+func TestSobelGateMatchesFloat(t *testing.T) {
+	const maxSquare = 2 * 1020 * 1020
+	lows := []float64{0, 0.5, 1, 30, 50, 50.5, 150, 1442.5, 1e6, math.Inf(1), -3, math.NaN(), 1e-200}
+	for _, low := range lows {
+		float := 0.0
+		if low > 0 {
+			float = low * low * (1 - 1e-9)
+		}
+		gate := sobelGate(low)
+		for s := int32(0); s <= maxSquare; s++ {
+			if s < gate != (float64(s) < float) {
+				t.Fatalf("LowThreshold %v: s = %d is gated %v by the integer bound %d, %v by the float one", low, s, s < gate, gate, float64(s) < float)
+			}
+		}
+	}
+	b := new(cannyBuffers)
+	rng := rand.New(rand.NewSource(24))
+	for _, p := range []CannyParams{{0, 150}, {0.5, 150}, {50.5, 151}, {1e6, 1e6}, {math.Inf(1), math.Inf(1)}, {math.NaN(), 150}} {
+		for round := 0; round < 20; round++ {
+			img := NewGray(40, 30)
+			for i := range img.Pix {
+				img.Pix[i] = uint8(100 + rng.Intn(8+round*10))
+			}
+			sameGray(t, fmt.Sprintf("LowThreshold %v", p.LowThreshold), cannyInto(img, p, b), refCanny(img, p))
+		}
+	}
 }
 
 // plant writes a 3×3 neighbourhood around (x, y) whose integer Sobel
@@ -276,10 +327,10 @@ func FuzzDetectFrameMatchesReference(f *testing.F) {
 	f.Add(int64(4), math.NaN(), math.Inf(1), -1e300, []byte{})
 	line := track.PaperLab().Line
 	f.Fuzz(func(t *testing.T, seed int64, x, y, heading float64, data []byte) {
-		det := NewDetector(rand.New(rand.NewSource(seed)))
-		refRng := rand.New(rand.NewSource(seed))
+		det := NewDetector(stream(seed))
+		refRng := refStream(seed)
 		pos := geo.Point{X: x, Y: y}
-		det.Camera.RenderInto(&det.frame, line, pos, heading, det.LineWidth, det.rng)
+		det.Camera.RenderInto(&det.frame, line, pos, heading, det.LineWidth, det.src)
 		frame := refRender(det.Camera, line, pos, heading, det.LineWidth, refRng)
 		sameGray(t, "frame", &det.frame, frame)
 		copy(det.frame.Pix, data)

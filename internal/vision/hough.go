@@ -50,7 +50,7 @@ type houghBuffers struct {
 	present    []bool
 	sins, coss []float64
 	acc        []int32 // votes never exceed the edge pixels of a frame
-	bins       []int   // one point's accumulator cell per theta
+	bins       []int32 // one point's accumulator cell per theta
 	order      []int
 	segments   []LineSegment
 }
@@ -205,25 +205,36 @@ func byLengthDesc(a, b LineSegment) int {
 
 // houghCells writes into bins, for every theta, the accumulator cell
 // t*numRho + r that point (x, y) votes for, or -1 when rho falls
-// outside the accumulator.
-func houghCells(x, y int, maxRho, rhoRes float64, numRho int, sins, coss []float64, bins []int) {
+// outside the accumulator. At the default unit resolution it skips
+// the division, which leaves every rho as it is.
+func houghCells(x, y int, maxRho, rhoRes float64, numRho int, sins, coss []float64, bins []int32) {
 	fx, fy := float64(x), float64(y)
 	sins = sins[:len(bins)]
 	coss = coss[:len(bins)]
-	for t := range bins {
-		r := int((fx*coss[t] + fy*sins[t] + maxRho) / rhoRes)
-		if r < 0 || r >= numRho {
-			bins[t] = -1
-			continue
+	if rhoRes == 1 {
+		for t := range bins {
+			bins[t] = houghCell(t, int(fx*coss[t]+fy*sins[t]+maxRho), numRho)
 		}
-		bins[t] = t*numRho + r
+		return
 	}
+	for t := range bins {
+		bins[t] = houghCell(t, int((fx*coss[t]+fy*sins[t]+maxRho)/rhoRes), numRho)
+	}
+}
+
+// houghCell is the accumulator cell of rho bin r at theta t, or -1
+// when r falls outside the accumulator.
+func houghCell(t, r, numRho int) int32 {
+	if r < 0 || r >= numRho {
+		return -1
+	}
+	return int32(t*numRho + r)
 }
 
 // eraseAlong removes points within 1 px of the segment from the
 // present set and subtracts their accumulator votes. cells fills bins
 // with a point's accumulator cells.
-func eraseAlong(seg LineSegment, present []bool, acc []int32, w, h int, bins []int, cells func(x, y int)) {
+func eraseAlong(seg LineSegment, present []bool, acc []int32, w, h int, bins []int32, cells func(x, y int)) {
 	steps := int(seg.Length()) + 1
 	for i := 0; i <= steps; i++ {
 		t := float64(i) / float64(steps)
@@ -238,9 +249,14 @@ func eraseAlong(seg LineSegment, present []bool, acc []int32, w, h int, bins []i
 				present[y*w+x] = false
 				cells(x, y)
 				for _, c := range bins {
-					if c >= 0 && acc[c] > 0 {
-						acc[c]--
+					if c < 0 {
+						continue
 					}
+					v := acc[c]
+					if v > 0 {
+						v--
+					}
+					acc[c] = v
 				}
 			}
 		}

@@ -9,9 +9,9 @@ package vision
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"itsbed/internal/geo"
+	"itsbed/internal/sim"
 	"itsbed/internal/track"
 )
 
@@ -70,7 +70,9 @@ func DefaultZED() CameraModel {
 // RenderInto renders the synthetic grayscale frame for a vehicle at
 // the given pose into a caller-owned image (resized as needed): light
 // floor (≈200), dark guide line (≈30) of the given width, with
-// additive noise. rng may be nil for a noiseless frame.
+// additive noise drawn from src: pixel i, in row-major order, adds the
+// i-th of the frame's NormFloat64 values times NoiseSigma. src may be
+// nil for a noiseless frame.
 //
 // A pixel is ink exactly when line.Within reports its centre within
 // half the width. Each row asks the line for its spans: pixels
@@ -78,7 +80,7 @@ func DefaultZED() CameraModel {
 // are floor without a test, so Within runs only for the few pixels
 // at a span's edges. A row the line cannot classify (a non-finite
 // pose, a width outside Within's range) tests every pixel.
-func (c CameraModel) RenderInto(img *Gray, line *track.Line, pos geo.Point, heading float64, lineWidthM float64, rng *rand.Rand) {
+func (c CameraModel) RenderInto(img *Gray, line *track.Line, pos geo.Point, heading float64, lineWidthM float64, src *sim.Source) {
 	img.ensure(c.Width, c.Height)
 	const floor, ink = 200, 30
 	r := lineWidthM / 2
@@ -116,19 +118,26 @@ func (c CameraModel) RenderInto(img *Gray, line *track.Line, pos geo.Point, head
 			}
 		}
 	}
-	if !(c.NoiseSigma > 0) || rng == nil {
+	if !(c.NoiseSigma > 0) || src == nil {
 		return
 	}
-	for i, val := range img.Pix {
-		n := rng.NormFloat64() * c.NoiseSigma
-		f := float64(val) + n
-		if f < 0 {
-			f = 0
+	// The noise comes in blocks small enough to stay on the stack.
+	var block [256]float64
+	for pix := img.Pix; len(pix) > 0; {
+		noise := block[:min(len(pix), len(block))]
+		src.NormFill(noise)
+		for i, z := range noise {
+			n := z * c.NoiseSigma
+			f := float64(pix[i]) + n
+			if f < 0 {
+				f = 0
+			}
+			if f > 255 {
+				f = 255
+			}
+			pix[i] = uint8(f)
 		}
-		if f > 255 {
-			f = 255
-		}
-		img.Pix[i] = uint8(f)
+		pix = pix[len(noise):]
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"itsbed/internal/geo"
+	"itsbed/internal/sim"
 	"itsbed/internal/track"
 )
 
@@ -30,9 +31,10 @@ func checkRender(t *testing.T, what string, cam CameraModel, line *track.Line, p
 	t.Helper()
 	img := new(Gray)
 	for _, noisy := range []bool{false, true} {
-		var got, within, ref *rand.Rand
+		var got *sim.Source
+		var within, ref *rand.Rand
 		if noisy {
-			got, within, ref = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, within, ref = stream(seed), refStream(seed), refStream(seed)
 		}
 		cam.RenderInto(img, line, pos, heading, width, got)
 		sameGray(t, what+": Within", img, withinRender(cam, line, pos, heading, width, within))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"itsbed/internal/geo"
+	"itsbed/internal/sim"
 	"itsbed/internal/track"
 )
 
@@ -13,10 +14,18 @@ func straightLine() *track.Line {
 	return track.MustLine([]geo.Point{{X: 0, Y: -5}, {X: 0, Y: 10}})
 }
 
+// stream returns the source of a kernel's "vision" stream: the same
+// sequence for the same seed.
+func stream(seed int64) *sim.Source { return sim.NewKernel(seed).Source("vision") }
+
+// refStream returns a rand.Rand over stream(seed), for the reference
+// pipeline to draw the sequence a detector on stream(seed) draws.
+func refStream(seed int64) *rand.Rand { return rand.New(stream(seed)) }
+
 // render draws one frame into a fresh image.
-func render(cam CameraModel, line *track.Line, pos geo.Point, heading, lineWidthM float64, rng *rand.Rand) *Gray {
+func render(cam CameraModel, line *track.Line, pos geo.Point, heading, lineWidthM float64, src *sim.Source) *Gray {
 	img := new(Gray)
-	cam.RenderInto(img, line, pos, heading, lineWidthM, rng)
+	cam.RenderInto(img, line, pos, heading, lineWidthM, src)
 	return img
 }
 
@@ -201,7 +210,7 @@ func TestHoughIgnoresSparseNoise(t *testing.T) {
 }
 
 func TestDetectorOnTrack(t *testing.T) {
-	det := NewDetector(rand.New(rand.NewSource(5)))
+	det := NewDetector(stream(5))
 	d := det.Detect(straightLine(), geo.Point{X: 0, Y: 0}, 0)
 	if !d.Found {
 		t.Fatal("line not detected")
@@ -215,7 +224,7 @@ func TestDetectorOnTrack(t *testing.T) {
 }
 
 func TestDetectorSignConvention(t *testing.T) {
-	det := NewDetector(rand.New(rand.NewSource(6)))
+	det := NewDetector(stream(6))
 	// Vehicle right of the line → the line (and target) appear to the
 	// LEFT → negative lateral values.
 	d := det.Detect(straightLine(), geo.Point{X: 0.15, Y: 0}, 0)
@@ -233,7 +242,7 @@ func TestDetectorSignConvention(t *testing.T) {
 }
 
 func TestDetectorNoLineInView(t *testing.T) {
-	det := NewDetector(rand.New(rand.NewSource(7)))
+	det := NewDetector(stream(7))
 	d := det.Detect(straightLine(), geo.Point{X: 3, Y: 0}, 0) // 3 m off the line
 	if d.Found {
 		t.Fatal("detected a line 3 m away from the patch")
@@ -247,8 +256,8 @@ func TestDetectorNoLineInView(t *testing.T) {
 // segments).
 func TestDetectorBufferReuseMatchesFreshPipeline(t *testing.T) {
 	line := straightLine()
-	det := NewDetector(rand.New(rand.NewSource(42)))
-	fresh := rand.New(rand.NewSource(42))
+	det := NewDetector(stream(42))
+	fresh := refStream(42)
 	poses := []geo.Point{
 		{X: 0, Y: 0}, {X: 0.1, Y: 0.5}, {X: -0.12, Y: 1},
 		{X: 0.05, Y: 1.5}, {X: 0, Y: 2}, {X: 0.2, Y: 2.5},
