@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,31 +22,21 @@ import (
 // Keys are spelt as TestNoDeadAPI reports them: the full name with the
 // "itsbed/internal/" prefix dropped.
 var deadAPIAllowlist = map[string]string{
-	"(*its/facilities/ldm.Sharded).GC": "expiry of the daemon's shared LDM; service mode is to call it on a schedule (ROADMAP item 7)",
-	"(*its/geonet.LocationTable).GC":   "duplicate-filter expiry; service mode is to call it on a schedule (ROADMAP item 7)",
+	"(*its/geonet.LocationTable).GC": "duplicate-filter expiry of the simulated GN router; ROADMAP item 11 gives it a caller or deletes it",
 }
 
 // deadAPIDebt names dead API that is still to be deleted, each with the
 // tests that exercise only it and go with it. Entries leave this list,
 // none join it: a new function without a caller fails the test.
 var deadAPIDebt = map[string]string{
-	"(*asn1per.Reader).ReadBitString":           "TestBitString",
-	"(*asn1per.Reader).ReadIA5String":           "TestIA5String",
-	"(*asn1per.Reader).ReadOctetString":         "TestOctetString, TestPropertyOctetStringRoundTrip",
-	"(*asn1per.Reader).ReadSemiConstrainedInt":  "TestSemiConstrainedInt",
-	"(*asn1per.Writer).WriteIA5String":          "TestIA5String, TestIA5RejectsNonASCII",
-	"(*asn1per.Writer).WriteOctetString":        "TestOctetString, TestPropertyOctetStringRoundTrip",
-	"(*asn1per.Writer).WriteSemiConstrainedInt": "TestSemiConstrainedInt, TestSemiConstrainedBelowBound",
-	"(*clock.NTPClock).TrueNow":                 "TestTrueNowIgnoresErrorModel",
-	"clock.FromTimestampIts":                    "TestTimestampItsRoundTrip",
-	"clock.Wall":                                "TestWallSourceMonotonic",
-	"(*its/facilities/den.Service).Cancel":      "TestCancel",
-	"(*its/facilities/den.Service).Update":      "TestUpdate",
-	"(*vehicle.Vehicle).Reset":                  "TestResetRestoresStartState",
-	"(*world.Map).LineOfSight":                  "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
-	"(*world.Map).Walls":                        "TestWallsCopySemantics",
-	"world.BlindCornerLab":                      "TestBlindCornerLabGeometry",
-	"(stats.EDF).At":                            "TestEDFAtAllTiedValues, TestEDFEdgeCases, TestEDFMatchesPaperFig11Reading",
+	"(*clock.NTPClock).TrueNow": "TestTrueNowIgnoresErrorModel",
+	"clock.FromTimestampIts":    "TestTimestampItsRoundTrip",
+	"clock.Wall":                "TestWallSourceMonotonic",
+	"(*vehicle.Vehicle).Reset":  "TestResetRestoresStartState",
+	"(*world.Map).LineOfSight":  "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
+	"(*world.Map).Walls":        "TestWallsCopySemantics",
+	"world.BlindCornerLab":      "TestBlindCornerLabGeometry",
+	"(stats.EDF).At":            "TestEDFAtAllTiedValues, TestEDFEdgeCases, TestEDFMatchesPaperFig11Reading",
 }
 
 // deadAPIStdlibInterfaces are the standard-library interfaces through
@@ -75,13 +66,7 @@ func TestNoDeadAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library it imports from source")
 	}
-	l := newAPILoader()
-	if err := l.loadTree(".", "itsbed"); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.loadTree("bench", "itsbed/bench"); err != nil {
-		t.Fatal(err)
-	}
+	l := loadModule(t)
 
 	used := map[*types.Func]bool{}
 	var ifaces []*types.Interface
@@ -150,6 +135,33 @@ func TestNoDeadAPI(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("deadAPIDebt: %d entries", len(deadAPIDebt))
+}
+
+// moduleLoad is the type-checked load of the module and of the bench
+// module that TestNoDeadAPI and TestNoUnsetOption share.
+var moduleLoad struct {
+	once sync.Once
+	l    *apiLoader
+	err  error
+}
+
+// loadModule type-checks the non-test Go files of the module and of the
+// bench module once per test binary.
+func loadModule(t *testing.T) *apiLoader {
+	t.Helper()
+	moduleLoad.once.Do(func() {
+		l := newAPILoader()
+		if err := l.loadTree(".", "itsbed"); err != nil {
+			moduleLoad.err = err
+			return
+		}
+		moduleLoad.l, moduleLoad.err = l, l.loadTree("bench", "itsbed/bench")
+	})
+	if moduleLoad.err != nil {
+		t.Fatal(moduleLoad.err)
+	}
+	return moduleLoad.l
 }
 
 func apiName(fn *types.Func) string {
@@ -173,6 +185,7 @@ func implementsAny(named *types.Named, method string, ifaces []*types.Interface)
 type apiPackage struct {
 	types *types.Package
 	info  *types.Info
+	files []*ast.File
 }
 
 // apiLoader type-checks the non-test files of module packages, found
@@ -261,7 +274,7 @@ func (l *apiLoader) load(path string) (*apiPackage, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &apiPackage{types: pkg, info: info}
+	p := &apiPackage{types: pkg, info: info, files: files}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -282,4 +295,92 @@ func (l *apiLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.
 		return nil, fmt.Errorf("%s: no non-test Go files", path)
 	}
 	return p.types, nil
+}
+
+// unsetOptionDebt names the option fields that no non-test code writes
+// and that stay for now, each with its reason. Keys are spelt as
+// TestNoUnsetOption reports them. Entries leave this list, none join
+// it: a new option that nothing sets fails the test.
+var unsetOptionDebt = map[string]string{
+	"core.Config.HTTP":                    "root-package API (itsbed.Config aliases core.Config): the OpenC2X API latency model of the 4→5 hop, for library callers",
+	"core.Config.MailboxCap":              "SimNode's openc2x_mailbox_dropped_total lines in the -metrics goldens come with the mailbox bound",
+	"core.Config.SPS":                     "root-package API (itsbed.Config aliases core.Config): the cv2x-pc5 mode-4 scheduler, which ROADMAP item 9 reworks",
+	"experiments.CityOptions.City":        "part of the spatial grid (ROADMAP item 5); its removal changes the city bench digest",
+	"experiments.CityOptions.DisableGrid": "part of the spatial grid (ROADMAP item 5); its removal changes the city bench digest",
+	"radio.PC5Config.LossProbability":     "its radio_frames_lost_total{reason=decode} line is in the PC5 -metrics golden; ROADMAP item 9 replaces it",
+}
+
+// TestNoUnsetOption keeps the rule "an option no caller sets is a
+// constant" as a check. On the load TestNoDeadAPI makes, it fails for
+// every exported field of an exported struct type under internal/
+// whose name ends in Config or Options that no non-test file of the
+// module or of the bench module writes, unless the field is in
+// unsetOptionDebt. A write is a keyed element of a composite literal or
+// the left side of an assignment, wherever it appears.
+func TestNoUnsetOption(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library it imports from source")
+	}
+	l := loadModule(t)
+
+	written := map[*types.Var]bool{}
+	for _, p := range l.pkgs {
+		write := func(id *ast.Ident) {
+			if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+				written[v.Origin()] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						write(id)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+							write(sel.Sel)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unset []string
+	for path, p := range l.pkgs {
+		if !strings.HasPrefix(path, "itsbed/internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !written[f] {
+					unset = append(unset, strings.TrimPrefix(path, "itsbed/internal/")+"."+name+"."+f.Name())
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		if _, owed := unsetOptionDebt[name]; !owed {
+			t.Errorf("%s is set by no non-test code: make it a constant, give it a caller, or delete it", name)
+		}
+	}
+	for name := range unsetOptionDebt {
+		if i := sort.SearchStrings(unset, name); i == len(unset) || unset[i] != name {
+			t.Errorf("unset-option entry %s is stale: it is set or gone", name)
+		}
+	}
+	t.Logf("unsetOptionDebt: %d entries", len(unsetOptionDebt))
 }

@@ -10,6 +10,35 @@ import (
 
 func newReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
+// writeOctets frames b as a length determinant (lo..hi; hi < 0 for
+// unconstrained) followed by whole octets, for tests that need a
+// variable-length field; readOctets reads it back.
+func writeOctets(w *Writer, b []byte, lo, hi int) error {
+	if err := w.WriteLength(len(b), lo, hi); err != nil {
+		return err
+	}
+	for _, x := range b {
+		w.WriteBits(uint64(x), 8)
+	}
+	return nil
+}
+
+func readOctets(r *Reader, lo, hi int) ([]byte, error) {
+	n, err := r.ReadLength(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, n)
+	for i := range out {
+		b, err := r.ReadBits(8)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = byte(b)
+	}
+	return out, nil
+}
+
 // bitLen is the exact number of bits w holds: nbit counts the free bits
 // in its final byte.
 func bitLen(w Writer) int {
@@ -121,29 +150,6 @@ func TestConstrainedIntProperty(t *testing.T) {
 	}
 }
 
-func TestSemiConstrainedInt(t *testing.T) {
-	for _, v := range []int64{0, 1, 127, 128, 255, 256, 65535, 1 << 30} {
-		var w Writer
-		if err := w.WriteSemiConstrainedInt(v, 0); err != nil {
-			t.Fatal(err)
-		}
-		got, err := newReader(w.Bytes()).ReadSemiConstrainedInt(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != v {
-			t.Fatalf("round trip %d -> %d", v, got)
-		}
-	}
-}
-
-func TestSemiConstrainedBelowBound(t *testing.T) {
-	var w Writer
-	if err := w.WriteSemiConstrainedInt(5, 10); !errors.Is(err, ErrRange) {
-		t.Fatalf("err=%v, want ErrRange", err)
-	}
-}
-
 func TestEnumerated(t *testing.T) {
 	var w Writer
 	if err := w.WriteEnumerated(2, 4); err != nil {
@@ -195,26 +201,6 @@ func TestConstrainedLength(t *testing.T) {
 	}
 }
 
-func TestOctetString(t *testing.T) {
-	payload := []byte{0xde, 0xad, 0xbe, 0xef}
-	var w Writer
-	w.WriteBit(true) // misalign deliberately: UPER has no padding
-	if err := w.WriteOctetString(payload, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	r := newReader(w.Bytes())
-	if _, err := r.ReadBit(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReadOctetString(0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("got %x, want %x", got, payload)
-	}
-}
-
 func TestBitString(t *testing.T) {
 	bs := []byte{0b10110100, 0b11000000}
 	var w Writer
@@ -224,12 +210,15 @@ func TestBitString(t *testing.T) {
 	if bitLen(w) != 10 {
 		t.Fatalf("bit string used %d bits", bitLen(w))
 	}
-	got, err := newReader(w.Bytes()).ReadBitString(10)
+	if got := w.Bytes(); !bytes.Equal(got, bs) {
+		t.Fatalf("got %08b, want %08b", got, bs)
+	}
+	got, err := newReader(w.Bytes()).ReadBits(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != bs[0] || got[1]&0b11000000 != bs[1] {
-		t.Fatalf("got %08b %08b", got[0], got[1])
+	if got != 0b1011010011 {
+		t.Fatalf("read back %010b", got)
 	}
 }
 
@@ -237,28 +226,6 @@ func TestBitStringTooShortBuffer(t *testing.T) {
 	var w Writer
 	if err := w.WriteBitString([]byte{0xff}, 10); err == nil {
 		t.Fatal("accepted bit string longer than the buffer")
-	}
-}
-
-func TestIA5String(t *testing.T) {
-	var w Writer
-	if err := w.WriteIA5String("hello ITS", 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	// 7 bits per char: shorter than octets.
-	if bitLen(w) >= 8*9+8 {
-		t.Fatalf("IA5 not packed: %d bits", bitLen(w))
-	}
-	got, err := newReader(w.Bytes()).ReadIA5String(0, -1)
-	if err != nil || got != "hello ITS" {
-		t.Fatalf("got %q err %v", got, err)
-	}
-}
-
-func TestIA5RejectsNonASCII(t *testing.T) {
-	var w Writer
-	if err := w.WriteIA5String("héllo", 0, -1); err == nil {
-		t.Fatal("non-IA5 string accepted")
 	}
 }
 
@@ -272,13 +239,13 @@ func TestTruncatedReads(t *testing.T) {
 		t.Fatalf("err=%v, want ErrTruncated", err)
 	}
 	r3 := newReader([]byte{0x01})
-	if _, err := r3.ReadOctetString(0, -1); !errors.Is(err, ErrTruncated) {
+	if _, err := readOctets(r3, 0, -1); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err=%v, want ErrTruncated", err)
 	}
 }
 
 func TestMixedSequenceRoundTrip(t *testing.T) {
-	// Emulates a small SEQUENCE: bitmap + ints + string.
+	// Emulates a small SEQUENCE: bitmap + ints + octets.
 	var w Writer
 	w.WriteBool(true)
 	w.WriteBool(false)
@@ -288,7 +255,7 @@ func TestMixedSequenceRoundTrip(t *testing.T) {
 	if err := w.WriteConstrainedInt(-44, -100, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteIA5String("rsu", 0, 15); err != nil {
+	if err := writeOctets(&w, []byte("rsu"), 0, 15); err != nil {
 		t.Fatal(err)
 	}
 	r := newReader(w.Bytes())
@@ -296,11 +263,11 @@ func TestMixedSequenceRoundTrip(t *testing.T) {
 	b2, _ := r.ReadBool()
 	v1, _ := r.ReadConstrainedInt(0, 255)
 	v2, _ := r.ReadConstrainedInt(-100, 100)
-	s, err := r.ReadIA5String(0, 15)
+	s, err := readOctets(r, 0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b1 || b2 || v1 != 97 || v2 != -44 || s != "rsu" {
+	if !b1 || b2 || v1 != 97 || v2 != -44 || string(s) != "rsu" {
 		t.Fatalf("round trip mismatch: %v %v %d %d %q", b1, b2, v1, v2, s)
 	}
 }

@@ -98,38 +98,6 @@ func TestPropertyConstrainedIntRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPropertyOctetStringRoundTrip covers constrained and unconstrained
-// octet strings, including the two-octet length form (≥128 bytes).
-func TestPropertyOctetStringRoundTrip(t *testing.T) {
-	f := func(payload []byte, constrained bool, leadBits uint8) bool {
-		if len(payload) > 2000 {
-			payload = payload[:2000]
-		}
-		lo, hi := 0, -1
-		if constrained {
-			lo, hi = 0, 2000
-		}
-		lead := int(leadBits % 9)
-		var w Writer
-		for i := 0; i < lead; i++ {
-			w.WriteBit(false)
-		}
-		if err := w.WriteOctetString(payload, lo, hi); err != nil {
-			return false
-		}
-		var r Reader
-		r.Reset(w.Bytes())
-		if _, err := r.ReadBits(lead); err != nil {
-			return false
-		}
-		got, err := r.ReadOctetString(lo, hi)
-		return err == nil && bytes.Equal(got, payload)
-	}
-	if err := quick.Check(f, quickCfg(14)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropertyPooledWriterReuse: round-trips stay the identity across
 // pooled-writer reuse boundaries — a Writer that previously encoded a
 // longer stream must not leak stale bytes or bit state into the next
@@ -146,19 +114,19 @@ func TestPropertyPooledWriterReuse(t *testing.T) {
 		defer PutWriter(w)
 		// First use: arbitrary payload plus a partial trailing byte so
 		// reuse starts from a mid-byte bit state.
-		if err := w.WriteOctetString(first, 0, -1); err != nil {
+		if err := writeOctets(w, first, 0, -1); err != nil {
 			return false
 		}
 		w.WriteBits(uint64(oddBits), int(oddBits%7))
 		_ = w.Bytes()
 		// Reuse after reset must be indistinguishable from a fresh Writer.
 		w.Reset()
-		if err := w.WriteOctetString(second, 0, -1); err != nil {
+		if err := writeOctets(w, second, 0, -1); err != nil {
 			return false
 		}
 		reused := w.Bytes()
 		var fresh Writer
-		if err := fresh.WriteOctetString(second, 0, -1); err != nil {
+		if err := writeOctets(&fresh, second, 0, -1); err != nil {
 			return false
 		}
 		if !bytes.Equal(reused, fresh.Bytes()) {
@@ -166,7 +134,7 @@ func TestPropertyPooledWriterReuse(t *testing.T) {
 		}
 		var r Reader
 		r.Reset(reused)
-		got, err := r.ReadOctetString(0, -1)
+		got, err := readOctets(&r, 0, -1)
 		return err == nil && bytes.Equal(got, second)
 	}
 	if err := quick.Check(f, quickCfg(15)); err != nil {
@@ -179,10 +147,10 @@ func TestPropertyPooledWriterReuse(t *testing.T) {
 func TestPropertyReaderReset(t *testing.T) {
 	f := func(a, b []byte, stopBits uint8) bool {
 		var wa, wb Writer
-		if err := wa.WriteOctetString(a, 0, -1); err != nil {
+		if err := writeOctets(&wa, a, 0, -1); err != nil {
 			return false
 		}
-		if err := wb.WriteOctetString(b, 0, -1); err != nil {
+		if err := writeOctets(&wb, b, 0, -1); err != nil {
 			return false
 		}
 		var r Reader
@@ -190,7 +158,7 @@ func TestPropertyReaderReset(t *testing.T) {
 		// Abandon the first stream part-way through.
 		_, _ = r.ReadBits(int(stopBits % 16))
 		r.Reset(wb.Bytes())
-		got, err := r.ReadOctetString(0, -1)
+		got, err := readOctets(&r, 0, -1)
 		return err == nil && bytes.Equal(got, b)
 	}
 	if err := quick.Check(f, quickCfg(16)); err != nil {
@@ -202,7 +170,7 @@ func TestPropertyReaderReset(t *testing.T) {
 // large encode, Reset retains the grown buffer for the next message.
 func TestWriterResetKeepsCapacity(t *testing.T) {
 	var w Writer
-	if err := w.WriteOctetString(make([]byte, 1024), 0, -1); err != nil {
+	if err := writeOctets(&w, make([]byte, 1024), 0, -1); err != nil {
 		t.Fatal(err)
 	}
 	w.Reset()
@@ -211,7 +179,7 @@ func TestWriterResetKeepsCapacity(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		w.Reset()
-		_ = w.WriteOctetString(make([]byte, 64), 0, -1)
+		_ = writeOctets(&w, make([]byte, 64), 0, -1)
 	})
 	// The only allocation allowed is the 64-byte test payload itself.
 	if allocs > 1 {

@@ -78,26 +78,6 @@ func (r *Reader) ReadConstrainedInt(lo, hi int64) (int64, error) {
 	return out, nil
 }
 
-// ReadSemiConstrainedInt decodes an INTEGER (lo..MAX).
-func (r *Reader) ReadSemiConstrainedInt(lo int64) (int64, error) {
-	n, err := r.ReadLength(0, -1)
-	if err != nil {
-		return 0, err
-	}
-	if n > 8 {
-		return 0, fmt.Errorf("asn1per: semi-constrained integer of %d octets overflows int64", n)
-	}
-	var off uint64
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBits(8)
-		if err != nil {
-			return 0, err
-		}
-		off = off<<8 | b
-	}
-	return lo + int64(off), nil
-}
-
 // ReadEnumerated decodes an ENUMERATED with n root values.
 func (r *Reader) ReadEnumerated(n int) (int, error) {
 	v, err := r.ReadConstrainedInt(0, int64(n-1))
@@ -127,55 +107,4 @@ func (r *Reader) ReadLength(lo, hi int) (int, error) {
 	}
 	v, err := r.ReadBits(14)
 	return int(v), err
-}
-
-// ReadBitString decodes a fixed-size BIT STRING of n bits into a fresh
-// byte slice, most significant bit of byte 0 first.
-func (r *Reader) ReadBitString(n int) ([]byte, error) {
-	if r.BitsRemaining() < n {
-		return nil, ErrTruncated
-	}
-	out := make([]byte, (n+7)/8)
-	for i := 0; i < n; i++ {
-		b, _ := r.ReadBit()
-		if b {
-			out[i/8] |= 1 << (7 - uint(i%8))
-		}
-	}
-	return out, nil
-}
-
-// ReadOctetString decodes an OCTET STRING with size constraint
-// (lo..hi); pass hi < 0 for unconstrained.
-func (r *Reader) ReadOctetString(lo, hi int) ([]byte, error) {
-	n, err := r.ReadLength(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	for i := range out {
-		b, err := r.ReadBits(8)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = byte(b)
-	}
-	return out, nil
-}
-
-// ReadIA5String decodes an IA5String with size constraint (lo..hi).
-func (r *Reader) ReadIA5String(lo, hi int) (string, error) {
-	n, err := r.ReadLength(lo, hi)
-	if err != nil {
-		return "", err
-	}
-	out := make([]byte, n)
-	for i := range out {
-		c, err := r.ReadBits(7)
-		if err != nil {
-			return "", err
-		}
-		out[i] = byte(c)
-	}
-	return string(out), nil
 }

@@ -1,13 +1,14 @@
 // Package asn1per implements the subset of ASN.1 Unaligned Packed
 // Encoding Rules (UPER, ITU-T X.691) needed to serialise ETSI ITS
-// messages: constrained and semi-constrained whole numbers, booleans,
-// enumerations, bit strings, octet strings, restricted character
-// strings, length determinants, the optional/default presence bitmap
-// of SEQUENCE, and SEQUENCE OF with constrained counts.
+// messages: constrained whole numbers, booleans, enumerations,
+// fixed-size bit strings, length determinants, the optional/default
+// presence bitmap of SEQUENCE, and SEQUENCE OF with constrained counts.
 //
 // The encoder and decoder are symmetric: every Write* method on Writer
-// has a matching Read* method on Reader, and round-tripping any value
-// through the pair is the identity (verified by property tests).
+// but WriteBitString has a matching Read* method on Reader (a
+// fixed-size bit string reads back with ReadBits), and round-tripping
+// any value through the pair is the identity (verified by property
+// tests).
 package asn1per
 
 import (
@@ -134,27 +135,6 @@ func (w *Writer) WriteConstrainedInt(v, lo, hi int64) error {
 	return nil
 }
 
-// WriteSemiConstrainedInt encodes an INTEGER (lo..MAX): a length
-// determinant followed by the minimal octets of v-lo (X.691 §10.7,
-// §12.2.6).
-func (w *Writer) WriteSemiConstrainedInt(v, lo int64) error {
-	if v < lo {
-		return fmt.Errorf("%w: %d below lower bound %d", ErrRange, v, lo)
-	}
-	off := uint64(v - lo)
-	n := (bits.Len64(off) + 7) / 8
-	if n == 0 {
-		n = 1
-	}
-	if err := w.WriteLength(n, 0, -1); err != nil {
-		return err
-	}
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBits(off>>(8*uint(i)), 8)
-	}
-	return nil
-}
-
 // WriteEnumerated encodes an ENUMERATED with n root values (no
 // extension marker handling here; use WriteBit for the marker first if
 // the type is extensible).
@@ -202,36 +182,6 @@ func (w *Writer) WriteBitString(bs []byte, n int) error {
 	}
 	for i := 0; i < n; i++ {
 		w.WriteBit(bs[i/8]&(1<<(7-uint(i%8))) != 0)
-	}
-	return nil
-}
-
-// WriteOctetString encodes an OCTET STRING with size constraint
-// (lo..hi); pass hi < 0 for unconstrained.
-func (w *Writer) WriteOctetString(b []byte, lo, hi int) error {
-	if err := w.WriteLength(len(b), lo, hi); err != nil {
-		return err
-	}
-	for _, x := range b {
-		w.WriteBits(uint64(x), 8)
-	}
-	return nil
-}
-
-// WriteIA5String encodes an IA5String with size constraint (lo..hi)
-// using 7-bit characters as UPER prescribes for IA5 without a
-// permitted-alphabet constraint smaller than 128.
-func (w *Writer) WriteIA5String(s string, lo, hi int) error {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= 128 {
-			return fmt.Errorf("asn1per: non-IA5 byte %#x in string", s[i])
-		}
-	}
-	if err := w.WriteLength(len(s), lo, hi); err != nil {
-		return err
-	}
-	for i := 0; i < len(s); i++ {
-		w.WriteBits(uint64(s[i]), 7)
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ func faultScenario(t *testing.T, seed int64, plan faults.Plan, watchdog bool) *R
 	cfg.Layout = cfg.withDefaults().Layout
 	vcfg := cfg.withDefaults().Vehicle
 	vcfg.UseVision = false
-	vcfg.Watchdog.Enabled = watchdog
+	vcfg.Watchdog = watchdog
 	cfg.Vehicle = vcfg
 	cfg.Faults = &plan
 	tb, err := New(cfg)

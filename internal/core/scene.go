@@ -174,7 +174,7 @@ func (s Scene) Edge(rsu *openc2x.SimNode, cfg EdgeConfig) *Edge {
 			}
 		})
 	}
-	e.Hazard = edge.NewHazardService(k, cfg.Hazard, rsu, rsu.Station().LDM, e.Clock)
+	e.Hazard = edge.NewHazardService(k, cfg.Hazard, rsu, e.Clock)
 	e.ODS.Subscribe(e.Hazard.OnTrack)
 	return e
 }

@@ -357,7 +357,7 @@ func New(cfg Config) (*Testbed, error) {
 		mRetry := cfg.Sink.Metrics.Counter("fault_trigger_retries_total")
 		tb.Hazard.OnTriggerRetry = func(int) { mRetry.Inc() }
 	}
-	if cfg.Vehicle.Watchdog.Enabled {
+	if cfg.Vehicle.Watchdog {
 		mTrip := cfg.Sink.Metrics.Counter("fault_watchdog_trips_total")
 		veh.OnWatchdogTrip = func(now time.Duration) {
 			mTrip.Inc()

@@ -2,24 +2,21 @@
 // Fig. 3 of the paper: the Object Detection Service, which consumes
 // the camera/YOLO frame results and tracks road users entering the
 // region of interest, and the Hazard Advertisement Service, which
-// decides that a potential collision exists — consulting the RSU's
-// Local Dynamic Map for the protagonist vehicle — and POSTs a
-// trigger_denm request to the RSU's OpenC2X HTTP API.
+// decides that a potential collision exists when a tracked object
+// crosses the action point and POSTs a trigger_denm request to the
+// RSU's OpenC2X HTTP API.
 package edge
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
 	"itsbed/internal/clock"
 	"itsbed/internal/geo"
-	"itsbed/internal/its/facilities/ldm"
 	"itsbed/internal/its/messages"
 	"itsbed/internal/openc2x"
 	"itsbed/internal/perception"
 	"itsbed/internal/sim"
-	"itsbed/internal/units"
 )
 
 // TrackedObject is the Object Detection Service's view of one road
@@ -28,17 +25,14 @@ type TrackedObject struct {
 	Class perception.Class
 	// Distance is the latest estimated distance to the camera.
 	Distance float64
-	// ClosingSpeed in m/s derived from successive distance estimates
-	// (positive when approaching).
-	ClosingSpeed float64
 	// LastSeen is the capture time of the latest contributing frame.
 	LastSeen time.Duration
 	// Frames counts contributing frames.
 	Frames uint64
 }
 
-// ObjectDetectionService tracks detections over time and computes the
-// motion (closing speed) of observed objects.
+// ObjectDetectionService tracks detections over time, one track per
+// object class.
 type ObjectDetectionService struct {
 	objects map[perception.Class]*TrackedObject
 	// Lifetime after which an unrefreshed track is dropped.
@@ -70,12 +64,6 @@ func (s *ObjectDetectionService) OnFrame(res perception.FrameResult) {
 			tr = &TrackedObject{Class: det.Class}
 			s.objects[det.Class] = tr
 		}
-		if tr.Frames > 0 {
-			dt := (res.CaptureTime - tr.LastSeen).Seconds()
-			if dt > 0 {
-				tr.ClosingSpeed = (tr.Distance - det.EstimatedDistance) / dt
-			}
-		}
 		tr.Distance = det.EstimatedDistance
 		tr.LastSeen = res.CaptureTime
 		tr.Frames++
@@ -104,34 +92,10 @@ type HazardConfig struct {
 	// the edge node between the YOLO output and the HTTP request.
 	ProcessingMean   time.Duration
 	ProcessingJitter time.Duration
-	// RequireLDMProtagonist, when true, only triggers if the RSU's LDM
-	// currently tracks at least one CAM-originated vehicle (the
-	// protagonist to warn).
-	RequireLDMProtagonist bool
 	// RepetitionInterval, when positive, asks the RSU to repeat the
-	// DENM (recovers losses on obstructed links); zero sends a single
-	// DENM as the paper's testbed does.
+	// DENM for repetitionWindow (recovers losses on obstructed links);
+	// zero sends a single DENM as the paper's testbed does.
 	RepetitionInterval time.Duration
-	// RepetitionDuration bounds the repetition window; zero selects
-	// 2 s.
-	RepetitionDuration time.Duration
-	// TriggerOnTTC switches the hazard assessment from the paper's
-	// plain distance threshold to a time-to-collision check: the
-	// warning fires only when both the camera-tracked object and an
-	// LDM-tracked protagonist are predicted to reach the conflict
-	// point within TTCHorizon and within TTCWindow of each other.
-	TriggerOnTTC bool
-	// ConflictPoint is where the two paths cross, on the local plane.
-	ConflictPoint geo.Point
-	// CameraToConflict is the camera-to-object distance at which the
-	// tracked object reaches the conflict point.
-	CameraToConflict float64
-	// TTCHorizon bounds how far ahead the assessment looks; zero
-	// selects 4 s.
-	TTCHorizon time.Duration
-	// TTCWindow is the maximum arrival-time difference that still
-	// counts as a conflict; zero selects 1.5 s.
-	TTCWindow time.Duration
 	// TriggerRetries is how many times a failed trigger_denm request is
 	// retried with capped exponential backoff. Zero (the default)
 	// disables the response callback entirely, preserving the paper's
@@ -143,6 +107,10 @@ type HazardConfig struct {
 	// 320 ms.
 	TriggerRetryCap time.Duration
 }
+
+// repetitionWindow bounds the RSU's DENM repetition when
+// RepetitionInterval is set.
+const repetitionWindow = 2 * time.Second
 
 // DefaultHazardConfig matches the paper's experiment.
 func DefaultHazardConfig(eventPos geo.LatLon) HazardConfig {
@@ -166,7 +134,6 @@ type HazardAdvertisementService struct {
 	cfg    HazardConfig
 	kernel *sim.Kernel
 	rsu    *openc2x.SimNode
-	ldm    *ldm.Map
 	clock  *clock.NTPClock
 	rng    *rand.Rand
 
@@ -182,9 +149,6 @@ type HazardAdvertisementService struct {
 	// Suppressed counts detections inside the action point ignored by
 	// cooldown.
 	Suppressed uint64
-	// LDMVetoes counts triggers withheld because no protagonist was
-	// tracked in the LDM.
-	LDMVetoes uint64
 	// TriggerFailures counts trigger_denm requests that came back with
 	// an error (only observable when TriggerRetries > 0).
 	TriggerFailures uint64
@@ -196,15 +160,13 @@ type HazardAdvertisementService struct {
 	OnTriggerRetry func(attempt int)
 }
 
-// NewHazardService builds the service. rsu is the RSU's API node; ldm
-// is the RSU's LDM consulted for the protagonist check; clk is the
-// edge node's NTP-disciplined clock.
-func NewHazardService(kernel *sim.Kernel, cfg HazardConfig, rsu *openc2x.SimNode, ldmMap *ldm.Map, clk *clock.NTPClock) *HazardAdvertisementService {
+// NewHazardService builds the service. rsu is the RSU's API node; clk
+// is the edge node's NTP-disciplined clock.
+func NewHazardService(kernel *sim.Kernel, cfg HazardConfig, rsu *openc2x.SimNode, clk *clock.NTPClock) *HazardAdvertisementService {
 	return &HazardAdvertisementService{
 		cfg:    cfg,
 		kernel: kernel,
 		rsu:    rsu,
-		ldm:    ldmMap,
 		clock:  clk,
 		rng:    kernel.Rand("edge.hazard"),
 	}
@@ -212,26 +174,13 @@ func NewHazardService(kernel *sim.Kernel, cfg HazardConfig, rsu *openc2x.SimNode
 
 // OnTrack consumes Object Detection Service updates.
 func (h *HazardAdvertisementService) OnTrack(tr TrackedObject, res perception.FrameResult) {
-	if !h.classArmed(tr.Class) {
-		return
-	}
-	if h.cfg.TriggerOnTTC {
-		if !h.ttcConflict(tr) {
-			return
-		}
-	} else if tr.Distance > h.cfg.ActionPointDistance {
+	if !h.classArmed(tr.Class) || tr.Distance > h.cfg.ActionPointDistance {
 		return
 	}
 	now := h.kernel.Now()
 	if h.triggered && now-h.lastTrigger < h.cfg.Cooldown {
 		h.Suppressed++
 		return
-	}
-	if h.cfg.RequireLDMProtagonist && h.ldm != nil {
-		if !h.hasProtagonist() {
-			h.LDMVetoes++
-			return
-		}
 	}
 	h.triggered = true
 	h.lastTrigger = now
@@ -258,11 +207,7 @@ func (h *HazardAdvertisementService) OnTrack(tr TrackedObject, res perception.Fr
 		}
 		if h.cfg.RepetitionInterval > 0 {
 			req.RepetitionIntervalMS = uint16(h.cfg.RepetitionInterval / time.Millisecond)
-			dur := h.cfg.RepetitionDuration
-			if dur <= 0 {
-				dur = 2 * time.Second
-			}
-			req.RepetitionDurationMS = uint32(dur / time.Millisecond)
+			req.RepetitionDurationMS = uint32(repetitionWindow / time.Millisecond)
 		}
 		h.sendTrigger(req, 0)
 	})
@@ -309,73 +254,6 @@ func (h *HazardAdvertisementService) sendTrigger(req openc2x.TriggerRequest, att
 func (h *HazardAdvertisementService) classArmed(c perception.Class) bool {
 	for _, tc := range h.cfg.TriggerClasses {
 		if tc == c {
-			return true
-		}
-	}
-	return false
-}
-
-// ttcConflict performs the LDM-based collision assessment: project
-// the camera object and the nearest CAM-tracked protagonist onto the
-// conflict point and compare arrival times.
-func (h *HazardAdvertisementService) ttcConflict(tr TrackedObject) bool {
-	if h.ldm == nil || tr.ClosingSpeed <= 0.05 {
-		return false
-	}
-	horizon := h.cfg.TTCHorizon
-	if horizon <= 0 {
-		horizon = 4 * time.Second
-	}
-	window := h.cfg.TTCWindow
-	if window <= 0 {
-		window = 1500 * time.Millisecond
-	}
-	// Object arrival: remaining camera distance over closing speed.
-	remaining := tr.Distance - h.cfg.CameraToConflict
-	if remaining < 0 {
-		remaining = 0
-	}
-	ttcObj := time.Duration(remaining / tr.ClosingSpeed * float64(time.Second))
-	if ttcObj > horizon {
-		return false
-	}
-	// Protagonist arrival: nearest approaching CAM vehicle in the LDM.
-	for _, o := range h.ldm.ObjectsWithin(h.cfg.ConflictPoint, 50) {
-		if o.Source != ldm.SourceCAM || o.StationType == units.StationTypeRoadSideUnit {
-			continue
-		}
-		if o.SpeedMS <= 0.05 {
-			continue
-		}
-		dist := o.Position.DistanceTo(h.cfg.ConflictPoint)
-		// Approaching means the heading points towards the conflict.
-		toConflict := h.cfg.ConflictPoint.Sub(o.Position)
-		if toConflict.Norm() > 0.01 {
-			if math.Abs(geo.HeadingDiff(o.HeadingRad, toConflict.Heading())) > math.Pi/3 {
-				continue
-			}
-		}
-		ttcProt := time.Duration(dist / o.SpeedMS * float64(time.Second))
-		if ttcProt > horizon {
-			continue
-		}
-		diff := ttcObj - ttcProt
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff <= window {
-			return true
-		}
-	}
-	return false
-}
-
-// hasProtagonist reports whether the LDM currently tracks a
-// CAM-originated vehicle.
-func (h *HazardAdvertisementService) hasProtagonist() bool {
-	objs := h.ldm.ObjectsWithin(geo.Point{}, 1e9)
-	for _, o := range objs {
-		if o.Source == ldm.SourceCAM && o.StationType != units.StationTypeRoadSideUnit {
 			return true
 		}
 	}

@@ -45,10 +45,6 @@ func TestODSTracksObject(t *testing.T) {
 	if tr.Distance != 2.6 || tr.Frames != 2 {
 		t.Fatalf("track %+v", *tr)
 	}
-	// Closing speed: (3.0 - 2.6) / 0.25 s = 1.6 m/s.
-	if tr.ClosingSpeed < 1.5 || tr.ClosingSpeed > 1.7 {
-		t.Fatalf("closing speed %v", tr.ClosingSpeed)
-	}
 }
 
 func TestODSTrackExpiry(t *testing.T) {
@@ -56,9 +52,9 @@ func TestODSTrackExpiry(t *testing.T) {
 	tr := lastTrack(ods)
 	ods.OnFrame(frameAt(t, 3.0, 0, 0))
 	// A new detection after a gap longer than the track lifetime
-	// restarts the track (no bogus closing speed from the stale sample).
+	// restarts the track.
 	ods.OnFrame(frameAt(t, 1.0, 10, 3*time.Second))
-	if tr.Frames != 1 || tr.ClosingSpeed != 0 {
+	if tr.Frames != 1 {
 		t.Fatalf("restarted track %+v", *tr)
 	}
 }
@@ -108,7 +104,7 @@ func newHazardHarness(t *testing.T, cfg HazardConfig) *hazardHarness {
 	}
 	node := openc2x.NewSimNode(k, rsu, openc2x.Latencies{})
 	clk := clock.NewNTP(clock.SourceFunc(k.Now), clock.PerfectNTP(), nil)
-	hz := NewHazardService(k, cfg, node, rsu.LDM, clk)
+	hz := NewHazardService(k, cfg, node, clk)
 	return &hazardHarness{kernel: k, rsu: rsu, node: node, hz: hz}
 }
 
@@ -176,33 +172,6 @@ func TestHazardCooldown(t *testing.T) {
 	}
 }
 
-func TestHazardLDMVeto(t *testing.T) {
-	cfg := defaultCfg()
-	cfg.RequireLDMProtagonist = true
-	h := newHazardHarness(t, cfg)
-	h.hz.OnTrack(TrackedObject{Class: perception.ClassStopSign, Distance: 1.4}, perception.FrameResult{})
-	h.run(t, time.Second)
-	if h.hz.Triggers != 0 || h.hz.LDMVetoes != 1 {
-		t.Fatalf("triggers=%d vetoes=%d, want veto", h.hz.Triggers, h.hz.LDMVetoes)
-	}
-	// Track a protagonist via CAM, then the trigger passes.
-	cam := messages.NewCAM(2001, 0)
-	cam.Basic = messages.BasicContainer{
-		StationType: units.StationTypePassengerCar,
-		Position: messages.ReferencePosition{
-			Latitude:      units.LatitudeFromDegrees(geo.CISTERLab.Lat),
-			Longitude:     units.LongitudeFromDegrees(geo.CISTERLab.Lon),
-			AltitudeValue: messages.AltitudeUnavailable,
-		},
-	}
-	h.rsu.LDM.IngestCAM(cam)
-	h.hz.OnTrack(TrackedObject{Class: perception.ClassStopSign, Distance: 1.3}, perception.FrameResult{})
-	h.run(t, time.Second)
-	if h.hz.Triggers != 1 {
-		t.Fatal("trigger still vetoed with a tracked protagonist")
-	}
-}
-
 func TestHazardDENMContent(t *testing.T) {
 	h := newHazardHarness(t, defaultCfg())
 	var sent *messages.DENM
@@ -230,107 +199,5 @@ func TestDefaultHazardConfigMatchesPaper(t *testing.T) {
 	}
 	if cfg.Cause.CauseCode != messages.CauseCollisionRisk {
 		t.Fatal("default cause must be collision risk (97)")
-	}
-}
-
-// ttcHarness builds a TTC-mode hazard service.
-func ttcHarness(t *testing.T) *hazardHarness {
-	cfg := defaultCfg()
-	cfg.TriggerOnTTC = true
-	cfg.ConflictPoint = geo.Point{X: 0, Y: 5.6}
-	cfg.CameraToConflict = 1.0
-	return newHazardHarness(t, cfg)
-}
-
-// trackProtagonist puts a CAM vehicle approaching the conflict point
-// into the RSU's LDM: northbound at the given distance and speed.
-func trackProtagonist(t *testing.T, h *hazardHarness, distance, speed float64) {
-	t.Helper()
-	frame, err := geo.NewFrame(geo.CISTERLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := frame.ToGeodetic(geo.Point{X: 0, Y: 5.6 - distance})
-	cam := messages.NewCAM(2001, 0)
-	cam.Basic = messages.BasicContainer{
-		StationType: units.StationTypePassengerCar,
-		Position: messages.ReferencePosition{
-			Latitude:      units.LatitudeFromDegrees(pos.Lat),
-			Longitude:     units.LongitudeFromDegrees(pos.Lon),
-			AltitudeValue: messages.AltitudeUnavailable,
-		},
-	}
-	cam.HighFrequency.Speed = units.SpeedFromMS(speed)
-	cam.HighFrequency.Heading = units.HeadingFromRadians(0) // north
-	h.rsu.LDM.IngestCAM(cam)
-}
-
-func TestTTCTriggersOnConvergingArrivals(t *testing.T) {
-	h := ttcHarness(t)
-	// Protagonist 3 m short of the conflict at 1.5 m/s → TTC 2 s.
-	trackProtagonist(t, h, 3.0, 1.5)
-	// Object 2 m of camera distance to cover at 1 m/s → TTC 2 s.
-	h.hz.OnTrack(TrackedObject{Class: perception.ClassStopSign, Distance: 3.0, ClosingSpeed: 1.0}, perception.FrameResult{})
-	h.run(t, time.Second)
-	if h.hz.Triggers != 1 {
-		t.Fatalf("triggers=%d, want conflict detected", h.hz.Triggers)
-	}
-}
-
-func TestTTCIgnoresDivergentArrivals(t *testing.T) {
-	h := ttcHarness(t)
-	// Protagonist arrives in 0.7 s; object needs 3.5 s: no conflict.
-	trackProtagonist(t, h, 1.0, 1.5)
-	h.hz.OnTrack(TrackedObject{Class: perception.ClassStopSign, Distance: 4.5, ClosingSpeed: 1.0}, perception.FrameResult{})
-	h.run(t, time.Second)
-	if h.hz.Triggers != 0 {
-		t.Fatalf("triggered on divergent arrival times")
-	}
-}
-
-func TestTTCRequiresProtagonist(t *testing.T) {
-	h := ttcHarness(t)
-	// No CAM vehicle in the LDM: nothing to protect.
-	h.hz.OnTrack(TrackedObject{Class: perception.ClassStopSign, Distance: 3.0, ClosingSpeed: 1.0}, perception.FrameResult{})
-	h.run(t, time.Second)
-	if h.hz.Triggers != 0 {
-		t.Fatal("triggered without a protagonist in the LDM")
-	}
-}
-
-func TestTTCIgnoresRecedingObject(t *testing.T) {
-	h := ttcHarness(t)
-	trackProtagonist(t, h, 3.0, 1.5)
-	h.hz.OnTrack(TrackedObject{Class: perception.ClassStopSign, Distance: 3.0, ClosingSpeed: -0.5}, perception.FrameResult{})
-	h.run(t, time.Second)
-	if h.hz.Triggers != 0 {
-		t.Fatal("triggered on a receding object")
-	}
-}
-
-func TestTTCIgnoresDepartingProtagonist(t *testing.T) {
-	h := ttcHarness(t)
-	frame, err := geo.NewFrame(geo.CISTERLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Protagonist north of the conflict, still heading north (away).
-	pos := frame.ToGeodetic(geo.Point{X: 0, Y: 5.6 + 2})
-	cam := messages.NewCAM(2001, 0)
-	cam.Basic = messages.BasicContainer{
-		StationType: units.StationTypePassengerCar,
-		Position: messages.ReferencePosition{
-			Latitude:      units.LatitudeFromDegrees(pos.Lat),
-			Longitude:     units.LongitudeFromDegrees(pos.Lon),
-			AltitudeValue: messages.AltitudeUnavailable,
-		},
-	}
-	cam.HighFrequency.Speed = units.SpeedFromMS(1.5)
-	cam.HighFrequency.Heading = units.HeadingFromRadians(0)
-	h.rsu.LDM.IngestCAM(cam)
-	h.hz.OnTrack(TrackedObject{Class: perception.ClassStopSign, Distance: 3.0, ClosingSpeed: 1.0}, perception.FrameResult{})
-	h.run(t, time.Second)
-	if h.hz.Triggers != 0 {
-		t.Fatal("triggered for a protagonist already past the conflict")
 	}
 }

@@ -24,9 +24,6 @@ type ResilienceOptions struct {
 	ScenarioOptions
 	// Plan is the fault schedule injected into every faulted run.
 	Plan faults.Plan
-	// TriggerRetries for the edge's trigger_denm path under faults;
-	// zero selects 3.
-	TriggerRetries int
 	// Blackbox, when non-empty, is a directory the sweep writes flight-
 	// recorder post-mortems into: every run that trips an anomaly
 	// trigger (miss or fail-safe outcome, 2→5 total above the 100 ms
@@ -38,11 +35,12 @@ type ResilienceOptions struct {
 
 func (o ResilienceOptions) withDefaults() ResilienceOptions {
 	o.ScenarioOptions = o.ScenarioOptions.withDefaults()
-	if o.TriggerRetries <= 0 {
-		o.TriggerRetries = 3
-	}
 	return o
 }
+
+// resilienceTriggerRetries is how often the edge retries a failed
+// trigger_denm request in a faulted run.
+const resilienceTriggerRetries = 3
 
 // ResilienceRun is one faulted run's outcome.
 type ResilienceRun struct {
@@ -155,8 +153,8 @@ func Resilience(opt ResilienceOptions) (ResilienceResult, error) {
 			opt.Configure(cfg)
 		}
 		cfg.Faults = &plan
-		cfg.Vehicle.Watchdog.Enabled = true
-		cfg.Hazard.TriggerRetries = opt.TriggerRetries
+		cfg.Vehicle.Watchdog = true
+		cfg.Hazard.TriggerRetries = resilienceTriggerRetries
 	}
 	runs, err := mapRuns(faultOpt)
 	if err != nil {

@@ -62,9 +62,6 @@ type Config struct {
 	Send SendFunc
 	// Clock provides ITS timestamps; required.
 	Clock *clock.NTPClock
-	// Interval is the generation period; zero selects
-	// DefaultGenInterval.
-	Interval time.Duration
 	// Gate, when non-nil, throttles generation to at most one CPM per
 	// Gate.MinInterval() (DCC channel-load control).
 	Gate TxGate
@@ -98,9 +95,6 @@ func New(kernel *sim.Kernel, cfg Config) (*Service, error) {
 	if cfg.Frame == nil || cfg.Position == nil || cfg.LDM == nil || cfg.Send == nil || cfg.Clock == nil {
 		return nil, fmt.Errorf("cp: frame, position, ldm, send and clock are required")
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultGenInterval
-	}
 	s := &Service{cfg: cfg, kernel: kernel}
 	s.mGen = cfg.Probe.Counter("cpm_generated_total")
 	s.mObj = cfg.Probe.Counter("cpm_objects_shared_total")
@@ -113,7 +107,7 @@ func (s *Service) Start() {
 	if s.ticker != nil {
 		return
 	}
-	s.ticker = s.kernel.Every(s.cfg.Interval, s.cfg.Interval, s.check)
+	s.ticker = s.kernel.Every(DefaultGenInterval, DefaultGenInterval, s.check)
 }
 
 // Stop halts generation.
@@ -127,7 +121,7 @@ func (s *Service) Stop() {
 func (s *Service) check() {
 	now := s.kernel.Now()
 	if s.cfg.Gate != nil && s.hasLast {
-		if g := s.cfg.Gate.MinInterval(); g > s.cfg.Interval && now-s.lastGen < g {
+		if g := s.cfg.Gate.MinInterval(); g > DefaultGenInterval && now-s.lastGen < g {
 			return
 		}
 	}

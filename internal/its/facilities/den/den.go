@@ -1,9 +1,8 @@
 // Package den implements the Decentralized Environmental Notification
 // basic service (ETSI EN 302 637-3): application-triggered DENM
-// origination with ActionID management, repetition, update and
-// cancellation, plus the reception state machine that deduplicates
-// repeated DENMs and delivers new or updated events to the
-// application and the LDM.
+// origination with ActionID management and repetition, plus the
+// reception state machine that deduplicates repeated DENMs and
+// delivers new or updated events to the application and the LDM.
 package den
 
 import (
@@ -165,7 +164,6 @@ func (s *Service) Trigger(req EventRequest) (messages.ActionID, error) {
 	}
 	area := NewArea(req.Position, radius)
 	ev := &activeEvent{denm: d, area: area}
-	s.active[id] = ev
 	s.Originated++
 	s.mTrig.Inc()
 	// The trigger span parents every transmission of this event —
@@ -186,6 +184,7 @@ func (s *Service) Trigger(req EventRequest) (messages.ActionID, error) {
 			dur = time.Duration(validity) * time.Second
 		}
 		ev.until = s.kernel.Now() + dur
+		s.active[id] = ev
 		ev.ticker = s.kernel.Every(req.RepetitionInterval, req.RepetitionInterval, func() {
 			if s.kernel.Now() > ev.until {
 				s.stopRepetition(id)
@@ -203,39 +202,10 @@ func (s *Service) Trigger(req EventRequest) (messages.ActionID, error) {
 	return id, nil
 }
 
-// Update re-announces an active event with a new event type and/or
-// quality (AppDENM_update).
-func (s *Service) Update(id messages.ActionID, et messages.EventType, q messages.InformationQuality) error {
-	ev, ok := s.active[id]
-	if !ok {
-		return fmt.Errorf("den: update of unknown action %v", id)
-	}
-	ev.denm.Situation.EventType = et
-	ev.denm.Situation.InformationQuality = q
-	ev.denm.Management.ReferenceTime = clock.TimestampIts(s.cfg.Clock.Now())
-	return s.transmit(ev)
-}
-
-// Cancel terminates an event originated by this station
-// (AppDENM_termination with isCancellation).
-func (s *Service) Cancel(id messages.ActionID) error {
-	ev, ok := s.active[id]
-	if !ok {
-		return fmt.Errorf("den: cancel of unknown action %v", id)
-	}
-	term := messages.TerminationIsCancellation
-	ev.denm.Management.Termination = &term
-	ev.denm.Management.ReferenceTime = clock.TimestampIts(s.cfg.Clock.Now())
-	err := s.transmit(ev)
-	s.stopRepetition(id)
-	delete(s.active, id)
-	return err
-}
-
 func (s *Service) stopRepetition(id messages.ActionID) {
-	if ev, ok := s.active[id]; ok && ev.ticker != nil {
+	if ev, ok := s.active[id]; ok {
 		ev.ticker.Stop()
-		ev.ticker = nil
+		delete(s.active, id)
 	}
 }
 
@@ -292,16 +262,11 @@ func refPosition(p geo.LatLon) messages.ReferencePosition {
 
 // Receiver implements the DENM reception state machine: repeated
 // copies of the same (ActionID, ReferenceTime) are dropped, new events
-// and genuine updates are delivered. When keep-alive forwarding is
-// enabled (EN 302 637-3 §8.2.2), the receiver schedules re-broadcasts
-// of events it did not originate, so a warning outlives its source in
-// the region of interest.
+// and genuine updates are delivered.
 type Receiver struct {
 	// Sink receives each new or updated DENM (typically LDM ingestion
 	// plus the application handler).
 	Sink func(*messages.DENM)
-	// KAF, when non-nil, enables keep-alive forwarding through it.
-	KAF  *KeepAliveForwarder
 	seen map[messages.ActionID]uint64 // last delivered referenceTime
 
 	// Probe receives the station's den_rx_* counters, decode/deliver
@@ -322,11 +287,10 @@ type Receiver struct {
 	mRecv, mSupp, mMalf *metrics.Counter
 }
 
-// OnDecoded processes one received DENM decoded from payload, or the
-// error its decode returned. d and payload are read-only: the stations
-// that heard one frame share its decode, and Sink and the keep-alive
-// forwarder may retain them.
-func (r *Receiver) OnDecoded(payload []byte, d *messages.DENM, err error) {
+// OnDecoded processes one received DENM, or the error its decode
+// returned. d is read-only: the stations that heard one frame share
+// its decode, and Sink may retain it.
+func (r *Receiver) OnDecoded(d *messages.DENM, err error) {
 	if r.mRecv == nil {
 		r.mRecv = r.Probe.Counter("den_rx_received_total")
 		r.mSupp = r.Probe.Counter("den_rx_suppressed_total")
@@ -352,15 +316,6 @@ func (r *Receiver) OnDecoded(payload []byte, d *messages.DENM, err error) {
 	if r.Probe.Tracing() {
 		sp = r.Probe.Start("den.receive", "facilities", now)
 		sp.SetAttr("action_id", fmt.Sprintf("%d:%d", uint32(id.OriginatingStationID), id.SequenceNumber))
-		// Bind the last received copy so this station's keep-alive
-		// re-broadcast re-attaches to what it heard.
-		r.Probe.Bind(tracing.KeyDENM(r.Probe.Name(), uint32(id.OriginatingStationID), id.SequenceNumber), sp)
-	}
-	if r.KAF != nil {
-		// Every copy refreshes the forwarder, including repetitions:
-		// hearing the event again postpones this station's own
-		// keep-alive re-broadcast (the standard's back-off behaviour).
-		r.KAF.Observe(d, payload)
 	}
 	if last, ok := r.seen[id]; ok && d.Management.ReferenceTime <= last {
 		r.Repeated++
@@ -388,140 +343,4 @@ func (r *Receiver) now() time.Duration {
 		return 0
 	}
 	return r.Now()
-}
-
-// ForwardFunc re-broadcasts a raw DENM payload to the event's area.
-type ForwardFunc func(payload []byte, area Area) error
-
-// KeepAliveForwarder implements DENM keep-alive forwarding: a station
-// inside the relevance area that stops hearing an active event
-// re-broadcasts the last received DENM so the warning persists, until
-// the event's validity expires or a termination arrives.
-type KeepAliveForwarder struct {
-	kernel  *sim.Kernel
-	forward ForwardFunc
-	// Interval between silence-triggered re-broadcasts; the standard
-	// derives it from the transmissionInterval field when present.
-	defaultInterval time.Duration
-	entries         map[messages.ActionID]*kafEntry
-
-	// Probe receives the station's den_kaf_forwarded_total counter and
-	// keep-alive re-broadcast spans, attached to the last received copy
-	// of the event by ActionID. Set before the first Observe.
-	Probe trace.Probe
-
-	// Forwarded counts keep-alive re-broadcasts.
-	Forwarded uint64
-
-	mFwd *metrics.Counter
-}
-
-type kafEntry struct {
-	payload []byte
-	area    Area
-	timer   *sim.Event
-	expires time.Duration
-	stopped bool
-	// lastRef is the highest ReferenceTime observed; only messages
-	// advancing it restart the validity interval.
-	lastRef uint64
-}
-
-// NewKeepAliveForwarder builds a forwarder. defaultInterval applies to
-// DENMs that carry no transmissionInterval; zero selects 500 ms.
-func NewKeepAliveForwarder(kernel *sim.Kernel, forward ForwardFunc, defaultInterval time.Duration) *KeepAliveForwarder {
-	if defaultInterval <= 0 {
-		defaultInterval = 500 * time.Millisecond
-	}
-	return &KeepAliveForwarder{
-		kernel:          kernel,
-		forward:         forward,
-		defaultInterval: defaultInterval,
-		entries:         make(map[messages.ActionID]*kafEntry),
-	}
-}
-
-// Observe records a received DENM copy and (re)arms the silence timer.
-func (k *KeepAliveForwarder) Observe(d *messages.DENM, payload []byte) {
-	id := d.Management.ActionID
-	e, ok := k.entries[id]
-	if d.IsTermination() {
-		// A termination cancels forwarding and is not itself kept
-		// alive.
-		if ok {
-			e.stop()
-			delete(k.entries, id)
-		}
-		return
-	}
-	if !ok {
-		e = &kafEntry{lastRef: d.Management.ReferenceTime}
-		k.entries[id] = e
-		// Validity runs from the event's first observation here; later
-		// copies must NOT push expiry out again, or repetitions would
-		// keep the forwarder alive indefinitely (EN 302 637-3).
-		e.expires = k.kernel.Now() + time.Duration(d.Validity())*time.Second
-	} else if d.Management.ReferenceTime < e.lastRef {
-		return // stale copy of an older version
-	} else if d.Management.ReferenceTime > e.lastRef {
-		// A genuine update restarts the validity interval.
-		e.expires = k.kernel.Now() + time.Duration(d.Validity())*time.Second
-		e.lastRef = d.Management.ReferenceTime
-	}
-	e.payload = append(e.payload[:0], payload...)
-	e.area = NewArea(geo.LatLon{
-		Lat: d.Management.EventPosition.Latitude.Degrees(),
-		Lon: d.Management.EventPosition.Longitude.Degrees(),
-	}, 200)
-	interval := k.defaultInterval
-	if ti := d.Management.TransmissionInterval; ti != nil {
-		interval = time.Duration(*ti) * time.Millisecond
-	}
-	k.arm(id, e, interval)
-}
-
-func (e *kafEntry) stop() {
-	e.stopped = true
-	if e.timer != nil {
-		e.timer.Cancel()
-	}
-}
-
-// arm schedules the next keep-alive broadcast after interval of
-// silence.
-func (k *KeepAliveForwarder) arm(id messages.ActionID, e *kafEntry, interval time.Duration) {
-	if e.timer != nil {
-		e.timer.Cancel()
-	}
-	e.stopped = false
-	e.timer = k.kernel.Schedule(interval, func() {
-		if e.stopped || k.kernel.Now() >= e.expires {
-			delete(k.entries, id)
-			return
-		}
-		if k.forward != nil {
-			now := k.kernel.Now()
-			parent := k.Probe.Find(tracing.KeyDENM(k.Probe.Name(), uint32(id.OriginatingStationID), id.SequenceNumber))
-			sp := k.Probe.StartChild(parent, "den.kaf_forward", "facilities", now)
-			var fwdErr error
-			k.Probe.Scope(sp, func() { fwdErr = k.forward(e.payload, e.area) })
-			sp.End(k.kernel.Now())
-			if fwdErr == nil {
-				k.Forwarded++
-				if k.mFwd == nil {
-					k.mFwd = k.Probe.Counter("den_kaf_forwarded_total")
-				}
-				k.mFwd.Inc()
-			}
-		}
-		k.arm(id, e, interval)
-	})
-}
-
-// Stop cancels all timers (shutdown).
-func (k *KeepAliveForwarder) Stop() {
-	for id, e := range k.entries {
-		e.stop()
-		delete(k.entries, id)
-	}
 }

@@ -24,7 +24,7 @@ type denHarness struct {
 // then OnDecoded.
 func onPayload(r *Receiver, payload []byte) {
 	d, err := messages.DecodeDENM(payload)
-	r.OnDecoded(payload, d, err)
+	r.OnDecoded(d, err)
 }
 
 func newDENHarness(t *testing.T) *denHarness {
@@ -135,68 +135,6 @@ func TestRepetition(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	h := newDENHarness(t)
-	id, err := h.svc.Trigger(collisionRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newType := messages.EventType{
-		CauseCode:    messages.CauseDangerousSituation,
-		SubCauseCode: messages.DangerousSituationAEBActivated,
-	}
-	if err := h.svc.Update(id, newType, 5); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.sent) != 2 {
-		t.Fatalf("sent %d", len(h.sent))
-	}
-	d, err := messages.DecodeDENM(h.sent[1].payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Situation.EventType != newType || d.Situation.InformationQuality != 5 {
-		t.Fatal("update content wrong")
-	}
-	if err := h.svc.Update(messages.ActionID{OriginatingStationID: 9, SequenceNumber: 9}, newType, 1); err == nil {
-		t.Fatal("update of unknown action accepted")
-	}
-}
-
-func TestCancel(t *testing.T) {
-	h := newDENHarness(t)
-	req := collisionRequest()
-	req.RepetitionInterval = 50 * time.Millisecond
-	id, err := h.svc.Trigger(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.kernel.Run(120 * time.Millisecond)
-	before := len(h.sent)
-	if err := h.svc.Cancel(id); err != nil {
-		t.Fatal(err)
-	}
-	cancelCount := len(h.sent)
-	if cancelCount != before+1 {
-		t.Fatal("cancel did not transmit a termination DENM")
-	}
-	d, err := messages.DecodeDENM(h.sent[cancelCount-1].payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.IsTermination() {
-		t.Fatal("cancellation DENM lacks termination")
-	}
-	// Repetition stops after cancel.
-	h.kernel.Run(time.Second)
-	if len(h.sent) != cancelCount {
-		t.Fatal("repetition continued after cancel")
-	}
-	if err := h.svc.Cancel(id); err == nil {
-		t.Fatal("double cancel accepted")
-	}
-}
-
 func TestValidityCustom(t *testing.T) {
 	h := newDENHarness(t)
 	req := collisionRequest()
@@ -264,21 +202,23 @@ func TestReceiverDeliversUpdates(t *testing.T) {
 	h := newDENHarness(t)
 	var delivered []*messages.DENM
 	r := Receiver{Sink: func(d *messages.DENM) { delivered = append(delivered, d) }}
-	id, err := h.svc.Trigger(collisionRequest())
+	if _, err := h.svc.Trigger(collisionRequest()); err != nil {
+		t.Fatal(err)
+	}
+	// An update re-announces the event under its ActionID with a later
+	// reference time and new content.
+	d, err := messages.DecodeDENM(h.sent[0].payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Advance virtual time so the update's reference time differs.
-	h.kernel.Schedule(10*time.Millisecond, func() {
-		newType := messages.EventType{CauseCode: messages.CauseDangerousSituation}
-		if err := h.svc.Update(id, newType, 7); err != nil {
-			t.Error(err)
-		}
-	})
-	h.kernel.Run(time.Second)
-	for _, s := range h.sent {
-		onPayload(&r, s.payload)
+	d.Management.ReferenceTime += 10
+	d.Situation.EventType = messages.EventType{CauseCode: messages.CauseDangerousSituation}
+	update, err := d.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
+	onPayload(&r, h.sent[0].payload)
+	onPayload(&r, update)
 	if len(delivered) != 2 {
 		t.Fatalf("delivered %d, want 2 (new + update)", len(delivered))
 	}

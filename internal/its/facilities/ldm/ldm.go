@@ -1,8 +1,9 @@
 // Package ldm implements the Local Dynamic Map facility (ETSI EN 302
 // 895): a station-local store of dynamic road objects fed by received
 // CAMs, active DENM events, and locally sensed objects (the road-side
-// camera). The hazard advertisement service consults the LDM to decide
-// whether a detected road user conflicts with a tracked vehicle.
+// camera). The CP service shares its station's own perception from
+// it, and the CPM campaign's hazard monitor reads the objects near
+// its vehicle.
 package ldm
 
 import (
@@ -315,9 +316,9 @@ func perceptionLess(a, b *Object) bool {
 
 // ObjectsWithin returns fresh objects within radius of centre, nearest
 // first. The slice is freshly allocated. Each distance is computed
-// once and cached for the sort: this sits on the hazard-decision and
-// CPM-fusion hot paths, where recomputing the sqrt inside the
-// comparator cost O(n log n) hypot calls per query.
+// once and cached for the sort: this sits on the CPM hazard monitor's
+// hot path, where recomputing the sqrt inside the comparator cost
+// O(n log n) hypot calls per query.
 func (m *Map) ObjectsWithin(centre geo.Point, radius float64) []Object {
 	var out []Object
 	var dist []float64

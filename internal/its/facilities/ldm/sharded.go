@@ -2,6 +2,7 @@ package ldm
 
 import (
 	"sync"
+	"time"
 
 	"itsbed/internal/its/messages"
 )
@@ -11,7 +12,11 @@ import (
 // on kernel events), but a multiplexed daemon ingests CAMs from
 // hundreds of hosted stations concurrently with HTTP reads. Sharding
 // by originating station spreads that contention across independent
-// locks while keeping each shard an ordinary Map.
+// locks while keeping each shard an ordinary Map. Each shard expires
+// its stale objects and events itself: an ingest sweeps the shard it
+// lands in when sweepEvery of its Config.Now has passed since that
+// shard's last sweep, so a long-running daemon's map stays bounded by
+// what is live.
 type Sharded struct {
 	shards []shard
 }
@@ -19,6 +24,20 @@ type Sharded struct {
 type shard struct {
 	mu sync.Mutex
 	m  *Map
+	// swept is the Now reading of the shard's last sweep.
+	swept time.Duration
+}
+
+// sweepEvery is the least Now time between two sweeps of one shard.
+const sweepEvery = time.Second
+
+// sweep runs Map.GC when sweepEvery has passed since the last sweep.
+// The caller holds sh.mu.
+func (sh *shard) sweep() {
+	if now := sh.m.cfg.Now(); now-sh.swept >= sweepEvery {
+		sh.m.GC()
+		sh.swept = now
+	}
 }
 
 // DefaultShards is the shard count when NewSharded is given zero.
@@ -48,6 +67,7 @@ func (s *Sharded) shardFor(station uint32) *shard {
 func (s *Sharded) IngestCAM(c *messages.CAM) {
 	sh := s.shardFor(uint32(c.Header.StationID))
 	sh.mu.Lock()
+	sh.sweep()
 	sh.m.IngestCAM(c)
 	sh.mu.Unlock()
 }
@@ -56,6 +76,7 @@ func (s *Sharded) IngestCAM(c *messages.CAM) {
 func (s *Sharded) IngestDENM(d *messages.DENM) {
 	sh := s.shardFor(uint32(d.Management.ActionID.OriginatingStationID))
 	sh.mu.Lock()
+	sh.sweep()
 	sh.m.IngestDENM(d)
 	sh.mu.Unlock()
 }
@@ -85,14 +106,4 @@ func (s *Sharded) ShardCounts() [][2]int {
 		out[i] = [2]int{o, e}
 	}
 	return out
-}
-
-// GC sweeps every shard.
-func (s *Sharded) GC() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.m.GC()
-		sh.mu.Unlock()
-	}
 }

@@ -571,31 +571,29 @@ func TestBeaconWithPayloadRejected(t *testing.T) {
 	}
 }
 
-// TestBeaconFeedsLocationTableOnly checks that a beacon is counted and
-// reaches no upper layer.
+// TestBeaconFeedsLocationTableOnly checks that a received beacon is
+// counted and reaches no upper layer.
 func TestBeaconFeedsLocationTableOnly(t *testing.T) {
 	delivered := 0
-	sender, link := testRouter(t, 1, geo.Point{}, nil)
 	receiver, _ := testRouter(t, 2, geo.Point{X: 5}, func(Indication) { delivered++ })
-	if err := sender.SendBeacon(); err != nil {
+	beacon := &Packet{
+		Version:           CurrentVersion,
+		Lifetime:          Lifetime{Multiplier: 1, Base: 1},
+		RemainingHopLimit: 1,
+		Next:              NextAny,
+		Type:              HeaderTypeBeacon,
+		MaxHopLimit:       1,
+		Source:            LongPositionVector{Address: NewAddress(units.StationTypeRoadSideUnit, 1)},
+	}
+	wire, err := beacon.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	onFrame(receiver, link.frames[0])
+	onFrame(receiver, wire)
 	if delivered != 0 {
 		t.Fatal("beacon delivered to the upper layer")
 	}
 	if receiver.BeaconsReceived != 1 {
 		t.Fatal("beacon not counted")
 	}
-}
-
-func TestRouterLastTransmit(t *testing.T) {
-	r, _ := testRouter(t, 1, geo.Point{}, nil)
-	if r.LastTransmit() != 0 {
-		t.Fatal("fresh router has a transmit time")
-	}
-	if err := r.SendSHB(NextBTPB, 0, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	_ = r.LastTransmit() // now == test clock (0); just ensure no panic
 }

@@ -81,7 +81,6 @@ type Router struct {
 	handler Handler
 	table   *LocationTable
 	seq     uint16
-	lastTx  time.Duration
 
 	// Counters for diagnostics and tests.
 	Sent            uint64
@@ -126,34 +125,6 @@ func NewRouter(cfg RouterConfig, link LinkLayer, ego EgoPositionProvider, handle
 	return r, nil
 }
 
-// SendBeacon broadcasts a position beacon (EN 302 636-4-1 §10.2):
-// stations that have sent nothing for a beacon interval announce
-// their position. Receivers count beacons; they keep no neighbour
-// table, because nothing reads one.
-func (r *Router) SendBeacon() error {
-	p := &Packet{
-		Version:           CurrentVersion,
-		Lifetime:          Lifetime{Multiplier: 1, Base: 1},
-		RemainingHopLimit: 1,
-		Next:              NextAny,
-		Type:              HeaderTypeBeacon,
-		MaxHopLimit:       1,
-		Source:            r.ego.EgoPosition(),
-	}
-	frame, err := p.Marshal()
-	if err != nil {
-		return fmt.Errorf("geonet: marshal beacon: %w", err)
-	}
-	r.Sent++
-	r.mSent.Inc()
-	r.lastTx = r.cfg.Now()
-	return r.send(frame, 3) // lowest priority
-}
-
-// LastTransmit reports when this router last put any packet on the
-// air (for the beacon service's silence check).
-func (r *Router) LastTransmit() time.Duration { return r.lastTx }
-
 // SendSHB broadcasts payload as a single-hop broadcast (used for CAM).
 func (r *Router) SendSHB(next NextHeader, tc TrafficClass, payload []byte) error {
 	p := &Packet{
@@ -174,9 +145,7 @@ func (r *Router) SendSHB(next NextHeader, tc TrafficClass, payload []byte) error
 	}
 	r.Sent++
 	r.mSent.Inc()
-	now := r.cfg.Now()
-	r.lastTx = now
-	sp := r.cfg.Probe.Start("geonet.send", "geonet", now)
+	sp := r.cfg.Probe.Start("geonet.send", "geonet", r.cfg.Now())
 	sp.SetAttr("type", "shb")
 	var sendErr error
 	r.cfg.Probe.Scope(sp, func() { sendErr = r.send(frame, tc) })
@@ -210,7 +179,6 @@ func (r *Router) SendGBC(next NextHeader, tc TrafficClass, area Area, lifetime t
 	r.table.IsDuplicate(p.Source.Address, p.SequenceNumber, p.Lifetime.Duration(), now)
 	r.Sent++
 	r.mSent.Inc()
-	r.lastTx = now
 	sp := r.cfg.Probe.Start("geonet.send", "geonet", now)
 	sp.SetAttr("type", "gbc")
 	sp.SetAttr("gn_seq", fmt.Sprintf("%d", p.SequenceNumber))
@@ -231,7 +199,8 @@ func (r *Router) OnPacket(p *Packet) {
 	now := r.cfg.Now()
 	switch p.Type {
 	case HeaderTypeBeacon:
-		// Beacons are only counted.
+		// Beacons from other stacks are only counted; this router
+		// sends none.
 		r.BeaconsReceived++
 		r.mBeacon.Inc()
 	case HeaderTypeTSB:

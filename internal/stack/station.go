@@ -129,38 +129,18 @@ type Config struct {
 	// priority — used by the channel-access ablation. CAMs always use
 	// traffic class 2 (AC_BE).
 	DENMTrafficClass uint8
-	// EnableKAF turns on DENM keep-alive forwarding: this station
-	// re-broadcasts active events it stops hearing (EN 302 637-3
-	// §8.2.2).
-	EnableKAF bool
-	// EnableDCC attaches a reactive DCC controller (ETSI TS 102 687)
-	// to the station's radio: the measured channel-busy ratio
-	// throttles CAM generation through the CA facility's gate. It
-	// needs the 802.11p backend: New fails when the station's link is
-	// not a *radio.Interface.
+	// EnableDCC attaches a reactive DCC controller (ETSI TS 102 687,
+	// radio.DefaultReactiveProfile) to the station's radio: the
+	// measured channel-busy ratio throttles CAM generation through the
+	// CA facility's gate. It needs the 802.11p backend: New fails when
+	// the station's link is not a *radio.Interface.
 	EnableDCC bool
-	// DCCProfile overrides the reactive state table; the zero value
-	// selects radio.DefaultReactiveProfile.
-	DCCProfile radio.ReactiveProfile
-	// EnableCPM attaches the Collective Perception service: the station
-	// periodically shares its fresh locally sensed LDM objects in CPMs
-	// and fuses objects from received CPMs into its LDM. CPMs ride the
-	// same traffic class as CAMs and, when DCC is enabled, the same
-	// transmit gate.
+	// EnableCPM attaches the Collective Perception service: every
+	// cp.DefaultGenInterval the station shares its fresh locally sensed
+	// LDM objects in a CPM, and it fuses objects from received CPMs
+	// into its LDM. CPMs ride the same traffic class as CAMs and, when
+	// DCC is enabled, the same transmit gate.
 	EnableCPM bool
-	// CPMInterval overrides the CPM generation period; zero selects
-	// cp.DefaultGenInterval (250 ms).
-	CPMInterval time.Duration
-	// EnableBeaconing sends GN position beacons when the station has
-	// transmitted nothing for BeaconInterval (EN 302 636-4-1 §10.2).
-	// A station generating CAMs rarely beacons; receivers count the
-	// beacons of a silent one.
-	EnableBeaconing bool
-	// BeaconInterval; zero selects the standard's 3 s default.
-	BeaconInterval time.Duration
-	// KAFInterval overrides the silence interval for events without a
-	// transmissionInterval; zero selects the 500 ms default.
-	KAFInterval time.Duration
 	// Sink is the instrumentation every layer of the station (router,
 	// facilities, receivers, LDM, DCC) reports into under the station's
 	// name: the stack_* processing-latency histograms and the other
@@ -189,10 +169,9 @@ type Station struct {
 	CP     *cp.Service
 	LDM    *ldm.Map
 
-	caRx         ca.Receiver
-	denRx        den.Receiver
-	cpRx         cp.Receiver
-	beaconTicker *sim.Ticker
+	caRx  ca.Receiver
+	denRx den.Receiver
+	cpRx  cp.Receiver
 	// rx is the frame the router is handling, for onIndication.
 	rx *RxFrame
 	// rxFree holds the deliveries that have fired, for reuse.
@@ -273,7 +252,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		if s.Iface == nil {
 			return nil, fmt.Errorf("stack: station %q: DCC requires an 802.11p interface", cfg.Name)
 		}
-		s.DCC = radio.NewDCC(kernel, s.Iface, cfg.DCCProfile)
+		s.DCC = radio.NewDCC(kernel, s.Iface, radio.DefaultReactiveProfile())
 		s.DCC.Flight = p.Hook
 	}
 
@@ -324,10 +303,6 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 			}
 		},
 	}
-	if cfg.EnableKAF {
-		s.denRx.KAF = den.NewKeepAliveForwarder(kernel, s.forwardDENM, cfg.KAFInterval)
-		s.denRx.KAF.Probe = p
-	}
 
 	caCfg := ca.Config{
 		StationID:       cfg.StationID,
@@ -368,7 +343,6 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 			LDM:         s.LDM,
 			Send:        s.sendCPM,
 			Clock:       s.Clock,
-			Interval:    cfg.CPMInterval,
 			Probe:       p,
 		}
 		if s.DCC != nil {
@@ -403,41 +377,21 @@ func (e egoAdapter) EgoPosition() geonet.LongPositionVector {
 // Name returns the configured station name.
 func (s *Station) Name() string { return s.cfg.Name }
 
-// DefaultBeaconInterval is the GN beacon service retransmit timer.
-const DefaultBeaconInterval = 3 * time.Second
-
-// Start begins the cyclic services (CAM generation, beaconing).
+// Start begins the cyclic services (CAM and CPM generation).
 func (s *Station) Start() {
 	s.CA.Start()
 	if s.CP != nil {
 		s.CP.Start()
 	}
-	if s.cfg.EnableBeaconing && s.beaconTicker == nil {
-		interval := s.cfg.BeaconInterval
-		if interval <= 0 {
-			interval = DefaultBeaconInterval
-		}
-		s.beaconTicker = s.kernel.Every(interval, interval, func() {
-			if s.kernel.Now()-s.Router.LastTransmit() >= interval {
-				_ = s.Router.SendBeacon()
-			}
-		})
-	}
 }
 
-// Stop halts cyclic services, DENM repetition, beaconing and
-// keep-alive forwarding.
+// Stop halts cyclic services and DENM repetition.
 func (s *Station) Stop() {
 	s.CA.Stop()
 	if s.CP != nil {
 		s.CP.Stop()
 	}
 	s.DEN.Stop()
-	s.StopKAF()
-	if s.beaconTicker != nil {
-		s.beaconTicker.Stop()
-		s.beaconTicker = nil
-	}
 }
 
 // OnFrame is the station-level frame entry point, the receiver of the
@@ -555,8 +509,8 @@ func (rx *RxFrame) Decode() {
 	}
 }
 
-// Crash models the station process dying: cyclic services, repetition
-// and keep-alive timers stop and inbound frames are ignored.
+// Crash models the station process dying: cyclic services and
+// repetition timers stop and inbound frames are ignored.
 // Application state held by the node (mailboxes) is the caller's to
 // wipe. Idempotent.
 func (s *Station) Crash() {
@@ -665,39 +619,6 @@ func (s *Station) sendDENM(payload []byte, area den.Area) error {
 	return nil
 }
 
-// forwardDENM re-broadcasts a raw DENM payload for keep-alive
-// forwarding: same BTP/GBC path as an originated DENM, without
-// re-encoding the message.
-func (s *Station) forwardDENM(payload []byte, area den.Area) error {
-	pkt, err := btp.Encode(btp.Header{Type: btp.TypeB, DestinationPort: btp.PortDENM}, payload)
-	if err != nil {
-		return err
-	}
-	gnArea := geonet.CircleAround(
-		units.LatitudeFromDegrees(area.Centre.Lat),
-		units.LongitudeFromDegrees(area.Centre.Lon),
-		area.RadiusMetres,
-	)
-	d := s.cfg.TxLatency.sample(s.rng)
-	s.mTxDENM.ObserveDuration(d)
-	sp := s.txSpan("denm")
-	sp.SetAttr("kaf", "true")
-	s.kernel.ScheduleFn(d, func() {
-		s.p.Scope(sp, func() {
-			_ = s.Router.SendGBC(geonet.NextBTPB, geonet.TrafficClass(s.cfg.DENMTrafficClass), gnArea, time.Minute, pkt)
-		})
-		sp.End(s.kernel.Now())
-	})
-	return nil
-}
-
-// StopKAF halts keep-alive forwarding timers (shutdown).
-func (s *Station) StopKAF() {
-	if s.denRx.KAF != nil {
-		s.denRx.KAF.Stop()
-	}
-}
-
 // onIndication dispatches the packet the router delivers, s.rx, by
 // BTP port after the rx processing latency. The indication carries
 // s.rx's GN payload, whose BTP header s.rx already holds.
@@ -762,7 +683,7 @@ func (d *rxDelivery) dispatch() {
 	case btp.PortCAM:
 		d.s.caRx.OnDecoded(rx.CAM, rx.Err)
 	case btp.PortDENM:
-		d.s.denRx.OnDecoded(rx.Body, rx.DENM, rx.Err)
+		d.s.denRx.OnDecoded(rx.DENM, rx.Err)
 	case btp.PortCPM:
 		d.s.cpRx.OnDecoded(rx.CPM, rx.Err)
 	}

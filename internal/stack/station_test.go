@@ -258,82 +258,3 @@ func TestStationAccessors(t *testing.T) {
 		t.Fatal("accessors")
 	}
 }
-
-func TestBeaconingKeepsSilentStationVisible(t *testing.T) {
-	k := sim.NewKernel(80)
-	frame, err := geo.NewFrame(geo.CISTERLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	medium := radio.NewMedium(k, radio.MediumConfig{})
-	silent, err := New(k, medium, Config{
-		Name: "silent", Role: RoleRSU, StationID: 1002,
-		StationType: units.StationTypeRoadSideUnit, Frame: frame,
-		Mobility:           StaticMobility{Point: geo.Point{X: 5}, Geo: frame.ToGeodetic(geo.Point{X: 5})},
-		NTP:                clock.PerfectNTP(),
-		DisableCAMTriggers: true,
-		EnableBeaconing:    true,
-		BeaconInterval:     500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Suppress even the 1 Hz CAMs: stop the CA service immediately so
-	// only beacons go out.
-	observer, err := New(k, medium, Config{
-		Name: "observer", Role: RoleOBU, StationID: 2002,
-		StationType: units.StationTypePassengerCar, Frame: frame,
-		Mobility: StaticMobility{Geo: geo.CISTERLab},
-		NTP:      clock.PerfectNTP(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	silent.Start()
-	silent.CA.Stop() // beacons only
-	defer silent.Stop()
-	k.Run(3 * time.Second)
-	if observer.Router.BeaconsReceived == 0 {
-		t.Fatal("observer heard no beacons")
-	}
-	rx := observer.caRx.Received
-	if rx != 0 {
-		t.Fatalf("observer received %d CAMs from a silent station", rx)
-	}
-}
-
-func TestBeaconingSuppressedByCAMTraffic(t *testing.T) {
-	k := sim.NewKernel(81)
-	frame, err := geo.NewFrame(geo.CISTERLab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	medium := radio.NewMedium(k, radio.MediumConfig{})
-	chatty, err := New(k, medium, Config{
-		Name: "chatty", Role: RoleRSU, StationID: 1003,
-		StationType: units.StationTypeRoadSideUnit, Frame: frame,
-		Mobility:           StaticMobility{Geo: geo.CISTERLab},
-		NTP:                clock.PerfectNTP(),
-		DisableCAMTriggers: true, // 1 Hz CAMs — still under the 3 s beacon timer
-		EnableBeaconing:    true,
-		BeaconInterval:     2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	observer, err := New(k, medium, Config{
-		Name: "observer2", Role: RoleOBU, StationID: 2003,
-		StationType: units.StationTypePassengerCar, Frame: frame,
-		Mobility: StaticMobility{Point: geo.Point{X: 2}, Geo: geo.CISTERLab},
-		NTP:      clock.PerfectNTP(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chatty.Start()
-	defer chatty.Stop()
-	k.Run(6 * time.Second)
-	if observer.Router.BeaconsReceived != 0 {
-		t.Fatalf("station beaconed %d times despite regular CAM traffic", observer.Router.BeaconsReceived)
-	}
-}

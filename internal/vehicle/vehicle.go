@@ -54,28 +54,26 @@ type Config struct {
 	NTP clock.NTPModel
 	// Actuation is the USART/Teensy/PWM latency model.
 	Actuation control.ActuationLatency
-	// Watchdog configures the network fail-safe; disabled by default,
-	// which preserves the paper's pure network-aided behaviour.
-	Watchdog WatchdogConfig
+	// Watchdog turns on the network fail-safe: it monitors V2X
+	// heartbeat freshness (CAM/DENM receptions observed through the
+	// OBU poll path) and, when connectivity goes stale, degrades to an
+	// autonomous time-to-collision emergency brake against the known
+	// action point. Off by default, which preserves the paper's pure
+	// network-aided behaviour.
+	Watchdog bool
 }
 
-// WatchdogConfig parameterises the vehicle's network watchdog: a
-// fail-safe that monitors V2X heartbeat freshness (CAM/DENM receptions
-// observed through the OBU poll path) and, when connectivity goes
-// stale, degrades to an autonomous time-to-collision emergency brake
-// against the known action point.
-type WatchdogConfig struct {
-	// Enabled turns the watchdog on.
-	Enabled bool
-	// StaleAfter is the heartbeat age beyond which connectivity counts
-	// as lost; zero selects 1.5 s (the RSU beacons CAMs at 1 Hz).
-	StaleAfter time.Duration
-	// TTCThreshold: in degraded mode, the brake fires when the time to
-	// reach the action point drops to this; zero selects 1.2 s.
-	TTCThreshold time.Duration
-	// CheckPeriod of the watchdog loop; zero selects 25 ms.
-	CheckPeriod time.Duration
-}
+// The network watchdog's constants.
+const (
+	// watchdogStaleAfter is the heartbeat age beyond which connectivity
+	// counts as lost (the RSU sends CAMs at 1 Hz).
+	watchdogStaleAfter = 1500 * time.Millisecond
+	// watchdogTTC: in degraded mode, the brake fires when the time to
+	// reach the action point drops to this.
+	watchdogTTC = 1200 * time.Millisecond
+	// watchdogPeriod is the watchdog loop's tick.
+	watchdogPeriod = 25 * time.Millisecond
+)
 
 // StopCause values reported by Vehicle.StopCause.
 const (
@@ -237,7 +235,7 @@ func (v *Vehicle) Start() {
 			phase = time.Duration(v.rng.Int63n(int64(v.cfg.PollInterval)))
 		}
 		v.pollTicker = v.kernel.Every(phase, v.cfg.PollInterval, v.pollOBU)
-		if v.cfg.Watchdog.Enabled {
+		if v.cfg.Watchdog {
 			// Connectivity counts as fresh at launch: the watchdog only
 			// trips after a genuine silence interval.
 			v.lastFresh = v.kernel.Now()
@@ -245,11 +243,7 @@ func (v *Vehicle) Start() {
 			if arc, ok := v.cfg.Layout.ActionPointArc(); ok {
 				v.actionArc = arc
 			}
-			period := v.cfg.Watchdog.CheckPeriod
-			if period <= 0 {
-				period = 25 * time.Millisecond
-			}
-			v.wdTicker = v.kernel.Every(period, period, v.watchdogTick)
+			v.wdTicker = v.kernel.Every(watchdogPeriod, watchdogPeriod, v.watchdogTick)
 		}
 	}
 }
@@ -369,7 +363,7 @@ func (v *Vehicle) pollOBU() {
 		return
 	}
 	v.PollsIssued++
-	if !v.cfg.Watchdog.Enabled {
+	if !v.cfg.Watchdog {
 		v.obu.RequestDENM(v.handleBatch)
 		return
 	}
@@ -411,11 +405,7 @@ func (v *Vehicle) watchdogTick() {
 		return
 	}
 	now := v.kernel.Now()
-	stale := v.cfg.Watchdog.StaleAfter
-	if stale <= 0 {
-		stale = 1500 * time.Millisecond
-	}
-	if now-v.lastFresh <= stale {
+	if now-v.lastFresh <= watchdogStaleAfter {
 		v.degraded = false
 		return
 	}
@@ -438,12 +428,8 @@ func (v *Vehicle) watchdogTick() {
 	if remaining < 0 {
 		remaining = 0
 	}
-	threshold := v.cfg.Watchdog.TTCThreshold
-	if threshold <= 0 {
-		threshold = 1200 * time.Millisecond
-	}
 	ttc := time.Duration(remaining / st.Speed * float64(time.Second))
-	if ttc <= threshold {
+	if ttc <= watchdogTTC {
 		v.issueStop(StopCauseWatchdog)
 	}
 }

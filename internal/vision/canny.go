@@ -76,8 +76,9 @@ func gaussian5(src *Gray, b *cannyBuffers) *Gray {
 		}
 		trow[w-2], trow[w-1] = clampedTaps(row, w-2), clampedTaps(row, w-1)
 	}
-	// Vertical pass over whole rows; the sum reaches 16 · 4080, past
-	// uint16.
+	// Vertical pass over whole rows; the sum reaches at most
+	// 16 · 4080 = 65 280, which fits in 16 bits, though it is summed in
+	// uint32 here.
 	for y := 0; y < h; y++ {
 		r0 := tmp[max(y-2, 0)*w:][:w]
 		r1 := tmp[max(y-1, 0)*w:][:w]
