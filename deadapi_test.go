@@ -29,14 +29,11 @@ var deadAPIAllowlist = map[string]string{
 // tests that exercise only it and go with it. Entries leave this list,
 // none join it: a new function without a caller fails the test.
 var deadAPIDebt = map[string]string{
-	"(*clock.NTPClock).TrueNow": "TestTrueNowIgnoresErrorModel",
-	"clock.FromTimestampIts":    "TestTimestampItsRoundTrip",
-	"clock.Wall":                "TestWallSourceMonotonic",
-	"(*vehicle.Vehicle).Reset":  "TestResetRestoresStartState",
-	"(*world.Map).LineOfSight":  "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
-	"(*world.Map).Walls":        "TestWallsCopySemantics",
-	"world.BlindCornerLab":      "TestBlindCornerLabGeometry",
-	"(stats.EDF).At":            "TestEDFAtAllTiedValues, TestEDFEdgeCases, TestEDFMatchesPaperFig11Reading",
+	"(*vehicle.Vehicle).Reset": "TestResetRestoresStartState",
+	"(*world.Map).LineOfSight": "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
+	"(*world.Map).Walls":       "TestWallsCopySemantics",
+	"world.BlindCornerLab":     "TestBlindCornerLabGeometry",
+	"(stats.EDF).At":           "TestEDFAtAllTiedValues, TestEDFEdgeCases, TestEDFMatchesPaperFig11Reading",
 }
 
 // deadAPIStdlibInterfaces are the standard-library interfaces through
@@ -316,7 +313,8 @@ var unsetOptionDebt = map[string]string{
 // whose name ends in Config or Options that no non-test file of the
 // module or of the bench module writes, unless the field is in
 // unsetOptionDebt. A write is a keyed element of a composite literal or
-// the left side of an assignment, wherever it appears.
+// the left side of an assignment, wherever it appears, unless its value
+// selects the same field (c.X = prev.X writes nothing new).
 func TestNoUnsetOption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library it imports from source")
@@ -325,22 +323,40 @@ func TestNoUnsetOption(t *testing.T) {
 
 	written := map[*types.Var]bool{}
 	for _, p := range l.pkgs {
-		write := func(id *ast.Ident) {
+		field := func(id *ast.Ident) *types.Var {
 			if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
-				written[v.Origin()] = true
+				return v.Origin()
 			}
+			return nil
+		}
+		// write records a write of the field id names, unless value (nil
+		// when unknown) selects that same field: copying a field from
+		// another value of its own type sets nothing new.
+		write := func(id *ast.Ident, value ast.Expr) {
+			v := field(id)
+			if v == nil {
+				return
+			}
+			if sel, ok := ast.Unparen(value).(*ast.SelectorExpr); ok && field(sel.Sel) == v {
+				return
+			}
+			written[v] = true
 		}
 		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.KeyValueExpr:
 					if id, ok := n.Key.(*ast.Ident); ok {
-						write(id)
+						write(id, n.Value)
 					}
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
+					for i, lhs := range n.Lhs {
+						var value ast.Expr
+						if len(n.Rhs) == len(n.Lhs) {
+							value = n.Rhs[i]
+						}
 						if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-							write(sel.Sel)
+							write(sel.Sel, value)
 						}
 					}
 				}

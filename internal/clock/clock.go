@@ -26,13 +26,6 @@ type SourceFunc func() time.Duration
 // Now implements Source.
 func (f SourceFunc) Now() time.Duration { return f() }
 
-// Wall is a Source backed by the OS monotonic clock, for use by the
-// real-socket daemons.
-func Wall() Source {
-	start := time.Now()
-	return SourceFunc(func() time.Duration { return time.Since(start) })
-}
-
 // NTPModel describes the residual synchronisation error of an
 // NTP-disciplined host clock.
 type NTPModel struct {
@@ -106,11 +99,6 @@ func (c *NTPClock) Now() time.Duration {
 	return reading
 }
 
-// TrueNow returns the reference time without node-local error, for
-// measurements that the experimenter takes out-of-band (e.g. the
-// road-side video recording used for Fig. 10).
-func (c *NTPClock) TrueNow() time.Duration { return c.src.Now() }
-
 // ITSEpoch is the TAI epoch used by ETSI ITS timestamps
 // (2004-01-01T00:00:00Z). TimestampIts values count milliseconds since
 // this epoch, modulo 2^32 for the wrapped variants.
@@ -127,10 +115,4 @@ var SimEpoch = time.Date(2023, time.March, 15, 10, 0, 0, 0, time.UTC)
 func TimestampIts(virtual time.Duration) uint64 {
 	abs := SimEpoch.Add(virtual)
 	return uint64(abs.Sub(ITSEpoch) / time.Millisecond)
-}
-
-// FromTimestampIts converts an ETSI ITS timestamp back to virtual time.
-func FromTimestampIts(ts uint64) time.Duration {
-	abs := ITSEpoch.Add(time.Duration(ts) * time.Millisecond)
-	return abs.Sub(SimEpoch)
 }

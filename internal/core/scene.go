@@ -157,7 +157,7 @@ type EdgeConfig struct {
 }
 
 // Edge builds the edge node; its hazard service triggers DENMs through
-// the RSU's API node and consults the RSU's LDM.
+// the RSU's API node.
 func (s Scene) Edge(rsu *openc2x.SimNode, cfg EdgeConfig) *Edge {
 	k := s.Kernel
 	e := &Edge{

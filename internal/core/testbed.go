@@ -164,8 +164,6 @@ func (c Config) withDefaults() Config {
 		c.Hazard.ActionPointDistance = c.Layout.ActionPointDistance
 		// Retry policy survives the default fill, like the watchdog.
 		c.Hazard.TriggerRetries = prev.TriggerRetries
-		c.Hazard.TriggerRetryBase = prev.TriggerRetryBase
-		c.Hazard.TriggerRetryCap = prev.TriggerRetryCap
 	}
 	if c.DENMRepetitionInterval > 0 && c.Hazard.RepetitionInterval == 0 {
 		c.Hazard.RepetitionInterval = c.DENMRepetitionInterval

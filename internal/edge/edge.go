@@ -101,12 +101,15 @@ type HazardConfig struct {
 	// disables the response callback entirely, preserving the paper's
 	// fire-and-forget behaviour.
 	TriggerRetries int
-	// TriggerRetryBase is the first backoff delay; zero selects 40 ms.
-	TriggerRetryBase time.Duration
-	// TriggerRetryCap bounds the exponential backoff; zero selects
-	// 320 ms.
-	TriggerRetryCap time.Duration
 }
+
+// Backoff of a failed trigger_denm request: the first retry waits
+// triggerRetryBase, each further one twice as long, up to
+// triggerRetryCap.
+const (
+	triggerRetryBase = 40 * time.Millisecond
+	triggerRetryCap  = 320 * time.Millisecond
+)
 
 // repetitionWindow bounds the RSU's DENM repetition when
 // RepetitionInterval is set.
@@ -231,17 +234,9 @@ func (h *HazardAdvertisementService) sendTrigger(req openc2x.TriggerRequest, att
 		if attempt >= h.cfg.TriggerRetries {
 			return
 		}
-		base := h.cfg.TriggerRetryBase
-		if base <= 0 {
-			base = 40 * time.Millisecond
-		}
-		limit := h.cfg.TriggerRetryCap
-		if limit <= 0 {
-			limit = 320 * time.Millisecond
-		}
-		backoff := base << uint(attempt)
-		if backoff > limit {
-			backoff = limit
+		backoff := triggerRetryBase << uint(attempt)
+		if backoff > triggerRetryCap {
+			backoff = triggerRetryCap
 		}
 		h.TriggerRetriesIssued++
 		if h.OnTriggerRetry != nil {

@@ -170,6 +170,8 @@ func cpmRun(seed int64, enableCPM bool) (CPMArmOutcome, error) {
 	if err != nil {
 		return out, err
 	}
+	// The RSU's camera writes into its LDM in both arms.
+	rsu.AttachLDM()
 	obu.Start()
 	rsu.Start()
 	defer obu.Stop()

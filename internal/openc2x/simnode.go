@@ -97,10 +97,12 @@ type SimNode struct {
 	mDepthMax                                          *metrics.Gauge
 }
 
-// NewSimNode wraps a started station. The station's OnDENM hook is
+// NewSimNode wraps a station and gives it an LDM (stack.AttachLDM), as
+// every OpenC2X deployment keeps one. The station's OnDENM hook is
 // taken over to fill the node's mailbox; install application hooks via
 // the node, not the station, after this call.
 func NewSimNode(kernel *sim.Kernel, station *stack.Station, lat Latencies) *SimNode {
+	station.AttachLDM()
 	if lat.Poll == (HTTPLatency{}) {
 		lat.Poll = DefaultHTTPLatency()
 	}

@@ -7,3 +7,7 @@ func LinkFallbacks() uint64 { return linkFallbacks.Load() }
 // SINRFallbacks reports how many SINR decisions so far fell back from
 // the enclosure to the exact interference sum.
 func SINRFallbacks() uint64 { return sinrFallbacks.Load() }
+
+// RxFallbacks reports how many SINR decisions so far needed the exact
+// receive power.
+func RxFallbacks() uint64 { return rxFallbacks.Load() }

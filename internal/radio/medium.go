@@ -180,6 +180,8 @@ type Medium struct {
 	// of one (see linkDecide). Invalid (and unused) when an obstruction
 	// model makes loss position-dependent.
 	linkCache []linkThreshold
+	// bound holds rxBound's constants for this medium's path loss.
+	bound rxBound
 
 	// overlap lists the transmissions overlapping the one completing,
 	// in m.ongoing order (the interference summation order), rebuilt by
@@ -213,6 +215,7 @@ func NewMedium(kernel *sim.Kernel, cfg MediumConfig) *Medium {
 		cfg:        cfg,
 		rng:        kernel.Rand("radio.medium"),
 		shadowSeed: kernel.Rand("radio.medium.shadow").Uint64(),
+		bound:      newRxBound(cfg),
 	}
 	r := cfg.Sink.Metrics
 	m.mSent = r.Counter("radio_frames_sent_total")
@@ -378,10 +381,11 @@ func within(d2 float64, r float32) (in, ok bool) {
 	return false, false
 }
 
-// linkFallbacks counts link decisions that needed the exact radii, and
-// sinrFallbacks SINR decisions that the enclosure left to the exact
-// sum, for tests; neither is a registered metric.
-var linkFallbacks, sinrFallbacks atomic.Uint64
+// linkFallbacks counts link decisions that needed the exact radii,
+// rxFallbacks SINR decisions that rxBound left to the exact receive
+// power, and sinrFallbacks SINR decisions that the enclosure left to
+// the exact sum, for tests; none is a registered metric.
+var linkFallbacks, rxFallbacks, sinrFallbacks atomic.Uint64
 
 // link returns the cached radii for t's link to dst, deriving them on
 // first use. Only called when thresholdsUsable.
@@ -462,6 +466,141 @@ func cachedRadius2(decades float64) float32 {
 // monotone function of distance (no obstructions, positive exponent).
 func (m *Medium) thresholdsUsable() bool {
 	return m.cfg.Obstructions == nil && m.cfg.PathLoss.Exponent > 0
+}
+
+// Constants of rxBound.
+const (
+	// bitsPerDB converts dB to log2 units: 10^(x/10) = 2^(x·bitsPerDB).
+	bitsPerDB = ln10over10 / math.Ln2
+	// logitBits converts log2((1−u)/u) into the log2-mW shift of the
+	// interference at which the success probability equals u.
+	logitBits = ln10over10 / 2.2
+	// linkLog2Slop bounds |log2 x − log2 r| for a cached radius r and
+	// the real radius x it stands for, |x − r| < 2⁻²³·r (see linkBand):
+	// 2⁻²³/ln2 stays below 1.45·2⁻²³.
+	linkLog2Slop = 0x1.8p-23
+	// rxBitsSlack, in log2 mW, absorbs the rounding between a real
+	// receive power and rxPowerDBmAt's (under 1e-11 dB for the inputs
+	// rxBound accepts), math.Pow's error in dbmToMilliwatt (1e-13
+	// relative) and rxBound's own arithmetic (under 1e-12).
+	rxBitsSlack = 0x1p-30
+	// rxBoundPad is the relative margin by which rxBound's enclosure of
+	// the interference sum must clear the limit; it holds the lemma's
+	// 9.7e-11 (see enclose) and the enclosure's own float sums (1e-12).
+	rxBoundPad = 1e-9
+)
+
+// rxBound decides SINR outcomes from enclosures of the receive powers
+// built from the link cache, so that a decided reception costs no
+// math.Hypot, math.Log10, shadowing hash, math.Exp or math.Pow.
+//
+// A link's receive power follows from its cached sensitivity radius r
+// and the squared distance d2. With S the sensitivity, γ the exponent
+// and x the real radius (the power falls to S at x), the real power is
+// S + 5γ·log10(x/max(d2, 1)) dB, or, in log2 mW,
+//
+//	S·bitsPerDB + (γ/2)·(log2 x − log2 max(d2, 1)).
+//
+// floor bounds it from below with log2Floor(r/max(d2, 1)), less
+// linkLog2Slop for x and rxBitsSlack for the rounding; the power lies
+// within width above that floor. The limit L, the interference at
+// which the success probability equals u, is in log2 mW the power less
+// threshold·bitsPerDB plus logitBits·log2((1−u)/u): boundSINR encloses
+// it the same way and takes at = exp2Floor of its floor. Each
+// interferer's mW term lies between exp2Floor of its floor and that
+// times termRatio; L lies between at and at·lossRatio/(1+rxBoundPad).
+//
+// The noise floor plus the partial sum of term floors above
+// at·lossRatio proves the exact float sum S of capture at least
+// L·(1+9.7e-11), so a loss; the noise plus termRatio times the full
+// sum below at·(1−rxBoundPad) proves S at most L·(1−9.7e-11), so a
+// delivery. By the lemma stated at enclose, both equal the exact
+// decision for the draws and powers the enclosure accepts. Anything
+// else, ties within the band included, falls back to the exact receive
+// power and decideSINR.
+type rxBound struct {
+	// usable: a path-loss model within the ranges on which the rounding
+	// bounds above hold. Only a medium without obstructions consults it.
+	usable            bool
+	sensBits, halfExp float64
+	// width bounds a power's enclosure above its floor, in log2 mW.
+	width float64
+	// termRatio bounds an interferer's mW term over exp2Floor of its
+	// floor; lossRatio bounds L over at, padded by rxBoundPad.
+	termRatio, lossRatio float64
+}
+
+// newRxBound derives the bound's constants from the medium's
+// configuration (defaults applied).
+func newRxBound(cfg MediumConfig) rxBound {
+	pl := cfg.PathLoss
+	b := rxBound{
+		usable: pl.Exponent >= 0.5 && pl.Exponent <= 100 &&
+			math.Abs(pl.ReferenceLossDB) <= enclosedDBm && pl.ShadowingSigmaDB*ShadowBoundSigmas <= enclosedDBm &&
+			math.Abs(cfg.SensitivityDBm) <= enclosedDBm,
+		sensBits: cfg.SensitivityDBm * bitsPerDB,
+		halfExp:  pl.Exponent / 2,
+	}
+	b.width = b.halfExp*(log2Width+2*linkLog2Slop) + 2*rxBitsSlack
+	// math.Exp2 is within an ulp; the factor 1+1e-15 rounds it up.
+	b.termRatio = exp2Ratio * math.Exp2(b.width) * (1 + 1e-15)
+	b.lossRatio = exp2Ratio * math.Exp2(b.width+logitBits*log2Width+2*rxBitsSlack) * (1 + 1e-15) * (1 + rxBoundPad)
+	return b
+}
+
+// floor returns a lower bound, in log2 mW, on the power of t's
+// transmitter at squared distance d2 over a link whose cached radii
+// are lt; the power lies within width above it. ok is false where the
+// bound does not hold: a radius of −1 or +Inf, a tx power or a power
+// out of the enclosed range.
+func (b *rxBound) floor(t *transmission, lt linkThreshold, d2 float64) (bits float64, ok bool) {
+	r := float64(lt.sens2)
+	if d2 < 1 {
+		d2 = 1 // LossDB's 1 m clamp
+	}
+	q := r / d2
+	if !(r >= 1 && r <= math.MaxFloat32 && q >= 0x1p-1022 && math.Abs(t.powerDBm) <= enclosedDBm) {
+		return 0, false
+	}
+	bits = b.sensBits + b.halfExp*(log2Floor(q)-linkLog2Slop) - rxBitsSlack
+	return bits, bits >= -enclosedDBm*bitsPerDB && bits+b.width <= enclosedDBm*bitsPerDB
+}
+
+// boundSINR decides the SINR outcome of t at dst, at squared distance
+// d2 from its source, for the receiver's draw u from rxBound's
+// enclosures; ok is false when they cannot decide.
+func (m *Medium) boundSINR(u float64, t *transmission, dst *Interface, dstPos geo.Point, d2 float64) (lost, ok bool) {
+	b := &m.bound
+	thr := t.src.cfg.MCS.SNRThresholdDB
+	if !b.usable || !(u >= enclosedMinU && u <= enclosedMaxU) || len(m.overlap) > enclosedTerms ||
+		!(math.Abs(thr) <= enclosedDBm) || !(math.Abs(m.noiseDBm) <= enclosedDBm) {
+		return false, false
+	}
+	rx, ok := b.floor(t, m.link(t, dst), d2)
+	if !ok {
+		return false, false
+	}
+	at := exp2Floor(rx - thr*bitsPerDB + logitBits*log2Floor((1-u)/u) - rxBitsSlack)
+	lossAt := at * b.lossRatio
+	sum, terms := m.noiseMW, 0.0
+	if sum > lossAt {
+		return true, true // capture.start's noise-floor loss
+	}
+	for _, o := range m.overlap {
+		if o.t.src == dst {
+			continue
+		}
+		p, ok := b.floor(o.t, m.link(o.t, dst), sqDist(o.pos, dstPos))
+		if !ok {
+			return false, false
+		}
+		mw := exp2Floor(p)
+		if sum += mw; sum > lossAt {
+			return true, true
+		}
+		terms += mw
+	}
+	return false, m.noiseMW+terms*b.termRatio < at*(1-rxBoundPad)
 }
 
 // GridActive reports whether the spatial culling index is in use.
@@ -673,14 +812,14 @@ func (m *Medium) completeCulled(t *transmission, srcPos geo.Point, now time.Dura
 // evaluate decides one receiver's outcome for the completed frame:
 // channel-busy accounting, sensitivity, SINR capture, delivery.
 //
-// The SINR stage draws the receiver's one uniform u first (see
-// decideSINR), and a frame the noise floor alone already loses costs
-// no interferer term. Otherwise a receiver with interferers is decided
-// from an enclosure of the interference sum, each term's mW from
-// math.Exp: the sum stops as soon as its lower edge proves a loss, and
-// a full sum whose upper edge stays below the delivery limit proves a
-// delivery. Only a straddle runs the exact capture steps, summing term
-// by term in m.overlap order. So every outcome and the random stream
+// The SINR stage draws the receiver's one uniform u first. Without
+// obstructions it is decided from rxBound's enclosures of the receive
+// powers, which cost no exact power at all; the few receptions they
+// leave open, and every reception under an obstruction model, get the
+// exact receive power and decideSINR: the noise-floor test, then an
+// enclosure of the interference sum with each term's mW from math.Exp,
+// and only for a straddle the exact capture steps, summing term by
+// term in m.overlap order. So every outcome and the random stream
 // equal those of comparing u against the exact probability for every
 // receiver.
 func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now time.Duration) {
@@ -693,10 +832,12 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 		m.dropSensitivity(t, dst, now)
 		return
 	}
+	var lost bool
 	if m.thresholdsUsable() {
 		// Decide carrier sense and sensitivity by comparing the squared
-		// distance against the link's cached crossing radii — the
-		// log-distance math runs only for frames that actually decode.
+		// distance against the link's cached crossing radii, and the SINR
+		// stage from bounds on the powers (rxBound): the log-distance
+		// math runs only for the receptions those bounds leave open.
 		sensed, decodable := m.linkDecide(t, dst, d2)
 		if sensed {
 			// The frame was sensed at this receiver: it occupied the
@@ -707,6 +848,12 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 			m.dropSensitivity(t, dst, now)
 			return
 		}
+		u := m.rng.Float64()
+		var ok bool
+		if lost, ok = m.boundSINR(u, t, dst, dstPos, d2); !ok {
+			rxFallbacks.Add(1)
+			lost = m.exactSINR(u, t, dst, dstPos, m.rxPowerDBmAt(t, srcPos, dst, dstPos))
+		}
 	} else {
 		rx := m.rxPowerDBmAt(t, srcPos, dst, dstPos)
 		if rx >= m.cfg.CarrierSenseDBm {
@@ -716,20 +863,7 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 			m.dropSensitivity(t, dst, now)
 			return
 		}
-	}
-	rx := m.rxPowerDBmAt(t, srcPos, dst, dstPos)
-	// Interference: power of other transmissions overlapping in time
-	// at this receiver, on top of the (possibly raised) noise floor.
-	lost, straddled := decideSINR(m.rng.Float64(), rx, t.src.cfg.MCS.SNRThresholdDB, m.noiseMW, m.noiseDBm,
-		len(m.overlap), func(i int) (float64, bool) {
-			o := m.overlap[i]
-			if o.t.src == dst {
-				return 0, false
-			}
-			return m.rxPowerDBmAt(o.t, o.pos, dst, dstPos), true
-		})
-	if straddled {
-		sinrFallbacks.Add(1)
+		lost = m.exactSINR(m.rng.Float64(), t, dst, dstPos, rx)
 	}
 	if lost {
 		m.FramesLost++
@@ -753,6 +887,25 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 		// the receiving stack's spans join the sender's trace tree.
 		dst.p.Scope(t.span, func() { dst.receive(&t.rx) })
 	}
+}
+
+// exactSINR decides the SINR outcome of t at dst for the receiver's
+// draw u from the exact receive power rx: every interferer's exact
+// power, on top of the (possibly raised) noise floor, through
+// decideSINR.
+func (m *Medium) exactSINR(u float64, t *transmission, dst *Interface, dstPos geo.Point, rx float64) (lost bool) {
+	lost, straddled := decideSINR(u, rx, t.src.cfg.MCS.SNRThresholdDB, m.noiseMW, m.noiseDBm,
+		len(m.overlap), func(i int) (float64, bool) {
+			o := m.overlap[i]
+			if o.t.src == dst {
+				return 0, false
+			}
+			return m.rxPowerDBmAt(o.t, o.pos, dst, dstPos), true
+		})
+	if straddled {
+		sinrFallbacks.Add(1)
+	}
+	return lost
 }
 
 // dropSensitivity accounts one below-sensitivity reception.

@@ -216,16 +216,24 @@ func decideSINR(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64, n int, term fu
 //     relative of its real value.
 //
 // So a partial A above L·(1+pad) proves S ≥ L·(1+ρ) and a full A below
-// L·(1−pad) proves S ≤ L·(1−ρ), with ρ > 9.7e-11. The logit of the
-// real p falls by 2.2·10/ln10 ≈ 9.55 per unit of ln S, so those move it
-// by more than 9.2e-10 below or above logit(u). The computed p is
-// within (1−p)·1e-11 + 3.3e-16 relative of the real one: an error of at
-// most 3e-12 dB in rx − 10·log10 S − threshold scales exp's result by
-// e^(2.2·3e-12), and the final 1+E and division round twice. That
+// L·(1−pad) proves S ≤ L·(1−ρ), with ρ > 9.7e-11.
+//
+// Lemma (rxBound relies on it too): for a draw within [enclosedMinU,
+// enclosedMaxU], at most enclosedTerms interferers, and rx, threshold,
+// noise floor and every interferer within ±enclosedDBm, let L be the
+// real interference at which the real success probability of rx equals
+// u. Then S ≥ L·(1+ρ) means the exact comparison loses the frame, and
+// S ≤ L·(1−ρ) means it delivers, for ρ ≥ 9.7e-11. Proof: the logit of
+// the real p falls by 2.2·10/ln10 ≈ 9.55 per unit of ln S, so those
+// move it by more than 9.2e-10 below or above logit(u). The computed p
+// is within (1−p)·1e-11 + 3.3e-16 relative of the real one: an error of
+// at most 3e-12 dB in rx − 10·log10 S − threshold scales exp's result
+// by e^(2.2·3e-12), and the final 1+E and division round twice. That
 // error is smaller than the logit shift whenever 1−p exceeds 4e-7,
-// which enclosedMaxU ensures on the side where p is near u. Hence a
-// loss above the upper edge and a delivery below the lower edge both
-// equal the exact comparison; everything between is a straddle.
+// which enclosedMaxU ensures on the side where p is near u.
+//
+// Hence a loss above the upper edge and a delivery below the lower edge
+// both equal the exact comparison; everything between is a straddle.
 func enclose(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64, n int, term func(i int) (dbm float64, ok bool)) (lost, ok bool) {
 	if n > enclosedTerms || !(u >= enclosedMinU && u <= enclosedMaxU) || !(math.Abs(rxDBm) <= enclosedDBm) ||
 		!(math.Abs(thresholdDB) <= enclosedDBm) || !(math.Abs(noiseDBm) <= enclosedDBm) {
@@ -255,6 +263,71 @@ func enclose(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64, n int, term func(
 // math.Exp in place of capture.bound's math.Pow.
 func interferenceAt(u, rxDBm, thresholdDB float64) float64 {
 	return math.Exp((rxDBm - thresholdDB + math.Log((1-u)/u)/2.2) * ln10over10)
+}
+
+// Bounded log2 and exp2. Over each octave the two functions are cut
+// into boundSegments chords between knots taken from math.Log2 and
+// math.Exp2 (each within 1e-15 of its real value). log2 is concave, so
+// its chord lies below it, by at most h²/(8·m²·ln2) ≤ log2Gap on a chord
+// of width h = 1/boundSegments at mantissa m ≥ 1; 2^x is convex, so its
+// chord lies above it, by at most h²·ln²2·2^(x+h)/8, a share of at most
+// exp2Gap of 2^x. The medium turns both into bounds that decide SINR
+// outcomes without math.Log10, math.Exp or math.Pow (see rxBound).
+const (
+	boundSegments = 256
+	log2Gap       = 1 / (8 * boundSegments * boundSegments * math.Ln2)
+	exp2Gap       = math.Ln2 * math.Ln2 * 1.003 / (8 * boundSegments * boundSegments) // 2^(1/256) < 1.003
+	// log2Slack absorbs log2Floor's rounding: the knots and the chord
+	// (under 4e-15) and the exponent added last (under 2⁻⁵³·1024).
+	log2Slack = 1e-12
+	// log2Width bounds the width of log2Floor's enclosure.
+	log2Width = log2Gap + 2*log2Slack
+	// exp2Slack absorbs exp2Floor's relative rounding: the knots and the
+	// chord (under 2e-15), the fraction x − ⌊x⌋ (exact but for x in
+	// (−1, 0), where it is within 2⁻⁵³) and the scaling (2⁻⁵³).
+	exp2Slack = 1e-14
+	// exp2Shrink scales a chord down to a lower bound of 2^x, and
+	// exp2Ratio bounds 2^x over exp2Floor's result.
+	exp2Shrink = 1 - exp2Gap - exp2Slack
+	exp2Ratio  = (1 + exp2Slack) / exp2Shrink
+)
+
+// log2Knots[j] is log2(1 + j/boundSegments); exp2Knots[j] is
+// 2^(j/boundSegments), with a repeated last knot that exp2Floor reads
+// when x − ⌊x⌋ rounds up to 1.
+var log2Knots [boundSegments + 1]float64
+var exp2Knots [boundSegments + 2]float64
+
+func init() {
+	for j := 0; j <= boundSegments; j++ {
+		log2Knots[j] = math.Log2(1 + float64(j)/boundSegments)
+		exp2Knots[j] = math.Exp2(float64(j) / boundSegments)
+	}
+	exp2Knots[boundSegments+1] = exp2Knots[boundSegments]
+}
+
+// log2Floor returns l with l ≤ log2(y) ≤ l + log2Width, for a positive
+// normal y: the exponent bits of y plus the chord under log2 of its
+// mantissa, read from the top 8 mantissa bits and the 44 below them.
+func log2Floor(y float64) float64 {
+	b := math.Float64bits(y)
+	frac := b & (1<<52 - 1)
+	j := frac >> 44
+	g := float64(frac&(1<<44-1)) * 0x1p-44
+	l0 := log2Knots[j]
+	return float64(int(b>>52)-1023) + (l0 + g*(log2Knots[j+1]-l0) - log2Slack)
+}
+
+// exp2Floor returns e with e ≤ 2^x ≤ e·exp2Ratio, for |x| ≤ 1000: the
+// chord over 2^(x − ⌊x⌋), scaled down by exp2Shrink, times 2^⌊x⌋ built
+// from its exponent bits.
+func exp2Floor(x float64) float64 {
+	k := math.Floor(x)
+	s := (x - k) * boundSegments
+	j := int(s)
+	g := s - float64(j)
+	e0 := exp2Knots[j]
+	return (e0 + g*(exp2Knots[j+1]-e0)) * exp2Shrink * math.Float64frombits(uint64(int64(k)+1023)<<52)
 }
 
 // capture is the exact SINR decision that decideSINR falls back to.

@@ -98,6 +98,7 @@ func TestSharedDecodeIsReadOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				st.AttachLDM()
 				return st
 			}
 			sender := station(0, RoleRSU)

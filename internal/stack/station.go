@@ -1,9 +1,9 @@
 // Package stack assembles a complete ETSI ITS station for the testbed:
 // a link on the chosen radio backend (802.11p, C-V2X sidelink or the
 // cellular Uu path), a GeoNetworking router,
-// BTP dispatch, the CA, DEN and (optionally) CP basic services, and a
-// Local Dynamic Map — the same layering OpenC2X deploys on the
-// PCEngines APU2 OBU/RSU boards of the paper.
+// BTP dispatch, the CA, DEN and (optionally) CP basic services, and,
+// where something reads one, a Local Dynamic Map — the same layering
+// OpenC2X deploys on the PCEngines APU2 OBU/RSU boards of the paper.
 //
 // The station also models the software processing latency of the
 // OpenC2X stack: each message spends a sampled per-direction delay
@@ -139,7 +139,8 @@ type Config struct {
 	// cp.DefaultGenInterval the station shares its fresh locally sensed
 	// LDM objects in a CPM, and it fuses objects from received CPMs
 	// into its LDM. CPMs ride the same traffic class as CAMs and, when
-	// DCC is enabled, the same transmit gate.
+	// DCC is enabled, the same transmit gate. The service reads the
+	// LDM, so New attaches one (see AttachLDM).
 	EnableCPM bool
 	// Sink is the instrumentation every layer of the station (router,
 	// facilities, receivers, LDM, DCC) reports into under the station's
@@ -167,7 +168,9 @@ type Station struct {
 	CA     *ca.Service
 	DEN    *den.Service
 	CP     *cp.Service
-	LDM    *ldm.Map
+	// LDM is the station's Local Dynamic Map, nil until AttachLDM: a
+	// station that nothing queries keeps none.
+	LDM *ldm.Map
 
 	caRx  ca.Receiver
 	denRx den.Receiver
@@ -185,20 +188,22 @@ type Station struct {
 	// network watchdog.
 	lastRx time.Duration
 
-	// OnCAM, if set, receives every new CAM after LDM ingestion.
+	// OnCAM, if set, receives every new CAM, after the LDM (when the
+	// station has one) ingested it.
 	OnCAM func(*messages.CAM)
-	// OnCPM, if set, receives every accepted CPM after its objects were
-	// fused into the LDM.
+	// OnCPM, if set, receives every accepted CPM, after its objects were
+	// fused into the LDM (when the station has one).
 	OnCPM func(*messages.CPM)
-	// OnDENM, if set, receives every new or updated DENM after LDM
-	// ingestion. It runs after the modeled receive processing latency.
+	// OnDENM, if set, receives every new or updated DENM, after the LDM
+	// (when the station has one) ingested it. It runs after the modeled
+	// receive processing latency.
 	OnDENM func(*messages.DENM)
 
 	// DeliveredDENMs counts DENMs handed to the application.
 	DeliveredDENMs uint64
-	// DeliveredCAMs counts CAMs handed to the application/LDM.
+	// DeliveredCAMs counts CAMs handed to the application.
 	DeliveredCAMs uint64
-	// DeliveredCPMs counts CPMs handed to the application/LDM.
+	// DeliveredCPMs counts CPMs handed to the application.
 	DeliveredCPMs uint64
 
 	p trace.Probe
@@ -268,10 +273,10 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 	s.Router = router
 	link.SetReceiver(s.OnFrame)
 
-	s.LDM = ldm.New(ldm.Config{Frame: cfg.Frame, Now: kernel.Now, Flight: p.Hook})
-
 	s.caRx = ca.Receiver{Probe: p, Now: kernel.Now, Sink: func(c *messages.CAM) {
-		s.LDM.IngestCAM(c)
+		if s.LDM != nil {
+			s.LDM.IngestCAM(c)
+		}
 		s.DeliveredCAMs++
 		s.lastRx = kernel.Now()
 		s.mDelCAM.Inc()
@@ -280,7 +285,9 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		}
 	}}
 	s.denRx = den.Receiver{Probe: p, Now: kernel.Now, Sink: func(d *messages.DENM) {
-		s.LDM.IngestDENM(d)
+		if s.LDM != nil {
+			s.LDM.IngestDENM(d)
+		}
 		s.DeliveredDENMs++
 		s.lastRx = kernel.Now()
 		s.mDelDENM.Inc()
@@ -291,7 +298,6 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 	s.cpRx = cp.Receiver{
 		OwnID: cfg.StationID,
 		Frame: cfg.Frame,
-		LDM:   s.LDM,
 		Probe: p,
 		Now:   kernel.Now,
 		OnCPM: func(c *messages.CPM) {
@@ -335,6 +341,7 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 	s.DEN = denSvc
 
 	if cfg.EnableCPM {
+		s.AttachLDM()
 		cpCfg := cp.Config{
 			StationID:   cfg.StationID,
 			StationType: cfg.StationType,
@@ -355,6 +362,19 @@ func New(kernel *sim.Kernel, backend radio.Backend, cfg Config) (*Station, error
 		s.CP = cpSvc
 	}
 	return s, nil
+}
+
+// AttachLDM gives the station its Local Dynamic Map, once: from then
+// on every delivered CAM and DENM, and every object of a received CPM,
+// is ingested before the application hooks run. Call it before Start
+// on a station whose LDM something reads (the CP service, an OpenC2X
+// node, a perception feed); a station without one still counts, stamps
+// and hands every message to its hooks.
+func (s *Station) AttachLDM() {
+	if s.LDM == nil {
+		s.LDM = ldm.New(ldm.Config{Frame: s.cfg.Frame, Now: s.kernel.Now, Flight: s.p.Hook})
+		s.cpRx.LDM = s.LDM
+	}
 }
 
 // egoAdapter derives the GN long position vector from the station's
@@ -522,15 +542,17 @@ func (s *Station) Crash() {
 }
 
 // Restart brings a crashed station back with empty volatile state: the
-// LDM and the receivers' duplicate-detection state are lost, exactly
-// as a rebooted OpenC2X process would come up blank. Cyclic services
-// resume. No-op unless crashed.
+// LDM (if any) and the receivers' duplicate-detection state are lost,
+// exactly as a rebooted OpenC2X process would come up blank. Cyclic
+// services resume. No-op unless crashed.
 func (s *Station) Restart() {
 	if !s.crashed {
 		return
 	}
 	s.crashed = false
-	s.LDM.Clear()
+	if s.LDM != nil {
+		s.LDM.Clear()
+	}
 	s.denRx.Reset()
 	s.Start()
 }

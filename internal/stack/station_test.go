@@ -34,7 +34,18 @@ func hasCAMObject(m *ldm.Map, id units.StationID) bool {
 	return false
 }
 
+// newTwoStations builds an RSU and an OBU that both keep an LDM.
 func newTwoStations(t *testing.T) *twoStations {
+	t.Helper()
+	ts := newBareStations(t)
+	ts.rsu.AttachLDM()
+	ts.obu.AttachLDM()
+	return ts
+}
+
+// newBareStations builds an RSU and an OBU 6 m apart on one medium,
+// neither holding an LDM.
+func newBareStations(t *testing.T) *twoStations {
 	t.Helper()
 	k := sim.NewKernel(3)
 	frame, err := geo.NewFrame(geo.CISTERLab)
@@ -135,6 +146,47 @@ func TestDENMDeliveredToApplication(t *testing.T) {
 	// LDM ingested the event.
 	if _, events := ts.obu.LDM.Counts(); events != 1 {
 		t.Fatal("event missing from OBU LDM")
+	}
+}
+
+// TestBareStationDeliversWithoutLDM runs a CAM exchange and a DENM
+// between two stations that never attached an LDM: both still count
+// and stamp every delivery and fire their hooks, and a crash and
+// restart leave nothing to clear.
+func TestBareStationDeliversWithoutLDM(t *testing.T) {
+	ts := newBareStations(t)
+	if ts.rsu.LDM != nil || ts.obu.LDM != nil {
+		t.Fatal("a bare station holds an LDM")
+	}
+	var cams, denms int
+	ts.rsu.OnCAM = func(*messages.CAM) { cams++ }
+	ts.obu.OnDENM = func(*messages.DENM) { denms++ }
+	ts.rsu.Start()
+	ts.obu.Start()
+	defer ts.rsu.Stop()
+	defer ts.obu.Stop()
+	ts.kernel.Schedule(time.Second, func() {
+		if _, err := ts.rsu.DEN.Trigger(den.EventRequest{
+			EventType: messages.EventType{CauseCode: messages.CauseCollisionRisk},
+			Position:  ts.frame.ToGeodetic(geo.Point{X: 0, Y: 3}),
+		}); err != nil {
+			t.Error(err)
+		}
+	})
+	ts.kernel.Run(3 * time.Second)
+	if cams == 0 || uint64(cams) != ts.rsu.DeliveredCAMs {
+		t.Fatalf("OnCAM fired %d times for %d delivered CAMs", cams, ts.rsu.DeliveredCAMs)
+	}
+	if denms != 1 || ts.obu.DeliveredDENMs != 1 {
+		t.Fatalf("OnDENM fired %d times for %d delivered DENMs, want 1", denms, ts.obu.DeliveredDENMs)
+	}
+	if ts.obu.LastRx() == 0 || ts.rsu.LastRx() == 0 {
+		t.Fatal("a delivery left no heartbeat stamp")
+	}
+	ts.obu.Crash()
+	ts.obu.Restart()
+	if ts.obu.Crashed() || ts.obu.LDM != nil {
+		t.Fatal("restart left the bare station down or gave it an LDM")
 	}
 }
 
