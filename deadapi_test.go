@@ -30,10 +30,6 @@ var deadAPIAllowlist = map[string]string{
 // none join it: a new function without a caller fails the test.
 var deadAPIDebt = map[string]string{
 	"(*vehicle.Vehicle).Reset": "TestResetRestoresStartState",
-	"(*world.Map).LineOfSight": "TestLineOfSightOpenWorld, TestLineOfSightBlocked",
-	"(*world.Map).Walls":       "TestWallsCopySemantics",
-	"world.BlindCornerLab":     "TestBlindCornerLabGeometry",
-	"(stats.EDF).At":           "TestEDFAtAllTiedValues, TestEDFEdgeCases, TestEDFMatchesPaperFig11Reading",
 }
 
 // deadAPIStdlibInterfaces are the standard-library interfaces through

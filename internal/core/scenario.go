@@ -115,29 +115,7 @@ func (tb *Testbed) RunScenario(horizon time.Duration) (*Result, error) {
 		speedAtStop = tb.Vehicle.Body.State().Speed
 	})
 
-	// The predicate runs after every event, but the vehicle moves only
-	// on physics ticks: a position already found short of the end
-	// needs no second look.
-	var checked geo.Point
-	first := true
-	halted := tb.Kernel.RunUntil(horizon, func() bool {
-		if tb.Vehicle.Halted() {
-			return true
-		}
-		pos := tb.Vehicle.Body.State().Position
-		if !first && pos == checked {
-			return false
-		}
-		first, checked = false, pos
-		// Baseline runs may never stop: end when the vehicle passes
-		// the camera (collision) or runs off the line.
-		if tb.Layout.Camera.Position.DistanceLess(pos, 0.10) {
-			return true
-		}
-		s, _ := tb.Layout.Line.Project(pos)
-		return s >= tb.Layout.Line.Length()-1e-6
-	})
-	if halted {
+	if tb.Kernel.RunUntil(horizon, tb.approachOver) {
 		// Keep the recording (and the simulated world) running briefly
 		// so the video captures the stop frame, as the experimenters'
 		// post-hoc frame inspection requires.
@@ -187,19 +165,38 @@ func (tb *Testbed) start() {
 	}
 	tb.Camera.Start()
 	tb.Vehicle.Start()
-	// Step 1 observer: ground-truth action-point crossing, sampled at
-	// millisecond resolution like the experimenters' frame inspection.
-	tb.watchTicker = tb.Kernel.Every(0, time.Millisecond, func() {
-		if tb.Run.Stamped(trace.StepActionPoint) {
-			tb.watchTicker.Stop()
-			return
-		}
-		pos := tb.Vehicle.Body.State().Position
-		if tb.Layout.Camera.Position.DistanceAtMost(pos, tb.Layout.ActionPointDistance) {
-			tb.Run.Stamp(trace.StepActionPoint, tb.Kernel.Now())
-		}
-	})
+	// The observers run after each physics step, the only events that
+	// move the vehicle. Steps fall on whole milliseconds, so the step-1
+	// stamp lands on the instant a millisecond sampler would see the
+	// crossing, like the experimenters' frame inspection.
+	tb.ended = tb.approachEnded(tb.Vehicle.Body.State().Position)
+	tb.Vehicle.OnStep = tb.observeStep
 }
+
+// observeStep stamps step 1 the first time the vehicle is within the
+// action-point distance of the camera, and notes when the approach
+// has ended.
+func (tb *Testbed) observeStep() {
+	pos := tb.Vehicle.Body.State().Position
+	if !tb.Run.Stamped(trace.StepActionPoint) &&
+		tb.Layout.Camera.Position.DistanceAtMost(pos, tb.Layout.ActionPointDistance) {
+		tb.Run.Stamp(trace.StepActionPoint, tb.Kernel.Now())
+	}
+	if !tb.ended {
+		tb.ended = tb.approachEnded(pos)
+	}
+}
+
+// approachEnded reports whether a vehicle at pos has passed the camera
+// (a collision) or run off the line: baseline runs may never stop.
+func (tb *Testbed) approachEnded(pos geo.Point) bool {
+	return tb.Layout.Camera.Position.DistanceLess(pos, 0.10) ||
+		tb.Layout.Line.AtEnd(pos, 1e-6)
+}
+
+// approachOver is RunScenario's stop predicate: the vehicle halted or
+// the approach ended.
+func (tb *Testbed) approachOver() bool { return tb.Vehicle.Halted() || tb.ended }
 
 // stop halts every component.
 func (tb *Testbed) stop() {
@@ -210,10 +207,7 @@ func (tb *Testbed) stop() {
 	for _, bg := range tb.background {
 		bg.Stop()
 	}
-	if tb.watchTicker != nil {
-		tb.watchTicker.Stop()
-		tb.watchTicker = nil
-	}
+	tb.Vehicle.OnStep = nil
 }
 
 // analyzeVideo extracts the Fig. 10 reading from the frame log.

@@ -228,7 +228,9 @@ type Testbed struct {
 
 	detectionPos geo.Point
 	haltPos      geo.Point
-	watchTicker  *sim.Ticker
+	// ended is set by observeStep once the approach is over without a
+	// halt.
+	ended bool
 
 	// chainRoot is the denm.chain root span of the current scenario,
 	// opened at the hazard decision and closed at the actuator command.

@@ -26,37 +26,16 @@ func exactSINRLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64)
 	return u > exactP(rxDBm, thresholdDB, noiseDBm, interfDBm)
 }
 
-// Stages of decideSINR, for coverage accounting.
-const (
-	stageNoise             = iota // capture.start lost the frame to the noise floor alone
-	stageNoInterferers            // no interferer: the exact compare with the noise floor
-	stageEnclosedLost             // the enclosure's lower edge proved a loss
-	stageEnclosedDelivered        // the enclosure's upper edge proved a delivery
-	stageStraddle                 // the exact capture steps decided
-	stages
-)
-
-// boundedSINRLost runs decideSINR the way evaluate does, with the
-// interferers in order, and names the stage that decided.
-func boundedSINRLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) (lost bool, stage int) {
+// decidedSINRLost runs decideSINR the way evaluate does, with the
+// interferers in order.
+func decidedSINRLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) bool {
 	noiseMW := dbmToMilliwatt(noiseDBm)
-	lost, straddled := decideSINR(u, rxDBm, thresholdDB, noiseMW, milliwattToDBm(noiseMW), len(interfDBm),
+	lost, _ := decideSINR(u, rxDBm, thresholdDB, noiseMW, milliwattToDBm(noiseMW), len(interfDBm),
 		func(i int) (float64, bool) { return interfDBm[i], true })
-	var c capture
-	switch {
-	case c.start(u, rxDBm, thresholdDB, noiseMW, milliwattToDBm(noiseMW)):
-		return lost, stageNoise
-	case len(interfDBm) == 0:
-		return lost, stageNoInterferers
-	case straddled:
-		return lost, stageStraddle
-	case lost:
-		return lost, stageEnclosedLost
-	}
-	return lost, stageEnclosedDelivered
+	return lost
 }
 
-// Stages of the capture steps alone, which a straddle runs.
+// Stages of the capture steps, for coverage accounting.
 const (
 	captureNoise = iota // lost against the noise floor alone
 	captureEarly        // a partial interference sum proved the loss
@@ -64,8 +43,9 @@ const (
 	captureStages
 )
 
-// captureLost runs the exact capture steps on every receiver: the
-// noise-only bound, then the early-exit sum, then the exact compare.
+// captureLost runs the capture steps decideSINR runs and names the
+// stage that decided: the noise-only bound, then the early-exit sum,
+// then the exact compare.
 func captureLost(u, rxDBm, thresholdDB, noiseDBm float64, interfDBm []float64) (lost bool, stage int) {
 	noiseMW := dbmToMilliwatt(noiseDBm)
 	var c capture
@@ -89,22 +69,21 @@ type sinrCase struct {
 	interfDBm                       []float64
 }
 
-// checkSINRCase compares decideSINR and the capture steps alone with
-// the exact decision, and returns the stage of each that decided.
-func checkSINRCase(t *testing.T, c sinrCase) (stage, captureStage int) {
+// checkSINRCase compares decideSINR and the capture steps with the
+// exact decision, and returns the capture stage that decided.
+func checkSINRCase(t *testing.T, c sinrCase) (captureStage int) {
 	t.Helper()
 	want := exactSINRLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)
-	got, stage := boundedSINRLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)
-	if got != want {
-		t.Fatalf("%+v: decideSINR lost=%v (stage %d), exact lost=%v (p=%v)",
-			c, got, stage, want, exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm))
+	if got := decidedSINRLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm); got != want {
+		t.Fatalf("%+v: decideSINR lost=%v, exact lost=%v (p=%v)",
+			c, got, want, exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm))
 	}
-	got, captureStage = captureLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)
+	got, captureStage := captureLost(c.u, c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)
 	if got != want {
 		t.Fatalf("%+v: capture lost=%v (stage %d), exact lost=%v (p=%v)",
 			c, got, captureStage, want, exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm))
 	}
-	return stage, captureStage
+	return captureStage
 }
 
 // plantedUs returns draws at and around p, so the exact fallback
@@ -121,21 +100,16 @@ func plantedUs(p float64) []float64 {
 }
 
 // TestSINRDecisionMatchesExact drives decideSINR, the capture steps
-// alone and the per-term reference over random receivers: rx power,
-// noise floor with and without an injected burst, zero to eight
-// interferers, and u both drawn uniformly and planted within 1e-12 of
-// the exact p. Receivers whose p sits near 0 or 1 are drawn on purpose.
-// Every stage of both must run, and every outcome must match.
+// and the per-term reference over random receivers: rx power, noise
+// floor with and without an injected burst, zero to eight interferers,
+// and u both drawn uniformly and planted within 1e-12 of the exact p.
+// Receivers whose p sits near 0 or 1 are drawn on purpose. Every
+// capture stage must run, and every outcome must match.
 func TestSINRDecisionMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	thresholds := []float64{MCS3Mbps.SNRThresholdDB, MCS6Mbps.SNRThresholdDB, MCS27Mbps.SNRThresholdDB}
-	var hits [stages]int
 	var captureHits [captureStages]int
-	check := func(c sinrCase) {
-		stage, captureStage := checkSINRCase(t, c)
-		hits[stage]++
-		captureHits[captureStage]++
-	}
+	check := func(c sinrCase) { captureHits[checkSINRCase(t, c)]++ }
 	for i := 0; i < 200000; i++ {
 		c := sinrCase{
 			thresholdDB: thresholds[rng.Intn(len(thresholds))],
@@ -164,11 +138,6 @@ func TestSINRDecisionMatchesExact(t *testing.T) {
 		for _, u := range plantedUs(exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm)) {
 			c.u = u
 			check(c)
-		}
-	}
-	for stage, n := range hits {
-		if n == 0 {
-			t.Errorf("decideSINR stage %d never decided a case: %v", stage, hits)
 		}
 	}
 	for stage, n := range captureHits {
@@ -231,34 +200,40 @@ func fuzzInterferers(powers []byte) []float64 {
 	return dbm
 }
 
-// enclosureEdges returns the draws at which the enclosure's edges meet
-// its sum A over all interferers: it proves a loss for u above lossU
-// and a delivery for u below deliverU (within its own rounding).
-func enclosureEdges(c sinrCase) (lossU, deliverU float64) {
+// sinrEnclosure is the relative half-width of the interference band
+// whose edges FuzzSINREnclosureMatchesExact plants draws at: ten times
+// narrower than captureMargin, so only the exact compare on the full
+// sum may decide draws there.
+const sinrEnclosure = 1e-10
+
+// sinrEdges returns the success probabilities at the edges of the
+// enclosure S/(1±sinrEnclosure) of the exact interference sum S: hi
+// above the exact p, lo below it.
+func sinrEdges(c sinrCase) (hi, lo float64) {
 	a := dbmToMilliwatt(c.noiseDBm)
 	for _, dbm := range c.interfDBm {
-		a += math.Exp(dbm * ln10over10)
+		a += dbmToMilliwatt(dbm)
 	}
 	p := func(s float64) float64 { return successProbability(c.rxDBm-milliwattToDBm(s), c.thresholdDB) }
-	return p(a / (1 + enclosurePad)), p(a / (1 - enclosurePad))
+	return p(a / (1 + sinrEnclosure)), p(a / (1 - sinrEnclosure))
 }
 
 // sinrAnchors are the draws FuzzSINREnclosureMatchesExact plants u
 // around: the exact p and the enclosure's two edges.
 var sinrAnchors = []func(c sinrCase) float64{
 	func(c sinrCase) float64 { return exactP(c.rxDBm, c.thresholdDB, c.noiseDBm, c.interfDBm) },
-	func(c sinrCase) float64 { lossU, _ := enclosureEdges(c); return lossU },
-	func(c sinrCase) float64 { _, deliverU := enclosureEdges(c); return deliverU },
+	func(c sinrCase) float64 { hi, _ := sinrEdges(c); return hi },
+	func(c sinrCase) float64 { _, lo := sinrEdges(c); return lo },
 }
 
 // FuzzSINREnclosureMatchesExact lets the fuzzer choose the receiver (rx
 // power, noise burst, up to 16 interferers) and u: raw (anchor 0, u =
-// rel) or planted at an anchor (the exact p, the enclosure's loss edge
-// or its delivery edge) scaled by 1+rel·1e-8 with rel folded into
-// (−1, 1), then moved by ulps steps of one ulp. decideSINR and the
-// capture steps must both equal the exact decision.
+// rel) or planted at an anchor (the exact p, or p at either edge of a
+// 1e-10 enclosure of the interference sum) scaled by 1+rel·1e-8 with
+// rel folded into (−1, 1), then moved by ulps steps of one ulp.
+// decideSINR and the capture steps must both equal the exact decision.
 func FuzzSINREnclosureMatchesExact(f *testing.F) {
-	pad := enclosurePad / 1e-8 // rel for a relative offset of one pad
+	pad := sinrEnclosure / 1e-8 // rel for a relative offset of one enclosure half-width
 	interferers := [][]byte{
 		{},
 		{0x6e, 0x00},

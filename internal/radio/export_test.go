@@ -4,8 +4,8 @@ package radio
 // exact radii.
 func LinkFallbacks() uint64 { return linkFallbacks.Load() }
 
-// SINRFallbacks reports how many SINR decisions so far fell back from
-// the enclosure to the exact interference sum.
+// SINRFallbacks reports how many exact SINR decisions so far summed the
+// exact interferer powers.
 func SINRFallbacks() uint64 { return sinrFallbacks.Load() }
 
 // RxFallbacks reports how many SINR decisions so far needed the exact

@@ -78,10 +78,9 @@ func TestCityRxFallbacks(t *testing.T) {
 }
 
 // TestCitySINRFallbacks counts the SINR decisions of the same city
-// second that, having fallen back to the exact receive power, the
-// enclosure left to the exact interference sum as well: draws within
-// its 1e-10 pad of the limit, or above enclosedMaxU, so they must stay
-// a tiny share of the receptions too.
+// second that, having fallen back to the exact receive power, summed
+// the exact interferer powers as well, so they must stay a tiny share
+// of the receptions too.
 func TestCitySINRFallbacks(t *testing.T) {
 	fallbacks, evaluated := cityFallbacks(t, func() uint64 { return citySecond.sinrFallbacks })
 	t.Logf("%d SINR fallbacks over %d evaluated receptions", fallbacks, evaluated)

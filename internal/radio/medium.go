@@ -383,8 +383,8 @@ func within(d2 float64, r float32) (in, ok bool) {
 
 // linkFallbacks counts link decisions that needed the exact radii,
 // rxFallbacks SINR decisions that rxBound left to the exact receive
-// power, and sinrFallbacks SINR decisions that the enclosure left to
-// the exact sum, for tests; none is a registered metric.
+// power, and sinrFallbacks exact SINR decisions that summed the exact
+// interferer powers, for tests; none is a registered metric.
 var linkFallbacks, rxFallbacks, sinrFallbacks atomic.Uint64
 
 // link returns the cached radii for t's link to dst, deriving them on
@@ -486,7 +486,8 @@ const (
 	rxBitsSlack = 0x1p-30
 	// rxBoundPad is the relative margin by which rxBound's enclosure of
 	// the interference sum must clear the limit; it holds the lemma's
-	// 9.7e-11 (see enclose) and the enclosure's own float sums (1e-12).
+	// 9.7e-11 (see enclosedDBm) and the enclosure's own float sums
+	// (1e-12).
 	rxBoundPad = 1e-9
 )
 
@@ -514,7 +515,7 @@ const (
 // at·lossRatio proves the exact float sum S of capture at least
 // L·(1+9.7e-11), so a loss; the noise plus termRatio times the full
 // sum below at·(1−rxBoundPad) proves S at most L·(1−9.7e-11), so a
-// delivery. By the lemma stated at enclose, both equal the exact
+// delivery. By the lemma stated at enclosedDBm, both equal the exact
 // decision for the draws and powers the enclosure accepts. Anything
 // else, ties within the band included, falls back to the exact receive
 // power and decideSINR.
@@ -816,12 +817,10 @@ func (m *Medium) completeCulled(t *transmission, srcPos geo.Point, now time.Dura
 // obstructions it is decided from rxBound's enclosures of the receive
 // powers, which cost no exact power at all; the few receptions they
 // leave open, and every reception under an obstruction model, get the
-// exact receive power and decideSINR: the noise-floor test, then an
-// enclosure of the interference sum with each term's mW from math.Exp,
-// and only for a straddle the exact capture steps, summing term by
-// term in m.overlap order. So every outcome and the random stream
-// equal those of comparing u against the exact probability for every
-// receiver.
+// exact receive power and decideSINR: the noise-floor test, then the
+// exact capture steps, summing term by term in m.overlap order. So
+// every outcome and the random stream equal those of comparing u
+// against the exact probability for every receiver.
 func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now time.Duration) {
 	dstPos := dst.pos()
 	d2 := sqDist(srcPos, dstPos)
@@ -894,7 +893,7 @@ func (m *Medium) evaluate(t *transmission, srcPos geo.Point, dst *Interface, now
 // power, on top of the (possibly raised) noise floor, through
 // decideSINR.
 func (m *Medium) exactSINR(u float64, t *transmission, dst *Interface, dstPos geo.Point, rx float64) (lost bool) {
-	lost, straddled := decideSINR(u, rx, t.src.cfg.MCS.SNRThresholdDB, m.noiseMW, m.noiseDBm,
+	lost, summed := decideSINR(u, rx, t.src.cfg.MCS.SNRThresholdDB, m.noiseMW, m.noiseDBm,
 		len(m.overlap), func(i int) (float64, bool) {
 			o := m.overlap[i]
 			if o.t.src == dst {
@@ -902,7 +901,7 @@ func (m *Medium) exactSINR(u float64, t *transmission, dst *Interface, dstPos ge
 			}
 			return m.rxPowerDBmAt(o.t, o.pos, dst, dstPos), true
 		})
-	if straddled {
+	if summed {
 		sinrFallbacks.Add(1)
 	}
 	return lost

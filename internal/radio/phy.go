@@ -132,27 +132,37 @@ func successProbability(sinrDB, thresholdDB float64) float64 {
 // 1e-9 margin can never decide a loss the exact comparison would not.
 const captureMargin = 1e-9
 
-// Bounds of the inputs on which enclose is proven.
+// Bounds of the inputs on which the SINR lemma below holds, the proof
+// behind rxBound's decisions.
+//
+// Lemma: for a draw u within [enclosedMinU, enclosedMaxU], at most
+// enclosedTerms interferers, and rx, threshold, noise floor and every
+// interferer within ±enclosedDBm, let S be the float sum of
+// dbmToMilliwatt terms that capture adds, and L the real interference
+// at which the real success probability of rx equals u. Then
+// S ≥ L·(1+ρ) means the exact comparison loses the frame, and
+// S ≤ L·(1−ρ) means it delivers, for ρ ≥ 9.7e-11. Proof: the logit of
+// the real p falls by 2.2·10/ln10 ≈ 9.55 per unit of ln S, so those
+// move it by more than 9.2e-10 below or above logit(u). The computed p
+// is within (1−p)·1e-11 + 3.3e-16 relative of the real one: an error of
+// at most 3e-12 dB in rx − 10·log10 S − threshold scales exp's result
+// by e^(2.2·3e-12), and the final 1+E and division round twice. That
+// error is smaller than the logit shift whenever 1−p exceeds 4e-7,
+// which enclosedMaxU ensures on the side where p is near u.
 const (
-	// enclosurePad is the relative half-width of the band, around the
-	// interference at which p equals u, inside which only the exact sum
-	// decides. The enclosure's own rounding takes at most 2.2e-12 of it
-	// (see enclose); the rest keeps the rounding of p from deciding.
-	enclosurePad = 1e-10
 	// enclosedDBm bounds |dBm| of the receive power, the noise floor,
 	// the MCS threshold and every interferer, so every power in mW is a
-	// normal float64 and every exponent is small enough for the bounds
-	// in enclose.
+	// normal float64 and every exponent is small enough for the lemma.
 	enclosedDBm = 1000
 	// enclosedTerms bounds the interferers of one enclosed sum: a float
 	// sum of at most 4097 non-negative terms is within 4096·2⁻⁵³ < 5e-13
 	// relative of its real sum.
 	enclosedTerms = 4096
-	// enclosedMinU and enclosedMaxU bound the draws the enclosure
-	// decides. Below the minimum (it is under every non-zero draw of
+	// enclosedMinU and enclosedMaxU bound the draws the lemma covers.
+	// Below the minimum (it is under every non-zero draw of
 	// rand.Float64, a multiple of 2⁻⁶³) (1−u)/u may overflow, and p may
 	// round to 0; above the maximum the rounding of p itself (2⁻⁵²
-	// relative) is no longer small next to the pad's effect on p, which
+	// relative) is no longer small next to the logit shift, which
 	// shrinks with 1−u.
 	enclosedMinU = 0x1p-64
 	enclosedMaxU = 1 - 0x1p-16
@@ -161,29 +171,23 @@ const (
 // ln10over10 converts dB to a natural exponent: 10^(x/10) = e^(x·ln10/10).
 const ln10over10 = math.Ln10 / 10
 
-// decideSINR decides one receiver's SINR outcome: the frame is lost
-// when u > p, with p the successProbability of rxDBm over the
+// decideSINR decides one receiver's SINR outcome exactly: the frame is
+// lost when u > p, with p the successProbability of rxDBm over the
 // interference sum, the noise floor first and then each of the n
 // interferers term(i) returns (in dBm; ok false skips the entry),
 // converted to mW and summed in index order.
 //
-// It opens capture, which loses the frame against the noise floor
-// alone when it can. Otherwise a receiver with interferers is decided
-// from an enclosure of the sum (see enclose). Only when the enclosure
-// cannot decide (a straddle, or inputs outside its proven range) does
-// capture go on verbatim: bound, every exact term, lost; straddled
-// reports that. Either way the outcome equals the exact decision, and u
-// is the only draw.
-func decideSINR(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64, n int, term func(i int) (dbm float64, ok bool)) (lost, straddled bool) {
+// It runs capture: the noise floor alone loses the frame when it can;
+// otherwise, with interferers, every exact term is summed until a
+// partial sum proves the loss, and the full sum decides the rest.
+// summed reports that the interferers were summed. u is the only draw.
+func decideSINR(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64, n int, term func(i int) (dbm float64, ok bool)) (lost, summed bool) {
 	var c capture
 	if c.start(u, rxDBm, thresholdDB, noiseMW, noiseDBm) {
 		return true, false
 	}
 	if n == 0 {
 		return c.lost(), false
-	}
-	if lost, ok := enclose(u, rxDBm, thresholdDB, noiseMW, noiseDBm, n, term); ok {
-		return lost, false
 	}
 	c.bound()
 	for i := 0; i < n; i++ {
@@ -194,75 +198,6 @@ func decideSINR(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64, n int, term fu
 		}
 	}
 	return c.lost(), true
-}
-
-// enclose decides the SINR outcome from an enclosure of the exact
-// interference sum S, the float sum of dbmToMilliwatt terms that
-// capture adds; ok is false when it cannot.
-//
-// It sums A, the same terms each taken as math.Exp(dBm·ln10/10), in
-// the same order, and compares A with L, the interference at which p
-// would equal u (interferenceAt), padded by enclosurePad either way.
-// The errors, for inputs within the enclosed bounds:
-//   - Each Exp term is within 2e-13 relative of the math.Pow term: both
-//     are within 1e-13 of 10^(dBm/10). Exp's argument, at most 231 in
-//     magnitude, is rounded twice; Pow rounds dBm/10 and builds 10^⌊y⌉
-//     in at most seven squarings of an exact fraction; math.Exp and
-//     math.Log are within a few ulps.
-//   - With the summation error (enclosedTerms), every partial sum of A
-//     is within 1.2e-12 relative of the same partial sum of S.
-//   - L, an Exp of an argument below 470 built from dB values below
-//     2100 (|ln((1−u)/u)| < 45 for enclosed draws), is within 1e-12
-//     relative of its real value.
-//
-// So a partial A above L·(1+pad) proves S ≥ L·(1+ρ) and a full A below
-// L·(1−pad) proves S ≤ L·(1−ρ), with ρ > 9.7e-11.
-//
-// Lemma (rxBound relies on it too): for a draw within [enclosedMinU,
-// enclosedMaxU], at most enclosedTerms interferers, and rx, threshold,
-// noise floor and every interferer within ±enclosedDBm, let L be the
-// real interference at which the real success probability of rx equals
-// u. Then S ≥ L·(1+ρ) means the exact comparison loses the frame, and
-// S ≤ L·(1−ρ) means it delivers, for ρ ≥ 9.7e-11. Proof: the logit of
-// the real p falls by 2.2·10/ln10 ≈ 9.55 per unit of ln S, so those
-// move it by more than 9.2e-10 below or above logit(u). The computed p
-// is within (1−p)·1e-11 + 3.3e-16 relative of the real one: an error of
-// at most 3e-12 dB in rx − 10·log10 S − threshold scales exp's result
-// by e^(2.2·3e-12), and the final 1+E and division round twice. That
-// error is smaller than the logit shift whenever 1−p exceeds 4e-7,
-// which enclosedMaxU ensures on the side where p is near u.
-//
-// Hence a loss above the upper edge and a delivery below the lower edge
-// both equal the exact comparison; everything between is a straddle.
-func enclose(u, rxDBm, thresholdDB, noiseMW, noiseDBm float64, n int, term func(i int) (dbm float64, ok bool)) (lost, ok bool) {
-	if n > enclosedTerms || !(u >= enclosedMinU && u <= enclosedMaxU) || !(math.Abs(rxDBm) <= enclosedDBm) ||
-		!(math.Abs(thresholdDB) <= enclosedDBm) || !(math.Abs(noiseDBm) <= enclosedDBm) {
-		return false, false
-	}
-	at := interferenceAt(u, rxDBm, thresholdDB)
-	lossAt := at * (1 + enclosurePad)
-	sum := noiseMW
-	for i := 0; i < n; i++ {
-		dbm, ok := term(i)
-		if !ok {
-			continue
-		}
-		if !(math.Abs(dbm) <= enclosedDBm) {
-			return false, false
-		}
-		if sum += math.Exp(dbm * ln10over10); sum > lossAt {
-			return true, true
-		}
-	}
-	return false, sum < at*(1-enclosurePad)
-}
-
-// interferenceAt is the interference in mW at which the success
-// probability of rxDBm equals u: it solves
-// u = 1/(1+exp(−2.2(rx − 10·log10 S − threshold))) for S, with
-// math.Exp in place of capture.bound's math.Pow.
-func interferenceAt(u, rxDBm, thresholdDB float64) float64 {
-	return math.Exp((rxDBm - thresholdDB + math.Log((1-u)/u)/2.2) * ln10over10)
 }
 
 // Bounded log2 and exp2. Over each octave the two functions are cut
@@ -330,11 +265,10 @@ func exp2Floor(x float64) float64 {
 	return (e0 + g*(exp2Knots[j+1]-e0)) * exp2Shrink * math.Float64frombits(uint64(int64(k)+1023)<<52)
 }
 
-// capture is the exact SINR decision that decideSINR falls back to.
-// The exact rule is: the frame is lost when u > p, with p the
-// successProbability of rx over the interference sum (noise floor
-// first, then each overlapping transmission's power in mW, summed in
-// that order). p only falls as the sum grows, and a float sum of
+// capture is the exact SINR decision that decideSINR runs. The exact
+// rule is: the frame is lost when u > p, with p the successProbability
+// of rx over the interference sum (noise floor first, then each
+// overlapping transmission's power in mW, summed in that order). p only falls as the sum grows, and a float sum of
 // non-negative terms never shrinks, so a partial sum proves a loss
 // once it passes the power at which p would equal u. Deliveries and
 // losses near the boundary always go through the exact comparison on

@@ -68,19 +68,6 @@ func NewEDF(xs []float64) EDF {
 	return EDF{X: x, F: f}
 }
 
-// At evaluates the EDF at value v. An empty EDF evaluates to 0
-// everywhere rather than NaN.
-func (e EDF) At(v float64) float64 {
-	if len(e.X) == 0 {
-		return 0
-	}
-	// Binary search for the upper bound of the tie group: the number
-	// of elements <= v. (A linear scan here is O(n) on duplicate-heavy
-	// samples such as quantised latencies.)
-	idx := sort.Search(len(e.X), func(i int) bool { return e.X[i] > v })
-	return float64(idx) / float64(len(e.X))
-}
-
 // Percentile returns the p-th percentile (0..100) by nearest-rank.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {

@@ -33,25 +33,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestEDFMatchesPaperFig11Reading(t *testing.T) {
-	// The paper's five total delays.
-	xs := []float64{71, 70, 52, 44, 55}
-	e := NewEDF(xs)
-	// "60% of the samples occur between 44 and 55 ms".
-	if got := e.At(55); math.Abs(got-0.6) > 1e-9 {
-		t.Fatalf("F(55)=%v, want 0.6", got)
-	}
-	if got := e.At(43); got != 0 {
-		t.Fatalf("F(43)=%v", got)
-	}
-	if got := e.At(71); got != 1 {
-		t.Fatalf("F(71)=%v", got)
-	}
-	if got := e.At(100); got != 1 {
-		t.Fatalf("F(100)=%v", got)
-	}
-}
-
 func TestEDFPropertyMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
 		if len(raw) == 0 {
@@ -168,25 +149,6 @@ func TestFormatEDF(t *testing.T) {
 	}
 }
 
-func TestEDFAtAllTiedValues(t *testing.T) {
-	// Quantised latency samples collapse onto few distinct values; the
-	// EDF must count the whole tie group at once.
-	e := NewEDF([]float64{2, 2, 2, 2})
-	if got := e.At(2); got != 1 {
-		t.Fatalf("F(2)=%v, want 1", got)
-	}
-	if got := e.At(1.999); got != 0 {
-		t.Fatalf("F(1.999)=%v, want 0", got)
-	}
-	e = NewEDF([]float64{1, 2, 2, 3})
-	if got := e.At(2); got != 0.75 {
-		t.Fatalf("F(2)=%v, want 0.75", got)
-	}
-	if got := e.At(1); got != 0.25 {
-		t.Fatalf("F(1)=%v, want 0.25", got)
-	}
-}
-
 func TestKolmogorovSmirnovTiedSamples(t *testing.T) {
 	// xs = {1,1,1,2} against U(0,2): the EDF jumps 0 -> 0.75 at x=1
 	// (cdf 0.5) and 0.75 -> 1 at x=2 (cdf 1.0). Hand-computed D:
@@ -221,58 +183,6 @@ func TestKolmogorovSmirnovPerfectFit(t *testing.T) {
 	want := 1.0 / float64(n) * 1.5 // 0.15: |F - cdf| peaks at 0.05+0.10
 	if ks > want+1e-12 {
 		t.Fatalf("KS=%v for a well-matched sample, want <= %v", ks, want)
-	}
-}
-
-// Table-driven edge cases for the EDF: empty sample, single point, and
-// an all-ties sample, evaluated at probing points around the data.
-func TestEDFEdgeCases(t *testing.T) {
-	cases := []struct {
-		name   string
-		sample []float64
-		probes []struct{ v, want float64 }
-	}{
-		{
-			name:   "empty",
-			sample: nil,
-			probes: []struct{ v, want float64 }{
-				{-1e9, 0}, {0, 0}, {1e9, 0},
-			},
-		},
-		{
-			name:   "single point",
-			sample: []float64{42},
-			probes: []struct{ v, want float64 }{
-				{41.999, 0}, {42, 1}, {42.001, 1},
-			},
-		},
-		{
-			name:   "all ties",
-			sample: []float64{7, 7, 7, 7, 7},
-			probes: []struct{ v, want float64 }{
-				{6.999, 0}, {7, 1}, {7.001, 1},
-			},
-		},
-		{
-			name:   "two distinct with ties",
-			sample: []float64{1, 1, 2, 2},
-			probes: []struct{ v, want float64 }{
-				{0.5, 0}, {1, 0.5}, {1.5, 0.5}, {2, 1},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			e := NewEDF(tc.sample)
-			if len(e.X) != len(tc.sample) || len(e.F) != len(tc.sample) {
-				t.Fatalf("EDF sizes X=%d F=%d, want %d", len(e.X), len(e.F), len(tc.sample))
-			}
-			for _, p := range tc.probes {
-				if got := e.At(p.v); got != p.want {
-					t.Errorf("At(%v) = %v, want %v", p.v, got, p.want)
-				}
-			}
-		})
 	}
 }
 

@@ -181,6 +181,41 @@ func (l *Line) Project(p geo.Point) (s, lateral float64) {
 	return s, -d
 }
 
+// AtEnd reports whether p projects within eps of the line's end:
+// exactly s >= Length()-eps for the arc length s Project returns, but
+// decided from the last segment's along-track coordinate, computed
+// here with Project's arithmetic. An earlier segment never projects
+// past the start of the last one, where that coordinate begins, so a
+// coordinate short of the threshold decides false whichever segment
+// is nearest; past it, it decides true on a one-segment line. A
+// coordinate within a relative 1e-9 of the threshold (far wider than
+// anything by which the two evaluations can round apart), an input
+// beyond 1e100 or non-finite, a segment whose squared length is not a
+// normal float, or a coordinate past the threshold on a line with more
+// segments (one of which may be nearer) falls back to Project.
+func (l *Line) AtEnd(p geo.Point, eps float64) bool {
+	n := len(l.points)
+	end := l.Length() - eps
+	start := l.cumulative[n-2]
+	a, b := l.points[n-2], l.points[n-1]
+	dx, dy := b.X-a.X, b.Y-a.Y
+	px, py := p.X-a.X, p.Y-a.Y
+	scale := l.Length() + math.Abs(eps) + math.Abs(px) + math.Abs(py)
+	if l2 := dx*dx + dy*dy; l2 >= 1e-290 && scale <= 1e100 {
+		t := max(0, min(1, (px*dx+py*dy)/l2))
+		s := start + t*l.length[n-2]
+		band := 1e-9 * scale
+		if s < end-band {
+			return false
+		}
+		if s > end+band && n == 2 {
+			return true
+		}
+	}
+	s, _ := l.Project(p)
+	return s >= end
+}
+
 // Within reports whether p lies within r of the line: exactly
 // math.Abs(lateral) <= r for the lateral offset Project returns, but
 // decided from squared distances. Only a distance within a relative

@@ -450,3 +450,69 @@ func TestRowSpansDeclines(t *testing.T) {
 		t.Errorf("row across the line: ok %v, spans %v", ok, spans)
 	}
 }
+
+// FuzzLineEndMatchesProject checks AtEnd against Project's arc length
+// (s >= Length()-eps) at eps 0 and 1e-6, on 2-point and multi-point
+// lines and on lines with a segment too short for its squared length
+// to be represented (a zero-length segment to the arithmetic), for the
+// fuzzed point and for points planted along the last segment: on the
+// end threshold, one ulp and fractions of AtEnd's band either side of
+// it, and beyond the end, each also pushed off the line sideways.
+func FuzzLineEndMatchesProject(f *testing.F) {
+	f.Add(0.0, 0.0, 0.0, 6.0, 0.0, 0.0, uint8(0), 0.0, 5.9999995, 0.0)
+	f.Add(0.0, 0.0, 0.0, 6.0, 0.0, 0.0, uint8(4), 0.01, 5.999999, 0.3)
+	f.Add(0.0, -2.0, 0.0, 0.6, 0.4, 1.2, uint8(1), 0.4, 1.3, -0.05)
+	f.Add(0.0, 0.0, 4.0, 0.0, 0.0, 0.5, uint8(5), 0.2, 0.6, 1.5)
+	f.Add(-3.0, -3.0, 3.0, 3.0, 0.0, 0.0, uint8(2), 3.0, 3.0, 0.0)
+	f.Add(1.0, 1.0, 1.0, 2.0, 0.0, 0.0, uint8(7), 1.0, 2.0, 1e-9)
+	f.Add(0.0, 0.0, 1e-7, 0.0, 0.0, 0.0, uint8(4), 1e-7, 0.0, 0.0)
+	f.Add(1e120, 0.0, 0.0, 1.0, 0.0, 0.0, uint8(0), 0.0, 1.0, 0.0)
+	f.Add(0.0, 0.0, 0.0, 6.0, 0.0, 0.0, uint8(0), math.NaN(), 6.0, 0.0)
+	f.Add(0.0, 0.0, 0.0, 1e-150, 0.0, 0.0, uint8(3), 0.0, 1e-150, 0.0)
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, x2, y2 float64, shape uint8, px, py, side float64) {
+		pts := []geo.Point{{X: x0, Y: y0}, {X: x1, Y: y1}}
+		switch shape % 4 {
+		case 1:
+			pts = append(pts, geo.Point{X: x2, Y: y2})
+		case 2:
+			// A first segment whose squared length underflows.
+			pts = []geo.Point{{X: x0 - 1e-170, Y: y0}, {X: x0, Y: y0}, {X: x1, Y: y1}}
+		case 3:
+			// A last segment whose squared length underflows.
+			pts = append(pts, geo.Point{X: x1, Y: y1 + 1e-170})
+		}
+		l, err := NewLine(pts)
+		if err != nil {
+			return
+		}
+		eps := 0.0
+		if shape&4 != 0 {
+			eps = 1e-6
+		}
+		check := func(p geo.Point) {
+			t.Helper()
+			s, _ := l.Project(p)
+			if got, want := l.AtEnd(p, eps), s >= l.Length()-eps; got != want {
+				t.Fatalf("line %v: AtEnd(%v, %g) = %v, Project s = %v, Length-eps = %v",
+					pts, p, eps, got, s, l.Length()-eps)
+			}
+		}
+		check(geo.Point{X: px, Y: py})
+
+		n := len(pts)
+		a, b := pts[n-2], pts[n-1]
+		length := l.length[n-2]
+		ux, uy := (b.X-a.X)/length, (b.Y-a.Y)/length
+		end := l.Length() - eps - l.cumulative[n-2]
+		scale := l.Length() + eps + math.Abs(a.X) + math.Abs(a.Y) + length
+		for _, along := range []float64{
+			end, math.Nextafter(end, math.Inf(1)), math.Nextafter(end, math.Inf(-1)),
+			end + 0.5e-9*scale, end - 0.5e-9*scale, end + 2e-9*scale, end - 2e-9*scale,
+			end + 1e-6*scale, end - 1e-6*scale, length, length * (1 + math.Abs(side)),
+		} {
+			on := geo.Point{X: a.X + along*ux, Y: a.Y + along*uy}
+			check(on)
+			check(geo.Point{X: on.X - side*uy, Y: on.Y + side*ux})
+		}
+	})
+}

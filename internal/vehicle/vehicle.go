@@ -36,8 +36,6 @@ type Config struct {
 	CruiseSpeed float64
 	// ControlPeriod of the line-following loop (ZED stream rate).
 	ControlPeriod time.Duration
-	// PhysicsStep of the dynamics integrator.
-	PhysicsStep time.Duration
 	// PollInterval of the DENM poller script.
 	PollInterval time.Duration
 	// PollPhase offsets the first poll within the interval; negative
@@ -62,6 +60,10 @@ type Config struct {
 	// network-aided behaviour.
 	Watchdog bool
 }
+
+// physicsStep is the dynamics integrator's step. It is a whole number
+// of milliseconds, so every step lands on a millisecond instant.
+const physicsStep = 2 * time.Millisecond
 
 // The network watchdog's constants.
 const (
@@ -96,7 +98,6 @@ func DefaultConfig(layout track.Layout) Config {
 		StartArc:      0,
 		CruiseSpeed:   1.5,
 		ControlPeriod: 33 * time.Millisecond,
-		PhysicsStep:   2 * time.Millisecond,
 		PollInterval:  35 * time.Millisecond,
 		PollPhase:     -1,
 		UseVision:     true,
@@ -142,6 +143,9 @@ type Vehicle struct {
 	// OnHalt fires once when the vehicle comes to rest after a stop
 	// command, with true (video) time (the paper's step 6).
 	OnHalt func(trueTime time.Duration)
+	// OnStep, if set, runs at the end of every physics step, after the
+	// halt check. Steps are the only events that move the vehicle.
+	OnStep func()
 
 	// DetectionCycles counts control-loop iterations.
 	DetectionCycles uint64
@@ -168,7 +172,7 @@ func New(kernel *sim.Kernel, cfg Config) (*Vehicle, error) {
 	if cfg.Layout.Line == nil {
 		return nil, fmt.Errorf("vehicle: layout has no guide line")
 	}
-	if cfg.ControlPeriod <= 0 || cfg.PhysicsStep <= 0 || cfg.PollInterval <= 0 {
+	if cfg.ControlPeriod <= 0 || cfg.PollInterval <= 0 {
 		return nil, fmt.Errorf("vehicle: non-positive period in config")
 	}
 	pos := cfg.Layout.Line.PointAt(cfg.StartArc)
@@ -227,7 +231,7 @@ func (v *Vehicle) Start() {
 		return
 	}
 	v.Body.SetCommandedSpeed(v.cfg.CruiseSpeed)
-	v.physTicker = v.kernel.Every(0, v.cfg.PhysicsStep, v.physicsTick)
+	v.physTicker = v.kernel.Every(0, physicsStep, v.physicsTick)
 	v.ctrlTicker = v.kernel.Every(v.cfg.ControlPeriod, v.cfg.ControlPeriod, v.controlTick)
 	if v.obu != nil {
 		phase := v.cfg.PollPhase
@@ -259,12 +263,15 @@ func (v *Vehicle) Stop() {
 }
 
 func (v *Vehicle) physicsTick() {
-	v.Body.Step(v.cfg.PhysicsStep.Seconds())
+	v.Body.Step(physicsStep.Seconds())
 	if v.stopIssued && !v.haltObserved && v.Body.PowerCut() && v.Body.Stopped() {
 		v.haltObserved = true
 		if v.OnHalt != nil {
 			v.OnHalt(v.kernel.Now())
 		}
+	}
+	if v.OnStep != nil {
+		v.OnStep()
 	}
 }
 

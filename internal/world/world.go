@@ -74,13 +74,6 @@ func NewMap(walls []Wall) *Map {
 	return &Map{walls: w}
 }
 
-// Walls returns a copy of the wall set.
-func (m *Map) Walls() []Wall {
-	out := make([]Wall, len(m.walls))
-	copy(out, m.walls)
-	return out
-}
-
 // segmentsIntersect reports whether segments ab and cd properly
 // intersect (shared endpoints count as intersection).
 func segmentsIntersect(a, b, c, d geo.Point) bool {
@@ -130,19 +123,6 @@ func rayHit(a, b, c, d geo.Point) (t float64, ok bool) {
 	return t, true
 }
 
-// LineOfSight reports whether the straight path a→b crosses no wall.
-func (m *Map) LineOfSight(a, b geo.Point) bool {
-	if m == nil {
-		return true
-	}
-	for _, w := range m.walls {
-		if segmentsIntersect(a, b, w.Segment.A, w.Segment.B) {
-			return false
-		}
-	}
-	return true
-}
-
 // ObstructionLossDB sums the penetration losses of every wall the
 // path a→b crosses (the radio shadowing model).
 func (m *Map) ObstructionLossDB(a, b geo.Point) float64 {
@@ -180,18 +160,4 @@ func (m *Map) Raycast(origin geo.Point, direction geo.Vector, maxRange float64) 
 		return 0, false
 	}
 	return best * maxRange, true
-}
-
-// BlindCornerLab builds the motivating scenario's geometry: the
-// vehicle approaches north along x=0 while a concrete wall east of
-// the lane hides the hazard area near the camera until the vehicle is
-// close. gapY is the wall's north end — line of sight to a point at
-// (0, hazardY) opens only when the vehicle passes the wall edge.
-func BlindCornerLab(gapY float64) *Map {
-	return NewMap([]Wall{
-		// Wall along the right of the lane from south up to gapY.
-		{Segment: geo.Segment{A: geo.Point{X: 0.6, Y: 0}, B: geo.Point{X: 0.6, Y: gapY}}, Material: MaterialConcrete},
-		// Back wall of the hall.
-		{Segment: geo.Segment{A: geo.Point{X: -3, Y: 8}, B: geo.Point{X: 3, Y: 8}}, Material: MaterialBrick},
-	})
 }

@@ -11,32 +11,6 @@ func wallAt(x float64, y0, y1 float64, m Material) Wall {
 	return Wall{Segment: geo.Segment{A: geo.Point{X: x, Y: y0}, B: geo.Point{X: x, Y: y1}}, Material: m}
 }
 
-func TestLineOfSightOpenWorld(t *testing.T) {
-	var m *Map // nil map: fully open
-	if !m.LineOfSight(geo.Point{}, geo.Point{X: 100, Y: 100}) {
-		t.Fatal("nil map must be open")
-	}
-	empty := NewMap(nil)
-	if !empty.LineOfSight(geo.Point{}, geo.Point{X: 5}) {
-		t.Fatal("empty map must be open")
-	}
-}
-
-func TestLineOfSightBlocked(t *testing.T) {
-	m := NewMap([]Wall{wallAt(1, -1, 1, MaterialBrick)})
-	if m.LineOfSight(geo.Point{X: 0}, geo.Point{X: 2}) {
-		t.Fatal("wall did not block")
-	}
-	// Parallel path on one side: clear.
-	if !m.LineOfSight(geo.Point{X: 0, Y: 2}, geo.Point{X: 2, Y: 2}) {
-		t.Fatal("clear path blocked")
-	}
-	// Path ending before the wall: clear.
-	if !m.LineOfSight(geo.Point{X: 0}, geo.Point{X: 0.9}) {
-		t.Fatal("short path blocked")
-	}
-}
-
 func TestObstructionLossAccumulates(t *testing.T) {
 	m := NewMap([]Wall{
 		wallAt(1, -1, 1, MaterialBrick),
@@ -101,35 +75,6 @@ func TestRaycastDegenerate(t *testing.T) {
 	}
 	if _, ok := m.Raycast(geo.Point{}, geo.Vector{X: 1}, 0); ok {
 		t.Fatal("zero range hit something")
-	}
-}
-
-func TestBlindCornerLabGeometry(t *testing.T) {
-	m := BlindCornerLab(5.2)
-	vehicleSouth := geo.Point{X: 0, Y: 3}
-	hazardEast := geo.Point{X: 2, Y: 5.0}
-	if m.LineOfSight(vehicleSouth, hazardEast) {
-		t.Fatal("corner does not hide the hazard")
-	}
-	// Past the wall's north end the view opens.
-	vehicleNorth := geo.Point{X: 0, Y: 5.4}
-	hazardNorth := geo.Point{X: 2, Y: 5.6}
-	if !m.LineOfSight(vehicleNorth, hazardNorth) {
-		t.Fatal("view does not open past the corner")
-	}
-}
-
-func TestWallsCopySemantics(t *testing.T) {
-	walls := []Wall{wallAt(1, 0, 1, MaterialBrick)}
-	m := NewMap(walls)
-	walls[0].Segment.A.X = 99
-	if m.Walls()[0].Segment.A.X == 99 {
-		t.Fatal("map aliases the caller's slice")
-	}
-	got := m.Walls()
-	got[0].Segment.A.X = 55
-	if m.Walls()[0].Segment.A.X == 55 {
-		t.Fatal("Walls returns an aliased slice")
 	}
 }
 
